@@ -356,6 +356,31 @@ fn powersgd_section(pr: Params, smoke: bool) -> Value {
     })
 }
 
+/// Top-k as it ran before the sampled bound, and still the route
+/// [`top_k_abs_with`] falls back to: `|x|` copy of the whole input,
+/// quickselect over all `n` magnitudes, threshold gather, lowest-index tie
+/// fill. Rebuilt from the public kernels so the tracked report keeps the
+/// before/after pair in one row.
+fn reference_top_k_abs(data: &[f32], k: usize, mags: &mut Vec<f32>) -> (Vec<u32>, Vec<f32>) {
+    mags.clear();
+    mags.resize(data.len(), 0.0);
+    kernels::abs_into(data, mags);
+    let (_, kth, _) = mags.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+    let threshold = *kth;
+    let (mut indices, mut values) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    kernels::gather_above(data, threshold, false, &mut indices, &mut values);
+    for (i, &v) in data.iter().enumerate() {
+        if indices.len() == k {
+            break;
+        }
+        if v.abs() == threshold {
+            indices.push(i as u32);
+            values.push(v);
+        }
+    }
+    (indices, values)
+}
+
 fn selection_section(pr: Params) -> (Value, Value) {
     let n = pr.ring_elems;
     let g = Tensor::randn([n], 23);
@@ -364,7 +389,21 @@ fn selection_section(pr: Params) -> (Value, Value) {
     let topk = bench(1, pr.gemm_iters, || {
         black_box(top_k_abs_with(g.data(), k, &mut mags));
     });
-    println!("top-k 1% select  n={n} k={k}  {}", topk.ms());
+    let reference = bench(1, pr.gemm_iters, || {
+        black_box(reference_top_k_abs(g.data(), k, &mut mags));
+    });
+    let sel = top_k_abs_with(g.data(), k, &mut mags);
+    assert_eq!(
+        (sel.indices, sel.values),
+        reference_top_k_abs(g.data(), k, &mut mags),
+        "select and its reference disagree"
+    );
+    println!(
+        "top-k 1% select  n={n} k={k}  {}  (full-quickselect reference {}, {:.2}x)",
+        topk.ms(),
+        reference.ms(),
+        speedup(&reference, &topk)
+    );
 
     let mut packed = SignBits::pack(g.data());
     let pack = bench(1, pr.gemm_iters, || {
@@ -386,6 +425,7 @@ fn selection_section(pr: Params) -> (Value, Value) {
             "k": k,
             "ratio": 0.01,
             "select_ms": topk.mean_s * 1e3,
+            "reference_ms": reference.mean_s * 1e3,
         }),
         json!({
             "kernel": "sign_pack_unpack",
@@ -476,7 +516,8 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
 
     // Top-k support kernels: |x| materialization, L1 reduction, and the
     // threshold scan-and-gather (threshold chosen near the top-1% cut of a
-    // standard normal, ~2.6 sigma).
+    // standard normal, ~2.6 sigma; NaN-inclusive compare, the form the
+    // select's candidate pass runs).
     let mut mags = vec![0.0f32; n];
     rows.push(simd_row("abs_into", n, iters, |s| {
         (table(s).abs_into)(&data, black_box(&mut mags));
@@ -489,7 +530,7 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
     rows.push(simd_row("gather_above", n, iters, |s| {
         idx.clear();
         vals.clear();
-        (table(s).gather_above)(&data, threshold, &mut idx, &mut vals);
+        (table(s).gather_above)(&data, threshold, true, &mut idx, &mut vals);
         black_box((&idx, &vals));
     }));
 

@@ -29,6 +29,9 @@ pub struct Dgc {
     /// Velocity state per layer (momentum correction).
     velocity: HashMap<usize, Tensor>,
     pending: HashMap<usize, Vec<f32>>,
+    /// Sampled-magnitude scratch for the threshold estimate, reused
+    /// across encodes.
+    sample: Vec<f32>,
 }
 
 impl Dgc {
@@ -52,6 +55,7 @@ impl Dgc {
             residual: HashMap::new(),
             velocity: HashMap::new(),
             pending: HashMap::new(),
+            sample: Vec::new(),
         })
     }
 
@@ -98,14 +102,18 @@ impl Dgc {
         let sample_n = ((n as f64 * self.sample_fraction) as usize)
             .clamp(1, n)
             .min(10_000);
-        let mut sample: Vec<f32> = (0..sample_n)
-            .map(|_| data[self.rng.gen_range(0..n)].abs())
-            .collect();
-        // NaN-total descending order: a NaN gradient must not scramble
-        // the sampled threshold between runs.
-        sample.sort_by(|a, b| b.total_cmp(a));
+        let rng = &mut self.rng;
+        self.sample.clear();
+        self.sample
+            .extend((0..sample_n).map(|_| data[rng.gen_range(0..n)].abs()));
         let k = ((sample_n as f64 * self.ratio).round() as usize).clamp(1, sample_n);
-        sample[k - 1]
+        // One order statistic, so a quickselect rather than a sort. NaN-
+        // total descending order: a NaN gradient must not scramble the
+        // sampled threshold between runs.
+        let (_, kth, _) = self
+            .sample
+            .select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+        *kth
     }
 }
 
@@ -192,14 +200,7 @@ impl Compressor for Dgc {
                             "sparse payloads disagree on dense length".into(),
                         ));
                     }
-                    for (&i, &v) in indices.iter().zip(values) {
-                        let slot = d.get_mut(i as usize).ok_or_else(|| {
-                            CompressError::Protocol(format!("index {i} out of bounds"))
-                        })?;
-                        // Bounds-checked sparse scatter-add; no bulk kernel
-                        // applies to indexed single-element updates.
-                        *slot += v; // lint: allow(raw-f32-accumulation)
-                    }
+                    crate::payload::scatter_add_checked(d, indices, values)?;
                 }
                 other => {
                     return Err(CompressError::PayloadKind {

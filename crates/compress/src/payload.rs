@@ -32,6 +32,25 @@ pub(crate) fn check_sparse_index_space(n: usize) -> Result<()> {
     Ok(())
 }
 
+/// `dense[i] += v` for each sparse `(i, v)` pair. The pairs come off the
+/// wire, so a peer's index past `dense.len()` is a typed
+/// [`CompressError::Protocol`], never a panic in the data plane.
+pub(crate) fn scatter_add_checked(
+    dense: &mut [f32],
+    indices: &[u32],
+    values: &[f32],
+) -> Result<()> {
+    for (&i, &v) in indices.iter().zip(values) {
+        let slot = dense
+            .get_mut(i as usize)
+            .ok_or_else(|| CompressError::Protocol(format!("index {i} out of bounds")))?;
+        // Bounds-checked sparse scatter-add; no bulk kernel applies to
+        // indexed single-element updates.
+        *slot += v; // lint: allow(raw-f32-accumulation)
+    }
+    Ok(())
+}
+
 /// A compressed gradient in one of the representations used by the schemes
 /// in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,7 +13,7 @@ use crate::chunked::{
 use crate::payload::TAG_SPARSE;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::pool;
-use gcs_tensor::select::{top_k_abs_pooled, SparseSelection};
+use gcs_tensor::select::top_k_abs_pooled;
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 
@@ -25,8 +25,10 @@ pub struct TopK {
     error_feedback: bool,
     residual: HashMap<usize, Tensor>,
     pending: HashMap<usize, Vec<f32>>,
-    /// Magnitude scratch for the quickselect, reused across encodes (the
-    /// selection itself is the dominant cost of Top-K — Table 2).
+    /// Magnitude scratch for the selection, reused across encodes: the
+    /// strided sample and the candidates' magnitudes (a few percent of the
+    /// layer), or every magnitude when the select falls back to a full
+    /// quickselect.
     mags: Vec<f32>,
 }
 
@@ -142,11 +144,7 @@ impl Compressor for TopK {
                             "sparse payloads disagree on dense length".into(),
                         ));
                     }
-                    SparseSelection {
-                        indices: indices.clone(),
-                        values: values.clone(),
-                    }
-                    .scatter_add(d);
+                    crate::payload::scatter_add_checked(d, indices, values)?;
                 }
                 other => {
                     return Err(CompressError::PayloadKind {
@@ -366,5 +364,26 @@ mod tests {
         assert!(c.aggregate(0, &[Payload::Dense(vec![])]).is_err());
         assert!(c.aggregate(0, &[]).is_err());
         assert!(c.aggregate(0, &[a]).is_ok());
+    }
+
+    #[test]
+    fn aggregate_rejects_forged_out_of_range_index() {
+        // A peer's frame whose first index was overwritten with one past
+        // the dense length decodes fine (the wire format does not tie
+        // indices to `len`) and used to panic the scatter in `aggregate`.
+        let honest = Payload::Sparse {
+            len: 4,
+            indices: vec![1, 3],
+            values: vec![1.0, -2.0],
+        };
+        let mut frame = honest.to_bytes();
+        // tag (1) + len (8) + k (8), then the little-endian indices.
+        frame[17..21].copy_from_slice(&4u32.to_le_bytes());
+        let forged = Payload::from_bytes(&frame).expect("forged frame still parses");
+        let c = TopK::new(0.5).unwrap();
+        match c.aggregate(0, &[honest, forged]) {
+            Err(CompressError::Protocol(msg)) => assert!(msg.contains("out of bounds"), "{msg}"),
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
     }
 }

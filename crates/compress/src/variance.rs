@@ -154,14 +154,7 @@ impl Compressor for VarianceSparsifier {
                             "sparse payloads disagree on dense length".into(),
                         ));
                     }
-                    for (&i, &v) in indices.iter().zip(values) {
-                        let slot = d.get_mut(i as usize).ok_or_else(|| {
-                            CompressError::Protocol(format!("index {i} out of bounds"))
-                        })?;
-                        // Bounds-checked sparse scatter-add; no bulk kernel
-                        // applies to indexed single-element updates.
-                        *slot += v; // lint: allow(raw-f32-accumulation)
-                    }
+                    crate::payload::scatter_add_checked(d, indices, values)?;
                 }
                 other => {
                     return Err(CompressError::PayloadKind {

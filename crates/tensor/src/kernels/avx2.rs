@@ -408,16 +408,29 @@ const fn build_compress_lut() -> [[u32; 8]; 256] {
     lut
 }
 
-fn gather_above(data: &[f32], threshold: f32, indices: &mut Vec<u32>, values: &mut Vec<f32>) {
+fn gather_above(
+    data: &[f32],
+    threshold: f32,
+    with_nan: bool,
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f32>,
+) {
     // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { gather_above_avx2(data, threshold, indices, values) }
+    unsafe {
+        if with_nan {
+            gather_above_avx2::<_CMP_NLE_UQ>(data, threshold, indices, values)
+        } else {
+            gather_above_avx2::<_CMP_GT_OQ>(data, threshold, indices, values)
+        }
+    }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present. The over-wide
-// stores below land in capacity reserved immediately beforehand
-// (`reserve(8)`), and `set_len` only commits the `cnt` initialized slots.
+// SAFETY: caller must guarantee AVX2+FMA are present and pass `_CMP_GT_OQ`
+// or `_CMP_NLE_UQ` as `CMP`. The over-wide stores below land in capacity
+// reserved immediately beforehand (`reserve(8)`), and `set_len` only
+// commits the `cnt` initialized slots.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gather_above_avx2(
+unsafe fn gather_above_avx2<const CMP: i32>(
     data: &[f32],
     threshold: f32,
     indices: &mut Vec<u32>,
@@ -430,8 +443,9 @@ unsafe fn gather_above_avx2(
     let full = data.len() / 8;
     for blk in 0..full {
         let v = _mm256_loadu_ps(data.as_ptr().add(blk * 8));
-        // Ordered > : NaNs compare false, matching the scalar `abs() > t`.
-        let m = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_and_ps(v, absmask), tv);
+        // Ordered > (NaNs compare false, the scalar `abs() > t`) or its
+        // unordered form not-<= (NaNs compare true), as the caller chose.
+        let m = _mm256_cmp_ps::<CMP>(_mm256_and_ps(v, absmask), tv);
         let mask = _mm256_movemask_ps(m) as usize & 0xff;
         if mask != 0 {
             let cnt = mask.count_ones() as usize;
@@ -455,6 +469,7 @@ unsafe fn gather_above_avx2(
         &data[full * 8..],
         (full * 8) as u32,
         threshold,
+        CMP == _CMP_NLE_UQ,
         indices,
         values,
     );

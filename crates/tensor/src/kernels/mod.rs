@@ -107,9 +107,18 @@ pub struct Kernels {
     /// order. Both tables use this exact association.
     pub sum_abs: fn(data: &[f32]) -> f32,
     /// Appends `(i, data[i])` for every `|data[i]| > threshold`, in index
-    /// order, to `indices`/`values`. NaNs never match (ordered compare).
-    pub gather_above:
-        fn(data: &[f32], threshold: f32, indices: &mut Vec<u32>, values: &mut Vec<f32>),
+    /// order, to `indices`/`values`. Without `with_nan` the compare is
+    /// ordered and NaNs never match; with it the compare is the unordered
+    /// `!(|x| <= threshold)`, so NaN entries match as well — every entry
+    /// that ranks above a non-NaN `threshold` in the magnitude total order
+    /// (a NaN `threshold` then matches everything).
+    pub gather_above: fn(
+        data: &[f32],
+        threshold: f32,
+        with_nan: bool,
+        indices: &mut Vec<u32>,
+        values: &mut Vec<f32>,
+    ),
 }
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
@@ -325,8 +334,14 @@ pub fn sum_abs(data: &[f32]) -> f32 {
 }
 
 /// Dispatched [`Kernels::gather_above`].
-pub fn gather_above(data: &[f32], threshold: f32, indices: &mut Vec<u32>, values: &mut Vec<f32>) {
-    (active().gather_above)(data, threshold, indices, values);
+pub fn gather_above(
+    data: &[f32],
+    threshold: f32,
+    with_nan: bool,
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f32>,
+) {
+    (active().gather_above)(data, threshold, with_nan, indices, values);
 }
 
 // ---------------------------------------------------------------------------

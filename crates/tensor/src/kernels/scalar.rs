@@ -164,18 +164,28 @@ pub(super) fn sum_abs(data: &[f32]) -> f32 {
     total
 }
 
-/// Appends `(i, data[i])` for every `|data[i]| > threshold` in index order.
-/// `base` offsets the emitted indices so the AVX2 table can delegate its
-/// tail without renumbering.
+/// Appends `(i, data[i])` for every `|data[i]| > threshold` in index order;
+/// with `with_nan` the compare is the unordered `!(|x| <= threshold)`, which
+/// NaN entries pass too. `base` offsets the emitted indices so the SIMD
+/// tables can delegate their tails without renumbering.
 pub(super) fn gather_above_from(
     data: &[f32],
     base: u32,
     threshold: f32,
+    with_nan: bool,
     indices: &mut Vec<u32>,
     values: &mut Vec<f32>,
 ) {
     for (i, &v) in data.iter().enumerate() {
-        if v.abs() > threshold {
+        // Spelled as the negation on purpose: it is `vcmpps`'s NLE_UQ
+        // predicate, true whenever either side is NaN.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let hit = if with_nan {
+            !(v.abs() <= threshold)
+        } else {
+            v.abs() > threshold
+        };
+        if hit {
             indices.push(base + i as u32);
             values.push(v);
         }
@@ -185,8 +195,9 @@ pub(super) fn gather_above_from(
 pub(super) fn gather_above(
     data: &[f32],
     threshold: f32,
+    with_nan: bool,
     indices: &mut Vec<u32>,
     values: &mut Vec<f32>,
 ) {
-    gather_above_from(data, 0, threshold, indices, values);
+    gather_above_from(data, 0, threshold, with_nan, indices, values);
 }

@@ -1,6 +1,7 @@
 //! Top-k / random-k index selection used by sparsification compressors.
 
 use crate::kernels;
+use crate::pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,30 +28,30 @@ impl SparseSelection {
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
     }
-
-    /// Scatters the selection into a dense buffer of length `n`,
-    /// accumulating into existing content (`out[i] += v`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= out.len()`.
-    pub fn scatter_add(&self, out: &mut [f32]) {
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out[i as usize] += v;
-        }
-    }
 }
 
 /// Selects the `k` entries of `data` with the largest absolute value.
 ///
-/// Uses an average-O(n) quickselect on a scratch copy, then gathers the
-/// winning indices. Ties at the threshold magnitude are broken
-/// **deterministically toward the lowest index**: entries strictly above
-/// the k-th magnitude are gathered first in ascending index order, then
-/// threshold-equal entries fill the remaining slots scanning from index 0.
-/// The scalar and AVX2 gather kernels honor the same order, so the
-/// selection is bit-identical across dispatch tables — which is what keeps
-/// Top-K workers in agreement regardless of each host's SIMD support. If
+/// The threshold (the k-th largest magnitude) is found **exactly** without
+/// sorting or copying the whole input: a fixed-stride sample of the
+/// magnitudes gives a bound `lo` that the k-th magnitude almost surely
+/// exceeds, one SIMD pass gathers every entry above `lo` (typically
+/// 1.2–1.5·k candidates), and a quickselect among the candidates alone
+/// yields the threshold and the selection. Whenever the bound admits fewer
+/// than `k` candidates (heavy ties, mostly-zero data, a pattern aligned
+/// with the stride, short inputs) the call falls back to an average-O(n)
+/// quickselect over a scratch copy of all magnitudes. Both routes compute
+/// the same k-th magnitude and emit the same entries in the same order, so
+/// the route taken is invisible in the result.
+///
+/// Ties at the threshold magnitude are broken **deterministically toward
+/// the lowest index**: entries strictly above the k-th magnitude come
+/// first in ascending index order, then threshold-equal entries fill the
+/// remaining slots scanning from index 0. NaN magnitudes rank above every
+/// finite one when the threshold is chosen but are emitted last, after the
+/// ties. Every gather kernel table honors the same order, so the selection
+/// is bit-identical across dispatch tables — which is what keeps Top-K
+/// workers in agreement regardless of each host's SIMD support. If
 /// `k >= data.len()` all entries are selected.
 ///
 /// # Example
@@ -69,9 +70,30 @@ pub fn top_k_abs(data: &[f32], k: usize) -> SparseSelection {
 
 /// [`top_k_abs`] with a caller-provided magnitude scratch buffer, so
 /// repeated selections (one per layer per iteration in Top-K compression)
-/// reuse one allocation instead of building a fresh `|data|`-sized copy
-/// each call.
+/// reuse one allocation. `mags` holds the strided sample (`n / 64`
+/// magnitudes) and then the candidates' magnitudes; only the fallback
+/// grows it to a full `|data|`-sized copy.
 pub fn top_k_abs_with(data: &[f32], k: usize, mags: &mut Vec<f32>) -> SparseSelection {
+    // A width-1 pool owns no threads and runs every band inline.
+    top_k_abs_pooled(&Pool::new(1), data, k, mags)
+}
+
+/// [`top_k_abs_with`] with the passes over `data` (the candidate gather;
+/// in the fallback the magnitude fill and the threshold gather) fanned out
+/// across `pool`.
+///
+/// The banded stages are order-preserving: the `|data|` fill is
+/// elementwise, and the chunked gather emits each span's hits with
+/// span-local index fixup before concatenating in span order — the same
+/// ascending index order as the serial scan. The sample, the quickselects
+/// and the tie fill are serial and read the same values for every width,
+/// so the result is **bit-identical** to [`top_k_abs_with`].
+pub fn top_k_abs_pooled(
+    pool: &Pool,
+    data: &[f32],
+    k: usize,
+    mags: &mut Vec<f32>,
+) -> SparseSelection {
     let n = data.len();
     if k == 0 || n == 0 {
         return SparseSelection {
@@ -85,58 +107,94 @@ pub fn top_k_abs_with(data: &[f32], k: usize, mags: &mut Vec<f32>) -> SparseSele
             values: data.to_vec(),
         };
     }
-    // Quickselect the k-th largest absolute value on the scratch copy.
-    mags.clear();
-    mags.resize(n, 0.0);
-    kernels::abs_into(data, mags);
-    gather_top_k(data, k, mags)
+    match top_k_from_sampled_bound(pool, data, k, mags) {
+        Some(sel) => sel,
+        None => top_k_full(pool, data, k, mags),
+    }
 }
 
-/// [`top_k_abs_with`] with the magnitude scan *and* the gather fanned out
-/// across `pool`.
+/// One magnitude in this many is read to place the candidate bound.
+const SAMPLE_STRIDE: usize = 64;
+
+/// Exact top-k through a sampled lower bound on the k-th magnitude, or
+/// `None` when the bound cannot be shown to lie below it. Requires
+/// `0 < k < data.len()`.
 ///
-/// Both banded stages are order-preserving: the `|data|` fill is
-/// elementwise, and the chunked gather emits each span's hits with
-/// span-local index fixup before concatenating in span order — the same
-/// ascending index order as the serial scan. Since `|x|` is exact in f32
-/// the threshold is identical too, so the result is **bit-identical** to
-/// [`top_k_abs_with`]. Only the quickselect and tie-fill stay serial.
-pub fn top_k_abs_pooled(
-    pool: &crate::pool::Pool,
+/// Exactness: the candidates are every entry whose magnitude ranks above
+/// `lo` in the total order the quickselect uses (`|x| > lo`, or NaN) — an
+/// upper set of that order. If it holds at least `k` entries, the k-th
+/// largest magnitude overall is the k-th largest among the candidates and
+/// is itself `> lo`, so every entry above it, every entry tied with it
+/// and every NaN is a candidate, in ascending index order: the selection
+/// [`top_k_full`] would build from `data` can be built from the candidate
+/// list alone. The sample only decides how many candidates there are,
+/// never which entries are selected.
+fn top_k_from_sampled_bound(
+    pool: &Pool,
     data: &[f32],
     k: usize,
     mags: &mut Vec<f32>,
-) -> SparseSelection {
+) -> Option<SparseSelection> {
     let n = data.len();
-    if k == 0 || n == 0 || k >= n {
-        return top_k_abs_with(data, k, mags);
+    let m = n.div_ceil(SAMPLE_STRIDE);
+    // The k-th magnitude sits near rank k·m/n of the sample; taking the
+    // bound 4 standard deviations of that (binomial) rank further down,
+    // plus slack for small counts, leaves it above the k-th magnitude
+    // about once in 10^4 calls on exchangeable data.
+    let expected = k as f64 * m as f64 / n as f64;
+    let rank = (expected + 4.0 * expected.sqrt()) as usize + 2;
+    // A bound this deep in the sample admits over a quarter of the input
+    // (large k, or an input too short to sample): the full select is no
+    // slower there.
+    if rank * 4 > m {
+        return None;
     }
     mags.clear();
-    mags.resize(n, 0.0);
+    mags.extend(data.iter().step_by(SAMPLE_STRIDE).map(|v| v.abs()));
+    let lo = kth_threshold(mags, rank);
+    if lo.is_nan() {
+        // NaN-ridden input; an unordered compare against NaN matches
+        // everything.
+        return None;
+    }
+    let (cand_idx, cand_val) = gather_above(pool, data, lo, true);
+    if cand_idx.len() < k {
+        return None;
+    }
+    mags.clear();
+    mags.resize(cand_val.len(), 0.0);
+    kernels::abs_into(&cand_val, mags);
+    let threshold = kth_threshold(mags, k);
+    let mut indices = Vec::with_capacity(k);
+    let mut values = Vec::with_capacity(k);
+    for (&i, &v) in cand_idx.iter().zip(&cand_val) {
+        if v.abs() > threshold {
+            indices.push(i);
+            values.push(v);
+        }
+    }
+    let cands = cand_idx.iter().copied().zip(cand_val.iter().copied());
+    Some(finish_selection(cands, k, threshold, indices, values))
+}
+
+/// Exact top-k by quickselect over a scratch copy of every magnitude: the
+/// route taken when sampling cannot bound the threshold, and the
+/// reference the sampled route is tested against. Requires
+/// `0 < k < data.len()`.
+fn top_k_full(pool: &Pool, data: &[f32], k: usize, mags: &mut Vec<f32>) -> SparseSelection {
+    mags.clear();
+    mags.resize(data.len(), 0.0);
     // ~64k elements per band before forking pays for itself.
     pool.for_rows(&mut mags[..], 1, 1 << 16, |lo, band| {
         kernels::abs_into(&data[lo..lo + band.len()], band);
     });
     let threshold = kth_threshold(mags, k);
-    // Chunked stream compaction: each span gathers its own sub-slice
-    // (span-local indices, fixed up by the span offset), and `map_spans`
-    // returns the parts in span order.
-    let parts = pool.map_spans(n, 1 << 16, |lo, hi| {
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
-        kernels::gather_above(&data[lo..hi], threshold, &mut idx, &mut val);
-        for i in &mut idx {
-            *i += lo as u32;
-        }
-        (idx, val)
-    });
-    let mut indices = Vec::with_capacity(k);
-    let mut values = Vec::with_capacity(k);
-    for (idx, val) in parts {
-        indices.extend_from_slice(&idx);
-        values.extend_from_slice(&val);
-    }
-    finish_selection(data, k, threshold, indices, values)
+    // Gather: first everything strictly above threshold (SIMD stream
+    // compaction on AVX2/AVX-512 hosts, same index order as the scalar
+    // scan), then fill with threshold-equal entries until k are collected.
+    let (indices, values) = gather_above(pool, data, threshold, false);
+    let entries = data.iter().enumerate().map(|(i, &v)| (i as u32, v));
+    finish_selection(entries, k, threshold, indices, values)
 }
 
 /// Quickselect the k-th largest magnitude on the (already filled)
@@ -149,37 +207,47 @@ fn kth_threshold(mags: &mut [f32], k: usize) -> f32 {
     *kth
 }
 
-/// Shared tail of the top-k variants: quickselect the threshold on the
-/// (already filled) magnitude scratch, then gather the winning indices.
-/// Requires `0 < k < data.len()`.
-fn gather_top_k(data: &[f32], k: usize, mags: &mut [f32]) -> SparseSelection {
-    let threshold = kth_threshold(mags, k);
-    // Gather: first everything strictly above threshold (SIMD stream
-    // compaction on AVX2/AVX-512 hosts, same index order as the scalar
-    // scan), then fill with threshold-equal entries until k are collected.
-    let mut indices = Vec::with_capacity(k);
-    let mut values = Vec::with_capacity(k);
-    kernels::gather_above(data, threshold, &mut indices, &mut values);
-    finish_selection(data, k, threshold, indices, values)
+/// [`kernels::gather_above`] over all of `data`, chunked across `pool`:
+/// each span gathers its own sub-slice (span-local indices, fixed up by
+/// the span offset), and `map_spans` returns the parts in span order, so
+/// the concatenation is the serial scan's output for every width.
+fn gather_above(pool: &Pool, data: &[f32], threshold: f32, with_nan: bool) -> (Vec<u32>, Vec<f32>) {
+    let mut parts = pool
+        .map_spans(data.len(), 1 << 16, |lo, hi| {
+            let mut idx = Vec::new();
+            let mut val = Vec::new();
+            kernels::gather_above(&data[lo..hi], threshold, with_nan, &mut idx, &mut val);
+            for i in &mut idx {
+                *i += lo as u32;
+            }
+            (idx, val)
+        })
+        .into_iter();
+    let (mut indices, mut values) = parts.next().unwrap_or_default();
+    for (idx, val) in parts {
+        indices.extend_from_slice(&idx);
+        values.extend_from_slice(&val);
+    }
+    (indices, values)
 }
 
 /// Tie-fill: if fewer than `k` entries were strictly above the threshold,
-/// scan from index 0 adding threshold-equal entries until `k` are
-/// collected — the deterministic lowest-index tie-break.
+/// scan `entries` (ascending index order) adding threshold-equal ones
+/// until `k` are collected — the deterministic lowest-index tie-break.
 fn finish_selection(
-    data: &[f32],
+    entries: impl Iterator<Item = (u32, f32)> + Clone,
     k: usize,
     threshold: f32,
     mut indices: Vec<u32>,
     mut values: Vec<f32>,
 ) -> SparseSelection {
     if indices.len() < k {
-        for (i, &v) in data.iter().enumerate() {
+        for (i, v) in entries.clone() {
             if indices.len() == k {
                 break;
             }
             if v.abs() == threshold {
-                indices.push(i as u32);
+                indices.push(i);
                 values.push(v);
             }
         }
@@ -190,12 +258,12 @@ fn finish_selection(
         // counted them into the top k) but match neither the `>` gather
         // nor the `==` tie-fill. Append them in ascending index order so
         // the selection still has exactly k deterministic entries.
-        for (i, &v) in data.iter().enumerate() {
+        for (i, v) in entries {
             if indices.len() == k {
                 break;
             }
             if v.is_nan() {
-                indices.push(i as u32);
+                indices.push(i);
                 values.push(v);
             }
         }
@@ -307,9 +375,67 @@ mod tests {
         }
     }
 
+    fn value_bits(sel: &SparseSelection) -> Vec<u32> {
+        sel.values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn sampled_bound_route_equals_full_select() {
+        // Well-mixed data: the sample must bound the threshold (the route
+        // returns `Some`) and the result must be the full select's.
+        let pool = Pool::new(1);
+        let mut data = crate::Tensor::randn([100_000], 11).into_vec();
+        data[777] = f32::NAN;
+        data[50_001] = f32::NEG_INFINITY;
+        for k in [1usize, 100, 1000, 10_000] {
+            let sampled = top_k_from_sampled_bound(&pool, &data, k, &mut Vec::new())
+                .unwrap_or_else(|| panic!("k={k}: sample failed to bound gaussian data"));
+            let full = top_k_full(&pool, &data, k, &mut Vec::new());
+            assert_eq!(sampled.indices, full.indices, "k={k}");
+            assert_eq!(value_bits(&sampled), value_bits(&full), "k={k}");
+        }
+    }
+
+    #[test]
+    fn sampled_bound_route_declines_what_it_cannot_prove() {
+        let pool = Pool::new(1);
+        let n = 100_000;
+        let declines = |data: &[f32], k: usize| {
+            top_k_from_sampled_bound(&pool, data, k, &mut Vec::new()).is_none()
+        };
+        let gauss = crate::Tensor::randn([n], 12).into_vec();
+        // All tied: nothing ranks above the bound.
+        assert!(declines(&vec![2.0; n], n / 100));
+        // Mostly zero with k above the non-zero count: the threshold is 0.
+        let sparse: Vec<f32> = (0..n).map(|i| (i % 500 == 3) as u32 as f32).collect();
+        assert!(declines(&sparse, n / 100));
+        // Spikes exactly on the sample stride: the bound lands among them.
+        let spikes: Vec<f32> = (0..n)
+            .map(|i| {
+                if i % SAMPLE_STRIDE == 0 {
+                    9.0
+                } else {
+                    gauss[i] * 0.01
+                }
+            })
+            .collect();
+        assert!(declines(&spikes, n / 100));
+        // Large k and short inputs: the bound would admit most of the data.
+        assert!(declines(&gauss, n - 1));
+        assert!(declines(&gauss[..300], 1));
+        // More NaNs than the bound's rank: the bound itself is NaN.
+        let nans: Vec<f32> = (0..n)
+            .map(|i| if i % 3 == 0 { f32::NAN } else { gauss[i] })
+            .collect();
+        assert!(declines(&nans, n / 100));
+        // The public entry point still answers all of them, exactly k.
+        for (data, k) in [(&spikes, n / 100), (&sparse, n / 100), (&nans, n / 100)] {
+            assert_eq!(top_k_abs(data, k).len(), k);
+        }
+    }
+
     #[test]
     fn pooled_top_k_is_bit_identical_to_serial() {
-        use crate::pool::Pool;
         let pool = Pool::new(3);
         let data: Vec<f32> = (0..200_000)
             .map(|i| ((i * 131 % 7919) as f32 - 3959.5) * 0.017)
@@ -357,16 +483,5 @@ mod tests {
         // Different seeds give different sets.
         let other = random_k(&data, 10, 100);
         assert_ne!(sel.indices, other.indices);
-    }
-
-    #[test]
-    fn scatter_add_accumulates() {
-        let sel = SparseSelection {
-            indices: vec![0, 2, 2],
-            values: vec![1.0, 2.0, 3.0],
-        };
-        let mut out = vec![10.0, 0.0, 0.0];
-        sel.scatter_add(&mut out);
-        assert_eq!(out, vec![11.0, 0.0, 5.0]);
     }
 }

@@ -305,17 +305,70 @@ fn add_into_bytes_matches_decode_accumulate_reserialize() {
 
 #[test]
 fn gather_above_is_byte_identical() {
+    let sc = kernels::scalar();
+    // The scalar table against itself keeps the oracle check below alive
+    // on hosts without SIMD.
+    for (sc, simd) in pairs().into_iter().chain([(sc, sc)]) {
+        let tbl = simd.name;
+        // `lengths()` plus sizes whose 64-lane groups are followed by
+        // every kind of tail the AVX-512 scan delegates.
+        for n in lengths().into_iter().chain([127, 129, 191, 192, 193, 255]) {
+            let data = payload(n);
+            // NaN thresholds included: ordered compares then match
+            // nothing, the unordered one matches everything.
+            for threshold in [0.0f32, 1.0, 5.5, -1.0, f32::INFINITY, f32::NAN] {
+                for with_nan in [false, true] {
+                    let (mut ia, mut va) = (Vec::new(), Vec::new());
+                    let (mut ib, mut vb) = (Vec::new(), Vec::new());
+                    (sc.gather_above)(&data, threshold, with_nan, &mut ia, &mut va);
+                    (simd.gather_above)(&data, threshold, with_nan, &mut ib, &mut vb);
+                    let ctx = format!("{tbl} n={n} t={threshold} with_nan={with_nan}");
+                    assert_eq!(ia, ib, "indices {ctx}");
+                    assert_eq!(bits(&va), bits(&vb), "values {ctx}");
+                    // The contract itself, against a one-line oracle.
+                    let expect: Vec<u32> = (0..n as u32)
+                        .filter(|&i| {
+                            let a = data[i as usize].abs();
+                            a > threshold || (with_nan && (a.is_nan() || threshold.is_nan()))
+                        })
+                        .collect();
+                    assert_eq!(ia, expect, "oracle {ctx}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gather_above_skips_and_packs_whole_64_lane_groups() {
+    // The AVX-512 scan tests 64 lanes per branch: cover groups with no
+    // match, one match in each 16-lane quarter, and all 64 matching, in
+    // every order, so both the skip and the four-store path are hit with
+    // every cursor advance from 0 to 16.
     for (sc, simd) in pairs() {
         let tbl = simd.name;
-        for n in lengths() {
-            let data = payload(n);
-            for threshold in [0.0f32, 1.0, 5.5, -1.0, f32::INFINITY] {
-                let (mut ia, mut va) = (Vec::new(), Vec::new());
-                let (mut ib, mut vb) = (Vec::new(), Vec::new());
-                (sc.gather_above)(&data, threshold, &mut ia, &mut va);
-                (simd.gather_above)(&data, threshold, &mut ib, &mut vb);
-                assert_eq!(ia, ib, "{tbl} indices n={n} t={threshold}");
-                assert_eq!(bits(&va), bits(&vb), "{tbl} values n={n} t={threshold}");
+        for pattern in 0..16u32 {
+            for fill in [1usize, 5, 16] {
+                let mut data = vec![0.25f32; 64 * 6 + 9];
+                for g in 0..6 {
+                    for q in 0..4 {
+                        if pattern & (1 << q) != 0 && g % 2 == 0 {
+                            for l in 0..fill {
+                                let i = g * 64 + q * 16 + (l * 7 + g) % 16;
+                                data[i] = if l % 3 == 0 { f32::NAN } else { -3.0 };
+                            }
+                        }
+                    }
+                }
+                for with_nan in [false, true] {
+                    let (mut ia, mut va) = (vec![7u32], vec![7.0f32]);
+                    let (mut ib, mut vb) = (vec![7u32], vec![7.0f32]);
+                    (sc.gather_above)(&data, 1.0, with_nan, &mut ia, &mut va);
+                    (simd.gather_above)(&data, 1.0, with_nan, &mut ib, &mut vb);
+                    let ctx = format!("{tbl} pattern={pattern:04b} fill={fill} nan={with_nan}");
+                    assert_eq!(ia, ib, "indices {ctx}");
+                    assert_eq!(bits(&va), bits(&vb), "values {ctx}");
+                }
             }
         }
     }
@@ -342,8 +395,8 @@ fn gather_above_tied_magnitudes_are_byte_identical() {
                 .collect();
             let (mut ia, mut va) = (Vec::new(), Vec::new());
             let (mut ib, mut vb) = (Vec::new(), Vec::new());
-            (sc.gather_above)(&data, t, &mut ia, &mut va);
-            (simd.gather_above)(&data, t, &mut ib, &mut vb);
+            (sc.gather_above)(&data, t, false, &mut ia, &mut va);
+            (simd.gather_above)(&data, t, false, &mut ib, &mut vb);
             assert_eq!(ia, ib, "{tbl} tied indices n={n}");
             assert_eq!(bits(&va), bits(&vb), "{tbl} tied values n={n}");
             // Only the spikes pass a strictly-above gather.
@@ -385,6 +438,124 @@ fn top_k_selection_is_identical_across_dispatch_tables_on_ties() {
     assert_eq!(sel.indices, expect);
 }
 
+/// The documented `top_k_abs` contract, written the slow obvious way:
+/// full sort of the magnitudes under `total_cmp` for the threshold, then
+/// strictly-above, tied and NaN entries, each in ascending index order.
+/// `sorted` is `|data|` sorted descending (shared across `k`).
+fn top_k_oracle(data: &[f32], sorted: &[f32], k: usize) -> (Vec<u32>, Vec<u32>) {
+    let t = sorted[k - 1];
+    let mut idx: Vec<u32> = Vec::with_capacity(k);
+    let passes: [&dyn Fn(f32) -> bool; 3] =
+        [&|v| v.abs() > t, &|v| v.abs() == t, &|v: f32| v.is_nan()];
+    for pass in passes {
+        for (i, &v) in data.iter().enumerate() {
+            if idx.len() < k && pass(v) {
+                idx.push(i as u32);
+            }
+        }
+    }
+    let vals = idx.iter().map(|&i| data[i as usize].to_bits()).collect();
+    (idx, vals)
+}
+
+/// Inputs chosen to drive `top_k_abs` down both of its routes: ones the
+/// strided sample bounds well, and ones where it must notice it cannot.
+fn top_k_inputs(n: usize) -> Vec<(&'static str, Vec<f32>)> {
+    use gcs_tensor::Tensor;
+    let gauss = Tensor::randn([n], 0x70c + n as u64).into_vec();
+    let mut v: Vec<(&'static str, Vec<f32>)> = Vec::new();
+    // Heavy tail: the ratio of two normals (Cauchy) spans ~10 decades.
+    let denom = Tensor::randn([n], 0xca + n as u64).into_vec();
+    v.push((
+        "cauchy",
+        gauss.iter().zip(&denom).map(|(a, b)| a / b).collect(),
+    ));
+    // Quantized normal: the k-th magnitude sits inside a large tie class,
+    // so the lowest-index tie fill decides most of the boundary.
+    v.push((
+        "ties-at-threshold",
+        gauss.iter().map(|x| (x * 8.0).round() / 8.0).collect(),
+    ));
+    v.push(("all-equal", vec![-1.5; n]));
+    // >= 99 % zeros: for k above the non-zero count the threshold is 0.
+    v.push((
+        "mostly-zero",
+        gauss
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| if i % 128 == 5 { x } else { 0.0 })
+            .collect(),
+    ));
+    // Specials sprinkled thinly enough that the sample still bounds the
+    // threshold, so NaN/inf candidates go through the sampled route...
+    v.push((
+        "sparse-specials",
+        gauss
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match i % 1021 {
+                3 => f32::NAN,
+                64 => -f32::NAN,
+                200 => f32::INFINITY,
+                333 => f32::NEG_INFINITY,
+                500 => -0.0,
+                777 => 1.0e-40,
+                _ => x,
+            })
+            .collect(),
+    ));
+    // ...and densely enough (2 in 13 are NaN) that the bound itself is NaN.
+    v.push(("dense-specials", payload(n)));
+    // Period-64 patterns aligned with the sample stride: the sample sees
+    // only the spikes (bound far too high), or none of them (too low).
+    for (name, phase) in [("stride-spikes", 0usize), ("off-stride-spikes", 1)] {
+        v.push((
+            name,
+            gauss
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| if i % 64 == phase { 50.0 + x } else { x * 0.01 })
+                .collect(),
+        ));
+    }
+    v.push(("gaussian", gauss));
+    v
+}
+
+#[test]
+fn top_k_matches_full_sort_oracle_on_every_route() {
+    use gcs_tensor::select;
+    // Around the shortest inputs the sampled route accepts (n = 449 for
+    // k = 1, n = 705 for k = n/100), mid sizes, and one long enough for a
+    // width-3 pool to split into three 64k-element bands. The forced-
+    // scalar CI pass (GCS_FORCE_SCALAR=1) runs this same test on the
+    // scalar table and a width-1 global pool.
+    let mut sizes: Vec<usize> = (446..=452).chain(702..=708).collect();
+    sizes.extend([1000, 4096, 65_537, 200_003]);
+    let pools: Vec<Pool> = (1..=3).map(Pool::new).collect();
+    for n in sizes {
+        for (name, data) in top_k_inputs(n) {
+            let mut sorted: Vec<f32> = data.iter().map(|v| v.abs()).collect();
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            for k in [1, (n / 100).max(2), n - 1] {
+                let (idx, vals) = top_k_oracle(&data, &sorted, k);
+                let mut mags = Vec::new();
+                let serial = select::top_k_abs_with(&data, k, &mut mags);
+                assert_eq!(serial.indices, idx, "{name} n={n} k={k} serial");
+                assert_eq!(bits(&serial.values), vals, "{name} n={n} k={k} serial");
+                for pool in &pools {
+                    // Reused scratch: whatever an earlier call left in
+                    // `mags` must not leak into the next selection.
+                    let pooled = select::top_k_abs_pooled(pool, &data, k, &mut mags);
+                    let ctx = format!("{name} n={n} k={k} width={}", pool.width());
+                    assert_eq!(pooled.indices, idx, "{ctx}");
+                    assert_eq!(bits(&pooled.values), vals, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn gather_above_appends_without_clobbering() {
     for (sc, simd) in pairs() {
@@ -392,8 +563,8 @@ fn gather_above_appends_without_clobbering() {
         let data = payload(100);
         let (mut ia, mut va) = (vec![42u32], vec![9.0f32]);
         let (mut ib, mut vb) = (vec![42u32], vec![9.0f32]);
-        (sc.gather_above)(&data, 1.0, &mut ia, &mut va);
-        (simd.gather_above)(&data, 1.0, &mut ib, &mut vb);
+        (sc.gather_above)(&data, 1.0, true, &mut ia, &mut va);
+        (simd.gather_above)(&data, 1.0, true, &mut ib, &mut vb);
         assert_eq!(ia, ib, "{tbl}");
         assert_eq!(bits(&va), bits(&vb), "{tbl}");
         assert_eq!(ia[0], 42, "{tbl}");

@@ -24,6 +24,17 @@ GCS_FORCE_SCALAR=1 cargo test --workspace -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# The repo's benchmark (BENCHMARK.json) is a crate of its own outside the
+# workspace, so nothing above builds or tests it: run its unit tests —
+# among them the one that fails when BENCHMARK.json and the code that
+# prints the metrics drift apart — and check that the command
+# BENCHMARK.json names still builds and starts.
+echo "==> benchmark crate tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml --target-dir target -q
+
+echo "==> benchmark/run.sh --list"
+bash benchmark/run.sh --list
+
 # Static verification layer, all five passes: (1) model-check every
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
 # (2) lint the workspace source (unsafe hygiene, data-plane panic paths,
