@@ -12,7 +12,10 @@
 //!    hierarchical two-level reduce.
 //! 3. Register-blocked GEMM against the seed's scalar i-k-j loop, on a
 //!    PowerSGD-shaped skinny product and a square product.
-//! 4. PowerSGD rank-4 round trip over ResNet-50-style layer shapes.
+//! 4. PowerSGD rank-4 round trip over ResNet-50-style layer shapes, and
+//!    the three products of one round trip on a 1024 x 1024 layer at
+//!    ranks 4, 8 and 16: the skinny paths against the general kernels
+//!    they took over from.
 //! 5. Top-k 1% selection and sign pack/unpack on the same 25 MiB buffer.
 //! 6. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
@@ -31,7 +34,10 @@ use gcs_compress::driver::round_trip;
 use gcs_compress::powersgd::PowerSgd;
 use gcs_tensor::bits::SignBits;
 use gcs_tensor::kernels;
-use gcs_tensor::matrix::{matmul, matmul_with_dispatch, MatrixRef};
+use gcs_tensor::matrix::{
+    a_mul_bt, at_mul_b, at_mul_b_with_tile, matmul, matmul_with_dispatch, matmul_with_tile,
+    reconstruct_residual_pooled, MatrixRef,
+};
 use gcs_tensor::select::top_k_abs_with;
 use gcs_tensor::Tensor;
 use serde_json::{json, Value};
@@ -356,6 +362,88 @@ fn powersgd_section(pr: Params, smoke: bool) -> Value {
     })
 }
 
+/// The three GEMMs of a PowerSGD round trip on a square layer, each through
+/// the entry point `PowerSgd` calls (which picks the skinny path from the
+/// rank) and through what ran before: the general register tiles for
+/// `M · Q` and `Mᵀ · P̂`, and `a_mul_bt` followed by the residual
+/// subtraction for the fused reconstruct. Both sides are checked equal.
+fn skinny_gemm_section(pr: Params, smoke: bool) -> Vec<Value> {
+    let n = if smoke { 64 } else { 1024 };
+    let iters = pr.gemm_iters * 5;
+    let tile = gcs_tensor::autotune::choice().gemm_tile;
+    let layer = Tensor::randn([n, n], 43).into_vec();
+    let layer_ref = MatrixRef::new(&layer, n, n).expect("layer view");
+    let mut rows = Vec::new();
+    for r in [4usize, 8, 16] {
+        let q = Tensor::randn([n, r], 47).into_vec();
+        let q_ref = MatrixRef::new(&q, n, r).expect("factor view");
+        let (mut fast_out, mut ref_out) = (vec![0.0f32; n * r], vec![0.0f32; n * r]);
+        let mut push = |op: &str, dims: (usize, usize, usize), fast: Timing, reference: Timing| {
+            println!(
+                "skinny {op:<12} {n}x{n} r={r:<2}  {:.3} ms  (general path {:.3} ms, {:.2}x)",
+                fast.min_s * 1e3,
+                reference.min_s * 1e3,
+                speedup(&reference, &fast)
+            );
+            rows.push(json!({
+                "kernel": "skinny_gemm",
+                "op": op,
+                "m": dims.0, "k": dims.1, "n": dims.2,
+                "skinny_ms": fast.min_s * 1e3,
+                "reference_ms": reference.min_s * 1e3,
+                "speedup": speedup(&reference, &fast),
+            }));
+        };
+
+        let fast = bench(2, iters, || {
+            matmul(layer_ref, q_ref, black_box(&mut fast_out)).expect("matmul");
+        });
+        let reference = bench(2, iters, || {
+            matmul_with_tile(tile, layer_ref, q_ref, black_box(&mut ref_out)).expect("matmul");
+        });
+        assert_eq!(fast_out, ref_out, "skinny matmul and the tiles disagree");
+        push("matmul", (n, n, r), fast, reference);
+
+        let fast = bench(2, iters, || {
+            at_mul_b(layer_ref, q_ref, black_box(&mut fast_out)).expect("at_mul_b");
+        });
+        let reference = bench(2, iters, || {
+            at_mul_b_with_tile(tile, layer_ref, q_ref, black_box(&mut ref_out)).expect("at_mul_b");
+        });
+        assert_eq!(fast_out, ref_out, "skinny at_mul_b and the tiles disagree");
+        push("at_mul_b", (n, n, r), fast, reference);
+
+        // `layer − P · Qᵀ` with both factors `n x r`. The fused kernel
+        // updates its residual in place, so it starts each call from a
+        // residual it wrote itself; the timing does not depend on values.
+        let p_ref = MatrixRef::new(&fast_out, n, r).expect("factor view");
+        let pool = gcs_tensor::Pool::new(1);
+        let (mut g, mut e) = (vec![0.0f32; n * n], layer.clone());
+        let fast = bench(2, iters, || {
+            reconstruct_residual_pooled(&pool, p_ref, q_ref, Some(&mut e), black_box(&mut g))
+                .expect("reconstruct");
+        });
+        let (mut g_ref, mut e_ref) = (vec![0.0f32; n * n], vec![0.0f32; n * n]);
+        let reference = bench(2, iters, || {
+            a_mul_bt(p_ref, q_ref, &mut g_ref).expect("a_mul_bt");
+            for ((e, w), g) in e_ref.iter_mut().zip(&layer).zip(&g_ref) {
+                *e = w - g;
+            }
+            black_box(&mut e_ref);
+        });
+        e.copy_from_slice(&layer);
+        reconstruct_residual_pooled(&pool, p_ref, q_ref, Some(&mut e), &mut g)
+            .expect("reconstruct");
+        assert_eq!(
+            (&g, &e),
+            (&g_ref, &e_ref),
+            "fused reconstruct and a_mul_bt disagree"
+        );
+        push("reconstruct", (n, r, n), fast, reference);
+    }
+    rows
+}
+
 /// Top-k as it ran before the sampled bound, and still the route
 /// [`top_k_abs_with`] falls back to: `|x|` copy of the whole input,
 /// quickselect over all `n` magnitudes, threshold gather, lowest-index tie
@@ -594,6 +682,7 @@ fn main() {
     let algos = all_reduce_algorithms_section(pr);
     let gemm = gemm_section(pr, smoke);
     let psgd = powersgd_section(pr, smoke);
+    let skinny = skinny_gemm_section(pr, smoke);
     let (topk, signs) = selection_section(pr);
     let simd = simd_kernels_section(pr);
 
@@ -604,6 +693,7 @@ fn main() {
         "all_reduce_algorithms": algos,
         "matmul": gemm,
         "powersgd": psgd,
+        "skinny_gemm": skinny,
         "topk": topk,
         "signs": signs,
         "simd_kernels": simd,

@@ -7,8 +7,14 @@
 //! P = M · Q_prev          (round 0: all-reduce mean of P)
 //! P̂ = orthonormalize(P̄)
 //! Q = Mᵀ · P̂              (round 1: all-reduce mean of Q)
-//! Ĝ = P̂ · Q̄ᵀ              error feedback: E ← M − Ĝ
+//! Ĝ = P̂ · Q̄ᵀ,  E ← M − Ĝ   (one pass: E is formed while Ĝ's row is hot)
 //! ```
+//!
+//! `M = grad + E` and `E` share one `m x n` buffer per layer: `encode`
+//! adds the gradient into the stored residual, both rounds read `M` from
+//! it, and `finish` overwrites it with the new residual as it
+//! reconstructs `Ĝ`. The price is that the buffer means different things
+//! at different times — see [`PowerSgd::take_residual`].
 //!
 //! Both all-reduces operate on linear images of the gradients, so the
 //! aggregation is associative — PowerSGD is the all-reduce-compatible
@@ -19,7 +25,7 @@
 
 use crate::{CompressError, Compressor, Factor, Payload, Properties, Result};
 use gcs_tensor::matrix::{
-    a_mul_bt_pooled, at_mul_b_pooled, matmul_pooled, orthonormalize_columns, MatrixRef,
+    at_mul_b_pooled, matmul_pooled, orthonormalize_columns, reconstruct_residual_pooled, MatrixRef,
 };
 use gcs_tensor::pool;
 use gcs_tensor::{Shape, Tensor};
@@ -30,10 +36,13 @@ use std::collections::HashMap;
 struct LayerState {
     /// `n x r` right factor, warm-started across iterations.
     q: Vec<f32>,
-    /// Error-feedback memory, `m * n` (matricized layout).
+    /// `m * n` (matricized layout). At a step boundary: the error-feedback
+    /// memory `E` (stale when error feedback is off). While `in_flight`:
+    /// `M = grad + E`, the matrix the iteration's rounds are computed from.
     error: Vec<f32>,
-    /// The matricized gradient + error of the in-flight iteration.
-    m_work: Vec<f32>,
+    /// Set when `encode` forms `M`, cleared by `finish`: `error` holds
+    /// `M`, not `E`.
+    in_flight: bool,
     /// Orthonormalized aggregated `P`, absorbed after round 0.
     p_hat: Option<Vec<f32>>,
     /// Aggregated `Q`, absorbed after round 1.
@@ -134,9 +143,15 @@ impl PowerSgd {
         q
     }
 
-    /// Everything `encode` does before the `P = M · Q` GEMM: state
-    /// (re)initialization, injected-residual reconciliation, and the
-    /// `M = grad (+ error)` working copy. Returns the matricized dims.
+    /// Everything `encode` does before `M` is formed: state
+    /// (re)initialization and injected-residual reconciliation. Returns
+    /// the matricized dims.
+    ///
+    /// With error feedback, a layer still in flight has lost its `E` to
+    /// an `M` whose gradient was never applied, and nothing here can tell
+    /// whether the caller is re-submitting that gradient or moving on, so
+    /// that is a [`CompressError::Protocol`] error: `take_residual` (which
+    /// hands back `M`) or `reset` first.
     fn prepare(&mut self, layer: usize, grad: &Tensor) -> Result<(usize, usize, usize)> {
         let (m, n) = grad.shape().matricized();
         let r = self.effective_rank(m, n);
@@ -149,18 +164,24 @@ impl PowerSgd {
         }
 
         // Fetch or create state; rebuild if the layer changed shape.
-        let needs_init = !matches!(
-            self.layers.get(&layer),
-            Some(s) if s.rows == m && s.cols == n && s.rank == r
-        );
+        let current = self
+            .layers
+            .get(&layer)
+            .filter(|s| s.rows == m && s.cols == n && s.rank == r);
+        let needs_init = current.is_none();
+        if self.error_feedback && current.is_some_and(|s| s.in_flight) {
+            return Err(CompressError::Protocol(format!(
+                "encode for layer {layer} before the previous iteration's finish"
+            )));
+        }
+        let fresh_q = (needs_init || !self.warm_start).then(|| self.init_q(layer, n, r));
         if needs_init {
-            let q = self.init_q(layer, n, r);
             self.layers.insert(
                 layer,
                 LayerState {
-                    q,
+                    q: Vec::new(),
                     error: vec![0.0; numel],
-                    m_work: vec![0.0; numel],
+                    in_flight: false,
                     p_hat: None,
                     q_agg: None,
                     p_scratch: Vec::new(),
@@ -171,13 +192,6 @@ impl PowerSgd {
                 },
             );
         }
-        let warm = self.warm_start;
-        let ef = self.error_feedback;
-        let fresh_q = if warm {
-            None
-        } else {
-            Some(self.init_q(layer, n, r))
-        };
         let injected = self.injected.remove(&layer);
         let Some(state) = self.layers.get_mut(&layer) else {
             return Err(CompressError::Protocol(format!(
@@ -195,13 +209,20 @@ impl PowerSgd {
                 state.error.copy_from_slice(&injected);
             }
         }
-
-        // M = grad (+ error feedback)
-        state.m_work.copy_from_slice(grad.data());
-        if ef {
-            gcs_tensor::kernels::add_assign(&mut state.m_work, &state.error);
-        }
         Ok((m, n, r))
+    }
+}
+
+impl LayerState {
+    /// Turns the buffer from `E` into `M = grad + E` (or a copy of `grad`
+    /// without error feedback) and marks the layer in flight.
+    fn form_m(&mut self, error_feedback: bool, grad: &[f32]) {
+        if error_feedback {
+            gcs_tensor::kernels::add_assign(&mut self.error, grad);
+        } else {
+            self.error.copy_from_slice(grad);
+        }
+        self.in_flight = true;
     }
 }
 
@@ -223,6 +244,7 @@ impl Compressor for PowerSgd {
 
     fn encode(&mut self, layer: usize, grad: &Tensor) -> Result<Payload> {
         let (m, n, r) = self.prepare(layer, grad)?;
+        let ef = self.error_feedback;
         let Some(state) = self.layers.get_mut(&layer) else {
             return Err(CompressError::Protocol(format!(
                 "no per-layer state for layer {layer}"
@@ -231,12 +253,13 @@ impl Compressor for PowerSgd {
 
         // P = M · Q, into the recycled buffer from the previous round's
         // finish (steady state: no allocation).
+        state.form_m(ef, grad.data());
         let mut p = std::mem::take(&mut state.p_scratch);
         p.clear();
         p.resize(m * r, 0.0);
         matmul_pooled(
             pool::global(),
-            MatrixRef::new(&state.m_work, m, n)?,
+            MatrixRef::new(&state.error, m, n)?,
             MatrixRef::new(&state.q, n, r)?,
             &mut p,
         )?;
@@ -268,7 +291,7 @@ impl Compressor for PowerSgd {
         q.resize(n * r, 0.0);
         at_mul_b_pooled(
             pool::global(),
-            MatrixRef::new(&state.m_work, m, n)?,
+            MatrixRef::new(&state.error, m, n)?,
             MatrixRef::new(p_hat, m, r)?,
             &mut q,
         )?;
@@ -292,9 +315,13 @@ impl Compressor for PowerSgd {
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        let state = self.layers.get_mut(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("absorb before encode for layer {layer}"))
-        })?;
+        let state = self
+            .layers
+            .get_mut(&layer)
+            .filter(|s| s.in_flight)
+            .ok_or_else(|| {
+                CompressError::Protocol(format!("absorb before encode for layer {layer}"))
+            })?;
         match (round, agg) {
             (
                 0,
@@ -353,20 +380,17 @@ impl Compressor for PowerSgd {
             .take()
             .ok_or_else(|| CompressError::Protocol("finish before absorbing round 1".into()))?;
         let (m, n, r) = (state.rows, state.cols, state.rank);
-        // Ĝ = P̂ · Q̄ᵀ
+        // Ĝ = P̂ · Q̄ᵀ and, in the same pass, E ← M − Ĝ over the buffer
+        // that held M.
         let mut g_hat = vec![0.0f32; m * n];
-        a_mul_bt_pooled(
+        reconstruct_residual_pooled(
             pool::global(),
             MatrixRef::new(&p_hat, m, r)?,
             MatrixRef::new(&q_agg, n, r)?,
+            ef.then_some(&mut state.error[..]),
             &mut g_hat,
         )?;
-        if ef {
-            // E ← M − Ĝ
-            for ((e, w), g) in state.error.iter_mut().zip(&state.m_work).zip(&g_hat) {
-                *e = w - g;
-            }
-        }
+        state.in_flight = false;
         if warm {
             // The displaced warm-start Q becomes next round's Q scratch.
             state.q_scratch = std::mem::replace(&mut state.q, q_agg);
@@ -402,11 +426,13 @@ impl Compressor for PowerSgd {
             return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
         };
         let (m, _n, r) = self.prepare(layer, g)?;
+        let ef = self.error_feedback;
         let Some(state) = self.layers.get_mut(&layer) else {
             return Err(CompressError::Protocol(format!(
                 "no per-layer state for layer {layer}"
             )));
         };
+        state.form_m(ef, g.data());
         let mut p = std::mem::take(&mut state.p_scratch);
         p.clear();
         p.resize(m * r, 0.0);
@@ -456,7 +482,7 @@ impl Compressor for PowerSgd {
         if need > st.cursor {
             matmul_pooled(
                 pool::global(),
-                MatrixRef::new(&state.m_work[st.cursor * n..need * n], need - st.cursor, n)?,
+                MatrixRef::new(&state.error[st.cursor * n..need * n], need - st.cursor, n)?,
                 MatrixRef::new(&state.q, n, r)?,
                 &mut st.src[st.cursor * r..need * r],
             )?;
@@ -466,6 +492,14 @@ impl Compressor for PowerSgd {
         Ok(())
     }
 
+    /// The layer's error-feedback memory, leaving it zero.
+    ///
+    /// A step-boundary operation: after `finish` the buffer holds `E`.
+    /// Between `encode` and `finish` it holds `M = grad + E`, all of which
+    /// is still unapplied, so a mid-iteration call returns `M` and
+    /// abandons the iteration (its rounds were computed from a matrix this
+    /// compressor no longer has; `finish` then fails until the next
+    /// `encode`).
     fn take_residual(&mut self, layer: usize) -> Option<Tensor> {
         if !self.error_feedback {
             return None;
@@ -476,14 +510,31 @@ impl Compressor for PowerSgd {
         let state = self.layers.get_mut(&layer)?;
         let numel = state.rows * state.cols;
         let out = std::mem::replace(&mut state.error, vec![0.0; numel]);
+        state.in_flight = false;
+        state.p_hat = None;
+        state.q_agg = None;
         Some(Tensor::from_vec(out))
     }
 
+    /// Replaces the layer's error-feedback memory.
+    ///
+    /// # Errors
+    ///
+    /// A step-boundary operation: between `encode` and `finish` the buffer
+    /// is the `M` that the rounds in flight were computed from, and
+    /// overwriting it would corrupt the residual `finish` leaves, so a
+    /// mid-iteration call is a [`CompressError::Protocol`] error. So is an
+    /// element count that does not match existing layer state.
     fn inject_residual(&mut self, layer: usize, residual: Tensor) -> Result<bool> {
         if !self.error_feedback {
             return Ok(false);
         }
         match self.layers.get_mut(&layer) {
+            Some(state) if state.in_flight => {
+                return Err(CompressError::Protocol(format!(
+                    "residual injected into layer {layer} between encode and finish"
+                )));
+            }
             Some(state) if state.error.len() == residual.numel() => {
                 state.error.copy_from_slice(residual.data());
             }
@@ -634,6 +685,151 @@ mod tests {
         let g2 = Tensor::randn([8, 8], 2);
         let out = round_trip(&mut c, 0, &g2).unwrap();
         assert_eq!(out.shape(), g2.shape());
+    }
+
+    /// One single-worker round trip as it ran before `M` and `E` shared a
+    /// buffer and before the skinny kernels: copy, add, three general
+    /// GEMMs, subtract. Aggregating one payload scales by 1.0, a no-op.
+    struct Reference {
+        q: Vec<f32>,
+        error: Vec<f32>,
+    }
+
+    impl Reference {
+        fn step(&mut self, c: &PowerSgd, grad: &Tensor) -> Vec<f32> {
+            use gcs_tensor::matrix::{a_mul_bt, at_mul_b_with_tile, matmul_with_tile};
+            let tile = gcs_tensor::autotune::best_supported_tile();
+            let (m, n) = grad.shape().matricized();
+            let r = c.effective_rank(m, n);
+            if self.q.is_empty() || !c.warm_start {
+                self.q = c.init_q(0, n, r);
+                self.error.resize(m * n, 0.0);
+            }
+            let mut m_work = grad.data().to_vec();
+            if c.error_feedback {
+                gcs_tensor::kernels::add_assign(&mut m_work, &self.error);
+            }
+            let m_ref = MatrixRef::new(&m_work, m, n).unwrap();
+            let mut p = vec![0.0f32; m * r];
+            matmul_with_tile(tile, m_ref, MatrixRef::new(&self.q, n, r).unwrap(), &mut p).unwrap();
+            orthonormalize_columns(&mut p, m, r).unwrap();
+            let p_ref = MatrixRef::new(&p, m, r).unwrap();
+            let mut q = vec![0.0f32; n * r];
+            at_mul_b_with_tile(tile, m_ref, p_ref, &mut q).unwrap();
+            let mut g_hat = vec![0.0f32; m * n];
+            a_mul_bt(p_ref, MatrixRef::new(&q, n, r).unwrap(), &mut g_hat).unwrap();
+            if c.error_feedback {
+                for ((e, w), g) in self.error.iter_mut().zip(&m_work).zip(&g_hat) {
+                    *e = w - g;
+                }
+            }
+            if c.warm_start {
+                self.q = q;
+            }
+            g_hat
+        }
+    }
+
+    #[test]
+    fn stateful_steps_match_the_unfused_general_kernel_sequence() {
+        // Error feedback and warm start both on, both off, and one each;
+        // the square layer (slow unoptimised) takes the first two at rank
+        // 4 and the first at rank 16.
+        let switches = [(true, true), (false, false), (true, false), (false, true)];
+        let cases = [
+            (vec![1024, 1024], vec![4], 2),
+            (vec![1024, 1024], vec![16], 1),
+            (vec![1024], vec![1, 4, 8, 16], 4),
+            (vec![33, 70], vec![1, 4, 8, 16], 4),
+            // Rows far wider than any cache block: a 1-D tensor and VGG's
+            // first classifier layer in miniature.
+            (vec![20000], vec![4], 2),
+            (vec![4, 20000], vec![4, 16], 2),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (shape, ranks, configs) in cases {
+            for rank in ranks {
+                for &(ef, warm) in &switches[..configs] {
+                    let mut c = PowerSgd::new(rank)
+                        .unwrap()
+                        .error_feedback(ef)
+                        .warm_start(warm);
+                    let mut reference = Reference {
+                        q: Vec::new(),
+                        error: Vec::new(),
+                    };
+                    for step in 0..5 {
+                        let g = Tensor::randn(shape.clone(), 40 + step);
+                        let want = reference.step(&c, &g);
+                        let got = round_trip(&mut c, 0, &g).unwrap();
+                        assert_eq!(
+                            bits(&want),
+                            bits(got.data()),
+                            "{shape:?} rank {rank} ef {ef} warm {warm} step {step}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residual_calls_between_encode_and_finish() {
+        let g = Tensor::randn([12, 10], 3);
+        let carried = Tensor::randn([12, 10], 4);
+        let mut c = PowerSgd::new(2).unwrap();
+        c.inject_residual(0, carried.clone()).unwrap();
+        let p = c.encode(0, &g).unwrap();
+        // Mid-iteration the buffer is M = grad + E: it cannot be replaced...
+        assert!(matches!(
+            c.inject_residual(0, carried.clone()),
+            Err(CompressError::Protocol(_))
+        ));
+        // ...and taking it yields all of the unapplied mass, M,
+        let m = c.take_residual(0).unwrap();
+        assert_eq!(m.data(), g.add(&carried).unwrap().data());
+        // leaves zero behind and abandons the iteration.
+        assert!(c.layers[&0].error.iter().all(|&e| e == 0.0));
+        assert!(c.absorb(0, 0, p).is_err());
+        assert!(c.encode_round(0, 1).is_err());
+        assert!(c.finish(0, g.shape()).is_err());
+        // At the step boundary both calls work again.
+        assert!(c.inject_residual(0, carried.clone()).unwrap());
+        let out = round_trip(&mut c, 0, &g).unwrap();
+        let e = Tensor::from_shape_vec([12, 10], c.take_residual(0).unwrap().into_vec()).unwrap();
+        let total = out.add(&e).unwrap();
+        assert!(relative_l2_error(&g.add(&carried).unwrap(), &total) < 1e-4);
+    }
+
+    #[test]
+    fn encode_before_the_previous_finish_is_a_protocol_error() {
+        let (g1, g2) = (Tensor::randn([6, 9], 1), Tensor::randn([6, 9], 2));
+        let mut c = PowerSgd::new(2).unwrap();
+        let _ = round_trip(&mut c, 0, &g1).unwrap();
+        let e = c.layers[&0].error.clone();
+        c.encode(0, &g1).unwrap();
+        // The exchange failed; neither a re-submission nor the next
+        // gradient is silently added to the M left behind.
+        for g in [&g1, &g2] {
+            assert!(matches!(c.encode(0, g), Err(CompressError::Protocol(_))));
+            assert!(matches!(
+                c.begin_chunked_encode(0, 0, Some(g)),
+                Err(CompressError::Protocol(_))
+            ));
+        }
+        // The caller decides what becomes of M = g1 + E ...
+        let m = c.take_residual(0).unwrap();
+        let want = g1.add(&Tensor::from_shape_vec([6, 9], e).unwrap()).unwrap();
+        assert_eq!(m.data(), want.data());
+        assert!(c.encode(0, &g2).is_ok());
+        // ... or drops it with all other state; a new shape does the same.
+        c.reset();
+        c.encode(0, &g2).unwrap();
+        assert!(c.encode(0, &Tensor::randn([3, 9], 3)).is_ok());
+        // Without error feedback there is no E to lose.
+        let mut c = PowerSgd::new(2).unwrap().error_feedback(false);
+        c.encode(0, &g1).unwrap();
+        assert!(c.encode(0, &g2).is_ok());
     }
 
     #[test]

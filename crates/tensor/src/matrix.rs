@@ -88,8 +88,49 @@ fn check_out(out: &[f32], rows: usize, cols: usize) -> Result<()> {
 /// Returns [`TensorError::ShapeMismatch`] if inner dimensions or the output
 /// buffer size do not line up.
 pub fn matmul(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<()> {
-    matmul_with_tile(active_tile(), a, b, out)
+    check_matmul(a, b, out)?;
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a_s, b_s) = (a.as_slice(), b.as_slice());
+    // Skinny `B` (PowerSGD's `P = M · Q`): the widest tile that fits is
+    // 4 columns, and a 4-row block of it is four dependent FMA chains —
+    // latency-bound. Eight rows per block keep eight chains in flight;
+    // each output element is still the same l-ordered chain.
+    let m8 = if n < SKINNY_MAX { m - m % 8 } else { 0 };
+    for i in (0..m8).step_by(8) {
+        let a_rows: [&[f32]; 8] = std::array::from_fn(|r| &a_s[(i + r) * k..(i + r + 1) * k]);
+        let mut j = 0;
+        if j + 8 <= n {
+            mm_tile::<8, 8>(a_rows, b_s, k, n, i, j, out);
+            j += 8;
+        }
+        if j + 4 <= n {
+            mm_tile::<8, 4>(a_rows, b_s, k, n, i, j, out);
+            j += 4;
+        }
+        mm_col_tail(j, a_rows, b_s, (k, n), i, out);
+    }
+    let rest = MatrixRef::new(&a_s[m8 * k..], m - m8, k)?;
+    matmul_with_tile(active_tile(), rest, b, &mut out[m8 * n..])
 }
+
+/// Shape check shared by the `A · B` entry points.
+fn check_matmul(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &[f32]) -> Result<()> {
+    if a.cols() != b.rows() {
+        return Err(TensorError::ShapeMismatch {
+            expected: format!("inner dim {}", a.cols()),
+            actual: format!("inner dim {}", b.rows()),
+        });
+    }
+    check_out(out, a.rows(), b.cols())
+}
+
+/// Factor widths below this take the skinny paths of [`matmul`] and
+/// [`at_mul_b`]; from 16 columns on the 4 x 16 register tile fits.
+/// PowerSGD's ranks are 1 to 16; the training task's own products are
+/// 1024 wide and never qualify. Chosen from the operand shapes alone:
+/// every path computes each output element with the same chain of
+/// operations, so which one ran is invisible in the result bits.
+const SKINNY_MAX: usize = 16;
 
 /// The register tile the dispatched entry points run: the autotuned
 /// choice when SIMD is active, scalar otherwise.
@@ -139,13 +180,7 @@ pub fn matmul_with_tile(
     b: MatrixRef<'_>,
     out: &mut [f32],
 ) -> Result<()> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            expected: format!("inner dim {}", a.cols()),
-            actual: format!("inner dim {}", b.rows()),
-        });
-    }
-    check_out(out, a.rows(), b.cols())?;
+    check_matmul(a, b, out)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let a_s = a.as_slice();
     let b_s = b.as_slice();
@@ -269,11 +304,25 @@ fn mm_cols_from(
         j += 16;
     }
     while j + 4 <= n {
-        mm_tile::<4>(a_rows, b_s, k, n, i, j, out);
+        mm_tile::<4, 4>(a_rows, b_s, k, n, i, j, out);
         j += 4;
     }
-    for j in j..n {
-        let mut s = [0.0f32; 4];
+    mm_col_tail(j, a_rows, b_s, (k, n), i, out);
+}
+
+/// Columns `j0..n` (fewer than a tile) of an R-row block of `A · B`, one
+/// column at a time.
+#[inline(always)]
+fn mm_col_tail<const R: usize>(
+    j0: usize,
+    a_rows: [&[f32]; R],
+    b_s: &[f32],
+    (k, n): (usize, usize),
+    i: usize,
+    out: &mut [f32],
+) {
+    for j in j0..n {
+        let mut s = [0.0f32; R];
         for l in 0..k {
             let bv = b_s[l * n + j];
             for (sr, ar) in s.iter_mut().zip(a_rows) {
@@ -286,15 +335,15 @@ fn mm_cols_from(
     }
 }
 
-/// One 4 x T output tile of `A · B`: accumulates over the full shared
+/// One R x T output tile of `A · B`: accumulates over the full shared
 /// dimension in register-resident arrays, then stores each row once.
 ///
 /// Accumulation is `mul_add` (one rounding per step) so the scalar tile is
 /// bit-identical to the AVX2 `vfmadd` tile — both are the same l-ordered
 /// fused chain per output element.
 #[inline(always)]
-fn mm_tile<const T: usize>(
-    a_rows: [&[f32]; 4],
+fn mm_tile<const R: usize, const T: usize>(
+    a_rows: [&[f32]; R],
     b_s: &[f32],
     k: usize,
     n: usize,
@@ -302,7 +351,7 @@ fn mm_tile<const T: usize>(
     j: usize,
     out: &mut [f32],
 ) {
-    let mut acc = [[0.0f32; T]; 4];
+    let mut acc = [[0.0f32; T]; R];
     for l in 0..k {
         let brow: &[f32; T] = b_s[l * n + j..l * n + j + T]
             .try_into()
@@ -341,7 +390,7 @@ fn mm_tile16(
         return;
     }
     let _ = use_simd;
-    mm_tile::<16>(a_rows, b_s, k, n, i, j, out);
+    mm_tile::<4, 16>(a_rows, b_s, k, n, i, j, out);
 }
 
 /// AVX2+FMA 4 x 16 tile: two ymm accumulators per row, one broadcast per
@@ -471,7 +520,7 @@ unsafe fn mm_tile32x8_avx512(
 /// Returns [`TensorError::ShapeMismatch`] if row counts or the output buffer
 /// size do not line up.
 pub fn at_mul_b(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<()> {
-    at_mul_b_with_tile(active_tile(), a, b, out)
+    at_mul_b_pooled(&crate::pool::Pool::new(1), a, b, out)
 }
 
 /// [`at_mul_b`] with the SIMD-tile dispatch pinned by the caller — see
@@ -518,6 +567,64 @@ pub fn at_mul_b_with_tile(
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
     atb_rows(tile, a.as_slice(), b.as_slice(), (k, m, n), 0, m, out);
     Ok(())
+}
+
+/// Output rows `[i0, i1)` of `Aᵀ · B` for skinny `B` (`n < SKINNY_MAX`,
+/// PowerSGD's `Q = Mᵀ · P̂`) into `out_band`.
+///
+/// The register tiles walk A down a 4-column block: 16 bytes of every
+/// cache line per pass, so the matrix is read four times at a row-length
+/// stride. Here A is streamed row by row instead, against `n` accumulator
+/// rows `acc[c][i] = fma(A[l, i], B[l, c], acc[c][i])` that vectorise
+/// across `i`; columns are blocked so the accumulators stay in L1. Each
+/// output element is the same l-ordered chain as in [`atb_rows`].
+fn atb_rows_skinny(
+    a_s: &[f32],
+    b_s: &[f32],
+    (k, m, n): (usize, usize, usize),
+    i0: usize,
+    i1: usize,
+    out_band: &mut [f32],
+) {
+    const ACC_ELEMS: usize = 4096;
+    let mut acc = [0.0f32; ACC_ELEMS];
+    let block = ACC_ELEMS / n.max(1);
+    for lo in (i0..i1).step_by(block) {
+        let w = block.min(i1 - lo);
+        let acc = &mut acc[..n * w];
+        acc.fill(0.0);
+        // Four rows of A per pass over the accumulators (a quarter of the
+        // accumulator traffic); the nested `mul_add`s keep `l` ascending.
+        let arow = |l: usize| &a_s[l * m + lo..l * m + lo + w];
+        let k4 = k - k % 4;
+        for l in (0..k4).step_by(4) {
+            let (a0, a1, a2, a3) = (arow(l), arow(l + 1), arow(l + 2), arow(l + 3));
+            for (c, accr) in acc.chunks_exact_mut(w).enumerate() {
+                let b: [f32; 4] = std::array::from_fn(|d| b_s[(l + d) * n + c]);
+                let a = a0.iter().zip(a1).zip(a2).zip(a3);
+                for (s, (((&v0, &v1), &v2), &v3)) in accr.iter_mut().zip(a) {
+                    let s0 = v0.mul_add(b[0], *s);
+                    let s1 = v1.mul_add(b[1], s0);
+                    let s2 = v2.mul_add(b[2], s1);
+                    *s = v3.mul_add(b[3], s2);
+                }
+            }
+        }
+        for l in k4..k {
+            let brow = &b_s[l * n..(l + 1) * n];
+            for (accr, &bv) in acc.chunks_exact_mut(w).zip(brow) {
+                for (s, &av) in accr.iter_mut().zip(arow(l)) {
+                    *s = av.mul_add(bv, *s);
+                }
+            }
+        }
+        let orows = &mut out_band[(lo - i0) * n..(lo - i0 + w) * n];
+        for (c, accr) in acc.chunks_exact(w).enumerate() {
+            for (orow, &s) in orows.chunks_exact_mut(n).zip(accr) {
+                orow[c] = s;
+            }
+        }
+    }
 }
 
 /// Output rows `[i0, i1)` of `Aᵀ · B` into `out_band` (`(i1 - i0) x n`).
@@ -763,11 +870,17 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
             j += 4;
         }
         for j in j..n {
-            let brow = &b_s[j * k..(j + 1) * k];
-            orow[j] = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
+            orow[j] = dot_in_order(arow, &b_s[j * k..(j + 1) * k]);
         }
     }
     Ok(())
+}
+
+/// The last `n % 4` columns of [`a_mul_bt`]: an iterator sum, whose start
+/// value (and so the sign of an all-zero result) is the standard
+/// library's, not the `0.0` of the four-column blocks.
+fn dot_in_order(arow: &[f32], brow: &[f32]) -> f32 {
+    arow.iter().zip(brow).map(|(x, y)| x * y).sum()
 }
 
 /// Minimum FMAs a band must amortize before forking is worth ~10 µs of
@@ -795,13 +908,7 @@ pub fn matmul_pooled(
     b: MatrixRef<'_>,
     out: &mut [f32],
 ) -> Result<()> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            expected: format!("inner dim {}", a.cols()),
-            actual: format!("inner dim {}", b.rows()),
-        });
-    }
-    check_out(out, a.rows(), b.cols())?;
+    check_matmul(a, b, out)?;
     let (k, n) = (a.cols(), b.cols());
     let a_s = a.as_slice();
     pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
@@ -839,27 +946,42 @@ pub fn at_mul_b_pooled(
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
     let a_s = a.as_slice();
     let b_s = b.as_slice();
+    if out.is_empty() {
+        return Ok(());
+    }
     let tile = active_tile();
     pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
         let rows = band.len() / n;
-        atb_rows(tile, a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
+        if n < SKINNY_MAX {
+            atb_rows_skinny(a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
+        } else {
+            atb_rows(tile, a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
+        }
     });
     Ok(())
 }
 
-/// [`a_mul_bt`] with output rows banded across `pool`.
+/// PowerSGD's decode in one pass over the layer: `out = A · Bᵀ` (`A` is
+/// `m x k`, `B` is `n x k`; `Ĝ = P̂ · Q̄ᵀ`) and, when `resid` is given,
+/// `resid ← resid − out` (`E ← M − Ĝ`) while the row of `out` is still in
+/// registers. Output rows are banded across `pool`.
 ///
-/// Row `i` of `A · Bᵀ` depends only on row `i` of A; each band is a
-/// complete `a_mul_bt` of an A sub-view, bit-identical to the serial
-/// kernel.
+/// Every element of `out` is computed as in [`a_mul_bt`] and every element
+/// of `resid` as the separate subtraction would, so the result is
+/// bit-identical to the two-step form at every pool width. `B` is
+/// transposed once so that a row of `out` vectorises across its columns;
+/// the shared dimension is PowerSGD's rank, so the transposed copy is
+/// small next to `out`.
 ///
 /// # Errors
 ///
-/// Same shape errors as [`a_mul_bt`].
-pub fn a_mul_bt_pooled(
+/// Returns [`TensorError::ShapeMismatch`] if column counts or the size of
+/// `out` or `resid` do not line up.
+pub fn reconstruct_residual_pooled(
     pool: &crate::pool::Pool,
     a: MatrixRef<'_>,
     b: MatrixRef<'_>,
+    resid: Option<&mut [f32]>,
     out: &mut [f32],
 ) -> Result<()> {
     if a.cols() != b.cols() {
@@ -869,15 +991,105 @@ pub fn a_mul_bt_pooled(
         });
     }
     check_out(out, a.rows(), b.rows())?;
+    if let Some(resid) = &resid {
+        check_out(resid, a.rows(), b.rows())?;
+    }
     let (k, n) = (a.cols(), b.rows());
-    let a_s = a.as_slice();
-    pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
-        let rows = band.len() / n;
-        let sub =
-            MatrixRef::new(&a_s[row_lo * k..(row_lo + rows) * k], rows, k).expect("band sub-view");
-        a_mul_bt(sub, b, band).expect("validated dims");
-    });
+    if out.is_empty() {
+        return Ok(());
+    }
+    let (a_s, b_s) = (a.as_slice(), b.as_slice());
+    let mut bt = vec![0.0f32; k * n];
+    for (j, brow) in b_s.chunks_exact(k.max(1)).enumerate() {
+        for (l, &bv) in brow.iter().enumerate() {
+            bt[l * n + j] = bv;
+        }
+    }
+    let bt = &bt;
+    let a_band = |row_lo: usize, len: usize| &a_s[row_lo * k..row_lo * k + len / n * k];
+    match resid {
+        Some(resid) => pool.for_row_pairs(out, resid, n, band_rows(k * n), |row_lo, o, e| {
+            abt_rows(a_band(row_lo, o.len()), b_s, bt, (k, n), Some(e), o);
+        }),
+        None => pool.for_rows(out, n, band_rows(k * n), |row_lo, o| {
+            abt_rows(a_band(row_lo, o.len()), b_s, bt, (k, n), None, o);
+        }),
+    }
     Ok(())
+}
+
+/// Rows of `A · Bᵀ`, `bt` being `B` transposed (`k x n`), with the
+/// optional residual update of [`reconstruct_residual_pooled`].
+///
+/// [`a_mul_bt`] forms each element as `s = 0; s += a[l] * b[l]` with `l`
+/// ascending over four columns at a time, and the last `n % 4` columns as
+/// an iterator sum; both are kept per element, only the loop over columns
+/// is vectorised.
+fn abt_rows(
+    a_band: &[f32],
+    b_s: &[f32],
+    bt: &[f32],
+    (k, n): (usize, usize),
+    mut resid_band: Option<&mut [f32]>,
+    out_band: &mut [f32],
+) {
+    const W: usize = 64;
+    // Rows per block: each `k x W` panel of `bt` is reused across the
+    // block from L1 instead of re-streaming all of `bt` for every row.
+    const ROWS: usize = 8;
+    let n4 = n - n % 4;
+    let nw = n4 - n4 % W;
+    for (blk, oblock) in out_band.chunks_mut(ROWS * n).enumerate() {
+        let rows = oblock.len() / n;
+        let ablock = &a_band[blk * ROWS * k..(blk * ROWS + rows) * k];
+        let mut eblock = resid_band
+            .as_deref_mut()
+            .map(|e| &mut e[blk * ROWS * n..(blk * ROWS + rows) * n]);
+        for j in (0..nw).step_by(W) {
+            abt_block_cols::<W>(ablock, bt, (k, n), j, eblock.as_deref_mut(), oblock);
+        }
+        for j in (nw..n4).step_by(4) {
+            abt_block_cols::<4>(ablock, bt, (k, n), j, eblock.as_deref_mut(), oblock);
+        }
+        for j in n4..n {
+            for r in 0..rows {
+                let g = dot_in_order(&ablock[r * k..(r + 1) * k], &b_s[j * k..(j + 1) * k]);
+                oblock[r * n + j] = g;
+                if let Some(e) = eblock.as_deref_mut() {
+                    e[r * n + j] -= g;
+                }
+            }
+        }
+    }
+}
+
+/// Columns `[j, j + W)` of a block of rows of [`abt_rows`].
+#[inline(always)]
+fn abt_block_cols<const W: usize>(
+    ablock: &[f32],
+    bt: &[f32],
+    (k, n): (usize, usize),
+    j: usize,
+    mut eblock: Option<&mut [f32]>,
+    oblock: &mut [f32],
+) {
+    for (r, orow) in oblock.chunks_exact_mut(n).enumerate() {
+        let mut s = [0.0f32; W];
+        for (l, &av) in ablock[r * k..(r + 1) * k].iter().enumerate() {
+            let bl: &[f32; W] = bt[l * n + j..l * n + j + W]
+                .try_into()
+                .expect("chunk width");
+            for (sv, &bv) in s.iter_mut().zip(bl) {
+                *sv += av * bv;
+            }
+        }
+        orow[j..j + W].copy_from_slice(&s);
+        if let Some(e) = eblock.as_deref_mut() {
+            for (e, g) in e[r * n + j..r * n + j + W].iter_mut().zip(&s) {
+                *e -= g;
+            }
+        }
+    }
 }
 
 /// Orthonormalizes the columns of an `rows x cols` row-major matrix in place
@@ -1272,7 +1484,7 @@ mod tests {
             .unwrap();
             assert_eq!(bits(&serial2), bits(&pooled2), "at_mul_b {m}x{k}x{n}");
 
-            // A·Bᵀ: B is n x k.
+            // A·Bᵀ with the residual update: B is n x k.
             let bt = Tensor::randn([n, k], (n + 55) as u64).into_vec();
             let mut serial3 = vec![0.0f32; m * n];
             let mut pooled3 = vec![0.0f32; m * n];
@@ -1282,13 +1494,17 @@ mod tests {
                 &mut serial3,
             )
             .unwrap();
-            a_mul_bt_pooled(
+            let mut resid = serial2.clone();
+            reconstruct_residual_pooled(
                 &pool,
                 MatrixRef::new(&a, m, k).unwrap(),
                 MatrixRef::new(&bt, n, k).unwrap(),
+                Some(&mut resid),
                 &mut pooled3,
             )
             .unwrap();
+            let two_step: Vec<f32> = serial2.iter().zip(&serial3).map(|(w, g)| w - g).collect();
+            assert_eq!(bits(&two_step), bits(&resid), "residual {m}x{k}x{n}");
             assert_eq!(bits(&serial3), bits(&pooled3), "a_mul_bt {m}x{k}x{n}");
         }
     }
@@ -1314,10 +1530,20 @@ mod tests {
             &mut out
         )
         .is_err());
-        assert!(a_mul_bt_pooled(
+        assert!(reconstruct_residual_pooled(
             &pool,
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 3, 2).unwrap(),
+            None,
+            &mut out
+        )
+        .is_err());
+        // A residual of the wrong size is rejected before anything is written.
+        assert!(reconstruct_residual_pooled(
+            &pool,
+            MatrixRef::new(&a, 2, 3).unwrap(),
+            MatrixRef::new(&b, 2, 3).unwrap(),
+            Some(&mut [0.0f32; 3]),
             &mut out
         )
         .is_err());

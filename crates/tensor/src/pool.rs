@@ -394,6 +394,39 @@ impl Pool {
         });
     }
 
+    /// [`for_rows`](Pool::for_rows) over two buffers of the same shape
+    /// banded alike: `f(first_row, band_of_a, band_of_b)`, for kernels that
+    /// write two outputs per row (a product and the residual it leaves).
+    ///
+    /// # Panics
+    ///
+    /// As [`for_rows`](Pool::for_rows), and if the lengths of `a` and `b`
+    /// differ.
+    pub fn for_row_pairs<T, F>(
+        &self,
+        a: &mut [T],
+        b: &mut [T],
+        row_len: usize,
+        min_rows_per_band: usize,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [T], &mut [T]) + Sync,
+    {
+        assert_eq!(a.len(), b.len(), "paired buffers differ in length");
+        let b_base = SendPtr(b.as_mut_ptr());
+        self.for_rows(a, row_len, min_rows_per_band, move |row_lo, a_band| {
+            // SAFETY: `for_rows` hands out disjoint bands of `a`, each
+            // once; `b` has `a`'s length, so the same element range of `b`
+            // is in bounds and owned by this invocation alone. `b` itself
+            // is borrowed mutably for the whole call.
+            let b_band = unsafe {
+                std::slice::from_raw_parts_mut(b_base.get().add(row_lo * row_len), a_band.len())
+            };
+            f(row_lo, a_band, b_band);
+        });
+    }
+
     /// Splits `0..units` into up to [`width`](Pool::width) contiguous
     /// spans of at least `min_units_per_band` units and runs `f(lo, hi)`
     /// on each span concurrently. Does nothing when `units == 0`.
@@ -514,6 +547,23 @@ mod tests {
                     .collect();
                 assert_eq!(out, expect, "width={width} rows={rows}");
             }
+        }
+    }
+
+    #[test]
+    fn for_row_pairs_bands_both_buffers_alike() {
+        for width in [1, 2, 3] {
+            let pool = Pool::new(width);
+            let (mut a, mut b) = (vec![0usize; 7 * 3], vec![0usize; 7 * 3]);
+            pool.for_row_pairs(&mut a, &mut b, 3, 1, |row_lo, a_band, b_band| {
+                assert_eq!(a_band.len(), b_band.len());
+                for (i, (x, y)) in a_band.iter_mut().zip(b_band).enumerate() {
+                    *x += row_lo * 3 + i + 1;
+                    *y += 2 * (row_lo * 3 + i + 1);
+                }
+            });
+            assert!(a.iter().enumerate().all(|(i, &x)| x == i + 1));
+            assert!(b.iter().enumerate().all(|(i, &y)| y == 2 * (i + 1)));
         }
     }
 

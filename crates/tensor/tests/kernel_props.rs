@@ -653,6 +653,159 @@ fn gemm_dispatch_paths_are_bit_identical() {
 }
 
 // ---------------------------------------------------------------------------
+// Skinny paths: a factor under 16 wide (PowerSGD's ranks) takes a path of
+// its own in `matmul` and `at_mul_b`, and PowerSGD's decode a fused kernel;
+// each must give the bits of the general kernels it stands in for.
+// ---------------------------------------------------------------------------
+
+/// One shape of the skinny sweep and how much of the sweep it gets. The
+/// tests run unoptimised, so the shapes past 67 take rank 4 and one factor width
+/// on each side of the predicate instead of all of `1..=17`, and those large
+/// on both sides one input family. Pool widths 1–3 run where a pool can
+/// split the rows (one side large); elsewhere the widest stands for all.
+struct SkinnyCase {
+    dims: (usize, usize),
+    widths: Vec<usize>,
+    families: usize,
+    pools: std::ops::RangeInclusive<usize>,
+}
+
+/// Dimension pairs drawn from `{1..=67, 255, 256, 1024}`: every value on
+/// each side against a fixed odd partner, and the large sizes against
+/// each other.
+fn skinny_cases() -> Vec<SkinnyCase> {
+    let mut dims = Vec::new();
+    for d in (1..=67).chain([255, 256, 1024]) {
+        dims.extend([(d, 37), (37, d)]);
+    }
+    dims.extend([(255, 256), (256, 1024), (1024, 255), (1024, 1024)]);
+    dims.into_iter()
+        .map(|(m, k)| SkinnyCase {
+            dims: (m, k),
+            widths: if m.max(k) > 67 {
+                vec![4, 15, 16]
+            } else {
+                (1..=17).collect()
+            },
+            families: if m.min(k) > 67 { 1 } else { 3 },
+            pools: if m.min(k) <= 67 && m.max(k) > 67 {
+                1..=3
+            } else {
+                3..=3
+            },
+        })
+        .collect()
+}
+
+/// [`bits`] or [`canon_bits`].
+type BitsOf = fn(&[f32]) -> Vec<u32>;
+
+/// Three input families per buffer, with the comparison each allows:
+/// ordinary finite values and a ±0/denormal/±1 mix must match bit for bit;
+/// the NaN/±inf payload matches up to NaN payload bits (see [`canon_bits`]).
+fn skinny_inputs(len: usize, salt: usize) -> [(Vec<f32>, BitsOf); 3] {
+    let finite = (0..len)
+        .map(|i| (((i * 53 + salt * 31) % 97) as f32 - 48.0) * 0.021)
+        .collect();
+    let zeros = (0..len)
+        .map(|i| [0.0, -0.0, 1.0e-40, -1.0e-40, 1.0, -1.0, -0.0][(i * 5 + salt) % 7])
+        .collect();
+    [(finite, bits), (zeros, bits), (payload(len), canon_bits)]
+}
+
+#[test]
+fn skinny_matmul_and_at_mul_b_match_the_general_tiles() {
+    use gcs_tensor::autotune::{supported_tiles, GemmTile};
+    use gcs_tensor::matrix::{self, MatrixRef};
+    for case in skinny_cases() {
+        let (m, k) = case.dims;
+        let pools: Vec<Pool> = case.pools.clone().map(Pool::new).collect();
+        // The scalar tile and the widest one; the widest only on the
+        // large shapes.
+        let mut tiles = vec![*supported_tiles().last().unwrap()];
+        if m.max(k) <= 67 {
+            tiles.push(GemmTile::Scalar);
+        }
+        let tiles = &tiles;
+        for &w in &case.widths {
+            let a_in = skinny_inputs(m * k, w);
+            let b_in = skinny_inputs(k * w, m);
+            for ((a, cmp), (b, _)) in a_in.iter().zip(&b_in).take(case.families) {
+                let bm = MatrixRef::new(b, k, w).unwrap();
+                // A · B, A being m x k.
+                let am = MatrixRef::new(a, m, k).unwrap();
+                let mut got = vec![f32::NAN; m * w];
+                matrix::matmul(am, bm, &mut got).unwrap();
+                for &tile in tiles {
+                    let mut want = vec![0.0f32; m * w];
+                    matrix::matmul_with_tile(tile, am, bm, &mut want).unwrap();
+                    assert_eq!(cmp(&want), cmp(&got), "matmul {m}x{k}x{w} {tile:?}");
+                }
+                // Aᵀ · B, A being k x m.
+                let atm = MatrixRef::new(a, k, m).unwrap();
+                let mut got_t = vec![f32::NAN; m * w];
+                matrix::at_mul_b(atm, bm, &mut got_t).unwrap();
+                for &tile in tiles {
+                    let mut want = vec![0.0f32; m * w];
+                    matrix::at_mul_b_with_tile(tile, atm, bm, &mut want).unwrap();
+                    assert_eq!(cmp(&want), cmp(&got_t), "at_mul_b {k}x{m}x{w} {tile:?}");
+                }
+                for pool in &pools {
+                    let mut pooled = vec![f32::NAN; m * w];
+                    matrix::matmul_pooled(pool, am, bm, &mut pooled).unwrap();
+                    assert_eq!(
+                        cmp(&got),
+                        cmp(&pooled),
+                        "matmul_pooled {m}x{k}x{w} {pool:?}"
+                    );
+                    pooled.fill(f32::NAN);
+                    matrix::at_mul_b_pooled(pool, atm, bm, &mut pooled).unwrap();
+                    assert_eq!(
+                        cmp(&got_t),
+                        cmp(&pooled),
+                        "at_mul_b_pooled {k}x{m}x{w} {pool:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_reconstruct_matches_a_mul_bt_then_subtract() {
+    use gcs_tensor::matrix::{self, MatrixRef};
+    for case in skinny_cases() {
+        let (m, n) = case.dims;
+        let pools: Vec<Pool> = case.pools.clone().map(Pool::new).collect();
+        for &k in &case.widths {
+            let a_in = skinny_inputs(m * k, n);
+            let b_in = skinny_inputs(n * k, m);
+            let w_in = skinny_inputs(m * n, k);
+            let inputs = a_in.iter().zip(&b_in).zip(&w_in).take(case.families);
+            for (((a, cmp), (b, _)), (work, _)) in inputs {
+                let am = MatrixRef::new(a, m, k).unwrap();
+                let bm = MatrixRef::new(b, n, k).unwrap();
+                let mut g_want = vec![0.0f32; m * n];
+                matrix::a_mul_bt(am, bm, &mut g_want).unwrap();
+                let e_want: Vec<f32> = work.iter().zip(&g_want).map(|(w, g)| w - g).collect();
+                for pool in &pools {
+                    let mut g = vec![f32::NAN; m * n];
+                    let mut e = work.clone();
+                    matrix::reconstruct_residual_pooled(pool, am, bm, Some(&mut e), &mut g)
+                        .unwrap();
+                    assert_eq!(cmp(&g_want), cmp(&g), "G {m}x{k}x{n} {pool:?}");
+                    assert_eq!(cmp(&e_want), cmp(&e), "E {m}x{k}x{n} {pool:?}");
+                    // Without a residual the product alone is the same.
+                    g.fill(f32::NAN);
+                    matrix::reconstruct_residual_pooled(pool, am, bm, None, &mut g).unwrap();
+                    assert_eq!(cmp(&g_want), cmp(&g), "G only {m}x{k}x{n} {pool:?}");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Threaded determinism: the pooled entry points must be bit-identical to
 // serial execution for every pool width, and stable across repeated runs.
 // ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ import sys
 # >20% regression policy as every other timing field.
 # `transport` separates rows measured over different backends (sim vs
 # tcp): a Sim row must never gate against a TCP row of the same method.
-COARSE_KEYS = ("kernel", "method", "scheme", "regime", "engine", "transport")
+# `op` names which of the three PowerSGD products a `skinny_gemm` row of
+# the datapath bench times (matmul / at_mul_b / reconstruct); their shapes
+# ride the existing m/k/n keys, the rank being the 4, 8 or 16 among them.
+COARSE_KEYS = ("kernel", "op", "method", "scheme", "regime", "engine", "transport")
 FINE_KEYS = ("p", "m", "k", "n", "bucket_bytes", "workers", "gbps", "latency_us")
 
 # Wall-clock fields that depend on the machine running the bench (the
