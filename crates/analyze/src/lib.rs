@@ -7,7 +7,7 @@
 //! every collective's communication schedule (ring all-reduce /
 //! all-gather, the segmented ring, Rabenseifner halving-doubling, the
 //! hierarchical node-leader reduce, binomial-tree broadcast, and the
-//! live-subset `*_among` variants) is lifted into an IR of per-rank
+//! same rings over a live subset, as on a shrunk handle) is lifted into an IR of per-rank
 //! `Send` / `Recv` ops by replaying the implementation's exact index
 //! arithmetic. The verifier then proves, for p ∈ {2..16} and every
 //! dead-rank subset of size ≤ 2: pairing completeness, no self-sends,

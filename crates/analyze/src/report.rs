@@ -2,8 +2,9 @@
 //!
 //! `run_schedule_pass` sweeps every schedule family over p ∈ {2..16},
 //! including every dead-rank subset of size ≤ 2 for the `*_among`
-//! collectives, and cross-validates the canonical-order deadlock check
-//! with exhaustive interleaving search on small configurations.
+//! schedules (ring collectives on a handle shrunk by `set_members`), and
+//! cross-validates the canonical-order deadlock check with exhaustive
+//! interleaving search on small configurations.
 //! `to_json` renders all five passes into the
 //! `results/analyze_report.json` shape CI consumes: a fixed
 //! [`SCHEMA_VERSION`] plus deterministic key and pass ordering, so the
@@ -88,8 +89,8 @@ pub fn live_subsets(p: usize, max_dead: usize) -> Vec<Vec<usize>> {
 }
 
 /// The full static sweep: all schedule families, p ∈ {2..16}, dead-rank
-/// subsets of size ≤ 2 for the `*_among` variants, bounded-channel
-/// CommEngine handshakes, plus exhaustive interleaving cross-checks on
+/// subsets of size ≤ 2 for the `*_among` (shrunk-handle) schedules,
+/// bounded-channel CommEngine handshakes, plus exhaustive interleaving cross-checks on
 /// configurations small enough to enumerate.
 pub fn run_schedule_pass() -> SchedulePassReport {
     let mut rep = SchedulePassReport::default();

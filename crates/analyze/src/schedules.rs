@@ -51,10 +51,10 @@ fn recv_elems(s: &mut Schedule, at: usize, from: usize, lo: usize, hi: usize, ac
 
 /// Ring all-reduce over `members` (actual process ids, strictly
 /// ascending), reducing `n` elements at `offset` into each member's
-/// buffer. Mirrors `WorkerHandle::all_reduce_sum` /
-/// `all_reduce_sum_among` — the two share their arithmetic (`pos = rank`,
-/// `m = p` in the full-membership case), which the cluster test
-/// `all_reduce_among_full_membership_is_bit_identical_to_plain` pins.
+/// buffer. Mirrors `WorkerHandle::all_reduce_sum`, whose single code body
+/// rings over the handle's member list (`WorkerHandle::set_members`):
+/// members `0..p` is the healthy ring (`pos = rank`, `m = p`), and
+/// `ring_all_reduce_among` with a subset models a shrunk handle.
 fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, n: usize) {
     let m = members.len();
     if m <= 1 {
@@ -306,8 +306,9 @@ pub fn blob_bytes(origin: usize) -> usize {
     16 + 8 * origin
 }
 
-/// Ring all-gather over `members` — mirrors
-/// `WorkerHandle::all_gather_bytes` / `all_gather_bytes_among`: each
+/// Ring all-gather over `members` — mirrors `WorkerHandle::all_gather_bytes`,
+/// one code body over the handle's member list (members `0..p` is the
+/// healthy ring, a subset a handle shrunk by `set_members`): each
 /// blob traverses the ring by zero-copy forwarding, and the receiver
 /// attributes step-`s` arrivals to origin position `(pos + 2m - s - 1) % m`.
 pub fn ring_all_gather_among(p: usize, members: &[usize]) -> Schedule {

@@ -34,7 +34,7 @@
 use gcs_bench::timing::black_box;
 use gcs_cluster::{NetEmu, SimCluster};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::{exchange_gradients_with_plan_timed, BucketPlan, BucketTiming};
+use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan, BucketTiming};
 use gcs_ddp::{PipelineConfig, PipelinedEngine};
 use gcs_tensor::Tensor;
 use serde_json::{json, Value};
@@ -212,21 +212,19 @@ fn time_exchange(
             let mut c = method.build().expect("build compressor");
             let mut plan = BucketPlan::matricized(&grads, bucket_bytes);
             let mut run = || {
-                let (out, timings) =
-                    exchange_gradients_with_plan_timed(&w, &mut c, &grads, &mut plan)
-                        .expect("sequential exchange");
+                let out = exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan)
+                    .expect("sequential exchange");
                 black_box(out);
-                timings
             };
             run();
             let t0 = std::time::Instant::now();
-            let mut timings = Vec::new();
             for _ in 0..bp.inner {
-                timings = run();
+                run();
             }
             let t = t0.elapsed().as_secs_f64() / bp.inner as f64;
+            let timings = plan.last_timings();
             let comm_ms: f64 = timings.iter().map(|t| t.comm_s).sum::<f64>() * 1e3;
-            (t, sum_timings(&timings, comm_ms))
+            (t, sum_timings(timings, comm_ms))
         } else {
             let c = method.build().expect("build compressor");
             let mut eng = PipelinedEngine::new(

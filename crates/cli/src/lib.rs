@@ -510,7 +510,7 @@ pub fn run(args: &[String]) -> Result<String> {
                 .seed(seed)
                 .faulty(plan);
             let task = gcs_train::task::LinearRegression::new(8, 96, 0.01, 41);
-            let (rep, events) = gcs_train::threaded::train_threaded_faulty(&task, &method, &cfg)
+            let (rep, events) = gcs_train::threaded::train_threaded(&task, &method, &cfg)
                 .map_err(|e| CliError(format!("faulty run failed: {e}")))?;
             writeln!(
                 out,
@@ -934,6 +934,12 @@ mod tests {
     fn faults_command_with_benign_plan_reports_no_events() {
         let out = run(&args("faults --workers 3 --steps 8")).unwrap();
         assert!(out.contains("no robustness events"), "{out}");
+    }
+
+    #[test]
+    fn faults_command_without_survivors_is_a_clean_error() {
+        let err = run(&args("faults --workers 2 --steps 10 --kill 0@1,1@1")).unwrap_err();
+        assert!(err.0.contains("no survivor"), "{}", err.0);
     }
 
     #[test]

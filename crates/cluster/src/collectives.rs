@@ -80,10 +80,11 @@ pub(crate) fn add_f32s_into_bytes(xs: &[f32], bytes: &mut [u8]) {
 }
 
 impl WorkerHandle {
-    /// Ring all-reduce (sum): after the call every rank's `buf` holds the
-    /// elementwise sum over all ranks.
+    /// Ring all-reduce (sum): after the call every member's `buf` holds
+    /// the elementwise sum over the handle's [members](Self::members) —
+    /// every rank unless [`WorkerHandle::set_members`] shrank the ring.
     ///
-    /// All ranks must call this with buffers of equal length.
+    /// All members must call this with buffers of equal length.
     ///
     /// Single-pass wire path: the only serialization is the initial send
     /// of this rank's own chunk. Each subsequent reduce-scatter step folds
@@ -92,38 +93,35 @@ impl WorkerHandle {
     /// at step `s+1` is exactly the chunk it received at step `s`, so
     /// decode-accumulate-reserialize collapses into one kernel call. The
     /// all-gather decodes each incoming frame into `buf` and forwards the
-    /// same [`Frame`] by refcount bump (zero copies). Same `2(p−1)` frame
-    /// schedule and byte counts as the textbook formulation, and the
-    /// accumulation chain `x_{r} + (…)` keeps the same association order,
-    /// so the result is **bit-identical** to it.
+    /// same [`Frame`] by refcount bump (zero copies). Same `2(m−1)` frame
+    /// schedule and byte counts as the textbook formulation over `m`
+    /// members, and the accumulation chain `x_{r} + (…)` keeps the same
+    /// association order, so the result is **bit-identical** to it.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::Mismatch`] if peers send differently-sized
     /// chunks and [`ClusterError::Disconnected`] if a peer hangs up.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) -> Result<()> {
-        let p = self.world();
-        if p == 1 {
+        let (m, pos, next, prev) = self.ring();
+        if m == 1 {
             return Ok(());
         }
-        let rank = self.rank();
         let len = buf.len();
-        let next = self.ring_next();
-        let prev = self.ring_prev();
 
         // Phase 1: reduce-scatter. Only the seed send serializes from
         // `buf`; partial sums then travel (and accumulate) in wire form.
-        // After p-1 steps chunk (rank+1) % p holds the full sum.
-        let (ss, se) = chunk_range(len, p, rank);
+        // After m-1 steps chunk (pos+1) % m holds the full sum.
+        let (ss, se) = chunk_range(len, m, pos);
         let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
         fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
         self.send(next, Frame::from_vec(wire))?;
-        for s in 0..p - 1 {
-            let recv_idx = (rank + 2 * p - s - 1) % p;
+        for s in 0..m - 1 {
+            let recv_idx = (pos + 2 * m - s - 1) % m;
             let incoming = self.recv_robust(prev)?;
-            let (rs, re) = chunk_range(len, p, recv_idx);
+            let (rs, re) = chunk_range(len, m, recv_idx);
             check_f32_frame(&incoming, re - rs, "reduce-scatter")?;
-            if s + 1 < p - 1 {
+            if s + 1 < m - 1 {
                 // Fold our contribution into the wire image and pass it
                 // on (the frame is uniquely owned on a ring, so into_vec
                 // reclaims the allocation without copying).
@@ -140,18 +138,18 @@ impl WorkerHandle {
         // Phase 2: all-gather of the reduced chunks. One serialization of
         // our completed chunk; every other frame is decoded into `buf`
         // and forwarded as-is.
-        let own = (rank + 1) % p;
-        let (ss, se) = chunk_range(len, p, own);
+        let own = (pos + 1) % m;
+        let (ss, se) = chunk_range(len, m, own);
         let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
         fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
         self.send(next, Frame::from_vec(wire))?;
-        for s in 0..p - 1 {
-            let recv_idx = (rank + p - s) % p;
+        for s in 0..m - 1 {
+            let recv_idx = (pos + m - s) % m;
             let incoming = self.recv_robust(prev)?;
-            let (rs, re) = chunk_range(len, p, recv_idx);
+            let (rs, re) = chunk_range(len, m, recv_idx);
             check_f32_frame(&incoming, re - rs, "all-gather")?;
             fill_f32s_from_bytes(&mut buf[rs..re], &incoming);
-            if s + 1 < p - 1 {
+            if s + 1 < m - 1 {
                 self.send(next, incoming)?;
             }
         }
@@ -186,19 +184,16 @@ impl WorkerHandle {
                 "chunk_elems must be positive".into(),
             ));
         }
-        let p = self.world();
+        let (m, pos, next, prev) = self.ring();
         let n = buf.len();
-        if p == 1 || n == 0 {
+        if m == 1 || n == 0 {
             return Ok(());
         }
         let segments = n.div_ceil(chunk_elems);
         if segments == 1 {
             return self.all_reduce_sum(buf);
         }
-        let rank = self.rank();
-        let next = self.ring_next();
-        let prev = self.ring_prev();
-        let steps = 2 * (p - 1);
+        let steps = 2 * (m - 1);
         let seg_range = |g: usize| (g * chunk_elems, ((g + 1) * chunk_elems).min(n));
         // Recycled wire buffers: every received frame's allocation goes
         // back into the pool for a later send.
@@ -214,12 +209,12 @@ impl WorkerHandle {
                 }
                 let (lo, hi) = seg_range(g);
                 let slen = hi - lo;
-                let send_idx = if s < p - 1 {
-                    (rank + p - s) % p
+                let send_idx = if s < m - 1 {
+                    (pos + m - s) % m
                 } else {
-                    (rank + 1 + p - (s - (p - 1))) % p
+                    (pos + 1 + m - (s - (m - 1))) % m
                 };
-                let (ss, se) = chunk_range(slen, p, send_idx);
+                let (ss, se) = chunk_range(slen, m, send_idx);
                 let mut wire = pool.pop().unwrap_or_default();
                 fill_bytes_from_f32s(&mut wire, &buf[lo + ss..lo + se]);
                 self.send(next, Frame::from_vec(wire))?;
@@ -232,15 +227,15 @@ impl WorkerHandle {
                 let (lo, hi) = seg_range(g);
                 let slen = hi - lo;
                 let incoming = self.recv_robust(prev)?;
-                if s < p - 1 {
-                    let recv_idx = (rank + 2 * p - s - 1) % p;
-                    let (rs, re) = chunk_range(slen, p, recv_idx);
+                if s < m - 1 {
+                    let recv_idx = (pos + 2 * m - s - 1) % m;
+                    let (rs, re) = chunk_range(slen, m, recv_idx);
                     check_f32_frame(&incoming, re - rs, "chunked reduce-scatter")?;
                     add_f32s_from_bytes(&mut buf[lo + rs..lo + re], &incoming);
                 } else {
-                    let s2 = s - (p - 1);
-                    let recv_idx = (rank + p - s2) % p;
-                    let (rs, re) = chunk_range(slen, p, recv_idx);
+                    let s2 = s - (m - 1);
+                    let recv_idx = (pos + m - s2) % m;
+                    let (rs, re) = chunk_range(slen, m, recv_idx);
                     check_f32_frame(&incoming, re - rs, "chunked all-gather")?;
                     fill_f32s_from_bytes(&mut buf[lo + rs..lo + re], &incoming);
                 }
@@ -250,24 +245,12 @@ impl WorkerHandle {
         Ok(())
     }
 
-    /// Ring all-reduce followed by division by the world size: the mean.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WorkerHandle::all_reduce_sum`].
-    pub fn all_reduce_mean(&self, buf: &mut [f32]) -> Result<()> {
-        self.all_reduce_sum(buf)?;
-        let inv = 1.0 / self.world() as f32;
-        for x in buf {
-            *x *= inv;
-        }
-        Ok(())
-    }
-
-    /// Ring all-gather: every rank contributes one byte blob and receives
-    /// everyone's, ordered by rank. This is the collective
+    /// Ring all-gather: every member contributes one byte blob and
+    /// receives everyone's, one [`Frame`] per member in position order
+    /// (which, members being sorted, is rank order — at full membership
+    /// index `r` is rank `r`'s blob). This is the collective
     /// non-all-reducible compressors are forced into; each worker receives
-    /// `(p−1)` foreign blobs, so traffic grows linearly in `p`.
+    /// `(m−1)` foreign blobs, so traffic grows linearly in `m`.
     ///
     /// Forwarding is zero-copy: each foreign blob is kept and re-sent as
     /// the same [`Frame`] (refcount bump), so a blob traverses the whole
@@ -277,20 +260,17 @@ impl WorkerHandle {
     ///
     /// Returns [`ClusterError::Disconnected`] if a peer hangs up.
     pub fn all_gather_bytes(&self, own: &[u8]) -> Result<Vec<Frame>> {
-        let p = self.world();
-        let rank = self.rank();
-        let mut out: Vec<Frame> = vec![Frame::empty(); p];
-        out[rank] = Frame::copy_from_slice(own);
-        if p == 1 {
+        let (m, pos, next, prev) = self.ring();
+        let mut out: Vec<Frame> = vec![Frame::empty(); m];
+        out[pos] = Frame::copy_from_slice(own);
+        if m == 1 {
             return Ok(out);
         }
-        let next = self.ring_next();
-        let prev = self.ring_prev();
-        let mut current = out[rank].clone();
-        for s in 0..p - 1 {
+        let mut current = out[pos].clone();
+        for s in 0..m - 1 {
             self.send(next, current)?;
             current = self.recv_robust(prev)?;
-            let origin = (rank + 2 * p - s - 1) % p;
+            let origin = (pos + 2 * m - s - 1) % m;
             out[origin] = current.clone();
         }
         Ok(out)
@@ -302,10 +282,10 @@ impl WorkerHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidArgument`] if `root` is out of range
-    /// or a non-root passes data.
+    /// Returns [`ClusterError::InvalidArgument`] if `root` is out of range,
+    /// a non-root passes data, or the handle's ring was shrunk.
     pub fn broadcast(&self, root: usize, data: Option<&[u8]>) -> Result<Frame> {
-        let p = self.world();
+        let p = self.full_world("broadcast")?;
         if root >= p {
             return Err(ClusterError::InvalidArgument(format!(
                 "broadcast root {root} out of range for world {p}"
@@ -350,7 +330,7 @@ impl WorkerHandle {
         have.ok_or_else(|| ClusterError::Protocol("broadcast completed without data".into()))
     }
 
-    /// Barrier: returns once every rank has entered.
+    /// Barrier: returns once every member has entered.
     ///
     /// # Errors
     ///
@@ -358,138 +338,6 @@ impl WorkerHandle {
     pub fn barrier(&self) -> Result<()> {
         let _ = self.all_gather_bytes(&[])?;
         Ok(())
-    }
-
-    /// Validates a live-member list and locates this rank on the shrunk
-    /// ring: returns `(m, pos, next, prev)` where `m = members.len()`,
-    /// `pos` is this rank's position, and `next`/`prev` are the actual
-    /// ranks of the ring neighbors among `members`.
-    fn ring_among(&self, members: &[usize]) -> Result<(usize, usize, usize, usize)> {
-        if members.is_empty() {
-            return Err(ClusterError::InvalidArgument(
-                "member list must not be empty".into(),
-            ));
-        }
-        if !members.windows(2).all(|w| w[0] < w[1]) {
-            return Err(ClusterError::InvalidArgument(
-                "member list must be strictly ascending".into(),
-            ));
-        }
-        if let Some(&last) = members.last() {
-            if last >= self.world() {
-                return Err(ClusterError::InvalidArgument(format!(
-                    "member {} out of range for world {}",
-                    last,
-                    self.world()
-                )));
-            }
-        }
-        let Ok(pos) = members.binary_search(&self.rank()) else {
-            return Err(ClusterError::InvalidArgument(format!(
-                "rank {} is not in the member list",
-                self.rank()
-            )));
-        };
-        let m = members.len();
-        Ok((m, pos, members[(pos + 1) % m], members[(pos + m - 1) % m]))
-    }
-
-    /// Ring all-reduce (sum) over a *subset* of ranks — the shrunk-ring
-    /// collective survivors run after a rank death. `members` must be the
-    /// same strictly ascending list on every participating rank and must
-    /// contain this rank; dead/absent ranks are simply not on the ring.
-    ///
-    /// Over the full member list `&[0, 1, …, p−1]` this is bit-identical
-    /// to [`WorkerHandle::all_reduce_sum`]: same chunking, same
-    /// fixed-association reduce order, same wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidArgument`] for a malformed member
-    /// list, plus everything the plain ring returns.
-    pub fn all_reduce_sum_among(&self, buf: &mut [f32], members: &[usize]) -> Result<()> {
-        let (m, pos, next, prev) = self.ring_among(members)?;
-        if m == 1 {
-            return Ok(());
-        }
-        let len = buf.len();
-        // Same single-pass wire path as [`WorkerHandle::all_reduce_sum`],
-        // over the shrunk ring: seed send, in-wire accumulation forwards,
-        // zero-copy all-gather forwards.
-        let (ss, se) = chunk_range(len, m, pos);
-        let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
-        fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
-        self.send(next, Frame::from_vec(wire))?;
-        for s in 0..m - 1 {
-            let recv_idx = (pos + 2 * m - s - 1) % m;
-            let incoming = self.recv_robust(prev)?;
-            let (rs, re) = chunk_range(len, m, recv_idx);
-            check_f32_frame(&incoming, re - rs, "reduce-scatter (among)")?;
-            if s + 1 < m - 1 {
-                let mut w = incoming.into_vec();
-                add_f32s_into_bytes(&buf[rs..re], &mut w);
-                self.send(next, Frame::from_vec(w))?;
-            } else {
-                add_f32s_from_bytes(&mut buf[rs..re], &incoming);
-            }
-        }
-        let own = (pos + 1) % m;
-        let (ss, se) = chunk_range(len, m, own);
-        let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
-        fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
-        self.send(next, Frame::from_vec(wire))?;
-        for s in 0..m - 1 {
-            let recv_idx = (pos + m - s) % m;
-            let incoming = self.recv_robust(prev)?;
-            let (rs, re) = chunk_range(len, m, recv_idx);
-            check_f32_frame(&incoming, re - rs, "all-gather (among)")?;
-            fill_f32s_from_bytes(&mut buf[rs..re], &incoming);
-            if s + 1 < m - 1 {
-                self.send(next, incoming)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`WorkerHandle::all_reduce_sum_among`] followed by division by the
-    /// member count — the renormalized mean survivors aggregate with after
-    /// a death (divide by the live count, not the original world size).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WorkerHandle::all_reduce_sum_among`].
-    pub fn all_reduce_mean_among(&self, buf: &mut [f32], members: &[usize]) -> Result<()> {
-        self.all_reduce_sum_among(buf, members)?;
-        let inv = 1.0 / members.len() as f32;
-        for x in buf {
-            *x *= inv;
-        }
-        Ok(())
-    }
-
-    /// Ring all-gather over a subset of ranks. Returns one [`Frame`] per
-    /// member, indexed by *position* in `members` (which, being sorted, is
-    /// also rank order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidArgument`] for a malformed member
-    /// list, plus everything the plain gather returns.
-    pub fn all_gather_bytes_among(&self, own: &[u8], members: &[usize]) -> Result<Vec<Frame>> {
-        let (m, pos, next, prev) = self.ring_among(members)?;
-        let mut out: Vec<Frame> = vec![Frame::empty(); m];
-        out[pos] = Frame::copy_from_slice(own);
-        if m == 1 {
-            return Ok(out);
-        }
-        let mut current = out[pos].clone();
-        for s in 0..m - 1 {
-            self.send(next, current)?;
-            current = self.recv_robust(prev)?;
-            let origin = (pos + 2 * m - s - 1) % m;
-            out[origin] = current.clone();
-        }
-        Ok(out)
     }
 }
 
@@ -500,7 +348,7 @@ mod tests {
 
     /// Decodes a whole frame into a fresh `Vec<f32>`.
     fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>> {
-        if bytes.len() % 4 != 0 {
+        if !bytes.len().is_multiple_of(4) {
             return Err(ClusterError::Mismatch(format!(
                 "frame of {} bytes is not a whole number of f32s",
                 bytes.len()
@@ -560,20 +408,25 @@ mod tests {
     fn chunked_ring_matches_per_segment_plain_ring_bitwise() {
         // The chunked schedule must reproduce the plain ring's arithmetic
         // segment by segment, bit for bit, on awkward lengths and chunk
-        // sizes.
-        for p in [2usize, 3, 4, 8] {
+        // sizes — over full rings and over a handle shrunk to members
+        // {0, 2, 3} of 5.
+        let rings = [2usize, 3, 4, 8]
+            .map(|p| (p, (0..p).collect::<Vec<usize>>()))
+            .into_iter()
+            .chain([(5, vec![0, 2, 3])]);
+        for (world, members) in rings {
             for (n, chunk) in [(37usize, 8usize), (64, 16), (100, 7), (12, 100), (5, 1)] {
                 let make = |rank: usize| -> Vec<f32> {
                     (0..n)
                         .map(|i| ((rank * 131 + i * 17) % 101) as f32 * 0.37 - 3.0)
                         .collect()
                 };
-                let chunked = SimCluster::run(p, |w| {
+                let chunked = run_among(world, &members, |w| {
                     let mut buf = make(w.rank());
                     w.ring_all_reduce_chunked(&mut buf, chunk).unwrap();
                     buf
                 });
-                let reference = SimCluster::run(p, |w| {
+                let reference = run_among(world, &members, |w| {
                     let mut buf = make(w.rank());
                     for start in (0..n).step_by(chunk) {
                         let end = (start + chunk).min(n);
@@ -581,10 +434,12 @@ mod tests {
                     }
                     buf
                 });
+                let bits = |v: &Option<Vec<f32>>| {
+                    v.as_ref()
+                        .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+                };
                 for (c, r) in chunked.iter().zip(&reference) {
-                    let cb: Vec<u32> = c.iter().map(|x| x.to_bits()).collect();
-                    let rb: Vec<u32> = r.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(cb, rb, "p={p} n={n} chunk={chunk}");
+                    assert_eq!(bits(c), bits(r), "members={members:?} n={n} chunk={chunk}");
                 }
             }
         }
@@ -614,16 +469,6 @@ mod tests {
                 b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
         }
-    }
-
-    #[test]
-    fn all_reduce_mean_divides() {
-        let outs = SimCluster::run(4, |w| {
-            let mut buf = vec![w.rank() as f32];
-            w.all_reduce_mean(&mut buf).unwrap();
-            buf[0]
-        });
-        assert_eq!(outs, vec![1.5; 4]);
     }
 
     #[test]
@@ -717,47 +562,31 @@ mod tests {
         assert_eq!(bytes_to_f32s(&1.0f32.to_le_bytes()).unwrap(), vec![1.0]);
     }
 
-    #[test]
-    fn all_reduce_among_full_membership_is_bit_identical_to_plain() {
-        for p in [2usize, 3, 4, 8] {
-            for n in [1usize, 7, 37, 100] {
-                let members: Vec<usize> = (0..p).collect();
-                let make = |rank: usize| -> Vec<f32> {
-                    (0..n)
-                        .map(|i| ((rank * 131 + i * 17) % 101) as f32 * 0.37 - 3.0)
-                        .collect()
-                };
-                let outs = SimCluster::run(p, |w| {
-                    let mut plain = make(w.rank());
-                    let mut among = plain.clone();
-                    w.all_reduce_sum(&mut plain).unwrap();
-                    w.all_reduce_sum_among(&mut among, &members).unwrap();
-                    (plain, among)
-                });
-                for (plain, among) in outs {
-                    assert_eq!(
-                        plain.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        among.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "p={p} n={n}"
-                    );
-                }
+    /// Runs `f` on the ranks of `members` after shrinking their handles
+    /// to it; the other ranks of the `world` sit out and yield `None`.
+    fn run_among<R: Send>(
+        world: usize,
+        members: &[usize],
+        f: impl Fn(&WorkerHandle) -> R + Sync,
+    ) -> Vec<Option<R>> {
+        SimCluster::run(world, |mut w| {
+            if !members.contains(&w.rank()) {
+                return None;
             }
-        }
+            w.set_members(members).unwrap();
+            Some(f(&w))
+        })
     }
 
     #[test]
-    fn all_reduce_among_subset_sums_only_members() {
+    fn shrunk_ring_sums_only_members() {
         // Ranks {0, 2, 3} of a 5-rank world reduce among themselves while
         // the others sit out.
         let members = [0usize, 2, 3];
-        let outs = SimCluster::run(5, |w| {
-            if members.contains(&w.rank()) {
-                let mut buf = vec![(w.rank() + 1) as f32; 7];
-                w.all_reduce_sum_among(&mut buf, &members).unwrap();
-                Some(buf)
-            } else {
-                None
-            }
+        let outs = run_among(5, &members, |w| {
+            let mut buf = vec![(w.rank() + 1) as f32; 7];
+            w.all_reduce_sum(&mut buf).unwrap();
+            buf
         });
         for (rank, out) in outs.iter().enumerate() {
             match out {
@@ -768,33 +597,23 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_mean_among_divides_by_member_count() {
-        let members = [1usize, 3];
-        let outs = SimCluster::run(4, |w| {
-            if members.contains(&w.rank()) {
-                let mut buf = vec![w.rank() as f32];
-                w.all_reduce_mean_among(&mut buf, &members).unwrap();
-                Some(buf[0])
-            } else {
-                None
-            }
-        });
-        assert_eq!(outs[1], Some(2.0)); // (1 + 3) / 2
-        assert_eq!(outs[3], Some(2.0));
+    fn sum_over_member_count_is_the_live_mean() {
+        let mean = |w: &WorkerHandle| {
+            let mut buf = vec![w.rank() as f32];
+            w.all_reduce_sum(&mut buf).unwrap();
+            buf[0] / w.members().len() as f32
+        };
+        let full = SimCluster::run(4, |w| mean(&w));
+        assert_eq!(full, vec![1.5; 4]); // (0 + 1 + 2 + 3) / 4
+        let shrunk = run_among(4, &[1, 3], mean);
+        assert_eq!(shrunk, vec![None, Some(2.0), None, Some(2.0)]); // (1 + 3) / 2
     }
 
     #[test]
-    fn all_gather_among_returns_position_ordered_blobs() {
+    fn shrunk_gather_returns_position_ordered_blobs() {
         let members = [0usize, 1, 4];
-        let outs = SimCluster::run(5, |w| {
-            if members.contains(&w.rank()) {
-                Some(
-                    w.all_gather_bytes_among(&[w.rank() as u8; 3], &members)
-                        .unwrap(),
-                )
-            } else {
-                None
-            }
+        let outs = run_among(5, &members, |w| {
+            w.all_gather_bytes(&[w.rank() as u8; 3]).unwrap()
         });
         for out in outs.into_iter().flatten() {
             assert_eq!(out.len(), 3);
@@ -805,35 +624,62 @@ mod tests {
     }
 
     #[test]
-    fn among_rejects_malformed_member_lists() {
-        let outs = SimCluster::run(3, |w| {
-            let mut buf = vec![1.0f32; 4];
-            let empty = w.all_reduce_sum_among(&mut buf, &[]).is_err();
-            let unsorted = w.all_reduce_sum_among(&mut buf, &[2, 0, 1]).is_err();
-            let dup = w.all_reduce_sum_among(&mut buf, &[0, 0, 1, 2]).is_err();
-            let out_of_range = w.all_reduce_sum_among(&mut buf, &[0, 1, 7]).is_err();
+    fn set_members_rejects_malformed_lists() {
+        let outs = SimCluster::run(3, |mut w| {
+            let empty = w.set_members(&[]).is_err();
+            let unsorted = w.set_members(&[2, 0, 1]).is_err();
+            let dup = w.set_members(&[0, 0, 1, 2]).is_err();
+            let out_of_range = w.set_members(&[0, 1, 7]).is_err();
             let missing_self = if w.rank() == 2 {
-                w.all_reduce_sum_among(&mut buf, &[0, 1]).is_err()
+                w.set_members(&[0, 1]).is_err()
             } else {
                 true
             };
-            empty && unsorted && dup && out_of_range && missing_self
+            // A rejected list leaves the full ring in place.
+            let kept = w.members() == [0, 1, 2];
+            let mut buf = vec![1.0f32; 4];
+            w.all_reduce_sum(&mut buf).unwrap();
+            empty && unsorted && dup && out_of_range && missing_self && kept && buf == [3.0; 4]
         });
         assert_eq!(outs, vec![true; 3]);
     }
 
     #[test]
-    fn among_single_member_is_noop() {
-        let outs = SimCluster::run(2, |w| {
+    fn single_member_ring_is_noop() {
+        let outs = SimCluster::run(2, |mut w| {
+            w.set_members(&[w.rank()]).unwrap();
             let mut buf = vec![3.5f32; 2];
-            let members = [w.rank()];
-            w.all_reduce_sum_among(&mut buf, &members).unwrap();
-            let gathered = w.all_gather_bytes_among(&[9u8], &members).unwrap();
-            (buf, gathered.len())
+            w.all_reduce_sum(&mut buf).unwrap();
+            w.ring_all_reduce_chunked(&mut buf, 1).unwrap();
+            let gathered = w.all_gather_bytes(&[9u8]).unwrap();
+            w.barrier().unwrap();
+            (buf, gathered.len(), w.ring_next(), w.ring_prev())
         });
-        for (buf, n) in outs {
+        for (rank, (buf, n, next, prev)) in outs.into_iter().enumerate() {
             assert_eq!(buf, vec![3.5f32; 2]);
-            assert_eq!(n, 1);
+            assert_eq!((n, next, prev), (1, rank, rank));
         }
+    }
+
+    #[test]
+    fn rank_addressed_collectives_refuse_a_shrunk_ring() {
+        // Rank 3 is gone; the survivors' handles ring over {0, 1, 2}. The
+        // four collectives that route by rank over the whole world must
+        // fail at once instead of addressing (and blocking on) rank 3.
+        let outs = run_among(4, &[0, 1, 2], |w| {
+            let invalid = |r: Result<()>| matches!(r, Err(ClusterError::InvalidArgument(_)));
+            let mut buf = vec![1.0f32; 8];
+            let data = (w.rank() == 0).then_some(&[1u8][..]);
+            [
+                invalid(w.broadcast(0, data).map(|_| ())),
+                invalid(w.rabenseifner_all_reduce_sum(&mut buf)),
+                invalid(w.hierarchical_all_reduce_sum(&mut buf, 2)),
+                invalid(w.ps_all_reduce_sum(&mut buf, 0)),
+            ]
+        });
+        assert_eq!(
+            outs,
+            vec![Some([true; 4]), Some([true; 4]), Some([true; 4]), None]
+        );
     }
 }

@@ -103,7 +103,9 @@ pub struct CommEngine {
     jobs: Option<SyncSender<Job>>,
     thread: Option<JoinHandle<WorkerHandle>>,
     rank: usize,
-    world: usize,
+    /// Ranks on the handle's ring at spawn; the handle moves onto the
+    /// comm thread, so its membership cannot change afterwards.
+    members: usize,
     /// First collective error the comm thread hit. Once set, the engine is
     /// poisoned: queued and future jobs are answered with this error
     /// instead of being executed, so one rank's failure surfaces
@@ -133,7 +135,7 @@ impl CommEngine {
             ));
         }
         let rank = worker.rank();
-        let world = worker.world();
+        let members = worker.members().len();
         let (tx, rx) = sync_channel::<Job>(queue_depth);
         let poisoned: Arc<Mutex<Option<ClusterError>>> = Arc::new(Mutex::new(None));
         let poison = Arc::clone(&poisoned);
@@ -198,7 +200,7 @@ impl CommEngine {
             jobs: Some(tx),
             thread: Some(thread),
             rank,
-            world,
+            members,
             poisoned,
             busy_nanos,
         })
@@ -227,9 +229,10 @@ impl CommEngine {
         self.rank
     }
 
-    /// World size of the underlying cluster.
-    pub fn world(&self) -> usize {
-        self.world
+    /// Number of ranks the engine's collectives run over: the handle's
+    /// member count at spawn (the world size unless the ring was shrunk).
+    pub fn members(&self) -> usize {
+        self.members
     }
 
     /// Enqueue a sum-all-reduce of `data`.  With `chunk_elems = Some(c)`

@@ -98,14 +98,15 @@ impl WorkerHandle {
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidArgument`] if `gpus_per_node == 0`
-    /// and transport errors if peers hang up.
+    /// or the handle's ring was shrunk, and transport errors if peers
+    /// hang up.
     pub fn hierarchical_all_reduce_sum(&self, buf: &mut [f32], gpus_per_node: usize) -> Result<()> {
         if gpus_per_node == 0 {
             return Err(ClusterError::InvalidArgument(
                 "gpus_per_node must be positive".into(),
             ));
         }
-        let p = self.world();
+        let p = self.full_world("hierarchical all-reduce")?;
         if p == 1 {
             return Ok(());
         }

@@ -48,10 +48,10 @@ impl WorkerHandle {
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidArgument`] for an out-of-range
-    /// server, [`ClusterError::Mismatch`] on length disagreement, and
-    /// transport errors if peers hang up.
+    /// server or a shrunk handle, [`ClusterError::Mismatch`] on length
+    /// disagreement, and transport errors if peers hang up.
     pub fn ps_all_reduce_sum(&self, buf: &mut [f32], server: usize) -> Result<()> {
-        let p = self.world();
+        let p = self.full_world("parameter-server all-reduce")?;
         if server >= p {
             return Err(ClusterError::InvalidArgument(format!(
                 "server rank {server} out of range for world {p}"

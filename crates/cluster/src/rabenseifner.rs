@@ -37,9 +37,10 @@ impl WorkerHandle {
     ///
     /// Returns [`ClusterError::InvalidArgument`] for non-power-of-two
     /// worlds (real MPI implementations fall back to ring there; callers
-    /// should too) and transport errors if peers hang up.
+    /// should too) or a shrunk handle, and transport errors if peers hang
+    /// up.
     pub fn rabenseifner_all_reduce_sum(&self, buf: &mut [f32]) -> Result<()> {
-        let p = self.world();
+        let p = self.full_world("recursive halving-doubling")?;
         if p == 1 {
             return Ok(());
         }

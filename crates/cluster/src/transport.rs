@@ -5,10 +5,11 @@
 //! [`Frame`]s, liveness (`is_alive`/`mark_dead`), traffic counters, and
 //! the optional fault plane. A [`WorkerHandle`] wraps a boxed backend and
 //! carries everything built *on top* of those primitives — the
-//! collectives in [`crate::collectives`], the shrunk-ring `*_among`
-//! variants, `recv_robust` retry policies — so the same collective code
-//! runs unchanged over the in-process simulator ([`SimCluster`]) and the
-//! real multi-process TCP mesh ([`TcpCluster`](crate::tcp::TcpCluster)).
+//! collectives in [`crate::collectives`], the live member list they ring
+//! over (shrunk by survivors through `set_members`), `recv_robust` retry
+//! policies — so the same collective code runs unchanged over the
+//! in-process simulator ([`SimCluster`]) and the real multi-process TCP
+//! mesh ([`TcpCluster`](crate::tcp::TcpCluster)).
 //!
 //! A [`SimCluster`] wires up a full mesh of unbounded channels between `p`
 //! ranks. Each worker thread owns a [`WorkerHandle`] giving it `send` /
@@ -341,7 +342,7 @@ impl Mailbox {
 }
 
 /// The primitive transport surface a backend provides. Everything above
-/// this line — collectives, shrunk rings, `recv_robust`, the comm engine,
+/// this line — collectives, member lists, `recv_robust`, the comm engine,
 /// the pipelined/streaming/adaptive engines — is built on a
 /// [`WorkerHandle`] and therefore runs unchanged over any implementation.
 ///
@@ -398,9 +399,17 @@ pub trait Transport: Send + std::fmt::Debug {
 /// [`crate::hierarchy`], [`crate::rabenseifner`], [`crate::ps`]) and
 /// exposed as inherent methods, so they work identically over every
 /// backend.
+///
+/// The handle also owns the live member list the ring collectives run
+/// over: `0..world` from construction, shrunk by survivors of a rank
+/// death through [`WorkerHandle::set_members`].
 #[derive(Debug)]
 pub struct WorkerHandle {
     inner: Box<dyn Transport>,
+    /// The ranks on the ring, strictly ascending, containing this rank.
+    members: Vec<usize>,
+    /// This rank's position in `members`.
+    pos: usize,
 }
 
 impl WorkerHandle {
@@ -408,7 +417,90 @@ impl WorkerHandle {
     /// obtain handles from [`SimCluster`] or
     /// [`TcpCluster`](crate::tcp::TcpCluster).
     pub fn from_transport(inner: Box<dyn Transport>) -> Self {
-        WorkerHandle { inner }
+        let members = (0..inner.world()).collect();
+        let pos = inner.rank();
+        WorkerHandle {
+            inner,
+            members,
+            pos,
+        }
+    }
+
+    /// The ranks the ring collectives run over, ascending: `0..world`
+    /// unless [`WorkerHandle::set_members`] shrank the ring.
+    pub fn members(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// Replaces the live member list — the shrunk ring survivors run on
+    /// after a rank death. `members` must be the same strictly ascending
+    /// list on every participating rank and must contain this rank; ranks
+    /// not on it are simply not on the ring. Ring collectives
+    /// (`all_reduce_sum`, `ring_all_reduce_chunked`, `all_gather_bytes`,
+    /// `barrier`) and the means built on them then cover the members
+    /// only; the rank-addressed collectives (`broadcast`, Rabenseifner,
+    /// hierarchical, parameter server) refuse to run on a shrunk handle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidArgument`] for an empty, unsorted,
+    /// duplicated or out-of-range list, or one without this rank; the
+    /// handle keeps its previous members.
+    pub fn set_members(&mut self, members: &[usize]) -> Result<()> {
+        if members.is_empty() {
+            return Err(ClusterError::InvalidArgument(
+                "member list must not be empty".into(),
+            ));
+        }
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            return Err(ClusterError::InvalidArgument(
+                "member list must be strictly ascending".into(),
+            ));
+        }
+        if let Some(&last) = members.last() {
+            check_peer(last, self.world())?;
+        }
+        let Ok(pos) = members.binary_search(&self.rank()) else {
+            return Err(ClusterError::InvalidArgument(format!(
+                "rank {} is not in the member list",
+                self.rank()
+            )));
+        };
+        self.members = members.to_vec();
+        self.pos = pos;
+        Ok(())
+    }
+
+    /// This rank on the member ring: `(m, pos, next, prev)` — the member
+    /// count, this rank's position, and the ranks of its ring neighbours.
+    /// At full membership `pos == rank` and `m == world`.
+    pub(crate) fn ring(&self) -> (usize, usize, usize, usize) {
+        let m = self.members.len();
+        let pos = self.pos;
+        (
+            m,
+            pos,
+            self.members[(pos + 1) % m],
+            self.members[(pos + m - 1) % m],
+        )
+    }
+
+    /// The world size, for collectives that address peers by rank
+    /// arithmetic over `0..world` and so cannot run on a shrunk ring.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidArgument`] naming `what` when
+    /// [`WorkerHandle::set_members`] shrank this handle's ring.
+    pub(crate) fn full_world(&self, what: &str) -> Result<usize> {
+        let p = self.world();
+        if self.members.len() != p {
+            return Err(ClusterError::InvalidArgument(format!(
+                "{what} needs all {p} ranks, but this handle's ring is {:?}",
+                self.members
+            )));
+        }
+        Ok(p)
     }
 
     /// Short backend name (`"sim"`, `"tcp"`).
@@ -534,14 +626,14 @@ impl WorkerHandle {
         self.inner.fault_log()
     }
 
-    /// Rank of the next worker on the ring.
+    /// Rank of the next member on the ring.
     pub fn ring_next(&self) -> usize {
-        (self.rank() + 1) % self.world()
+        self.ring().2
     }
 
-    /// Rank of the previous worker on the ring.
+    /// Rank of the previous member on the ring.
     pub fn ring_prev(&self) -> usize {
-        (self.rank() + self.world() - 1) % self.world()
+        self.ring().3
     }
 }
 
@@ -987,9 +1079,13 @@ mod tests {
     #[test]
     fn ring_neighbors_wrap() {
         let cluster = SimCluster::new(3);
-        let hs = cluster.into_handles();
+        let mut hs = cluster.into_handles();
         assert_eq!(hs[0].ring_prev(), 2);
         assert_eq!(hs[2].ring_next(), 0);
+        // On a shrunk ring the neighbours are the adjacent members.
+        hs[2].set_members(&[0, 2]).unwrap();
+        assert_eq!(hs[2].members(), [0, 2]);
+        assert_eq!((hs[2].ring_prev(), hs[2].ring_next()), (0, 0));
     }
 
     #[test]

@@ -265,12 +265,13 @@ fn dropped_frames_surface_as_timeout_not_hang() {
 fn survivors_shrink_the_ring_and_keep_reducing() {
     // Transport-level dead-rank degradation: rank 3 of 8 dies at
     // iteration 5 of 10. Survivors recompute membership from the shared
-    // plan each iteration and keep the all-reduce running on 7 ranks.
+    // plan each iteration, shrink their handles' ring to it, and keep the
+    // all-reduce running on 7 ranks.
     const WORLD: usize = 8;
     const STEPS: usize = 10;
     const DIE_AT: usize = 5;
     let plan = FaultPlan::new(7).kill(3, DIE_AT);
-    let (outs, events) = SimCluster::run_with_faults(WORLD, plan.clone(), |w| {
+    let (outs, events) = SimCluster::run_with_faults(WORLD, plan.clone(), |mut w| {
         let rank = w.rank();
         let plan = w.fault_plan().expect("plan installed").clone();
         let mut sums = Vec::new();
@@ -279,9 +280,9 @@ fn survivors_shrink_the_ring_and_keep_reducing() {
                 w.mark_dead(iter);
                 break;
             }
-            let live = plan.live_members(WORLD, iter);
+            w.set_members(&plan.live_members(WORLD, iter)).unwrap();
             let mut buf = vec![(rank + 1) as f32; 4];
-            w.all_reduce_sum_among(&mut buf, &live).unwrap();
+            w.all_reduce_sum(&mut buf).unwrap();
             sums.push(buf[0]);
         }
         sums

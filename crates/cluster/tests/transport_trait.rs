@@ -176,6 +176,50 @@ fn tcp_peer_disconnect_maps_to_peer_gone() {
 }
 
 #[test]
+fn shrunk_ring_sum_is_bit_identical_on_both_backends_and_idles_non_members() {
+    // Members {0, 2, 3} of 5 reduce among themselves on shrunk handles;
+    // ranks 1 and 4 sit out. Both backends must produce the same bits,
+    // and no frame may reach or leave a non-member.
+    let members = [0usize, 2, 3];
+    let make = |rank: usize| -> Vec<f32> {
+        (0..37)
+            .map(|i| ((rank * 131 + i * 17) % 101) as f32 * 0.37 - 3.0)
+            .collect()
+    };
+    let plan = FaultPlan::new(seed_from_env());
+    let runs = run_both(5, &plan, |mut w| {
+        if !members.contains(&w.rank()) {
+            let nothing_in = members
+                .iter()
+                .all(|&r| w.recv_deadline(r, Duration::from_millis(50)).is_err());
+            return Err(nothing_in && w.traffic().messages_sent() == 0);
+        }
+        w.set_members(&members).unwrap();
+        let mut buf = make(w.rank());
+        w.all_reduce_sum(&mut buf).unwrap();
+        Ok(buf.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+    });
+    let (_, sim, _) = &runs[0];
+    for (backend, outs, _) in &runs {
+        assert_eq!(outs, sim, "backend {backend} deviates from sim");
+    }
+    for (rank, out) in sim.iter().enumerate() {
+        match out {
+            Ok(bits) => {
+                assert_eq!(Ok(bits), sim[0].as_ref(), "members must agree");
+                let want: f32 = members.iter().map(|&r| make(r)[0]).sum();
+                let got = f32::from_bits(bits[0]);
+                assert!(
+                    (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+                    "{got} vs {want}"
+                );
+            }
+            Err(idle) => assert!(*idle && !members.contains(&rank), "rank {rank} not idle"),
+        }
+    }
+}
+
+#[test]
 fn recv_robust_rides_out_a_late_frame_on_both_backends() {
     // One attempt would time out, but the policy's retries extend the
     // deadline until the late frame lands — exactly once.

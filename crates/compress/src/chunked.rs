@@ -40,7 +40,7 @@
 //! which the all-gather tolerates because frames carry their own lengths.
 
 use crate::{CompressError, Factor, Payload, Result};
-use gcs_tensor::f16::{encode_f16, f16_bits_to_f32, f32_to_f16_bits};
+use gcs_tensor::f16::{decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits};
 
 /// The reassembly recipe for a summable payload: everything except the f32
 /// content that actually rides the ring.
@@ -89,8 +89,33 @@ impl PayloadShell {
         }
     }
 
-    /// Rebuilds the payload around a reduced f32 image — the inverse of the
-    /// decomposition the pipelined engine performs before the ring.
+    /// Splits a summable payload into its shell and the f32 image that
+    /// rides the ring (a [`Payload::Half`] image is its f16 values decoded
+    /// to f32); a gather payload comes back unchanged as `Err`. The inverse
+    /// of [`PayloadShell::assemble`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the payload itself when it is not summable.
+    pub fn split(payload: Payload) -> std::result::Result<(PayloadShell, Vec<f32>), Payload> {
+        Ok(match payload {
+            Payload::Dense(v) => (PayloadShell::Dense, v),
+            Payload::Half(h) => (PayloadShell::Half, decode_f16(&h)),
+            Payload::Factor {
+                which,
+                rows,
+                cols,
+                data,
+            } => (PayloadShell::Factor { which, rows, cols }, data),
+            Payload::SharedSparse { len, seed, values } => {
+                (PayloadShell::SharedSparse { len, seed }, values)
+            }
+            other => return Err(other),
+        })
+    }
+
+    /// Rebuilds the payload around a reduced f32 image — the inverse of
+    /// [`PayloadShell::split`] (a `Half` image is re-rounded to f16).
     pub fn assemble(&self, data: Vec<f32>) -> Payload {
         match self {
             PayloadShell::Dense => Payload::Dense(data),
@@ -585,6 +610,37 @@ pub fn emit_prefix_span(prefix: &[u8], lo: usize, hi: usize, out: &mut Vec<u8>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_inverts_assemble_and_passes_gather_payloads_through() {
+        let summable = [
+            Payload::Dense(vec![1.5, -2.0]),
+            Payload::Half(encode_f16(&[0.25, -3.0, 7.0])),
+            Payload::Factor {
+                which: Factor::Q,
+                rows: 2,
+                cols: 1,
+                data: vec![0.5, 4.0],
+            },
+            Payload::SharedSparse {
+                len: 10,
+                seed: 9,
+                values: vec![3.0],
+            },
+        ];
+        for payload in summable {
+            let Ok((shell, image)) = PayloadShell::split(payload.clone()) else {
+                panic!("{} is summable", payload.kind_name());
+            };
+            assert_eq!(Some(&shell), PayloadShell::of(&payload).as_ref());
+            assert_eq!(shell.assemble(image), payload);
+        }
+        let gather = Payload::Quantized {
+            scale: 0.5,
+            levels: vec![1, -2],
+        };
+        assert_eq!(PayloadShell::split(gather.clone()), Err(gather));
+    }
 
     #[test]
     fn whole_summable_spans_reassemble_bitwise() {

@@ -15,9 +15,9 @@
 //! `gcs_compress::driver` (identical outputs for every method).
 
 use gcs_cluster::WorkerHandle;
+use gcs_compress::chunked::PayloadShell;
 use gcs_compress::registry::MethodConfig;
 use gcs_compress::{CompressError, Compressor, Payload};
-use gcs_tensor::f16::{decode_f16, encode_f16};
 use gcs_tensor::Tensor;
 
 /// Errors from the distributed engine: compression or transport.
@@ -55,28 +55,16 @@ impl From<gcs_cluster::ClusterError> for ExecError {
 /// Result alias for the engine.
 pub type Result<T> = std::result::Result<T, ExecError>;
 
-/// Aggregates one payload across the cluster, choosing the collective by
-/// payload shape: summable payloads ride the ring all-reduce (mean);
+/// Aggregates one payload across the handle's ring, choosing the
+/// collective by payload shape: summable payloads ride the ring
+/// all-reduce and are divided by the member count (the live mean — the
+/// world size unless [`WorkerHandle::set_members`] shrank the ring);
 /// everything else is all-gathered and reduced locally via the
-/// compressor's own `aggregate`.
+/// compressor's own `aggregate`. The gather path writes the wire image
+/// into `wire` (cleared first), so a driver looping over layers reuses one
+/// allocation for every payload.
 ///
-/// Returns the aggregated payload every worker absorbs.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn aggregate_over_cluster<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &C,
-    round: usize,
-    payload: Payload,
-) -> Result<Payload> {
-    aggregate_over_cluster_with(worker, compressor, round, payload, &mut Vec::new())
-}
-
-/// [`aggregate_over_cluster`] with a caller-provided serialization buffer:
-/// the gather path writes the wire image into `wire` (cleared first), so a
-/// driver looping over layers reuses one allocation for every payload.
+/// Returns the aggregated payload every member absorbs.
 ///
 /// # Errors
 ///
@@ -88,103 +76,32 @@ pub fn aggregate_over_cluster_with<C: Compressor + ?Sized>(
     payload: Payload,
     wire: &mut Vec<u8>,
 ) -> Result<Payload> {
-    if payload.is_summable() {
-        mean_summable(payload, worker.world() as f32, |v| worker.all_reduce_sum(v))
-    } else {
-        // Non-associative aggregation: gather every worker's payload and
-        // reduce locally (identically on every worker).
-        wire.clear();
-        payload.write_bytes(wire);
-        let gathered = worker.all_gather_bytes(wire)?;
-        aggregate_gathered(compressor, round, &gathered)
+    match PayloadShell::split(payload) {
+        // NCCL sums fp16 natively; a Half image is summed in f32 and
+        // re-rounded by `assemble`, which matches Payload::add_assign
+        // semantics up to rounding order.
+        Ok((shell, mut image)) => {
+            worker.all_reduce_sum(&mut image)?;
+            divide_by_members(&mut image, worker.members().len());
+            Ok(shell.assemble(image))
+        }
+        Err(payload) => {
+            // Non-associative aggregation: gather every member's payload
+            // and reduce locally (identically on every member).
+            wire.clear();
+            payload.write_bytes(wire);
+            let gathered = worker.all_gather_bytes(wire)?;
+            aggregate_gathered(compressor, round, &gathered)
+        }
     }
 }
 
-/// [`aggregate_over_cluster_with`] restricted to the live `members` of a
-/// degraded ring: summable payloads ride the among-variant ring collectives
-/// and are averaged over `members.len()` (not the original world size), so
-/// survivors of a dead rank keep producing a true mean over live
-/// contributions.
-///
-/// `members` must be sorted ascending, contain this worker's rank, and
-/// name only valid ranks — the same contract as
-/// [`WorkerHandle::all_reduce_sum_among`].
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn aggregate_over_cluster_among<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &C,
-    round: usize,
-    payload: Payload,
-    wire: &mut Vec<u8>,
-    members: &[usize],
-) -> Result<Payload> {
-    if payload.is_summable() {
-        mean_summable(payload, members.len() as f32, |v| {
-            worker.all_reduce_sum_among(v, members)
-        })
-    } else {
-        wire.clear();
-        payload.write_bytes(wire);
-        let gathered = worker.all_gather_bytes_among(wire, members)?;
-        aggregate_gathered(compressor, round, &gathered)
-    }
-}
-
-/// Reduces a summable payload's `f32` content in place via `reduce` and
-/// divides by `denom` — the shared body of the full-world and among-members
-/// aggregation paths.
-fn mean_summable<F>(payload: Payload, denom: f32, mut reduce: F) -> Result<Payload>
-where
-    F: FnMut(&mut Vec<f32>) -> gcs_cluster::Result<()>,
-{
-    let scale = |v: &mut Vec<f32>| {
-        for x in v {
-            *x /= denom;
-        }
-    };
-    match payload {
-        Payload::Dense(mut v) => {
-            reduce(&mut v)?;
-            scale(&mut v);
-            Ok(Payload::Dense(v))
-        }
-        Payload::Half(h) => {
-            // NCCL sums fp16 natively; we sum the f32 images and
-            // re-round, which matches Payload::add_assign semantics up
-            // to rounding order.
-            let mut v = decode_f16(&h);
-            reduce(&mut v)?;
-            scale(&mut v);
-            Ok(Payload::Half(encode_f16(&v)))
-        }
-        Payload::Factor {
-            which,
-            rows,
-            cols,
-            mut data,
-        } => {
-            reduce(&mut data)?;
-            scale(&mut data);
-            Ok(Payload::Factor {
-                which,
-                rows,
-                cols,
-                data,
-            })
-        }
-        Payload::SharedSparse {
-            len,
-            seed,
-            mut values,
-        } => {
-            reduce(&mut values)?;
-            scale(&mut values);
-            Ok(Payload::SharedSparse { len, seed, values })
-        }
-        other => unreachable!("is_summable() covered {:?}", other.kind_name()),
+/// Turns a ring sum over `members` contributions into their mean — the
+/// one divisor rule of the sequential and pipelined engines.
+pub(crate) fn divide_by_members(image: &mut [f32], members: usize) {
+    let denom = members as f32;
+    for x in image {
+        *x /= denom;
     }
 }
 
@@ -236,45 +153,9 @@ pub fn exchange_gradients<C: Compressor>(
         .collect()
 }
 
-/// [`exchange_gradients`] over a shrunk ring: only the (sorted, live)
-/// `members` participate, and summable aggregation renormalizes by the
-/// live member count. This is what a surviving worker switches to after a
-/// dead-rank event.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn exchange_gradients_among<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &mut C,
-    grads: &[Tensor],
-    members: &[usize],
-) -> Result<Vec<Tensor>> {
-    let rounds = compressor.properties().rounds;
-    let mut wire = Vec::new();
-    for round in 0..rounds {
-        for (layer, grad) in grads.iter().enumerate() {
-            let payload = if round == 0 {
-                compressor.encode(layer, grad)?
-            } else {
-                compressor.encode_round(layer, round)?
-            };
-            let agg = aggregate_over_cluster_among(
-                worker, compressor, round, payload, &mut wire, members,
-            )?;
-            compressor.absorb(layer, round, agg)?;
-        }
-    }
-    grads
-        .iter()
-        .enumerate()
-        .map(|(layer, grad)| Ok(compressor.finish(layer, grad.shape())?))
-        .collect()
-}
-
 /// The bucket partition of a gradient set plus the persistent buffers the
-/// bucketed exchange needs: the flat pack buffer and the serialization
-/// wire buffer.
+/// bucketed exchange needs — the flat pack buffer and the serialization
+/// wire buffer — and the per-bucket timings of its most recent exchange.
 ///
 /// DDP computes its bucket assignment once at model construction and
 /// reuses it every iteration; recomputing the partition (and reallocating
@@ -299,6 +180,9 @@ pub struct BucketPlan {
     pack: Vec<f32>,
     /// Persistent serialization buffer for the gather path.
     wire: Vec<u8>,
+    /// Per-bucket timing probes of the most recent
+    /// [`exchange_gradients_with_plan`].
+    timings: Vec<BucketTiming>,
 }
 
 impl BucketPlan {
@@ -376,6 +260,7 @@ impl BucketPlan {
             layer_elems: grads.iter().map(Tensor::numel).collect(),
             pack: Vec::with_capacity(max_elems),
             wire: Vec::new(),
+            timings: Vec::new(),
         }
     }
 
@@ -471,6 +356,13 @@ impl BucketPlan {
     pub(crate) fn wire_mut(&mut self) -> &mut Vec<u8> {
         &mut self.wire
     }
+
+    /// Per-bucket timing probes of the most recent
+    /// [`exchange_gradients_with_plan`] driven by this plan (empty before
+    /// the first, and after one that failed).
+    pub fn last_timings(&self) -> &[BucketTiming] {
+        &self.timings
+    }
 }
 
 /// Runs the exchange at **bucket granularity**, the way PyTorch DDP comm
@@ -506,6 +398,8 @@ pub fn exchange_gradients_bucketed<C: Compressor>(
 
 /// [`exchange_gradients_bucketed`] driven by a prebuilt [`BucketPlan`]:
 /// the partition, pack buffer, and wire buffer all persist across steps.
+/// Every (bucket, round) leg runs under monotonic timers; read the
+/// per-bucket breakdown back with [`BucketPlan::last_timings`].
 ///
 /// # Errors
 ///
@@ -524,25 +418,28 @@ pub fn exchange_gradients_with_plan<C: Compressor>(
 ) -> Result<Vec<Tensor>> {
     debug_assert!(plan.matches(grads), "plan built for a different model");
     let rounds = compressor.properties().rounds;
+    let mut timings = std::mem::take(&mut plan.timings);
+    timings.clear();
+    timings.extend((0..plan.num_buckets()).map(|bucket| BucketTiming {
+        bucket,
+        ..BucketTiming::default()
+    }));
     for round in 0..rounds {
-        for bucket_id in 0..plan.num_buckets() {
-            let payload = if round == 0 {
-                let flat = plan.pack(grads, bucket_id)?;
-                let p = compressor.encode(bucket_id, &flat);
-                plan.reclaim(flat);
-                p?
-            } else {
-                compressor.encode_round(bucket_id, round)?
-            };
-            let mut wire = std::mem::take(plan.wire_mut());
-            let agg = aggregate_over_cluster_with(worker, compressor, round, payload, &mut wire);
-            *plan.wire_mut() = wire;
-            compressor.absorb(bucket_id, round, agg?)?;
+        for (bucket_id, timing) in timings.iter_mut().enumerate() {
+            run_timed_round(worker, compressor, grads, plan, bucket_id, round, timing)?;
         }
     }
-    let flats: Vec<Tensor> = (0..plan.num_buckets())
-        .map(|bucket_id| Ok(compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?))
+    let flats: Vec<Tensor> = timings
+        .iter_mut()
+        .enumerate()
+        .map(|(bucket_id, timing)| {
+            let t0 = std::time::Instant::now();
+            let flat = compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?;
+            timing.decode_s += t0.elapsed().as_secs_f64();
+            Ok(flat)
+        })
         .collect::<Result<_>>()?;
+    plan.timings = timings;
     plan.scatter(grads, flats)
 }
 
@@ -576,8 +473,9 @@ pub struct BucketTiming {
 }
 
 /// Bytes a summable payload occupies on the ring — the length of the f32
-/// image `mean_summable` actually reduces (Half payloads are decoded to
-/// f32 *before* the ring, so FP16 pays full f32 wire bytes here).
+/// image [`aggregate_over_cluster_with`] actually reduces (Half payloads
+/// are decoded to f32 *before* the ring, so FP16 pays full f32 wire bytes
+/// here).
 pub fn summable_wire_bytes(payload: &Payload) -> u64 {
     match payload {
         Payload::Dense(v) => 4 * v.len() as u64,
@@ -589,8 +487,8 @@ pub fn summable_wire_bytes(payload: &Payload) -> u64 {
 }
 
 /// Runs one (bucket, round) leg of the exchange with monotonic timers,
-/// accumulating into `timing` — shared by the round-major timed exchange
-/// below and the bucket-major adaptive engine.
+/// accumulating into `timing` — shared by the round-major
+/// [`exchange_gradients_with_plan`] and the bucket-major adaptive engine.
 pub(crate) fn run_timed_round<C: Compressor + ?Sized>(
     worker: &WorkerHandle,
     compressor: &mut C,
@@ -629,49 +527,6 @@ pub(crate) fn run_timed_round<C: Compressor + ?Sized>(
     compressor.absorb(bucket_id, round, agg?)?;
     timing.decode_s += t2.elapsed().as_secs_f64();
     Ok(())
-}
-
-/// [`exchange_gradients_with_plan`] with per-bucket timing probes: the
-/// same round-major schedule, returning a [`BucketTiming`] per bucket
-/// alongside the decoded gradients.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different gradient layout (debug
-/// builds only, as in [`exchange_gradients_with_plan`]).
-pub fn exchange_gradients_with_plan_timed<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &mut C,
-    grads: &[Tensor],
-    plan: &mut BucketPlan,
-) -> Result<(Vec<Tensor>, Vec<BucketTiming>)> {
-    debug_assert!(plan.matches(grads), "plan built for a different model");
-    let rounds = compressor.properties().rounds;
-    let mut timings: Vec<BucketTiming> = (0..plan.num_buckets())
-        .map(|bucket| BucketTiming {
-            bucket,
-            ..BucketTiming::default()
-        })
-        .collect();
-    for round in 0..rounds {
-        for (bucket_id, timing) in timings.iter_mut().enumerate() {
-            run_timed_round(worker, compressor, grads, plan, bucket_id, round, timing)?;
-        }
-    }
-    let flats: Vec<Tensor> = (0..plan.num_buckets())
-        .map(|bucket_id| {
-            let t0 = std::time::Instant::now();
-            let flat = compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?;
-            timings[bucket_id].decode_s += t0.elapsed().as_secs_f64();
-            Ok(flat)
-        })
-        .collect::<Result<_>>()?;
-    plan.scatter(grads, flats)
-        .map(|grads_out| (grads_out, timings))
 }
 
 /// Largest divisor of `n` that is at most `√n` (1 for primes and `n ≤ 3`).
@@ -893,6 +748,38 @@ mod tests {
     }
 
     #[test]
+    fn plan_exchange_keeps_per_bucket_timings_on_the_plan() {
+        let grads = make_grads(2, &[vec![64usize], vec![6, 5], vec![40]], 43);
+        let outs = gcs_cluster::SimCluster::run(2, |worker| {
+            let grads = &grads[worker.rank()];
+            let mut plan = BucketPlan::new(grads, 256);
+            assert!(plan.last_timings().is_empty());
+            let mut ring = MethodConfig::SyncSgd.build().unwrap();
+            exchange_gradients_with_plan(&worker, &mut ring, grads, &mut plan).unwrap();
+            let ring_timings = plan.last_timings().to_vec();
+            let mut gather = MethodConfig::SignSgd.build().unwrap();
+            exchange_gradients_with_plan(&worker, &mut gather, grads, &mut plan).unwrap();
+            (
+                plan.num_buckets(),
+                ring_timings,
+                plan.last_timings().to_vec(),
+            )
+        });
+        for (buckets, ring, gather) in outs {
+            assert_eq!(buckets, 3);
+            // One entry per bucket, refreshed (not appended) per exchange.
+            for (b, (r, g)) in ring.iter().zip(&gather).enumerate() {
+                assert_eq!((r.bucket, g.bucket), (b, b));
+                assert_eq!((r.ring_rounds, r.gather_rounds), (1, 0));
+                assert_eq!((g.ring_rounds, g.gather_rounds), (0, 1));
+                assert!(r.ring_bytes > 0 && g.gather_bytes > 0);
+            }
+            let total: u64 = ring.iter().map(|t| t.ring_bytes).sum();
+            assert_eq!(total, 4 * (64 + 30 + 40));
+        }
+    }
+
+    #[test]
     fn giant_bucket_equals_whole_model_flat() {
         // With an unbounded bucket, bucketed syncSGD equals the per-layer
         // engine's result exactly.
@@ -908,36 +795,18 @@ mod tests {
     }
 
     #[test]
-    fn among_exchange_full_membership_matches_plain_exchange() {
-        let grads = make_grads(3, &[vec![4usize, 5], vec![7]], 17);
-        let members = [0usize, 1, 2];
-        let outs = gcs_cluster::SimCluster::run(3, |worker| {
-            let mut plain = MethodConfig::TopK { ratio: 0.4 }.build().unwrap();
-            let a = exchange_gradients(&worker, &mut plain, &grads[worker.rank()]).unwrap();
-            let mut among = MethodConfig::TopK { ratio: 0.4 }.build().unwrap();
-            let b = exchange_gradients_among(&worker, &mut among, &grads[worker.rank()], &members)
-                .unwrap();
-            (a, b)
-        });
-        for (a, b) in &outs {
-            assert_eq!(a, b, "full-membership among path must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn among_exchange_averages_over_live_members_only() {
+    fn shrunk_exchange_averages_over_live_members_only() {
         // 4 workers, rank 2 is "dead": survivors exchange among {0, 1, 3}
         // and must compute the exact mean over exactly those three.
         let grads = make_grads(4, &[vec![9usize]], 23);
         let members = [0usize, 1, 3];
-        let outs = gcs_cluster::SimCluster::run(4, |worker| {
+        let outs = gcs_cluster::SimCluster::run(4, |mut worker| {
             if worker.rank() == 2 {
                 return None;
             }
+            worker.set_members(&members).unwrap();
             let mut c = MethodConfig::SyncSgd.build().unwrap();
-            Some(
-                exchange_gradients_among(&worker, &mut c, &grads[worker.rank()], &members).unwrap(),
-            )
+            Some(exchange_gradients(&worker, &mut c, &grads[worker.rank()]).unwrap())
         });
         let mut mean = Tensor::zeros([9]);
         for &m in &members {
@@ -958,19 +827,18 @@ mod tests {
     }
 
     #[test]
-    fn among_exchange_gather_path_uses_live_members_only() {
+    fn shrunk_exchange_gather_path_uses_live_members_only() {
         // SignSGD takes the gather/aggregate path; majority vote must be
         // over the survivors' payloads only.
         let grads = make_grads(4, &[vec![3usize, 4]], 29);
         let members = [0usize, 2, 3];
-        let outs = gcs_cluster::SimCluster::run(4, |worker| {
+        let outs = gcs_cluster::SimCluster::run(4, |mut worker| {
             if worker.rank() == 1 {
                 return None;
             }
+            worker.set_members(&members).unwrap();
             let mut c = MethodConfig::SignSgd.build().unwrap();
-            Some(
-                exchange_gradients_among(&worker, &mut c, &grads[worker.rank()], &members).unwrap(),
-            )
+            Some(exchange_gradients(&worker, &mut c, &grads[worker.rank()]).unwrap())
         });
         let survivors: Vec<_> = outs.iter().flatten().collect();
         assert_eq!(survivors.len(), 3);

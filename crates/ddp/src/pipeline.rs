@@ -29,10 +29,10 @@
 //! The pipelined engine performs *exactly* the arithmetic of the
 //! sequential engine, just on a different thread:
 //!
-//! * summable payloads ride the same plain ring `all_reduce_sum` followed
-//!   by the same f32 divide-by-world (Half payloads are decoded to f32
-//!   before submission and re-rounded after, mirroring
-//!   `aggregate_over_cluster_with`);
+//! * summable payloads are split by the same `PayloadShell::split`, ride
+//!   the same plain ring `all_reduce_sum`, and get the same f32 divide by
+//!   the member count (Half payloads are decoded to f32 before submission
+//!   and re-rounded after, as in `aggregate_over_cluster_with`);
 //! * gather payloads are serialized to the same bytes, all-gathered, and
 //!   aggregated by the same `Compressor::aggregate` call.
 //!
@@ -69,10 +69,9 @@ use gcs_compress::chunked::{
     wire_chunk_spans, ChunkData, ChunkSink, ChunkedDecode, ChunkedHeader, PayloadShell,
 };
 use gcs_compress::{Compressor, Payload};
-use gcs_tensor::f16::decode_f16;
 use gcs_tensor::Tensor;
 
-use crate::exec::{summable_wire_bytes, BucketPlan, BucketTiming, Result};
+use crate::exec::{divide_by_members, BucketPlan, BucketTiming, Result};
 use gcs_compress::driver::{switch_scheme, ResidualPolicy, SwitchOutcome};
 
 /// Tuning knobs for [`PipelinedEngine`].
@@ -236,11 +235,6 @@ impl<C: Compressor> PipelinedEngine<C> {
         self.comm.rank()
     }
 
-    /// World size of the underlying cluster.
-    pub fn world(&self) -> usize {
-        self.comm.world()
-    }
-
     /// Stops the comm thread and returns the worker handle and compressor.
     pub fn into_parts(self) -> (WorkerHandle, C) {
         let PipelinedEngine {
@@ -343,39 +337,26 @@ impl<C: Compressor> PipelinedEngine<C> {
         payload: Payload,
         timing: &mut BucketTiming,
     ) -> Result<Inflight> {
-        if payload.is_summable() {
-            timing.ring_bytes += summable_wire_bytes(&payload);
-            timing.ring_rounds += 1;
-            let (shell, data) = match payload {
-                Payload::Dense(v) => (PayloadShell::Dense, v),
-                // Sum the f32 images and re-round after the divide, exactly
-                // like the sequential engine's Half arm.
-                Payload::Half(h) => (PayloadShell::Half, decode_f16(&h)),
-                Payload::Factor {
-                    which,
-                    rows,
-                    cols,
-                    data,
-                } => (PayloadShell::Factor { which, rows, cols }, data),
-                Payload::SharedSparse { len, seed, values } => {
-                    (PayloadShell::SharedSparse { len, seed }, values)
-                }
-                other => unreachable!("is_summable() covered {:?}", other.kind_name()),
-            };
-            let pending = self.comm.start_all_reduce_sum(data, self.cfg.chunk_elems)?;
-            Ok(Inflight::Reduce {
-                bucket,
-                shell,
-                pending,
-            })
-        } else {
-            let mut wire = self.wire_pool.pop().unwrap_or_default();
-            wire.clear();
-            payload.write_bytes(&mut wire);
-            timing.gather_bytes += wire.len() as u64;
-            timing.gather_rounds += 1;
-            let pending = self.comm.start_all_gather(wire)?;
-            Ok(Inflight::Gather { bucket, pending })
+        match PayloadShell::split(payload) {
+            Ok((shell, data)) => {
+                timing.ring_bytes += 4 * data.len() as u64;
+                timing.ring_rounds += 1;
+                let pending = self.comm.start_all_reduce_sum(data, self.cfg.chunk_elems)?;
+                Ok(Inflight::Reduce {
+                    bucket,
+                    shell,
+                    pending,
+                })
+            }
+            Err(payload) => {
+                let mut wire = self.wire_pool.pop().unwrap_or_default();
+                wire.clear();
+                payload.write_bytes(&mut wire);
+                timing.gather_bytes += wire.len() as u64;
+                timing.gather_rounds += 1;
+                let pending = self.comm.start_all_gather(wire)?;
+                Ok(Inflight::Gather { bucket, pending })
+            }
         }
     }
 
@@ -402,10 +383,7 @@ impl<C: Compressor> PipelinedEngine<C> {
                 timings[bucket].comm_s += waited;
                 timings[bucket].exposed_wait_s += waited;
                 let t1 = std::time::Instant::now();
-                let world = self.comm.world() as f32;
-                for x in &mut data {
-                    *x /= world;
-                }
+                divide_by_members(&mut data, self.comm.members());
                 self.compressor
                     .absorb(bucket, round, shell.assemble(data))?;
                 timings[bucket].decode_s += t1.elapsed().as_secs_f64();
@@ -496,7 +474,7 @@ impl<C: Compressor> PipelinedEngine<C> {
                 bucket,
                 round,
                 &header,
-                self.comm.world(),
+                self.comm.members(),
             )?);
             // Gather chunk counts must be rank-agreed even when actual
             // byte counts differ (DGC, variance): derive them from the
@@ -627,10 +605,7 @@ impl<C: Compressor> PipelinedEngine<C> {
                 timings[bucket].comm_s += waited;
                 timings[bucket].exposed_wait_s += waited;
                 let t1 = std::time::Instant::now();
-                let world = self.comm.world() as f32;
-                for x in &mut data {
-                    *x /= world;
-                }
+                divide_by_members(&mut data, self.comm.members());
                 let dec = decodes[bucket].as_mut().ok_or_else(missing_decode)?;
                 self.compressor
                     .decode_chunk(bucket, dec, lo, hi, ChunkData::F32(&data))?;

@@ -6,9 +6,8 @@
 //! steps-to-loss.
 
 use crate::harness::ConvergenceReport;
-use crate::optim::Sgd;
 use crate::task::Task;
-use crate::threaded::{ThreadedConfig, ThreadedTrainError};
+use crate::threaded::{agreed_run, train_rank, ThreadedConfig, ThreadedTrainError};
 use gcs_compress::adaptive::{AdaptiveConfig, Decision};
 use gcs_ddp::exec::ExecError;
 use gcs_ddp::AdaptiveEngine;
@@ -44,15 +43,18 @@ impl AdaptiveTrainReport {
 }
 
 /// Trains `task` with one thread per worker, exchanging gradients through
-/// an [`AdaptiveEngine`] configured with `acfg`. A single-arm `acfg` is
-/// the fixed-scheme baseline: it runs the identical code path (including
-/// the per-step decision broadcast), so adaptive-vs-fixed time-to-loss
+/// an [`AdaptiveEngine`] configured with `acfg`, in the per-rank loop
+/// [`crate::threaded::train_threaded`] runs. A single-arm `acfg` is the
+/// fixed-scheme baseline: it runs the identical code path (including the
+/// per-step decision broadcast), so adaptive-vs-fixed time-to-loss
 /// comparisons are apples-to-apples.
 ///
 /// # Errors
 ///
-/// Returns [`ThreadedTrainError`] if a worker's exchange fails or workers
-/// end with different parameters.
+/// Returns [`ThreadedTrainError`] if `cfg` sets `pipeline` or `faults`
+/// (the adaptive engine has its own bucket schedule and needs every rank
+/// for its decision broadcast), a worker's exchange fails, or workers end
+/// with different parameters.
 ///
 /// # Panics
 ///
@@ -63,29 +65,19 @@ pub fn train_threaded_adaptive<T: Task + Sync>(
     bucket_bytes: usize,
     cfg: &ThreadedConfig,
 ) -> Result<AdaptiveTrainReport, ThreadedTrainError> {
+    if cfg.pipeline.is_some() || cfg.faults.is_some() {
+        return Err(ThreadedTrainError::InvalidConfig(
+            "the adaptive trainer runs its own engine on a fault-free cluster: \
+             unset `pipeline` and `faults`"
+                .into(),
+        ));
+    }
     let results = gcs_cluster::SimCluster::run(cfg.workers, |worker| {
         let rank = worker.rank();
         let mut engine = AdaptiveEngine::new(acfg.clone(), bucket_bytes)?;
-        let mut params = task.init_params(cfg.seed);
-        let mut opt = Sgd::new(cfg.lr);
-        let mut losses = vec![(0usize, task.full_loss(&params))];
-        for step in 0..cfg.steps {
-            let grads = task.minibatch_grad(
-                &params,
-                cfg.batch_per_worker,
-                cfg.seed
-                    .wrapping_add(1 + step as u64)
-                    .wrapping_mul(7_368_787)
-                    .wrapping_add(rank as u64),
-            );
-            let mean = engine.exchange(&worker, &grads)?;
-            opt.step(&mut params, &mean)
-                .map_err(gcs_compress::CompressError::from)
-                .map_err(ExecError::from)?;
-            if (step + 1) % 10 == 0 || step + 1 == cfg.steps {
-                losses.push((step + 1, task.full_loss(&params)));
-            }
-        }
+        let run = train_rank(task, cfg, rank, |_, grads| {
+            engine.exchange(&worker, grads).map(Some)
+        })?;
         let controller = engine.controller().ok_or_else(|| {
             ExecError::from(gcs_compress::CompressError::Protocol(
                 "adaptive engine never initialized".into(),
@@ -96,27 +88,18 @@ pub fn train_threaded_adaptive<T: Task + Sync>(
         let assignment: Vec<usize> = (0..controller.num_buckets())
             .map(|b| controller.arm_of(b))
             .collect();
-        Ok::<_, ExecError>((params, losses, modelled_step_s, trace, assignment))
+        Ok::<_, ExecError>((run, (modelled_step_s, trace, assignment)))
     });
-    let mut workers_out = Vec::with_capacity(cfg.workers);
-    for r in results {
-        workers_out.push(r?);
-    }
-    let (params0, losses0, step_s0, trace0, assignment0) = &workers_out[0];
-    for (rank, (params, ..)) in workers_out.iter().enumerate().skip(1) {
-        if params != params0 {
-            return Err(ThreadedTrainError::Diverged { rank });
-        }
-    }
+    let ((_, losses), (modelled_step_s, trace, assignment)) = agreed_run(results)?;
     Ok(AdaptiveTrainReport {
         report: ConvergenceReport {
             method: "adaptive".into(),
             task: task.name().to_owned(),
-            losses: losses0.clone(),
+            losses,
         },
-        modelled_step_s: *step_s0,
-        trace: trace0.clone(),
-        assignment: assignment0.clone(),
+        modelled_step_s,
+        trace,
+        assignment,
     })
 }
 
@@ -193,6 +176,28 @@ mod tests {
             adaptive.assignment,
             adaptive.trace
         );
+    }
+
+    #[test]
+    fn adaptive_rejects_a_pipeline_config() {
+        let acfg = AdaptiveConfig::new(arms()).unwrap();
+        let cfg = ThreadedConfig::new()
+            .workers(2)
+            .steps(4)
+            .pipelined(gcs_ddp::PipelineConfig::default());
+        let err = train_threaded_adaptive(&task(), &acfg, BUCKET_BYTES, &cfg).unwrap_err();
+        assert!(matches!(err, ThreadedTrainError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
+    fn adaptive_rejects_a_fault_plan() {
+        let acfg = AdaptiveConfig::new(arms()).unwrap();
+        let cfg = ThreadedConfig::new()
+            .workers(2)
+            .steps(4)
+            .faulty(gcs_cluster::FaultPlan::new(3));
+        let err = train_threaded_adaptive(&task(), &acfg, BUCKET_BYTES, &cfg).unwrap_err();
+        assert!(matches!(err, ThreadedTrainError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

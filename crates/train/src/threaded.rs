@@ -4,17 +4,18 @@
 //!
 //! Each worker owns its compressor state (error feedback, warm starts) and
 //! its optimizer; gradient exchange goes through
-//! [`gcs_ddp::exec::exchange_gradients`] over the `gcs-cluster` channel
-//! mesh. Because all-reducible payloads ride the real ring all-reduce,
-//! every worker ends each step with bit-identical parameters — asserted at
-//! the end of the run.
+//! [`gcs_ddp::exec::exchange_gradients`] (or the [`PipelinedEngine`]) over
+//! the `gcs-cluster` channel mesh. Because all-reducible payloads ride the
+//! real ring all-reduce, every worker ends each step with bit-identical
+//! parameters — asserted at the end of the run.
 
 use crate::harness::ConvergenceReport;
 use crate::optim::Sgd;
 use crate::task::Task;
-use gcs_cluster::FaultPlan;
+use gcs_cluster::{FaultPlan, SimCluster, WorkerHandle};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::{exchange_gradients, exchange_gradients_among, ExecError};
+use gcs_compress::{CompressError, Compressor};
+use gcs_ddp::exec::{exchange_gradients, ExecError};
 use gcs_ddp::{PipelineConfig, PipelinedEngine, RunEvent, RunEventKind};
 use gcs_tensor::Tensor;
 
@@ -28,6 +29,15 @@ pub enum ThreadedTrainError {
         /// First rank whose parameters differ from rank 0's.
         rank: usize,
     },
+    /// The fault plan killed every rank before the run ended, so no
+    /// worker is left to report.
+    NoSurvivors {
+        /// Worker count of the run.
+        workers: usize,
+    },
+    /// The config asks for something the trainer cannot honour (for
+    /// example a fault plan together with the pipelined engine).
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for ThreadedTrainError {
@@ -37,6 +47,13 @@ impl std::fmt::Display for ThreadedTrainError {
             ThreadedTrainError::Diverged { rank } => {
                 write!(f, "worker {rank} diverged from rank 0")
             }
+            ThreadedTrainError::NoSurvivors { workers } => {
+                write!(
+                    f,
+                    "the fault plan killed all {workers} workers: no survivor"
+                )
+            }
+            ThreadedTrainError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
         }
     }
 }
@@ -69,8 +86,9 @@ pub struct ThreadedConfig {
     /// per-layer engine. With the default plain-ring config the parameter
     /// trajectory is bit-identical between the two engines.
     pub pipeline: Option<PipelineConfig>,
-    /// `Some(plan)`: run the cluster under this fault plan
-    /// ([`train_threaded_faulty`] reads it; [`train_threaded`] ignores it).
+    /// `Some(plan)`: run the cluster under this fault plan; ranks die on
+    /// its schedule and the survivors shrink the ring (see
+    /// [`train_threaded`]). Cannot be combined with `pipeline`.
     pub faults: Option<FaultPlan>,
 }
 
@@ -124,7 +142,7 @@ impl ThreadedConfig {
         self
     }
 
-    /// Runs the cluster under `plan` (see [`train_threaded_faulty`]).
+    /// Runs the cluster under `plan` (see [`train_threaded`]).
     pub fn faulty(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -137,14 +155,91 @@ impl Default for ThreadedConfig {
     }
 }
 
+/// A finished rank's final parameters and loss trajectory.
+pub(crate) type RankRun = (Vec<Tensor>, Vec<(usize, f64)>);
+
+/// The per-rank loop every threaded trainer shares: minibatch seed
+/// derivation, exchange, SGD step, full loss at step 0, every 10 steps
+/// and at the end. `exchange(step, grads)` returns the mean gradient, or
+/// `None` when this rank leaves the run at `step` — then the loop stops
+/// and returns `None` too.
+pub(crate) fn train_rank<T: Task>(
+    task: &T,
+    cfg: &ThreadedConfig,
+    rank: usize,
+    mut exchange: impl FnMut(usize, &[Tensor]) -> Result<Option<Vec<Tensor>>, ExecError>,
+) -> Result<Option<RankRun>, ExecError> {
+    let mut params = task.init_params(cfg.seed);
+    let mut opt = Sgd::new(cfg.lr);
+    let mut losses = vec![(0usize, task.full_loss(&params))];
+    for step in 0..cfg.steps {
+        let grads = task.minibatch_grad(
+            &params,
+            cfg.batch_per_worker,
+            cfg.seed
+                .wrapping_add(1 + step as u64)
+                .wrapping_mul(7_368_787)
+                .wrapping_add(rank as u64),
+        );
+        let Some(mean) = exchange(step, &grads)? else {
+            return Ok(None);
+        };
+        opt.step(&mut params, &mean)
+            .map_err(CompressError::from)
+            .map_err(ExecError::from)?;
+        if (step + 1) % 10 == 0 || step + 1 == cfg.steps {
+            losses.push((step + 1, task.full_loss(&params)));
+        }
+    }
+    Ok(Some((params, losses)))
+}
+
+/// The lowest-ranked finished run and its extra output, from each rank's
+/// result in rank order (its run, `None` if it left, plus
+/// trainer-specific output) — after the first worker error and a check
+/// that every finished rank holds the same parameters.
+pub(crate) fn agreed_run<X>(
+    results: Vec<Result<(Option<RankRun>, X), ExecError>>,
+) -> Result<(RankRun, X), ThreadedTrainError> {
+    let workers = results.len();
+    let mut finished = Vec::with_capacity(workers);
+    for (rank, r) in results.into_iter().enumerate() {
+        if let (Some(run), extra) = r? {
+            finished.push((rank, run, extra));
+        }
+    }
+    let mut finished = finished.into_iter();
+    let Some((_, first, extra)) = finished.next() else {
+        return Err(ThreadedTrainError::NoSurvivors { workers });
+    };
+    for (rank, (params, _), _) in finished {
+        if params != first.0 {
+            return Err(ThreadedTrainError::Diverged { rank });
+        }
+    }
+    Ok((first, extra))
+}
+
 /// Trains `task` with one thread per worker over real collectives and
-/// returns the loss trajectory (evaluated on rank 0's parameters every 10
-/// steps) plus a divergence check across workers.
+/// returns the loss trajectory (evaluated every 10 steps on the
+/// lowest-ranked worker that finished) plus the run's robustness events.
+///
+/// Under `cfg.faults` the cluster runs with the plan's injected faults,
+/// and a rank that reaches its scheduled death drops out mid-run: it calls
+/// `mark_dead`, while the survivors recompute the live membership from the
+/// shared plan, shrink their handles' ring with `set_members` (so the
+/// gradient mean renormalizes over the live member count), and keep
+/// training. Each membership change is recorded as [`RunEvent`]s — one
+/// `RankDead` per death and one `RingShrink` — as seen by the reporting
+/// worker. Without a plan, or with a benign one, the events are empty and
+/// the trajectory is bit-identical to a run without faults.
 ///
 /// # Errors
 ///
-/// Returns [`ThreadedTrainError`] if a worker's exchange fails or workers
-/// end with different parameters.
+/// Returns [`ThreadedTrainError`] if `cfg` sets both `faults` and
+/// `pipeline` (the pipelined engine's comm thread owns the handle and
+/// cannot re-plan membership), a worker's exchange fails, the finishing
+/// workers end with different parameters, or the plan leaves no survivor.
 ///
 /// # Panics
 ///
@@ -153,26 +248,25 @@ pub fn train_threaded<T: Task + Sync>(
     task: &T,
     method: &MethodConfig,
     cfg: &ThreadedConfig,
-) -> Result<ConvergenceReport, ThreadedTrainError> {
+) -> Result<(ConvergenceReport, Vec<RunEvent>), ThreadedTrainError> {
     // Either engine behind one `exchange` call so the training loop is
     // written once.
     enum Engine {
-        Sequential(gcs_cluster::WorkerHandle, Box<dyn gcs_compress::Compressor>),
+        Sequential(WorkerHandle, Box<dyn Compressor>),
         // Boxed: the pipelined engine is an order of magnitude larger
         // than the sequential pair.
-        Pipelined(Box<PipelinedEngine<Box<dyn gcs_compress::Compressor>>>),
+        Pipelined(Box<PipelinedEngine<Box<dyn Compressor>>>),
     }
-    impl Engine {
-        fn exchange(&mut self, grads: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-            match self {
-                Engine::Sequential(worker, compressor) => {
-                    exchange_gradients(worker, compressor, grads)
-                }
-                Engine::Pipelined(engine) => engine.exchange(grads),
-            }
-        }
+    if cfg.faults.is_some() && cfg.pipeline.is_some() {
+        return Err(ThreadedTrainError::InvalidConfig(
+            "a fault plan needs the sequential engine: the pipelined engine's comm \
+             thread owns the worker handle and cannot shrink its ring"
+                .into(),
+        ));
     }
-    let results = gcs_cluster::SimCluster::run(cfg.workers, |worker| {
+    let world = cfg.workers;
+    let cluster = SimCluster::new_with_faults(world, None, cfg.faults.clone());
+    let results = cluster.run_workers(|worker| {
         let rank = worker.rank();
         let compressor = method.build().map_err(ExecError::from)?;
         let mut engine = match &cfg.pipeline {
@@ -183,153 +277,44 @@ pub fn train_threaded<T: Task + Sync>(
             )?)),
             None => Engine::Sequential(worker, compressor),
         };
-        let mut params = task.init_params(cfg.seed);
-        let mut opt = Sgd::new(cfg.lr);
-        let mut losses = vec![(0usize, task.full_loss(&params))];
-        for step in 0..cfg.steps {
-            let grads = task.minibatch_grad(
-                &params,
-                cfg.batch_per_worker,
-                cfg.seed
-                    .wrapping_add(1 + step as u64)
-                    .wrapping_mul(7_368_787)
-                    .wrapping_add(rank as u64),
-            );
-            let mean = engine.exchange(&grads)?;
-            opt.step(&mut params, &mean)
-                .map_err(gcs_compress::CompressError::from)
-                .map_err(ExecError::from)?;
-            if (step + 1) % 10 == 0 || step + 1 == cfg.steps {
-                losses.push((step + 1, task.full_loss(&params)));
-            }
-        }
-        Ok::<(Vec<Tensor>, Vec<(usize, f64)>), ExecError>((params, losses))
-    });
-    let mut workers_out = Vec::with_capacity(cfg.workers);
-    for r in results {
-        workers_out.push(r?);
-    }
-    // Divergence check: every worker must hold rank 0's parameters.
-    let (params0, losses0) = &workers_out[0];
-    for (rank, (params, _)) in workers_out.iter().enumerate().skip(1) {
-        if params != params0 {
-            return Err(ThreadedTrainError::Diverged { rank });
-        }
-    }
-    Ok(ConvergenceReport {
-        method: method
-            .build()
-            .map(|c| c.properties().name)
-            .unwrap_or_else(|_| "unknown".into()),
-        task: task.name().to_owned(),
-        losses: losses0.clone(),
-    })
-}
-
-/// [`train_threaded`] under a fault plan, with graceful degradation: when
-/// a rank reaches its scheduled death it drops out mid-run, the survivors
-/// recompute the live membership from the shared plan, shrink the ring,
-/// renormalize the gradient mean over the live member count, and keep
-/// training. Always uses the sequential per-layer exchange
-/// (`cfg.pipeline` is ignored — the pipelined engine owns its worker
-/// handle and cannot re-plan membership mid-stream).
-///
-/// Returns the convergence report of the lowest-ranked survivor plus the
-/// run's robustness events ([`RunEvent`]: one `RankDead` per death, one
-/// `RingShrink` per membership change).
-///
-/// # Errors
-///
-/// Returns [`ThreadedTrainError`] if a survivor's exchange fails or the
-/// survivors end with different parameters.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics or the plan kills every rank before
-/// the run ends (no survivor left to report).
-pub fn train_threaded_faulty<T: Task + Sync>(
-    task: &T,
-    method: &MethodConfig,
-    cfg: &ThreadedConfig,
-) -> Result<(ConvergenceReport, Vec<RunEvent>), ThreadedTrainError> {
-    let plan = cfg.faults.clone().unwrap_or_else(|| FaultPlan::new(0));
-    let world = cfg.workers;
-    let (results, _fault_events) =
-        gcs_cluster::SimCluster::run_with_faults(world, plan.clone(), |worker| {
-            let rank = worker.rank();
-            let mut compressor = method.build().map_err(ExecError::from)?;
-            let mut params = task.init_params(cfg.seed);
-            let mut opt = Sgd::new(cfg.lr);
-            let mut losses = vec![(0usize, task.full_loss(&params))];
-            let mut events: Vec<RunEvent> = Vec::new();
-            let mut live = world;
-            let mut died = false;
-            for step in 0..cfg.steps {
-                if plan.dead_at(rank, step) {
-                    // This rank's scheduled death: flip the alive bit (so
-                    // stragglers poking this rank get PeerGone, and the
-                    // fault log records the death) and stop participating.
-                    worker.mark_dead(step);
-                    died = true;
-                    break;
-                }
-                let members = plan.live_members(world, step);
-                if members.len() < live {
-                    for d in &plan.dead {
-                        let newly_dead =
-                            d.at_iter <= step && (step == 0 || !plan.dead_at(d.rank, step - 1));
-                        if newly_dead {
-                            events.push(RunEvent {
-                                step,
-                                kind: RunEventKind::RankDead { rank: d.rank },
-                            });
-                        }
+        let mut events: Vec<RunEvent> = Vec::new();
+        let run = train_rank(task, cfg, rank, |step, grads| match &mut engine {
+            Engine::Sequential(worker, compressor) => {
+                if let Some(plan) = &cfg.faults {
+                    if plan.dead_at(rank, step) {
+                        // This rank's scheduled death: flip the alive bit
+                        // (so stragglers poking this rank get PeerGone, and
+                        // the fault log records the death) and leave.
+                        worker.mark_dead(step);
+                        return Ok(None);
                     }
-                    events.push(RunEvent {
-                        step,
-                        kind: RunEventKind::RingShrink {
-                            from: live,
-                            to: members.len(),
-                        },
-                    });
-                    live = members.len();
+                    let members = plan.live_members(world, step);
+                    let live = worker.members().len();
+                    if members.len() < live {
+                        let newly_dead = plan.dead.iter().filter(|d| {
+                            d.at_iter <= step && (step == 0 || !plan.dead_at(d.rank, step - 1))
+                        });
+                        events.extend(newly_dead.map(|d| RunEvent {
+                            step,
+                            kind: RunEventKind::RankDead { rank: d.rank },
+                        }));
+                        events.push(RunEvent {
+                            step,
+                            kind: RunEventKind::RingShrink {
+                                from: live,
+                                to: members.len(),
+                            },
+                        });
+                        worker.set_members(&members)?;
+                    }
                 }
-                let grads = task.minibatch_grad(
-                    &params,
-                    cfg.batch_per_worker,
-                    cfg.seed
-                        .wrapping_add(1 + step as u64)
-                        .wrapping_mul(7_368_787)
-                        .wrapping_add(rank as u64),
-                );
-                let mean = exchange_gradients_among(&worker, &mut compressor, &grads, &members)?;
-                opt.step(&mut params, &mean)
-                    .map_err(gcs_compress::CompressError::from)
-                    .map_err(ExecError::from)?;
-                if (step + 1) % 10 == 0 || step + 1 == cfg.steps {
-                    losses.push((step + 1, task.full_loss(&params)));
-                }
+                exchange_gradients(worker, compressor, grads).map(Some)
             }
-            Ok::<_, ExecError>((died, params, losses, events))
-        });
-    // (rank, final params, loss trajectory, robustness events)
-    type Survivor = (usize, Vec<Tensor>, Vec<(usize, f64)>, Vec<RunEvent>);
-    let mut survivors: Vec<Survivor> = Vec::new();
-    for (rank, r) in results.into_iter().enumerate() {
-        let (died, params, losses, events) = r?;
-        if !died {
-            survivors.push((rank, params, losses, events));
-        }
-    }
-    let (rank0, params0, losses0, events0) = survivors
-        .first()
-        .expect("the fault plan must leave at least one survivor");
-    for (rank, params, _, _) in &survivors[1..] {
-        if params != params0 {
-            return Err(ThreadedTrainError::Diverged { rank: *rank });
-        }
-    }
-    let _ = rank0;
+            Engine::Pipelined(engine) => engine.exchange(grads).map(Some),
+        })?;
+        Ok::<_, ExecError>((run, events))
+    });
+    let ((_, losses), events) = agreed_run(results)?;
     Ok((
         ConvergenceReport {
             method: method
@@ -337,9 +322,9 @@ pub fn train_threaded_faulty<T: Task + Sync>(
                 .map(|c| c.properties().name)
                 .unwrap_or_else(|_| "unknown".into()),
             task: task.name().to_owned(),
-            losses: losses0.clone(),
+            losses,
         },
-        events0.clone(),
+        events,
     ))
 }
 
@@ -354,7 +339,7 @@ mod tests {
 
     #[test]
     fn threaded_syncsgd_converges_and_workers_agree() {
-        let rep = train_threaded(
+        let (rep, _) = train_threaded(
             &task(),
             &MethodConfig::SyncSgd,
             &ThreadedConfig::new().workers(4).steps(120).lr(0.1).seed(2),
@@ -365,7 +350,7 @@ mod tests {
 
     #[test]
     fn threaded_powersgd_converges() {
-        let rep = train_threaded(
+        let (rep, _) = train_threaded(
             &task(),
             &MethodConfig::PowerSgd { rank: 2 },
             &ThreadedConfig::new().workers(3).steps(150).lr(0.1).seed(3),
@@ -381,7 +366,7 @@ mod tests {
 
     #[test]
     fn threaded_gather_method_converges() {
-        let rep = train_threaded(
+        let (rep, _) = train_threaded(
             &task(),
             &MethodConfig::EfSignSgd,
             &ThreadedConfig::new().workers(2).steps(200).lr(0.05).seed(4),
@@ -398,8 +383,8 @@ mod tests {
         // layer's ring reduction is independent of the packing — the
         // pipelined engine uses one bucket per layer here).
         let base = ThreadedConfig::new().workers(3).steps(40).lr(0.1).seed(6);
-        let seq = train_threaded(&task(), &MethodConfig::SyncSgd, &base).unwrap();
-        let pipe = train_threaded(
+        let (seq, _) = train_threaded(&task(), &MethodConfig::SyncSgd, &base).unwrap();
+        let (pipe, _) = train_threaded(
             &task(),
             &MethodConfig::SyncSgd,
             &base.clone().pipelined(PipelineConfig {
@@ -418,7 +403,7 @@ mod tests {
 
     #[test]
     fn pipelined_powersgd_converges_and_workers_agree() {
-        let rep = train_threaded(
+        let (rep, _) = train_threaded(
             &task(),
             &MethodConfig::PowerSgd { rank: 2 },
             &ThreadedConfig::new()
@@ -454,7 +439,7 @@ mod tests {
             .lr(0.1)
             .seed(9)
             .faulty(FaultPlan::new(0xFA01).kill(3, 5));
-        let (rep, events) = train_threaded_faulty(&task(), &MethodConfig::SyncSgd, &cfg).unwrap();
+        let (rep, events) = train_threaded(&task(), &MethodConfig::SyncSgd, &cfg).unwrap();
         // Training completed and converged on the survivors.
         assert_eq!(rep.losses.last().unwrap().0, 40);
         assert!(
@@ -480,17 +465,38 @@ mod tests {
     }
 
     #[test]
-    fn faulty_run_with_benign_plan_matches_plain_threaded_bitwise() {
+    fn no_plan_and_a_benign_plan_train_bitwise_alike() {
         let base = ThreadedConfig::new().workers(4).steps(30).lr(0.1).seed(12);
-        let plain = train_threaded(&task(), &MethodConfig::TopK { ratio: 0.3 }, &base).unwrap();
-        let (faulty, events) = train_threaded_faulty(
-            &task(),
-            &MethodConfig::TopK { ratio: 0.3 },
-            &base.clone().faulty(FaultPlan::new(7)),
-        )
-        .unwrap();
-        assert!(events.is_empty());
-        assert_eq!(plain.losses, faulty.losses, "benign plan must be a no-op");
+        let method = MethodConfig::TopK { ratio: 0.3 };
+        let (plain, plain_events) = train_threaded(&task(), &method, &base).unwrap();
+        let (benign, benign_events) =
+            train_threaded(&task(), &method, &base.clone().faulty(FaultPlan::new(7))).unwrap();
+        assert!(plain_events.is_empty() && benign_events.is_empty());
+        assert_eq!(plain.losses, benign.losses, "benign plan must be a no-op");
+    }
+
+    #[test]
+    fn a_plan_that_kills_every_rank_is_a_typed_error() {
+        let cfg = ThreadedConfig::new()
+            .workers(2)
+            .steps(10)
+            .faulty(FaultPlan::new(0).kill(0, 1).kill(1, 1));
+        let err = train_threaded(&task(), &MethodConfig::SyncSgd, &cfg).unwrap_err();
+        assert!(
+            matches!(err, ThreadedTrainError::NoSurvivors { workers: 2 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn faults_with_the_pipelined_engine_are_rejected() {
+        let cfg = ThreadedConfig::new()
+            .workers(2)
+            .steps(10)
+            .pipelined(PipelineConfig::default())
+            .faulty(FaultPlan::new(0).kill(1, 5));
+        let err = train_threaded(&task(), &MethodConfig::SyncSgd, &cfg).unwrap_err();
+        assert!(matches!(err, ThreadedTrainError::InvalidConfig(_)), "{err}");
     }
 
     #[test]
@@ -500,7 +506,7 @@ mod tests {
         // in the same regime (trajectories differ only by minibatch seed
         // derivation).
         use crate::harness::{train_distributed, TrainConfig};
-        let threaded = train_threaded(
+        let (threaded, _) = train_threaded(
             &task(),
             &MethodConfig::Fp16,
             &ThreadedConfig::new().workers(3).steps(150).lr(0.05).seed(5),

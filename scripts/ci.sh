@@ -113,6 +113,25 @@ GCS_FAULT_SEED=12648430 timeout 300 cargo test -q -p gcs-cluster --test fault_in
 echo "==> fault suite (seed 271828)"
 GCS_FAULT_SEED=271828 timeout 300 cargo test -q -p gcs-cluster --test fault_injection
 
+# The fault plane end to end through the CLI (binary built by the analyze
+# step above): killing one of four workers must finish training on the
+# shrunk ring, and a plan that kills every rank must fail with a typed
+# error (exit 2) — never a panic (101) or a hang (124 from timeout).
+echo "==> gradcomp faults (kill 1 of 4)"
+FAULTS_OUT=$(timeout 120 ./target/release/gradcomp-cli faults --workers 4 --steps 20 --kill 1@3)
+echo "$FAULTS_OUT"
+grep -q "ring shrank 4 -> 3" <<<"$FAULTS_OUT" || {
+  echo "faults run did not report the ring shrinking"; exit 1;
+}
+
+echo "==> gradcomp faults (no survivor, must fail typed)"
+status=0
+timeout 120 ./target/release/gradcomp-cli faults --workers 2 --steps 10 --kill 0@1,1@1 \
+  > /dev/null 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 101 ] || [ "$status" -eq 124 ]; then
+  echo "no-survivor plan exited $status: expected a typed error"; exit 1
+fi
+
 # CommEngine poison ordering under concurrent submitters, same two seeds
 # (the failure mode is a hang or a silent post-poison success).
 echo "==> comm poison suite (seed 12648430)"
