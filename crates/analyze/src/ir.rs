@@ -218,7 +218,7 @@ impl Expr {
         Rc::new(Expr::Leaf(rank))
     }
 
-    pub fn add(a: Rc<Expr>, b: Rc<Expr>) -> Rc<Expr> {
+    pub fn sum(a: Rc<Expr>, b: Rc<Expr>) -> Rc<Expr> {
         Rc::new(Expr::Add(a, b))
     }
 
@@ -265,8 +265,8 @@ mod tests {
         let l = Expr::leaf(0);
         let r = Expr::leaf(1);
         let t = Expr::leaf(2);
-        let left_assoc = Expr::add(Expr::add(l.clone(), r.clone()), t.clone());
-        let right_assoc = Expr::add(l, Expr::add(r, t));
+        let left_assoc = Expr::sum(Expr::sum(l.clone(), r.clone()), t.clone());
+        let right_assoc = Expr::sum(l, Expr::sum(r, t));
         assert_ne!(*left_assoc, *right_assoc, "association must be structural");
         assert_eq!(left_assoc.leaves(), right_assoc.leaves());
         assert_eq!(left_assoc.render(), "((0+1)+2)");

@@ -5,9 +5,9 @@
 //!
 //! **Pass 1 — schedule verifier** ([`verify`], [`schedules`], [`ir`]):
 //! every collective's communication schedule (ring all-reduce /
-//! all-gather, the segmented ring, Rabenseifner halving-doubling, the
-//! hierarchical node-leader reduce, binomial-tree broadcast, and the
-//! same rings over a live subset, as on a shrunk handle) is lifted into an IR of per-rank
+//! all-gather, Rabenseifner halving-doubling, the hierarchical
+//! node-leader reduce, binomial-tree broadcast, and the same rings over a
+//! live subset, as on a shrunk handle) is lifted into an IR of per-rank
 //! `Send` / `Recv` ops by replaying the implementation's exact index
 //! arithmetic. The verifier then proves, for p ∈ {2..16} and every
 //! dead-rank subset of size ≤ 2: pairing completeness, no self-sends,
@@ -25,7 +25,7 @@
 //! panic-free crates declare `#![forbid(unsafe_code)]`.
 //!
 //! **Pass 3 — thread race checker** ([`threads`]): the threaded runtime
-//! (kernel pool join, CommEngine poison slot, streaming window, adaptive
+//! (kernel pool join, CommEngine poison slot, pipeline window, adaptive
 //! broadcast, TCP reader threads) lifted into a thread/event IR and
 //! explored exhaustively on small configs; unordered conflicting access
 //! pairs, deadlocks, and lost wakeups are typed findings, with a
@@ -33,7 +33,7 @@
 //! guarding against model drift.
 //!
 //! **Pass 4 — protocol state machines** ([`protocol`]): the TCP Hello
-//! handshake, adaptive decision protocol, and streaming FIFO window as
+//! handshake, adaptive decision protocol, and pipeline FIFO window as
 //! explicit state machines, proved free of deadlock, double-accept,
 //! decision divergence, and out-of-window completion — with mutant
 //! machines as seeded negatives.

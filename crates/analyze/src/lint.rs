@@ -355,11 +355,11 @@ fn has_marker_comment(scan: &Scan, line: usize, marker: &str) -> bool {
 
 fn rule_panic(rel: &str, scan: &Scan, report: &mut LintReport) {
     let t = &scan.tokens;
-    for i in 0..t.len() {
-        if t[i].in_test {
+    for (i, tok) in t.iter().enumerate() {
+        if tok.in_test {
             continue;
         }
-        let line = t[i].line;
+        let line = tok.line;
         // `.unwrap()` / `.expect(` — method calls only, so
         // `unwrap_or_else` and friends (distinct identifier tokens)
         // never match.
@@ -405,11 +405,11 @@ fn rule_accumulation(rel: &str, scan: &Scan, report: &mut LintReport) {
                 .is_some_and(|c| c.is_alphabetic() || c == '_')
         })
     };
-    for i in 0..t.len() {
-        if t[i].in_test {
+    for (i, tok) in t.iter().enumerate() {
+        if tok.in_test {
             continue;
         }
-        let line = t[i].line;
+        let line = tok.line;
         // `*acc += x` — scalar drain of an elementwise accumulation that
         // kernels::add_assign / axpy vectorize with fixed association.
         if is(i, "*") && is_ident(i + 1) && is(i + 2, "+") && is(i + 3, "=") {
@@ -666,9 +666,8 @@ fn lex(text: &str) -> Scan {
             i += 1;
             while i < n {
                 let ch = chars[i];
-                if ch.is_alphanumeric() || ch == '_' {
-                    i += 1;
-                } else if ch == '.' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit()) {
+                let fraction = ch == '.' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit());
+                if ch.is_alphanumeric() || ch == '_' || fraction {
                     i += 1;
                 } else {
                     break;
@@ -754,13 +753,9 @@ fn mark_test_regions(tokens: &mut [Token]) {
             }
             "(" | "[" => grouping += 1,
             ")" | "]" => grouping = grouping.saturating_sub(1),
-            ";" => {
-                // `#[cfg(test)] use ...;` — the attribute armed a
-                // brace-less item; nothing to mark.
-                if grouping == 0 {
-                    pending_test = false;
-                }
-            }
+            // `#[cfg(test)] use ...;` — the attribute armed a brace-less
+            // item; nothing to mark.
+            ";" if grouping == 0 => pending_test = false,
             _ => {}
         }
         tokens[i].in_test = !test_depths.is_empty();

@@ -14,11 +14,12 @@
 //!   receive, in order. Verified: follower assignment sequences are
 //!   always a prefix of rank 0's, and every run converges with identical
 //!   assignments (no decision divergence).
-//! * the **streaming FIFO-completion window**
-//!   (`PipelinedEngine::exchange_streaming`): at most `window` chunks in
-//!   flight, completions consumed strictly front-first. Verified: the
-//!   in-flight bound holds in every reachable state and completions are
-//!   observed in submission order (no out-of-window completion).
+//! * the **pipeline FIFO-completion window**
+//!   (`PipelinedEngine::exchange_with_plan`): at most `depth` buckets in
+//!   flight, completions consumed strictly front-first by
+//!   `complete_front`. Verified: the in-flight bound holds in every
+//!   reachable state and completions are observed in submission order (no
+//!   out-of-window completion).
 //!
 //! Each machine has mutant variants (duplicate-accepting handshake,
 //! skip-empty-broadcast / decide-locally followers, unbounded or
@@ -358,11 +359,11 @@ impl Machine for DecisionProtocol {
 }
 
 // ---------------------------------------------------------------------------
-// Machine 3: streaming FIFO-completion window.
+// Machine 3: pipeline FIFO-completion window.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamVariant {
+pub enum WindowVariant {
     /// Submit only below the window bound; complete strictly front-first.
     Real,
     /// Mutant: no in-flight bound.
@@ -371,46 +372,49 @@ pub enum StreamVariant {
     PopNewest,
 }
 
-pub struct StreamWindow {
-    pub chunks: usize,
+/// The bucket window of `PipelinedEngine::exchange_with_plan`: the engine
+/// submits while `inflight.len() < depth` and `complete_front` pops the
+/// oldest in-flight bucket.
+pub struct PipelineWindow {
+    pub buckets: usize,
     pub window: usize,
-    pub variant: StreamVariant,
+    pub variant: WindowVariant,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct StreamState {
+pub struct WindowState {
     next_submit: u8,
-    /// In-flight chunks in submission order; `true` once the comm thread
+    /// In-flight buckets in submission order; `true` once the comm thread
     /// has finished its collective.
     inflight: Vec<(u8, bool)>,
-    /// Chunk ids in the order the engine observed their completion.
+    /// Bucket ids in the order the engine observed their completion.
     completed: Vec<u8>,
 }
 
-impl Machine for StreamWindow {
-    type State = StreamState;
+impl Machine for PipelineWindow {
+    type State = WindowState;
 
     fn name(&self) -> String {
         format!(
-            "streaming-window/chunks{}-w{}/{:?}",
-            self.chunks, self.window, self.variant
+            "pipeline-window/buckets{}-w{}/{:?}",
+            self.buckets, self.window, self.variant
         )
     }
 
-    fn init(&self) -> StreamState {
-        StreamState {
+    fn init(&self) -> WindowState {
+        WindowState {
             next_submit: 0,
             inflight: Vec::new(),
             completed: Vec::new(),
         }
     }
 
-    fn successors(&self, s: &StreamState) -> Vec<StreamState> {
+    fn successors(&self, s: &WindowState) -> Vec<WindowState> {
         let mut out = Vec::new();
-        // Engine submits the next chunk.
+        // Engine submits the next bucket.
         let below_window =
-            s.inflight.len() < self.window || self.variant == StreamVariant::NoWindowCheck;
-        if (s.next_submit as usize) < self.chunks && below_window {
+            s.inflight.len() < self.window || self.variant == WindowVariant::NoWindowCheck;
+        if (s.next_submit as usize) < self.buckets && below_window {
             let mut n = s.clone();
             n.inflight.push((n.next_submit, false));
             n.next_submit += 1;
@@ -425,7 +429,7 @@ impl Machine for StreamWindow {
         }
         // Engine consumes a completion.
         match self.variant {
-            StreamVariant::PopNewest => {
+            WindowVariant::PopNewest => {
                 if let Some(idx) = s.inflight.iter().rposition(|&(_, done)| done) {
                     let mut n = s.clone();
                     let (id, _) = n.inflight.remove(idx);
@@ -445,10 +449,10 @@ impl Machine for StreamWindow {
         out
     }
 
-    fn invariant(&self, s: &StreamState) -> Option<String> {
+    fn invariant(&self, s: &WindowState) -> Option<String> {
         if s.inflight.len() > self.window {
             return Some(format!(
-                "window overflow: {} chunks in flight, bound is {}",
+                "window overflow: {} buckets in flight, bound is {}",
                 s.inflight.len(),
                 self.window
             ));
@@ -462,10 +466,10 @@ impl Machine for StreamWindow {
         None
     }
 
-    fn accepting(&self, s: &StreamState) -> bool {
-        s.next_submit as usize == self.chunks
+    fn accepting(&self, s: &WindowState) -> bool {
+        s.next_submit as usize == self.buckets
             && s.inflight.is_empty()
-            && s.completed.len() == self.chunks
+            && s.completed.len() == self.buckets
     }
 }
 
@@ -512,12 +516,12 @@ pub fn run_protocol_pass() -> ProtocolPassReport {
             variant: DecisionVariant::Real,
         }));
     }
-    for chunks in [2usize, 3] {
+    for buckets in [2usize, 3] {
         for window in [1usize, 2] {
-            report.absorb(explore(&StreamWindow {
-                chunks,
+            report.absorb(explore(&PipelineWindow {
+                buckets,
                 window,
-                variant: StreamVariant::Real,
+                variant: WindowVariant::Real,
             }));
         }
     }
@@ -563,18 +567,18 @@ pub fn run_protocol_mutants() -> ProtocolPassReport {
     );
     run(
         &mut report,
-        explore(&StreamWindow {
-            chunks: 3,
+        explore(&PipelineWindow {
+            buckets: 3,
             window: 1,
-            variant: StreamVariant::NoWindowCheck,
+            variant: WindowVariant::NoWindowCheck,
         }),
     );
     run(
         &mut report,
-        explore(&StreamWindow {
-            chunks: 3,
+        explore(&PipelineWindow {
+            buckets: 3,
             window: 2,
-            variant: StreamVariant::PopNewest,
+            variant: WindowVariant::PopNewest,
         }),
     );
 
@@ -660,10 +664,10 @@ mod tests {
 
     #[test]
     fn unbounded_window_mutant_overflows() {
-        let r = explore(&StreamWindow {
-            chunks: 3,
+        let r = explore(&PipelineWindow {
+            buckets: 3,
             window: 1,
-            variant: StreamVariant::NoWindowCheck,
+            variant: WindowVariant::NoWindowCheck,
         });
         assert!(
             r.findings
@@ -676,10 +680,10 @@ mod tests {
 
     #[test]
     fn newest_first_mutant_breaks_fifo() {
-        let r = explore(&StreamWindow {
-            chunks: 3,
+        let r = explore(&PipelineWindow {
+            buckets: 3,
             window: 2,
-            variant: StreamVariant::PopNewest,
+            variant: WindowVariant::PopNewest,
         });
         assert!(
             r.findings

@@ -103,11 +103,6 @@ pub fn run_schedule_pass() -> SchedulePassReport {
                 verify_schedule(&schedules::ring_all_reduce(p, n)),
             );
         }
-        // Segmented/staggered ring.
-        rep.record(
-            "chunked-ring",
-            verify_schedule(&schedules::chunked_ring_all_reduce(p, 4 * p + 3, 5)),
-        );
         // Rabenseifner needs a power-of-two world.
         if p.is_power_of_two() {
             for n in [4 * p + 3, 7] {
@@ -156,19 +151,6 @@ pub fn run_schedule_pass() -> SchedulePassReport {
             }
         }
     }
-    // Streaming exchange: each bucket split into wire chunks that ride
-    // the job channel individually, including ragged tails and the
-    // chunk ≥ n single-chunk degenerate.
-    for p in [2usize, 4, 8] {
-        for depth in [1usize, 2, 8] {
-            for (n, chunk) in [(37usize, 8usize), (5, 8), (7, 1)] {
-                rep.record(
-                    "streaming-exchange",
-                    verify_schedule(&schedules::streaming_chunked_exchange(p, depth, n, chunk)),
-                );
-            }
-        }
-    }
     // Exhaustive interleaving cross-checks (explicit-state DFS over all
     // schedulings) on configurations small enough to enumerate — this
     // validates the canonical-order argument rather than assuming it.
@@ -179,7 +161,6 @@ pub fn run_schedule_pass() -> SchedulePassReport {
         schedules::broadcast(4, 1),
         schedules::comm_engine_pipeline(2, 1, 2, 2),
         schedules::comm_engine_pipeline(2, 2, 3, 1),
-        schedules::streaming_chunked_exchange(2, 1, 4, 2),
     ] {
         match check_deadlock_exhaustive(&sched, 2_000_000) {
             Ok(states) => {
@@ -456,14 +437,12 @@ mod tests {
         // p ∈ 2..=16, every family present.
         for family in [
             "ring-all-reduce",
-            "chunked-ring",
             "rabenseifner",
             "hierarchical",
             "broadcast",
             "ring-all-reduce-among",
             "ring-all-gather-among",
             "comm-engine",
-            "streaming-exchange",
             "exhaustive-cross-check",
         ] {
             assert!(

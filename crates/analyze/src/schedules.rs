@@ -108,75 +108,6 @@ pub fn ring_all_reduce_among(p: usize, members: &[usize], n: usize) -> Schedule 
     s
 }
 
-/// Segmented ring all-reduce with staggered segments — mirrors
-/// `WorkerHandle::ring_all_reduce_chunked` including the per-tick
-/// send-phase/recv-phase split that keeps per-peer FIFO order aligned
-/// with step order.
-pub fn chunked_ring_all_reduce(p: usize, n: usize, chunk_elems: usize) -> Schedule {
-    assert!(chunk_elems > 0, "extractor mirrors the validated path");
-    let mut s = Schedule::new(
-        format!("chunked-ring p={p} n={n} chunk={chunk_elems}"),
-        p,
-        n,
-    );
-    s.expect = Expectation::ReducedVector {
-        ranks: (0..p).collect(),
-        contributors: (0..p).collect(),
-        bitwise: true,
-    };
-    if p == 1 || n == 0 {
-        return s;
-    }
-    let segments = n.div_ceil(chunk_elems);
-    if segments == 1 {
-        return ring_all_reduce(p, n);
-    }
-    let steps = 2 * (p - 1);
-    let seg_range = |g: usize| (g * chunk_elems, ((g + 1) * chunk_elems).min(n));
-    for rank in 0..p {
-        let next = (rank + 1) % p;
-        let prev = (rank + p - 1) % p;
-        for t in 0..steps + segments - 1 {
-            // Send phase of tick t: segment g runs ring step s = t - g.
-            for g in 0..segments {
-                let Some(step) = t.checked_sub(g) else { break };
-                if step >= steps {
-                    continue;
-                }
-                let (lo, hi) = seg_range(g);
-                let slen = hi - lo;
-                let send_idx = if step < p - 1 {
-                    (rank + p - step) % p
-                } else {
-                    (rank + 1 + p - (step - (p - 1))) % p
-                };
-                let (ss, se) = chunk_range(slen, p, send_idx);
-                send_elems(&mut s, rank, next, lo + ss, lo + se);
-            }
-            // Recv phase of tick t.
-            for g in 0..segments {
-                let Some(step) = t.checked_sub(g) else { break };
-                if step >= steps {
-                    continue;
-                }
-                let (lo, hi) = seg_range(g);
-                let slen = hi - lo;
-                if step < p - 1 {
-                    let recv_idx = (rank + 2 * p - step - 1) % p;
-                    let (rs, re) = chunk_range(slen, p, recv_idx);
-                    recv_elems(&mut s, rank, prev, lo + rs, lo + re, true);
-                } else {
-                    let s2 = step - (p - 1);
-                    let recv_idx = (rank + p - s2) % p;
-                    let (rs, re) = chunk_range(slen, p, recv_idx);
-                    recv_elems(&mut s, rank, prev, lo + rs, lo + re, false);
-                }
-            }
-        }
-    }
-    s
-}
-
 /// Recursive halving-doubling all-reduce — mirrors
 /// `WorkerHandle::rabenseifner_all_reduce_sum`. `p` must be a power of
 /// two (the implementation rejects anything else).
@@ -511,115 +442,6 @@ pub fn comm_engine_pipeline(p: usize, depth: usize, jobs: usize, n: usize) -> Sc
     s
 }
 
-/// The streaming engine's chunk-granular exchange
-/// (`PipelineConfig::stream_chunk_elems`): one summable bucket of `n`
-/// elements split into `ceil(n / chunk_elems)` wire chunks with the
-/// chunked ring's segment boundaries (`(g·c, min((g+1)·c, n))` —
-/// `wire_chunk_spans` in `gcs-compress`), each chunk submitted as its
-/// own plain-ring job through the CommEngine channel under the same
-/// `depth` admission window as [`comm_engine_pipeline`].
-///
-/// Verifying this schedule proves the three properties streaming relies
-/// on: every per-chunk collective pairs up across ranks (all ranks derive
-/// the same span list from the shape-determined header), the spans
-/// conserve bytes (their union is exactly the bucket), and the bounded
-/// job/reply channels cannot deadlock under the admission rule.
-pub fn streaming_chunked_exchange(
-    p: usize,
-    depth: usize,
-    n: usize,
-    chunk_elems: usize,
-) -> Schedule {
-    assert!(
-        depth > 0,
-        "sync_channel(0) rendezvous is not used by CommEngine"
-    );
-    assert!(chunk_elems > 0, "extractor mirrors the validated path");
-    let nprocs = 2 * p;
-    let mut s = Schedule::new(
-        format!("streaming-exchange p={p} depth={depth} n={n} chunk={chunk_elems}"),
-        nprocs,
-        n,
-    );
-    let comm_ids: Vec<usize> = (p..2 * p).collect();
-    s.expect = Expectation::ReducedVector {
-        ranks: comm_ids.clone(),
-        contributors: comm_ids.clone(),
-        bitwise: true,
-    };
-    let chunks = n.div_ceil(chunk_elems).max(1);
-    let job_bytes = 8;
-    let reply_bytes = 8;
-    for r in 0..p {
-        let comm = p + r;
-        s.channel_caps.insert((r, comm), depth);
-        // Producer: submit chunk jobs in span order under the window rule.
-        let mut inflight = 0usize;
-        for _ in 0..chunks {
-            if inflight == depth {
-                s.push(
-                    r,
-                    Op::Recv {
-                        src: comm,
-                        bytes: reply_bytes,
-                        action: RecvAction::Discard,
-                    },
-                );
-                inflight -= 1;
-            }
-            s.push(
-                r,
-                Op::Send {
-                    dst: comm,
-                    bytes: job_bytes,
-                    data: DataRef::Opaque,
-                },
-            );
-            inflight += 1;
-        }
-        for _ in 0..inflight {
-            s.push(
-                r,
-                Op::Recv {
-                    src: comm,
-                    bytes: reply_bytes,
-                    action: RecvAction::Discard,
-                },
-            );
-        }
-    }
-    // Comm threads: per chunk, pop the job, run a plain ring over the
-    // chunk's span, post the reply.
-    for g in 0..chunks {
-        let lo = (g * chunk_elems).min(n);
-        let hi = ((g + 1) * chunk_elems).min(n);
-        for r in 0..p {
-            let comm = p + r;
-            s.push(
-                comm,
-                Op::Recv {
-                    src: r,
-                    bytes: job_bytes,
-                    action: RecvAction::Discard,
-                },
-            );
-        }
-        push_ring_all_reduce_ops(&mut s, &comm_ids, lo, hi - lo);
-        for r in 0..p {
-            let comm = p + r;
-            s.push(
-                comm,
-                Op::Send {
-                    dst: r,
-                    bytes: reply_bytes,
-                    data: DataRef::Opaque,
-                },
-            );
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,22 +481,6 @@ mod tests {
         for rank in 0..p {
             assert_eq!(s.sent_bytes(rank), 2 * (p - 1) * (n / p) * 4);
         }
-    }
-
-    #[test]
-    fn chunked_matches_ring_per_segment() {
-        let s = chunked_ring_all_reduce(4, 37, 8);
-        let r = verify_schedule(&s);
-        assert!(r.ok(), "{:?}", r.violations);
-        // Same total bytes as per-segment plain rings.
-        let mut per_segment = 0usize;
-        let mut start = 0;
-        while start < 37 {
-            let end = (start + 8).min(37);
-            per_segment += ring_all_reduce(4, end - start).sent_bytes(0);
-            start = end;
-        }
-        assert_eq!(s.sent_bytes(0), per_segment);
     }
 
     #[test]
@@ -753,49 +559,5 @@ mod tests {
             "expected overrun deadlock: {:?}",
             r.violations
         );
-    }
-
-    #[test]
-    fn streaming_exchange_verifies_including_ragged_chunks() {
-        for p in [2usize, 3, 4, 8] {
-            for depth in [1usize, 2, 8] {
-                // Ragged tail chunk, chunk == n, chunk > n, single-element.
-                for (n, c) in [(37usize, 8usize), (16, 16), (5, 8), (7, 1)] {
-                    let s = streaming_chunked_exchange(p, depth, n, c);
-                    let r = verify_schedule(&s);
-                    assert!(
-                        r.ok(),
-                        "p={p} depth={depth} n={n} c={c}: {:?}",
-                        r.violations
-                    );
-                }
-            }
-        }
-        check_deadlock_exhaustive(&streaming_chunked_exchange(2, 1, 4, 2), 500_000)
-            .expect("no deadlock");
-    }
-
-    #[test]
-    fn mispaired_chunk_boundary_fails_verification() {
-        // One rank disagreeing on a chunk boundary (splitting at element
-        // 7 instead of 8) must be caught: its ring frames for that chunk
-        // no longer match what the peer's schedule expects.
-        let mut bad = streaming_chunked_exchange(2, 2, 16, 8);
-        let comm0 = 2; // comm thread of rank 0
-        let tampered = bad.processes[comm0].ops.iter_mut().find_map(|op| match op {
-            Op::Send {
-                bytes,
-                data: DataRef::Elems(range),
-                ..
-            } => {
-                *bytes -= 4;
-                *range = Range::new(range.lo, range.hi - 1);
-                Some(())
-            }
-            _ => None,
-        });
-        assert!(tampered.is_some(), "schedule must contain ring sends");
-        let r = verify_schedule(&bad);
-        assert!(!r.ok(), "a mispaired chunk boundary must fail verification");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each concurrent component of the runtime (`gcs_tensor::pool` band
 //! cursor + condvar join, `CommEngine` comm thread + poison slot, the
-//! `PipelinedEngine` depth-bounded streaming window, the `AdaptiveEngine`
+//! `PipelinedEngine` depth-bounded bucket window, the `AdaptiveEngine`
 //! decide/broadcast step, and `TcpCluster` per-peer reader threads) is
 //! lifted into a small model: a fixed set of threads, each a straight-line
 //! sequence of events over shared resources (plain variables, declared
@@ -613,13 +613,13 @@ fn pool_join_model(width: usize) -> ThreadModel {
         sub.push(Op::Read(b));
     }
     m.thread("submitter", sub);
-    for w in 1..width {
+    for (w, &band) in bands.iter().enumerate().skip(1) {
         m.thread(
             format!("worker{w}"),
             vec![
                 Op::Recv(jobs),
                 Op::Rmw(cursor, AtomicOrd::Relaxed),
-                Op::Write(bands[w]),
+                Op::Write(band),
                 Op::Lock(mu),
                 Op::Dec(remaining),
                 Op::NotifyAll(done),
@@ -668,19 +668,21 @@ fn comm_engine_model(jobs: usize, depth: usize) -> ThreadModel {
     m
 }
 
-/// `PipelinedEngine::exchange_streaming`: the in-flight window is a
-/// bounded channel of capacity `window`; chunk buffers are published to
-/// the decoder strictly through FIFO completions.
-fn streaming_window_model(chunks: usize, window: usize) -> ThreadModel {
-    let mut m = ThreadModel::new(format!("streaming-window/chunks{chunks}-w{window}"));
-    m.anchor("crates/ddp/src/pipeline.rs", "exchange_streaming");
-    m.anchor("crates/ddp/src/pipeline.rs", "complete_stream_front");
+/// `PipelinedEngine::exchange_with_plan`: the in-flight window is a
+/// bounded channel of capacity `window` (`while inflight.len() >=
+/// self.cfg.depth`); bucket buffers are published to the absorb strictly
+/// through FIFO completions (`complete_front`'s `pop_front`).
+fn pipeline_window_model(buckets: usize, window: usize) -> ThreadModel {
+    let mut m = ThreadModel::new(format!("pipeline-window/buckets{buckets}-w{window}"));
+    m.anchor("crates/ddp/src/pipeline.rs", "exchange_with_plan");
+    m.anchor("crates/ddp/src/pipeline.rs", "complete_front");
+    m.anchor("crates/ddp/src/pipeline.rs", "pop_front");
     let q = m.chan("inflight", window, 0);
-    let done = m.chan("completions", chunks, 0);
-    let bufs: Vec<usize> = (0..chunks).map(|c| m.var(format!("chunk{c}"))).collect();
+    let done = m.chan("completions", buckets, 0);
+    let bufs: Vec<usize> = (0..buckets).map(|b| m.var(format!("bucket{b}"))).collect();
 
     let mut eng = Vec::new();
-    for _ in 0..chunks {
+    for _ in 0..buckets {
         eng.push(Op::Send(q));
     }
     for &b in &bufs {
@@ -754,7 +756,7 @@ fn tcp_readers_model(p: usize) -> ThreadModel {
 }
 
 /// The real runtime models at every small config demanded by the pass:
-/// widths {1,2} for the pool, window {1,2} for streaming, p ∈ {2,3,4} for
+/// widths {1,2} for the pool, window {1,2} for the pipeline, p ∈ {2,3,4} for
 /// the rank-indexed protocols.
 pub fn real_models() -> Vec<ThreadModel> {
     let mut ms = Vec::new();
@@ -766,9 +768,9 @@ pub fn real_models() -> Vec<ThreadModel> {
             ms.push(comm_engine_model(jobs, depth));
         }
     }
-    for chunks in [2usize, 3] {
+    for buckets in [2usize, 3] {
         for window in [1usize, 2] {
-            ms.push(streaming_window_model(chunks, window));
+            ms.push(pipeline_window_model(buckets, window));
         }
     }
     for p in [2usize, 3, 4] {
@@ -844,14 +846,14 @@ pub fn seeded_negative_models() -> Vec<ThreadModel> {
         ],
     );
 
-    // 4. Streaming decode before the FIFO completion arrives.
-    let mut stream = ThreadModel::new("negative/streaming-early-decode");
-    let q = stream.chan("inflight", 1, 0);
-    let buf = stream.var("chunk0");
-    stream.thread("engine", vec![Op::Send(q), Op::Read(buf)]);
-    stream.thread("comm", vec![Op::Recv(q), Op::Write(buf)]);
+    // 4. Pipeline absorb before the FIFO completion arrives.
+    let mut window = ThreadModel::new("negative/pipeline-window-early-decode");
+    let q = window.chan("inflight", 1, 0);
+    let buf = window.var("bucket0");
+    window.thread("engine", vec![Op::Send(q), Op::Read(buf)]);
+    window.thread("comm", vec![Op::Recv(q), Op::Write(buf)]);
 
-    vec![relaxed, poison, lost, stream]
+    vec![relaxed, poison, lost, window]
 }
 
 /// Report for the whole pass.

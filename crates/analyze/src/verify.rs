@@ -234,10 +234,7 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
         .collect();
     let mut executed = 0usize;
 
-    loop {
-        let Some(pid) = next_enabled(s, &pcs, &queues) else {
-            break;
-        };
+    while let Some(pid) = next_enabled(s, &pcs, &queues) {
         let op = &s.processes[pid].ops[pcs[pid]];
         match op {
             Op::Send { dst, bytes, data } => {
@@ -391,7 +388,7 @@ fn apply_recv(action: &RecvAction, payload: &Payload, st: &mut ProcState) -> Res
             }
             for (k, inc) in incoming.iter().enumerate() {
                 st.vec[r.lo + k] = if matches!(action, RecvAction::Accumulate(_)) {
-                    Expr::add(st.vec[r.lo + k].clone(), inc.clone())
+                    Expr::sum(st.vec[r.lo + k].clone(), inc.clone())
                 } else {
                     inc.clone()
                 };
@@ -421,12 +418,11 @@ fn deadlock_report(
     pcs: &[usize],
     queues: &HashMap<(usize, usize), VecDeque<Payload>>,
 ) -> Violation {
-    let n = s.processes.len();
     // waits_on[pid] = the process whose progress would unblock pid.
     let mut waits_on: HashMap<usize, usize> = HashMap::new();
     let mut details = Vec::new();
-    for pid in 0..n {
-        let Some(op) = s.processes[pid].ops.get(pcs[pid]) else {
+    for (pid, (process, &pc)) in s.processes.iter().zip(pcs).enumerate() {
+        let Some(op) = process.ops.get(pc) else {
             continue; // finished
         };
         match op {
@@ -436,7 +432,7 @@ fn deadlock_report(
                 waits_on.insert(pid, *dst);
                 details.push(format!(
                     "{} blocked sending to {} (channel full, cap {})",
-                    s.processes[pid].name,
+                    process.name,
                     s.processes[*dst].name,
                     s.channel_caps
                         .get(&(pid, *dst))
@@ -448,7 +444,7 @@ fn deadlock_report(
                 let queued = queues.get(&(*src, pid)).map_or(0, |q| q.len());
                 details.push(format!(
                     "{} blocked receiving from {} ({} queued)",
-                    s.processes[pid].name, s.processes[*src].name, queued
+                    process.name, s.processes[*src].name, queued
                 ));
             }
         }

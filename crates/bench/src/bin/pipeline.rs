@@ -1,16 +1,13 @@
-//! Pipelined-exchange benchmark: sequential vs. pipelined vs. streaming
-//! bucket exchange over an emulated α–β network, writing
-//! `BENCH_pipeline.json` at the repo root.
+//! Pipelined-exchange benchmark: sequential vs. pipelined bucket exchange
+//! over an emulated α–β network, writing `BENCH_pipeline.json` at the repo
+//! root.
 //!
-//! All engines run the identical compressed exchange (same bucket plan,
+//! Both engines run the identical compressed exchange (same bucket plan,
 //! same matricized bucket shapes, same plain-ring collectives); the only
 //! difference is the schedule. The sequential engine encodes a bucket,
 //! blocks inside its collective, absorbs, then moves on; the pipelined
 //! engine ships each bucket's collective to a dedicated comm thread so it
-//! overlaps the next bucket's encode; the streaming engine additionally
-//! splits every bucket into wire chunks so encode(chunk i+1) overlaps
-//! send(chunk i) and decode overlaps recv *inside* each bucket. The
-//! network is emulated ([`NetEmu`]) — frames are paced by latency +
+//! overlaps the next bucket's encode. The network is emulated ([`NetEmu`]) — frames are paced by latency +
 //! bytes/bandwidth while the receiver sleeps — so the overlap is a genuine
 //! wall-clock win even on a single core: encode CPU fills the windows
 //! where the sequential engine would sleep in a collective.
@@ -24,7 +21,7 @@
 //! emits a per-engine phase breakdown row (`encode_ms` / `comm_ms` /
 //! `decode_ms` / `exposed_wait_ms`) so a weak speedup is diagnosable:
 //! `exposed_wait_ms` is the caller-blocked wait the schedule failed to
-//! hide, and `comm_ms` for the threaded engines is wire-busy time measured
+//! hide, and `comm_ms` for the pipelined engine is wire-busy time measured
 //! on the comm thread itself.
 //!
 //! Run with `cargo run -p gcs-bench --bin pipeline --release`. Set
@@ -43,7 +40,6 @@ use serde_json::{json, Value};
 enum Engine {
     Sequential,
     Pipelined,
-    Streaming,
 }
 
 impl Engine {
@@ -51,7 +47,6 @@ impl Engine {
         match self {
             Engine::Sequential => "sequential",
             Engine::Pipelined => "pipelined",
-            Engine::Streaming => "streaming",
         }
     }
 }
@@ -63,8 +58,6 @@ struct BenchParams {
     trials: usize,
     /// Timed exchanges per measurement (one untimed warmup precedes them).
     inner: usize,
-    /// In-flight chunk window for the streaming engine.
-    stream_depth: usize,
 }
 
 fn params(smoke: bool) -> BenchParams {
@@ -74,7 +67,6 @@ fn params(smoke: bool) -> BenchParams {
             layer_shapes: vec![vec![32, 32, 3, 3], vec![64, 64], vec![100]],
             trials: 1,
             inner: 1,
-            stream_depth: 4,
         }
     } else {
         BenchParams {
@@ -96,13 +88,11 @@ fn params(smoke: bool) -> BenchParams {
             ],
             trials: 5,
             inner: 2,
-            stream_depth: 8,
         }
     }
 }
 
-/// Benchmarked methods, each with a bucket size, an emulated link speed,
-/// and a streaming wire-chunk size (elements).
+/// Benchmarked methods, each with a bucket size and an emulated link speed.
 ///
 /// The bucket cap is a real DDP tuning knob (PyTorch's comm hooks pick
 /// bucket caps per algorithm): Top-K and SignSGD ship large payloads whose
@@ -117,23 +107,13 @@ fn params(smoke: bool) -> BenchParams {
 /// Top-K 5%, so it only reaches the balanced regime on a link ~100×
 /// slower. (A lone CPU core also encodes orders of magnitude slower than
 /// the paper's V100s, which is why all the links are far below 10 Gbit/s.)
-///
-/// The streaming chunk size is a per-method knob for the same reason the
-/// link is: the overlap granularity worth paying for depends on how the
-/// scheme's wire image decomposes. PowerSGD's 16K-element P/Q factors
-/// split into two ring segments each (genuine intra-bucket streaming of
-/// the GEMM panels), while the gather-based methods keep bucket-granular
-/// chunks — on a single benchmark core, finer gather chunks cost more in
-/// comm-thread scheduling than their decode overlap recovers (the scan
-/// that picked these values is reproducible by sweeping the last tuple
-/// field).
-fn methods(smoke: bool) -> Vec<(MethodConfig, usize, NetEmu, usize)> {
+fn methods(smoke: bool) -> Vec<(MethodConfig, usize, NetEmu)> {
     if smoke {
         let link = NetEmu::from_gbps(5.0, 2.0);
         return vec![
-            (MethodConfig::PowerSgd { rank: 16 }, 16 * 1024, link, 1024),
-            (MethodConfig::TopK { ratio: 0.05 }, 16 * 1024, link, 1024),
-            (MethodConfig::SignSgd, 16 * 1024, link, 1024),
+            (MethodConfig::PowerSgd { rank: 16 }, 16 * 1024, link),
+            (MethodConfig::TopK { ratio: 0.05 }, 16 * 1024, link),
+            (MethodConfig::SignSgd, 16 * 1024, link),
         ];
     }
     vec![
@@ -141,19 +121,16 @@ fn methods(smoke: bool) -> Vec<(MethodConfig, usize, NetEmu, usize)> {
             MethodConfig::PowerSgd { rank: 16 },
             4 * 1024 * 1024,
             NetEmu::from_gbps(25.0, 0.006),
-            8 * 1024,
         ),
         (
             MethodConfig::TopK { ratio: 0.05 },
             4 * 1024 * 1024,
             NetEmu::from_gbps(25.0, 0.2),
-            128 * 1024,
         ),
         (
             MethodConfig::SignSgd,
             4 * 1024 * 1024,
             NetEmu::from_gbps(25.0, 0.2),
-            128 * 1024,
         ),
     ]
 }
@@ -192,7 +169,7 @@ fn sum_timings(timings: &[BucketTiming], comm_ms: f64) -> Breakdown {
 /// persistent gradients; rank 0's per-exchange time and breakdown are
 /// reported (collectives synchronize all ranks to the same cadence).
 ///
-/// `comm_ms` in the breakdown is wire-busy time: for the threaded engines
+/// `comm_ms` in the breakdown is wire-busy time: for the pipelined engine
 /// it is the comm-thread busy counter averaged over the timed exchanges;
 /// for the sequential engine it is the caller's in-collective time (the
 /// two coincide there — the caller *is* the comm thread).
@@ -200,7 +177,6 @@ fn time_exchange(
     method: &MethodConfig,
     bucket_bytes: usize,
     netem: NetEmu,
-    chunk_elems: usize,
     p: usize,
     engine: Engine,
     bp: &BenchParams,
@@ -232,17 +208,7 @@ fn time_exchange(
                 c,
                 PipelineConfig {
                     bucket_bytes,
-                    depth: if engine == Engine::Streaming {
-                        bp.stream_depth
-                    } else {
-                        2
-                    },
-                    chunk_elems: None,
-                    stream_chunk_elems: if engine == Engine::Streaming {
-                        Some(chunk_elems)
-                    } else {
-                        None
-                    },
+                    depth: 2,
                     matricize: true,
                 },
             )
@@ -266,16 +232,15 @@ fn time_exchange(
 struct Comparison {
     seq_ms: f64,
     pipe_ms: f64,
-    stream_ms: f64,
     /// Median of per-trial sequential/pipelined ratios.
     speedup: f64,
-    /// Median of per-trial pipelined/streaming ratios.
-    streaming_speedup: f64,
-    breakdowns: [Breakdown; 3],
+    breakdowns: [Breakdown; 2],
 }
 
-/// One configuration: `trials` paired runs (the three engines back to
-/// back, so machine-level interference hits all of them), summed up as the
+const ENGINES: [Engine; 2] = [Engine::Sequential, Engine::Pipelined];
+
+/// One configuration: `trials` paired runs (the two engines back to back,
+/// so machine-level interference hits both), summed up as the
 /// median per-exchange time of each engine and the median of the per-trial
 /// ratios. The median-of-ratios is the headline number: pairing plus the
 /// median makes it robust against the scheduler noise that dominates
@@ -284,20 +249,16 @@ fn compare(
     method: &MethodConfig,
     bucket_bytes: usize,
     netem: NetEmu,
-    chunk_elems: usize,
     p: usize,
     bp: &BenchParams,
 ) -> Comparison {
-    let engines = [Engine::Sequential, Engine::Pipelined, Engine::Streaming];
-    let mut times: [Vec<f64>; 3] = Default::default();
+    let mut times: [Vec<f64>; 2] = Default::default();
     let mut ratios = Vec::with_capacity(bp.trials);
-    let mut stream_ratios = Vec::with_capacity(bp.trials);
-    let mut parts: [[Vec<f64>; 4]; 3] = Default::default();
+    let mut parts: [[Vec<f64>; 4]; 2] = Default::default();
     for _ in 0..bp.trials {
-        let mut trial = [0.0f64; 3];
-        for (e, engine) in engines.into_iter().enumerate() {
-            let (t, breakdown) =
-                time_exchange(method, bucket_bytes, netem, chunk_elems, p, engine, bp);
+        let mut trial = [0.0f64; 2];
+        for (e, engine) in ENGINES.into_iter().enumerate() {
+            let (t, breakdown) = time_exchange(method, bucket_bytes, netem, p, engine, bp);
             trial[e] = t;
             times[e].push(t);
             for (k, ms) in breakdown.into_iter().enumerate() {
@@ -305,10 +266,9 @@ fn compare(
             }
         }
         ratios.push(trial[0] / trial[1]);
-        stream_ratios.push(trial[1] / trial[2]);
     }
-    let mut breakdowns = [[0.0f64; 4]; 3];
-    for e in 0..3 {
+    let mut breakdowns = [[0.0f64; 4]; 2];
+    for e in 0..2 {
         for k in 0..4 {
             breakdowns[e][k] = median(&mut parts[e][k]);
         }
@@ -316,9 +276,7 @@ fn compare(
     Comparison {
         seq_ms: median(&mut times[0]) * 1e3,
         pipe_ms: median(&mut times[1]) * 1e3,
-        stream_ms: median(&mut times[2]) * 1e3,
         speedup: median(&mut ratios),
-        streaming_speedup: median(&mut stream_ratios),
         breakdowns,
     }
 }
@@ -339,36 +297,28 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut breakdown_rows = Vec::new();
-    for (method, bucket_bytes, netem, chunk_elems) in methods(smoke) {
+    for (method, bucket_bytes, netem) in methods(smoke) {
         let name = gcs_bench::method_name(&method);
         for &p in &bp.worlds {
-            let c = compare(&method, bucket_bytes, netem, chunk_elems, p, &bp);
+            let c = compare(&method, bucket_bytes, netem, p, &bp);
             println!(
-                "{name:<12} p={p:<2}  bucket {:>4} KiB  link {:>6.2} MB/s  sequential {:.3}ms  pipelined {:.3}ms  streaming {:.3}ms  speedup {:.2}x  stream {:.2}x",
+                "{name:<12} p={p:<2}  bucket {:>4} KiB  link {:>6.2} MB/s  sequential {:.3}ms  pipelined {:.3}ms  speedup {:.2}x",
                 bucket_bytes / 1024,
                 netem.bytes_per_sec / 1e6,
                 c.seq_ms,
                 c.pipe_ms,
-                c.stream_ms,
                 c.speedup,
-                c.streaming_speedup,
             );
             rows.push(json!({
                 "method": name,
                 "p": p,
                 "bucket_bytes": bucket_bytes,
                 "link_mbytes_per_sec": netem.bytes_per_sec / 1e6,
-                "stream_chunk_elems": chunk_elems,
                 "sequential_ms": c.seq_ms,
                 "pipelined_ms": c.pipe_ms,
-                "streaming_ms": c.stream_ms,
                 "speedup": c.speedup,
-                "streaming_speedup": c.streaming_speedup,
             }));
-            for (e, engine) in [Engine::Sequential, Engine::Pipelined, Engine::Streaming]
-                .into_iter()
-                .enumerate()
-            {
+            for (e, engine) in ENGINES.into_iter().enumerate() {
                 let [encode_ms, comm_ms, decode_ms, exposed_wait_ms] = c.breakdowns[e];
                 println!(
                     "    {:<10}  encode {encode_ms:.3}ms  comm {comm_ms:.3}ms  decode {decode_ms:.3}ms  exposed wait {exposed_wait_ms:.3}ms",
@@ -394,7 +344,6 @@ fn main() {
         "kernel_threads": gcs_tensor::pool::global().width(),
         "gemm_tile": choice.gemm_tile.name(),
         "wire_chunk_elems": choice.wire_chunk_elems,
-        "stream_depth": bp.stream_depth,
         "autotune_provenance": choice.provenance,
         "smoke": smoke,
     });

@@ -114,9 +114,9 @@ ANALYZE FLAGS (gradcomp analyze):
                           comments, data-plane panics, raw f32 loops,
                           Relaxed-ordering allowlist with SYNC comments)
   --threads               Pass 3: happens-before race checker over thread/event
-                          models of pool/CommEngine/streaming/adaptive/TCP
+                          models of pool/CommEngine/pipeline/adaptive/TCP
   --protocols             Pass 4: protocol state machines (Hello handshake,
-                          adaptive decisions, streaming FIFO window)
+                          adaptive decisions, pipeline FIFO window)
   --fuzz                  Pass 5: deterministic wire fuzz (headers, frames,
                           Payload::from_bytes for all 15 methods)
   --fuzz-seed <u64>       fuzz seed (default 3900588966 = 0xE8828466)

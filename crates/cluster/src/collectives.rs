@@ -156,95 +156,6 @@ impl WorkerHandle {
         Ok(())
     }
 
-    /// Segmented (chunked) ring all-reduce: `buf` is split into segments
-    /// of at most `chunk_elems` elements, and the segments run the ring
-    /// schedule *staggered* — segment `g` executes ring step `s` at global
-    /// time `t = s + g`, so while segment 0's step-`s` frame is still on
-    /// the wire, segment 1 is already sending its step-`s−1` frame. Over
-    /// an emulated link this cuts the serialization pipeline from
-    /// `2(p−1)` full-chunk transfer times to roughly
-    /// `(2(p−1) + S)` sub-chunk transfer times — the first sub-chunk is on
-    /// the wire before the last is packed, which is how NCCL keeps a ring
-    /// bandwidth-bound instead of pipeline-fill-bound.
-    ///
-    /// Within each segment the arithmetic is exactly
-    /// [`WorkerHandle::all_reduce_sum`] on that segment, so the result is
-    /// bit-identical to running the plain ring per segment. Against one
-    /// plain ring over the whole buffer the *values* are the same sums but
-    /// rounding can differ, because an element's position-dependent
-    /// accumulation order follows its chunk index within the segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidArgument`] if `chunk_elems == 0`,
-    /// and transport errors if peers hang up.
-    pub fn ring_all_reduce_chunked(&self, buf: &mut [f32], chunk_elems: usize) -> Result<()> {
-        if chunk_elems == 0 {
-            return Err(ClusterError::InvalidArgument(
-                "chunk_elems must be positive".into(),
-            ));
-        }
-        let (m, pos, next, prev) = self.ring();
-        let n = buf.len();
-        if m == 1 || n == 0 {
-            return Ok(());
-        }
-        let segments = n.div_ceil(chunk_elems);
-        if segments == 1 {
-            return self.all_reduce_sum(buf);
-        }
-        let steps = 2 * (m - 1);
-        let seg_range = |g: usize| (g * chunk_elems, ((g + 1) * chunk_elems).min(n));
-        // Recycled wire buffers: every received frame's allocation goes
-        // back into the pool for a later send.
-        let mut pool: Vec<Vec<u8>> = Vec::new();
-        // Global clock t; segment g runs its ring step t - g. All ranks
-        // iterate (t, g) identically and send before receiving within a
-        // tick, so per-peer FIFO order keeps frames matched to steps.
-        for t in 0..steps + segments - 1 {
-            for g in 0..segments {
-                let Some(s) = t.checked_sub(g) else { break };
-                if s >= steps {
-                    continue;
-                }
-                let (lo, hi) = seg_range(g);
-                let slen = hi - lo;
-                let send_idx = if s < m - 1 {
-                    (pos + m - s) % m
-                } else {
-                    (pos + 1 + m - (s - (m - 1))) % m
-                };
-                let (ss, se) = chunk_range(slen, m, send_idx);
-                let mut wire = pool.pop().unwrap_or_default();
-                fill_bytes_from_f32s(&mut wire, &buf[lo + ss..lo + se]);
-                self.send(next, Frame::from_vec(wire))?;
-            }
-            for g in 0..segments {
-                let Some(s) = t.checked_sub(g) else { break };
-                if s >= steps {
-                    continue;
-                }
-                let (lo, hi) = seg_range(g);
-                let slen = hi - lo;
-                let incoming = self.recv_robust(prev)?;
-                if s < m - 1 {
-                    let recv_idx = (pos + 2 * m - s - 1) % m;
-                    let (rs, re) = chunk_range(slen, m, recv_idx);
-                    check_f32_frame(&incoming, re - rs, "chunked reduce-scatter")?;
-                    add_f32s_from_bytes(&mut buf[lo + rs..lo + re], &incoming);
-                } else {
-                    let s2 = s - (m - 1);
-                    let recv_idx = (pos + m - s2) % m;
-                    let (rs, re) = chunk_range(slen, m, recv_idx);
-                    check_f32_frame(&incoming, re - rs, "chunked all-gather")?;
-                    fill_f32s_from_bytes(&mut buf[lo + rs..lo + re], &incoming);
-                }
-                pool.push(incoming.into_vec());
-            }
-        }
-        Ok(())
-    }
-
     /// Ring all-gather: every member contributes one byte blob and
     /// receives everyone's, one [`Frame`] per member in position order
     /// (which, members being sorted, is rank order — at full membership
@@ -401,73 +312,6 @@ mod tests {
         });
         for out in outs {
             assert_eq!(out, vec![8.0, 8.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn chunked_ring_matches_per_segment_plain_ring_bitwise() {
-        // The chunked schedule must reproduce the plain ring's arithmetic
-        // segment by segment, bit for bit, on awkward lengths and chunk
-        // sizes — over full rings and over a handle shrunk to members
-        // {0, 2, 3} of 5.
-        let rings = [2usize, 3, 4, 8]
-            .map(|p| (p, (0..p).collect::<Vec<usize>>()))
-            .into_iter()
-            .chain([(5, vec![0, 2, 3])]);
-        for (world, members) in rings {
-            for (n, chunk) in [(37usize, 8usize), (64, 16), (100, 7), (12, 100), (5, 1)] {
-                let make = |rank: usize| -> Vec<f32> {
-                    (0..n)
-                        .map(|i| ((rank * 131 + i * 17) % 101) as f32 * 0.37 - 3.0)
-                        .collect()
-                };
-                let chunked = run_among(world, &members, |w| {
-                    let mut buf = make(w.rank());
-                    w.ring_all_reduce_chunked(&mut buf, chunk).unwrap();
-                    buf
-                });
-                let reference = run_among(world, &members, |w| {
-                    let mut buf = make(w.rank());
-                    for start in (0..n).step_by(chunk) {
-                        let end = (start + chunk).min(n);
-                        w.all_reduce_sum(&mut buf[start..end]).unwrap();
-                    }
-                    buf
-                });
-                let bits = |v: &Option<Vec<f32>>| {
-                    v.as_ref()
-                        .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
-                };
-                for (c, r) in chunked.iter().zip(&reference) {
-                    assert_eq!(bits(c), bits(r), "members={members:?} n={n} chunk={chunk}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_ring_rejects_zero_chunk() {
-        let outs = SimCluster::run(2, |w| {
-            let mut buf = vec![1.0f32; 4];
-            w.ring_all_reduce_chunked(&mut buf, 0).is_err()
-        });
-        assert_eq!(outs, vec![true, true]);
-    }
-
-    #[test]
-    fn chunked_ring_single_segment_is_plain_ring() {
-        let outs = SimCluster::run(4, |w| {
-            let mut a: Vec<f32> = (0..19).map(|i| (w.rank() * 19 + i) as f32 * 0.1).collect();
-            let mut b = a.clone();
-            w.ring_all_reduce_chunked(&mut a, 1000).unwrap();
-            w.all_reduce_sum(&mut b).unwrap();
-            (a, b)
-        });
-        for (a, b) in outs {
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
         }
     }
 
@@ -650,7 +494,6 @@ mod tests {
             w.set_members(&[w.rank()]).unwrap();
             let mut buf = vec![3.5f32; 2];
             w.all_reduce_sum(&mut buf).unwrap();
-            w.ring_all_reduce_chunked(&mut buf, 1).unwrap();
             let gathered = w.all_gather_bytes(&[9u8]).unwrap();
             w.barrier().unwrap();
             (buf, gathered.len(), w.ring_next(), w.ring_prev())

@@ -29,11 +29,8 @@
 //!
 //! The arithmetic is *identical* to calling the blocking collectives
 //! inline: the comm thread simply calls [`WorkerHandle::all_reduce_sum`] /
-//! [`ring_all_reduce_chunked`] / [`all_gather_bytes`] on the same handle,
-//! so results are bit-exact with the sequential engine.
-//!
-//! [`ring_all_reduce_chunked`]: crate::collectives — see `WorkerHandle::ring_all_reduce_chunked`
-//! [`all_gather_bytes`]: crate::collectives — see `WorkerHandle::all_gather_bytes`
+//! [`WorkerHandle::all_gather_bytes`] on the same handle, so results are
+//! bit-exact with the sequential engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
@@ -47,11 +44,9 @@ use crate::{ClusterError, Result};
 /// work on them without synchronization; they come back through the reply
 /// channel for the caller to recycle.
 enum Job {
-    /// Sum-all-reduce `data` across ranks (optionally chunked), reply with
-    /// the reduced buffer.
+    /// Sum-all-reduce `data` across ranks, reply with the reduced buffer.
     ReduceSum {
         data: Vec<f32>,
-        chunk_elems: Option<usize>,
         reply: Sender<Result<Vec<f32>>>,
     },
     /// All-gather `data`; reply with one [`Frame`] per rank plus the sent
@@ -157,11 +152,7 @@ impl CommEngine {
                 };
                 while let Ok(job) = rx.recv() {
                     match job {
-                        Job::ReduceSum {
-                            mut data,
-                            chunk_elems,
-                            reply,
-                        } => {
+                        Job::ReduceSum { mut data, reply } => {
                             // A poisoned engine answers without touching the
                             // wire: executing further collectives after a
                             // failure would desynchronize rank pairing.
@@ -170,10 +161,7 @@ impl CommEngine {
                                 continue;
                             }
                             let t0 = std::time::Instant::now();
-                            let res = match chunk_elems {
-                                Some(c) => worker.ring_all_reduce_chunked(&mut data, c),
-                                None => worker.all_reduce_sum(&mut data),
-                            };
+                            let res = worker.all_reduce_sum(&mut data);
                             busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
                             store_error(&res);
                             // A dropped reply receiver just means the caller
@@ -235,17 +223,11 @@ impl CommEngine {
         self.members
     }
 
-    /// Enqueue a sum-all-reduce of `data`.  With `chunk_elems = Some(c)`
-    /// the reduction uses the staggered chunked ring (segments of `c`
-    /// elements); with `None` it uses the plain ring, whose arithmetic is
-    /// bit-identical to the blocking `all_reduce_sum`.
+    /// Enqueue a sum-all-reduce of `data` on the plain ring, whose
+    /// arithmetic is bit-identical to the blocking `all_reduce_sum`.
     ///
     /// Blocks only if the job queue is full (backpressure).
-    pub fn start_all_reduce_sum(
-        &self,
-        data: Vec<f32>,
-        chunk_elems: Option<usize>,
-    ) -> Result<PendingReduce> {
+    pub fn start_all_reduce_sum(&self, data: Vec<f32>) -> Result<PendingReduce> {
         if let Some(e) = self.last_error() {
             return Err(e);
         }
@@ -255,12 +237,8 @@ impl CommEngine {
                 "comm engine already shut down".into(),
             ));
         };
-        jobs.send(Job::ReduceSum {
-            data,
-            chunk_elems,
-            reply,
-        })
-        .map_err(|_| ClusterError::Disconnected { peer: self.rank })?;
+        jobs.send(Job::ReduceSum { data, reply })
+            .map_err(|_| ClusterError::Disconnected { peer: self.rank })?;
         Ok(PendingReduce { rx })
     }
 
@@ -342,8 +320,8 @@ mod tests {
             };
             let eng = CommEngine::spawn(w, 2).unwrap();
             // Two overlapping reductions in flight at once.
-            let p0 = eng.start_all_reduce_sum(make(0), None).unwrap();
-            let p1 = eng.start_all_reduce_sum(make(1), None).unwrap();
+            let p0 = eng.start_all_reduce_sum(make(0)).unwrap();
+            let p1 = eng.start_all_reduce_sum(make(1)).unwrap();
             let r0 = p0.wait().unwrap();
             let r1 = p1.wait().unwrap();
             let _ = eng.shutdown();
@@ -353,34 +331,6 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(b0), bits(a0));
             assert_eq!(bits(b1), bits(a1));
-        }
-    }
-
-    #[test]
-    fn async_chunked_reduce_matches_chunked_blocking() {
-        let outs = SimCluster::run(3, |w| {
-            let rank = w.rank();
-            let make = || -> Vec<f32> {
-                (0..100)
-                    .map(|i| ((rank * 11 + i) % 31) as f32 - 15.0)
-                    .collect()
-            };
-            let mut blocking = make();
-            w.ring_all_reduce_chunked(&mut blocking, 16).unwrap();
-            let eng = CommEngine::spawn(w, 1).unwrap();
-            let reduced = eng
-                .start_all_reduce_sum(make(), Some(16))
-                .unwrap()
-                .wait()
-                .unwrap();
-            let _ = eng.shutdown();
-            (blocking, reduced)
-        });
-        for (b, a) in outs {
-            assert_eq!(
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
         }
     }
 
@@ -408,7 +358,7 @@ mod tests {
         let sums = SimCluster::run(2, |w| {
             let eng = CommEngine::spawn(w, 1).unwrap();
             let _ = eng
-                .start_all_reduce_sum(vec![1.0, 2.0], None)
+                .start_all_reduce_sum(vec![1.0, 2.0])
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -436,10 +386,10 @@ mod tests {
         let outs = cluster.run_workers(|w| {
             if w.rank() == 0 {
                 let eng = CommEngine::spawn(w, 2).unwrap();
-                let first = eng.start_all_reduce_sum(vec![1.0; 4], None).unwrap().wait();
+                let first = eng.start_all_reduce_sum(vec![1.0; 4]).unwrap().wait();
                 let poisoned = eng.last_error().is_some();
                 // Later jobs fail fast at start (poisoned engine).
-                let second = eng.start_all_reduce_sum(vec![1.0; 4], None);
+                let second = eng.start_all_reduce_sum(vec![1.0; 4]);
                 let _ = eng.shutdown();
                 (first.is_err(), poisoned, second.is_err())
             } else {
@@ -460,11 +410,9 @@ mod tests {
         let outs = SimCluster::run(3, |w| {
             let rank = w.rank();
             let eng = CommEngine::spawn(w, 2).unwrap();
-            let r = eng
-                .start_all_reduce_sum(vec![rank as f32; 5], None)
-                .unwrap();
+            let r = eng.start_all_reduce_sum(vec![rank as f32; 5]).unwrap();
             let g = eng.start_all_gather(vec![rank as u8; 3]).unwrap();
-            let r2 = eng.start_all_reduce_sum(vec![1.0f32; 2], None).unwrap();
+            let r2 = eng.start_all_reduce_sum(vec![1.0f32; 2]).unwrap();
             let red = r.wait().unwrap();
             let (frames, _) = g.wait().unwrap();
             let red2 = r2.wait().unwrap();

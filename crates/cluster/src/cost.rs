@@ -130,24 +130,6 @@ impl NetworkModel {
         self.alpha * (pf - 1.0) + bytes as f64 * (pf - 1.0) / (pf * self.bandwidth)
     }
 
-    /// Overlap-aware Equation 1: total time for a compute stage of
-    /// `compute_s` seconds overlapped with a wire stage of `comm_s`
-    /// seconds by splitting the payload into `chunks` ordered wire
-    /// chunks (encode of chunk *i+1* rides alongside the send of chunk
-    /// *i*).  The steady state hides the cheaper term behind the more
-    /// expensive one; only the first chunk of the cheaper side is
-    /// exposed as a pipeline fill bubble:
-    /// `max(compute, comm) + min(compute, comm)/chunks`.
-    ///
-    /// `chunks <= 1` degenerates to the serial `compute + comm` sum the
-    /// monolithic datapath pays.
-    pub fn streamed(&self, compute_s: f64, comm_s: f64, chunks: usize) -> f64 {
-        if chunks <= 1 {
-            return compute_s + comm_s;
-        }
-        compute_s.max(comm_s) + compute_s.min(comm_s) / chunks as f64
-    }
-
     /// Binomial-tree broadcast of `bytes`: `(α + b/BW)·log₂(p)`.
     pub fn broadcast(&self, bytes: usize, p: usize) -> f64 {
         if p <= 1 {
@@ -270,22 +252,6 @@ mod tests {
     #[should_panic(expected = "incast severity")]
     fn negative_incast_rejected() {
         let _ = net().with_incast(-1.0);
-    }
-
-    #[test]
-    fn streamed_hides_cheaper_term_behind_expensive_one() {
-        let n = net();
-        // Serial baseline with one chunk.
-        assert_eq!(n.streamed(0.3, 0.5, 1), 0.8);
-        assert_eq!(n.streamed(0.3, 0.5, 0), 0.8);
-        // Many chunks: total -> max + min/chunks.
-        let t = n.streamed(0.3, 0.5, 10);
-        assert!((t - 0.53).abs() < 1e-12, "t = {t}");
-        // Symmetric in which side dominates.
-        assert_eq!(n.streamed(0.5, 0.3, 10), t);
-        // Monotone improvement as chunks grow, floored at max(term).
-        assert!(n.streamed(0.3, 0.5, 100) < t);
-        assert!(n.streamed(0.3, 0.5, 1_000_000) >= 0.5);
     }
 
     #[test]

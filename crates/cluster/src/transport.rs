@@ -343,7 +343,7 @@ impl Mailbox {
 
 /// The primitive transport surface a backend provides. Everything above
 /// this line — collectives, member lists, `recv_robust`, the comm engine,
-/// the pipelined/streaming/adaptive engines — is built on a
+/// the pipelined/adaptive engines — is built on a
 /// [`WorkerHandle`] and therefore runs unchanged over any implementation.
 ///
 /// Implementations may assume `peer < world()`: [`WorkerHandle`] validates
@@ -436,10 +436,10 @@ impl WorkerHandle {
     /// after a rank death. `members` must be the same strictly ascending
     /// list on every participating rank and must contain this rank; ranks
     /// not on it are simply not on the ring. Ring collectives
-    /// (`all_reduce_sum`, `ring_all_reduce_chunked`, `all_gather_bytes`,
-    /// `barrier`) and the means built on them then cover the members
-    /// only; the rank-addressed collectives (`broadcast`, Rabenseifner,
-    /// hierarchical, parameter server) refuse to run on a shrunk handle.
+    /// (`all_reduce_sum`, `all_gather_bytes`, `barrier`) and the means
+    /// built on them then cover the members only; the rank-addressed
+    /// collectives (`broadcast`, Rabenseifner, hierarchical, parameter
+    /// server) refuse to run on a shrunk handle.
     ///
     /// # Errors
     ///
@@ -1052,11 +1052,18 @@ mod tests {
                 // original allocation.
                 w.send(2, got.clone()).unwrap();
                 w.send(2, got.clone()).unwrap();
-                got.ref_count() >= 2
+                // Rank 2 holds both forwarded frames until released, so
+                // the count cannot race with it dropping them.
+                w.recv(2).unwrap();
+                let shared = got.ref_count() >= 3;
+                w.send(2, Vec::new()).unwrap();
+                shared
             }
             _ => {
                 let a = w.recv(1).unwrap();
                 let b = w.recv(1).unwrap();
+                w.send(1, Vec::new()).unwrap();
+                w.recv(1).unwrap();
                 a == b && a.as_slice() == [42u8; 64]
             }
         });

@@ -35,12 +35,16 @@ fn ring_reference(len: usize, p: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; len];
     for c in 0..p {
         let (s, e) = chunk_range(len, p, c);
-        for i in s..e {
+        for (i, slot) in (s..e).zip(&mut out[s..e]) {
             let mut acc = val(c, i);
+            // `val + acc`, not `acc += val`: the ring adds the local value
+            // to the incoming partial sum, and which NaN payload survives
+            // depends on that operand order.
+            #[allow(clippy::assign_op_pattern)]
             for t in 1..p {
                 acc = val((c + t) % p, i) + acc;
             }
-            out[i] = acc;
+            *slot = acc;
         }
     }
     out

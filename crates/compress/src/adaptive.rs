@@ -123,18 +123,6 @@ impl LinkModel {
         let bw_eff = self.bytes_per_sec / (1.0 + self.incast * pf.ln());
         self.alpha_s * (pf - 1.0) + bytes * (pf - 1.0) / bw_eff
     }
-
-    /// Overlap-aware Equation 1, mirroring
-    /// `NetworkModel::streamed`: a compute stage overlapped with a wire
-    /// stage through `chunks` ordered wire chunks costs
-    /// `max(compute, comm) + min(compute, comm)/chunks`; `chunks <= 1`
-    /// is the serial `compute + comm` of the monolithic datapath.
-    pub fn streamed(&self, compute_s: f64, comm_s: f64, chunks: usize) -> f64 {
-        if chunks <= 1 {
-            return compute_s + comm_s;
-        }
-        compute_s.max(comm_s) + compute_s.min(comm_s) / chunks as f64
-    }
 }
 
 /// Which collective a payload round rides on.
@@ -207,11 +195,6 @@ pub struct AdaptiveConfig {
     /// Measured-input warm-up: steps `1..=warmup_steps` round-robin the
     /// arms (`arm = (step + bucket) mod |arms|`) to seed every EWMA.
     pub warmup_steps: usize,
-    /// Wire chunks per bucket the engine streams (`stream_chunk_elems`
-    /// datapath): estimates use the overlap-aware Equation 1
-    /// ([`LinkModel::streamed`]) instead of the serial `encdec + comm`
-    /// sum. `1` (default) models the monolithic datapath.
-    pub streaming_chunks: usize,
     /// Static encode+decode prior in nanoseconds per element, one per arm
     /// (filled from [`default_encdec_prior_ns`] by
     /// [`AdaptiveConfig::new`]).
@@ -272,17 +255,8 @@ impl AdaptiveConfig {
             hysteresis: 0.15,
             dwell_steps: 2,
             warmup_steps: warmup,
-            streaming_chunks: 1,
             priors_ns_per_elem: priors,
         })
-    }
-
-    /// Sets the number of streamed wire chunks the engine uses (1 =
-    /// monolithic datapath, serial `encdec + comm` estimates).
-    #[must_use]
-    pub fn streaming_chunks(mut self, chunks: usize) -> Self {
-        self.streaming_chunks = chunks.max(1);
-        self
     }
 
     /// Sets the objective.
@@ -647,9 +621,7 @@ impl Controller {
                 CollectiveKind::Gather => link.all_gather(r.bytes, self.world),
             };
         }
-        // With a streaming engine the exposed cost is the overlap-aware
-        // Equation 1; streaming_chunks = 1 recovers the serial sum.
-        link.streamed(encdec, comm, self.cfg.streaming_chunks)
+        encdec + comm
     }
 
     /// Estimated seconds for one full exchange under the current arm

@@ -1,11 +1,8 @@
 //! Half-precision gradient communication — the "often a 2x reduction is all
 //! you need" baseline from the paper's takeaway #1.
 
-use crate::chunked::{
-    f32_sink, ChunkSink, ChunkedDecode, ChunkedEncode, ChunkedHeader, NativeEncode, PayloadShell,
-};
 use crate::{CompressError, Compressor, Payload, Properties, Result};
-use gcs_tensor::f16::{decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits};
+use gcs_tensor::f16::{decode_f16, encode_f16};
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 
@@ -84,69 +81,6 @@ impl Compressor for Fp16 {
 
     fn reset(&mut self) {
         self.pending.clear();
-    }
-
-    // Streaming: the f16 conversion is element-wise, so both directions
-    // chunk natively — each chunk round-trips (encode) or re-rounds
-    // (decode) only its own span, bit-identical to the monolithic
-    // `encode_f16`/`decode_f16` passes.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Summable {
-                shell: PayloadShell::Half,
-                elems: g.numel(),
-            },
-            NativeEncode {
-                src: g.data().to_vec(),
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        _layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Whole-payload stage (e.g. constructed by the default
-            // `begin_chunked_encode`): slice the materialized image.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        let state = enc.native_mut()?;
-        let out = f32_sink(sink)?;
-        // The wire image of FP16 under the f32-summing ring is the decoded
-        // f16 value, i.e. one round trip per element.
-        out.extend(
-            state.src[lo..hi]
-                .iter()
-                .map(|&x| f16_bits_to_f32(f32_to_f16_bits(x))),
-        );
-        Ok(())
-    }
-
-    fn begin_chunked_decode(
-        &mut self,
-        _layer: usize,
-        _round: usize,
-        header: &ChunkedHeader,
-        world: usize,
-    ) -> Result<ChunkedDecode> {
-        match header {
-            ChunkedHeader::Summable { elems, .. } => Ok(ChunkedDecode::half(*elems)),
-            other => Ok(ChunkedDecode::staged(other, world)),
-        }
     }
 }
 

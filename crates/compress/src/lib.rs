@@ -41,7 +41,6 @@
 
 pub mod adaptive;
 pub mod atomo;
-pub mod chunked;
 pub mod dgc;
 pub mod double_squeeze;
 pub mod driver;
@@ -63,7 +62,7 @@ mod traits;
 pub mod variance;
 
 pub use error::CompressError;
-pub use payload::{Factor, Payload};
+pub use payload::{Factor, Payload, PayloadShell};
 pub use traits::{Compressor, Properties};
 
 /// Crate-wide result alias.

@@ -6,6 +6,7 @@
 //! by the in-process cluster transport.
 
 use crate::{CompressError, Result};
+use gcs_tensor::f16::{decode_f16, encode_f16};
 use gcs_tensor::kernels;
 use gcs_tensor::pool;
 
@@ -145,19 +146,91 @@ pub enum Payload {
     },
 }
 
-/// Wire-format tags (first byte of a serialized payload). Crate-visible
-/// because native chunk emitters reproduce `write_bytes` span by span.
-pub(crate) const TAG_DENSE: u8 = 1;
-pub(crate) const TAG_HALF: u8 = 2;
-pub(crate) const TAG_SPARSE: u8 = 3;
-pub(crate) const TAG_SHARED_SPARSE: u8 = 4;
-pub(crate) const TAG_SIGNS: u8 = 5;
-pub(crate) const TAG_FACTOR_P: u8 = 6;
-pub(crate) const TAG_FACTOR_Q: u8 = 7;
-pub(crate) const TAG_QUANTIZED: u8 = 8;
-pub(crate) const TAG_TERNARY: u8 = 9;
-pub(crate) const TAG_TWO_SCALE: u8 = 10;
-pub(crate) const TAG_SVD: u8 = 11;
+/// The reassembly recipe for a summable payload: everything except the f32
+/// content that actually rides the ring.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PayloadShell {
+    /// Rebuilds [`Payload::Dense`].
+    Dense,
+    /// Rebuilds [`Payload::Half`] by re-rounding the reduced f32 image.
+    Half,
+    /// Rebuilds [`Payload::Factor`].
+    Factor {
+        /// Which factor this is.
+        which: Factor,
+        /// Rows of the factor.
+        rows: usize,
+        /// Columns of the factor.
+        cols: usize,
+    },
+    /// Rebuilds [`Payload::SharedSparse`].
+    SharedSparse {
+        /// Length of the underlying dense vector.
+        len: usize,
+        /// Seed identifying the shared coordinate set.
+        seed: u64,
+    },
+}
+
+impl PayloadShell {
+    /// Splits a summable payload into its shell and the f32 image that
+    /// rides the ring (a [`Payload::Half`] image is its f16 values decoded
+    /// to f32); a gather payload comes back unchanged as `Err`. The inverse
+    /// of [`PayloadShell::assemble`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the payload itself when it is not summable.
+    pub fn split(payload: Payload) -> std::result::Result<(PayloadShell, Vec<f32>), Payload> {
+        Ok(match payload {
+            Payload::Dense(v) => (PayloadShell::Dense, v),
+            Payload::Half(h) => (PayloadShell::Half, decode_f16(&h)),
+            Payload::Factor {
+                which,
+                rows,
+                cols,
+                data,
+            } => (PayloadShell::Factor { which, rows, cols }, data),
+            Payload::SharedSparse { len, seed, values } => {
+                (PayloadShell::SharedSparse { len, seed }, values)
+            }
+            other => return Err(other),
+        })
+    }
+
+    /// Rebuilds the payload around a reduced f32 image — the inverse of
+    /// [`PayloadShell::split`] (a `Half` image is re-rounded to f16).
+    pub fn assemble(&self, data: Vec<f32>) -> Payload {
+        match self {
+            PayloadShell::Dense => Payload::Dense(data),
+            PayloadShell::Half => Payload::Half(encode_f16(&data)),
+            PayloadShell::Factor { which, rows, cols } => Payload::Factor {
+                which: *which,
+                rows: *rows,
+                cols: *cols,
+                data,
+            },
+            PayloadShell::SharedSparse { len, seed } => Payload::SharedSparse {
+                len: *len,
+                seed: *seed,
+                values: data,
+            },
+        }
+    }
+}
+
+/// Wire-format tags (first byte of a serialized payload).
+const TAG_DENSE: u8 = 1;
+const TAG_HALF: u8 = 2;
+const TAG_SPARSE: u8 = 3;
+const TAG_SHARED_SPARSE: u8 = 4;
+const TAG_SIGNS: u8 = 5;
+const TAG_FACTOR_P: u8 = 6;
+const TAG_FACTOR_Q: u8 = 7;
+const TAG_QUANTIZED: u8 = 8;
+const TAG_TERNARY: u8 = 9;
+const TAG_TWO_SCALE: u8 = 10;
+const TAG_SVD: u8 = 11;
 
 impl Payload {
     /// The variant name, for diagnostics and
@@ -745,6 +818,36 @@ mod tests {
             neg: -0.5,
             pos: 0.75,
         });
+    }
+
+    #[test]
+    fn split_inverts_assemble_and_passes_gather_payloads_through() {
+        let summable = [
+            Payload::Dense(vec![1.5, -2.0]),
+            Payload::Half(encode_f16(&[0.25, -3.0, 7.0])),
+            Payload::Factor {
+                which: Factor::Q,
+                rows: 2,
+                cols: 1,
+                data: vec![0.5, 4.0],
+            },
+            Payload::SharedSparse {
+                len: 10,
+                seed: 9,
+                values: vec![3.0],
+            },
+        ];
+        for payload in summable {
+            let Ok((shell, image)) = PayloadShell::split(payload.clone()) else {
+                panic!("{} is summable", payload.kind_name());
+            };
+            assert_eq!(shell.assemble(image), payload);
+        }
+        let gather = Payload::Quantized {
+            scale: 0.5,
+            levels: vec![1, -2],
+        };
+        assert_eq!(PayloadShell::split(gather.clone()), Err(gather));
     }
 
     #[test]

@@ -145,14 +145,14 @@ impl PowerSgd {
 
     /// Everything `encode` does before `M` is formed: state
     /// (re)initialization and injected-residual reconciliation. Returns
-    /// the matricized dims.
+    /// the layer's state, sized for `grad`'s matricized dims.
     ///
     /// With error feedback, a layer still in flight has lost its `E` to
     /// an `M` whose gradient was never applied, and nothing here can tell
     /// whether the caller is re-submitting that gradient or moving on, so
     /// that is a [`CompressError::Protocol`] error: `take_residual` (which
     /// hands back `M`) or `reset` first.
-    fn prepare(&mut self, layer: usize, grad: &Tensor) -> Result<(usize, usize, usize)> {
+    fn prepare(&mut self, layer: usize, grad: &Tensor) -> Result<&mut LayerState> {
         let (m, n) = grad.shape().matricized();
         let r = self.effective_rank(m, n);
         let numel = m * n;
@@ -209,20 +209,7 @@ impl PowerSgd {
                 state.error.copy_from_slice(&injected);
             }
         }
-        Ok((m, n, r))
-    }
-}
-
-impl LayerState {
-    /// Turns the buffer from `E` into `M = grad + E` (or a copy of `grad`
-    /// without error feedback) and marks the layer in flight.
-    fn form_m(&mut self, error_feedback: bool, grad: &[f32]) {
-        if error_feedback {
-            gcs_tensor::kernels::add_assign(&mut self.error, grad);
-        } else {
-            self.error.copy_from_slice(grad);
-        }
-        self.in_flight = true;
+        Ok(state)
     }
 }
 
@@ -243,17 +230,20 @@ impl Compressor for PowerSgd {
     }
 
     fn encode(&mut self, layer: usize, grad: &Tensor) -> Result<Payload> {
-        let (m, n, r) = self.prepare(layer, grad)?;
         let ef = self.error_feedback;
-        let Some(state) = self.layers.get_mut(&layer) else {
-            return Err(CompressError::Protocol(format!(
-                "no per-layer state for layer {layer}"
-            )));
-        };
+        let state = self.prepare(layer, grad)?;
+        let (m, n, r) = (state.rows, state.cols, state.rank);
+        // The buffer turns from `E` into `M = grad + E` (a copy of `grad`
+        // without error feedback) and the layer is in flight.
+        if ef {
+            gcs_tensor::kernels::add_assign(&mut state.error, grad.data());
+        } else {
+            state.error.copy_from_slice(grad.data());
+        }
+        state.in_flight = true;
 
         // P = M · Q, into the recycled buffer from the previous round's
         // finish (steady state: no allocation).
-        state.form_m(ef, grad.data());
         let mut p = std::mem::take(&mut state.p_scratch);
         p.clear();
         p.resize(m * r, 0.0);
@@ -405,91 +395,6 @@ impl Compressor for PowerSgd {
     fn reset(&mut self) {
         self.layers.clear();
         self.injected.clear();
-    }
-
-    // Streaming: round 0 defers the `P = M · Q` GEMM — begin only runs the
-    // cheap prelude, and each chunk computes exactly the row panel of `P`
-    // it needs before emitting it. The pooled GEMM partitions work by rows
-    // and is pinned bit-identical to the serial kernel, so contiguous
-    // row-panel calls reproduce the monolithic product bit for bit while
-    // the first panels ride the wire ahead of the rest of the GEMM.
-    // Round 1 cannot stream its GEMM (`Q = Mᵀ·P̂` has no column slicing),
-    // so it materializes at begin and streams from the whole payload.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<crate::chunked::ChunkedEncode> {
-        use crate::chunked::{ChunkedEncode, ChunkedHeader, NativeEncode, PayloadShell};
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        let (m, _n, r) = self.prepare(layer, g)?;
-        let ef = self.error_feedback;
-        let Some(state) = self.layers.get_mut(&layer) else {
-            return Err(CompressError::Protocol(format!(
-                "no per-layer state for layer {layer}"
-            )));
-        };
-        state.form_m(ef, g.data());
-        let mut p = std::mem::take(&mut state.p_scratch);
-        p.clear();
-        p.resize(m * r, 0.0);
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Summable {
-                shell: PayloadShell::Factor {
-                    which: Factor::P,
-                    rows: m,
-                    cols: r,
-                },
-                elems: m * r,
-            },
-            NativeEncode {
-                src: p,
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        layer: usize,
-        enc: &mut crate::chunked::ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: crate::chunked::ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Round 1's whole-payload stage: slice the materialized Q.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        let out = crate::chunked::f32_sink(sink)?;
-        let st = enc.native_mut()?;
-        let state = self.layers.get_mut(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("encode_chunk before begin for layer {layer}"))
-        })?;
-        let (n, r) = (state.cols, state.rank);
-        if hi > st.src.len() || lo > hi {
-            return Err(CompressError::Protocol(format!(
-                "chunk span [{lo}, {hi}) out of range for P of {}",
-                st.src.len()
-            )));
-        }
-        // `cursor` counts P rows already computed; a span ending mid-row
-        // pulls the whole row in.
-        let need = hi.div_ceil(r).min(state.rows);
-        if need > st.cursor {
-            matmul_pooled(
-                pool::global(),
-                MatrixRef::new(&state.error[st.cursor * n..need * n], need - st.cursor, n)?,
-                MatrixRef::new(&state.q, n, r)?,
-                &mut st.src[st.cursor * r..need * r],
-            )?;
-            st.cursor = need;
-        }
-        out.extend_from_slice(&st.src[lo..hi]);
-        Ok(())
     }
 
     /// The layer's error-feedback memory, leaving it zero.
@@ -812,10 +717,6 @@ mod tests {
         // gradient is silently added to the M left behind.
         for g in [&g1, &g2] {
             assert!(matches!(c.encode(0, g), Err(CompressError::Protocol(_))));
-            assert!(matches!(
-                c.begin_chunked_encode(0, 0, Some(g)),
-                Err(CompressError::Protocol(_))
-            ));
         }
         // The caller decides what becomes of M = g1 + E ...
         let m = c.take_residual(0).unwrap();

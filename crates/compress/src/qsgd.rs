@@ -5,18 +5,11 @@
 //! Per-worker scales differ, so the aggregation is not associative and the
 //! method falls in the all-gather column of Table 1.
 
-use crate::chunked::{
-    byte_sink, emit_scalar_prefix, ChunkSink, ChunkedEncode, ChunkedHeader, NativeEncode,
-};
-use crate::payload::TAG_QUANTIZED;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-
-/// Byte length of the Quantized wire prefix (`tag · len:u64 · scale:f32`).
-const PREFIX: usize = 13;
 
 /// QSGD quantizer with `s` levels (at most 127 so levels fit in `i8`).
 #[derive(Debug)]
@@ -171,83 +164,6 @@ impl Compressor for Qsgd {
 
     fn reset(&mut self) {
         self.pending.clear();
-    }
-
-    // Streaming: the norm is a cheap pre-pass at begin; the per-element
-    // stochastic rounding — the expensive part, one RNG draw per element —
-    // happens inside `encode_chunk`. Spans must arrive in order so the RNG
-    // stream matches the monolithic `quantize` draw for draw.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        let data = g.data();
-        let norm: f32 = data.iter().map(|x| x * x).sum::<f32>().sqrt();
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Gather {
-                bytes: PREFIX + data.len(),
-                prefix: PREFIX,
-                grain: 1,
-            },
-            NativeEncode {
-                src: data.to_vec(),
-                param: norm,
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        _layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Whole-payload stage (e.g. constructed by the default
-            // `begin_chunked_encode`): slice the materialized image.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        let s = self.levels as f32;
-        let state = enc.native_mut()?;
-        let out = byte_sink(sink)?;
-        let norm = state.param;
-        let scale = if norm == 0.0 { 0.0 } else { norm / s };
-        emit_scalar_prefix(TAG_QUANTIZED, state.src.len() as u64, scale, lo, hi, out);
-        let (elo, ehi) = (lo.max(PREFIX) - PREFIX, hi.max(PREFIX) - PREFIX);
-        if state.cursor != elo {
-            return Err(CompressError::Protocol(format!(
-                "QSGD chunks must stream in order: expected element {}, got {elo}",
-                state.cursor
-            )));
-        }
-        for &x in &state.src[elo..ehi] {
-            let level: i8 = if norm == 0.0 {
-                // The monolithic quantizer early-returns zeros without
-                // touching the RNG; mirror that exactly.
-                0
-            } else {
-                let t = x.abs() / norm * s;
-                let low = t.floor();
-                let frac = t - low;
-                let level = if self.rng.gen::<f32>() < frac {
-                    low + 1.0
-                } else {
-                    low
-                };
-                (level * x.signum()).clamp(-127.0, 127.0) as i8
-            };
-            out.push(level as u8);
-        }
-        state.cursor = ehi;
-        Ok(())
     }
 }
 

@@ -7,9 +7,6 @@
 //! the full flattened gradient, so per-layer overlap with the backward pass
 //! is unavailable).
 
-use crate::chunked::{
-    f32_sink, ChunkSink, ChunkedEncode, ChunkedHeader, NativeEncode, PayloadShell,
-};
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::select::random_k;
 use gcs_tensor::{Shape, Tensor};
@@ -168,72 +165,6 @@ impl Compressor for RandomK {
         self.iteration.clear();
         self.residual.clear();
         self.pending.clear();
-    }
-
-    // Streaming: the shared-seed selection runs at begin (advancing the
-    // iteration counter exactly as `encode` would); the values then ride
-    // the ring in f32 spans. The non-EF path selects straight from the
-    // gradient, skipping the tensor clone the monolithic encode makes.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        let iter = *self.iteration.entry(layer).or_insert(0);
-        self.iteration.insert(layer, iter + 1);
-        let k = self.k_for(g.numel());
-        let seed = self.coord_seed(layer, iter);
-        let values = if self.error_feedback {
-            let v = match self.residual.get(&layer) {
-                Some(e) => g.add(e)?,
-                None => g.clone(),
-            };
-            let sel = random_k(v.data(), k, seed);
-            let mut res = v;
-            for &i in &sel.indices {
-                res.data_mut()[i as usize] = 0.0;
-            }
-            self.residual.insert(layer, res);
-            sel.values
-        } else {
-            random_k(g.data(), k, seed).values
-        };
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Summable {
-                shell: PayloadShell::SharedSparse {
-                    len: g.numel(),
-                    seed,
-                },
-                elems: values.len(),
-            },
-            NativeEncode {
-                src: values,
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        _layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Whole-payload stage (e.g. constructed by the default
-            // `begin_chunked_encode`): slice the materialized image.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        let state = enc.native_mut()?;
-        let out = f32_sink(sink)?;
-        out.extend_from_slice(&state.src[lo..hi]);
-        Ok(())
     }
 }
 

@@ -6,10 +6,6 @@
 //! all-reduce compatible — in the paper this is what makes its
 //! communication grow linearly with worker count (Figure 6).
 
-use crate::chunked::{
-    byte_sink, emit_scalar_prefix, ChunkSink, ChunkedEncode, ChunkedHeader, NativeEncode,
-};
-use crate::payload::TAG_SIGNS;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::bits::{MajorityVote, SignBits};
 use gcs_tensor::{Shape, Tensor};
@@ -231,100 +227,6 @@ impl Compressor for SignSgd {
     fn reset(&mut self) {
         self.residual.clear();
         self.pending.clear();
-    }
-
-    // Streaming: scale and (under EF) the residual fold are computed once
-    // at begin; chunks then pack disjoint word-aligned element spans.
-    // `SignBits::pack` on a 32-aligned subslice produces exactly the words
-    // the monolithic pack would, so no cross-chunk state is needed.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        let numel = g.numel();
-        let (src, scale) = if !self.error_feedback {
-            (g.data().to_vec(), self.scale_for(g))
-        } else {
-            // Mirror the monolithic EF encode: v = grad + residual, then
-            // residual = v - decode(sign(v)) folded in one pass.
-            let mut work = g.data().to_vec();
-            if let Some(e) = self.residual.get(&layer) {
-                if e.numel() != numel {
-                    return Err(CompressError::Protocol(format!(
-                        "residual shape mismatch for layer {layer}"
-                    )));
-                }
-                gcs_tensor::kernels::add_assign(&mut work, e.data());
-            }
-            let scale = match self.scale {
-                SignScale::Unit => 1.0,
-                SignScale::MeanAbs => {
-                    if numel == 0 {
-                        0.0
-                    } else {
-                        gcs_tensor::kernels::sum_abs(&work) / numel as f32
-                    }
-                }
-            };
-            let mut res_vec = match self.residual.remove(&layer) {
-                Some(t) if t.numel() == numel => t.into_vec(),
-                _ => vec![0.0; numel],
-            };
-            for (r, &v) in res_vec.iter_mut().zip(&work) {
-                *r = v - if v >= 0.0 { scale } else { -scale };
-            }
-            self.residual
-                .insert(layer, Tensor::from_shape_vec(g.shape().clone(), res_vec)?);
-            (work, scale)
-        };
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Gather {
-                bytes: 13 + numel.div_ceil(32) * 4,
-                prefix: 13,
-                grain: 4,
-            },
-            NativeEncode {
-                src,
-                param: scale,
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        _layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Whole-payload stage (e.g. constructed by the default
-            // `begin_chunked_encode`): slice the materialized image.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        const PREFIX: usize = 13;
-        let state = enc.native_mut()?;
-        let out = byte_sink(sink)?;
-        let len = state.src.len();
-        emit_scalar_prefix(TAG_SIGNS, len as u64, state.param, lo, hi, out);
-        let (blo, bhi) = (lo.max(PREFIX) - PREFIX, hi.max(PREFIX) - PREFIX);
-        if blo % 4 != 0 || bhi % 4 != 0 {
-            return Err(CompressError::Protocol(format!(
-                "SignSGD chunk body [{blo}, {bhi}) is not word-aligned"
-            )));
-        }
-        let (elo, ehi) = ((blo / 4) * 32, ((bhi / 4) * 32).min(len));
-        for w in SignBits::pack(&state.src[elo..ehi]).into_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        Ok(())
     }
 
     fn take_residual(&mut self, layer: usize) -> Option<Tensor> {

@@ -4,10 +4,6 @@
 //! transmitted 2 bits per element (16x compression). Per-worker scales make
 //! the aggregation non-associative (Table 1: not all-reducible).
 
-use crate::chunked::{
-    byte_sink, emit_scalar_prefix, ChunkSink, ChunkedEncode, ChunkedHeader, NativeEncode,
-};
-use crate::payload::TAG_TERNARY;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
@@ -182,85 +178,6 @@ impl Compressor for TernGrad {
 
     fn reset(&mut self) {
         self.pending.clear();
-    }
-
-    // Streaming: each wire byte packs an aligned group of 4 elements, so a
-    // byte-granular chunk never splits an element. The RNG is consumed one
-    // draw per element in stream order, which keeps the packed bytes
-    // bit-identical to the monolithic encode — provided chunks arrive in
-    // order (enforced by the cursor).
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        let scale = g.linf_norm();
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Gather {
-                bytes: 13 + g.numel().div_ceil(4),
-                prefix: 13,
-                grain: 1,
-            },
-            NativeEncode {
-                src: g.data().to_vec(),
-                param: scale,
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        _layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Whole-payload stage (e.g. constructed by the default
-            // `begin_chunked_encode`): slice the materialized image.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        const PREFIX: usize = 13;
-        let state = enc.native_mut()?;
-        let out = byte_sink(sink)?;
-        let scale = state.param;
-        let len = state.src.len();
-        emit_scalar_prefix(TAG_TERNARY, len as u64, scale, lo, hi, out);
-        let (blo, bhi) = (lo.max(PREFIX) - PREFIX, hi.max(PREFIX) - PREFIX);
-        if state.cursor != blo {
-            return Err(CompressError::Protocol(format!(
-                "TernGrad chunks must stream in order: expected byte {}, got {blo}",
-                state.cursor
-            )));
-        }
-        for b in blo..bhi {
-            let mut byte = 0u8;
-            if scale != 0.0 {
-                // Zero scale skips the RNG entirely, mirroring the
-                // monolithic early return.
-                for (slot, &x) in state.src[b * 4..len.min(b * 4 + 4)].iter().enumerate() {
-                    let code = if self.rng.gen::<f32>() < x.abs() / scale {
-                        if x >= 0.0 {
-                            CODE_POS
-                        } else {
-                            CODE_NEG
-                        }
-                    } else {
-                        CODE_ZERO
-                    };
-                    byte |= (code & 0b11) << (slot * 2);
-                }
-            }
-            out.push(byte);
-        }
-        state.cursor = bhi;
-        Ok(())
     }
 }
 

@@ -7,10 +7,6 @@
 //! (Table 2: ~240–295 ms on ResNet-50) make Top-K slower than syncSGD at
 //! every scale it measured.
 
-use crate::chunked::{
-    byte_sink, emit_prefix_span, ChunkSink, ChunkedEncode, ChunkedHeader, NativeEncode,
-};
-use crate::payload::TAG_SPARSE;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::pool;
 use gcs_tensor::select::top_k_abs_pooled;
@@ -196,82 +192,6 @@ impl Compressor for TopK {
             return None;
         }
         self.residual.remove(&layer)
-    }
-
-    // Streaming: the selection (the dominant Top-K cost) runs once at
-    // begin; chunks then serialize word-aligned spans of the
-    // `indices ++ values` wire body straight from the selection arrays —
-    // no intermediate whole-wire buffer.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let Some(g) = grad else {
-            return Ok(ChunkedEncode::whole(self.encode_round(layer, round)?));
-        };
-        let Payload::Sparse {
-            len,
-            indices,
-            values,
-        } = self.encode(layer, g)?
-        else {
-            unreachable!("TopK::encode returns Sparse");
-        };
-        let k = indices.len();
-        let mut prefix = vec![TAG_SPARSE];
-        prefix.extend_from_slice(&(len as u64).to_le_bytes());
-        prefix.extend_from_slice(&(k as u64).to_le_bytes());
-        Ok(ChunkedEncode::native(
-            ChunkedHeader::Gather {
-                bytes: 17 + k * 8,
-                prefix: 17,
-                grain: 4,
-            },
-            NativeEncode {
-                src: values,
-                aux: indices,
-                prefix,
-                ..NativeEncode::default()
-            },
-        ))
-    }
-
-    fn encode_chunk(
-        &mut self,
-        _layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        if !enc.is_native() {
-            // Whole-payload stage (e.g. constructed by the default
-            // `begin_chunked_encode`): slice the materialized image.
-            return enc.emit_staged(lo, hi, sink);
-        }
-        const PREFIX: usize = 17;
-        let state = enc.native_mut()?;
-        let out = byte_sink(sink)?;
-        emit_prefix_span(&state.prefix, lo, hi, out);
-        let (blo, bhi) = (lo.max(PREFIX) - PREFIX, hi.max(PREFIX) - PREFIX);
-        if blo % 4 != 0 || bhi % 4 != 0 {
-            return Err(CompressError::Protocol(format!(
-                "Top-K chunk body [{blo}, {bhi}) is not word-aligned"
-            )));
-        }
-        let k = state.aux.len();
-        for p in blo / 4..bhi / 4 {
-            // The body is the index region followed by the value region;
-            // a span may straddle the seam.
-            if p < k {
-                out.extend_from_slice(&state.aux[p].to_le_bytes());
-            } else {
-                out.extend_from_slice(&state.src[p - k].to_le_bytes());
-            }
-        }
-        Ok(())
     }
 
     fn inject_residual(&mut self, layer: usize, residual: Tensor) -> Result<bool> {

@@ -1,6 +1,5 @@
 //! The [`Compressor`] protocol trait and method metadata.
 
-use crate::chunked::{ChunkData, ChunkSink, ChunkedDecode, ChunkedEncode, ChunkedHeader};
 use crate::{Payload, Result};
 use gcs_tensor::{Shape, Tensor};
 
@@ -142,113 +141,6 @@ pub trait Compressor: Send {
         let _ = (layer, residual);
         Ok(false)
     }
-
-    /// Starts a **chunk-granular streaming encode** for one (layer, round):
-    /// the streaming engine pulls the payload as ordered wire spans via
-    /// [`encode_chunk`](Compressor::encode_chunk) instead of receiving it
-    /// whole, so encoding chunk `i+1` can overlap the wire time of chunk
-    /// `i`. `grad` is `Some` for round 0 and `None` for later rounds.
-    ///
-    /// The default materializes the monolithic payload here (via
-    /// [`encode`](Compressor::encode) / [`encode_round`](Compressor::encode_round))
-    /// and slices it — always correct, no intra-payload overlap. Schemes
-    /// with element-wise codecs override this to defer the actual encode
-    /// work into `encode_chunk`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encode errors; protocol error when `grad` does not match
-    /// the round.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        let payload = match grad {
-            Some(g) => self.encode(layer, g)?,
-            None => self.encode_round(layer, round)?,
-        };
-        Ok(ChunkedEncode::whole(payload))
-    }
-
-    /// Emits wire span `[lo, hi)` of the payload begun by
-    /// [`begin_chunked_encode`](Compressor::begin_chunked_encode) into
-    /// `sink`. Spans are element offsets (summable) or byte offsets
-    /// (gather), arrive in order, and tile the image exactly; concatenating
-    /// every span must reproduce the monolithic payload bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Protocol error on out-of-order or out-of-range spans.
-    fn encode_chunk(
-        &mut self,
-        layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        let _ = layer;
-        enc.emit_staged(lo, hi, sink)
-    }
-
-    /// Starts the matching streaming decode for one (layer, round): the
-    /// engine feeds reduced chunks through
-    /// [`decode_chunk`](Compressor::decode_chunk) as they come off the
-    /// wire, then seals with
-    /// [`finish_chunked_decode`](Compressor::finish_chunked_decode).
-    ///
-    /// # Errors
-    ///
-    /// Protocol error when the header is inconsistent with layer state.
-    fn begin_chunked_decode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        header: &ChunkedHeader,
-        world: usize,
-    ) -> Result<ChunkedDecode> {
-        let _ = (layer, round);
-        Ok(ChunkedDecode::staged(header, world))
-    }
-
-    /// Consumes the reduced wire content of span `[lo, hi)` — the mean f32
-    /// span for summable payloads, per-rank byte spans for gather payloads.
-    /// Chunk-wise decode work (e.g. FP16 re-rounding) happens here,
-    /// overlapping the receive of later chunks.
-    ///
-    /// # Errors
-    ///
-    /// Protocol error on span/stage mismatches.
-    fn decode_chunk(
-        &mut self,
-        layer: usize,
-        dec: &mut ChunkedDecode,
-        lo: usize,
-        hi: usize,
-        data: ChunkData<'_>,
-    ) -> Result<()> {
-        let _ = layer;
-        dec.absorb_staged(lo, hi, data)
-    }
-
-    /// Seals a streaming decode after every chunk of the (layer, round)
-    /// arrived: performs whatever aggregation remains and feeds the result
-    /// through [`absorb`](Compressor::absorb) — after this call the layer
-    /// state is indistinguishable from the monolithic path's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wire, aggregate, and absorb errors.
-    fn finish_chunked_decode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        dec: ChunkedDecode,
-    ) -> Result<()> {
-        dec.finish_staged(self, layer, round)
-    }
 }
 
 impl<C: Compressor + ?Sized> Compressor for Box<C> {
@@ -290,59 +182,6 @@ impl<C: Compressor + ?Sized> Compressor for Box<C> {
 
     fn inject_residual(&mut self, layer: usize, residual: Tensor) -> Result<bool> {
         (**self).inject_residual(layer, residual)
-    }
-
-    // The chunked surface must forward too: falling back to the provided
-    // bodies here would erase the inner scheme's native overrides behind
-    // `Box<dyn Compressor>`.
-    fn begin_chunked_encode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        grad: Option<&Tensor>,
-    ) -> Result<ChunkedEncode> {
-        (**self).begin_chunked_encode(layer, round, grad)
-    }
-
-    fn encode_chunk(
-        &mut self,
-        layer: usize,
-        enc: &mut ChunkedEncode,
-        lo: usize,
-        hi: usize,
-        sink: ChunkSink<'_>,
-    ) -> Result<()> {
-        (**self).encode_chunk(layer, enc, lo, hi, sink)
-    }
-
-    fn begin_chunked_decode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        header: &ChunkedHeader,
-        world: usize,
-    ) -> Result<ChunkedDecode> {
-        (**self).begin_chunked_decode(layer, round, header, world)
-    }
-
-    fn decode_chunk(
-        &mut self,
-        layer: usize,
-        dec: &mut ChunkedDecode,
-        lo: usize,
-        hi: usize,
-        data: ChunkData<'_>,
-    ) -> Result<()> {
-        (**self).decode_chunk(layer, dec, lo, hi, data)
-    }
-
-    fn finish_chunked_decode(
-        &mut self,
-        layer: usize,
-        round: usize,
-        dec: ChunkedDecode,
-    ) -> Result<()> {
-        (**self).finish_chunked_decode(layer, round, dec)
     }
 }
 

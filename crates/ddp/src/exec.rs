@@ -15,9 +15,8 @@
 //! `gcs_compress::driver` (identical outputs for every method).
 
 use gcs_cluster::WorkerHandle;
-use gcs_compress::chunked::PayloadShell;
 use gcs_compress::registry::MethodConfig;
-use gcs_compress::{CompressError, Compressor, Payload};
+use gcs_compress::{CompressError, Compressor, Payload, PayloadShell};
 use gcs_tensor::Tensor;
 
 /// Errors from the distributed engine: compression or transport.
@@ -457,7 +456,7 @@ pub struct BucketTiming {
     /// Seconds spent absorbing and decoding.
     pub decode_s: f64,
     /// Seconds the caller was *blocked* on an in-flight collective with
-    /// no local work to overlap it (pipelined/streaming engines only;
+    /// no local work to overlap it (pipelined engine only;
     /// the sequential engine folds all wire time into `comm_s`).
     pub exposed_wait_s: f64,
     /// Bytes this worker contributed to ring all-reduce rounds (the f32

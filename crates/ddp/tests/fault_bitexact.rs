@@ -57,8 +57,6 @@ fn pipelined_exchange(w: gcs_cluster::WorkerHandle, method: &MethodConfig) -> Ve
         PipelineConfig {
             bucket_bytes: usize::MAX,
             depth: 2,
-            chunk_elems: None,
-            stream_chunk_elems: None,
             matricize: false,
         },
     )

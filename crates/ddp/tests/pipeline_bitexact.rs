@@ -78,8 +78,6 @@ fn pipelined_matches_sequential_and_reference_for_every_method() {
                 PipelineConfig {
                     bucket_bytes: usize::MAX,
                     depth: 2,
-                    chunk_elems: None,
-                    stream_chunk_elems: None,
                     matricize: false,
                 },
             )

@@ -543,7 +543,7 @@ mod tests {
                     }
                 });
                 let expect: Vec<u32> = (0..rows)
-                    .flat_map(|r| std::iter::repeat(r as u32 + 1).take(row_len))
+                    .flat_map(|r| std::iter::repeat_n(r as u32 + 1, row_len))
                     .collect();
                 assert_eq!(out, expect, "width={width} rows={rows}");
             }

@@ -119,7 +119,7 @@ fn vote_add_and_pack_are_byte_identical() {
             for voter in 0..3u32 {
                 let data: Vec<f32> = (0..n)
                     .map(|i| {
-                        if (i as u32 ^ voter) % 3 == 0 {
+                        if (i as u32 ^ voter).is_multiple_of(3) {
                             1.0
                         } else {
                             -1.0

@@ -392,8 +392,6 @@ mod tests {
                 // bucket schedule matches the per-layer schedule.
                 bucket_bytes: 1,
                 depth: 2,
-                chunk_elems: None,
-                stream_chunk_elems: None,
                 matricize: false,
             }),
         )
@@ -414,8 +412,6 @@ mod tests {
                 .pipelined(PipelineConfig {
                     bucket_bytes: 256,
                     depth: 2,
-                    chunk_elems: None,
-                    stream_chunk_elems: None,
                     matricize: false,
                 }),
         )

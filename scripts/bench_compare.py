@@ -32,16 +32,14 @@ import sys
 # runs); the fine keys pin the exact configuration (shape, world size),
 # which smoke mode shrinks — so structure checks use coarse identity and
 # timing checks use the full identity. `engine` distinguishes the pipeline
-# bench's per-engine breakdown rows (sequential / pipelined / streaming):
-# dropping one engine's breakdown must fail the structure gate, and its
+# bench's per-engine breakdown rows (sequential / pipelined): dropping one
+# engine's breakdown must fail the structure gate, and its
 # `encode_ms`/`comm_ms`/`decode_ms`/`exposed_wait_ms` fields ride the same
 # >20% regression policy as every other timing field.
-# `transport` separates rows measured over different backends (sim vs
-# tcp): a Sim row must never gate against a TCP row of the same method.
 # `op` names which of the three PowerSGD products a `skinny_gemm` row of
 # the datapath bench times (matmul / at_mul_b / reconstruct); their shapes
 # ride the existing m/k/n keys, the rank being the 4, 8 or 16 among them.
-COARSE_KEYS = ("kernel", "op", "method", "scheme", "regime", "engine", "transport")
+COARSE_KEYS = ("kernel", "op", "method", "scheme", "regime", "engine")
 FINE_KEYS = ("p", "m", "k", "n", "bucket_bytes", "workers", "gbps", "latency_us")
 
 # Wall-clock fields that depend on the machine running the bench (the
