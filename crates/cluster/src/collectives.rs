@@ -16,8 +16,9 @@
 //! to decode-accumulate-reserialize) and forwards that buffer, while the
 //! all-gather decodes each incoming frame into `buf` and forwards the
 //! *same* [`Frame`] by refcount bump — no re-serialization in either
-//! phase. Every conversion and reduce dispatches through the pooled
-//! [`gcs_tensor::kernels`] entry points (AVX-512/AVX2 where detected,
+//! phase. The all-gather's seed reuses the reduce-scatter's final frame,
+//! so it is never zero-filled. Every conversion and reduce dispatches
+//! through the pooled [`gcs_tensor::kernels`] entry points (AVX-512/AVX2 where detected,
 //! banded across the kernel pool on multi-core hosts; fixed association
 //! order keeps results identical in every configuration).
 
@@ -38,9 +39,10 @@ pub(crate) fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
 
 /// Serializes `xs` little-endian into `out`, reusing its allocation.
 pub(crate) fn fill_bytes_from_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    // Plain resize, not clear + resize: a reclaimed ring buffer already has
-    // (nearly) the right length, so steady-state steps skip the zero-fill
-    // memset entirely and go straight to the overwrite below.
+    // Plain resize, not clear + resize: a buffer reclaimed from a received
+    // frame of the right length (the ring all-reduce's all-gather seed)
+    // is only overwritten below. Whatever the buffer grows by — all of a
+    // fresh one, such as the reduce-scatter seed — is zero-filled first.
     out.resize(xs.len() * 4, 0);
     kernels::f32s_to_bytes_pooled(pool::global(), xs, out);
 }
@@ -116,6 +118,7 @@ impl WorkerHandle {
         let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
         fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
         self.send(next, Frame::from_vec(wire))?;
+        let mut seed: Vec<u8> = Vec::new();
         for s in 0..m - 1 {
             let recv_idx = (pos + 2 * m - s - 1) % m;
             let incoming = self.recv_robust(prev)?;
@@ -130,8 +133,12 @@ impl WorkerHandle {
                 self.send(next, Frame::from_vec(w))?;
             } else {
                 // Final hop: this rank completes the sum for its chunk,
-                // which must land in `buf` for the all-gather phase.
+                // which must land in `buf` for the all-gather phase. The
+                // same chunk seeds the all-gather, so the frame's buffer
+                // (uniquely owned, right length) becomes the seed and is
+                // overwritten without a zero-fill.
                 add_f32s_from_bytes(&mut buf[rs..re], &incoming);
+                seed = incoming.into_vec();
             }
         }
 
@@ -140,9 +147,8 @@ impl WorkerHandle {
         // and forwarded as-is.
         let own = (pos + 1) % m;
         let (ss, se) = chunk_range(len, m, own);
-        let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
-        fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
-        self.send(next, Frame::from_vec(wire))?;
+        fill_bytes_from_f32s(&mut seed, &buf[ss..se]);
+        self.send(next, Frame::from_vec(seed))?;
         for s in 0..m - 1 {
             let recv_idx = (pos + m - s) % m;
             let incoming = self.recv_robust(prev)?;

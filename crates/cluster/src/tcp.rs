@@ -341,6 +341,11 @@ fn reader_loop(
     // `tx` drops here, after the alive bit is visible.
 }
 
+/// First nap of the mesh accept loop's backoff after an empty poll.
+const ACCEPT_NAP_MIN: Duration = Duration::from_micros(50);
+/// Cap of the accept loop's doubling nap.
+const ACCEPT_NAP_MAX: Duration = Duration::from_millis(5);
+
 /// Dials `addr`, retrying until `deadline` (the peer's listener may not
 /// be up yet when this process starts).
 fn dial(addr: &str, deadline: Instant) -> Result<TcpStream> {
@@ -466,10 +471,15 @@ impl TcpCluster {
         }
         // Accept every higher rank; the hello frame identifies the dialer
         // (arrival order is scheduling noise, the handshake is truth).
+        // std's listener has no accept deadline, so poll it: the nap after
+        // an empty poll starts at 50 µs and doubles up to 5 ms, so a peer
+        // that is already dialing is picked up within microseconds while
+        // a slow one costs a few hundred wake-ups a second at most.
         listener
             .set_nonblocking(true)
             .map_err(|e| io("listener nonblocking", e))?;
         let mut accepted = 0;
+        let mut nap = ACCEPT_NAP_MIN;
         while accepted < world - 1 - rank {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -504,6 +514,7 @@ impl TcpCluster {
                         .map_err(|e| io("clear timeout", e))?;
                     streams[src] = Some(stream);
                     accepted += 1;
+                    nap = ACCEPT_NAP_MIN;
                 }
                 Err(err) if err.kind() == ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
@@ -512,7 +523,8 @@ impl TcpCluster {
                             world - 1 - rank
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(nap);
+                    nap = (nap * 2).min(ACCEPT_NAP_MAX);
                 }
                 Err(err) => return Err(io("accept", err)),
             }
@@ -911,6 +923,27 @@ mod tests {
         assert!(matches!(err, Err(ClusterError::InvalidArgument(_))));
         let err = TcpCluster::connect(0, &[], TcpOptions::default());
         assert!(matches!(err, Err(ClusterError::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn tcp_mesh_formation_times_out_typed_when_a_peer_never_dials() {
+        // Rank 0 of a world of 2 waits to accept rank 1, which never
+        // dials: the accept loop must give up at the connection budget
+        // with its typed error, not hang.
+        let addrs = ["127.0.0.1:0".to_string(), "127.0.0.1:9".to_string()];
+        let opts = TcpOptions {
+            connect_timeout: Some(Duration::from_millis(200)),
+            ..TcpOptions::default()
+        };
+        let t0 = Instant::now();
+        let err = TcpCluster::connect(0, &addrs, opts);
+        let elapsed = t0.elapsed();
+        assert!(
+            matches!(&err, Err(ClusterError::Io(msg)) if msg.contains("mesh formation timed out")),
+            "{err:?}"
+        );
+        assert!(elapsed >= Duration::from_millis(200), "{elapsed:?}");
+        assert!(elapsed < Duration::from_secs(2), "{elapsed:?}");
     }
 
     #[test]

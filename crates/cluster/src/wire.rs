@@ -31,7 +31,7 @@
 //! silent truncation.
 
 use crate::{ClusterError, Result};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::time::Duration;
 
 /// Leading magic: `b"GCSW"` (Gradient Compression Study Wire).
@@ -203,6 +203,11 @@ pub(crate) fn io_error(err: std::io::Error) -> ClusterError {
 /// Writes one frame (header + payload). `header.len` must equal
 /// `payload.len()`.
 ///
+/// Header and payload go out together through `write_vectored` — one
+/// `writev` per frame on a socket, instead of a header segment and a
+/// payload segment under `TCP_NODELAY`. Partial writes resume where the
+/// last one stopped, and `Interrupted` is retried.
+///
 /// # Errors
 ///
 /// [`ClusterError::Wire`] on a header/payload length mismatch,
@@ -215,12 +220,25 @@ pub fn write_frame(w: &mut impl Write, header: &WireHeader, payload: &[u8]) -> R
             payload.len()
         )));
     }
-    w.write_all(&header.encode()).map_err(io_error)?;
-    w.write_all(payload).map_err(io_error)?;
+    let head = header.encode();
+    let mut slices = [IoSlice::new(&head), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(io_error(ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err) => return Err(io_error(err)),
+        }
+    }
     w.flush().map_err(io_error)
 }
 
 /// Reads one frame (header + payload).
+///
+/// The header is validated before anything is allocated, and the payload
+/// is read into reserved capacity rather than a zero-filled buffer, so
+/// each payload byte is written once, by the read itself.
 ///
 /// # Errors
 ///
@@ -230,8 +248,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<(WireHeader, Vec<u8>)> {
     let mut raw = [0u8; HEADER_LEN];
     r.read_exact(&mut raw).map_err(io_error)?;
     let header = WireHeader::decode(&raw)?;
-    let mut payload = vec![0u8; header.len as usize];
-    r.read_exact(&mut payload).map_err(io_error)?;
+    let len = header.len as usize;
+    let mut payload = Vec::with_capacity(len);
+    r.take(u64::from(header.len))
+        .read_to_end(&mut payload)
+        .map_err(io_error)?;
+    if payload.len() != len {
+        return Err(ClusterError::Io(format!(
+            "stream ended {} bytes into a {len}-byte frame payload",
+            payload.len()
+        )));
+    }
     Ok((header, payload))
 }
 
@@ -419,5 +446,123 @@ mod tests {
         buf.extend_from_slice(&[0u8; 10]); // 90 bytes short
         let err = read_frame(&mut buf.as_slice());
         assert!(matches!(err, Err(ClusterError::Io(_))), "{err:?}");
+    }
+
+    /// A sink that takes every byte it is offered and counts the calls.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        vectored_calls: usize,
+        plain_calls: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.plain_calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored_calls += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_vectored_write() {
+        let mut sink = CountingSink::default();
+        for len in [0usize, 1, 4096] {
+            let hdr = WireHeader::new(FrameKind::Data, 0, 1, 0, Duration::ZERO, len).unwrap();
+            write_frame(&mut sink, &hdr, &vec![7u8; len]).unwrap();
+        }
+        assert_eq!((sink.vectored_calls, sink.plain_calls), (3, 0));
+        assert_eq!(sink.bytes.len(), 3 * HEADER_LEN + 4097);
+    }
+
+    /// A sink that takes at most 7 bytes per call, and fails every other
+    /// call with `Interrupted` before taking any.
+    #[derive(Default)]
+    struct TrickleSink {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for TrickleSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = 7 - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_produce_the_same_stream() {
+        for len in [0usize, 3, 13, 1000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let hdr =
+                WireHeader::new(FrameKind::Data, 2, 3, 9, Duration::from_micros(17), len).unwrap();
+            let mut sink = TrickleSink::default();
+            write_frame(&mut sink, &hdr, &payload).unwrap();
+            let mut expected = hdr.encode().to_vec();
+            expected.extend_from_slice(&payload);
+            assert_eq!(sink.bytes, expected, "len {len}");
+        }
+    }
+
+    /// A source that yields at most 3 bytes per read.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn short_reads_roundtrip_a_mebibyte_frame() {
+        let payload: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let big = WireHeader::new(FrameKind::Data, 1, 0, 0, Duration::ZERO, payload.len()).unwrap();
+        let tail = WireHeader::new(FrameKind::Control, 1, 0, 4, Duration::ZERO, 0).unwrap();
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &big, &payload).unwrap();
+        write_frame(&mut stream, &tail, &[]).unwrap();
+        // The payload read must stop at the frame boundary, leaving the
+        // next header for the next call.
+        let mut src = Dribble(&stream);
+        let (hdr, got) = read_frame(&mut src).unwrap();
+        assert_eq!(hdr, big);
+        assert!(got == payload, "payload corrupted by short reads");
+        let (hdr, got) = read_frame(&mut src).unwrap();
+        assert_eq!((hdr, got.len()), (tail, 0));
+        assert!(src.0.is_empty());
     }
 }

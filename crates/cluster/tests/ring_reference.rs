@@ -112,6 +112,30 @@ fn all_gather_traffic_unchanged_by_frame_refactor() {
 }
 
 #[test]
+fn all_reduce_frame_count_unchanged_by_seed_reuse() {
+    // The all-gather seed reuses the reduce-scatter's final frame; the
+    // schedule must still be 2(p-1) frames per rank, one per hop — p = 2
+    // included, where the final hop is the only reduce-scatter hop.
+    for p in [2usize, 3, 6] {
+        for len in [1usize, 10, 257] {
+            let cluster = SimCluster::new(p);
+            let traffic = cluster.traffic().to_vec();
+            cluster.run_workers(|h| {
+                let mut buf = vec![1.0f32; len];
+                h.all_reduce_sum(&mut buf).unwrap();
+            });
+            for (rank, t) in traffic.iter().enumerate() {
+                assert_eq!(
+                    t.messages_sent(),
+                    2 * (p - 1) as u64,
+                    "p={p} len={len} rank={rank} frames"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn all_reduce_traffic_unchanged_by_buffer_reuse() {
     // Wire bytes per rank are fully determined by the chunk schedule; the
     // reclaimed-buffer fast path must not change them.

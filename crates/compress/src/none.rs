@@ -51,6 +51,10 @@ impl Compressor for NoCompression {
         Ok(Payload::Dense(grad.data().to_vec()))
     }
 
+    fn encode_owned(&mut self, _layer: usize, grad: Tensor) -> Result<Payload> {
+        Ok(Payload::Dense(grad.into_vec()))
+    }
+
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
         let mut iter = payloads.iter();
         let first = iter.next().ok_or(CompressError::EmptyAggregate)?;
@@ -150,6 +154,22 @@ mod tests {
             )
             .is_err());
         assert!(c.finish(0, &Shape::new(vec![1])).is_err());
+    }
+
+    #[test]
+    fn encode_owned_moves_the_gradient_buffer() {
+        let g = Tensor::randn([8, 5], 3);
+        let expected = NoCompression::new().encode(0, &g).unwrap();
+        let ptr = g.data().as_ptr();
+        // Through the box, as the engines hold it: the forward must reach
+        // the override, not the copying default.
+        let mut c: Box<dyn Compressor> = Box::new(NoCompression::new());
+        let payload = c.encode_owned(0, g).unwrap();
+        match &payload {
+            Payload::Dense(v) => assert_eq!(v.as_ptr(), ptr, "encode_owned copied the gradient"),
+            other => panic!("expected Dense, got {}", other.kind_name()),
+        }
+        assert_eq!(payload, expected);
     }
 
     #[test]

@@ -58,6 +58,18 @@ pub trait Compressor: Send {
     /// Propagates tensor shape errors from the underlying kernels.
     fn encode(&mut self, layer: usize, grad: &Tensor) -> Result<Payload>;
 
+    /// [`encode`](Compressor::encode) for a gradient the caller no longer
+    /// needs, such as a freshly packed bucket. A scheme whose payload is
+    /// the gradient itself overrides this to move the buffer instead of
+    /// copying it; the result must be bit-identical to `encode`.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode`](Compressor::encode).
+    fn encode_owned(&mut self, layer: usize, grad: Tensor) -> Result<Payload> {
+        self.encode(layer, &grad)
+    }
+
     /// Produces the payload for a later round (`round >= 1`). Only
     /// multi-round methods implement this.
     ///
@@ -154,6 +166,10 @@ impl<C: Compressor + ?Sized> Compressor for Box<C> {
 
     fn encode(&mut self, layer: usize, grad: &Tensor) -> Result<Payload> {
         (**self).encode(layer, grad)
+    }
+
+    fn encode_owned(&mut self, layer: usize, grad: Tensor) -> Result<Payload> {
+        (**self).encode_owned(layer, grad)
     }
 
     fn encode_round(&mut self, layer: usize, round: usize) -> Result<Payload> {

@@ -94,6 +94,25 @@ fn payload_serialization_roundtrips() {
     }
 }
 
+/// Every method: `encode_owned` through `Box<dyn Compressor>` produces the
+/// same wire bytes as `encode`, whether the method overrides it (a moved
+/// buffer) or inherits the default (a borrow of the owned tensor).
+#[test]
+fn encode_owned_matches_encode_bit_for_bit() {
+    for method in all_methods() {
+        let g = Tensor::randn([12, 10], 0x207);
+        // Fresh instances share RNG seeds, so stochastic methods agree too.
+        let mut borrowed = method.build().expect("builds");
+        let mut owned = method.build().expect("builds");
+        let want = borrowed.encode(0, &g).expect("encode").to_bytes();
+        let got = owned
+            .encode_owned(0, g.clone())
+            .expect("encode_owned")
+            .to_bytes();
+        assert_eq!(got, want, "{method:?}");
+    }
+}
+
 /// `reset` fully clears per-layer state: a fresh encode after reset
 /// behaves like a brand-new compressor (no stale error feedback or warm
 /// starts leaking through).

@@ -157,10 +157,17 @@ pub fn exchange_gradients<C: Compressor>(
 /// wire buffer — and the per-bucket timings of its most recent exchange.
 ///
 /// DDP computes its bucket assignment once at model construction and
-/// reuses it every iteration; recomputing the partition (and reallocating
-/// the pack buffer) per step, as the engine previously did, is pure
+/// reuses it every iteration; recomputing the partition per step is pure
 /// rework. Build a plan once with [`BucketPlan::new`] and drive
 /// [`exchange_gradients_with_plan`] with it every step.
+///
+/// The packed bucket is *moved* into the compressor
+/// ([`Compressor::encode_owned`]): for syncSGD that buffer is the payload,
+/// rides the all-reduce in place and comes back from `finish` as the
+/// decoded flat. [`BucketPlan::scatter`] closes the circle: a single-layer
+/// bucket's flat becomes that layer's output tensor, so packing is the
+/// step's only copy of its bytes; a multi-layer bucket's flat, once its
+/// layers are copied out, becomes the next pack buffer.
 #[derive(Debug)]
 pub struct BucketPlan {
     /// Layer indices per bucket, filled in backward (reverse-layer) order
@@ -174,8 +181,8 @@ pub struct BucketPlan {
     shapes: Vec<gcs_tensor::Shape>,
     /// Element count of every layer (used to detect layout changes).
     layer_elems: Vec<usize>,
-    /// Persistent flat pack buffer, circulated through [`BucketPlan::pack`]
-    /// / [`BucketPlan::reclaim`].
+    /// Flat pack buffer, taken by [`BucketPlan::pack`] and refilled by
+    /// [`BucketPlan::scatter`] (or [`BucketPlan::reclaim`]).
     pack: Vec<f32>,
     /// Persistent serialization buffer for the gather path.
     wire: Vec<u8>,
@@ -236,7 +243,6 @@ impl BucketPlan {
             .iter()
             .map(|layers| layers.iter().map(|&i| grads[i].numel()).sum())
             .collect();
-        let max_elems = elems.iter().copied().max().unwrap_or(0);
         let shapes = elems
             .iter()
             .map(|&n| {
@@ -257,7 +263,7 @@ impl BucketPlan {
             elems,
             shapes,
             layer_elems: grads.iter().map(Tensor::numel).collect(),
-            pack: Vec::with_capacity(max_elems),
+            pack: Vec::new(),
             wire: Vec::new(),
             timings: Vec::new(),
         }
@@ -294,9 +300,10 @@ impl BucketPlan {
                 .all(|(&n, g)| n == g.numel())
     }
 
-    /// Packs `bucket`'s layers into one flat tensor, reusing the plan's
-    /// pack buffer. Hand the tensor back via [`BucketPlan::reclaim`] after
-    /// encoding so the allocation circulates.
+    /// Packs `bucket`'s layers into one flat tensor, in the plan's pack
+    /// buffer when it holds one. The engines move the tensor on into
+    /// [`Compressor::encode_owned`]; a caller that only borrows it can hand
+    /// it back with [`BucketPlan::reclaim`].
     ///
     /// # Errors
     ///
@@ -320,24 +327,32 @@ impl BucketPlan {
     }
 
     /// Scatters decoded flat buckets (`flats[b]` for bucket `b`) back to
-    /// per-layer tensors shaped like `grads`.
+    /// per-layer tensors shaped like `grads`. A single-layer bucket's flat
+    /// is reshaped into the layer's tensor without a copy; a multi-layer
+    /// bucket's layers are copied out and its flat becomes the plan's
+    /// pack buffer.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from tensor construction.
-    pub fn scatter(&self, grads: &[Tensor], mut flats: Vec<Tensor>) -> Result<Vec<Tensor>> {
+    pub fn scatter(&mut self, grads: &[Tensor], flats: Vec<Tensor>) -> Result<Vec<Tensor>> {
+        let shaped = |i: usize, data: Vec<f32>| {
+            Tensor::from_shape_vec(grads[i].shape().clone(), data)
+                .map_err(gcs_compress::CompressError::from)
+        };
         let mut out: Vec<Option<Tensor>> = (0..grads.len()).map(|_| None).collect();
-        for (layers, flat) in self.buckets.iter().zip(flats.drain(..)) {
+        for (layers, flat) in self.buckets.iter().zip(flats) {
+            if let [i] = layers[..] {
+                out[i] = Some(shaped(i, flat.into_vec())?);
+                continue;
+            }
             let mut offset = 0usize;
             for &i in layers {
                 let n = grads[i].numel();
-                let slice = flat.data()[offset..offset + n].to_vec();
-                out[i] = Some(
-                    Tensor::from_shape_vec(grads[i].shape().clone(), slice)
-                        .map_err(gcs_compress::CompressError::from)?,
-                );
+                out[i] = Some(shaped(i, flat.data()[offset..offset + n].to_vec())?);
                 offset += n;
             }
+            self.pack = flat.into_vec();
         }
         out.into_iter()
             .enumerate()
@@ -499,10 +514,7 @@ pub(crate) fn run_timed_round<C: Compressor + ?Sized>(
 ) -> Result<()> {
     let t0 = std::time::Instant::now();
     let payload = if round == 0 {
-        let flat = plan.pack(grads, bucket_id)?;
-        let p = compressor.encode(bucket_id, &flat);
-        plan.reclaim(flat);
-        p?
+        compressor.encode_owned(bucket_id, plan.pack(grads, bucket_id)?)?
     } else {
         compressor.encode_round(bucket_id, round)?
     };
@@ -776,6 +788,34 @@ mod tests {
             let total: u64 = ring.iter().map(|t| t.ring_bytes).sum();
             assert_eq!(total, 4 * (64 + 30 + 40));
         }
+    }
+
+    #[test]
+    fn scatter_moves_single_layer_flats_and_recycles_multi_layer_ones() {
+        // A 200-byte cap puts layer 2 (256 B) in a bucket of its own and
+        // layers 1 + 0 (132 B) together.
+        let grads = vec![
+            Tensor::randn([6usize, 5], 1),
+            Tensor::randn([3usize], 2),
+            Tensor::randn([8usize, 8], 3),
+        ];
+        let mut plan = BucketPlan::new(&grads, 200);
+        assert_eq!(
+            (plan.layers(0), plan.layers(1)),
+            (&[2usize][..], &[1usize, 0][..])
+        );
+        let flats: Vec<Tensor> = (0..plan.num_buckets())
+            .map(|b| plan.pack(&grads, b).unwrap())
+            .collect();
+        let single = flats[0].data().as_ptr();
+        let multi = flats[1].data().as_ptr();
+        let out = plan.scatter(&grads, flats).unwrap();
+        // Pack then scatter is the identity, layer shapes included.
+        assert_eq!(out, grads);
+        // The single-layer flat *is* the layer's output tensor...
+        assert_eq!(out[2].data().as_ptr(), single);
+        // ...and the multi-layer flat is the next pack buffer.
+        assert_eq!(plan.pack(&grads, 1).unwrap().data().as_ptr(), multi);
     }
 
     #[test]

@@ -233,10 +233,8 @@ impl<C: Compressor> PipelinedEngine<C> {
                 }
                 let t0 = std::time::Instant::now();
                 let payload = if round == 0 {
-                    let flat = plan.pack(grads, bucket_id)?;
-                    let p = self.compressor.encode(bucket_id, &flat);
-                    plan.reclaim(flat);
-                    p?
+                    self.compressor
+                        .encode_owned(bucket_id, plan.pack(grads, bucket_id)?)?
                 } else {
                     self.compressor.encode_round(bucket_id, round)?
                 };

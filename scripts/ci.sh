@@ -46,6 +46,13 @@ cargo test --offline --manifest-path benchmark/Cargo.toml --target-dir target -q
 echo "==> benchmark/run.sh --list"
 bash benchmark/run.sh --list
 
+# One short workload end to end: the benchmark's checks (same digest on
+# every rank, a SimCluster replay, expected wire bytes) exit non-zero when
+# a library change breaks them, so that shows up here and not first in a
+# full 25-second benchmark run.
+echo "==> benchmark smoke (dense-ring-tcp, 3 s)"
+timeout 120 bash benchmark/run.sh --workload dense-ring-tcp --seconds 3 --trace 0 > /dev/null
+
 # Static verification layer, all five passes: (1) model-check every
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
 # (2) lint the workspace source (unsafe hygiene, data-plane panic paths,
