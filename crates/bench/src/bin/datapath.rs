@@ -2,7 +2,7 @@
 //! the seed's naive implementations and writes `BENCH_datapath.json` at the
 //! repo root.
 //!
-//! Five kernels are tracked:
+//! Six kernels are tracked:
 //!
 //! 1. Ring all-reduce on a 25 MiB gradient for p ∈ {4, 8, 16}, against a
 //!    faithful reconstruction of the seed's clone-based ring (fresh wire
@@ -11,7 +11,8 @@
 //!    Rabenseifner recursive halving-doubling (power-of-two worlds) vs.
 //!    hierarchical two-level reduce.
 //! 3. Register-blocked GEMM against the seed's scalar i-k-j loop, on a
-//!    PowerSGD-shaped skinny product and a square product.
+//!    PowerSGD-shaped skinny product and a square product; and `a_mul_bt`
+//!    at the MLP forward's shapes against the scalar dot loop it replaced.
 //! 4. PowerSGD rank-4 round trip over ResNet-50-style layer shapes, and
 //!    the three products of one round trip on a 1024 x 1024 layer at
 //!    ranks 4, 8 and 16: the skinny paths against the general kernels
@@ -162,6 +163,42 @@ fn seed_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += aik * bv;
             }
+        }
+    }
+}
+
+/// `a_mul_bt` before it ran one output row per vector lane: per row of A,
+/// four B rows at a time through four scalar accumulators, and the last
+/// `n % 4` columns as an iterator sum.
+fn scalar_a_mul_bt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        let mut j = 0;
+        while j + 4 <= n {
+            let b0 = &b[j * k..(j + 1) * k];
+            let b1 = &b[(j + 1) * k..(j + 2) * k];
+            let b2 = &b[(j + 2) * k..(j + 3) * k];
+            let b3 = &b[(j + 3) * k..(j + 4) * k];
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for (l, &av) in arow.iter().enumerate() {
+                s0 += av * b0[l];
+                s1 += av * b1[l];
+                s2 += av * b2[l];
+                s3 += av * b3[l];
+            }
+            orow[j] = s0;
+            orow[j + 1] = s1;
+            orow[j + 2] = s2;
+            orow[j + 3] = s3;
+            j += 4;
+        }
+        for j in j..n {
+            orow[j] = arow
+                .iter()
+                .zip(&b[j * k..(j + 1) * k])
+                .map(|(x, y)| x * y)
+                .sum();
         }
     }
 }
@@ -323,6 +360,54 @@ fn gemm_section(pr: Params, smoke: bool) -> Vec<Value> {
     rows
 }
 
+/// `a_mul_bt` at the MLP forward's first layer, `X · W1ᵀ`, on the
+/// benchmark's two models (a 4-row batch against a `1024 x 1024` W1, an
+/// 8-row batch against a `512 x 256` one), against the scalar loop it
+/// replaced. Both outputs are checked bit-equal.
+fn a_mul_bt_section(pr: Params, smoke: bool) -> Vec<Value> {
+    // (m, k, n): A is m x k, B is n x k.
+    let shapes = if smoke {
+        [(4usize, 64usize, 64usize), (8, 32, 48)]
+    } else {
+        [(4, 1024, 1024), (8, 256, 512)]
+    };
+    let iters = pr.gemm_iters * 5;
+    let mut rows = Vec::new();
+    for (m, k, n) in shapes {
+        let a = Tensor::randn([m, k], 53).into_vec();
+        let b = Tensor::randn([n, k], 59).into_vec();
+        let am = MatrixRef::new(&a, m, k).expect("a view");
+        let bm = MatrixRef::new(&b, n, k).expect("b view");
+        let (mut out, mut ref_out) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        let fast = bench(2, iters, || {
+            a_mul_bt(am, bm, black_box(&mut out)).expect("a_mul_bt");
+        });
+        let reference = bench(2, iters, || {
+            scalar_a_mul_bt(&a, &b, black_box(&mut ref_out), m, k, n);
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&out),
+            bits(&ref_out),
+            "a_mul_bt and the scalar loop disagree"
+        );
+        let sp = speedup(&reference, &fast);
+        println!(
+            "a_mul_bt {m}x{k} * ({n}x{k})T  {:.3} ms  (scalar loop {:.3} ms, {sp:.2}x)",
+            fast.min_s * 1e3,
+            reference.min_s * 1e3
+        );
+        rows.push(json!({
+            "kernel": "a_mul_bt",
+            "m": m, "k": k, "n": n,
+            "fast_ms": fast.min_s * 1e3,
+            "reference_ms": reference.min_s * 1e3,
+            "speedup": sp,
+        }));
+    }
+    rows
+}
+
 fn powersgd_section(pr: Params, smoke: bool) -> Value {
     // ResNet-50-style layer shapes (the encode_decode suite's conv set).
     let shapes: Vec<Vec<usize>> = if smoke {
@@ -364,9 +449,12 @@ fn powersgd_section(pr: Params, smoke: bool) -> Value {
 
 /// The three GEMMs of a PowerSGD round trip on a square layer, each through
 /// the entry point `PowerSgd` calls (which picks the skinny path from the
-/// rank) and through what ran before: the general register tiles for
-/// `M · Q` and `Mᵀ · P̂`, and `a_mul_bt` followed by the residual
-/// subtraction for the fused reconstruct. Both sides are checked equal.
+/// rank) and through the general path it stands in for: the general
+/// register tiles for `M · Q` and `Mᵀ · P̂`, and `a_mul_bt` followed by the
+/// residual subtraction for the fused reconstruct. That reference runs the
+/// lane-per-row `a_mul_bt`, not the scalar loop the fused kernel was first
+/// measured against (see `a_mul_bt_section`), so its ratio is against the
+/// fastest unfused form. Both sides are checked equal.
 fn skinny_gemm_section(pr: Params, smoke: bool) -> Vec<Value> {
     let n = if smoke { 64 } else { 1024 };
     let iters = pr.gemm_iters * 5;
@@ -681,6 +769,7 @@ fn main() {
     let ring = ring_section(pr);
     let algos = all_reduce_algorithms_section(pr);
     let gemm = gemm_section(pr, smoke);
+    let abt = a_mul_bt_section(pr, smoke);
     let psgd = powersgd_section(pr, smoke);
     let skinny = skinny_gemm_section(pr, smoke);
     let (topk, signs) = selection_section(pr);
@@ -692,6 +781,7 @@ fn main() {
         "ring_all_reduce": ring,
         "all_reduce_algorithms": algos,
         "matmul": gemm,
+        "a_mul_bt": abt,
         "powersgd": psgd,
         "skinny_gemm": skinny,
         "topk": topk,

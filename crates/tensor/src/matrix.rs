@@ -841,44 +841,81 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
         });
     }
     check_out(out, a.rows(), b.rows())?;
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let a_s = a.as_slice();
-    let b_s = b.as_slice();
-    // Four independent dot-product accumulators per A row: each loaded A
-    // element multiplies against four B rows at once. The shared dimension
-    // k is the PowerSGD rank (small), so all four B rows stay in cache.
-    for i in 0..m {
-        let arow = &a_s[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b_s[j * k..(j + 1) * k];
-            let b1 = &b_s[(j + 1) * k..(j + 2) * k];
-            let b2 = &b_s[(j + 2) * k..(j + 3) * k];
-            let b3 = &b_s[(j + 3) * k..(j + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (l, &av) in arow.iter().enumerate() {
-                s0 += av * b0[l];
-                s1 += av * b1[l];
-                s2 += av * b2[l];
-                s3 += av * b3[l];
+    let (k, n) = (a.cols(), b.rows());
+    // Also keeps `n == 0` away from the zero-sized row blocks below.
+    if out.is_empty() {
+        return Ok(());
+    }
+    let (a_s, b_s) = (a.as_slice(), b.as_slice());
+    let n4 = n - n % 4;
+    // One vector lane per output row: eight rows of A are packed into a
+    // `k x 8` panel, so one load gives the eight rows' `a[l]`, and each
+    // lane runs its row's chain `s = 0; s += a[l] * b[l]` with `l`
+    // ascending. Lanes past the last row hold zeros and are never stored.
+    let mut panel = vec![0.0f32; k * ABT_LANES];
+    for (blk, oblock) in out.chunks_mut(ABT_LANES * n).enumerate() {
+        let rows = oblock.len() / n;
+        let ablock = &a_s[blk * ABT_LANES * k..(blk * ABT_LANES + rows) * k];
+        for (l, p) in panel.chunks_exact_mut(ABT_LANES).enumerate() {
+            for (r, pv) in p.iter_mut().enumerate() {
+                *pv = if r < rows { ablock[r * k + l] } else { 0.0 };
             }
-            orow[j] = s0;
-            orow[j + 1] = s1;
-            orow[j + 2] = s2;
-            orow[j + 3] = s3;
-            j += 4;
         }
-        for j in j..n {
-            orow[j] = dot_in_order(arow, &b_s[j * k..(j + 1) * k]);
+        let mut j = 0;
+        while j + 8 <= n {
+            abt_lane_cols::<8>(&panel, b_s, (k, n), j, oblock);
+            j += 8;
+        }
+        // At most one four-column block is left before the tail.
+        if j < n4 {
+            abt_lane_cols::<4>(&panel, b_s, (k, n), j, oblock);
+        }
+        for j in n4..n {
+            let brow = &b_s[j * k..(j + 1) * k];
+            for r in 0..rows {
+                oblock[r * n + j] = dot_in_order(&ablock[r * k..(r + 1) * k], brow);
+            }
         }
     }
     Ok(())
 }
 
+/// Output rows [`a_mul_bt`] computes at once, one per vector lane.
+const ABT_LANES: usize = 8;
+
+/// Columns `[j, j + J)` of a block of up to [`ABT_LANES`] rows of
+/// [`a_mul_bt`], `panel` holding the block's rows of `A` lane-interleaved.
+/// A multiply then an add per step, never fused, so every lane forms the
+/// same chain the row's scalar dot product would.
+#[inline(always)]
+fn abt_lane_cols<const J: usize>(
+    panel: &[f32],
+    b_s: &[f32],
+    (k, n): (usize, usize),
+    j: usize,
+    oblock: &mut [f32],
+) {
+    let brows: [&[f32]; J] = std::array::from_fn(|c| &b_s[(j + c) * k..][..k]);
+    let mut acc = [[0.0f32; ABT_LANES]; J];
+    for (l, p) in (0..k).zip(panel.chunks_exact(ABT_LANES)) {
+        let p: &[f32; ABT_LANES] = p.try_into().expect("panel lane width");
+        for (accj, brow) in acc.iter_mut().zip(&brows) {
+            let bv = brow[l];
+            for (s, &av) in accj.iter_mut().zip(p) {
+                *s += av * bv;
+            }
+        }
+    }
+    for (r, orow) in oblock.chunks_exact_mut(n).enumerate() {
+        for (o, accj) in orow[j..j + J].iter_mut().zip(&acc) {
+            *o = accj[r];
+        }
+    }
+}
+
 /// The last `n % 4` columns of [`a_mul_bt`]: an iterator sum, whose start
 /// value (and so the sign of an all-zero result) is the standard
-/// library's, not the `0.0` of the four-column blocks.
+/// library's, not the `0.0` of the lane blocks.
 fn dot_in_order(arow: &[f32], brow: &[f32]) -> f32 {
     arow.iter().zip(brow).map(|(x, y)| x * y).sum()
 }
@@ -1022,9 +1059,10 @@ pub fn reconstruct_residual_pooled(
 /// optional residual update of [`reconstruct_residual_pooled`].
 ///
 /// [`a_mul_bt`] forms each element as `s = 0; s += a[l] * b[l]` with `l`
-/// ascending over four columns at a time, and the last `n % 4` columns as
-/// an iterator sum; both are kept per element, only the loop over columns
-/// is vectorised.
+/// ascending, one output row per vector lane, and the last `n % 4` columns
+/// as an iterator sum. This kernel keeps both chains per element and puts
+/// one output column per lane instead, which suits PowerSGD's small `k`:
+/// the transposed `B` is then small enough to copy.
 fn abt_rows(
     a_band: &[f32],
     b_s: &[f32],

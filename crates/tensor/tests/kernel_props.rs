@@ -805,6 +805,77 @@ fn fused_reconstruct_matches_a_mul_bt_then_subtract() {
     }
 }
 
+/// `A · Bᵀ` (`A` is `m x k`, `B` is `n x k`) as `a_mul_bt` formed it before
+/// it ran one output row per vector lane: per row of A, four B rows at a
+/// time through four scalar accumulators, then the last `n % 4` columns as
+/// an iterator sum.
+fn scalar_a_mul_bt(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        let mut j = 0;
+        while j + 4 <= n {
+            let b0 = &b[j * k..(j + 1) * k];
+            let b1 = &b[(j + 1) * k..(j + 2) * k];
+            let b2 = &b[(j + 2) * k..(j + 3) * k];
+            let b3 = &b[(j + 3) * k..(j + 4) * k];
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for (l, &av) in arow.iter().enumerate() {
+                s0 += av * b0[l];
+                s1 += av * b1[l];
+                s2 += av * b2[l];
+                s3 += av * b3[l];
+            }
+            orow[j] = s0;
+            orow[j + 1] = s1;
+            orow[j + 2] = s2;
+            orow[j + 3] = s3;
+            j += 4;
+        }
+        for j in j..n {
+            orow[j] = arow
+                .iter()
+                .zip(&b[j * k..(j + 1) * k])
+                .map(|(x, y)| x * y)
+                .sum();
+        }
+    }
+    out
+}
+
+#[test]
+fn a_mul_bt_matches_the_scalar_reference() {
+    use gcs_tensor::matrix::{a_mul_bt, MatrixRef};
+    // Rows cover every fill of the last eight-row panel; columns every
+    // mix of eight-column blocks, a four-column block and the `n % 4`
+    // tail; the shared side short and long chains. The tests run
+    // unoptimised, so products past 2^21 multiply-adds are left out and
+    // those past 2^17 take one input family.
+    let ks = [0, 1, 2, 3, 5, 8, 13, 256, 1024];
+    for m in (0..=17).chain([255]) {
+        for n in (0..=19).chain([1024]) {
+            for k in ks {
+                let cost = m * n * k;
+                if cost > 1 << 21 {
+                    continue;
+                }
+                let families = if cost > 1 << 17 { 1 } else { 3 };
+                let a_in = skinny_inputs(m * k, n);
+                let b_in = skinny_inputs(n * k, m);
+                for ((a, cmp), (b, _)) in a_in.iter().zip(&b_in).take(families) {
+                    let want = scalar_a_mul_bt(a, b, (m, k, n));
+                    let mut got = vec![f32::NAN; m * n];
+                    let am = MatrixRef::new(a, m, k).unwrap();
+                    let bm = MatrixRef::new(b, n, k).unwrap();
+                    a_mul_bt(am, bm, &mut got).unwrap();
+                    assert_eq!(cmp(&want), cmp(&got), "a_mul_bt {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Threaded determinism: the pooled entry points must be bit-identical to
 // serial execution for every pool width, and stable across repeated runs.

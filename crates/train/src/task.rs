@@ -261,7 +261,7 @@ impl MlpClassification {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero or `classes == 1`.
     pub fn new(dim: usize, hidden: usize, classes: usize, n: usize, seed: u64) -> Self {
         assert!(
             dim > 0 && hidden > 0 && classes > 1 && n > 0,
@@ -289,18 +289,25 @@ impl MlpClassification {
         }
     }
 
-    /// Forward pass for rows `idx`; returns (hidden activations, logits).
-    fn forward(&self, params: &[Tensor], idx: &[usize]) -> (Vec<f32>, Vec<f32>) {
-        let b = idx.len();
-        let (d, h, c) = (self.dim, self.hidden, self.classes);
-        let mut xb = vec![0.0f32; b * d];
-        for (r, &i) in idx.iter().enumerate() {
-            xb[r * d..(r + 1) * d].copy_from_slice(&self.x[i * d..(i + 1) * d]);
+    /// Dataset rows `idx`, gathered into one `idx.len() x dim` batch.
+    fn gather(&self, idx: &[usize]) -> Vec<f32> {
+        let d = self.dim;
+        let mut xb = Vec::with_capacity(idx.len() * d);
+        for &i in idx {
+            xb.extend_from_slice(&self.x[i * d..(i + 1) * d]);
         }
+        xb
+    }
+
+    /// Forward pass for the input rows `xb` (`b x dim`); returns (hidden
+    /// activations, logits).
+    fn forward(&self, params: &[Tensor], xb: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let (d, h, c) = (self.dim, self.hidden, self.classes);
+        let b = xb.len() / d;
         // hidden = tanh(X W1ᵀ + b1)
         let mut hid = vec![0.0f32; b * h];
         a_mul_bt(
-            MatrixRef::new(&xb, b, d).expect("xb shape"),
+            MatrixRef::new(xb, b, d).expect("xb shape"),
             MatrixRef::new(params[0].data(), h, d).expect("w1 shape"),
             &mut hid,
         )
@@ -343,8 +350,7 @@ impl MlpClassification {
 
     /// Classification accuracy over the full dataset.
     pub fn accuracy(&self, params: &[Tensor]) -> f64 {
-        let idx: Vec<usize> = (0..self.n).collect();
-        let (_, mut logits) = self.forward(params, &idx);
+        let (_, mut logits) = self.forward(params, &self.x);
         Self::softmax_rows(&mut logits, self.n, self.classes);
         let mut correct = 0usize;
         for i in 0..self.n {
@@ -381,7 +387,8 @@ impl Task for MlpClassification {
         let b = batch.max(1);
         let (d, h, c) = (self.dim, self.hidden, self.classes);
         let idx: Vec<usize> = (0..b).map(|_| rng.gen_range(0..self.n)).collect();
-        let (hid, mut probs) = self.forward(params, &idx);
+        let xb = self.gather(&idx);
+        let (hid, mut probs) = self.forward(params, &xb);
         Self::softmax_rows(&mut probs, b, c);
         // dlogits = probs - onehot(labels), averaged over the batch.
         for (r, &i) in idx.iter().enumerate() {
@@ -417,10 +424,6 @@ impl Task for MlpClassification {
             *dh *= 1.0 - hv * hv;
         }
         // gW1 = dhidᵀ X  (h x d); gb1 = column sums of dhid.
-        let mut xb = vec![0.0f32; b * d];
-        for (r, &i) in idx.iter().enumerate() {
-            xb[r * d..(r + 1) * d].copy_from_slice(&self.x[i * d..(i + 1) * d]);
-        }
         let mut gw1 = vec![0.0f32; h * d];
         at_mul_b(
             MatrixRef::new(&dhid, b, h).expect("dhid shape"),
@@ -443,8 +446,7 @@ impl Task for MlpClassification {
     }
 
     fn full_loss(&self, params: &[Tensor]) -> f64 {
-        let idx: Vec<usize> = (0..self.n).collect();
-        let (_, mut probs) = self.forward(params, &idx);
+        let (_, mut probs) = self.forward(params, &self.x);
         Self::softmax_rows(&mut probs, self.n, self.classes);
         let mut loss = 0.0f64;
         for i in 0..self.n {
@@ -576,7 +578,7 @@ mod tests {
             // Recompute the sampled indices exactly as minibatch_grad does.
             let mut rng = StdRng::seed_from_u64(seed);
             let idx: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..task.n)).collect();
-            let (_, mut probs) = task.forward(params, &idx);
+            let (_, mut probs) = task.forward(params, &task.gather(&idx));
             MlpClassification::softmax_rows(&mut probs, batch, task.classes);
             let mut loss = 0.0f64;
             for (r, &i) in idx.iter().enumerate() {
@@ -598,6 +600,30 @@ mod tests {
                 "param {pi} coord {gi}: numeric {numeric} vs analytic {analytic}"
             );
         }
+    }
+
+    /// FNV-1a over the bit patterns of every gradient element and of the
+    /// full loss.
+    fn fnv1a_bits(grads: &[Tensor], loss: f64) -> u64 {
+        let bytes = grads
+            .iter()
+            .flat_map(|g| g.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+            .chain(loss.to_bits().to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn mlp_grad_and_loss_bits_are_pinned() {
+        // Odd sizes so every kernel tail runs: 11 and 23 rows leave partial
+        // row panels, 29 hidden units and 5 classes leave partial column
+        // blocks, and 37 inputs is not a multiple of any vector width.
+        let task = MlpClassification::new(37, 29, 5, 23, 17);
+        let params = task.init_params(5);
+        let grads = task.minibatch_grad(&params, 11, 3);
+        let loss = task.full_loss(&params);
+        assert_eq!(fnv1a_bits(&grads, loss), 0x7e50_639b_29e5_2aad);
     }
 
     #[test]

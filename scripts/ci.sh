@@ -22,13 +22,15 @@ echo "==> cargo test --workspace -q (GCS_FORCE_SCALAR=1)"
 GCS_FORCE_SCALAR=1 cargo test --workspace -q
 
 # The skinny GEMM paths and the fused reconstruct against the general
-# kernels, and PowerSGD against its unfused reference, named here so the
-# gate does not rest on the two workspace passes above keeping them: once
-# under the default dispatch and once forced scalar (which also pins the
-# kernel pool to one thread).
+# kernels, `a_mul_bt` against the scalar loop it replaced, and PowerSGD
+# against its unfused reference, named here so the gate does not rest on
+# the two workspace passes above keeping them: once under the default
+# dispatch and once forced scalar (which also pins the kernel pool to one
+# thread).
 for scalar in 0 1; do
-  echo "==> skinny GEMM + PowerSGD bit-exactness (GCS_FORCE_SCALAR=$scalar)"
-  GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-tensor --test kernel_props -- skinny fused
+  echo "==> skinny GEMM + a_mul_bt + PowerSGD bit-exactness (GCS_FORCE_SCALAR=$scalar)"
+  GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-tensor --test kernel_props -- \
+    skinny fused a_mul_bt_matches_the_scalar_reference
   GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-compress --lib powersgd
 done
 
