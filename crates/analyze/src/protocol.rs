@@ -14,10 +14,10 @@
 //!   receive, in order. Verified: follower assignment sequences are
 //!   always a prefix of rank 0's, and every run converges with identical
 //!   assignments (no decision divergence).
-//! * the **pipeline FIFO-completion window**
-//!   (`PipelinedEngine::exchange_with_plan`): at most `depth` buckets in
-//!   flight, completions consumed strictly front-first by
-//!   `complete_front`. Verified: the in-flight bound holds in every
+//! * the **pipeline FIFO-completion window** (the bucket schedule's comm
+//!   lane, `run_rounds` in `gcs_ddp::exec`, as `PipelinedEngine` drives
+//!   it): at most `depth` buckets in flight, completions consumed strictly
+//!   front-first by `complete_front`. Verified: the in-flight bound holds in every
 //!   reachable state and completions are observed in submission order (no
 //!   out-of-window completion).
 //!
@@ -372,8 +372,9 @@ pub enum WindowVariant {
     PopNewest,
 }
 
-/// The bucket window of `PipelinedEngine::exchange_with_plan`: the engine
-/// submits while `inflight.len() < depth` and `complete_front` pops the
+/// The bucket window of the schedule's comm lane (`run_rounds` in
+/// `gcs_ddp::exec`): the engine submits while `inflight.len() <
+/// lane.window()` (the pipeline depth) and `complete_front` pops the
 /// oldest in-flight bucket.
 pub struct PipelineWindow {
     pub buckets: usize,

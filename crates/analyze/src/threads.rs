@@ -2,7 +2,7 @@
 //!
 //! Each concurrent component of the runtime (`gcs_tensor::pool` band
 //! cursor + condvar join, `CommEngine` comm thread + poison slot, the
-//! `PipelinedEngine` depth-bounded bucket window, the `AdaptiveEngine`
+//! bucket schedule's depth-bounded window on its comm lane, the `AdaptiveEngine`
 //! decide/broadcast step, and `TcpCluster` per-peer reader threads) is
 //! lifted into a small model: a fixed set of threads, each a straight-line
 //! sequence of events over shared resources (plain variables, declared
@@ -668,15 +668,17 @@ fn comm_engine_model(jobs: usize, depth: usize) -> ThreadModel {
     m
 }
 
-/// `PipelinedEngine::exchange_with_plan`: the in-flight window is a
-/// bounded channel of capacity `window` (`while inflight.len() >=
-/// self.cfg.depth`); bucket buffers are published to the absorb strictly
-/// through FIFO completions (`complete_front`'s `pop_front`).
+/// The bucket schedule's comm lane (`run_rounds` in `exec.rs`, which
+/// `PipelinedEngine` drives): the in-flight window is a bounded channel of
+/// capacity `window` (`while inflight.len() >= lane.window()`); bucket
+/// buffers are published to the absorb strictly through FIFO completions
+/// (`complete_front`'s `pop_front`).
 fn pipeline_window_model(buckets: usize, window: usize) -> ThreadModel {
     let mut m = ThreadModel::new(format!("pipeline-window/buckets{buckets}-w{window}"));
-    m.anchor("crates/ddp/src/pipeline.rs", "exchange_with_plan");
-    m.anchor("crates/ddp/src/pipeline.rs", "complete_front");
-    m.anchor("crates/ddp/src/pipeline.rs", "pop_front");
+    m.anchor("crates/ddp/src/exec.rs", "run_rounds");
+    m.anchor("crates/ddp/src/exec.rs", "window");
+    m.anchor("crates/ddp/src/exec.rs", "complete_front");
+    m.anchor("crates/ddp/src/exec.rs", "pop_front");
     let q = m.chan("inflight", window, 0);
     let done = m.chan("completions", buckets, 0);
     let bufs: Vec<usize> = (0..buckets).map(|b| m.var(format!("bucket{b}"))).collect();

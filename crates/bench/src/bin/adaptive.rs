@@ -23,8 +23,9 @@
 
 use std::time::Instant;
 
+use gcs_cluster::cost::NetworkModel;
 use gcs_cluster::{NetEmu, SimCluster, WorkerHandle};
-use gcs_compress::adaptive::{AdaptiveConfig, Decision, LinkModel};
+use gcs_compress::adaptive::{AdaptiveConfig, Decision};
 use gcs_compress::registry::MethodConfig;
 use gcs_ddp::AdaptiveEngine;
 use gcs_tensor::Tensor;
@@ -111,7 +112,7 @@ struct RunOutcome {
 /// returns rank 0's controller view plus measured wall time per step.
 fn run_engine(regime: &Regime, scheme_arms: Vec<MethodConfig>, bp: &BenchParams) -> RunOutcome {
     let netem = NetEmu::from_gbps(regime.latency_us, regime.gbps);
-    let link = LinkModel::from_gbps(regime.latency_us * 1e-6, regime.gbps).expect("link");
+    let link = NetworkModel::from_gbps(regime.latency_us * 1e-6, regime.gbps);
     let shapes = bp.layer_shapes.clone();
     let bucket_bytes = bp.bucket_bytes;
     let steps = bp.steps;

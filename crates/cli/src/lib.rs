@@ -559,7 +559,8 @@ pub fn run(args: &[String]) -> Result<String> {
 /// and through every arm pinned, then reports modelled step time and
 /// time-to-loss — the what-if answer, demonstrated on the real data plane.
 fn cmd_adaptive(rest: &[String]) -> Result<String> {
-    use gcs_compress::adaptive::{AdaptiveConfig, LinkModel};
+    use gcs_cluster::cost::NetworkModel;
+    use gcs_compress::adaptive::AdaptiveConfig;
     use gcs_train::adaptive::train_threaded_adaptive;
 
     let map = flag_map(rest)?;
@@ -574,10 +575,16 @@ fn cmd_adaptive(rest: &[String]) -> Result<String> {
     }
     let steps = get_parse("steps", "60")? as usize;
     let gbps = get_parse("gbps", "0.01")?;
-    if gbps <= 0.0 {
-        return Err(CliError("--gbps must be positive".into()));
+    let bytes_per_sec = gbps * 1e9 / 8.0;
+    if !(bytes_per_sec.is_finite() && bytes_per_sec > 0.0) {
+        return Err(CliError("--gbps must be positive and finite".into()));
     }
     let alpha_s = get_parse("alpha-us", "15")? * 1e-6;
+    if !(alpha_s.is_finite() && alpha_s >= 0.0) {
+        return Err(CliError(
+            "--alpha-us must be non-negative and finite".into(),
+        ));
+    }
     let bucket_kb = get_parse("bucket-kb", "1")?;
     if bucket_kb <= 0.0 {
         return Err(CliError("--bucket-kb must be positive".into()));
@@ -593,7 +600,7 @@ fn cmd_adaptive(rest: &[String]) -> Result<String> {
         return Err(CliError("--arms needs at least one scheme".into()));
     }
 
-    let link = LinkModel::new(alpha_s, gbps * 1e9 / 8.0).map_err(|e| CliError(e.to_string()))?;
+    let link = NetworkModel::new(alpha_s, bytes_per_sec);
     let bucket_bytes = (bucket_kb * 1024.0) as usize;
     let task = gcs_train::task::LinearRegression::new(256, 256, 0.01, 41);
     let cfg = gcs_train::threaded::ThreadedConfig::new()
@@ -982,9 +989,30 @@ mod tests {
     #[test]
     fn adaptive_command_rejects_bad_flags() {
         assert!(run(&args("adaptive --workers 0")).is_err());
-        assert!(run(&args("adaptive --gbps -1")).is_err());
         assert!(run(&args("adaptive --arms bogus:1")).is_err());
         assert!(run(&args("adaptive --bucket-kb 0")).is_err());
+    }
+
+    /// The link model asserts its inputs, so the CLI must turn a bad
+    /// `--gbps` or `--alpha-us` into a typed error naming the flag.
+    fn assert_rejects_link_flag(flag: &str, values: &[&str]) {
+        for value in values {
+            let err = run(&args(&format!("adaptive --{flag} {value}"))).unwrap_err();
+            assert!(
+                err.0.contains(&format!("--{flag} must be")),
+                "--{flag} {value}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn adaptive_command_rejects_non_positive_or_non_finite_gbps() {
+        assert_rejects_link_flag("gbps", &["-1", "0", "nan", "inf"]);
+    }
+
+    #[test]
+    fn adaptive_command_rejects_negative_or_non_finite_alpha() {
+        assert_rejects_link_flag("alpha-us", &["-1", "nan", "inf", "-inf"]);
     }
 
     #[test]

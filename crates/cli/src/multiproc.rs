@@ -24,7 +24,7 @@ use crate::{flag_map, CliError, Result};
 use gcs_cluster::wire::{self, FrameKind, WireHeader};
 use gcs_cluster::{SimCluster, TcpCluster, TcpOptions, WorkerHandle};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::exchange_gradients_bucketed;
+use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
 use gcs_tensor::Tensor;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -60,10 +60,11 @@ fn run_steps(w: &WorkerHandle, method: &MethodConfig, steps: usize) -> Result<u6
     let mut c = method
         .build()
         .map_err(|e| CliError(format!("building method: {e}")))?;
+    let mut plan = BucketPlan::new(&make_grads(w.rank(), 0), usize::MAX);
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for step in 0..steps {
         let grads = make_grads(w.rank(), step);
-        let outs = exchange_gradients_bucketed(w, &mut c, &grads, usize::MAX)
+        let outs = exchange_gradients_with_plan(w, &mut c, &grads, &mut plan)
             .map_err(|e| CliError(format!("step {step} exchange: {e}")))?;
         for t in &outs {
             for v in t.data() {

@@ -20,10 +20,9 @@
 //!
 //! where `T_coll` is Equation 1 for ring all-reducible schemes
 //! (`α(p−1) + 2·bytes·(p−1)/(p·BW)`) and the all-gather formula
-//! (`α(p−1) + bytes·(p−1)/BW_eff`) otherwise — exactly the formulas of
-//! `gcs_cluster::cost::NetworkModel`, mirrored here as [`LinkModel`]
-//! because the dependency points the other way (a `gcs-ddp` test pins the
-//! two models equal).
+//! (`α(p−1) + bytes·(p−1)/BW_eff`) otherwise, both priced by the cluster
+//! crate's [`NetworkModel`] — the repo's one α–β model. Every round moves
+//! a whole number of bytes, so the estimate is exactly the cost layer's.
 //!
 //! # Modelled vs measured inputs
 //!
@@ -46,84 +45,11 @@
 
 use crate::registry::MethodConfig;
 use crate::{CompressError, Result};
+use gcs_cluster::cost::NetworkModel;
 use gcs_tensor::Shape;
 
 /// Weight of a new observation in the encode/decode and bandwidth EWMAs.
 const EWMA_WEIGHT: f64 = 0.3;
-
-/// α–β link model — a dependency-free mirror of
-/// `gcs_cluster::cost::NetworkModel` (same fields, same formulas; the
-/// `gcs-ddp` test `link_model_matches_network_model` pins them equal).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkModel {
-    /// Per-message latency α in seconds.
-    pub alpha_s: f64,
-    /// Link bandwidth in **bytes per second**.
-    pub bytes_per_sec: f64,
-    /// Incast severity `c ≥ 0`: gathers see `BW / (1 + c·ln p)`.
-    pub incast: f64,
-}
-
-impl LinkModel {
-    /// Creates a link model from latency (seconds) and bandwidth (bytes/s).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompressError::InvalidConfig`] for non-finite or
-    /// non-positive parameters.
-    pub fn new(alpha_s: f64, bytes_per_sec: f64) -> Result<Self> {
-        if !(alpha_s.is_finite() && alpha_s >= 0.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "link alpha must be >= 0, got {alpha_s}"
-            )));
-        }
-        if !(bytes_per_sec.is_finite() && bytes_per_sec > 0.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "link bandwidth must be positive, got {bytes_per_sec}"
-            )));
-        }
-        Ok(LinkModel {
-            alpha_s,
-            bytes_per_sec,
-            incast: 0.0,
-        })
-    }
-
-    /// Convenience constructor from Gbps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompressError::InvalidConfig`] for non-positive `gbps`.
-    pub fn from_gbps(alpha_s: f64, gbps: f64) -> Result<Self> {
-        if !(gbps.is_finite() && gbps > 0.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "gbps must be positive, got {gbps}"
-            )));
-        }
-        Self::new(alpha_s, gbps * 1e9 / 8.0)
-    }
-
-    /// Ring all-reduce of `bytes` across `p` workers — Equation 1:
-    /// `α(p−1) + 2·b·(p−1)/(p·BW)`.
-    pub fn ring_all_reduce(&self, bytes: f64, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        self.alpha_s * (pf - 1.0) + 2.0 * bytes * (pf - 1.0) / (pf * self.bytes_per_sec)
-    }
-
-    /// All-gather where each worker contributes `bytes`:
-    /// `α(p−1) + b·(p−1)/BW_eff` with `BW_eff = BW / (1 + c·ln p)`.
-    pub fn all_gather(&self, bytes: f64, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        let bw_eff = self.bytes_per_sec / (1.0 + self.incast * pf.ln());
-        self.alpha_s * (pf - 1.0) + bytes * (pf - 1.0) / bw_eff
-    }
-}
 
 /// Which collective a payload round rides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +63,7 @@ pub enum CollectiveKind {
 /// One modelled communication round of an (arm, bucket) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RoundCost {
-    bytes: f64,
+    bytes: usize,
     kind: CollectiveKind,
 }
 
@@ -186,7 +112,7 @@ pub struct AdaptiveConfig {
     pub inputs: DecisionInputs,
     /// The α–β link model used for modelled estimates (and as the
     /// bandwidth prior before any measurement).
-    pub link: LinkModel,
+    pub link: NetworkModel,
     /// Relative improvement required before switching away from the
     /// current arm (e.g. `0.15` = the challenger must be ≥15 % faster).
     pub hysteresis: f64,
@@ -247,11 +173,7 @@ impl AdaptiveConfig {
             arms,
             objective: Objective::FastestIteration,
             inputs: DecisionInputs::Modelled,
-            link: LinkModel {
-                alpha_s: 15e-6,
-                bytes_per_sec: 10e9 / 8.0,
-                incast: 0.0,
-            },
+            link: NetworkModel::datacenter_10gbps(),
             hysteresis: 0.15,
             dwell_steps: 2,
             warmup_steps: warmup,
@@ -275,7 +197,7 @@ impl AdaptiveConfig {
 
     /// Sets the link model.
     #[must_use]
-    pub fn link(mut self, link: LinkModel) -> Self {
+    pub fn link(mut self, link: NetworkModel) -> Self {
         self.link = link;
         self
     }
@@ -591,10 +513,10 @@ impl Controller {
     /// The link model decisions currently use: the configured link, with
     /// its bandwidth replaced by the measured estimate under
     /// [`DecisionInputs::Measured`].
-    fn decision_link(&self) -> LinkModel {
+    fn decision_link(&self) -> NetworkModel {
         match (self.cfg.inputs, self.bw_estimate) {
-            (DecisionInputs::Measured, Some(bw)) => LinkModel {
-                bytes_per_sec: bw,
+            (DecisionInputs::Measured, Some(bw)) => NetworkModel {
+                bandwidth: bw,
                 ..self.cfg.link
             },
             _ => self.cfg.link,
@@ -859,7 +781,7 @@ fn model_rounds(
     if !props.all_reducible {
         // Non-summable payloads are serialized and all-gathered whole.
         return vec![RoundCost {
-            bytes: compressor.compressed_bytes(shape) as f64,
+            bytes: compressor.compressed_bytes(shape),
             kind: CollectiveKind::Gather,
         }];
     }
@@ -871,11 +793,11 @@ fn model_rounds(
             let r = (*rank).min(m).min(n).max(1);
             vec![
                 RoundCost {
-                    bytes: (m * r * 4) as f64,
+                    bytes: m * r * 4,
                     kind: CollectiveKind::Ring,
                 },
                 RoundCost {
-                    bytes: (n * r * 4) as f64,
+                    bytes: n * r * 4,
                     kind: CollectiveKind::Ring,
                 },
             ]
@@ -886,20 +808,18 @@ fn model_rounds(
         // model must charge the full f32 image or the controller would
         // believe in a 2x win that the plane never delivers.
         MethodConfig::Fp16 => vec![RoundCost {
-            bytes: (shape.numel() * 4) as f64,
+            bytes: shape.numel() * 4,
             kind: CollectiveKind::Ring,
         }],
+        // Generic all-reducible scheme: analytic bytes, split evenly
+        // across its rounds (every such scheme in the registry has one).
         _ => {
-            // Generic all-reducible scheme: analytic bytes, split evenly
-            // across its rounds.
             let rounds = props.rounds.max(1);
-            let per = compressor.compressed_bytes(shape) as f64 / rounds as f64;
-            (0..rounds)
-                .map(|_| RoundCost {
-                    bytes: per,
-                    kind: CollectiveKind::Ring,
-                })
-                .collect()
+            let round = RoundCost {
+                bytes: compressor.compressed_bytes(shape) / rounds,
+                kind: CollectiveKind::Ring,
+            };
+            vec![round; rounds]
         }
     }
 }
@@ -908,7 +828,7 @@ fn model_rounds(
 /// to recover the effective link bandwidth. Returns `None` when the
 /// observation mixes collective classes, moved no bytes, or the timing is
 /// swamped by the latency term.
-fn invert_bandwidth(link: &LinkModel, world: usize, obs: &Observation) -> Option<f64> {
+fn invert_bandwidth(link: &NetworkModel, world: usize, obs: &Observation) -> Option<f64> {
     if world <= 1 {
         return None;
     }
@@ -916,14 +836,14 @@ fn invert_bandwidth(link: &LinkModel, world: usize, obs: &Observation) -> Option
     let hops = pf - 1.0;
     match (obs.ring_rounds, obs.gather_rounds) {
         (r, 0) if r > 0 && obs.ring_bytes > 0 => {
-            let t_bw = obs.comm_s - f64::from(r) * link.alpha_s * hops;
+            let t_bw = obs.comm_s - f64::from(r) * link.alpha * hops;
             if t_bw <= 1e-9 {
                 return None;
             }
             Some(2.0 * obs.ring_bytes as f64 * hops / (pf * t_bw))
         }
         (0, g) if g > 0 && obs.gather_bytes > 0 => {
-            let t_bw = obs.comm_s - f64::from(g) * link.alpha_s * hops;
+            let t_bw = obs.comm_s - f64::from(g) * link.alpha * hops;
             if t_bw <= 1e-9 {
                 return None;
             }
@@ -950,28 +870,8 @@ mod tests {
         vec![Shape::new(vec![256, 256]), Shape::new(vec![128, 512])]
     }
 
-    fn link_gbps(gbps: f64) -> LinkModel {
-        LinkModel::from_gbps(15e-6, gbps).unwrap()
-    }
-
-    #[test]
-    fn link_model_matches_equation_one_exactly() {
-        // Same numeric case as gcs_cluster::cost's equation_one_exact_value:
-        // b = 125 MB at 1.25e9 B/s, p = 4, alpha = 0 -> 0.15 s.
-        let l = LinkModel::new(0.0, 1.25e9).unwrap();
-        assert!((l.ring_all_reduce(125e6, 4) - 0.15).abs() < 1e-9);
-        // All-gather: b(p-1)/BW with alpha = 0 and no incast.
-        assert!((l.all_gather(1e6, 4) - 3e6 / 1.25e9).abs() < 1e-12);
-        // Degenerate worlds cost nothing.
-        assert_eq!(l.ring_all_reduce(1e6, 1), 0.0);
-        assert_eq!(l.all_gather(1e6, 0), 0.0);
-    }
-
-    #[test]
-    fn link_model_rejects_bad_parameters() {
-        assert!(LinkModel::new(-1.0, 1e9).is_err());
-        assert!(LinkModel::new(0.0, 0.0).is_err());
-        assert!(LinkModel::from_gbps(0.0, -5.0).is_err());
+    fn link_gbps(gbps: f64) -> NetworkModel {
+        NetworkModel::from_gbps(15e-6, gbps)
     }
 
     #[test]
@@ -1268,7 +1168,7 @@ mod tests {
         let mut c = Controller::new(cfg, &shapes(), 4).unwrap();
         // Synthesize a ring observation whose time is exactly Equation 1.
         let bytes = 1_000_000u64;
-        let t = link.ring_all_reduce(bytes as f64, 4);
+        let t = link.ring_all_reduce(bytes as usize, 4);
         c.observe(Observation {
             bucket: 0,
             arm: 0,
@@ -1282,9 +1182,9 @@ mod tests {
         });
         let bw = c.bandwidth_estimate().unwrap();
         assert!(
-            (bw - link.bytes_per_sec).abs() / link.bytes_per_sec < 1e-9,
+            (bw - link.bandwidth).abs() / link.bandwidth < 1e-9,
             "inverted {bw}, configured {}",
-            link.bytes_per_sec
+            link.bandwidth
         );
         // And a gather observation on a second controller.
         let mut cg = Controller::new(
@@ -1296,7 +1196,7 @@ mod tests {
             4,
         )
         .unwrap();
-        let tg = link.all_gather(bytes as f64, 4);
+        let tg = link.all_gather(bytes as usize, 4);
         cg.observe(Observation {
             bucket: 0,
             arm: 2,
@@ -1309,7 +1209,7 @@ mod tests {
             gather_rounds: 1,
         });
         let bwg = cg.bandwidth_estimate().unwrap();
-        assert!((bwg - link.bytes_per_sec).abs() / link.bytes_per_sec < 1e-9);
+        assert!((bwg - link.bandwidth).abs() / link.bandwidth < 1e-9);
         // Mixed-class observations are skipped.
         let before = cg.bandwidth_estimate();
         cg.observe(Observation {
@@ -1342,10 +1242,10 @@ mod tests {
     fn powersgd_pays_the_latency_term_twice() {
         // On a latency-dominated link (tiny bucket, high alpha) PowerSGD's
         // two rounds must cost ~2x the one-round alpha term.
-        let link = LinkModel::new(1e-3, 1e12).unwrap();
+        let link = NetworkModel::new(1e-3, 1e12);
         let cfg = AdaptiveConfig::new(arms()).unwrap().link(link);
         let c = Controller::new(cfg, &[Shape::new(vec![8, 8])], 4).unwrap();
-        let one_round_alpha = link.ring_all_reduce(0.0, 4);
+        let one_round_alpha = link.ring_all_reduce(0, 4);
         let ps = c.estimate(0, 1);
         assert!(
             ps > 1.9 * one_round_alpha && ps < 2.5 * one_round_alpha,

@@ -1,12 +1,12 @@
 //! Adaptive data plane: the per-bucket scheme-switching engine driven by
 //! [`gcs_compress::adaptive::Controller`].
 //!
-//! The engine holds one compressor per controller arm and runs each
-//! bucket's full round protocol on its currently-assigned arm,
-//! instrumented with monotonic timers ([`BucketTiming`]). The schedule is
-//! **bucket-major** (all rounds of bucket 0, then bucket 1, …) so that a
-//! per-bucket arm assignment still yields the same global collective
-//! order on every rank.
+//! The engine holds one compressor per controller arm and runs the bucket
+//! schedule of [`crate::exec`] on the inline lane, each bucket on its
+//! currently-assigned arm and for that arm's rounds only. The schedule is
+//! round-major like every other engine's; because every rank holds the
+//! same assignment, every rank still issues the same collective sequence.
+//! The schedule's [`BucketTiming`]s feed the controller's measured mode.
 //!
 //! Decision flow per step:
 //!
@@ -21,7 +21,7 @@
 //!    [`switch_scheme`], carrying (or documented-resetting) the
 //!    error-feedback residual.
 
-use crate::exec::{run_timed_round, BucketPlan, BucketTiming, Result};
+use crate::exec::{exchange_plan, BucketPlan, BucketTiming, Lane, Result};
 use gcs_cluster::WorkerHandle;
 use gcs_compress::adaptive::{
     decode_decisions, encode_decisions, AdaptiveConfig, Controller, Decision, Observation,
@@ -52,7 +52,6 @@ pub struct AdaptiveEngine {
     script: Option<Vec<Decision>>,
     plan: Option<BucketPlan>,
     controller: Option<Controller>,
-    timings: Vec<BucketTiming>,
     switches: Vec<SwitchRecord>,
 }
 
@@ -84,7 +83,6 @@ impl AdaptiveEngine {
             script: None,
             plan: None,
             controller: None,
-            timings: Vec::new(),
             switches: Vec::new(),
         })
     }
@@ -112,7 +110,7 @@ impl AdaptiveEngine {
 
     /// Timing probes of the most recent exchange.
     pub fn last_timings(&self) -> &[BucketTiming] {
-        &self.timings
+        self.plan.as_ref().map_or(&[], BucketPlan::last_timings)
     }
 
     /// Every scheme switch executed so far, with residual outcomes.
@@ -136,38 +134,17 @@ impl AdaptiveEngine {
             return Err(CompressError::Protocol("adaptive engine not initialized".into()).into());
         };
 
-        // Bucket-major instrumented exchange on the current assignment.
-        self.timings.clear();
-        let mut flats = Vec::with_capacity(plan.num_buckets());
-        for bucket_id in 0..plan.num_buckets() {
-            let arm = controller.arm_of(bucket_id);
-            let compressor = &mut self.compressors[arm];
-            let rounds = compressor.properties().rounds;
-            let mut timing = BucketTiming {
-                bucket: bucket_id,
-                ..BucketTiming::default()
-            };
-            for round in 0..rounds {
-                run_timed_round(
-                    worker,
-                    compressor.as_mut(),
-                    grads,
-                    plan,
-                    bucket_id,
-                    round,
-                    &mut timing,
-                )?;
-            }
-            let t0 = std::time::Instant::now();
-            flats.push(compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?);
-            timing.decode_s += t0.elapsed().as_secs_f64();
-            self.timings.push(timing);
-        }
-        let out = plan.scatter(grads, flats)?;
+        let out = exchange_plan(
+            &Lane::Inline(worker),
+            &mut self.compressors,
+            &|b| controller.arm_of(b),
+            grads,
+            plan,
+        )?;
 
         // Feed the probes back (every rank keeps its controller copy
         // warm; only rank 0's estimates drive decisions).
-        for t in &self.timings {
+        for t in plan.last_timings() {
             controller.observe(Observation {
                 bucket: t.bucket,
                 arm: controller.arm_of(t.bucket),
@@ -200,11 +177,7 @@ impl AdaptiveEngine {
     /// gradient layout changes), and runs the initial-assignment
     /// broadcast.
     fn ensure_plan(&mut self, worker: &WorkerHandle, grads: &[Tensor]) -> Result<()> {
-        let fresh = match &self.plan {
-            Some(plan) => !plan.matches(grads),
-            None => true,
-        };
-        if !fresh {
+        if self.plan.as_ref().is_some_and(|plan| plan.matches(grads)) {
             return Ok(());
         }
         let plan = BucketPlan::matricized(grads, self.bucket_bytes);
@@ -239,11 +212,13 @@ impl AdaptiveEngine {
     /// carrying residuals per the configured policy.
     fn execute_switches(&mut self, decisions: &[Decision]) -> Result<()> {
         for d in decisions {
-            let (from, to) = (d.from as usize, d.to as usize);
-            if from == to || from >= self.compressors.len() || to >= self.compressors.len() {
+            // A no-op or out-of-range decision switches nothing.
+            let Ok([old, new]) = self
+                .compressors
+                .get_disjoint_mut([d.from as usize, d.to as usize])
+            else {
                 continue;
-            }
-            let (old, new) = pair_mut(&mut self.compressors, from, to);
+            };
             let outcome = switch_scheme(old, new, d.bucket as usize, self.residual_policy)?;
             self.switches.push(SwitchRecord {
                 decision: d.clone(),
@@ -254,23 +229,12 @@ impl AdaptiveEngine {
     }
 }
 
-/// Mutable references to two distinct slice elements.
-fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    debug_assert!(i != j && i < v.len() && j < v.len());
-    if i < j {
-        let (left, right) = v.split_at_mut(j);
-        (&mut left[i], &mut right[0])
-    } else {
-        let (left, right) = v.split_at_mut(i);
-        (&mut right[0], &mut left[j])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcs_cluster::cost::NetworkModel;
     use gcs_cluster::SimCluster;
-    use gcs_compress::adaptive::{DecisionInputs, LinkModel};
+    use gcs_compress::adaptive::DecisionInputs;
     use gcs_compress::registry::MethodConfig;
 
     fn arms() -> Vec<MethodConfig> {
@@ -289,23 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_mut_returns_distinct_elements() {
-        let mut v = vec![1, 2, 3];
-        let (a, b) = pair_mut(&mut v, 0, 2);
-        *a = 10;
-        *b = 30;
-        assert_eq!(v, vec![10, 2, 30]);
-        let (a, b) = pair_mut(&mut v, 2, 0);
-        assert_eq!((*a, *b), (30, 10));
-    }
-
-    #[test]
     fn adaptive_engine_leaves_syncsgd_on_modelled_slow_link() {
         let p = 4;
         let results = SimCluster::run(p, move |worker| {
             let cfg = AdaptiveConfig::new(arms())
                 .unwrap()
-                .link(LinkModel::from_gbps(15e-6, 0.05).unwrap());
+                .link(NetworkModel::from_gbps(15e-6, 0.05));
             let mut engine = AdaptiveEngine::new(cfg, 16 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 11);
             for _ in 0..3 {
@@ -345,7 +298,7 @@ mod tests {
         let results = SimCluster::run(2, move |worker| {
             let cfg = AdaptiveConfig::new(vec![MethodConfig::PowerSgd { rank: 2 }])
                 .unwrap()
-                .link(LinkModel::from_gbps(15e-6, 0.5).unwrap());
+                .link(NetworkModel::from_gbps(15e-6, 0.5));
             let mut engine = AdaptiveEngine::new(cfg, 8 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 23);
             for _ in 0..4 {
@@ -365,7 +318,7 @@ mod tests {
                 .unwrap()
                 .inputs(DecisionInputs::Measured)
                 .warmup_steps(3)
-                .link(LinkModel::from_gbps(15e-6, 1.0).unwrap());
+                .link(NetworkModel::from_gbps(15e-6, 1.0));
             let mut engine = AdaptiveEngine::new(cfg, 16 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 5);
             for _ in 0..6 {

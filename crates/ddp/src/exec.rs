@@ -1,4 +1,5 @@
-//! Real-execution data-parallel engine.
+//! Real-execution data-parallel engine, and the one bucket schedule every
+//! exchange engine runs.
 //!
 //! Runs `p` worker threads over the `gcs-cluster` channel mesh. Each
 //! worker owns a compressor instance and real per-layer gradients; the
@@ -6,15 +7,40 @@
 //! collectives*:
 //!
 //! * summable payloads (all-reducible methods) travel through the ring
-//!   all-reduce on their `f32` content;
+//!   all-reduce on their `f32` content and are divided by the member
+//!   count;
 //! * everything else is serialized and all-gathered, then aggregated
 //!   locally on every worker — exactly what PyTorch implementations of
 //!   SignSGD/Top-K must do.
 //!
-//! The engine is validated against the centralized reference driver in
-//! `gcs_compress::driver` (identical outputs for every method).
+//! # One schedule, two lanes
+//!
+//! The per-layer [`exchange_gradients`], the bucketed
+//! [`exchange_gradients_with_plan`], [`crate::PipelinedEngine`] and
+//! [`crate::AdaptiveEngine`] all walk their buckets through one private
+//! round loop. It is round-major (every bucket's round 0, then every
+//! bucket's round 1, …) with a drain barrier between rounds, and each
+//! bucket runs only the rounds of the compressor (arm) it is assigned to.
+//! Every rank shares the assignment, so every rank issues the same
+//! collective sequence. Only where the collective runs differs:
+//!
+//! * the **inline** lane runs it on the calling thread (the sequential and
+//!   adaptive engines);
+//! * the **comm** lane queues it on a [`CommEngine`] thread with at most
+//!   `depth` in flight and absorbs strictly in submission order (the
+//!   pipelined engine).
+//!
+//! The split, the divide, deserialization, `aggregate` and `absorb` are
+//! written once, so every engine is bit-identical to every other, and
+//! numerically equal to the centralized reference driver in
+//! `gcs_compress::driver`. Timing follows one rule on both lanes (see
+//! [`BucketTiming`]): `comm_s` is time in the collective, and everything
+//! after it is `decode_s`.
 
-use gcs_cluster::WorkerHandle;
+use std::collections::VecDeque;
+use std::time::Instant;
+
+use gcs_cluster::{CommEngine, Frame, PendingGather, PendingReduce, WorkerHandle};
 use gcs_compress::registry::MethodConfig;
 use gcs_compress::{CompressError, Compressor, Payload, PayloadShell};
 use gcs_tensor::Tensor;
@@ -54,73 +80,244 @@ impl From<gcs_cluster::ClusterError> for ExecError {
 /// Result alias for the engine.
 pub type Result<T> = std::result::Result<T, ExecError>;
 
-/// Aggregates one payload across the handle's ring, choosing the
-/// collective by payload shape: summable payloads ride the ring
-/// all-reduce and are divided by the member count (the live mean — the
-/// world size unless [`WorkerHandle::set_members`] shrank the ring);
-/// everything else is all-gathered and reduced locally via the
-/// compressor's own `aggregate`. The gather path writes the wire image
-/// into `wire` (cleared first), so a driver looping over layers reuses one
-/// allocation for every payload.
-///
-/// Returns the aggregated payload every member absorbs.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn aggregate_over_cluster_with<C: Compressor + ?Sized>(
-    worker: &WorkerHandle,
-    compressor: &C,
-    round: usize,
-    payload: Payload,
-    wire: &mut Vec<u8>,
-) -> Result<Payload> {
-    match PayloadShell::split(payload) {
-        // NCCL sums fp16 natively; a Half image is summed in f32 and
-        // re-rounded by `assemble`, which matches Payload::add_assign
-        // semantics up to rounding order.
-        Ok((shell, mut image)) => {
-            worker.all_reduce_sum(&mut image)?;
-            divide_by_members(&mut image, worker.members().len());
-            Ok(shell.assemble(image))
+/// Where the schedule runs each bucket's collective.
+pub(crate) enum Lane<'a> {
+    /// On the calling thread, inside [`Lane::submit`].
+    Inline(&'a WorkerHandle),
+    /// Queued on a comm thread, at most `depth` collectives in flight.
+    Comm(&'a CommEngine, usize),
+}
+
+/// A submitted bucket round: landed already on the inline lane, still on
+/// the comm thread on the comm lane.
+enum Leg {
+    Landed(Landed),
+    Queued(Queued),
+}
+
+/// A collective's result, before the divide or `aggregate`.
+enum Landed {
+    Reduced(PayloadShell, Vec<f32>),
+    /// Every member's frame, plus the buffer this rank sent.
+    Gathered(Vec<Frame>, Vec<u8>),
+}
+
+/// A collective queued on the comm thread.
+enum Queued {
+    Reduce(PayloadShell, PendingReduce),
+    Gather(PendingGather),
+}
+
+impl Queued {
+    fn wait(self) -> Result<Landed> {
+        Ok(match self {
+            Queued::Reduce(shell, pending) => Landed::Reduced(shell, pending.wait()?),
+            Queued::Gather(pending) => {
+                let (frames, wire) = pending.wait()?;
+                Landed::Gathered(frames, wire)
+            }
+        })
+    }
+}
+
+struct Inflight {
+    bucket: usize,
+    arm: usize,
+    leg: Leg,
+}
+
+impl Lane<'_> {
+    /// How many collectives may be in flight before the schedule absorbs
+    /// the oldest. One on the inline lane: each round lands inside
+    /// `submit` and is absorbed before the next bucket is encoded.
+    fn window(&self) -> usize {
+        match self {
+            Lane::Inline(_) => 1,
+            Lane::Comm(_, depth) => *depth,
         }
-        Err(payload) => {
+    }
+
+    /// Ranks the collectives run over: the live mean's divisor (the world
+    /// size unless [`WorkerHandle::set_members`] shrank the ring).
+    fn members(&self) -> usize {
+        match self {
+            Lane::Inline(worker) => worker.members().len(),
+            Lane::Comm(comm, _) => comm.members(),
+        }
+    }
+
+    /// Starts `payload`'s collective, chosen by payload shape: summable
+    /// payloads ride the ring all-reduce, everything else is serialized
+    /// (into a buffer recycled through `wires`) and all-gathered.
+    fn submit(
+        &self,
+        payload: Payload,
+        wires: &mut Vec<Vec<u8>>,
+        timing: &mut BucketTiming,
+    ) -> Result<Leg> {
+        match PayloadShell::split(payload) {
+            // NCCL sums fp16 natively; a Half image is summed in f32 and
+            // re-rounded by `assemble`, which matches Payload::add_assign
+            // semantics up to rounding order.
+            Ok((shell, mut image)) => {
+                timing.ring_bytes += 4 * image.len() as u64;
+                timing.ring_rounds += 1;
+                Ok(match self {
+                    Lane::Inline(worker) => {
+                        timed(&mut timing.comm_s, || worker.all_reduce_sum(&mut image))?;
+                        Leg::Landed(Landed::Reduced(shell, image))
+                    }
+                    Lane::Comm(comm, _) => {
+                        Leg::Queued(Queued::Reduce(shell, comm.start_all_reduce_sum(image)?))
+                    }
+                })
+            }
             // Non-associative aggregation: gather every member's payload
             // and reduce locally (identically on every member).
-            wire.clear();
-            payload.write_bytes(wire);
-            let gathered = worker.all_gather_bytes(wire)?;
-            aggregate_gathered(compressor, round, &gathered)
+            Err(payload) => {
+                let mut wire = wires.pop().unwrap_or_default();
+                wire.clear();
+                payload.write_bytes(&mut wire);
+                timing.gather_bytes += wire.len() as u64;
+                timing.gather_rounds += 1;
+                Ok(match self {
+                    Lane::Inline(worker) => {
+                        let frames = timed(&mut timing.comm_s, || worker.all_gather_bytes(&wire))?;
+                        Leg::Landed(Landed::Gathered(frames, wire))
+                    }
+                    Lane::Comm(comm, _) => {
+                        Leg::Queued(Queued::Gather(comm.start_all_gather(wire)?))
+                    }
+                })
+            }
         }
     }
 }
 
-/// Turns a ring sum over `members` contributions into their mean — the
-/// one divisor rule of the sequential and pipelined engines.
-pub(crate) fn divide_by_members(image: &mut [f32], members: usize) {
-    let denom = members as f32;
-    for x in image {
-        *x /= denom;
-    }
+/// What the schedule keeps between exchanges: recycled gather-path wire
+/// buffers (up to a window's worth circulate) and the per-bucket timings
+/// of the most recent exchange.
+#[derive(Debug, Default)]
+struct Scratch {
+    wires: Vec<Vec<u8>>,
+    timings: Vec<BucketTiming>,
 }
 
-/// Deserializes gathered wire images and reduces them through the
-/// compressor's own `aggregate` (identically on every participant).
-fn aggregate_gathered<C: Compressor + ?Sized>(
-    compressor: &C,
+/// Runs `f`, adding its wall-clock seconds to `slot`.
+fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    // An f64 timer, not a gradient reduction.
+    *slot += t0.elapsed().as_secs_f64(); // lint: allow(raw-f32-accumulation)
+    out
+}
+
+/// The one bucket schedule. Round-major over `buckets` with a drain
+/// barrier between rounds; bucket `b` runs on `compressors[arm_of(b)]`
+/// for that compressor's rounds only, and `first` produces its round-0
+/// payload. Leaves one [`BucketTiming`] per bucket in `scratch`; finishing
+/// the buckets is the caller's.
+fn run_rounds<C: Compressor>(
+    lane: &Lane<'_>,
+    compressors: &mut [C],
+    arm_of: &dyn Fn(usize) -> usize,
+    buckets: usize,
+    scratch: &mut Scratch,
+    mut first: impl FnMut(&mut C, usize) -> Result<Payload>,
+) -> Result<()> {
+    let rounds: Vec<usize> = compressors.iter().map(|c| c.properties().rounds).collect();
+    scratch.timings.clear();
+    scratch
+        .timings
+        .extend((0..buckets).map(|bucket| BucketTiming {
+            bucket,
+            ..BucketTiming::default()
+        }));
+    let mut inflight = VecDeque::with_capacity(lane.window());
+    for round in 0..rounds.iter().copied().max().unwrap_or(0) {
+        for bucket in 0..buckets {
+            let arm = arm_of(bucket);
+            if round >= rounds[arm] {
+                continue;
+            }
+            // Backpressure: never run more than the window ahead of the
+            // oldest unabsorbed collective.
+            while inflight.len() >= lane.window() {
+                complete_front(lane, compressors, round, &mut inflight, scratch)?;
+            }
+            let compressor = &mut compressors[arm];
+            let timing = &mut scratch.timings[bucket];
+            let payload = timed(&mut timing.encode_s, || {
+                if round == 0 {
+                    first(compressor, bucket)
+                } else {
+                    Ok(compressor.encode_round(bucket, round)?)
+                }
+            })?;
+            let leg = lane.submit(payload, &mut scratch.wires, timing)?;
+            inflight.push_back(Inflight { bucket, arm, leg });
+        }
+        // Rounds are a barrier: encode_round(b, r+1) may require the
+        // absorb of round r for bucket b, so drain before moving on.
+        while !inflight.is_empty() {
+            complete_front(lane, compressors, round, &mut inflight, scratch)?;
+        }
+    }
+    Ok(())
+}
+
+/// Lands the oldest in-flight bucket round and absorbs it — the in-order
+/// absorb invariant (the comm thread finishes jobs FIFO, so the front is
+/// also the first to land). Blocked wait on the comm lane is `comm_s` and
+/// `exposed_wait_s`; the divide or `aggregate`, and `absorb`, are
+/// `decode_s`.
+fn complete_front<C: Compressor>(
+    lane: &Lane<'_>,
+    compressors: &mut [C],
     round: usize,
-    gathered: &[gcs_cluster::Frame],
-) -> Result<Payload> {
-    let payloads: Vec<Payload> = gathered
-        .iter()
-        .map(|b| Payload::from_bytes(b))
-        .collect::<gcs_compress::Result<_>>()?;
-    Ok(compressor.aggregate(round, &payloads)?)
+    inflight: &mut VecDeque<Inflight>,
+    scratch: &mut Scratch,
+) -> Result<()> {
+    let Some(Inflight { bucket, arm, leg }) = inflight.pop_front() else {
+        return Ok(());
+    };
+    let timing = &mut scratch.timings[bucket];
+    let landed = match leg {
+        Leg::Landed(landed) => landed,
+        Leg::Queued(queued) => {
+            let mut waited = 0.0;
+            let landed = timed(&mut waited, || queued.wait())?;
+            timing.comm_s += waited;
+            timing.exposed_wait_s += waited;
+            landed
+        }
+    };
+    let compressor = &mut compressors[arm];
+    timed(&mut timing.decode_s, || {
+        let agg = match landed {
+            Landed::Reduced(shell, mut image) => {
+                let denom = lane.members() as f32;
+                for x in &mut image {
+                    *x /= denom;
+                }
+                shell.assemble(image)
+            }
+            Landed::Gathered(frames, wire) => {
+                scratch.wires.push(wire);
+                let payloads: Vec<Payload> = frames
+                    .iter()
+                    .map(|b| Payload::from_bytes(b))
+                    .collect::<gcs_compress::Result<_>>()?;
+                compressor.aggregate(round, &payloads)?
+            }
+        };
+        Ok(compressor.absorb(bucket, round, agg)?)
+    })
 }
 
 /// Runs one full compressed gradient exchange for `grads` (this worker's
-/// per-layer gradients) and returns the decoded aggregated gradients in
-/// layer order.
+/// per-layer gradients), one layer per schedule bucket, and returns the
+/// decoded aggregated gradients in layer order.
 ///
 /// # Errors
 ///
@@ -130,21 +327,14 @@ pub fn exchange_gradients<C: Compressor>(
     compressor: &mut C,
     grads: &[Tensor],
 ) -> Result<Vec<Tensor>> {
-    let rounds = compressor.properties().rounds;
-    let mut wire = Vec::new();
-    // Round-major order: all layers do round 0, then all do round 1 —
-    // matching how DDP issues one collective per bucket per phase.
-    for round in 0..rounds {
-        for (layer, grad) in grads.iter().enumerate() {
-            let payload = if round == 0 {
-                compressor.encode(layer, grad)?
-            } else {
-                compressor.encode_round(layer, round)?
-            };
-            let agg = aggregate_over_cluster_with(worker, compressor, round, payload, &mut wire)?;
-            compressor.absorb(layer, round, agg)?;
-        }
-    }
+    run_rounds(
+        &Lane::Inline(worker),
+        std::slice::from_mut(compressor),
+        &|_| 0,
+        grads.len(),
+        &mut Scratch::default(),
+        |c, layer| Ok(c.encode(layer, &grads[layer])?),
+    )?;
     grads
         .iter()
         .enumerate()
@@ -153,8 +343,9 @@ pub fn exchange_gradients<C: Compressor>(
 }
 
 /// The bucket partition of a gradient set plus the persistent buffers the
-/// bucketed exchange needs — the flat pack buffer and the serialization
-/// wire buffer — and the per-bucket timings of its most recent exchange.
+/// bucketed exchange needs — the flat pack buffer and the schedule's
+/// recycled wire buffers — and the per-bucket timings of its most recent
+/// exchange.
 ///
 /// DDP computes its bucket assignment once at model construction and
 /// reuses it every iteration; recomputing the partition per step is pure
@@ -184,11 +375,8 @@ pub struct BucketPlan {
     /// Flat pack buffer, taken by [`BucketPlan::pack`] and refilled by
     /// [`BucketPlan::scatter`] (or [`BucketPlan::reclaim`]).
     pack: Vec<f32>,
-    /// Persistent serialization buffer for the gather path.
-    wire: Vec<u8>,
-    /// Per-bucket timing probes of the most recent
-    /// [`exchange_gradients_with_plan`].
-    timings: Vec<BucketTiming>,
+    /// Wire buffers and timings of the schedule.
+    scratch: Scratch,
 }
 
 impl BucketPlan {
@@ -264,8 +452,7 @@ impl BucketPlan {
             shapes,
             layer_elems: grads.iter().map(Tensor::numel).collect(),
             pack: Vec::new(),
-            wire: Vec::new(),
-            timings: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -277,11 +464,6 @@ impl BucketPlan {
     /// Layer indices assigned to `bucket` (in pack order).
     pub fn layers(&self, bucket: usize) -> &[usize] {
         &self.buckets[bucket]
-    }
-
-    /// Total element count of `bucket`.
-    pub fn elems(&self, bucket: usize) -> usize {
-        self.elems[bucket]
     }
 
     /// The shape `bucket` is presented to the compressor with.
@@ -366,54 +548,26 @@ impl BucketPlan {
             .collect()
     }
 
-    /// The plan's persistent wire buffer (gather-path serialization).
-    pub(crate) fn wire_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.wire
-    }
-
-    /// Per-bucket timing probes of the most recent
-    /// [`exchange_gradients_with_plan`] driven by this plan (empty before
-    /// the first, and after one that failed).
+    /// Per-bucket timing probes of the most recent exchange driven by
+    /// this plan, whichever engine ran it (empty before the first, and
+    /// after one that failed).
     pub fn last_timings(&self) -> &[BucketTiming] {
-        &self.timings
+        &self.scratch.timings
     }
 }
 
-/// Runs the exchange at **bucket granularity**, the way PyTorch DDP comm
-/// hooks actually see gradients: layers are packed (in backward order)
-/// into flat buckets of at most `bucket_bytes`, each bucket is compressed
-/// and aggregated as one tensor, and the decoded buckets are scattered
-/// back to per-layer gradients.
+/// Runs the exchange at **bucket granularity** on a prebuilt
+/// [`BucketPlan`], the way PyTorch DDP comm hooks actually see gradients:
+/// layers are packed (in backward order) into the plan's flat buckets,
+/// each bucket is compressed and aggregated as one tensor, and the
+/// decoded buckets are scattered back to per-layer gradients. The
+/// partition, pack buffer and wire buffers all persist across steps; read
+/// the per-bucket timings back with [`BucketPlan::last_timings`].
 ///
 /// Bucketing amortizes per-collective latency and — because the
 /// compressor sees one long flat vector — sidesteps the per-layer encode
 /// overhead §4.2 complains about. It is also the only way to use
 /// non-layer-wise methods (Table 1's Random-K row) inside DDP.
-///
-/// Builds a fresh [`BucketPlan`] per call; steady-state drivers should
-/// build the plan once and call [`exchange_gradients_with_plan`].
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-///
-/// # Panics
-///
-/// Panics if `bucket_bytes == 0`.
-pub fn exchange_gradients_bucketed<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &mut C,
-    grads: &[Tensor],
-    bucket_bytes: usize,
-) -> Result<Vec<Tensor>> {
-    let mut plan = BucketPlan::new(grads, bucket_bytes);
-    exchange_gradients_with_plan(worker, compressor, grads, &mut plan)
-}
-
-/// [`exchange_gradients_bucketed`] driven by a prebuilt [`BucketPlan`]:
-/// the partition, pack buffer, and wire buffer all persist across steps.
-/// Every (bucket, round) leg runs under monotonic timers; read the
-/// per-bucket breakdown back with [`BucketPlan::last_timings`].
 ///
 /// # Errors
 ///
@@ -430,49 +584,73 @@ pub fn exchange_gradients_with_plan<C: Compressor>(
     grads: &[Tensor],
     plan: &mut BucketPlan,
 ) -> Result<Vec<Tensor>> {
+    exchange_plan(
+        &Lane::Inline(worker),
+        std::slice::from_mut(compressor),
+        &|_| 0,
+        grads,
+        plan,
+    )
+}
+
+/// The bucketed exchange of every engine: the schedule over `plan`'s
+/// buckets with each packed bucket moved into its compressor, then
+/// `finish` and scatter.
+pub(crate) fn exchange_plan<C: Compressor>(
+    lane: &Lane<'_>,
+    compressors: &mut [C],
+    arm_of: &dyn Fn(usize) -> usize,
+    grads: &[Tensor],
+    plan: &mut BucketPlan,
+) -> Result<Vec<Tensor>> {
     debug_assert!(plan.matches(grads), "plan built for a different model");
-    let rounds = compressor.properties().rounds;
-    let mut timings = std::mem::take(&mut plan.timings);
-    timings.clear();
-    timings.extend((0..plan.num_buckets()).map(|bucket| BucketTiming {
-        bucket,
-        ..BucketTiming::default()
-    }));
-    for round in 0..rounds {
-        for (bucket_id, timing) in timings.iter_mut().enumerate() {
-            run_timed_round(worker, compressor, grads, plan, bucket_id, round, timing)?;
-        }
-    }
-    let flats: Vec<Tensor> = timings
+    // Taken so `pack` can borrow the plan; a failed exchange leaves the
+    // plan without timings.
+    let mut scratch = std::mem::take(&mut plan.scratch);
+    run_rounds(
+        lane,
+        compressors,
+        arm_of,
+        plan.num_buckets(),
+        &mut scratch,
+        |c, bucket| Ok(c.encode_owned(bucket, plan.pack(grads, bucket)?)?),
+    )?;
+    let flats = scratch
+        .timings
         .iter_mut()
-        .enumerate()
-        .map(|(bucket_id, timing)| {
-            let t0 = std::time::Instant::now();
-            let flat = compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?;
-            timing.decode_s += t0.elapsed().as_secs_f64();
-            Ok(flat)
+        .map(|timing| {
+            let b = timing.bucket;
+            let compressor = &mut compressors[arm_of(b)];
+            Ok(timed(&mut timing.decode_s, || {
+                compressor.finish(b, plan.bucket_shape(b))
+            })?)
         })
-        .collect::<Result<_>>()?;
-    plan.timings = timings;
+        .collect::<Result<Vec<Tensor>>>()?;
+    plan.scratch = scratch;
     plan.scatter(grads, flats)
 }
 
 /// Per-bucket wall-clock breakdown of one exchange, from monotonic timers
-/// around the encode / collective / absorb phases — the raw signal the
-/// adaptive controller's measured mode consumes.
+/// — the raw signal the adaptive controller's measured mode consumes. One
+/// rule on both lanes of the schedule: `encode_s` ends where the payload
+/// is handed to the collective, `comm_s` is the collective, and
+/// `decode_s` is everything after it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BucketTiming {
     /// Bucket index.
     pub bucket: usize,
     /// Seconds spent encoding (all rounds, including packing).
     pub encode_s: f64,
-    /// Seconds spent in the cluster collective (all rounds).
+    /// Seconds spent in the cluster collective (all rounds): the call on
+    /// the inline lane, the blocked wait on the comm lane.
     pub comm_s: f64,
-    /// Seconds spent absorbing and decoding.
+    /// Seconds spent turning collective results into the absorbed payload
+    /// (the ring mean's divide, deserialization and `aggregate`), in
+    /// `absorb`, and in `finish`.
     pub decode_s: f64,
-    /// Seconds the caller was *blocked* on an in-flight collective with
-    /// no local work to overlap it (pipelined engine only;
-    /// the sequential engine folds all wire time into `comm_s`).
+    /// Seconds the caller was *blocked* on a queued collective with no
+    /// local work to overlap it (comm lane only; 0 on the inline lane,
+    /// where all wire time is `comm_s`).
     pub exposed_wait_s: f64,
     /// Bytes this worker contributed to ring all-reduce rounds (the f32
     /// wire image for summable payloads).
@@ -487,8 +665,8 @@ pub struct BucketTiming {
 }
 
 /// Bytes a summable payload occupies on the ring — the length of the f32
-/// image [`aggregate_over_cluster_with`] actually reduces (Half payloads
-/// are decoded to f32 *before* the ring, so FP16 pays full f32 wire bytes
+/// image the schedule's all-reduce actually reduces (Half payloads are
+/// decoded to f32 *before* the ring, so FP16 pays full f32 wire bytes
 /// here).
 pub fn summable_wire_bytes(payload: &Payload) -> u64 {
     match payload {
@@ -498,46 +676,6 @@ pub fn summable_wire_bytes(payload: &Payload) -> u64 {
         Payload::SharedSparse { values, .. } => 4 * values.len() as u64,
         _ => 0,
     }
-}
-
-/// Runs one (bucket, round) leg of the exchange with monotonic timers,
-/// accumulating into `timing` — shared by the round-major
-/// [`exchange_gradients_with_plan`] and the bucket-major adaptive engine.
-pub(crate) fn run_timed_round<C: Compressor + ?Sized>(
-    worker: &WorkerHandle,
-    compressor: &mut C,
-    grads: &[Tensor],
-    plan: &mut BucketPlan,
-    bucket_id: usize,
-    round: usize,
-    timing: &mut BucketTiming,
-) -> Result<()> {
-    let t0 = std::time::Instant::now();
-    let payload = if round == 0 {
-        compressor.encode_owned(bucket_id, plan.pack(grads, bucket_id)?)?
-    } else {
-        compressor.encode_round(bucket_id, round)?
-    };
-    let t1 = std::time::Instant::now();
-    timing.encode_s += t1.duration_since(t0).as_secs_f64();
-    let summable = payload.is_summable();
-    if summable {
-        timing.ring_bytes += summable_wire_bytes(&payload);
-        timing.ring_rounds += 1;
-    }
-    let mut wire = std::mem::take(plan.wire_mut());
-    let agg = aggregate_over_cluster_with(worker, compressor, round, payload, &mut wire);
-    if !summable {
-        // The gather path serialized this worker's payload into `wire`.
-        timing.gather_bytes += wire.len() as u64;
-        timing.gather_rounds += 1;
-    }
-    *plan.wire_mut() = wire;
-    let t2 = std::time::Instant::now();
-    timing.comm_s += t2.duration_since(t1).as_secs_f64();
-    compressor.absorb(bucket_id, round, agg?)?;
-    timing.decode_s += t2.elapsed().as_secs_f64();
-    Ok(())
 }
 
 /// Largest divisor of `n` that is at most `√n` (1 for primes and `n ≤ 3`).
@@ -595,6 +733,17 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// One bucketed exchange on a fresh plan of `cap`-byte buckets.
+    fn bucketed<C: Compressor>(
+        worker: &WorkerHandle,
+        c: &mut C,
+        grads: &[Tensor],
+        cap: usize,
+    ) -> Vec<Tensor> {
+        let mut plan = BucketPlan::new(grads, cap);
+        exchange_gradients_with_plan(worker, c, grads, &mut plan).unwrap()
     }
 
     /// The real engine must agree with the centralized reference driver.
@@ -719,7 +868,7 @@ mod tests {
         let grads = make_grads(3, &[vec![6usize, 4], vec![9], vec![5, 5]], 31);
         let outs = gcs_cluster::SimCluster::run(3, |worker| {
             let mut c = MethodConfig::SyncSgd.build().unwrap();
-            exchange_gradients_bucketed(&worker, &mut c, &grads[worker.rank()], 64).unwrap()
+            bucketed(&worker, &mut c, &grads[worker.rank()], 64)
         });
         // Exact mean, layer by layer, regardless of bucket boundaries.
         for layer in 0..3 {
@@ -748,7 +897,7 @@ mod tests {
             let grads = make_grads(2, &[vec![4usize, 4], vec![7]], 37);
             let outs = gcs_cluster::SimCluster::run(2, |worker| {
                 let mut c = method.build().unwrap();
-                exchange_gradients_bucketed(&worker, &mut c, &grads[worker.rank()], 48).unwrap()
+                bucketed(&worker, &mut c, &grads[worker.rank()], 48)
             });
             assert_eq!(outs[0], outs[1], "{method:?} diverged");
             for (out, g) in outs[0].iter().zip(&grads[0]) {
@@ -823,12 +972,12 @@ mod tests {
         // With an unbounded bucket, bucketed syncSGD equals the per-layer
         // engine's result exactly.
         let grads = make_grads(2, &[vec![3usize, 3], vec![5]], 41);
-        let bucketed = gcs_cluster::SimCluster::run(2, |worker| {
+        let whole = gcs_cluster::SimCluster::run(2, |worker| {
             let mut c = MethodConfig::SyncSgd.build().unwrap();
-            exchange_gradients_bucketed(&worker, &mut c, &grads[worker.rank()], usize::MAX).unwrap()
+            bucketed(&worker, &mut c, &grads[worker.rank()], usize::MAX)
         });
         let layered = data_parallel_exchange(&MethodConfig::SyncSgd, &grads).unwrap();
-        for (a, b) in bucketed[0].iter().zip(&layered[0]) {
+        for (a, b) in whole[0].iter().zip(&layered[0]) {
             assert!(relative_l2_error(a, b) < 1e-6);
         }
     }

@@ -3,8 +3,9 @@
 //! The sequential engine ([`exec::exchange_gradients_with_plan`]) encodes
 //! a bucket, blocks inside the collective, absorbs, and only then touches
 //! the next bucket — so while bytes are on the wire the CPU idles, and
-//! while the CPU encodes the wire idles. [`PipelinedEngine`] splits each
-//! worker into two threads:
+//! while the CPU encodes the wire idles. [`PipelinedEngine`] runs the same
+//! bucket schedule (see the [`exec`] module docs) on the **comm lane**,
+//! splitting each worker into two threads:
 //!
 //! ```text
 //!  encode thread (caller)          comm thread (gcs_cluster::CommEngine)
@@ -20,38 +21,32 @@
 //! [`PipelineConfig::depth`] (default 2 — classic double buffering), so
 //! the encode thread can run at most `depth` buckets ahead before
 //! backpressure stalls it. Completions are always consumed **in
-//! submission order** (the in-order absorb invariant): the engine keeps a
-//! FIFO of in-flight buckets and only ever waits on the front, which is
+//! submission order** (the in-order absorb invariant): the schedule keeps
+//! a FIFO of in-flight buckets and only ever waits on the front, which is
 //! also the job the comm thread finishes first.
 //!
 //! # Bit-exactness
 //!
-//! The pipelined engine performs *exactly* the arithmetic of the
-//! sequential engine, just on a different thread:
-//!
-//! * summable payloads are split by the same `PayloadShell::split`, ride
-//!   the same plain ring `all_reduce_sum`, and get the same f32 divide by
-//!   the member count (Half payloads are decoded to f32 before submission
-//!   and re-rounded after, as in `aggregate_over_cluster_with`);
-//! * gather payloads are serialized to the same bytes, all-gathered, and
-//!   aggregated by the same `Compressor::aggregate` call.
-//!
-//! Hence pipelined output is bit-identical to the sequential engine for
-//! every method in the registry (asserted in `tests/pipeline_bitexact.rs`).
+//! Only the thread a collective runs on differs from the sequential
+//! engine: the split, the plain ring `all_reduce_sum`, the divide by the
+//! member count, the serialized all-gather and `Compressor::aggregate`
+//! are the schedule's, written once. Hence pipelined output is
+//! bit-identical to the sequential engine for every method in the
+//! registry, at every depth (asserted in `tests/pipeline_bitexact.rs`).
 //!
 //! Overlap is priced at bucket granularity, as in the paper's Equation 1:
 //! a bucket is the unit of encode, collective and absorb. Splitting a
 //! bucket into smaller wire chunks does not pay on this runtime (see
 //! DESIGN.md §15).
+//!
+//! [`exec`]: crate::exec
+//! [`exec::exchange_gradients_with_plan`]: crate::exec::exchange_gradients_with_plan
 
-use std::collections::VecDeque;
-
-use gcs_cluster::{CommEngine, PendingGather, PendingReduce, WorkerHandle};
-use gcs_compress::{Compressor, Payload, PayloadShell};
+use gcs_cluster::{CommEngine, WorkerHandle};
+use gcs_compress::Compressor;
 use gcs_tensor::Tensor;
 
-use crate::exec::{divide_by_members, BucketPlan, BucketTiming, Result};
-use gcs_compress::driver::{switch_scheme, ResidualPolicy, SwitchOutcome};
+use crate::exec::{exchange_plan, BucketPlan, BucketTiming, Lane, Result};
 
 /// Tuning knobs for [`PipelinedEngine`].
 #[derive(Debug, Clone)]
@@ -81,20 +76,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// One in-flight bucket: which collective it is riding and how to turn
-/// the completion back into a payload.
-enum Inflight {
-    Reduce {
-        bucket: usize,
-        shell: PayloadShell,
-        pending: PendingReduce,
-    },
-    Gather {
-        bucket: usize,
-        pending: PendingGather,
-    },
-}
-
 /// A worker-side pipelined exchange engine: encode path on the calling
 /// thread, collectives on a dedicated comm thread, connected by a bounded
 /// channel. See the module docs for the thread layout and invariants.
@@ -103,13 +84,6 @@ pub struct PipelinedEngine<C: Compressor> {
     compressor: C,
     cfg: PipelineConfig,
     plan: Option<BucketPlan>,
-    /// Recycled gather-path serialization buffers (up to `depth` circulate).
-    wire_pool: Vec<Vec<u8>>,
-    /// Per-bucket timing probes of the most recent exchange. In a
-    /// pipelined schedule `comm_s` is the *exposed* (wait-blocked)
-    /// communication time — overlap hides the rest, which is precisely
-    /// the quantity an adaptive policy should react to.
-    timings: Vec<BucketTiming>,
 }
 
 impl<C: Compressor> PipelinedEngine<C> {
@@ -126,8 +100,6 @@ impl<C: Compressor> PipelinedEngine<C> {
             compressor,
             cfg,
             plan: None,
-            wire_pool: Vec::new(),
-            timings: Vec::new(),
         })
     }
 
@@ -140,44 +112,13 @@ impl<C: Compressor> PipelinedEngine<C> {
         self.comm.busy_seconds()
     }
 
-    /// Per-bucket timing probes of the most recent [`exchange`](Self::exchange).
+    /// Per-bucket timing probes of the most recent
+    /// [`exchange`](Self::exchange). On this lane `comm_s` is the
+    /// *exposed* (wait-blocked) communication time — overlap hides the
+    /// rest, which is precisely the quantity an adaptive policy should
+    /// react to.
     pub fn last_timings(&self) -> &[BucketTiming] {
-        &self.timings
-    }
-
-    /// The scheme-switch point of the pipelined plane: replaces the
-    /// engine's compressor with `new` at a step boundary, moving (or
-    /// documented-resetting) every bucket's error-feedback residual per
-    /// `policy`. Returns the old compressor and one [`SwitchOutcome`] per
-    /// bucket of the current plan. Must only be called between exchanges
-    /// — the engine never holds in-flight collectives across
-    /// [`exchange`](Self::exchange) calls, so that boundary is always
-    /// safe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates residual-reconciliation protocol errors.
-    pub fn swap_compressor(
-        &mut self,
-        mut new: C,
-        policy: ResidualPolicy,
-    ) -> Result<(C, Vec<SwitchOutcome>)> {
-        let buckets = self.plan.as_ref().map_or(0, BucketPlan::num_buckets);
-        let mut outcomes = Vec::with_capacity(buckets);
-        for bucket in 0..buckets {
-            outcomes.push(switch_scheme(
-                &mut self.compressor,
-                &mut new,
-                bucket,
-                policy,
-            )?);
-        }
-        Ok((std::mem::replace(&mut self.compressor, new), outcomes))
-    }
-
-    /// Rank of the underlying worker.
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
+        self.plan.as_ref().map_or(&[], BucketPlan::last_timings)
     }
 
     /// Stops the comm thread and returns the worker handle and compressor.
@@ -191,7 +132,8 @@ impl<C: Compressor> PipelinedEngine<C> {
     /// Runs one full compressed bucket exchange, overlapping each bucket's
     /// collective with the next bucket's encode. Returns the decoded
     /// aggregated gradients in layer order — bit-identical to
-    /// `exchange_gradients_bucketed` on the same inputs.
+    /// [`exchange_gradients_with_plan`](crate::exec::exchange_gradients_with_plan)
+    /// on the same inputs.
     ///
     /// # Errors
     ///
@@ -203,148 +145,22 @@ impl<C: Compressor> PipelinedEngine<C> {
             _ if self.cfg.matricize => BucketPlan::matricized(grads, self.cfg.bucket_bytes),
             _ => BucketPlan::new(grads, self.cfg.bucket_bytes),
         };
-        let result = self.exchange_with_plan(grads, &mut plan);
+        let result = exchange_plan(
+            &Lane::Comm(&self.comm, self.cfg.depth),
+            std::slice::from_mut(&mut self.compressor),
+            &|_| 0,
+            grads,
+            &mut plan,
+        );
         self.plan = Some(plan);
         result
-    }
-
-    fn exchange_with_plan(
-        &mut self,
-        grads: &[Tensor],
-        plan: &mut BucketPlan,
-    ) -> Result<Vec<Tensor>> {
-        let rounds = self.compressor.properties().rounds;
-        let mut inflight: VecDeque<Inflight> = VecDeque::new();
-        let mut timings: Vec<BucketTiming> = (0..plan.num_buckets())
-            .map(|bucket| BucketTiming {
-                bucket,
-                ..BucketTiming::default()
-            })
-            .collect();
-        for round in 0..rounds {
-            // Indexed loop: `complete_front` needs the whole `timings`
-            // slice mid-iteration, so an `iter_mut` would double-borrow.
-            #[allow(clippy::needless_range_loop)]
-            for bucket_id in 0..plan.num_buckets() {
-                // Backpressure: never run more than `depth` buckets ahead
-                // of the oldest unabsorbed collective.
-                while inflight.len() >= self.cfg.depth {
-                    self.complete_front(round, &mut inflight, &mut timings)?;
-                }
-                let t0 = std::time::Instant::now();
-                let payload = if round == 0 {
-                    self.compressor
-                        .encode_owned(bucket_id, plan.pack(grads, bucket_id)?)?
-                } else {
-                    self.compressor.encode_round(bucket_id, round)?
-                };
-                timings[bucket_id].encode_s += t0.elapsed().as_secs_f64();
-                inflight.push_back(self.submit(bucket_id, payload, &mut timings[bucket_id])?);
-            }
-            // Rounds are a barrier: encode_round(i, r+1) may require the
-            // absorb of round r for bucket i, so drain before moving on.
-            while !inflight.is_empty() {
-                self.complete_front(round, &mut inflight, &mut timings)?;
-            }
-        }
-        let flats: Vec<Tensor> = (0..plan.num_buckets())
-            .map(|bucket_id| {
-                let t0 = std::time::Instant::now();
-                let flat = self
-                    .compressor
-                    .finish(bucket_id, plan.bucket_shape(bucket_id))?;
-                timings[bucket_id].decode_s += t0.elapsed().as_secs_f64();
-                Ok(flat)
-            })
-            .collect::<Result<_>>()?;
-        self.timings = timings;
-        plan.scatter(grads, flats)
-    }
-
-    /// Hands one encoded payload to the comm thread, choosing the
-    /// collective exactly like `aggregate_over_cluster_with`.
-    fn submit(
-        &mut self,
-        bucket: usize,
-        payload: Payload,
-        timing: &mut BucketTiming,
-    ) -> Result<Inflight> {
-        match PayloadShell::split(payload) {
-            Ok((shell, data)) => {
-                timing.ring_bytes += 4 * data.len() as u64;
-                timing.ring_rounds += 1;
-                let pending = self.comm.start_all_reduce_sum(data)?;
-                Ok(Inflight::Reduce {
-                    bucket,
-                    shell,
-                    pending,
-                })
-            }
-            Err(payload) => {
-                let mut wire = self.wire_pool.pop().unwrap_or_default();
-                wire.clear();
-                payload.write_bytes(&mut wire);
-                timing.gather_bytes += wire.len() as u64;
-                timing.gather_rounds += 1;
-                let pending = self.comm.start_all_gather(wire)?;
-                Ok(Inflight::Gather { bucket, pending })
-            }
-        }
-    }
-
-    /// Waits for the oldest in-flight collective, finishes its aggregation
-    /// arithmetic, and absorbs it — the in-order absorb invariant.
-    fn complete_front(
-        &mut self,
-        round: usize,
-        inflight: &mut VecDeque<Inflight>,
-        timings: &mut [BucketTiming],
-    ) -> Result<()> {
-        let Some(front) = inflight.pop_front() else {
-            return Ok(());
-        };
-        match front {
-            Inflight::Reduce {
-                bucket,
-                shell,
-                pending,
-            } => {
-                let t0 = std::time::Instant::now();
-                let mut data = pending.wait()?;
-                let waited = t0.elapsed().as_secs_f64();
-                timings[bucket].comm_s += waited;
-                timings[bucket].exposed_wait_s += waited;
-                let t1 = std::time::Instant::now();
-                divide_by_members(&mut data, self.comm.members());
-                self.compressor
-                    .absorb(bucket, round, shell.assemble(data))?;
-                timings[bucket].decode_s += t1.elapsed().as_secs_f64();
-            }
-            Inflight::Gather { bucket, pending } => {
-                let t0 = std::time::Instant::now();
-                let (frames, wire) = pending.wait()?;
-                let waited = t0.elapsed().as_secs_f64();
-                timings[bucket].comm_s += waited;
-                timings[bucket].exposed_wait_s += waited;
-                let t1 = std::time::Instant::now();
-                self.wire_pool.push(wire);
-                let payloads: Vec<Payload> = frames
-                    .iter()
-                    .map(|b| Payload::from_bytes(b))
-                    .collect::<gcs_compress::Result<_>>()?;
-                let agg = self.compressor.aggregate(round, &payloads)?;
-                self.compressor.absorb(bucket, round, agg)?;
-                timings[bucket].decode_s += t1.elapsed().as_secs_f64();
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::exchange_gradients_bucketed;
+    use crate::exec::exchange_gradients_with_plan;
     use gcs_cluster::SimCluster;
     use gcs_compress::registry::MethodConfig;
 
@@ -362,7 +178,8 @@ mod tests {
         let sequential = SimCluster::run(p, |w| {
             let mut c = method.build().unwrap();
             let grads = make_grads(w.rank(), &shapes);
-            exchange_gradients_bucketed(&w, &mut c, &grads, bucket_bytes).unwrap()
+            let mut plan = BucketPlan::new(&grads, bucket_bytes);
+            exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
         });
         let pipelined = SimCluster::run(p, |w| {
             let c = method.build().unwrap();
@@ -420,7 +237,6 @@ mod tests {
         // Matricized buckets change what the compressor sees (a near-square
         // matrix instead of a flat vector) but not the engine schedule, so
         // pipelined and sequential must still agree bit for bit.
-        use crate::exec::{exchange_gradients_with_plan, BucketPlan};
         let shapes = vec![vec![40usize, 3], vec![64], vec![9, 7]];
         for method in [
             MethodConfig::PowerSgd { rank: 2 },
@@ -470,7 +286,8 @@ mod tests {
             let (w, _) = eng.into_parts();
             let mut c2 = MethodConfig::SyncSgd.build().unwrap();
             let grads2 = make_grads(w.rank(), &shapes);
-            let seq = exchange_gradients_bucketed(&w, &mut c2, &grads2, 200).unwrap();
+            let mut plan = BucketPlan::new(&grads2, 200);
+            let seq = exchange_gradients_with_plan(&w, &mut c2, &grads2, &mut plan).unwrap();
             (out, seq)
         });
         for (pipe, seq) in outs {
@@ -479,36 +296,6 @@ mod tests {
                     p.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     s.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
                 );
-            }
-        }
-    }
-
-    /// The controller's dependency-free `LinkModel` must price collectives
-    /// exactly like the cluster's `NetworkModel` — the whole point of the
-    /// online Equation-1 estimate is that it agrees with the cost layer.
-    #[test]
-    fn link_model_matches_network_model() {
-        use gcs_cluster::cost::NetworkModel;
-        use gcs_compress::adaptive::LinkModel;
-        for &incast in &[0.0f64, 0.3, 0.7] {
-            let net = NetworkModel::new(15e-6, 1.25e9).with_incast(incast);
-            let mut link = LinkModel::new(15e-6, 1.25e9).unwrap();
-            link.incast = incast;
-            for &bytes in &[1_000usize, 1_000_000, 100_000_000] {
-                for &p in &[1usize, 2, 4, 16, 64] {
-                    let ring_net = net.ring_all_reduce(bytes, p);
-                    let ring_link = link.ring_all_reduce(bytes as f64, p);
-                    assert!(
-                        (ring_net - ring_link).abs() <= 1e-15 * ring_net.abs().max(1.0),
-                        "ring mismatch: {ring_net} vs {ring_link} (bytes={bytes}, p={p})"
-                    );
-                    let gather_net = net.all_gather(bytes, p);
-                    let gather_link = link.all_gather(bytes as f64, p);
-                    assert!(
-                        (gather_net - gather_link).abs() <= 1e-15 * gather_net.abs().max(1.0),
-                        "gather mismatch: {gather_net} vs {gather_link} (bytes={bytes}, p={p})"
-                    );
-                }
             }
         }
     }
@@ -538,39 +325,6 @@ mod tests {
                 assert_eq!(t.gather_rounds, 0);
                 assert!(t.encode_s >= 0.0 && t.comm_s >= 0.0 && t.decode_s >= 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn swap_compressor_at_step_boundary_carries_residual() {
-        use gcs_compress::driver::ResidualPolicy;
-        use gcs_compress::topk::TopK;
-        use gcs_compress::Compressor;
-        let shapes = vec![vec![128usize], vec![96]];
-        let outs = SimCluster::run(2, |w| {
-            let c: Box<dyn Compressor> = Box::new(TopK::new(0.25).unwrap().error_feedback(true));
-            let grads = make_grads(w.rank(), &shapes);
-            let cfg = PipelineConfig {
-                bucket_bytes: 128 * 4,
-                depth: 2,
-                matricize: false,
-            };
-            let mut eng = PipelinedEngine::new(w, c, cfg).unwrap();
-            eng.exchange(&grads).unwrap();
-            let replacement = MethodConfig::EfSignSgd.build().unwrap();
-            let (_old, outcomes) = eng
-                .swap_compressor(replacement, ResidualPolicy::Carry)
-                .unwrap();
-            let out = eng.exchange(&grads).unwrap();
-            (outcomes, out)
-        });
-        for (outcomes, out) in outs {
-            // Top-K at ratio 0.25 leaves a residual in every bucket; the
-            // carry must move it into the replacement scheme.
-            assert_eq!(outcomes.len(), 2);
-            assert!(outcomes.iter().all(|o| o.carried));
-            assert!(outcomes.iter().all(|o| o.residual_norm > 0.0));
-            assert!(out.iter().all(|t| t.data().iter().all(|x| x.is_finite())));
         }
     }
 }

@@ -3,8 +3,9 @@
 //! error-feedback residuals, recorded decision traces must replay
 //! bit-identically, and live modelled runs must be deterministic.
 
+use gcs_cluster::cost::NetworkModel;
 use gcs_cluster::SimCluster;
-use gcs_compress::adaptive::{AdaptiveConfig, Decision, DecisionInputs, LinkModel};
+use gcs_compress::adaptive::{AdaptiveConfig, Decision, DecisionInputs};
 use gcs_compress::driver::ResidualPolicy;
 use gcs_compress::registry::MethodConfig;
 use gcs_ddp::AdaptiveEngine;
@@ -110,6 +111,39 @@ fn forced_switches_keep_gradients_finite_and_residuals_bounded() {
 }
 
 #[test]
+fn forced_script_outputs_match_their_golden_digest() {
+    // Pins the output bits of the scripted run above — every rank, all six
+    // steps — so the order in which the engine walks buckets and rounds
+    // cannot change what a mixed-arm exchange computes.
+    const GOLDEN: u64 = 0xf4c0f3f893e78e98;
+    let outs = SimCluster::run(WORLD, |worker| {
+        let cfg = AdaptiveConfig::new(arms()).unwrap();
+        let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES)
+            .unwrap()
+            .residual_policy(ResidualPolicy::Carry)
+            .scripted(forced_script());
+        let grads = grads_for(worker.rank(), 17);
+        (0..6)
+            .map(|_| engine.exchange(&worker, &grads).unwrap())
+            .collect::<Vec<_>>()
+    });
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for steps in &outs {
+        for out in steps {
+            for t in out {
+                for x in t.data() {
+                    for b in x.to_bits().to_le_bytes() {
+                        hash ^= u64::from(b);
+                        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(hash, GOLDEN, "forced-script exchange bits moved");
+}
+
+#[test]
 fn reset_policy_documents_the_drop_instead_of_carrying() {
     let outs = SimCluster::run(WORLD, |worker| {
         let cfg = AdaptiveConfig::new(arms()).unwrap();
@@ -203,7 +237,7 @@ fn modelled_decision_traces_are_deterministic_across_runs() {
         SimCluster::run(WORLD, |worker| {
             let cfg = AdaptiveConfig::new(arms())
                 .unwrap()
-                .link(LinkModel::from_gbps(15e-6, 0.1).unwrap());
+                .link(NetworkModel::from_gbps(15e-6, 0.1));
             let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES).unwrap();
             let grads = grads_for(worker.rank(), 53);
             for _ in 0..4 {

@@ -1,23 +1,32 @@
-//! The pipelined engine must be bit-identical to the sequential engine
+//! Every exchange engine must be bit-identical to the sequential engine
 //! and numerically equal to the centralized reference driver for every
 //! method in the registry.
 //!
-//! Strategy: run both engines with a single giant bucket
-//! (`bucket_bytes = usize::MAX`) so the whole model is one flat tensor.
-//! That makes the reference-driver comparison well-defined too: the
-//! driver is layer-wise, so we hand it the same flat concatenation as one
-//! "layer". Pipelined vs. sequential is asserted with exact bit equality;
-//! vs. the reference driver with f32 tolerance (the ring reduces in a
-//! different association order than the driver's sequential sum).
+//! The equivalence net runs each of the 15 methods at two bucket caps
+//! (several buckets, and one bucket holding the whole model) over two
+//! consecutive steps, so error-feedback and warm-start state is compared
+//! too. Pipelined at depths 1–3 must equal the sequential exchange on a
+//! flat plan; a one-arm adaptive engine must equal it on a matricized
+//! plan; and every engine must report the same wire bytes and rounds per
+//! bucket. Fixed FNV-1a digests pin the per-layer exchange's bits.
+//!
+//! Against the reference driver the whole model is one flat bucket
+//! (`bucket_bytes = usize::MAX`), which the driver sees as one "layer";
+//! that comparison allows f32 tolerance (the ring reduces in a different
+//! association order than the driver's sequential sum).
 
 use gcs_cluster::SimCluster;
+use gcs_compress::adaptive::AdaptiveConfig;
 use gcs_compress::driver::all_reduce_compressed;
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::exchange_gradients_bucketed;
-use gcs_ddp::{PipelineConfig, PipelinedEngine};
+use gcs_ddp::exec::{exchange_gradients, exchange_gradients_with_plan, BucketPlan};
+use gcs_ddp::{AdaptiveEngine, BucketTiming, PipelineConfig, PipelinedEngine};
 use gcs_tensor::Tensor;
 
 const WORLD: usize = 4;
+const STEPS: usize = 2;
+/// Bucket caps of the net: 600 B splits the 948 B model into two buckets.
+const CAPS: [usize; 2] = [600, usize::MAX];
 
 /// Every variant of `MethodConfig`, with representative parameters.
 fn registry() -> Vec<MethodConfig> {
@@ -44,12 +53,17 @@ fn shapes() -> Vec<Vec<usize>> {
     vec![vec![6, 10], vec![33], vec![4, 4, 3, 3]]
 }
 
-fn make_grads(rank: usize) -> Vec<Tensor> {
+/// Rank `rank`'s gradients at `step`; step 0 keeps the historical seeds.
+fn make_grads_at(rank: usize, step: usize) -> Vec<Tensor> {
     shapes()
         .iter()
         .enumerate()
-        .map(|(l, s)| Tensor::randn(s.clone(), 42 + (rank * 131 + l) as u64))
+        .map(|(l, s)| Tensor::randn(s.clone(), 42 + (step * 977 + rank * 131 + l) as u64))
         .collect()
+}
+
+fn make_grads(rank: usize) -> Vec<Tensor> {
+    make_grads_at(rank, 0)
 }
 
 fn flat_concat(grads: &[Tensor]) -> Tensor {
@@ -61,46 +75,165 @@ fn flat_concat(grads: &[Tensor]) -> Tensor {
     Tensor::from_vec(flat)
 }
 
+fn bits(out: &[Tensor]) -> Vec<u32> {
+    out.iter()
+        .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+        .collect()
+}
+
+/// One bucket's `(ring_bytes, ring_rounds, gather_bytes, gather_rounds)`.
+type WireCounts = (u64, u32, u64, u32);
+
+fn wire_counts(timings: &[BucketTiming]) -> Vec<WireCounts> {
+    timings
+        .iter()
+        .map(|t| (t.ring_bytes, t.ring_rounds, t.gather_bytes, t.gather_rounds))
+        .collect()
+}
+
+/// One rank's output bits and per-bucket wire counts, one entry per step.
+type Run = Vec<(Vec<u32>, Vec<WireCounts>)>;
+
+/// The sequential exchange on a flat (or matricized) plan built once.
+fn sequential(method: &MethodConfig, cap: usize, matricize: bool) -> Vec<Run> {
+    SimCluster::run(WORLD, |w| {
+        let mut c = method.build().unwrap();
+        let layout = make_grads_at(w.rank(), 0);
+        let mut plan = if matricize {
+            BucketPlan::matricized(&layout, cap)
+        } else {
+            BucketPlan::new(&layout, cap)
+        };
+        (0..STEPS)
+            .map(|step| {
+                let grads = make_grads_at(w.rank(), step);
+                let out = exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap();
+                (bits(&out), wire_counts(plan.last_timings()))
+            })
+            .collect()
+    })
+}
+
+fn pipelined(method: &MethodConfig, cap: usize, depth: usize) -> Vec<Run> {
+    SimCluster::run(WORLD, |w| {
+        let rank = w.rank();
+        let cfg = PipelineConfig {
+            bucket_bytes: cap,
+            depth,
+            matricize: false,
+        };
+        let mut eng = PipelinedEngine::new(w, method.build().unwrap(), cfg).unwrap();
+        let run = (0..STEPS)
+            .map(|step| {
+                let out = eng.exchange(&make_grads_at(rank, step)).unwrap();
+                (bits(&out), wire_counts(eng.last_timings()))
+            })
+            .collect();
+        let _ = eng.into_parts();
+        run
+    })
+}
+
+fn one_arm_adaptive(method: &MethodConfig, cap: usize) -> Vec<Run> {
+    SimCluster::run(WORLD, |w| {
+        let cfg = AdaptiveConfig::new(vec![method.clone()]).unwrap();
+        let mut eng = AdaptiveEngine::new(cfg, cap).unwrap();
+        (0..STEPS)
+            .map(|step| {
+                let out = eng.exchange(&w, &make_grads_at(w.rank(), step)).unwrap();
+                (bits(&out), wire_counts(eng.last_timings()))
+            })
+            .collect()
+    })
+}
+
 #[test]
-fn pipelined_matches_sequential_and_reference_for_every_method() {
+fn every_engine_matches_the_sequential_plan_over_two_steps() {
+    for method in registry() {
+        for cap in CAPS {
+            let flat = sequential(&method, cap, false);
+            for depth in 1..=3 {
+                assert_eq!(
+                    pipelined(&method, cap, depth),
+                    flat,
+                    "{method:?} cap {cap}: pipelined depth {depth} deviates from sequential"
+                );
+            }
+            assert_eq!(
+                one_arm_adaptive(&method, cap),
+                sequential(&method, cap, true),
+                "{method:?} cap {cap}: one-arm adaptive deviates from the matricized sequential plan"
+            );
+        }
+    }
+}
+
+/// FNV-1a 64 over every output bit of every rank and step.
+fn fnv1a(runs: &[Vec<Vec<Tensor>>]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for step_outs in runs {
+        for out in step_outs {
+            for word in bits(out) {
+                for b in word.to_le_bytes() {
+                    hash ^= u64::from(b);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn per_layer_exchange_matches_its_golden_digests() {
+    // One digest per registry method, in `registry()` order.
+    const GOLDEN: [u64; 15] = [
+        0xef2816e6ea020775,
+        0xa6bbeb18f6f415e5,
+        0xf85e0c730a9ca7cd,
+        0xa6ec40873d7c079d,
+        0xb14c9a4b74c64865,
+        0x8f0018fe908d75b5,
+        0x26a8915b03c9bca5,
+        0x290e690e8a116e85,
+        0xa35aee42f6172aa5,
+        0x6ca14787bf9b87f5,
+        0x96f07cab7a2955a5,
+        0x0c4f1c6dd6d58895,
+        0x63f84ad6ac725285,
+        0xb129329eb437aab5,
+        0x31fa900aca254e25,
+    ];
+    let digests: Vec<u64> = registry()
+        .iter()
+        .map(|method| {
+            let runs = SimCluster::run(WORLD, |w| {
+                let mut c = method.build().unwrap();
+                (0..STEPS)
+                    .map(|step| {
+                        exchange_gradients(&w, &mut c, &make_grads_at(w.rank(), step)).unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            });
+            fnv1a(&runs)
+        })
+        .collect();
+    assert_eq!(digests, GOLDEN, "per-layer exchange bits moved");
+}
+
+#[test]
+fn sequential_plan_matches_the_reference_driver_for_every_method() {
+    // The net above pins every engine to this exchange bit for bit.
     for method in registry() {
         let sequential = SimCluster::run(WORLD, |w| {
             let mut c = method.build().unwrap();
             let grads = make_grads(w.rank());
-            exchange_gradients_bucketed(&w, &mut c, &grads, usize::MAX).unwrap()
-        });
-        let pipelined = SimCluster::run(WORLD, |w| {
-            let c = method.build().unwrap();
-            let grads = make_grads(w.rank());
-            let mut eng = PipelinedEngine::new(
-                w,
-                c,
-                PipelineConfig {
-                    bucket_bytes: usize::MAX,
-                    depth: 2,
-                    matricize: false,
-                },
-            )
-            .unwrap();
-            let out = eng.exchange(&grads).unwrap();
-            let _ = eng.into_parts();
-            out
+            let mut plan = BucketPlan::new(&grads, usize::MAX);
+            exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
         });
 
-        // 1. Pipelined == sequential, bit for bit, every worker and layer.
-        for (rank, (seq, pipe)) in sequential.iter().zip(&pipelined).enumerate() {
-            for (layer, (s, p)) in seq.iter().zip(pipe).enumerate() {
-                let sb: Vec<u32> = s.data().iter().map(|x| x.to_bits()).collect();
-                let pb: Vec<u32> = p.data().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    sb, pb,
-                    "{method:?} worker {rank} layer {layer}: pipelined deviates from sequential"
-                );
-            }
-        }
-
-        // 2. Both engines vs. the centralized reference driver on the same
-        // flat concatenation treated as one layer.
+        // The reference driver sees the same flat concatenation as one
+        // layer.
         let tol = if method == MethodConfig::Fp16 {
             2e-3
         } else {
@@ -109,8 +242,8 @@ fn pipelined_matches_sequential_and_reference_for_every_method() {
         let mut ref_workers: Vec<_> = (0..WORLD).map(|_| method.build().unwrap()).collect();
         let flat_grads: Vec<Tensor> = (0..WORLD).map(|r| flat_concat(&make_grads(r))).collect();
         let ref_out = all_reduce_compressed(&mut ref_workers, 0, &flat_grads).unwrap();
-        for (rank, pipe) in pipelined.iter().enumerate() {
-            let engine_flat = flat_concat(pipe);
+        for (rank, out) in sequential.iter().enumerate() {
+            let engine_flat = flat_concat(out);
             let reference = &ref_out[rank];
             assert_eq!(engine_flat.numel(), reference.numel());
             let ref_norm = reference

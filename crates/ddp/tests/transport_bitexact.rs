@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use gcs_cluster::{FaultPlan, SimCluster, TcpCluster};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::exchange_gradients_bucketed;
+use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
 use gcs_ddp::{PipelineConfig, PipelinedEngine};
 use gcs_tensor::Tensor;
 
@@ -54,7 +54,8 @@ fn make_grads(rank: usize) -> Vec<Tensor> {
 fn sequential_exchange(w: gcs_cluster::WorkerHandle, method: &MethodConfig) -> Vec<Tensor> {
     let mut c = method.build().unwrap();
     let grads = make_grads(w.rank());
-    exchange_gradients_bucketed(&w, &mut c, &grads, usize::MAX).unwrap()
+    let mut plan = BucketPlan::new(&grads, usize::MAX);
+    exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
 }
 
 fn pipelined_exchange(w: gcs_cluster::WorkerHandle, method: &MethodConfig) -> Vec<Tensor> {

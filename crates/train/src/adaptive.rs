@@ -107,7 +107,7 @@ pub fn train_threaded_adaptive<T: Task + Sync>(
 mod tests {
     use super::*;
     use crate::task::LinearRegression;
-    use gcs_compress::adaptive::LinkModel;
+    use gcs_cluster::cost::NetworkModel;
     use gcs_compress::registry::MethodConfig;
 
     fn task() -> LinearRegression {
@@ -126,7 +126,7 @@ mod tests {
     /// (matricized to 16×16, where PowerSGD actually compresses).
     const BUCKET_BYTES: usize = 1024;
 
-    fn run_lr(link: LinkModel, pin: Option<MethodConfig>, lr: f32) -> AdaptiveTrainReport {
+    fn run_lr(link: NetworkModel, pin: Option<MethodConfig>, lr: f32) -> AdaptiveTrainReport {
         let arms = match pin {
             Some(m) => vec![m],
             None => arms(),
@@ -136,7 +136,7 @@ mod tests {
         train_threaded_adaptive(&task(), &acfg, BUCKET_BYTES, &cfg).unwrap()
     }
 
-    fn run(link: LinkModel, pin: Option<MethodConfig>) -> AdaptiveTrainReport {
+    fn run(link: NetworkModel, pin: Option<MethodConfig>) -> AdaptiveTrainReport {
         // lr 0.05: every arm (including rank-2 PowerSGD, whose low-rank
         // noise destabilizes lr 0.1 on this task) converges cleanly.
         run_lr(link, pin, 0.05)
@@ -147,7 +147,7 @@ mod tests {
         // 1 Mbps: wire bytes dominate, so low-rank compression should win
         // the modelled step time by a wide margin while converging on a
         // convex task.
-        let link = LinkModel::from_gbps(5e-6, 0.001).unwrap();
+        let link = NetworkModel::from_gbps(5e-6, 0.001);
         let adaptive = run(link, None);
         let fixed: Vec<AdaptiveTrainReport> =
             arms().into_iter().map(|m| run(link, Some(m))).collect();
@@ -205,7 +205,7 @@ mod tests {
         // 10 Gbps datacenter link: Equation 1 says compression cannot pay
         // for its encode cost, so the controller must keep every bucket on
         // SyncSGD and match the best fixed scheme exactly.
-        let link = LinkModel::from_gbps(15e-6, 10.0).unwrap();
+        let link = NetworkModel::from_gbps(15e-6, 10.0);
         let adaptive = run(link, None);
         assert!(
             adaptive.assignment.iter().all(|&a| a == 0),

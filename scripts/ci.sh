@@ -141,6 +141,15 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 101 ] || [ "$status" -eq 124 ]; then
   echo "no-survivor plan exited $status: expected a typed error"; exit 1
 fi
 
+# The controller's link model asserts its inputs, so a bad link flag must
+# be rejected by the CLI as a typed error — never reach the assert (101).
+echo "==> gradcomp adaptive (negative latency, must fail typed)"
+status=0
+timeout 120 ./target/release/gradcomp-cli adaptive --alpha-us -1 > /dev/null 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 101 ] || [ "$status" -eq 124 ]; then
+  echo "adaptive --alpha-us -1 exited $status: expected a typed error"; exit 1
+fi
+
 # CommEngine poison ordering under concurrent submitters, same two seeds
 # (the failure mode is a hang or a silent post-poison success).
 echo "==> comm poison suite (seed 12648430)"
