@@ -51,10 +51,13 @@ fn recv_elems(s: &mut Schedule, at: usize, from: usize, lo: usize, hi: usize, ac
 
 /// Ring all-reduce over `members` (actual process ids, strictly
 /// ascending), reducing `n` elements at `offset` into each member's
-/// buffer. Mirrors `WorkerHandle::all_reduce_sum`, whose single code body
-/// rings over the handle's member list (`WorkerHandle::set_members`):
-/// members `0..p` is the healthy ring (`pos = rank`, `m = p`), and
-/// `ring_all_reduce_among` with a subset models a shrunk handle.
+/// buffer. Mirrors `WorkerHandle::ring_all_reduce`, the one ring body
+/// behind `all_reduce_sum` and `all_reduce_mean`, which rings over the
+/// handle's member list (`WorkerHandle::set_members`): members `0..p` is
+/// the healthy ring (`pos = rank`, `m = p`), and `ring_all_reduce_among`
+/// with a subset models a shrunk handle. The mean's divide by `m` is
+/// local arithmetic on the reduce-scatter's final hop and adds no frame,
+/// so one schedule models both.
 fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, n: usize) {
     let m = members.len();
     if m <= 1 {

@@ -2,7 +2,7 @@
 //! the seed's naive implementations and writes `BENCH_datapath.json` at the
 //! repo root.
 //!
-//! Six kernels are tracked:
+//! Seven kernels are tracked:
 //!
 //! 1. Ring all-reduce on a 25 MiB gradient for p ∈ {4, 8, 16}, against a
 //!    faithful reconstruction of the seed's clone-based ring (fresh wire
@@ -18,7 +18,10 @@
 //!    ranks 4, 8 and 16: the skinny paths against the general kernels
 //!    they took over from.
 //! 5. Top-k 1% selection and sign pack/unpack on the same 25 MiB buffer.
-//! 6. Per-kernel SIMD vs. scalar rows: every primitive in the
+//! 6. The ring mean's final reduce-scatter hop (add the incoming chunk,
+//!    divide by the member count): one divide pass after the add against
+//!    the L1-blocked add-and-divide `all_reduce_mean` runs.
+//! 7. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
 //!    the same buffers, plus the GEMM tile through both dispatch paths.
 //!    The report's `metadata` object records the CPU model, detected
@@ -408,6 +411,72 @@ fn a_mul_bt_section(pr: Params, smoke: bool) -> Vec<Value> {
     rows
 }
 
+/// Block of the mean's final hop in `gcs_cluster::collectives`: the add and
+/// the divide run 512 elements at a time.
+const MEAN_BLOCK: usize = 512;
+
+/// The ring mean's final reduce-scatter hop — add the incoming wire chunk,
+/// divide by the member count — three ways on one chunk: the add alone
+/// (what the sum's hop costs), the add and then a divide pass over the
+/// whole chunk, and the add and divide per L1-sized block, which is what
+/// `all_reduce_mean` runs. The chunk sizes are `dense-ring-tcp`'s
+/// (half of the 1024 x 1024 weight's bucket) and a quarter of the ring
+/// section's buffer. The two divides are checked bit-equal.
+fn ring_mean_hop_section(pr: Params, smoke: bool) -> Vec<Value> {
+    let sizes = if smoke {
+        [4096usize, 1000]
+    } else {
+        [512 * 1024, pr.ring_elems / 4]
+    };
+    let divide = |xs: &mut [f32]| xs.iter_mut().for_each(|x| *x /= 2.0);
+    // Sub-millisecond passes over a few MB that other tenants' memory
+    // traffic disturbs: a long best-of.
+    let iters = pr.gemm_iters * 20;
+    let mut rows = Vec::new();
+    for n in sizes {
+        let partial = Tensor::randn([n], 61).into_vec();
+        let mut wire = vec![0u8; n * 4];
+        kernels::f32s_to_bytes(&Tensor::randn([n], 67).into_vec(), &mut wire);
+        // Timed in place (the values drift, the work does not), then run
+        // once more each from the same partial sum to compare the bits.
+        let blocked_hop = |buf: &mut [f32]| {
+            for (xs, w) in buf.chunks_mut(MEAN_BLOCK).zip(wire.chunks(4 * MEAN_BLOCK)) {
+                kernels::add_from_bytes(w, xs);
+                divide(xs);
+            }
+        };
+        let two_pass_hop = |buf: &mut [f32]| {
+            kernels::add_from_bytes(&wire, buf);
+            divide(buf);
+        };
+        let mut buf = partial.clone();
+        let add = bench(2, iters, || {
+            kernels::add_from_bytes(&wire, black_box(&mut buf));
+        });
+        let two_pass = bench(2, iters, || two_pass_hop(black_box(&mut buf)));
+        let blocked = bench(2, iters, || blocked_hop(black_box(&mut buf)));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut a, mut b) = (partial.clone(), partial);
+        two_pass_hop(&mut a);
+        blocked_hop(&mut b);
+        assert_eq!(bits(&a), bits(&b), "blocked and two-pass divides disagree");
+        println!(
+            "ring mean hop n={n}  add {:.3} ms  add+divide pass {:.3} ms  blocked {:.3} ms",
+            add.min_s * 1e3,
+            two_pass.min_s * 1e3,
+            blocked.min_s * 1e3
+        );
+        rows.push(json!({
+            "kernel": "ring_mean_hop",
+            "n": n,
+            "add_ms": add.min_s * 1e3,
+            "two_pass_ms": two_pass.min_s * 1e3,
+            "blocked_ms": blocked.min_s * 1e3,
+        }));
+    }
+    rows
+}
+
 fn powersgd_section(pr: Params, smoke: bool) -> Value {
     // ResNet-50-style layer shapes (the encode_decode suite's conv set).
     let shapes: Vec<Vec<usize>> = if smoke {
@@ -768,6 +837,7 @@ fn main() {
     let pr = Params::new(smoke);
     let ring = ring_section(pr);
     let algos = all_reduce_algorithms_section(pr);
+    let mean_hop = ring_mean_hop_section(pr, smoke);
     let gemm = gemm_section(pr, smoke);
     let abt = a_mul_bt_section(pr, smoke);
     let psgd = powersgd_section(pr, smoke);
@@ -780,6 +850,7 @@ fn main() {
         "metadata": metadata(smoke),
         "ring_all_reduce": ring,
         "all_reduce_algorithms": algos,
+        "ring_mean_hop": mean_hop,
         "matmul": gemm,
         "a_mul_bt": abt,
         "powersgd": psgd,

@@ -8,19 +8,25 @@
 //!
 //! # Data-plane fast path
 //!
-//! The hot loop of [`WorkerHandle::all_reduce_sum`] is allocation-free in
-//! steady state and touches each byte once per step: the reduce-scatter
-//! folds the local contribution directly into the received wire image
-//! (`w ← x + w` via [`gcs_tensor::kernels::add_into_bytes`], the same
-//! operand order as the buffer-side accumulator, so sums are bit-identical
-//! to decode-accumulate-reserialize) and forwards that buffer, while the
-//! all-gather decodes each incoming frame into `buf` and forwards the
-//! *same* [`Frame`] by refcount bump — no re-serialization in either
-//! phase. The all-gather's seed reuses the reduce-scatter's final frame,
-//! so it is never zero-filled. Every conversion and reduce dispatches
-//! through the pooled [`gcs_tensor::kernels`] entry points (AVX-512/AVX2 where detected,
-//! banded across the kernel pool on multi-core hosts; fixed association
-//! order keeps results identical in every configuration).
+//! The ring all-reduce ([`WorkerHandle::all_reduce_sum`] and
+//! [`WorkerHandle::all_reduce_mean`], one body) makes no pass over the
+//! gradient that is neither wire nor arithmetic. Each phase's seed — this
+//! rank's own chunk, then its completed chunk — goes out with
+//! [`WorkerHandle::send_slice`] straight from `buf`'s memory
+//! ([`gcs_tensor::kernels::f32s_wire_image`], a borrowed view on
+//! little-endian targets), so on TCP the socket write reads the `f32`s
+//! themselves. The reduce-scatter folds the local contribution directly
+//! into the received wire image (`w ← x + w` via
+//! [`gcs_tensor::kernels::add_into_bytes`], the same operand order as the
+//! buffer-side accumulator, so sums are bit-identical to
+//! decode-accumulate-reserialize) and forwards that buffer; the mean
+//! divides each chunk on the hop that completes it, so the all-gather
+//! carries the mean. The all-gather decodes each incoming frame into `buf`
+//! and forwards the *same* [`Frame`] by refcount bump. Every conversion and
+//! reduce dispatches through the pooled [`gcs_tensor::kernels`] entry
+//! points (AVX-512/AVX2 where detected, banded across the kernel pool on
+//! multi-core hosts; fixed association order keeps results identical in
+//! every configuration).
 
 use crate::transport::{Frame, WorkerHandle};
 use crate::{ClusterError, Result};
@@ -39,12 +45,41 @@ pub(crate) fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
 
 /// Serializes `xs` little-endian into `out`, reusing its allocation.
 pub(crate) fn fill_bytes_from_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    // Plain resize, not clear + resize: a buffer reclaimed from a received
-    // frame of the right length (the ring all-reduce's all-gather seed)
-    // is only overwritten below. Whatever the buffer grows by — all of a
-    // fresh one, such as the reduce-scatter seed — is zero-filled first.
+    // Plain resize, not clear + resize: bytes the buffer already holds are
+    // only overwritten below; whatever it grows by is zero-filled first.
     out.resize(xs.len() * 4, 0);
     kernels::f32s_to_bytes_pooled(pool::global(), xs, out);
+}
+
+/// `x ← x / divisor` elementwise: IEEE division, never a reciprocal
+/// multiply, so the mean has the bits of dividing the sum.
+fn divide(xs: &mut [f32], divisor: f32) {
+    for x in xs {
+        *x /= divisor;
+    }
+}
+
+/// Elements [`add_f32s_from_bytes_then_divide`] adds and then divides at
+/// a time: 2 KiB of `f32` and 2 KiB of wire, so the divide reads what the
+/// add just wrote from L1. A multiple of every kernel table's vector width.
+const MEAN_BLOCK: usize = 512;
+
+/// The mean's final-hop reduce, `out ← (out + decode(bytes)) / divisor`:
+/// the add through the same dispatched kernel as [`add_f32s_from_bytes`],
+/// then [`divide`], one L1-sized block at a time and banded across the
+/// kernel pool like the add. Elementwise, so the bits equal the add over
+/// the whole chunk followed by the divide. On a 2 MB chunk this costs
+/// about the add alone, where the add and then a divide pass cost half as
+/// much again (`BENCH_datapath.json`, `ring_mean_hop`).
+fn add_f32s_from_bytes_then_divide(out: &mut [f32], bytes: &[u8], divisor: f32) {
+    let min_band = gcs_tensor::autotune::choice().wire_chunk_elems;
+    pool::global().for_rows(out, 1, min_band, |lo, band| {
+        let wire = &bytes[lo * 4..(lo + band.len()) * 4];
+        for (xs, w) in band.chunks_mut(MEAN_BLOCK).zip(wire.chunks(4 * MEAN_BLOCK)) {
+            kernels::add_from_bytes(w, xs);
+            divide(xs, divisor);
+        }
+    });
 }
 
 /// Checks that `bytes` decodes to exactly `expected` f32s.
@@ -88,9 +123,10 @@ impl WorkerHandle {
     ///
     /// All members must call this with buffers of equal length.
     ///
-    /// Single-pass wire path: the only serialization is the initial send
-    /// of this rank's own chunk. Each subsequent reduce-scatter step folds
-    /// the local contribution *into the received wire image* (one
+    /// Single-pass wire path: the two seeds (this rank's chunk, then its
+    /// completed chunk) are sent from `buf` with
+    /// [`WorkerHandle::send_slice`]. Each subsequent reduce-scatter step
+    /// folds the local contribution *into the received wire image* (one
     /// `w ← x + w` pass) and forwards that buffer — the chunk a rank sends
     /// at step `s+1` is exactly the chunk it received at step `s`, so
     /// decode-accumulate-reserialize collapses into one kernel call. The
@@ -105,20 +141,50 @@ impl WorkerHandle {
     /// Returns [`ClusterError::Mismatch`] if peers send differently-sized
     /// chunks and [`ClusterError::Disconnected`] if a peer hangs up.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) -> Result<()> {
+        self.ring_all_reduce(buf, false)
+    }
+
+    /// Ring all-reduce (mean): after the call every member's `buf` holds
+    /// the elementwise sum over the handle's [members](Self::members)
+    /// divided by their count `m` — bit-identical to
+    /// [`WorkerHandle::all_reduce_sum`] followed by `x / m` on every
+    /// element, with the same frames and bytes on the wire.
+    ///
+    /// The divide happens where each chunk's sum is completed, on the
+    /// reduce-scatter's final hop, so each rank divides `1/m` of the
+    /// buffer and the all-gather carries the mean. A single member still
+    /// divides its buffer by `1.0` (which quiets a signalling NaN, as the
+    /// divide of a ring sum would).
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerHandle::all_reduce_sum`].
+    pub fn all_reduce_mean(&self, buf: &mut [f32]) -> Result<()> {
+        self.ring_all_reduce(buf, true)
+    }
+
+    /// The one ring body behind [`WorkerHandle::all_reduce_sum`] and
+    /// [`WorkerHandle::all_reduce_mean`]; `mean` divides each completed
+    /// chunk by the member count, locally, adding no frame.
+    fn ring_all_reduce(&self, buf: &mut [f32], mean: bool) -> Result<()> {
         let (m, pos, next, prev) = self.ring();
+        let divisor = m as f32;
         if m == 1 {
+            if mean {
+                divide(buf, divisor);
+            }
             return Ok(());
         }
         let len = buf.len();
+        // Holds a converted seed on big-endian targets only; on
+        // little-endian ones the seeds go out from `buf` itself.
+        let mut scratch: Vec<u8> = Vec::new();
 
-        // Phase 1: reduce-scatter. Only the seed send serializes from
-        // `buf`; partial sums then travel (and accumulate) in wire form.
+        // Phase 1: reduce-scatter. Only the seed send reads `buf`'s own
+        // chunk; partial sums then travel (and accumulate) in wire form.
         // After m-1 steps chunk (pos+1) % m holds the full sum.
         let (ss, se) = chunk_range(len, m, pos);
-        let mut wire: Vec<u8> = Vec::with_capacity(se.saturating_sub(ss) * 4);
-        fill_bytes_from_f32s(&mut wire, &buf[ss..se]);
-        self.send(next, Frame::from_vec(wire))?;
-        let mut seed: Vec<u8> = Vec::new();
+        self.send_slice(next, kernels::f32s_wire_image(&buf[ss..se], &mut scratch))?;
         for s in 0..m - 1 {
             let recv_idx = (pos + 2 * m - s - 1) % m;
             let incoming = self.recv_robust(prev)?;
@@ -132,23 +198,23 @@ impl WorkerHandle {
                 add_f32s_into_bytes(&buf[rs..re], &mut w);
                 self.send(next, Frame::from_vec(w))?;
             } else {
-                // Final hop: this rank completes the sum for its chunk,
-                // which must land in `buf` for the all-gather phase. The
-                // same chunk seeds the all-gather, so the frame's buffer
-                // (uniquely owned, right length) becomes the seed and is
-                // overwritten without a zero-fill.
-                add_f32s_from_bytes(&mut buf[rs..re], &incoming);
-                seed = incoming.into_vec();
+                // Final hop: this rank completes the sum for its chunk —
+                // or, for the mean, the sum divided in the same pass —
+                // which must land in `buf` for the all-gather phase.
+                if mean {
+                    add_f32s_from_bytes_then_divide(&mut buf[rs..re], &incoming, divisor);
+                } else {
+                    add_f32s_from_bytes(&mut buf[rs..re], &incoming);
+                }
             }
         }
 
-        // Phase 2: all-gather of the reduced chunks. One serialization of
-        // our completed chunk; every other frame is decoded into `buf`
+        // Phase 2: all-gather of the reduced chunks. Our completed chunk
+        // goes out from `buf`; every other frame is decoded into `buf`
         // and forwarded as-is.
         let own = (pos + 1) % m;
         let (ss, se) = chunk_range(len, m, own);
-        fill_bytes_from_f32s(&mut seed, &buf[ss..se]);
-        self.send(next, Frame::from_vec(seed))?;
+        self.send_slice(next, kernels::f32s_wire_image(&buf[ss..se], &mut scratch))?;
         for s in 0..m - 1 {
             let recv_idx = (pos + m - s) % m;
             let incoming = self.recv_robust(prev)?;

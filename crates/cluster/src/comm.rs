@@ -28,7 +28,8 @@
 //! wire while bucket *i+1* is being encoded.
 //!
 //! The arithmetic is *identical* to calling the blocking collectives
-//! inline: the comm thread simply calls [`WorkerHandle::all_reduce_sum`] /
+//! inline: the comm thread simply calls [`WorkerHandle::all_reduce_mean`]
+//! (the mean over the handle's members, divided inside the ring) /
 //! [`WorkerHandle::all_gather_bytes`] on the same handle, so results are
 //! bit-exact with the sequential engine.
 
@@ -44,8 +45,9 @@ use crate::{ClusterError, Result};
 /// work on them without synchronization; they come back through the reply
 /// channel for the caller to recycle.
 enum Job {
-    /// Sum-all-reduce `data` across ranks, reply with the reduced buffer.
-    ReduceSum {
+    /// Mean-all-reduce `data` across the ring's members, reply with the
+    /// reduced buffer.
+    ReduceMean {
         data: Vec<f32>,
         reply: Sender<Result<Vec<f32>>>,
     },
@@ -57,7 +59,7 @@ enum Job {
     },
 }
 
-/// In-flight sum-all-reduce started by [`CommEngine::start_all_reduce_sum`].
+/// In-flight mean-all-reduce started by [`CommEngine::start_all_reduce_mean`].
 #[must_use = "a pending collective does nothing until waited on"]
 pub struct PendingReduce {
     rx: Receiver<Result<Vec<f32>>>,
@@ -98,9 +100,6 @@ pub struct CommEngine {
     jobs: Option<SyncSender<Job>>,
     thread: Option<JoinHandle<WorkerHandle>>,
     rank: usize,
-    /// Ranks on the handle's ring at spawn; the handle moves onto the
-    /// comm thread, so its membership cannot change afterwards.
-    members: usize,
     /// First collective error the comm thread hit. Once set, the engine is
     /// poisoned: queued and future jobs are answered with this error
     /// instead of being executed, so one rank's failure surfaces
@@ -130,7 +129,6 @@ impl CommEngine {
             ));
         }
         let rank = worker.rank();
-        let members = worker.members().len();
         let (tx, rx) = sync_channel::<Job>(queue_depth);
         let poisoned: Arc<Mutex<Option<ClusterError>>> = Arc::new(Mutex::new(None));
         let poison = Arc::clone(&poisoned);
@@ -152,7 +150,7 @@ impl CommEngine {
                 };
                 while let Ok(job) = rx.recv() {
                     match job {
-                        Job::ReduceSum { mut data, reply } => {
+                        Job::ReduceMean { mut data, reply } => {
                             // A poisoned engine answers without touching the
                             // wire: executing further collectives after a
                             // failure would desynchronize rank pairing.
@@ -161,7 +159,7 @@ impl CommEngine {
                                 continue;
                             }
                             let t0 = std::time::Instant::now();
-                            let res = worker.all_reduce_sum(&mut data);
+                            let res = worker.all_reduce_mean(&mut data);
                             busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
                             store_error(&res);
                             // A dropped reply receiver just means the caller
@@ -188,7 +186,6 @@ impl CommEngine {
             jobs: Some(tx),
             thread: Some(thread),
             rank,
-            members,
             poisoned,
             busy_nanos,
         })
@@ -217,17 +214,11 @@ impl CommEngine {
         self.rank
     }
 
-    /// Number of ranks the engine's collectives run over: the handle's
-    /// member count at spawn (the world size unless the ring was shrunk).
-    pub fn members(&self) -> usize {
-        self.members
-    }
-
-    /// Enqueue a sum-all-reduce of `data` on the plain ring, whose
-    /// arithmetic is bit-identical to the blocking `all_reduce_sum`.
+    /// Enqueue a mean-all-reduce of `data` over the handle's members,
+    /// bit-identical to the blocking [`WorkerHandle::all_reduce_mean`].
     ///
     /// Blocks only if the job queue is full (backpressure).
-    pub fn start_all_reduce_sum(&self, data: Vec<f32>) -> Result<PendingReduce> {
+    pub fn start_all_reduce_mean(&self, data: Vec<f32>) -> Result<PendingReduce> {
         if let Some(e) = self.last_error() {
             return Err(e);
         }
@@ -237,7 +228,7 @@ impl CommEngine {
                 "comm engine already shut down".into(),
             ));
         };
-        jobs.send(Job::ReduceSum { data, reply })
+        jobs.send(Job::ReduceMean { data, reply })
             .map_err(|_| ClusterError::Disconnected { peer: self.rank })?;
         Ok(PendingReduce { rx })
     }
@@ -306,8 +297,8 @@ mod tests {
             };
             let mut blocking0 = make(0);
             let mut blocking1 = make(1);
-            w.all_reduce_sum(&mut blocking0).unwrap();
-            w.all_reduce_sum(&mut blocking1).unwrap();
+            w.all_reduce_mean(&mut blocking0).unwrap();
+            w.all_reduce_mean(&mut blocking1).unwrap();
 
             (blocking0, blocking1)
         });
@@ -320,8 +311,8 @@ mod tests {
             };
             let eng = CommEngine::spawn(w, 2).unwrap();
             // Two overlapping reductions in flight at once.
-            let p0 = eng.start_all_reduce_sum(make(0)).unwrap();
-            let p1 = eng.start_all_reduce_sum(make(1)).unwrap();
+            let p0 = eng.start_all_reduce_mean(make(0)).unwrap();
+            let p1 = eng.start_all_reduce_mean(make(1)).unwrap();
             let r0 = p0.wait().unwrap();
             let r1 = p1.wait().unwrap();
             let _ = eng.shutdown();
@@ -358,7 +349,7 @@ mod tests {
         let sums = SimCluster::run(2, |w| {
             let eng = CommEngine::spawn(w, 1).unwrap();
             let _ = eng
-                .start_all_reduce_sum(vec![1.0, 2.0])
+                .start_all_reduce_mean(vec![1.0, 2.0])
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -386,10 +377,10 @@ mod tests {
         let outs = cluster.run_workers(|w| {
             if w.rank() == 0 {
                 let eng = CommEngine::spawn(w, 2).unwrap();
-                let first = eng.start_all_reduce_sum(vec![1.0; 4]).unwrap().wait();
+                let first = eng.start_all_reduce_mean(vec![1.0; 4]).unwrap().wait();
                 let poisoned = eng.last_error().is_some();
                 // Later jobs fail fast at start (poisoned engine).
-                let second = eng.start_all_reduce_sum(vec![1.0; 4]);
+                let second = eng.start_all_reduce_mean(vec![1.0; 4]);
                 let _ = eng.shutdown();
                 (first.is_err(), poisoned, second.is_err())
             } else {
@@ -410,9 +401,9 @@ mod tests {
         let outs = SimCluster::run(3, |w| {
             let rank = w.rank();
             let eng = CommEngine::spawn(w, 2).unwrap();
-            let r = eng.start_all_reduce_sum(vec![rank as f32; 5]).unwrap();
+            let r = eng.start_all_reduce_mean(vec![rank as f32; 5]).unwrap();
             let g = eng.start_all_gather(vec![rank as u8; 3]).unwrap();
-            let r2 = eng.start_all_reduce_sum(vec![1.0f32; 2]).unwrap();
+            let r2 = eng.start_all_reduce_mean(vec![1.0f32; 2]).unwrap();
             let red = r.wait().unwrap();
             let (frames, _) = g.wait().unwrap();
             let red2 = r2.wait().unwrap();
@@ -420,9 +411,9 @@ mod tests {
             (red, frames.len(), red2)
         });
         for (red, nframes, red2) in outs {
-            assert_eq!(red, vec![3.0; 5]); // 0+1+2
+            assert_eq!(red, vec![1.0; 5]); // (0+1+2) / 3
             assert_eq!(nframes, 3);
-            assert_eq!(red2, vec![3.0; 2]);
+            assert_eq!(red2, vec![1.0; 2]);
         }
     }
 }

@@ -118,14 +118,14 @@ struct TcpWorker {
 
 impl TcpWorker {
     /// Writes one data frame, carrying `delay` in the header.
-    fn write_data(&self, peer: usize, frame: &Frame, delay: Duration) -> Result<()> {
-        let header = WireHeader::new(FrameKind::Data, self.rank, peer, 0, delay, frame.len())?;
+    fn write_data(&self, peer: usize, payload: &[u8], delay: Duration) -> Result<()> {
+        let header = WireHeader::new(FrameKind::Data, self.rank, peer, 0, delay, payload.len())?;
         let Some(stream) = self.streams[peer].as_ref() else {
             return Err(ClusterError::Protocol(format!(
                 "no mesh socket for peer {peer}"
             )));
         };
-        wire::write_frame(&mut &*stream, &header, frame).map_err(|err| match err {
+        wire::write_frame(&mut &*stream, &header, payload).map_err(|err| match err {
             // A failed write means the connection is gone; report the
             // peer loss, not the raw socket error.
             ClusterError::Io(_) => {
@@ -230,6 +230,21 @@ impl Transport for TcpWorker {
             self.write_data(peer, &held_frame, held_delay)?;
         }
         Ok(())
+    }
+
+    /// Writes the borrowed bytes to the socket with the same header,
+    /// `writev` and traffic record as `send`. A self-send (the loop-back
+    /// queue carries frames) and any send under a fault plan (the reorder
+    /// stash must own what it holds) copy into a frame and take `send`.
+    fn send_slice(&self, peer: usize, bytes: &[u8]) -> Result<()> {
+        if peer == self.rank || self.faults.is_some() {
+            return self.send(peer, Frame::copy_from_slice(bytes));
+        }
+        if !self.is_alive(peer) {
+            return Err(ClusterError::PeerGone { peer });
+        }
+        self.traffic.record(bytes.len());
+        self.write_data(peer, bytes, Duration::ZERO)
     }
 
     fn recv(&self, peer: usize) -> Result<Frame> {

@@ -2,8 +2,9 @@
 //!
 //! The [`Transport`] trait is the primitive surface every backend
 //! provides: rank/world identity, `send`/`recv`/`recv_deadline` over
-//! [`Frame`]s, liveness (`is_alive`/`mark_dead`), traffic counters, and
-//! the optional fault plane. A [`WorkerHandle`] wraps a boxed backend and
+//! [`Frame`]s (plus `send_slice` for borrowed bytes), liveness
+//! (`is_alive`/`mark_dead`), traffic counters, and the optional fault
+//! plane. A [`WorkerHandle`] wraps a boxed backend and
 //! carries everything built *on top* of those primitives — the
 //! collectives in [`crate::collectives`], the live member list they ring
 //! over (shrunk by survivors through `set_members`), `recv_robust` retry
@@ -369,6 +370,15 @@ pub trait Transport: Send + std::fmt::Debug {
     /// next frame — decided by the link's deterministic fault stream.
     fn send(&self, peer: usize, frame: Frame) -> Result<()>;
 
+    /// Sends borrowed bytes to `peer` as one frame. Identical on the wire,
+    /// in the traffic counters and under a [`FaultPlan`] to
+    /// `send(peer, Frame::copy_from_slice(bytes))`, which is what this
+    /// default does; a backend that can write borrowed bytes straight to
+    /// its wire overrides it to skip the copy.
+    fn send_slice(&self, peer: usize, bytes: &[u8]) -> Result<()> {
+        self.send(peer, Frame::copy_from_slice(bytes))
+    }
+
     /// Receives the next frame sent by `peer` (blocking).
     fn recv(&self, peer: usize) -> Result<Frame>;
 
@@ -539,6 +549,19 @@ impl WorkerHandle {
     pub fn send(&self, peer: usize, bytes: impl Into<Frame>) -> Result<()> {
         check_peer(peer, self.world())?;
         self.inner.send(peer, bytes.into())
+    }
+
+    /// Sends borrowed bytes to `peer` as one frame — the same frame, fault
+    /// fate and traffic record as [`WorkerHandle::send`] of a copy. Over
+    /// TCP without a [`FaultPlan`] the bytes go from `bytes` to the socket
+    /// with no copy; every other case copies them into a [`Frame`].
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerHandle::send`].
+    pub fn send_slice(&self, peer: usize, bytes: &[u8]) -> Result<()> {
+        check_peer(peer, self.world())?;
+        self.inner.send_slice(peer, bytes)
     }
 
     /// Receives the next frame sent by `peer` (blocking).

@@ -36,7 +36,7 @@ fn concurrent_submitters_all_observe_poison_after_first_error() {
     let outs = cluster.run_workers(|w| {
         if w.rank() == 0 {
             let eng = CommEngine::spawn(w, 4).unwrap();
-            let first = eng.start_all_reduce_sum(vec![1.0; 8]).unwrap().wait();
+            let first = eng.start_all_reduce_mean(vec![1.0; 8]).unwrap().wait();
             assert!(first.is_err(), "doomed reduce must surface its timeout");
             assert!(eng.last_error().is_some(), "first error must poison");
 
@@ -50,7 +50,7 @@ fn concurrent_submitters_all_observe_poison_after_first_error() {
                         let eng = &eng;
                         s.spawn(move || {
                             let res = if i % 2 == 0 {
-                                eng.start_all_reduce_sum(vec![2.0; 4])
+                                eng.start_all_reduce_mean(vec![2.0; 4])
                                     .and_then(|p| p.wait().map(|_| ()))
                             } else {
                                 eng.start_all_gather(vec![i as u8; 3])

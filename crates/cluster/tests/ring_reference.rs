@@ -166,3 +166,110 @@ fn all_reduce_traffic_unchanged_by_buffer_reuse() {
         }
     }
 }
+
+/// [`val`] with specials mixed in: NaN payloads (quiet and signalling, both
+/// signs), ±0, denormals and ±inf, at hashed positions so that on some
+/// elements several ranks contribute a NaN.
+fn special(rank: usize, e: usize) -> f32 {
+    const SPECIALS: [u32; 10] = [
+        0x7FC0_0000, // quiet NaN
+        0xFFC0_1234, // negative quiet NaN with a payload
+        0x7FA0_0001, // signalling NaN
+        0xFF80_0F00, // negative signalling NaN
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x0000_0001, // smallest denormal
+        0x8040_0000, // negative denormal
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+    ];
+    let h = (rank as u64 + 1)
+        .wrapping_mul(0xD1B5_4A32_D192_ED03)
+        .wrapping_add((e as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
+    let h = (h >> 29) as usize;
+    if h.is_multiple_of(3) {
+        f32::from_bits(SPECIALS[(h / 3) % SPECIALS.len()])
+    } else {
+        val(rank, e)
+    }
+}
+
+/// An input family: the value rank `r` contributes at element `e`.
+type Input = fn(usize, usize) -> f32;
+
+/// Per-member results plus per-rank `(bytes, messages)` sent.
+type RingRun = (Vec<Option<Vec<f32>>>, Vec<(u64, u64)>);
+
+/// The sum (or, with `mean`, the mean) over the ranks of `members`, their
+/// handles shrunk with `set_members`, of buffers filled by `input`.
+fn run_ring(world: usize, members: &[usize], len: usize, input: Input, mean: bool) -> RingRun {
+    let cluster = SimCluster::new(world);
+    let traffic = cluster.traffic().to_vec();
+    let outs = cluster.run_workers(|mut w| {
+        if !members.contains(&w.rank()) {
+            return None;
+        }
+        w.set_members(members).unwrap();
+        let mut buf: Vec<f32> = (0..len).map(|i| input(w.rank(), i)).collect();
+        if mean {
+            w.all_reduce_mean(&mut buf).unwrap();
+        } else {
+            w.all_reduce_sum(&mut buf).unwrap();
+        }
+        Some(buf)
+    });
+    let sent = traffic
+        .iter()
+        .map(|t| (t.bytes_sent(), t.messages_sent()))
+        .collect();
+    (outs, sent)
+}
+
+#[test]
+fn all_reduce_mean_is_the_sum_divided_bit_for_bit() {
+    let inputs: [(&str, Input); 2] = [("finite", val), ("specials", special)];
+    for p in 1..=9usize {
+        // The full ring, every other rank, and one rank alone.
+        let full: Vec<usize> = (0..p).collect();
+        let alternate: Vec<usize> = (0..p).step_by(2).collect();
+        let single = vec![p / 2];
+        for members in [full, alternate, single] {
+            let m = members.len();
+            // Empty, one element, fewer than the members, ragged, and long
+            // enough that each chunk spans several of the mean's blocks.
+            let lens = [0, 1, p.saturating_sub(1), 2 * p + 3, 97, 5000];
+            for len in lens {
+                for (family, input) in inputs {
+                    let ctx = format!("p={p} members={members:?} len={len} {family}");
+                    let (sums, sum_sent) = run_ring(p, &members, len, input, false);
+                    let (means, mean_sent) = run_ring(p, &members, len, input, true);
+                    // Same frames and bytes as the sum: 2(m-1) per member,
+                    // none for ranks off the ring.
+                    assert_eq!(mean_sent, sum_sent, "{ctx} traffic");
+                    for (rank, &(_, msgs)) in mean_sent.iter().enumerate() {
+                        let want = if members.contains(&rank) {
+                            2 * (m - 1)
+                        } else {
+                            0
+                        };
+                        assert_eq!(msgs, want as u64, "{ctx} rank={rank} frames");
+                    }
+                    for (rank, (sum, mean)) in sums.iter().zip(&means).enumerate() {
+                        let (Some(sum), Some(mean)) = (sum, mean) else {
+                            assert!(sum.is_none() && mean.is_none(), "{ctx} rank={rank}");
+                            continue;
+                        };
+                        for (i, (&s, &got)) in sum.iter().zip(mean).enumerate() {
+                            let want = s / m as f32;
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{ctx} rank={rank} elem={i}: got {got}, want {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -8,7 +8,7 @@
 //! the first so a single invocation already covers two plans.
 
 use gcs_cluster::faults::{FaultPlan, RecvPolicy};
-use gcs_cluster::{ClusterError, FaultKind, SimCluster, TcpCluster, WorkerHandle};
+use gcs_cluster::{ClusterError, FaultKind, SimCluster, TcpCluster, TcpOptions, WorkerHandle};
 use std::time::Duration;
 
 /// Base seed; overridable so CI can sweep seeds.
@@ -240,6 +240,123 @@ fn recv_robust_rides_out_a_late_frame_on_both_backends() {
             }
         }) {
             assert_eq!(outs, vec![true, true], "backend {backend} seed {seed}");
+        }
+    }
+}
+
+/// Blobs of assorted lengths — empty, one byte, odd, and a few frames of
+/// 64 KiB — each with distinct content.
+fn blobs() -> Vec<Vec<u8>> {
+    [0usize, 1, 7, 4096, 65_536, 100_003]
+        .iter()
+        .enumerate()
+        .map(|(k, &n)| (0..n).map(|i| (i * 31 + k * 7) as u8).collect())
+        .collect()
+}
+
+/// Sends `b` from `w` to `peer` by slice or as a frame built from it.
+fn send_as(w: &WorkerHandle, peer: usize, b: &[u8], by_slice: bool) {
+    if by_slice {
+        w.send_slice(peer, b).unwrap();
+    } else {
+        w.send(peer, gcs_cluster::Frame::from(b)).unwrap();
+    }
+}
+
+#[test]
+fn send_slice_delivers_and_counts_what_send_does_on_both_backends() {
+    // Rank 0 sends every blob to rank 1 and to itself (the loop-back
+    // path); what arrives and what the counters record must not depend on
+    // whether the bytes went by slice or by frame.
+    let run = |backend: &str, by_slice: bool| {
+        // Both ranks then receive from rank 0: rank 1 over the link,
+        // rank 0 through its loop-back.
+        let body = |w: WorkerHandle| -> Vec<Vec<u8>> {
+            let blobs = blobs();
+            if w.rank() == 0 {
+                for b in &blobs {
+                    send_as(&w, 1, b, by_slice);
+                    send_as(&w, 0, b, by_slice);
+                }
+            }
+            blobs
+                .iter()
+                .map(|_| w.recv(0).unwrap().into_vec())
+                .collect()
+        };
+        let (outs, traffic) = if backend == "sim" {
+            let cluster = SimCluster::new(2);
+            let traffic = cluster.traffic().to_vec();
+            (cluster.run_workers(body), traffic)
+        } else {
+            let run = TcpCluster::run_with(2, TcpOptions::default(), body)
+                .expect("tcp mesh forms on loopback");
+            (run.outputs, run.traffic)
+        };
+        let counts: Vec<(u64, u64)> = traffic
+            .iter()
+            .map(|t| (t.bytes_sent(), t.messages_sent()))
+            .collect();
+        (outs, counts)
+    };
+    for backend in ["sim", "tcp"] {
+        let by_frame = run(backend, false);
+        let by_slice = run(backend, true);
+        assert_eq!(by_slice, by_frame, "backend {backend}");
+        assert_eq!(by_slice.0, vec![blobs(); 2], "backend {backend} payloads");
+        let bytes: usize = blobs().iter().map(Vec::len).sum();
+        assert_eq!(
+            by_slice.1,
+            vec![(2 * bytes as u64, 2 * blobs().len() as u64), (0, 0)],
+            "backend {backend} counters"
+        );
+    }
+}
+
+#[test]
+fn send_slice_under_drop_and_reorder_matches_send_on_both_backends() {
+    // The fault fate is rolled per frame on the link, so a slice sequence
+    // must see exactly the drops, swaps and delivery order of the same
+    // frame sequence. The receiver drains until the sender's exit closes
+    // the link (its exit releases any frame still held for a swap).
+    for seed in seeds() {
+        let plan = FaultPlan::new(seed).drop_prob(0.2).reorder_prob(0.3);
+        let run = |by_slice: bool| {
+            run_both(2, &plan, move |w| {
+                if w.rank() == 0 {
+                    for k in 0..48u8 {
+                        let b = vec![k; 1 + usize::from(k) * 97];
+                        send_as(&w, 1, &b, by_slice);
+                    }
+                    Vec::new()
+                } else {
+                    let mut got = Vec::new();
+                    while let Ok(f) = w.recv_deadline(0, Duration::from_secs(5)) {
+                        got.push(f.into_vec());
+                    }
+                    got
+                }
+            })
+        };
+        let by_frame = run(false);
+        let by_slice = run(true);
+        for ((backend, slice_outs, slice_events), (_, frame_outs, frame_events)) in
+            by_slice.iter().zip(&by_frame)
+        {
+            assert_eq!(slice_events, frame_events, "backend {backend} seed {seed}");
+            assert_eq!(slice_outs, frame_outs, "backend {backend} seed {seed}");
+            let kinds =
+                |k: fn(&FaultKind) -> bool| slice_events.iter().filter(|e| k(&e.kind)).count();
+            assert!(
+                kinds(|k| matches!(k, FaultKind::Drop)) > 0
+                    && kinds(|k| matches!(k, FaultKind::Reorder)) > 0,
+                "backend {backend} seed {seed}: plan must both drop and reorder: {slice_events:?}"
+            );
+            assert_eq!(
+                slice_outs[1].len() + kinds(|k| matches!(k, FaultKind::Drop)),
+                48,
+                "backend {backend} seed {seed}: every frame not dropped arrives"
+            );
         }
     }
 }

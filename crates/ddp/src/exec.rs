@@ -7,8 +7,8 @@
 //! collectives*:
 //!
 //! * summable payloads (all-reducible methods) travel through the ring
-//!   all-reduce on their `f32` content and are divided by the member
-//!   count;
+//!   mean-all-reduce on their `f32` content, which divides by the member
+//!   count inside the collective;
 //! * everything else is serialized and all-gathered, then aggregated
 //!   locally on every worker — exactly what PyTorch implementations of
 //!   SignSGD/Top-K must do.
@@ -30,12 +30,12 @@
 //!   `depth` in flight and absorbs strictly in submission order (the
 //!   pipelined engine).
 //!
-//! The split, the divide, deserialization, `aggregate` and `absorb` are
-//! written once, so every engine is bit-identical to every other, and
-//! numerically equal to the centralized reference driver in
+//! The split, the collective call, deserialization, `aggregate` and
+//! `absorb` are written once, so every engine is bit-identical to every
+//! other, and numerically equal to the centralized reference driver in
 //! `gcs_compress::driver`. Timing follows one rule on both lanes (see
-//! [`BucketTiming`]): `comm_s` is time in the collective, and everything
-//! after it is `decode_s`.
+//! [`BucketTiming`]): `comm_s` is time in the collective — the ring mean's
+//! divide included — and everything after it is `decode_s`.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -95,7 +95,7 @@ enum Leg {
     Queued(Queued),
 }
 
-/// A collective's result, before the divide or `aggregate`.
+/// A collective's result, before `aggregate`.
 enum Landed {
     Reduced(PayloadShell, Vec<f32>),
     /// Every member's frame, plus the buffer this rank sent.
@@ -137,17 +137,8 @@ impl Lane<'_> {
         }
     }
 
-    /// Ranks the collectives run over: the live mean's divisor (the world
-    /// size unless [`WorkerHandle::set_members`] shrank the ring).
-    fn members(&self) -> usize {
-        match self {
-            Lane::Inline(worker) => worker.members().len(),
-            Lane::Comm(comm, _) => comm.members(),
-        }
-    }
-
     /// Starts `payload`'s collective, chosen by payload shape: summable
-    /// payloads ride the ring all-reduce, everything else is serialized
+    /// payloads ride the ring mean-all-reduce, everything else is serialized
     /// (into a buffer recycled through `wires`) and all-gathered.
     fn submit(
         &self,
@@ -164,11 +155,11 @@ impl Lane<'_> {
                 timing.ring_rounds += 1;
                 Ok(match self {
                     Lane::Inline(worker) => {
-                        timed(&mut timing.comm_s, || worker.all_reduce_sum(&mut image))?;
+                        timed(&mut timing.comm_s, || worker.all_reduce_mean(&mut image))?;
                         Leg::Landed(Landed::Reduced(shell, image))
                     }
                     Lane::Comm(comm, _) => {
-                        Leg::Queued(Queued::Reduce(shell, comm.start_all_reduce_sum(image)?))
+                        Leg::Queued(Queued::Reduce(shell, comm.start_all_reduce_mean(image)?))
                     }
                 })
             }
@@ -243,7 +234,7 @@ fn run_rounds<C: Compressor>(
             // Backpressure: never run more than the window ahead of the
             // oldest unabsorbed collective.
             while inflight.len() >= lane.window() {
-                complete_front(lane, compressors, round, &mut inflight, scratch)?;
+                complete_front(compressors, round, &mut inflight, scratch)?;
             }
             let compressor = &mut compressors[arm];
             let timing = &mut scratch.timings[bucket];
@@ -260,7 +251,7 @@ fn run_rounds<C: Compressor>(
         // Rounds are a barrier: encode_round(b, r+1) may require the
         // absorb of round r for bucket b, so drain before moving on.
         while !inflight.is_empty() {
-            complete_front(lane, compressors, round, &mut inflight, scratch)?;
+            complete_front(compressors, round, &mut inflight, scratch)?;
         }
     }
     Ok(())
@@ -269,10 +260,9 @@ fn run_rounds<C: Compressor>(
 /// Lands the oldest in-flight bucket round and absorbs it — the in-order
 /// absorb invariant (the comm thread finishes jobs FIFO, so the front is
 /// also the first to land). Blocked wait on the comm lane is `comm_s` and
-/// `exposed_wait_s`; the divide or `aggregate`, and `absorb`, are
+/// `exposed_wait_s`; reassembly or `aggregate`, and `absorb`, are
 /// `decode_s`.
 fn complete_front<C: Compressor>(
-    lane: &Lane<'_>,
     compressors: &mut [C],
     round: usize,
     inflight: &mut VecDeque<Inflight>,
@@ -295,13 +285,7 @@ fn complete_front<C: Compressor>(
     let compressor = &mut compressors[arm];
     timed(&mut timing.decode_s, || {
         let agg = match landed {
-            Landed::Reduced(shell, mut image) => {
-                let denom = lane.members() as f32;
-                for x in &mut image {
-                    *x /= denom;
-                }
-                shell.assemble(image)
-            }
+            Landed::Reduced(shell, image) => shell.assemble(image),
             Landed::Gathered(frames, wire) => {
                 scratch.wires.push(wire);
                 let payloads: Vec<Payload> = frames
@@ -482,6 +466,22 @@ impl BucketPlan {
                 .all(|(&n, g)| n == g.numel())
     }
 
+    /// [`BucketPlan::matches`] as a typed error.
+    fn check_layout(&self, grads: &[Tensor]) -> Result<()> {
+        if self.matches(grads) {
+            return Ok(());
+        }
+        Err(ExecError::Compress(gcs_compress::CompressError::Protocol(
+            format!(
+                "bucket plan built for {} layers of {:?} elements, given {} layers of {:?}",
+                self.layer_elems.len(),
+                self.layer_elems,
+                grads.len(),
+                grads.iter().map(Tensor::numel).collect::<Vec<_>>()
+            ),
+        )))
+    }
+
     /// Packs `bucket`'s layers into one flat tensor, in the plan's pack
     /// buffer when it holds one. The engines move the tensor on into
     /// [`Compressor::encode_owned`]; a caller that only borrows it can hand
@@ -490,8 +490,9 @@ impl BucketPlan {
     /// # Errors
     ///
     /// Returns a protocol error if the plan was built for a different
-    /// gradient layout (bucket shape no longer matches the element count).
+    /// gradient layout ([`BucketPlan::matches`] is false).
     pub fn pack(&mut self, grads: &[Tensor], bucket: usize) -> Result<Tensor> {
+        self.check_layout(grads)?;
         let mut flat = std::mem::take(&mut self.pack);
         flat.clear();
         flat.reserve(self.elems[bucket]);
@@ -571,13 +572,9 @@ impl BucketPlan {
 ///
 /// # Errors
 ///
-/// Propagates compression and transport errors.
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different gradient layout (debug
-/// builds only; release builds would produce garbage buckets, so the
-/// check is cheap insurance — `plan.matches(grads)`).
+/// Returns a protocol error, before any collective runs, if `plan` was
+/// built for a different gradient layout ([`BucketPlan::matches`] is
+/// false); propagates compression and transport errors.
 pub fn exchange_gradients_with_plan<C: Compressor>(
     worker: &WorkerHandle,
     compressor: &mut C,
@@ -603,9 +600,9 @@ pub(crate) fn exchange_plan<C: Compressor>(
     grads: &[Tensor],
     plan: &mut BucketPlan,
 ) -> Result<Vec<Tensor>> {
-    debug_assert!(plan.matches(grads), "plan built for a different model");
     // Taken so `pack` can borrow the plan; a failed exchange leaves the
-    // plan without timings.
+    // plan without timings. `pack` checks the layout, and bucket 0 is
+    // packed before any collective starts.
     let mut scratch = std::mem::take(&mut plan.scratch);
     run_rounds(
         lane,
@@ -642,10 +639,11 @@ pub struct BucketTiming {
     /// Seconds spent encoding (all rounds, including packing).
     pub encode_s: f64,
     /// Seconds spent in the cluster collective (all rounds): the call on
-    /// the inline lane, the blocked wait on the comm lane.
+    /// the inline lane, the blocked wait on the comm lane. The ring mean's
+    /// divide happens inside the collective, so it is counted here.
     pub comm_s: f64,
     /// Seconds spent turning collective results into the absorbed payload
-    /// (the ring mean's divide, deserialization and `aggregate`), in
+    /// (reassembling a ring mean, deserialization and `aggregate`), in
     /// `absorb`, and in `finish`.
     pub decode_s: f64,
     /// Seconds the caller was *blocked* on a queued collective with no
@@ -965,6 +963,45 @@ mod tests {
         assert_eq!(out[2].data().as_ptr(), single);
         // ...and the multi-layer flat is the next pack buffer.
         assert_eq!(plan.pack(&grads, 1).unwrap().data().as_ptr(), multi);
+    }
+
+    #[test]
+    fn plan_for_another_layout_is_a_typed_error() {
+        // Built for three layers, given two: no panic and no garbage
+        // bucket, in debug and release builds alike.
+        let layout = vec![
+            Tensor::randn([6usize], 1),
+            Tensor::randn([4usize], 2),
+            Tensor::randn([3usize], 3),
+        ];
+        fn protocol<T>(r: &Result<T>) -> bool {
+            matches!(
+                r,
+                Err(ExecError::Compress(gcs_compress::CompressError::Protocol(
+                    _
+                )))
+            )
+        }
+        let outs = gcs_cluster::SimCluster::run(1, |worker| {
+            let mut plan = BucketPlan::new(&layout, 16);
+            let mut c = MethodConfig::SyncSgd.build().unwrap();
+            protocol(&exchange_gradients_with_plan(
+                &worker,
+                &mut c,
+                &layout[..2],
+                &mut plan,
+            ))
+        });
+        assert_eq!(outs, vec![true]);
+        let mut plan = BucketPlan::new(&layout, 16);
+        for bucket in 0..plan.num_buckets() {
+            assert!(
+                protocol(&plan.pack(&layout[..2], bucket)),
+                "bucket {bucket}"
+            );
+        }
+        // The layout it was built for still packs.
+        assert!(plan.pack(&layout, 0).is_ok());
     }
 
     #[test]

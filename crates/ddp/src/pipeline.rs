@@ -28,9 +28,9 @@
 //! # Bit-exactness
 //!
 //! Only the thread a collective runs on differs from the sequential
-//! engine: the split, the plain ring `all_reduce_sum`, the divide by the
-//! member count, the serialized all-gather and `Compressor::aggregate`
-//! are the schedule's, written once. Hence pipelined output is
+//! engine: the split, the ring `all_reduce_mean` (the same call on the
+//! comm thread as inline), the serialized all-gather and
+//! `Compressor::aggregate` are the schedule's, written once. Hence pipelined output is
 //! bit-identical to the sequential engine for every method in the
 //! registry, at every depth (asserted in `tests/pipeline_bitexact.rs`).
 //!

@@ -275,6 +275,30 @@ pub fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
     (active().f32s_to_bytes)(xs, out);
 }
 
+/// The little-endian wire image of `xs`: the `4 * xs.len()` bytes
+/// [`f32s_to_bytes`] would write. On a little-endian target that is `xs`'s
+/// own memory, borrowed without a copy, and `scratch` is left untouched;
+/// elsewhere `xs` is converted into `scratch`, which the image borrows.
+pub fn f32s_wire_image<'a>(xs: &'a [f32], scratch: &'a mut Vec<u8>) -> &'a [u8] {
+    #[cfg(target_endian = "little")]
+    {
+        let _ = scratch;
+        // SAFETY: the view covers exactly the `size_of_val(xs)` bytes of
+        // `xs`, which stays borrowed for `'a` and so cannot be written
+        // while the view lives; `u8` needs no alignment, `f32` has no
+        // padding, and any byte value is a valid `u8`. On a little-endian
+        // target each `f32`'s in-memory bytes are its `to_le_bytes()`.
+        unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) }
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        scratch.clear();
+        scratch.resize(xs.len() * 4, 0);
+        f32s_to_bytes(xs, scratch);
+        scratch
+    }
+}
+
 /// Dispatched [`Kernels::u32s_to_bytes`].
 pub fn u32s_to_bytes(xs: &[u32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 4, "u32s_to_bytes byte count");

@@ -175,6 +175,39 @@ fn byte_conversions_are_byte_identical() {
     }
 }
 
+/// The wire-image families: [`payload`]'s specials plus NaNs whose
+/// payloads must survive bit for bit — quiet and signalling, both signs.
+fn wire_image_payload(n: usize) -> Vec<f32> {
+    const NANS: [u32; 4] = [0x7FA0_0001, 0xFF80_0F00, 0x7FC0_1234, 0xFFC0_0001];
+    payload(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| {
+            if i % 5 == 4 {
+                f32::from_bits(NANS[(i / 5) % NANS.len()])
+            } else {
+                x
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn wire_image_is_the_bytes_f32s_to_bytes_writes() {
+    for n in (0..=67).chain([1 << 20]) {
+        let xs = wire_image_payload(n);
+        let mut want = vec![0u8; n * 4];
+        kernels::f32s_to_bytes(&xs, &mut want);
+        let mut scratch = Vec::new();
+        let image = kernels::f32s_wire_image(&xs, &mut scratch);
+        assert_eq!(image, &want[..], "n={n}");
+        // And, independently of any kernel table, the per-element
+        // `to_le_bytes` the wire format is defined by.
+        let le: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(image, &le[..], "n={n} to_le_bytes");
+    }
+}
+
 #[test]
 fn float_kernels_match_bitwise_under_fixed_association() {
     for (sc, simd) in pairs() {

@@ -22,16 +22,20 @@ echo "==> cargo test --workspace -q (GCS_FORCE_SCALAR=1)"
 GCS_FORCE_SCALAR=1 cargo test --workspace -q
 
 # The skinny GEMM paths and the fused reconstruct against the general
-# kernels, `a_mul_bt` against the scalar loop it replaced, and PowerSGD
-# against its unfused reference, named here so the gate does not rest on
-# the two workspace passes above keeping them: once under the default
-# dispatch and once forced scalar (which also pins the kernel pool to one
-# thread).
+# kernels, `a_mul_bt` against the scalar loop it replaced, PowerSGD
+# against its unfused reference, the wire image against `f32s_to_bytes`,
+# the ring mean against the ring sum divided (`ring_reference`) and every
+# engine against the parent goldens (`pipeline_bitexact`), named here so
+# the gate does not rest on the two workspace passes above keeping them:
+# once under the default dispatch and once forced scalar (which also pins
+# the kernel pool to one thread).
 for scalar in 0 1; do
-  echo "==> skinny GEMM + a_mul_bt + PowerSGD bit-exactness (GCS_FORCE_SCALAR=$scalar)"
+  echo "==> skinny GEMM + a_mul_bt + PowerSGD + ring mean bit-exactness (GCS_FORCE_SCALAR=$scalar)"
   GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-tensor --test kernel_props -- \
-    skinny fused a_mul_bt_matches_the_scalar_reference
+    skinny fused a_mul_bt_matches_the_scalar_reference wire_image_is_the_bytes_f32s_to_bytes_writes
   GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-compress --lib powersgd
+  GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-cluster --test ring_reference
+  GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-ddp --test pipeline_bitexact
 done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
