@@ -679,6 +679,26 @@ mod tests {
     }
 
     #[test]
+    fn rank4_steps_on_a_square_layer_are_pinned() {
+        // Three round trips (encode, both rounds, finish) on the
+        // benchmark's 1024 x 1024 layer: an FNV-1a hash of the bits of
+        // every decoded gradient and of the residual left behind.
+        let mut c = PowerSgd::new(4).unwrap();
+        let mut decoded = Vec::new();
+        for step in 0..3 {
+            let g = Tensor::randn([1024, 1024], 70 + step);
+            decoded.extend_from_slice(round_trip(&mut c, 0, &g).unwrap().data());
+        }
+        let words = decoded.iter().chain(&c.layers[&0].error);
+        let hash = words
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, 0x7075_ad12_f98e_cd3e, "{hash:#x}");
+    }
+
+    #[test]
     fn residual_calls_between_encode_and_finish() {
         let g = Tensor::randn([12, 10], 3);
         let carried = Tensor::randn([12, 10], 4);

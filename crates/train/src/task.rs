@@ -616,14 +616,24 @@ mod tests {
 
     #[test]
     fn mlp_grad_and_loss_bits_are_pinned() {
+        // ((dim, hidden, classes, samples, seed), batch, hash).
         // Odd sizes so every kernel tail runs: 11 and 23 rows leave partial
         // row panels, 29 hidden units and 5 classes leave partial column
         // blocks, and 37 inputs is not a multiple of any vector width.
-        let task = MlpClassification::new(37, 29, 5, 23, 17);
-        let params = task.init_params(5);
-        let grads = task.minibatch_grad(&params, 11, 3);
-        let loss = task.full_loss(&params);
-        assert_eq!(fnv1a_bits(&grads, loss), 0x7e50_639b_29e5_2aad);
+        // Then the benchmark's two models at their batch sizes (the big
+        // one's 4-row batch, the small one's 8), on 64 samples.
+        let cases = [
+            ((37, 29, 5, 23, 17), 11, 0x7e50_639b_29e5_2aad),
+            ((1024, 1024, 16, 64, 7), 4, 0x677f_f6fe_98fa_c0d0),
+            ((256, 512, 10, 64, 7), 8, 0x6df4_1ce1_d877_058b),
+        ];
+        for ((d, h, c, n, seed), batch, want) in cases {
+            let task = MlpClassification::new(d, h, c, n, seed);
+            let params = task.init_params(5);
+            let grads = task.minibatch_grad(&params, batch, 3);
+            let got = fnv1a_bits(&grads, task.full_loss(&params));
+            assert_eq!(got, want, "{d}x{h}x{c} batch {batch}: {got:#x}");
+        }
     }
 
     #[test]
