@@ -2,7 +2,7 @@
 //! the seed's naive implementations and writes `BENCH_datapath.json` at the
 //! repo root.
 //!
-//! Seven kernels are tracked:
+//! Eight kernels are tracked:
 //!
 //! 1. Ring all-reduce on a 25 MiB gradient for p ∈ {4, 8, 16}, against a
 //!    faithful reconstruction of the seed's clone-based ring (fresh wire
@@ -21,7 +21,10 @@
 //! 6. The ring mean's final reduce-scatter hop (add the incoming chunk,
 //!    divide by the member count): one divide pass after the add against
 //!    the L1-blocked add-and-divide `all_reduce_mean` runs.
-//! 7. Per-kernel SIMD vs. scalar rows: every primitive in the
+//! 7. The training step's model-sized outputs (the big model's `gW1` and
+//!    PowerSGD's rank-4 `Ĝ`) written once against zero-filled first, and
+//!    `minibatch_grad` of the benchmark's two models.
+//! 8. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
 //!    the same buffers, plus the GEMM tile through both dispatch paths.
 //!    The report's `metadata` object records the CPU model, detected
@@ -39,11 +42,12 @@ use gcs_compress::powersgd::PowerSgd;
 use gcs_tensor::bits::SignBits;
 use gcs_tensor::kernels;
 use gcs_tensor::matrix::{
-    a_mul_bt, at_mul_b, at_mul_b_with_tile, matmul, matmul_with_dispatch, matmul_with_tile,
-    reconstruct_residual_pooled, MatrixRef,
+    a_mul_bt, at_mul_b, at_mul_b_into, at_mul_b_with_tile, matmul, matmul_with_dispatch,
+    matmul_with_tile, reconstruct_residual_into, reconstruct_residual_pooled, MatrixRef,
 };
 use gcs_tensor::select::top_k_abs_with;
 use gcs_tensor::Tensor;
+use gcs_train::task::{MlpClassification, Task};
 use serde_json::{json, Value};
 
 /// Benchmark sizes; `full` is the tracked configuration, smoke mode
@@ -406,6 +410,125 @@ fn a_mul_bt_section(pr: Params, smoke: bool) -> Vec<Value> {
             "fast_ms": fast.min_s * 1e3,
             "reference_ms": reference.min_s * 1e3,
             "speedup": sp,
+        }));
+    }
+    rows
+}
+
+/// The two model-sized outputs of a training step, each built as its
+/// caller builds it, into a fresh buffer per call: zero-filled and then
+/// overwritten by the slice form, or written once by the `Vec` form. The
+/// big model's weight gradient `gW1 = dhidᵀ · X` (a 4-row batch:
+/// `1024 x 4 · 4 x 1024`) and PowerSGD's rank-4 `Ĝ = P̂ · Q̄ᵀ` of a
+/// `1024 x 1024` layer with its residual update, on one kernel thread as
+/// the benchmark runs them. Both forms are checked bit-equal.
+fn write_once_section(pr: Params, smoke: bool) -> Vec<Value> {
+    let (d, r) = if smoke { (64usize, 4usize) } else { (1024, 4) };
+    let iters = pr.gemm_iters * 10;
+    let pool = gcs_tensor::Pool::new(1);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rows = Vec::new();
+    let mut push = |op: &str, zeroed: Timing, once: Timing| {
+        println!(
+            "write-once {op:<12} {d}x{r}x{d}  {:.3} ms  (zeroed first {:.3} ms, {:.2}x)",
+            once.min_s * 1e3,
+            zeroed.min_s * 1e3,
+            speedup(&zeroed, &once)
+        );
+        rows.push(json!({
+            "kernel": "write_once",
+            "op": op,
+            "m": d, "k": r, "n": d,
+            "write_once_ms": once.min_s * 1e3,
+            "zeroed_ms": zeroed.min_s * 1e3,
+            "speedup": speedup(&zeroed, &once),
+        }));
+    };
+
+    // `Aᵀ · B` with A = dhid and B = X, both `r x d`.
+    let dhid = Tensor::randn([r, d], 71).into_vec();
+    let x = Tensor::randn([r, d], 73).into_vec();
+    let dm = MatrixRef::new(&dhid, r, d).expect("dhid view");
+    let xm = MatrixRef::new(&x, r, d).expect("x view");
+    let zeroed_atb = || {
+        let mut g = vec![0.0f32; d * d];
+        at_mul_b(dm, xm, &mut g).expect("at_mul_b");
+        g
+    };
+    let once_atb = || {
+        let mut g = Vec::new();
+        at_mul_b_into(&pool, dm, xm, &mut g).expect("at_mul_b_into");
+        g
+    };
+    let zeroed = bench(2, iters, || drop(black_box(zeroed_atb())));
+    let once = bench(2, iters, || drop(black_box(once_atb())));
+    assert_eq!(
+        bits(&zeroed_atb()),
+        bits(&once_atb()),
+        "write-once at_mul_b"
+    );
+    push("at_mul_b", zeroed, once);
+
+    // `layer − P · Qᵀ` with both factors `d x r`. The residual is updated
+    // in place, so each call starts from one the last call wrote; the
+    // timing does not depend on values.
+    let p = Tensor::randn([d, r], 79).into_vec();
+    let q = Tensor::randn([d, r], 83).into_vec();
+    let pm = MatrixRef::new(&p, d, r).expect("p view");
+    let qm = MatrixRef::new(&q, d, r).expect("q view");
+    let layer = Tensor::randn([d, d], 89).into_vec();
+    let zeroed_rec = |e: &mut [f32]| {
+        let mut g = vec![0.0f32; d * d];
+        reconstruct_residual_pooled(&pool, pm, qm, Some(e), &mut g).expect("reconstruct");
+        g
+    };
+    let once_rec = |e: &mut [f32]| {
+        let mut g = Vec::new();
+        reconstruct_residual_into(&pool, pm, qm, Some(e), &mut g).expect("reconstruct_into");
+        g
+    };
+    let mut e = layer.clone();
+    let zeroed = bench(2, iters, || drop(black_box(zeroed_rec(&mut e))));
+    let once = bench(2, iters, || drop(black_box(once_rec(&mut e))));
+    let (mut e_zeroed, mut e_once) = (layer.clone(), layer);
+    assert_eq!(
+        (bits(&zeroed_rec(&mut e_zeroed)), bits(&e_zeroed)),
+        (bits(&once_rec(&mut e_once)), bits(&e_once)),
+        "write-once reconstruct"
+    );
+    push("reconstruct", zeroed, once);
+    rows
+}
+
+/// `minibatch_grad` of the benchmark's two models at their batch sizes
+/// (the big one's 4 rows, the small one's 8), on 64 samples: the step's
+/// T_comp, forward and backward.
+fn minibatch_grad_section(pr: Params, smoke: bool) -> Vec<Value> {
+    // (dim, hidden, classes, batch)
+    let models = if smoke {
+        [(64usize, 64usize, 16usize, 4usize), (32, 48, 10, 8)]
+    } else {
+        [(1024, 1024, 16, 4), (256, 512, 10, 8)]
+    };
+    let iters = pr.gemm_iters * 10;
+    let mut rows = Vec::new();
+    for (d, h, c, batch) in models {
+        let task = MlpClassification::new(d, h, c, 64, 7);
+        let params = task.init_params(5);
+        let mut seed = 0;
+        let t = bench(2, iters, || {
+            seed += 1;
+            black_box(task.minibatch_grad(&params, batch, seed));
+        });
+        println!(
+            "minibatch_grad {d}-{h}-{c} batch {batch}  {:.3} ms",
+            t.min_s * 1e3
+        );
+        rows.push(json!({
+            "kernel": "minibatch_grad",
+            "m": batch, "k": d, "n": h,
+            "classes": c,
+            "grad_ms": t.min_s * 1e3,
         }));
     }
     rows
@@ -840,6 +963,8 @@ fn main() {
     let mean_hop = ring_mean_hop_section(pr, smoke);
     let gemm = gemm_section(pr, smoke);
     let abt = a_mul_bt_section(pr, smoke);
+    let write_once = write_once_section(pr, smoke);
+    let grad = minibatch_grad_section(pr, smoke);
     let psgd = powersgd_section(pr, smoke);
     let skinny = skinny_gemm_section(pr, smoke);
     let (topk, signs) = selection_section(pr);
@@ -853,6 +978,8 @@ fn main() {
         "ring_mean_hop": mean_hop,
         "matmul": gemm,
         "a_mul_bt": abt,
+        "write_once": write_once,
+        "minibatch_grad": grad,
         "powersgd": psgd,
         "skinny_gemm": skinny,
         "topk": topk,

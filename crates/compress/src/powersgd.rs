@@ -25,7 +25,7 @@
 
 use crate::{CompressError, Compressor, Factor, Payload, Properties, Result};
 use gcs_tensor::matrix::{
-    at_mul_b_pooled, matmul_pooled, orthonormalize_columns, reconstruct_residual_pooled, MatrixRef,
+    at_mul_b_pooled, matmul_pooled, orthonormalize_columns, reconstruct_residual_into, MatrixRef,
 };
 use gcs_tensor::pool;
 use gcs_tensor::{Shape, Tensor};
@@ -370,10 +370,10 @@ impl Compressor for PowerSgd {
             .take()
             .ok_or_else(|| CompressError::Protocol("finish before absorbing round 1".into()))?;
         let (m, n, r) = (state.rows, state.cols, state.rank);
-        // Ĝ = P̂ · Q̄ᵀ and, in the same pass, E ← M − Ĝ over the buffer
-        // that held M.
-        let mut g_hat = vec![0.0f32; m * n];
-        reconstruct_residual_pooled(
+        // Ĝ = P̂ · Q̄ᵀ, written once into a fresh buffer, and, in the same
+        // pass, E ← M − Ĝ over the buffer that held M.
+        let mut g_hat = Vec::new();
+        reconstruct_residual_into(
             pool::global(),
             MatrixRef::new(&p_hat, m, r)?,
             MatrixRef::new(&q_agg, n, r)?,

@@ -9,6 +9,7 @@
 
 use crate::autotune::GemmTile;
 use crate::{Result, Tensor, TensorError};
+use std::mem::MaybeUninit;
 
 /// An immutable matrix view over a flat `f32` slice (row-major).
 ///
@@ -557,16 +558,55 @@ pub fn at_mul_b_with_tile(
     b: MatrixRef<'_>,
     out: &mut [f32],
 ) -> Result<()> {
+    check_at_mul_b(a, b)?;
+    check_out(out, a.cols(), b.cols())?;
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    // SAFETY: `atb_rows` stores only initialised values.
+    let out = unsafe { as_uninit(out) };
+    atb_rows(tile, a.as_slice(), b.as_slice(), (k, m, n), 0, m, out);
+    Ok(())
+}
+
+/// Shape check shared by the `Aᵀ · B` entry points.
+fn check_at_mul_b(a: MatrixRef<'_>, b: MatrixRef<'_>) -> Result<()> {
     if a.rows() != b.rows() {
         return Err(TensorError::ShapeMismatch {
             expected: format!("shared rows {}", a.rows()),
             actual: format!("shared rows {}", b.rows()),
         });
     }
-    check_out(out, a.cols(), b.cols())?;
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    atb_rows(tile, a.as_slice(), b.as_slice(), (k, m, n), 0, m, out);
     Ok(())
+}
+
+/// `out` as a slice the write-once kernels can fill.
+// SAFETY: caller must guarantee that nothing stores an uninitialised value
+// through the returned slice, so `out` is still initialised when the
+// borrow ends.
+unsafe fn as_uninit(out: &mut [f32]) -> &mut [MaybeUninit<f32>] {
+    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and the caller
+    // keeps every element initialised.
+    unsafe { &mut *(out as *mut [f32] as *mut [MaybeUninit<f32>]) }
+}
+
+/// Sets `out` to the `len` elements `fill` writes: its capacity is reused
+/// (or grown), and nothing is zero-filled before `fill` runs.
+// SAFETY: caller must guarantee that `fill` stores a value into every
+// element of the slice it is handed, or panics.
+unsafe fn fill_vec(out: &mut Vec<f32>, len: usize, fill: impl FnOnce(&mut [MaybeUninit<f32>])) {
+    out.clear();
+    out.reserve(len);
+    fill(&mut out.spare_capacity_mut()[..len]);
+    // SAFETY: `reserve` made room for `len` elements, and `fill` stored
+    // every one of them (caller contract).
+    unsafe { out.set_len(len) };
+}
+
+/// Stores `src` into the front of `dst`.
+#[inline(always)]
+fn store(dst: &mut [MaybeUninit<f32>], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        d.write(s);
+    }
 }
 
 /// Output rows `[i0, i1)` of `Aᵀ · B` for skinny `B` (`n < SKINNY_MAX`,
@@ -584,7 +624,7 @@ fn atb_rows_skinny(
     (k, m, n): (usize, usize, usize),
     i0: usize,
     i1: usize,
-    out_band: &mut [f32],
+    out_band: &mut [MaybeUninit<f32>],
 ) {
     const ACC_ELEMS: usize = 4096;
     let mut acc = [0.0f32; ACC_ELEMS];
@@ -621,13 +661,14 @@ fn atb_rows_skinny(
         let orows = &mut out_band[(lo - i0) * n..(lo - i0 + w) * n];
         for (c, accr) in acc.chunks_exact(w).enumerate() {
             for (orow, &s) in orows.chunks_exact_mut(n).zip(accr) {
-                orow[c] = s;
+                orow[c].write(s);
             }
         }
     }
 }
 
-/// Output rows `[i0, i1)` of `Aᵀ · B` into `out_band` (`(i1 - i0) x n`).
+/// Output rows `[i0, i1)` of `Aᵀ · B` into `out_band` (`(i1 - i0) x n`),
+/// every element stored.
 ///
 /// Row `i` of the output is a function of A column `i` and all of B only,
 /// and every element is accumulated as an l-ordered FMA chain in both the
@@ -641,7 +682,7 @@ fn atb_rows(
     (k, m, n): (usize, usize, usize),
     i0: usize,
     i1: usize,
-    out_band: &mut [f32],
+    out_band: &mut [MaybeUninit<f32>],
 ) {
     // Same register tiling as [`matmul`]: both A and B are streamed
     // row-major over the shared dimension while a 4 x T accumulator tile
@@ -684,19 +725,25 @@ fn atb_rows(
                 }
             }
             for (r, sr) in s.into_iter().enumerate() {
-                out_band[(i - i0 + r) * n + j] = sr;
+                out_band[(i - i0 + r) * n + j].write(sr);
             }
         }
         i += 4;
     }
-    // Remainder rows stream l-outer over zeroed output rows.
+    // Remainder rows (at most three) stream l-outer over zeroed output
+    // rows.
     if i < i1 {
-        out_band[(i - i0) * n..].fill(0.0);
+        let rest = &mut out_band[(i - i0) * n..];
+        for o in rest.iter_mut() {
+            o.write(0.0);
+        }
+        // SAFETY: every element of `rest` was just written.
+        let rest = unsafe { &mut *(rest as *mut [MaybeUninit<f32>] as *mut [f32]) };
         for l in 0..k {
             let brow = &b_s[l * n..(l + 1) * n];
             for r in i..i1 {
                 let av = a_s[l * m + r];
-                let orow = &mut out_band[(r - i0) * n..(r - i0 + 1) * n];
+                let orow = &mut rest[(r - i) * n..(r - i + 1) * n];
                 for (o, &bv) in orow.iter_mut().zip(brow) {
                     *o = av.mul_add(bv, *o);
                 }
@@ -717,7 +764,7 @@ fn atb_tile<const T: usize>(
     i: usize,
     oi: usize,
     j: usize,
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
 ) {
     let mut acc = [[0.0f32; T]; 4];
     for l in 0..k {
@@ -732,7 +779,7 @@ fn atb_tile<const T: usize>(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        out[(oi + r) * n + j..(oi + r) * n + j + T].copy_from_slice(accr);
+        store(&mut out[(oi + r) * n + j..(oi + r) * n + j + T], accr);
     }
 }
 
@@ -746,7 +793,7 @@ fn atb_tile16(
     b_s: &[f32],
     (k, m, n): (usize, usize, usize),
     (i, oi, j): (usize, usize, usize),
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
 ) {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
@@ -771,7 +818,7 @@ unsafe fn atb_tile16_avx2(
     b_s: &[f32],
     (k, m, n): (usize, usize, usize),
     (i, oi, j): (usize, usize, usize),
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
 ) {
     use std::arch::x86_64::*;
     let mut acc = [[_mm256_setzero_ps(); 2]; 4];
@@ -787,7 +834,7 @@ unsafe fn atb_tile16_avx2(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        let p = out.as_mut_ptr().add((oi + r) * n + j);
+        let p = out.as_mut_ptr().cast::<f32>().add((oi + r) * n + j);
         _mm256_storeu_ps(p, accr[0]);
         _mm256_storeu_ps(p.add(8), accr[1]);
     }
@@ -805,7 +852,7 @@ unsafe fn atb_tile32_avx512(
     b_s: &[f32],
     (k, m, n): (usize, usize, usize),
     (i, oi, j): (usize, usize, usize),
-    out: &mut [f32],
+    out: &mut [MaybeUninit<f32>],
 ) {
     use std::arch::x86_64::*;
     let mut acc = [[_mm512_setzero_ps(); 2]; 4];
@@ -821,7 +868,7 @@ unsafe fn atb_tile32_avx512(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        let p = out.as_mut_ptr().add((oi + r) * n + j);
+        let p = out.as_mut_ptr().cast::<f32>().add((oi + r) * n + j);
         _mm512_storeu_ps(p, accr[0]);
         _mm512_storeu_ps(p.add(16), accr[1]);
     }
@@ -848,6 +895,7 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
     }
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
     let n4 = n - n % 4;
+    let interleave = abt_interleave_active();
     // One vector lane per output row: eight rows of A are packed into a
     // `k x 8` panel, so one load gives the eight rows' `a[l]`, and each
     // lane runs its row's chain `s = 0; s += a[l] * b[l]` with `l`
@@ -856,19 +904,37 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
     for (blk, oblock) in out.chunks_mut(ABT_LANES * n).enumerate() {
         let rows = oblock.len() / n;
         let ablock = &a_s[blk * ABT_LANES * k..(blk * ABT_LANES + rows) * k];
-        for (l, p) in panel.chunks_exact_mut(ABT_LANES).enumerate() {
+        // A block of at most four rows would leave half of every 8-lane
+        // vector padding; on AVX-512 it fills a zmm with 4 rows x 4
+        // columns instead, from a `k x 4` panel.
+        let lanes = if interleave && rows <= ABT4_ROWS {
+            ABT4_ROWS
+        } else {
+            ABT_LANES
+        };
+        let panel = &mut panel[..k * lanes];
+        for (l, p) in panel.chunks_exact_mut(lanes).enumerate() {
             for (r, pv) in p.iter_mut().enumerate() {
                 *pv = if r < rows { ablock[r * k + l] } else { 0.0 };
             }
         }
-        let mut j = 0;
-        while j + 8 <= n {
-            abt_lane_cols::<8>(&panel, b_s, (k, n), j, oblock);
-            j += 8;
-        }
-        // At most one four-column block is left before the tail.
-        if j < n4 {
-            abt_lane_cols::<4>(&panel, b_s, (k, n), j, oblock);
+        if lanes == ABT4_ROWS {
+            // SAFETY: `lanes` is `ABT4_ROWS` only when
+            // `abt_interleave_active` saw the AVX-512 tier detected.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                abt4_cols_avx512(panel, b_s, (k, n), oblock)
+            };
+        } else {
+            let mut j = 0;
+            while j + 8 <= n {
+                abt_lane_cols::<8>(panel, b_s, (k, n), j, oblock);
+                j += 8;
+            }
+            // At most one four-column block is left before the tail.
+            if j < n4 {
+                abt_lane_cols::<4>(panel, b_s, (k, n), j, oblock);
+            }
         }
         for j in n4..n {
             let brow = &b_s[j * k..(j + 1) * k];
@@ -882,6 +948,147 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
 
 /// Output rows [`a_mul_bt`] computes at once, one per vector lane.
 const ABT_LANES: usize = 8;
+
+/// Rows of an [`a_mul_bt`] block short enough for the interleaved layout
+/// of [`abt4_cols_avx512`].
+const ABT4_ROWS: usize = 4;
+
+/// Whether [`a_mul_bt`] runs a block of at most [`ABT4_ROWS`] rows
+/// interleaved: on the AVX-512 tier, unless `GCS_FORCE_SCALAR` is set.
+/// Both layouts form every element with the same chain, so which one ran
+/// is invisible in the result bits.
+fn abt_interleave_active() -> bool {
+    crate::kernels::simd_active() && crate::kernels::avx512_supported()
+}
+
+/// For each of four steps `t` over the shared dimension: lane `4c + r`
+/// takes lane `4c + t` of a vector holding `b[l..l + 4]` of four B rows.
+#[cfg(target_arch = "x86_64")]
+const ABT4_STEP: [[i32; 16]; 4] = {
+    let mut idx = [[0i32; 16]; 4];
+    let mut t = 0;
+    while t < 4 {
+        let mut lane = 0;
+        while lane < 16 {
+            idx[t][lane] = (lane / 4 * 4 + t) as i32;
+            lane += 1;
+        }
+        t += 1;
+    }
+    idx
+};
+
+/// Columns `[0, n - n % 4)` of a block of at most [`ABT4_ROWS`] rows of
+/// [`a_mul_bt`] on AVX-512, `panel` holding the block's rows of `A`
+/// interleaved four wide (`k x 4`, zero past the last row). A zmm holds
+/// 4 rows x 4 columns, lane `4c + r` the chain of row `r`, column
+/// `j + c`: `s = 0.0; s += a·b`, a multiply then an add, never fused, `l`
+/// ascending. Per `l` the A side is one four-lane broadcast and the B side
+/// one permute of four 16-byte B-row loads merged per four `l`; a `k` that
+/// is not a multiple of four finishes one `l` at a time in the same lanes.
+// SAFETY: caller must guarantee AVX-512F is present; the shapes are
+// asserted on entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn abt4_cols_avx512(panel: &[f32], b_s: &[f32], (k, n): (usize, usize), oblock: &mut [f32]) {
+    assert!(
+        panel.len() == k * ABT4_ROWS
+            && b_s.len() == n * k
+            && oblock.len() <= ABT4_ROWS * n
+            && oblock.len().is_multiple_of(n),
+        "interleaved a_mul_bt block shapes"
+    );
+    let n4 = n - n % 4;
+    let mut j = 0;
+    // Two zmm accumulators (eight columns) per pass: measured faster than
+    // four or eight at the big model's 4 x 1024 x 1024.
+    while j + 8 <= n4 {
+        // SAFETY: AVX-512F per this function's contract; `j + 8 <= n`
+        // and the lengths are asserted above.
+        unsafe { abt4_group_avx512::<2>(panel, b_s, (k, n), j, oblock) };
+        j += 8;
+    }
+    while j < n4 {
+        // SAFETY: as above, with `j + 4 <= n4 <= n`.
+        unsafe { abt4_group_avx512::<1>(panel, b_s, (k, n), j, oblock) };
+        j += 4;
+    }
+}
+
+/// Columns `[j, j + 4G)` of [`abt4_cols_avx512`]: `G` zmm accumulators,
+/// four columns each.
+// SAFETY: caller must guarantee AVX-512F is present, `j + 4G <= n`, that
+// `b_s` holds `n` rows of `k` and `panel` `k` steps of four, and that
+// `oblock` is whole rows of `n`, at most four of them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn abt4_group_avx512<const G: usize>(
+    panel: &[f32],
+    b_s: &[f32],
+    (k, n): (usize, usize),
+    j: usize,
+    oblock: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let mut step = [_mm512_setzero_si512(); 4];
+    for (s, idx) in step.iter_mut().zip(&ABT4_STEP) {
+        // SAFETY: `idx` is 16 `i32`s, one unaligned 64-byte load.
+        *s = unsafe { _mm512_loadu_si512(idx.as_ptr().cast()) };
+    }
+    // SAFETY: for every pointer below, B rows `j..j + 4G` lie inside
+    // `b_s` and `l + 4 <= k` in the blocked loop (`l < k` in the tail);
+    // panel step `l` is the four floats at `4l`, with `l < k`.
+    let bp = unsafe { b_s.as_ptr().add(j * k) };
+    let ap = panel.as_ptr();
+    let mut acc = [_mm512_setzero_ps(); G];
+    let k4 = k - k % 4;
+    for l in (0..k4).step_by(4) {
+        let mut quads = [_mm512_setzero_ps(); G];
+        for (g, q) in quads.iter_mut().enumerate() {
+            // SAFETY: see above.
+            unsafe {
+                let row = bp.add(4 * g * k + l);
+                let v = _mm512_castps128_ps512(_mm_loadu_ps(row));
+                let v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(row.add(k)));
+                let v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(row.add(2 * k)));
+                *q = _mm512_insertf32x4::<3>(v, _mm_loadu_ps(row.add(3 * k)));
+            }
+        }
+        for (t, s) in step.iter().enumerate() {
+            // SAFETY: see above.
+            let av = _mm512_broadcast_f32x4(unsafe { _mm_loadu_ps(ap.add((l + t) * 4)) });
+            for (accg, q) in acc.iter_mut().zip(&quads) {
+                let prod = _mm512_mul_ps(av, _mm512_permutexvar_ps(*s, *q));
+                *accg = _mm512_add_ps(*accg, prod);
+            }
+        }
+    }
+    let mut lanes = [0.0f32; 16];
+    for l in k4..k {
+        // SAFETY: see above.
+        let av = _mm512_broadcast_f32x4(unsafe { _mm_loadu_ps(ap.add(l * 4)) });
+        for (g, accg) in acc.iter_mut().enumerate() {
+            for (c, quad) in lanes.chunks_exact_mut(4).enumerate() {
+                // SAFETY: see above.
+                quad.fill(unsafe { *bp.add((4 * g + c) * k + l) });
+            }
+            // SAFETY: `lanes` is 16 floats.
+            let bv = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
+            *accg = _mm512_add_ps(*accg, _mm512_mul_ps(av, bv));
+        }
+    }
+    // Transpose into the output rows; lanes of padding rows are dropped.
+    for (g, accg) in acc.iter().enumerate() {
+        // SAFETY: `lanes` is 16 floats.
+        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), *accg) };
+        for (r, orow) in oblock.chunks_exact_mut(n).enumerate() {
+            for (c, o) in orow[j + 4 * g..j + 4 * g + 4].iter_mut().enumerate() {
+                *o = lanes[4 * c + r];
+            }
+        }
+    }
+}
 
 /// Columns `[j, j + J)` of a block of up to [`ABT_LANES`] rows of
 /// [`a_mul_bt`], `panel` holding the block's rows of `A` lane-interleaved.
@@ -973,18 +1180,47 @@ pub fn at_mul_b_pooled(
     b: MatrixRef<'_>,
     out: &mut [f32],
 ) -> Result<()> {
-    if a.rows() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            expected: format!("shared rows {}", a.rows()),
-            actual: format!("shared rows {}", b.rows()),
-        });
-    }
+    check_at_mul_b(a, b)?;
     check_out(out, a.cols(), b.cols())?;
+    // SAFETY: `at_mul_b_uninit` stores only initialised values.
+    at_mul_b_uninit(pool, a, b, unsafe { as_uninit(out) });
+    Ok(())
+}
+
+/// [`at_mul_b_pooled`] into a caller's `Vec`, which ends up holding the
+/// product and nothing else: its capacity is reused (or grown), and every
+/// element is written once, with no zero-fill first. The bits are those of
+/// [`at_mul_b_pooled`], which runs the same kernels.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the row counts of `A` and `B`
+/// differ.
+pub fn at_mul_b_into(
+    pool: &crate::pool::Pool,
+    a: MatrixRef<'_>,
+    b: MatrixRef<'_>,
+    out: &mut Vec<f32>,
+) -> Result<()> {
+    check_at_mul_b(a, b)?;
+    // SAFETY: `at_mul_b_uninit` stores every element of `out`.
+    unsafe { fill_vec(out, a.cols() * b.cols(), |o| at_mul_b_uninit(pool, a, b, o)) };
+    Ok(())
+}
+
+/// The body of both `Aᵀ · B` forms: stores every element of `out`
+/// (`a.cols() x b.cols()`, shapes checked by the caller).
+fn at_mul_b_uninit(
+    pool: &crate::pool::Pool,
+    a: MatrixRef<'_>,
+    b: MatrixRef<'_>,
+    out: &mut [MaybeUninit<f32>],
+) {
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
     let a_s = a.as_slice();
     let b_s = b.as_slice();
     if out.is_empty() {
-        return Ok(());
+        return;
     }
     let tile = active_tile();
     pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
@@ -995,7 +1231,6 @@ pub fn at_mul_b_pooled(
             atb_rows(tile, a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
         }
     });
-    Ok(())
 }
 
 /// PowerSGD's decode in one pass over the layer: `out = A · Bᵀ` (`A` is
@@ -1021,19 +1256,63 @@ pub fn reconstruct_residual_pooled(
     resid: Option<&mut [f32]>,
     out: &mut [f32],
 ) -> Result<()> {
+    check_reconstruct(a, b, resid.as_deref())?;
+    check_out(out, a.rows(), b.rows())?;
+    // SAFETY: `reconstruct_uninit` stores only initialised values.
+    reconstruct_uninit(pool, a, b, resid, unsafe { as_uninit(out) });
+    Ok(())
+}
+
+/// [`reconstruct_residual_pooled`] with `Ĝ` written into a caller's `Vec`,
+/// which ends up holding it and nothing else: its capacity is reused (or
+/// grown), and every element is written once, with no zero-fill first.
+/// The bits are those of [`reconstruct_residual_pooled`], which runs the
+/// same kernel.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if column counts or the size of
+/// `resid` do not line up.
+pub fn reconstruct_residual_into(
+    pool: &crate::pool::Pool,
+    a: MatrixRef<'_>,
+    b: MatrixRef<'_>,
+    resid: Option<&mut [f32]>,
+    out: &mut Vec<f32>,
+) -> Result<()> {
+    check_reconstruct(a, b, resid.as_deref())?;
+    let len = a.rows() * b.rows();
+    // SAFETY: `reconstruct_uninit` stores every element of `out`.
+    unsafe { fill_vec(out, len, |o| reconstruct_uninit(pool, a, b, resid, o)) };
+    Ok(())
+}
+
+/// Shape check shared by the reconstruct entry points.
+fn check_reconstruct(a: MatrixRef<'_>, b: MatrixRef<'_>, resid: Option<&[f32]>) -> Result<()> {
     if a.cols() != b.cols() {
         return Err(TensorError::ShapeMismatch {
             expected: format!("shared cols {}", a.cols()),
             actual: format!("shared cols {}", b.cols()),
         });
     }
-    check_out(out, a.rows(), b.rows())?;
-    if let Some(resid) = &resid {
-        check_out(resid, a.rows(), b.rows())?;
+    match resid {
+        Some(resid) => check_out(resid, a.rows(), b.rows()),
+        None => Ok(()),
     }
+}
+
+/// The body of both reconstruct forms: stores every element of `out`
+/// (`a.rows() x b.rows()`, shapes checked by the caller).
+fn reconstruct_uninit(
+    pool: &crate::pool::Pool,
+    a: MatrixRef<'_>,
+    b: MatrixRef<'_>,
+    resid: Option<&mut [f32]>,
+    out: &mut [MaybeUninit<f32>],
+) {
     let (k, n) = (a.cols(), b.rows());
     if out.is_empty() {
-        return Ok(());
+        return;
     }
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
     let mut bt = vec![0.0f32; k * n];
@@ -1052,7 +1331,6 @@ pub fn reconstruct_residual_pooled(
             abt_rows(a_band(row_lo, o.len()), b_s, bt, (k, n), None, o);
         }),
     }
-    Ok(())
 }
 
 /// Rows of `A · Bᵀ`, `bt` being `B` transposed (`k x n`), with the
@@ -1069,7 +1347,7 @@ fn abt_rows(
     bt: &[f32],
     (k, n): (usize, usize),
     mut resid_band: Option<&mut [f32]>,
-    out_band: &mut [f32],
+    out_band: &mut [MaybeUninit<f32>],
 ) {
     const W: usize = 64;
     // Rows per block: each `k x W` panel of `bt` is reused across the
@@ -1092,7 +1370,7 @@ fn abt_rows(
         for j in n4..n {
             for r in 0..rows {
                 let g = dot_in_order(&ablock[r * k..(r + 1) * k], &b_s[j * k..(j + 1) * k]);
-                oblock[r * n + j] = g;
+                oblock[r * n + j].write(g);
                 if let Some(e) = eblock.as_deref_mut() {
                     e[r * n + j] -= g;
                 }
@@ -1109,7 +1387,7 @@ fn abt_block_cols<const W: usize>(
     (k, n): (usize, usize),
     j: usize,
     mut eblock: Option<&mut [f32]>,
-    oblock: &mut [f32],
+    oblock: &mut [MaybeUninit<f32>],
 ) {
     for (r, orow) in oblock.chunks_exact_mut(n).enumerate() {
         let mut s = [0.0f32; W];
@@ -1121,7 +1399,7 @@ fn abt_block_cols<const W: usize>(
                 *sv += av * bv;
             }
         }
-        orow[j..j + W].copy_from_slice(&s);
+        store(&mut orow[j..j + W], &s);
         if let Some(e) = eblock.as_deref_mut() {
             for (e, g) in e[r * n + j..r * n + j + W].iter_mut().zip(&s) {
                 *e -= g;

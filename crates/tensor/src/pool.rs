@@ -397,21 +397,24 @@ impl Pool {
     /// [`for_rows`](Pool::for_rows) over two buffers of the same shape
     /// banded alike: `f(first_row, band_of_a, band_of_b)`, for kernels that
     /// write two outputs per row (a product and the residual it leaves).
+    /// The element types may differ (a product written once into
+    /// uninitialised memory, a residual updated in place).
     ///
     /// # Panics
     ///
     /// As [`for_rows`](Pool::for_rows), and if the lengths of `a` and `b`
     /// differ.
-    pub fn for_row_pairs<T, F>(
+    pub fn for_row_pairs<A, B, F>(
         &self,
-        a: &mut [T],
-        b: &mut [T],
+        a: &mut [A],
+        b: &mut [B],
         row_len: usize,
         min_rows_per_band: usize,
         f: F,
     ) where
-        T: Send,
-        F: Fn(usize, &mut [T], &mut [T]) + Sync,
+        A: Send,
+        B: Send,
+        F: Fn(usize, &mut [A], &mut [B]) + Sync,
     {
         assert_eq!(a.len(), b.len(), "paired buffers differ in length");
         let b_base = SendPtr(b.as_mut_ptr());

@@ -909,6 +909,106 @@ fn a_mul_bt_matches_the_scalar_reference() {
     }
 }
 
+#[test]
+fn a_mul_bt_interleaved_rows_match_the_scalar_reference() {
+    use gcs_tensor::matrix::{a_mul_bt, MatrixRef};
+    // On AVX-512 a row block of at most four rows (all of `m <= 4`, and the
+    // last block of `m = 9..=12` and `17`) runs 4 rows x 4 columns per
+    // vector; elsewhere the same sweep checks the 8-lane layout. Rows pad
+    // out the 4-row block; columns cover every mix of 8- and 4-column
+    // passes and the `n % 4` tail; `k` covers the one-`l` tail after whole
+    // steps of four, and the benchmark model's 4 x 1024 x 1024 forward
+    // runs on every input family.
+    for m in 1..=17 {
+        for n in (0..=19).chain([1024]) {
+            for k in [0, 1, 3, 5, 1024] {
+                if m * n * k > 1 << 22 {
+                    continue;
+                }
+                let a_in = skinny_inputs(m * k, n);
+                let b_in = skinny_inputs(n * k, m);
+                for ((a, cmp), (b, _)) in a_in.iter().zip(&b_in) {
+                    let want = scalar_a_mul_bt(a, b, (m, k, n));
+                    let mut got = vec![f32::NAN; m * n];
+                    let am = MatrixRef::new(a, m, k).unwrap();
+                    let bm = MatrixRef::new(b, n, k).unwrap();
+                    a_mul_bt(am, bm, &mut got).unwrap();
+                    assert_eq!(cmp(&want), cmp(&got), "a_mul_bt {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn write_once_forms_match_the_zeroed_slice_forms() {
+    use gcs_tensor::matrix::{self, MatrixRef};
+    // Each `Vec` form against the slice form over a zeroed buffer, from a
+    // fresh `Vec`, a recycled one with spare capacity and a recycled one
+    // too small (it must grow). Shapes `(rows, k, cols)` of the output:
+    // the `Aᵀ · B` register tiles with remainder rows and a column tail,
+    // its skinny path, the reconstruct's 64-, 4- and 1-column blocks, and
+    // the last three with rows enough for a three-wide pool to split.
+    let shapes = [
+        (67usize, 33usize, 37usize),
+        (6, 5, 1),
+        (70, 6, 15),
+        (4099, 4, 16),
+        (16411, 4, 3),
+        (701, 4, 100),
+    ];
+    let recycled = |len: usize| {
+        [
+            Vec::new(),
+            vec![f32::NAN; len + 37],
+            vec![f32::NAN; len / 2],
+        ]
+    };
+    // Both forms run the same kernel, so even NaN payloads match.
+    for (rows, k, cols) in shapes {
+        let len = rows * cols;
+        let a_in = skinny_inputs(k * rows, cols);
+        let b_in = skinny_inputs(k * cols, rows);
+        let resid = payload(len + 5)[5..].to_vec();
+        for ((a, _), (b, _)) in a_in.iter().zip(&b_in) {
+            for width in 1..=3 {
+                let pool = Pool::new(width);
+                // Aᵀ · B: A is k x rows, B is k x cols.
+                let (am, bm) = (
+                    MatrixRef::new(a, k, rows).unwrap(),
+                    MatrixRef::new(b, k, cols).unwrap(),
+                );
+                let mut want = vec![0.0f32; len];
+                matrix::at_mul_b_pooled(&pool, am, bm, &mut want).unwrap();
+                for mut got in recycled(len) {
+                    matrix::at_mul_b_into(&pool, am, bm, &mut got).unwrap();
+                    let ctx = format!("at_mul_b {rows}x{k}x{cols} w={width}");
+                    assert_eq!(bits(&want), bits(&got), "{ctx}");
+                }
+                // A · Bᵀ with and without the residual: A is rows x k, B is
+                // cols x k.
+                let (am, bm) = (
+                    MatrixRef::new(a, rows, k).unwrap(),
+                    MatrixRef::new(b, cols, k).unwrap(),
+                );
+                let (mut want, mut want_e) = (vec![0.0f32; len], resid.clone());
+                matrix::reconstruct_residual_pooled(&pool, am, bm, Some(&mut want_e), &mut want)
+                    .unwrap();
+                for mut got in recycled(len) {
+                    let mut e = resid.clone();
+                    matrix::reconstruct_residual_into(&pool, am, bm, Some(&mut e), &mut got)
+                        .unwrap();
+                    let ctx = format!("reconstruct {rows}x{k}x{cols} w={width}");
+                    assert_eq!(bits(&want), bits(&got), "{ctx}");
+                    assert_eq!(bits(&want_e), bits(&e), "{ctx} residual");
+                    matrix::reconstruct_residual_into(&pool, am, bm, None, &mut got).unwrap();
+                    assert_eq!(bits(&want), bits(&got), "{ctx} without residual");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Threaded determinism: the pooled entry points must be bit-identical to
 // serial execution for every pool width, and stable across repeated runs.

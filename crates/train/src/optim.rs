@@ -1,6 +1,6 @@
 //! Optimizers operating on per-layer parameter tensors.
 
-use gcs_tensor::Tensor;
+use gcs_tensor::{Tensor, TensorError};
 
 /// SGD with (optional) heavyweight-ball momentum.
 ///
@@ -58,13 +58,16 @@ impl Sgd {
     ///
     /// # Errors
     ///
-    /// Returns a tensor error if `params` and `grads` shapes disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != grads.len()`.
+    /// Returns [`TensorError::ShapeMismatch`] if `params` and `grads`
+    /// differ in count (before any update) or if a parameter and its
+    /// gradient differ in shape.
     pub fn step(&mut self, params: &mut [Tensor], grads: &[Tensor]) -> gcs_tensor::Result<()> {
-        assert_eq!(params.len(), grads.len(), "one gradient per parameter");
+        if params.len() != grads.len() {
+            return Err(TensorError::ShapeMismatch {
+                expected: format!("{} gradients, one per parameter", params.len()),
+                actual: format!("{} gradients", grads.len()),
+            });
+        }
         if self.momentum == 0.0 {
             for (p, g) in params.iter_mut().zip(grads) {
                 p.axpy(-self.lr, g)?;
@@ -114,6 +117,25 @@ mod tests {
         let mut p = vec![Tensor::zeros([2])];
         let g = vec![Tensor::zeros([3])];
         assert!(Sgd::new(0.1).step(&mut p, &g).is_err());
+    }
+
+    #[test]
+    fn count_mismatch_is_error_either_way() {
+        let two = vec![Tensor::zeros([2]), Tensor::zeros([2])];
+        let one = vec![Tensor::zeros([2])];
+        for opt in [Sgd::new(0.1), Sgd::new(0.1).momentum(0.9)] {
+            for (params, grads) in [(&two, &one), (&one, &two)] {
+                let mut p = params.clone();
+                let err = opt.clone().step(&mut p, grads);
+                assert!(
+                    matches!(err, Err(TensorError::ShapeMismatch { .. })),
+                    "{} params, {} grads: {err:?}",
+                    params.len(),
+                    grads.len()
+                );
+                assert_eq!(&p, params, "nothing is updated");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Synthetic learning tasks with exact, hand-written backward passes.
 
-use gcs_tensor::matrix::{a_mul_bt, at_mul_b, matmul, MatrixRef};
-use gcs_tensor::Tensor;
+use gcs_tensor::matrix::{a_mul_bt, at_mul_b_into, matmul, MatrixRef};
+use gcs_tensor::{Pool, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -348,20 +348,23 @@ impl MlpClassification {
         }
     }
 
-    /// Classification accuracy over the full dataset.
+    /// Classification accuracy over the full dataset. A row whose
+    /// probabilities hold a NaN (a diverged model) predicts no class and
+    /// counts as wrong.
     pub fn accuracy(&self, params: &[Tensor]) -> f64 {
         let (_, mut logits) = self.forward(params, &self.x);
         Self::softmax_rows(&mut logits, self.n, self.classes);
         let mut correct = 0usize;
-        for i in 0..self.n {
-            let row = &logits[i * self.classes..(i + 1) * self.classes];
+        for (row, &label) in logits.chunks_exact(self.classes).zip(&self.labels) {
+            if row.iter().any(|p| p.is_nan()) {
+                continue;
+            }
             let pred = row
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(k, _)| k)
-                .expect("non-empty row");
-            correct += usize::from(pred == self.labels[i]);
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(k, _)| k);
+            correct += usize::from(pred == Some(label));
         }
         correct as f64 / self.n as f64
     }
@@ -398,9 +401,13 @@ impl Task for MlpClassification {
         for x in &mut probs {
             *x *= inv;
         }
+        // The weight gradients are written once into fresh buffers, never
+        // zero-filled first, on this thread alone.
+        let serial = Pool::new(1);
         // gW2 = dlogitsᵀ H  (c x h); gb2 = column sums of dlogits.
-        let mut gw2 = vec![0.0f32; c * h];
-        at_mul_b(
+        let mut gw2 = Vec::new();
+        at_mul_b_into(
+            &serial,
             MatrixRef::new(&probs, b, c).expect("probs shape"),
             MatrixRef::new(&hid, b, h).expect("hid shape"),
             &mut gw2,
@@ -424,8 +431,9 @@ impl Task for MlpClassification {
             *dh *= 1.0 - hv * hv;
         }
         // gW1 = dhidᵀ X  (h x d); gb1 = column sums of dhid.
-        let mut gw1 = vec![0.0f32; h * d];
-        at_mul_b(
+        let mut gw1 = Vec::new();
+        at_mul_b_into(
+            &serial,
             MatrixRef::new(&dhid, b, h).expect("dhid shape"),
             MatrixRef::new(&xb, b, d).expect("xb shape"),
             &mut gw1,
@@ -642,5 +650,17 @@ mod tests {
         let params = task.init_params(3);
         let acc = task.accuracy(&params);
         assert!(acc < 0.7, "untrained accuracy {acc}");
+    }
+
+    #[test]
+    fn mlp_accuracy_counts_nan_rows_as_wrong() {
+        let task = MlpClassification::new(6, 8, 4, 256, 8);
+        // One NaN weight reaches every row's logits through the dense
+        // layers: a diverged run, which used to panic here.
+        for layer in [0, 2] {
+            let mut params = task.init_params(3);
+            params[layer].data_mut()[0] = f32::NAN;
+            assert_eq!(task.accuracy(&params), 0.0, "NaN in layer {layer}");
+        }
     }
 }
