@@ -699,6 +699,40 @@ mod tests {
     }
 
     #[test]
+    fn two_worker_rank4_steps_on_the_benchmark_layers_are_pinned() {
+        // Three steps of two workers through the reference driver on the
+        // benchmark model's four layers (`lowrank-sim`): the aggregated P̂
+        // of the square layer, four 4-row groups of the 16-row layer and
+        // the rank-1 bias vectors. An FNV-1a hash of the bits of every
+        // decoded gradient and of each worker's residual.
+        let shapes = [vec![1024, 1024], vec![1024], vec![16, 1024], vec![16]];
+        let mut workers: Vec<PowerSgd> = (0..2).map(|_| PowerSgd::new(4).unwrap()).collect();
+        let mut words = Vec::new();
+        for step in 0..3u64 {
+            for (layer, shape) in shapes.iter().enumerate() {
+                let grads: Vec<Tensor> = (0..2u64)
+                    .map(|w| Tensor::randn(shape.clone(), 900 + 10 * step + 2 * layer as u64 + w))
+                    .collect();
+                for out in all_reduce_compressed(&mut workers, layer, &grads).unwrap() {
+                    words.extend_from_slice(out.data());
+                }
+            }
+        }
+        for w in &workers {
+            for layer in 0..shapes.len() {
+                words.extend_from_slice(&w.layers[&layer].error);
+            }
+        }
+        let hash = words
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, 0xe7b7_5ca3_a643_1b63, "{hash:#x}");
+    }
+
+    #[test]
     fn residual_calls_between_encode_and_finish() {
         let g = Tensor::randn([12, 10], 3);
         let carried = Tensor::randn([12, 10], 4);
