@@ -43,7 +43,7 @@
 //! [`exec::exchange_gradients_with_plan`]: crate::exec::exchange_gradients_with_plan
 
 use gcs_cluster::{CommEngine, WorkerHandle};
-use gcs_compress::Compressor;
+use gcs_compress::{CompressError, Compressor};
 use gcs_tensor::Tensor;
 
 use crate::exec::{exchange_plan, BucketPlan, BucketTiming, Lane, Result};
@@ -92,9 +92,15 @@ impl<C: Compressor> PipelinedEngine<C> {
     ///
     /// # Errors
     ///
-    /// Returns an error if `cfg.depth == 0` or the comm thread cannot be
+    /// Returns [`CompressError::InvalidConfig`] if `cfg.bucket_bytes` is
+    /// zero, and an error if `cfg.depth == 0` or the comm thread cannot be
     /// spawned.
     pub fn new(worker: WorkerHandle, compressor: C, cfg: PipelineConfig) -> Result<Self> {
+        if cfg.bucket_bytes == 0 {
+            return Err(
+                CompressError::InvalidConfig("bucket_bytes must be positive".into()).into(),
+            );
+        }
         Ok(PipelinedEngine {
             comm: CommEngine::spawn(worker, cfg.depth)?,
             compressor,
@@ -267,6 +273,28 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_bucket_bytes_is_rejected_at_construction() {
+        let errs = SimCluster::run(2, |w| {
+            let cfg = PipelineConfig {
+                bucket_bytes: 0,
+                ..PipelineConfig::default()
+            };
+            PipelinedEngine::new(w, MethodConfig::SyncSgd.build().unwrap(), cfg).err()
+        });
+        for err in errs {
+            assert!(
+                matches!(
+                    err,
+                    Some(crate::exec::ExecError::Compress(
+                        CompressError::InvalidConfig(_)
+                    ))
+                ),
+                "{err:?}"
+            );
         }
     }
 

@@ -92,6 +92,14 @@ pub fn matmul(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<()>
     check_matmul(a, b, out)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
+    #[cfg(target_arch = "x86_64")]
+    if (4..SKINNY_MAX).contains(&n) && avx512_paths_active() {
+        let m4 = m - m % 4;
+        // SAFETY: `avx512_paths_active` saw the AVX-512 tier detected.
+        unsafe { mm_skinny_avx512(a_s, b_s, (m4, k, n), &mut out[..m4 * n]) };
+        let rest = MatrixRef::new(&a_s[m4 * k..], m - m4, k)?;
+        return matmul_with_tile(active_tile(), rest, b, &mut out[m4 * n..]);
+    }
     // Skinny `B` (PowerSGD's `P = M · Q`): the widest tile that fits is
     // 4 columns, and a 4-row block of it is four dependent FMA chains —
     // latency-bound. Eight rows per block keep eight chains in flight;
@@ -513,6 +521,84 @@ unsafe fn mm_tile32x8_avx512(
     }
 }
 
+/// Rows `[0, m4)` of the skinny [`matmul`] on AVX-512 (`A` is `m x k`,
+/// `B` is `k x n` with `4 <= n < SKINNY_MAX`, `m4` a multiple of four).
+/// [`interleave4_avx512`] takes four columns of `B`'s row `l` as its A
+/// side and four rows of `A` as its B side, so lane `4x + c` holds row
+/// `x`, column `c` of a 4 x 4 output block: row-major order, stored as
+/// four rows of four floats (at `n = 4`, one straight 64-byte store). The
+/// chain is [`mm_tile`]'s, `s = fma(a, b, s)` from `+0.0` with `l`
+/// ascending; the last `n % 4` columns run [`mm_col_tail`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn mm_skinny_avx512(a_s: &[f32], b_s: &[f32], (m4, k, n): (usize, usize, usize), out: &mut [f32]) {
+    match n / 4 {
+        1 => mm_skinny_groups_avx512::<1>(a_s, b_s, (m4, k, n), out),
+        2 => mm_skinny_groups_avx512::<2>(a_s, b_s, (m4, k, n), out),
+        _ => mm_skinny_groups_avx512::<3>(a_s, b_s, (m4, k, n), out),
+    }
+    let n4 = n - n % 4;
+    if n4 < n {
+        for i in (0..m4).step_by(4) {
+            let a_rows: [&[f32]; 4] = std::array::from_fn(|r| &a_s[(i + r) * k..(i + r + 1) * k]);
+            mm_col_tail(n4, a_rows, b_s, (k, n), i, out);
+        }
+    }
+}
+
+/// Columns `[0, 4GA)` of [`mm_skinny_avx512`], eight rows per pass (two
+/// accumulator sets per column group keep two chains in flight) and a
+/// last four-row pass.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn mm_skinny_groups_avx512<const GA: usize>(
+    a_s: &[f32],
+    b_s: &[f32],
+    (m4, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    let mut i = 0;
+    while i + 8 <= m4 {
+        mm_rows_avx512::<GA, 2>(a_s, b_s, (k, n), i, out);
+        i += 8;
+    }
+    if i < m4 {
+        mm_rows_avx512::<GA, 1>(a_s, b_s, (k, n), i, out);
+    }
+}
+
+/// Rows `[i, i + 4GB)`, columns `[0, 4GA)` of [`mm_skinny_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn mm_rows_avx512<const GA: usize, const GB: usize>(
+    a_s: &[f32],
+    b_s: &[f32],
+    (k, n): (usize, usize),
+    i: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let acc = interleave4_avx512::<GA, GB, true>((b_s, n), &a_s[i * k..(i + 4 * GB) * k], k);
+    let mut lanes = [0.0f32; 16];
+    for (ga, accs) in acc.iter().enumerate() {
+        for (gb, v) in accs.iter().enumerate() {
+            let row = i + 4 * gb;
+            if n == 4 {
+                let o = &mut out[row * 4..(row + 4) * 4];
+                // SAFETY: `o` is 16 floats.
+                unsafe { _mm512_storeu_ps(o.as_mut_ptr(), *v) };
+                continue;
+            }
+            // SAFETY: `lanes` is 16 floats.
+            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), *v) };
+            for (x, quad) in lanes.chunks_exact(4).enumerate() {
+                out[(row + x) * n + 4 * ga..][..4].copy_from_slice(quad);
+            }
+        }
+    }
+}
+
 /// `out = Aᵀ · B` where `A` is `k x m` and `B` is `k x n` (no explicit
 /// transpose is materialized).
 ///
@@ -662,6 +748,127 @@ fn atb_rows_skinny(
         for (c, accr) in acc.chunks_exact(w).enumerate() {
             for (orow, &s) in orows.chunks_exact_mut(n).zip(accr) {
                 orow[c].write(s);
+            }
+        }
+    }
+}
+
+/// Output rows `[i0, i1)` of the skinny `Aᵀ · B` on AVX-512, up to the
+/// last multiple of 16 rows; returns the first row left for
+/// [`atb_rows_skinny`]. All `n` accumulator rows of a block stay in zmm
+/// registers: blocks of 64 output rows up to `n = 4`, 32 up to 8 and 16
+/// beyond, then 16-row blocks. Each output element is
+/// [`atb_rows_skinny`]'s chain, `s = fma(a, b, s)` from `+0.0` with `l`
+/// ascending.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn atb_skinny_avx512(
+    a_s: &[f32],
+    b_s: &[f32],
+    (k, m, n): (usize, usize, usize),
+    i0: usize,
+    i1: usize,
+    out_band: &mut [MaybeUninit<f32>],
+) -> usize {
+    match n {
+        1 => atb_skinny_blocks::<1, 4>(a_s, b_s, (k, m), i0, i1, out_band),
+        2 => atb_skinny_blocks::<2, 4>(a_s, b_s, (k, m), i0, i1, out_band),
+        3 => atb_skinny_blocks::<3, 4>(a_s, b_s, (k, m), i0, i1, out_band),
+        4 => atb_skinny_blocks::<4, 4>(a_s, b_s, (k, m), i0, i1, out_band),
+        5 => atb_skinny_blocks::<5, 2>(a_s, b_s, (k, m), i0, i1, out_band),
+        6 => atb_skinny_blocks::<6, 2>(a_s, b_s, (k, m), i0, i1, out_band),
+        7 => atb_skinny_blocks::<7, 2>(a_s, b_s, (k, m), i0, i1, out_band),
+        8 => atb_skinny_blocks::<8, 2>(a_s, b_s, (k, m), i0, i1, out_band),
+        9 => atb_skinny_blocks::<9, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+        10 => atb_skinny_blocks::<10, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+        11 => atb_skinny_blocks::<11, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+        12 => atb_skinny_blocks::<12, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+        13 => atb_skinny_blocks::<13, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+        14 => atb_skinny_blocks::<14, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+        _ => atb_skinny_blocks::<15, 1>(a_s, b_s, (k, m), i0, i1, out_band),
+    }
+}
+
+/// [`atb_skinny_avx512`] at `n = N`: blocks of `16V` rows, then of 16.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn atb_skinny_blocks<const N: usize, const V: usize>(
+    a_s: &[f32],
+    b_s: &[f32],
+    (k, m): (usize, usize),
+    i0: usize,
+    i1: usize,
+    out_band: &mut [MaybeUninit<f32>],
+) -> usize {
+    let mut i = i0;
+    while i + 16 * V <= i1 {
+        let o = &mut out_band[(i - i0) * N..(i - i0 + 16 * V) * N];
+        atb_block_avx512::<N, V>(a_s, b_s, (k, m), i, o);
+        i += 16 * V;
+    }
+    while i + 16 <= i1 {
+        let o = &mut out_band[(i - i0) * N..(i - i0 + 16) * N];
+        atb_block_avx512::<N, 1>(a_s, b_s, (k, m), i, o);
+        i += 16;
+    }
+    i
+}
+
+/// Rows of `A` ahead of the current one that [`atb_block_avx512`]
+/// prefetches: measured faster than none, 2, 8, 16 or 32 on the 1024 x
+/// 1024 layer at ranks 4 and 8.
+#[cfg(target_arch = "x86_64")]
+const ATB_PREFETCH_ROWS: usize = 4;
+
+/// Output rows `[i, i + 16V)` of the skinny `Aᵀ · B` (`B` is `k x N`) into
+/// `out`: `A` is streamed row by row, `V` zmm of row `l` against a
+/// broadcast of each `B[l][c]`, into `N x V` register accumulators.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn atb_block_avx512<const N: usize, const V: usize>(
+    a_s: &[f32],
+    b_s: &[f32],
+    (k, m): (usize, usize),
+    i: usize,
+    out: &mut [MaybeUninit<f32>],
+) {
+    use std::arch::x86_64::*;
+    assert!(
+        i + 16 * V <= m && out.len() == 16 * V * N,
+        "skinny Aᵀ·B block shapes"
+    );
+    let mut acc = [[_mm512_setzero_ps(); V]; N];
+    for l in 0..k {
+        let arow = &a_s[l * m + i..][..16 * V];
+        let brow: &[f32; N] = b_s[l * N..][..N].try_into().expect("factor row");
+        // Every row of the block starts a new stretch of `A`, out of reach
+        // of the hardware's in-page stream prefetch: ask for the row
+        // `ATB_PREFETCH_ROWS` ahead (the last row again at the end).
+        let ahead = (l + ATB_PREFETCH_ROWS).min(k - 1);
+        let next = &a_s[ahead * m + i..][..16 * V];
+        let mut av = [_mm512_setzero_ps(); V];
+        for (v, x) in av.iter_mut().enumerate() {
+            // SAFETY: `arow` and `next` hold 16 floats from `16v` on.
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(next.as_ptr().add(16 * v).cast());
+                *x = _mm512_loadu_ps(arow.as_ptr().add(16 * v));
+            }
+        }
+        for (accc, &bc) in acc.iter_mut().zip(brow) {
+            let bv = _mm512_set1_ps(bc);
+            for (s, x) in accc.iter_mut().zip(&av) {
+                *s = _mm512_fmadd_ps(*x, bv, *s);
+            }
+        }
+    }
+    let mut lanes = [0.0f32; 16];
+    for (c, accc) in acc.iter().enumerate() {
+        for (v, s) in accc.iter().enumerate() {
+            // SAFETY: `lanes` is 16 floats.
+            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), *s) };
+            for (x, &val) in lanes.iter().enumerate() {
+                out[(16 * v + x) * N + c].write(val);
             }
         }
     }
@@ -895,7 +1102,7 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
     }
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
     let n4 = n - n % 4;
-    let interleave = abt_interleave_active();
+    let interleave = avx512_paths_active();
     // One vector lane per output row: eight rows of A are packed into a
     // `k x 8` panel, so one load gives the eight rows' `a[l]`, and each
     // lane runs its row's chain `s = 0; s += a[l] * b[l]` with `l`
@@ -920,7 +1127,7 @@ pub fn a_mul_bt(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
         }
         if lanes == ABT4_ROWS {
             // SAFETY: `lanes` is `ABT4_ROWS` only when
-            // `abt_interleave_active` saw the AVX-512 tier detected.
+            // `avx512_paths_active` saw the AVX-512 tier detected.
             #[cfg(target_arch = "x86_64")]
             unsafe {
                 abt4_cols_avx512(panel, b_s, (k, n), oblock)
@@ -953,11 +1160,12 @@ const ABT_LANES: usize = 8;
 /// of [`abt4_cols_avx512`].
 const ABT4_ROWS: usize = 4;
 
-/// Whether [`a_mul_bt`] runs a block of at most [`ABT4_ROWS`] rows
-/// interleaved: on the AVX-512 tier, unless `GCS_FORCE_SCALAR` is set.
-/// Both layouts form every element with the same chain, so which one ran
-/// is invisible in the result bits.
-fn abt_interleave_active() -> bool {
+/// Whether the explicit AVX-512 layouts run: [`a_mul_bt`]'s interleaved
+/// short blocks and the zmm forms of the skinny [`matmul`] and
+/// [`at_mul_b`]. On the AVX-512 tier, unless `GCS_FORCE_SCALAR` is set.
+/// Every layout forms each element with the chain of the path it stands
+/// in for, so which one ran is invisible in the result bits.
+fn avx512_paths_active() -> bool {
     crate::kernels::simd_active() && crate::kernels::avx512_supported()
 }
 
@@ -980,22 +1188,15 @@ const ABT4_STEP: [[i32; 16]; 4] = {
 
 /// Columns `[0, n - n % 4)` of a block of at most [`ABT4_ROWS`] rows of
 /// [`a_mul_bt`] on AVX-512, `panel` holding the block's rows of `A`
-/// interleaved four wide (`k x 4`, zero past the last row). A zmm holds
-/// 4 rows x 4 columns, lane `4c + r` the chain of row `r`, column
-/// `j + c`: `s = 0.0; s += a·b`, a multiply then an add, never fused, `l`
-/// ascending. Per `l` the A side is one four-lane broadcast and the B side
-/// one permute of four 16-byte B-row loads merged per four `l`; a `k` that
-/// is not a multiple of four finishes one `l` at a time in the same lanes.
-// SAFETY: caller must guarantee AVX-512F is present; the shapes are
-// asserted on entry.
+/// interleaved four wide (`k x 4`, zero past the last row). Through
+/// [`interleave4_avx512`] a zmm holds 4 rows x 4 columns, lane `4c + r`
+/// the chain of row `r`, column `j + c`: `s = 0.0; s += a·b`, a multiply
+/// then an add, never fused, `l` ascending.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn abt4_cols_avx512(panel: &[f32], b_s: &[f32], (k, n): (usize, usize), oblock: &mut [f32]) {
+fn abt4_cols_avx512(panel: &[f32], b_s: &[f32], (k, n): (usize, usize), oblock: &mut [f32]) {
     assert!(
-        panel.len() == k * ABT4_ROWS
-            && b_s.len() == n * k
-            && oblock.len() <= ABT4_ROWS * n
-            && oblock.len().is_multiple_of(n),
+        oblock.len() <= ABT4_ROWS * n && oblock.len().is_multiple_of(n),
         "interleaved a_mul_bt block shapes"
     );
     let n4 = n - n % 4;
@@ -1003,27 +1204,22 @@ unsafe fn abt4_cols_avx512(panel: &[f32], b_s: &[f32], (k, n): (usize, usize), o
     // Two zmm accumulators (eight columns) per pass: measured faster than
     // four or eight at the big model's 4 x 1024 x 1024.
     while j + 8 <= n4 {
-        // SAFETY: AVX-512F per this function's contract; `j + 8 <= n`
-        // and the lengths are asserted above.
-        unsafe { abt4_group_avx512::<2>(panel, b_s, (k, n), j, oblock) };
+        abt4_group_avx512::<2>(panel, b_s, (k, n), j, oblock);
         j += 8;
     }
     while j < n4 {
-        // SAFETY: as above, with `j + 4 <= n4 <= n`.
-        unsafe { abt4_group_avx512::<1>(panel, b_s, (k, n), j, oblock) };
+        abt4_group_avx512::<1>(panel, b_s, (k, n), j, oblock);
         j += 4;
     }
 }
 
 /// Columns `[j, j + 4G)` of [`abt4_cols_avx512`]: `G` zmm accumulators,
-/// four columns each.
-// SAFETY: caller must guarantee AVX-512F is present, `j + 4G <= n`, that
-// `b_s` holds `n` rows of `k` and `panel` `k` steps of four, and that
-// `oblock` is whole rows of `n`, at most four of them.
+/// four columns each, transposed into the output rows; lanes of padding
+/// rows are dropped.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn abt4_group_avx512<const G: usize>(
+fn abt4_group_avx512<const G: usize>(
     panel: &[f32],
     b_s: &[f32],
     (k, n): (usize, usize),
@@ -1031,22 +1227,55 @@ unsafe fn abt4_group_avx512<const G: usize>(
     oblock: &mut [f32],
 ) {
     use std::arch::x86_64::*;
+    let brows = &b_s[j * k..(j + 4 * G) * k];
+    let [acc] = interleave4_avx512::<1, G, false>((panel, ABT4_ROWS), brows, k);
+    let mut lanes = [0.0f32; 16];
+    for (g, accg) in acc.iter().enumerate() {
+        // SAFETY: `lanes` is 16 floats.
+        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), *accg) };
+        for (r, orow) in oblock.chunks_exact_mut(n).enumerate() {
+            for (c, o) in orow[j + 4 * g..j + 4 * g + 4].iter_mut().enumerate() {
+                *o = lanes[4 * c + r];
+            }
+        }
+    }
+}
+
+/// The interleaved 4 x 4 product on AVX-512 that [`a_mul_bt`]'s short row
+/// blocks and the skinny [`matmul`] share. Lane `4x + y` of accumulator
+/// `[ga][gb]` is the chain over `l` ascending, from `+0.0`, of
+/// `a[l·a_step + 4ga + y] · b[(4gb + x)·k + l]`: one `fma` per step when
+/// `FUSED`, otherwise a multiply then an add. Per `l` the A side is one
+/// four-float broadcast to every quarter of a zmm, and the B side one
+/// permute of four rows of `b` (four 16-byte loads merged per four `l`);
+/// a `k` that is not a multiple of four finishes one `l` at a time in the
+/// same lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn interleave4_avx512<const GA: usize, const GB: usize, const FUSED: bool>(
+    (a, a_step): (&[f32], usize),
+    b: &[f32],
+    k: usize,
+) -> [[std::arch::x86_64::__m512; GB]; GA] {
+    use std::arch::x86_64::*;
+    assert!(
+        b.len() >= 4 * GB * k && (k == 0 || a.len() >= (k - 1) * a_step + 4 * GA),
+        "interleaved block shapes"
+    );
     let mut step = [_mm512_setzero_si512(); 4];
     for (s, idx) in step.iter_mut().zip(&ABT4_STEP) {
         // SAFETY: `idx` is 16 `i32`s, one unaligned 64-byte load.
         *s = unsafe { _mm512_loadu_si512(idx.as_ptr().cast()) };
     }
-    // SAFETY: for every pointer below, B rows `j..j + 4G` lie inside
-    // `b_s` and `l + 4 <= k` in the blocked loop (`l < k` in the tail);
-    // panel step `l` is the four floats at `4l`, with `l < k`.
-    let bp = unsafe { b_s.as_ptr().add(j * k) };
-    let ap = panel.as_ptr();
-    let mut acc = [_mm512_setzero_ps(); G];
+    let (ap, bp) = (a.as_ptr(), b.as_ptr());
+    let mut acc = [[_mm512_setzero_ps(); GB]; GA];
     let k4 = k - k % 4;
     for l in (0..k4).step_by(4) {
-        let mut quads = [_mm512_setzero_ps(); G];
+        let mut quads = [_mm512_setzero_ps(); GB];
         for (g, q) in quads.iter_mut().enumerate() {
-            // SAFETY: see above.
+            // SAFETY: rows `4g..4g + 4` of `b` hold `k` floats each and
+            // `l + 4 <= k` (asserted above).
             unsafe {
                 let row = bp.add(4 * g * k + l);
                 let v = _mm512_castps128_ps512(_mm_loadu_ps(row));
@@ -1056,36 +1285,53 @@ unsafe fn abt4_group_avx512<const G: usize>(
             }
         }
         for (t, s) in step.iter().enumerate() {
-            // SAFETY: see above.
-            let av = _mm512_broadcast_f32x4(unsafe { _mm_loadu_ps(ap.add((l + t) * 4)) });
-            for (accg, q) in acc.iter_mut().zip(&quads) {
-                let prod = _mm512_mul_ps(av, _mm512_permutexvar_ps(*s, *q));
-                *accg = _mm512_add_ps(*accg, prod);
+            let mut bv = quads;
+            for v in &mut bv {
+                *v = _mm512_permutexvar_ps(*s, *v);
             }
+            // SAFETY: step `l + t < k` of `a` holds `4GA` floats (asserted
+            // above).
+            unsafe { interleave4_step::<GA, GB, FUSED>(&mut acc, ap.add((l + t) * a_step), &bv) };
         }
     }
     let mut lanes = [0.0f32; 16];
     for l in k4..k {
-        // SAFETY: see above.
-        let av = _mm512_broadcast_f32x4(unsafe { _mm_loadu_ps(ap.add(l * 4)) });
-        for (g, accg) in acc.iter_mut().enumerate() {
-            for (c, quad) in lanes.chunks_exact_mut(4).enumerate() {
-                // SAFETY: see above.
-                quad.fill(unsafe { *bp.add((4 * g + c) * k + l) });
+        let mut bv = [_mm512_setzero_ps(); GB];
+        for (g, v) in bv.iter_mut().enumerate() {
+            for (x, quad) in lanes.chunks_exact_mut(4).enumerate() {
+                quad.fill(b[(4 * g + x) * k + l]);
             }
             // SAFETY: `lanes` is 16 floats.
-            let bv = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
-            *accg = _mm512_add_ps(*accg, _mm512_mul_ps(av, bv));
+            *v = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
         }
+        // SAFETY: as in the blocked loop, with `l < k`.
+        unsafe { interleave4_step::<GA, GB, FUSED>(&mut acc, ap.add(l * a_step), &bv) };
     }
-    // Transpose into the output rows; lanes of padding rows are dropped.
-    for (g, accg) in acc.iter().enumerate() {
-        // SAFETY: `lanes` is 16 floats.
-        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), *accg) };
-        for (r, orow) in oblock.chunks_exact_mut(n).enumerate() {
-            for (c, o) in orow[j + 4 * g..j + 4 * g + 4].iter_mut().enumerate() {
-                *o = lanes[4 * c + r];
-            }
+    acc
+}
+
+/// One step `l` of [`interleave4_avx512`]: `a_l` points at the step's
+/// `4GA` A floats, and `bv` holds the B side already spread over the lanes.
+// SAFETY: caller must guarantee AVX-512F is present and that `a_l` is
+// valid for reading `4GA` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn interleave4_step<const GA: usize, const GB: usize, const FUSED: bool>(
+    acc: &mut [[std::arch::x86_64::__m512; GB]; GA],
+    a_l: *const f32,
+    bv: &[std::arch::x86_64::__m512; GB],
+) {
+    use std::arch::x86_64::*;
+    for (ga, accs) in acc.iter_mut().enumerate() {
+        // SAFETY: `4ga + 4 <= 4GA` floats at `a_l` (caller contract).
+        let av = _mm512_broadcast_f32x4(unsafe { _mm_loadu_ps(a_l.add(4 * ga)) });
+        for (s, v) in accs.iter_mut().zip(bv) {
+            *s = if FUSED {
+                _mm512_fmadd_ps(av, *v, *s)
+            } else {
+                _mm512_add_ps(*s, _mm512_mul_ps(av, *v))
+            };
         }
     }
 }
@@ -1223,10 +1469,22 @@ fn at_mul_b_uninit(
         return;
     }
     let tile = active_tile();
+    #[cfg(target_arch = "x86_64")]
+    let wide = avx512_paths_active();
     pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
         let rows = band.len() / n;
         if n < SKINNY_MAX {
-            atb_rows_skinny(a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
+            let mut lo = row_lo;
+            #[cfg(target_arch = "x86_64")]
+            if wide {
+                // SAFETY: `wide` is set only when `avx512_paths_active` saw
+                // the AVX-512 tier detected.
+                lo = unsafe { atb_skinny_avx512(a_s, b_s, (k, m, n), row_lo, row_lo + rows, band) };
+            }
+            let rest = &mut band[(lo - row_lo) * n..];
+            if !rest.is_empty() {
+                atb_rows_skinny(a_s, b_s, (k, m, n), lo, row_lo + rows, rest);
+            }
         } else {
             atb_rows(tile, a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
         }

@@ -692,10 +692,11 @@ fn gemm_dispatch_paths_are_bit_identical() {
 // ---------------------------------------------------------------------------
 
 /// One shape of the skinny sweep and how much of the sweep it gets. The
-/// tests run unoptimised, so the shapes past 67 take rank 4 and one factor width
-/// on each side of the predicate instead of all of `1..=17`, and those large
-/// on both sides one input family. Pool widths 1–3 run where a pool can
-/// split the rows (one side large); elsewhere the widest stands for all.
+/// tests run unoptimised, so the shapes past 67 take ranks 4, 8 and 12
+/// (one, two and three 4-column groups) and one factor width on each side
+/// of the predicate instead of all of `1..=17`, and those large on both
+/// sides one input family. Pool widths 1–3 run where a pool can split the
+/// rows (one side large); elsewhere the widest stands for all.
 struct SkinnyCase {
     dims: (usize, usize),
     widths: Vec<usize>,
@@ -705,18 +706,20 @@ struct SkinnyCase {
 
 /// Dimension pairs drawn from `{1..=67, 255, 256, 1024}`: every value on
 /// each side against a fixed odd partner, and the large sizes against
-/// each other.
+/// each other; plus an empty second side, against a small and a large
+/// first.
 fn skinny_cases() -> Vec<SkinnyCase> {
     let mut dims = Vec::new();
     for d in (1..=67).chain([255, 256, 1024]) {
         dims.extend([(d, 37), (37, d)]);
     }
     dims.extend([(255, 256), (256, 1024), (1024, 255), (1024, 1024)]);
+    dims.extend([(37, 0), (1024, 0)]);
     dims.into_iter()
         .map(|(m, k)| SkinnyCase {
             dims: (m, k),
             widths: if m.max(k) > 67 {
-                vec![4, 15, 16]
+                vec![4, 8, 12, 15, 16]
             } else {
                 (1..=17).collect()
             },

@@ -376,6 +376,25 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_training_rejects_zero_bucket_bytes() {
+        let cfg = ThreadedConfig::new()
+            .workers(2)
+            .steps(5)
+            .pipelined(PipelineConfig {
+                bucket_bytes: 0,
+                ..PipelineConfig::default()
+            });
+        let err = train_threaded(&task(), &MethodConfig::SyncSgd, &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ThreadedTrainError::Exec(ExecError::Compress(CompressError::InvalidConfig(_)))
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn pipelined_training_matches_sequential_bitwise() {
         // Same task/seeds, plain-ring pipeline: the whole parameter
         // trajectory must be bit-identical to the sequential engine
