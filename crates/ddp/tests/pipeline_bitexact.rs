@@ -8,7 +8,10 @@
 //! too. Pipelined at depths 1–3 must equal the sequential exchange on a
 //! flat plan; a one-arm adaptive engine must equal it on a matricized
 //! plan; and every engine must report the same wire bytes and rounds per
-//! bucket. Fixed FNV-1a digests pin the per-layer exchange's bits.
+//! bucket. Fixed FNV-1a digests pin the per-layer exchange's bits, and
+//! syncSGD's through every sequential engine at p = 2, 3 and 4 on a layout
+//! with single- and multi-layer buckets, a layer shorter than the ring and
+//! −0.0, subnormal, ±inf and NaN-payload inputs.
 //!
 //! Against the reference driver the whole model is one flat bucket
 //! (`bucket_bytes = usize::MAX`), which the driver sees as one "layer";
@@ -266,4 +269,146 @@ fn sequential_plan_matches_the_reference_driver_for_every_method() {
             );
         }
     }
+}
+
+/// syncSGD's golden layout, forward order: a ragged 5 x 7 layer, a
+/// 2-element and a 1-element layer (shorter than the ring at p = 3, 4),
+/// and a 9 x 13 layer whose 117 elements split unevenly at p = 2, 4.
+fn dense_shapes() -> Vec<Vec<usize>> {
+    vec![vec![5, 7], vec![2], vec![1], vec![9, 13]]
+}
+
+/// Plan caps of the syncSGD goldens: 4 B gives every layer a bucket of its
+/// own; 468 B (the 9 x 13 layer's size) puts that layer alone in bucket 0
+/// and the other three together in bucket 1; `usize::MAX` packs one
+/// bucket of four layers.
+const DENSE_CAPS: [usize; 3] = [4, 468, usize::MAX];
+
+/// Rank `rank`'s value at element `e` of `layer` at `step`: hashed finite
+/// values with mixed exponents, with −0.0 and subnormals mixed in at
+/// hashed positions on every rank, and ±inf and NaNs (quiet and
+/// signalling, both signs, with payloads) on one rank (of up to four) per
+/// element. Which of two NaNs an add returns is not pinned across kernel
+/// tables and builds (the compiler may commute a scalar add), while one
+/// NaN operand, or one infinity, gives the same bits everywhere.
+fn dense_value(rank: usize, step: usize, layer: usize, e: usize) -> f32 {
+    const TINY: [u32; 3] = [
+        0x8000_0000, // -0
+        0x0000_0003, // subnormal
+        0x8040_0000, // negative subnormal
+    ];
+    const NON_FINITE: [u32; 5] = [
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x7FC0_0ABC, // quiet NaN with a payload
+        0xFFC0_1234, // negative quiet NaN with a payload
+        0x7FA0_0001, // signalling NaN
+    ];
+    let h = ((rank * 7919 + step * 104_729 + layer * 1_299_709) as u64 + 1)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((e as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    let h = h ^ (h >> 31);
+    let pick = |table: &[u32]| f32::from_bits(table[((h >> 8) % table.len() as u64) as usize]);
+    match h % 8 {
+        0 if (e + layer + step) % 4 == rank => pick(&NON_FINITE),
+        1 | 2 => pick(&TINY),
+        _ => {
+            let mantissa = ((h >> 40) as f32) / 1000.0 - 8.0;
+            let exp = ((h >> 33) % 9) as i32 - 4;
+            mantissa * 2f32.powi(exp)
+        }
+    }
+}
+
+fn dense_grads_at(rank: usize, step: usize) -> Vec<Tensor> {
+    dense_shapes()
+        .iter()
+        .enumerate()
+        .map(|(layer, s)| {
+            let n: usize = s.iter().product();
+            let data = (0..n).map(|e| dense_value(rank, step, layer, e)).collect();
+            Tensor::from_shape_vec(s.clone(), data).unwrap()
+        })
+        .collect()
+}
+
+/// How the syncSGD goldens drive the exchange.
+#[derive(Clone, Copy, Debug)]
+enum DenseEngine {
+    PerLayer,
+    Plan { cap: usize, matricize: bool },
+}
+
+/// FNV-1a over two syncSGD steps on a `world`-rank `SimCluster`.
+fn dense_digest(world: usize, engine: DenseEngine) -> u64 {
+    let runs = SimCluster::run(world, |w| {
+        let mut c = MethodConfig::SyncSgd.build().unwrap();
+        let layout = dense_grads_at(w.rank(), 0);
+        let mut plan = match engine {
+            DenseEngine::PerLayer => None,
+            DenseEngine::Plan { cap, matricize } if matricize => {
+                Some(BucketPlan::matricized(&layout, cap))
+            }
+            DenseEngine::Plan { cap, .. } => Some(BucketPlan::new(&layout, cap)),
+        };
+        (0..STEPS)
+            .map(|step| {
+                let grads = dense_grads_at(w.rank(), step);
+                match plan.as_mut() {
+                    Some(plan) => exchange_gradients_with_plan(&w, &mut c, &grads, plan),
+                    None => exchange_gradients(&w, &mut c, &grads),
+                }
+                .unwrap()
+            })
+            .collect::<Vec<_>>()
+    });
+    fnv1a(&runs)
+}
+
+#[test]
+fn syncsgd_exchanges_match_their_golden_digests() {
+    // The bucket layouts the goldens rely on.
+    let layout = dense_grads_at(0, 0);
+    let plan = BucketPlan::new(&layout, DENSE_CAPS[1]);
+    assert_eq!(
+        (plan.layers(0), plan.layers(1)),
+        (&[3usize][..], &[2usize, 1, 0][..])
+    );
+    assert_eq!(BucketPlan::new(&layout, DENSE_CAPS[0]).num_buckets(), 4);
+    let mut engines = vec![DenseEngine::PerLayer];
+    for matricize in [false, true] {
+        for cap in DENSE_CAPS {
+            engines.push(DenseEngine::Plan { cap, matricize });
+        }
+    }
+    // One row per world size p = 2, 3, 4; one column per engine: the
+    // per-layer exchange, then the flat and the matricized plans at each
+    // cap of `DENSE_CAPS`.
+    // At p = 2 every element is one two-operand add, so the bucket
+    // boundaries cannot move any bit.
+    const GOLDEN: [[u64; 7]; 3] = [
+        [0x1b16e99b1abf11b9; 7],
+        [
+            0xcf64155bf37ac5d1,
+            0xcf64155bf37ac5d1,
+            0x91e51b9332fdd18e,
+            0xc8ff36fe356051d6,
+            0xcf64155bf37ac5d1,
+            0x91e51b9332fdd18e,
+            0xc8ff36fe356051d6,
+        ],
+        [
+            0x4219ac0d36a5731d,
+            0x4219ac0d36a5731d,
+            0xf58c98b8dfc5a625,
+            0x8d813fd86dbd4355,
+            0x4219ac0d36a5731d,
+            0xf58c98b8dfc5a625,
+            0x8d813fd86dbd4355,
+        ],
+    ];
+    let digests: Vec<Vec<u64>> = (2..=4)
+        .map(|world| engines.iter().map(|&e| dense_digest(world, e)).collect())
+        .collect();
+    assert_eq!(digests, GOLDEN, "syncSGD exchange bits moved");
 }
