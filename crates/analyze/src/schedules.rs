@@ -52,12 +52,14 @@ fn recv_elems(s: &mut Schedule, at: usize, from: usize, lo: usize, hi: usize, ac
 /// Ring all-reduce over `members` (actual process ids, strictly
 /// ascending), reducing `n` elements at `offset` into each member's
 /// buffer. Mirrors `WorkerHandle::ring_all_reduce`, the one ring body
-/// behind `all_reduce_sum` and `all_reduce_mean`, which rings over the
-/// handle's member list (`WorkerHandle::set_members`): members `0..p` is
-/// the healthy ring (`pos = rank`, `m = p`), and `ring_all_reduce_among`
-/// with a subset models a shrunk handle. The mean's divide by `m` is
-/// local arithmetic on the reduce-scatter's final hop and adds no frame,
-/// so one schedule models both.
+/// behind `all_reduce_sum`, `all_reduce_mean` and the out-of-place
+/// `all_reduce_mean_from`, which rings over the handle's member list
+/// (`WorkerHandle::set_members`): members `0..p` is the healthy ring
+/// (`pos = rank`, `m = p`), and `ring_all_reduce_among` with a subset
+/// models a shrunk handle. The mean's divide by `m` is local arithmetic
+/// on the reduce-scatter's final hop, and where the out-of-place form
+/// reads its contribution and writes its result is local too; neither
+/// adds a frame, so one schedule models all three.
 fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, n: usize) {
     let m = members.len();
     if m <= 1 {

@@ -2,7 +2,7 @@
 //! the seed's naive implementations and writes `BENCH_datapath.json` at the
 //! repo root.
 //!
-//! Eight kernels are tracked:
+//! Nine kernels are tracked:
 //!
 //! 1. Ring all-reduce on a 25 MiB gradient for p ∈ {4, 8, 16}, against a
 //!    faithful reconstruction of the seed's clone-based ring (fresh wire
@@ -24,7 +24,10 @@
 //! 7. The training step's model-sized outputs (the big model's `gW1` and
 //!    PowerSGD's rank-4 `Ĝ`) written once against zero-filled first, and
 //!    `minibatch_grad` of the benchmark's two models.
-//! 8. Per-kernel SIMD vs. scalar rows: every primitive in the
+//! 8. One 4 MiB single-layer syncSGD bucket through
+//!    `exchange_gradients_with_plan` on two ranks: packed and reduced in
+//!    place against reduced out of place straight from the gradient.
+//! 9. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
 //!    the same buffers, plus the GEMM tile through both dispatch paths.
 //!    The report's `metadata` object records the CPU model, detected
@@ -38,7 +41,10 @@
 use gcs_bench::timing::{bench, black_box, Timing};
 use gcs_cluster::{Frame, SimCluster, WorkerHandle};
 use gcs_compress::driver::round_trip;
+use gcs_compress::none::NoCompression;
 use gcs_compress::powersgd::PowerSgd;
+use gcs_compress::{Compressor, Payload, Properties};
+use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
 use gcs_tensor::bits::SignBits;
 use gcs_tensor::kernels;
 use gcs_tensor::matrix::{
@@ -46,6 +52,7 @@ use gcs_tensor::matrix::{
     matmul_with_tile, reconstruct_residual_into, reconstruct_residual_pooled, MatrixRef,
 };
 use gcs_tensor::select::top_k_abs_with;
+use gcs_tensor::Shape;
 use gcs_tensor::Tensor;
 use gcs_train::task::{MlpClassification, Task};
 use serde_json::{json, Value};
@@ -534,7 +541,7 @@ fn minibatch_grad_section(pr: Params, smoke: bool) -> Vec<Value> {
     rows
 }
 
-/// Block of the mean's final hop in `gcs_cluster::collectives`: the add and
+/// Block of the mean's final hop in `gcs_tensor::kernels`: the add and
 /// the divide run 512 elements at a time.
 const MEAN_BLOCK: usize = 512;
 
@@ -598,6 +605,90 @@ fn ring_mean_hop_section(pr: Params, smoke: bool) -> Vec<Value> {
         }));
     }
     rows
+}
+
+/// syncSGD with the trait's default `payload_is_gradient` (false): the
+/// engines pack each of its buckets and all-reduce the packed buffer in
+/// place — the path every syncSGD bucket took before a single-layer one
+/// was reduced straight from the gradient.
+struct PackedSyncSgd(NoCompression);
+
+impl Compressor for PackedSyncSgd {
+    fn properties(&self) -> Properties {
+        self.0.properties()
+    }
+
+    fn compressed_bytes(&self, shape: &Shape) -> usize {
+        self.0.compressed_bytes(shape)
+    }
+
+    fn encode(&mut self, layer: usize, grad: &Tensor) -> gcs_compress::Result<Payload> {
+        self.0.encode(layer, grad)
+    }
+
+    fn encode_owned(&mut self, layer: usize, grad: Tensor) -> gcs_compress::Result<Payload> {
+        self.0.encode_owned(layer, grad)
+    }
+
+    fn aggregate(&self, round: usize, payloads: &[Payload]) -> gcs_compress::Result<Payload> {
+        self.0.aggregate(round, payloads)
+    }
+
+    fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> gcs_compress::Result<()> {
+        self.0.absorb(layer, round, agg)
+    }
+
+    fn finish(&mut self, layer: usize, shape: &Shape) -> gcs_compress::Result<Tensor> {
+        self.0.finish(layer, shape)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// One single-layer syncSGD bucket of `dense-ring-tcp`'s 1024 x 1024
+/// weight (4 MiB) through `exchange_gradients_with_plan` on a two-rank
+/// `SimCluster`, driven as a `Box<dyn Compressor>` like the benchmark
+/// drives it: packed and reduced in place against reduced out of place
+/// from the gradient. Rank 0's timing; the two outputs are checked
+/// bit-equal.
+fn dense_bucket_section(pr: Params, smoke: bool) -> Vec<Value> {
+    let n = if smoke { 64 * 1024 } else { 1024 * 1024 };
+    let iters = pr.gemm_iters * 5;
+    let run = |packed: bool| {
+        let mut outs = SimCluster::run(2, |w| {
+            let grads = vec![Tensor::randn([n], 97 + w.rank() as u64)];
+            let mut plan = BucketPlan::new(&grads, 4 * n);
+            let mut c: Box<dyn Compressor> = if packed {
+                Box::new(PackedSyncSgd(NoCompression::new()))
+            } else {
+                Box::new(NoCompression::new())
+            };
+            let mut exchange =
+                || exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).expect("exchange");
+            let bits: Vec<u32> = exchange()[0].data().iter().map(|x| x.to_bits()).collect();
+            (bench(2, iters, || drop(black_box(exchange()))), bits)
+        });
+        outs.swap_remove(0)
+    };
+    let (packed, packed_bits) = run(true);
+    let (from, from_bits) = run(false);
+    assert_eq!(packed_bits, from_bits, "out-of-place bucket bits differ");
+    println!(
+        "dense bucket n={n} p=2  out of place {:.3} ms  (packed, in place {:.3} ms, {:.2}x)",
+        from.min_s * 1e3,
+        packed.min_s * 1e3,
+        speedup(&packed, &from)
+    );
+    vec![json!({
+        "kernel": "dense_bucket",
+        "p": 2,
+        "n": n,
+        "pack_in_place_ms": packed.min_s * 1e3,
+        "out_of_place_ms": from.min_s * 1e3,
+        "speedup": speedup(&packed, &from),
+    })]
 }
 
 fn powersgd_section(pr: Params, smoke: bool) -> Value {
@@ -961,6 +1052,7 @@ fn main() {
     let ring = ring_section(pr);
     let algos = all_reduce_algorithms_section(pr);
     let mean_hop = ring_mean_hop_section(pr, smoke);
+    let dense_bucket = dense_bucket_section(pr, smoke);
     let gemm = gemm_section(pr, smoke);
     let abt = a_mul_bt_section(pr, smoke);
     let write_once = write_once_section(pr, smoke);
@@ -976,6 +1068,7 @@ fn main() {
         "ring_all_reduce": ring,
         "all_reduce_algorithms": algos,
         "ring_mean_hop": mean_hop,
+        "dense_bucket": dense_bucket,
         "matmul": gemm,
         "a_mul_bt": abt,
         "write_once": write_once,

@@ -8,11 +8,12 @@
 //!
 //! # Data-plane fast path
 //!
-//! The ring all-reduce ([`WorkerHandle::all_reduce_sum`] and
-//! [`WorkerHandle::all_reduce_mean`], one body) makes no pass over the
-//! gradient that is neither wire nor arithmetic. Each phase's seed — this
-//! rank's own chunk, then its completed chunk — goes out with
-//! [`WorkerHandle::send_slice`] straight from `buf`'s memory
+//! The ring all-reduce ([`WorkerHandle::all_reduce_sum`],
+//! [`WorkerHandle::all_reduce_mean`] and the out-of-place
+//! [`WorkerHandle::all_reduce_mean_from`], one body) makes no pass over
+//! the gradient that is neither wire nor arithmetic. Each phase's seed —
+//! this rank's own chunk, then its completed chunk — goes out with
+//! [`WorkerHandle::send_slice`] straight from the caller's memory
 //! ([`gcs_tensor::kernels::f32s_wire_image`], a borrowed view on
 //! little-endian targets), so on TCP the socket write reads the `f32`s
 //! themselves. The reduce-scatter folds the local contribution directly
@@ -21,8 +22,12 @@
 //! buffer-side accumulator, so sums are bit-identical to
 //! decode-accumulate-reserialize) and forwards that buffer; the mean
 //! divides each chunk on the hop that completes it, so the all-gather
-//! carries the mean. The all-gather decodes each incoming frame into `buf`
-//! and forwards the *same* [`Frame`] by refcount bump. Every conversion and
+//! carries the mean. The all-gather decodes each incoming frame into the
+//! result and forwards the *same* [`Frame`] by refcount bump. The
+//! out-of-place mean reads the caller's gradient where the in-place forms
+//! read their buffer and writes a fresh [`WriteOnce`] output in those two
+//! places only, so it neither copies the gradient nor zero-fills the
+//! output. Every conversion and
 //! reduce dispatches through the pooled [`gcs_tensor::kernels`] entry
 //! points (AVX-512/AVX2 where detected, banded across the kernel pool on
 //! multi-core hosts; fixed association order keeps results identical in
@@ -30,8 +35,9 @@
 
 use crate::transport::{Frame, WorkerHandle};
 use crate::{ClusterError, Result};
-use gcs_tensor::kernels;
+use gcs_tensor::kernels::{self, WriteOnce};
 use gcs_tensor::pool;
+use std::ops::Range;
 
 /// Splits `len` elements into `p` contiguous chunks whose sizes differ by
 /// at most one. Returns the `(start, end)` of chunk `i`.
@@ -49,37 +55,6 @@ pub(crate) fn fill_bytes_from_f32s(out: &mut Vec<u8>, xs: &[f32]) {
     // only overwritten below; whatever it grows by is zero-filled first.
     out.resize(xs.len() * 4, 0);
     kernels::f32s_to_bytes_pooled(pool::global(), xs, out);
-}
-
-/// `x ← x / divisor` elementwise: IEEE division, never a reciprocal
-/// multiply, so the mean has the bits of dividing the sum.
-fn divide(xs: &mut [f32], divisor: f32) {
-    for x in xs {
-        *x /= divisor;
-    }
-}
-
-/// Elements [`add_f32s_from_bytes_then_divide`] adds and then divides at
-/// a time: 2 KiB of `f32` and 2 KiB of wire, so the divide reads what the
-/// add just wrote from L1. A multiple of every kernel table's vector width.
-const MEAN_BLOCK: usize = 512;
-
-/// The mean's final-hop reduce, `out ← (out + decode(bytes)) / divisor`:
-/// the add through the same dispatched kernel as [`add_f32s_from_bytes`],
-/// then [`divide`], one L1-sized block at a time and banded across the
-/// kernel pool like the add. Elementwise, so the bits equal the add over
-/// the whole chunk followed by the divide. On a 2 MB chunk this costs
-/// about the add alone, where the add and then a divide pass cost half as
-/// much again (`BENCH_datapath.json`, `ring_mean_hop`).
-fn add_f32s_from_bytes_then_divide(out: &mut [f32], bytes: &[u8], divisor: f32) {
-    let min_band = gcs_tensor::autotune::choice().wire_chunk_elems;
-    pool::global().for_rows(out, 1, min_band, |lo, band| {
-        let wire = &bytes[lo * 4..(lo + band.len()) * 4];
-        for (xs, w) in band.chunks_mut(MEAN_BLOCK).zip(wire.chunks(4 * MEAN_BLOCK)) {
-            kernels::add_from_bytes(w, xs);
-            divide(xs, divisor);
-        }
-    });
 }
 
 /// Checks that `bytes` decodes to exactly `expected` f32s.
@@ -116,6 +91,104 @@ pub(crate) fn add_f32s_into_bytes(xs: &[f32], bytes: &mut [u8]) {
     kernels::add_into_bytes_pooled(pool::global(), xs, bytes);
 }
 
+/// Where the ring body reads this rank's contribution and writes the
+/// result: one buffer in place ([`InPlace`]), or the caller's gradient
+/// into a fresh write-once output ([`OutOfPlace`]).
+trait RingIo {
+    /// Elements reduced.
+    fn len(&self) -> usize;
+    /// This rank's contribution to `range`, read by the seeds and the
+    /// folds — always before the body writes `range`.
+    fn local(&self, range: Range<usize>) -> &[f32];
+    /// The final reduce-scatter hop: `range ← local + incoming` (operand
+    /// order `x + w`), divided by `divisor` for a mean.
+    fn complete(&mut self, range: Range<usize>, incoming: &[u8], divisor: f32);
+    /// The completed `range`, read back as the all-gather's seed.
+    fn completed(&self, range: Range<usize>) -> Result<&[f32]>;
+    /// The all-gather: `range ← decode(incoming)`.
+    fn gather(&mut self, range: Range<usize>, incoming: &[u8]);
+    /// A ring of one: the result is the contribution, divided by
+    /// `divisor` (1) for a mean, which quiets a signalling NaN as the
+    /// divide of a ring sum would.
+    fn alone(&mut self, divisor: f32);
+}
+
+/// The in-place sum (or, with `mean`, mean) of `buf`.
+struct InPlace<'a> {
+    buf: &'a mut [f32],
+    mean: bool,
+}
+
+impl RingIo for InPlace<'_> {
+    fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn local(&self, range: Range<usize>) -> &[f32] {
+        &self.buf[range]
+    }
+
+    fn complete(&mut self, range: Range<usize>, incoming: &[u8], divisor: f32) {
+        let out = &mut self.buf[range];
+        if self.mean {
+            kernels::add_from_bytes_then_divide_pooled(pool::global(), incoming, out, divisor);
+        } else {
+            add_f32s_from_bytes(out, incoming);
+        }
+    }
+
+    fn completed(&self, range: Range<usize>) -> Result<&[f32]> {
+        Ok(&self.buf[range])
+    }
+
+    fn gather(&mut self, range: Range<usize>, incoming: &[u8]) {
+        fill_f32s_from_bytes(&mut self.buf[range], incoming);
+    }
+
+    fn alone(&mut self, divisor: f32) {
+        if self.mean {
+            kernels::divide(self.buf, divisor);
+        }
+    }
+}
+
+/// The mean of `src` into `out`; `src` is only read.
+struct OutOfPlace<'a> {
+    src: &'a [f32],
+    out: WriteOnce,
+}
+
+impl RingIo for OutOfPlace<'_> {
+    fn len(&self) -> usize {
+        self.src.len()
+    }
+
+    fn local(&self, range: Range<usize>) -> &[f32] {
+        &self.src[range]
+    }
+
+    fn complete(&mut self, range: Range<usize>, incoming: &[u8], divisor: f32) {
+        let (start, xs) = (range.start, &self.src[range]);
+        self.out
+            .fill_add_from_bytes_then_divide(pool::global(), start, xs, incoming, divisor);
+    }
+
+    fn completed(&self, range: Range<usize>) -> Result<&[f32]> {
+        self.out.filled(range).ok_or_else(|| {
+            ClusterError::Protocol("ring mean's all-gather seed read before its final hop".into())
+        })
+    }
+
+    fn gather(&mut self, range: Range<usize>, incoming: &[u8]) {
+        self.out
+            .fill_from_bytes(pool::global(), range.start, incoming);
+    }
+
+    fn alone(&mut self, divisor: f32) {
+        self.out.fill_divided(0, self.src, divisor);
+    }
+}
+
 impl WorkerHandle {
     /// Ring all-reduce (sum): after the call every member's `buf` holds
     /// the elementwise sum over the handle's [members](Self::members) —
@@ -141,7 +214,7 @@ impl WorkerHandle {
     /// Returns [`ClusterError::Mismatch`] if peers send differently-sized
     /// chunks and [`ClusterError::Disconnected`] if a peer hangs up.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) -> Result<()> {
-        self.ring_all_reduce(buf, false)
+        self.ring_all_reduce(&mut InPlace { buf, mean: false })
     }
 
     /// Ring all-reduce (mean): after the call every member's `buf` holds
@@ -160,31 +233,60 @@ impl WorkerHandle {
     ///
     /// As [`WorkerHandle::all_reduce_sum`].
     pub fn all_reduce_mean(&self, buf: &mut [f32]) -> Result<()> {
-        self.ring_all_reduce(buf, true)
+        self.ring_all_reduce(&mut InPlace { buf, mean: true })
     }
 
-    /// The one ring body behind [`WorkerHandle::all_reduce_sum`] and
-    /// [`WorkerHandle::all_reduce_mean`]; `mean` divides each completed
-    /// chunk by the member count, locally, adding no frame.
-    fn ring_all_reduce(&self, buf: &mut [f32], mean: bool) -> Result<()> {
+    /// Out-of-place ring all-reduce (mean): returns the elementwise sum of
+    /// every member's `src` divided by the member count `m` — bit-identical
+    /// to copying `src` and calling [`WorkerHandle::all_reduce_mean`], with
+    /// the same frames and bytes on the wire — and leaves `src` untouched.
+    ///
+    /// This is MPI's and NCCL's distinct send and receive buffer: the
+    /// seeds and the reduce-scatter's folds read `src` where it lies, and
+    /// the result is a fresh buffer written exactly once, by each chunk's
+    /// final hop and by the all-gather, never zero-filled. A gradient that
+    /// *is* the payload therefore reaches the wire without a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerHandle::all_reduce_sum`].
+    pub fn all_reduce_mean_from(&self, src: &[f32]) -> Result<Vec<f32>> {
+        let mut io = OutOfPlace {
+            src,
+            out: WriteOnce::new(src.len()),
+        };
+        self.ring_all_reduce(&mut io)?;
+        io.out.into_vec().ok_or_else(|| {
+            ClusterError::Protocol("ring mean left part of its output unwritten".into())
+        })
+    }
+
+    /// The one ring body behind [`WorkerHandle::all_reduce_sum`],
+    /// [`WorkerHandle::all_reduce_mean`] and
+    /// [`WorkerHandle::all_reduce_mean_from`]; `io` says where this rank's
+    /// contribution is read and the result written, and whether each
+    /// completed chunk is divided by the member count (locally, adding no
+    /// frame).
+    fn ring_all_reduce(&self, io: &mut impl RingIo) -> Result<()> {
         let (m, pos, next, prev) = self.ring();
         let divisor = m as f32;
         if m == 1 {
-            if mean {
-                divide(buf, divisor);
-            }
+            io.alone(divisor);
             return Ok(());
         }
-        let len = buf.len();
+        let len = io.len();
         // Holds a converted seed on big-endian targets only; on
-        // little-endian ones the seeds go out from `buf` itself.
+        // little-endian ones the seeds go out from the caller's memory.
         let mut scratch: Vec<u8> = Vec::new();
 
-        // Phase 1: reduce-scatter. Only the seed send reads `buf`'s own
+        // Phase 1: reduce-scatter. Only the seed send reads our own
         // chunk; partial sums then travel (and accumulate) in wire form.
         // After m-1 steps chunk (pos+1) % m holds the full sum.
         let (ss, se) = chunk_range(len, m, pos);
-        self.send_slice(next, kernels::f32s_wire_image(&buf[ss..se], &mut scratch))?;
+        self.send_slice(
+            next,
+            kernels::f32s_wire_image(io.local(ss..se), &mut scratch),
+        )?;
         for s in 0..m - 1 {
             let recv_idx = (pos + 2 * m - s - 1) % m;
             let incoming = self.recv_robust(prev)?;
@@ -195,32 +297,31 @@ impl WorkerHandle {
                 // on (the frame is uniquely owned on a ring, so into_vec
                 // reclaims the allocation without copying).
                 let mut w = incoming.into_vec();
-                add_f32s_into_bytes(&buf[rs..re], &mut w);
+                add_f32s_into_bytes(io.local(rs..re), &mut w);
                 self.send(next, Frame::from_vec(w))?;
             } else {
                 // Final hop: this rank completes the sum for its chunk —
                 // or, for the mean, the sum divided in the same pass —
-                // which must land in `buf` for the all-gather phase.
-                if mean {
-                    add_f32s_from_bytes_then_divide(&mut buf[rs..re], &incoming, divisor);
-                } else {
-                    add_f32s_from_bytes(&mut buf[rs..re], &incoming);
-                }
+                // which the all-gather phase then sends.
+                io.complete(rs..re, &incoming, divisor);
             }
         }
 
         // Phase 2: all-gather of the reduced chunks. Our completed chunk
-        // goes out from `buf`; every other frame is decoded into `buf`
+        // goes out from the result; every other frame is decoded into it
         // and forwarded as-is.
         let own = (pos + 1) % m;
         let (ss, se) = chunk_range(len, m, own);
-        self.send_slice(next, kernels::f32s_wire_image(&buf[ss..se], &mut scratch))?;
+        self.send_slice(
+            next,
+            kernels::f32s_wire_image(io.completed(ss..se)?, &mut scratch),
+        )?;
         for s in 0..m - 1 {
             let recv_idx = (pos + m - s) % m;
             let incoming = self.recv_robust(prev)?;
             let (rs, re) = chunk_range(len, m, recv_idx);
             check_f32_frame(&incoming, re - rs, "all-gather")?;
-            fill_f32s_from_bytes(&mut buf[rs..re], &incoming);
+            io.gather(rs..re, &incoming);
             if s + 1 < m - 1 {
                 self.send(next, incoming)?;
             }

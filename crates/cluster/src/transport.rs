@@ -1212,24 +1212,27 @@ mod tests {
     #[test]
     fn netem_serializes_back_to_back_sends_on_one_link() {
         // Two 1 MiB frames on a 100 MiB/s link: the second delivery lands
-        // ~10 ms after the first, even though both sends return instantly.
+        // two serialization times (~20 ms) after the first send, even
+        // though both sends return instantly. Timed from one instant
+        // before either send, so a late wake-up can only lengthen the
+        // interval (the gap between the two wake-ups, which a late first
+        // wake-up shrinks, would flake) and the bound needs no slack.
         let emu = NetEmu::new(Duration::ZERO, 100.0 * 1024.0 * 1024.0);
+        let paced = 2 * emu.tx_time(1024 * 1024);
+        let t0 = Instant::now();
         let outs = SimCluster::run_with_netem(2, emu, |w| {
             if w.rank() == 0 {
                 w.send(1, vec![0u8; 1024 * 1024]).unwrap();
                 w.send(1, vec![0u8; 1024 * 1024]).unwrap();
-                Duration::ZERO
             } else {
-                let t0 = Instant::now();
                 let _ = w.recv(0).unwrap();
-                let first = t0.elapsed();
                 let _ = w.recv(0).unwrap();
-                t0.elapsed() - first
             }
+            t0.elapsed()
         });
         assert!(
-            outs[1] >= Duration::from_millis(8),
-            "second frame not paced behind the first: {:?}",
+            outs[1] >= paced,
+            "second frame not paced behind the first: {:?} < {paced:?}",
             outs[1]
         );
     }

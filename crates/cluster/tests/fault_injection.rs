@@ -6,7 +6,7 @@
 //! suite under multiple fixed seeds.
 
 use gcs_cluster::faults::{FaultPlan, RecvPolicy};
-use gcs_cluster::{ClusterError, NetEmu, SimCluster};
+use gcs_cluster::{ClusterError, NetEmu, SimCluster, WorkerHandle};
 use std::time::Duration;
 
 /// Seed for the determinism tests; overridable so CI can sweep seeds.
@@ -259,6 +259,79 @@ fn dropped_frames_surface_as_timeout_not_hang() {
     assert!(events
         .iter()
         .all(|e| matches!(e.kind, gcs_cluster::FaultKind::Drop)));
+}
+
+/// One rank's ring mean, or `None` for a rank that sat it out.
+type Outcome = Option<Result<Vec<f32>, ClusterError>>;
+
+/// `body` under `plan` with the mean in place and then, on a fresh
+/// cluster, out of place: each rank's `(in place, out of place)` outcome.
+fn both_means_under(
+    world: usize,
+    plan: &FaultPlan,
+    body: impl Fn(&WorkerHandle, bool) -> Outcome + Sync,
+) -> Vec<(Outcome, Outcome)> {
+    let (in_place, _) = SimCluster::run_with_faults(world, plan.clone(), |w| body(&w, false));
+    let (out_of_place, _) = SimCluster::run_with_faults(world, plan.clone(), |w| body(&w, true));
+    in_place.into_iter().zip(out_of_place).collect()
+}
+
+/// This rank's ring mean of eight ones, in place or out of place.
+fn mean_of_ones(w: &WorkerHandle, out_of_place: bool) -> Result<Vec<f32>, ClusterError> {
+    let mut buf = vec![1.0f32; 8];
+    if out_of_place {
+        w.all_reduce_mean_from(&buf)
+    } else {
+        w.all_reduce_mean(&mut buf).map(|()| buf)
+    }
+}
+
+#[test]
+fn out_of_place_mean_fails_like_the_in_place_one_on_dropped_frames() {
+    let plan = FaultPlan::new(5)
+        .drop_prob(1.0)
+        .recv_policy(RecvPolicy::with_timeout(
+            Duration::from_millis(10),
+            2,
+            Duration::from_millis(5),
+        ));
+    let outs = both_means_under(2, &plan, |w, out_of_place| {
+        let res = mean_of_ones(w, out_of_place);
+        // Outlive the peer's retries (see the test above).
+        std::thread::sleep(Duration::from_millis(300));
+        Some(res)
+    });
+    for (in_place, out_of_place) in outs {
+        assert!(
+            matches!(in_place, Some(Err(ClusterError::Timeout { .. }))),
+            "{in_place:?}"
+        );
+        assert_eq!(out_of_place, in_place);
+    }
+}
+
+#[test]
+fn out_of_place_mean_fails_like_the_in_place_one_on_a_dead_peer() {
+    // Rank 1 dies before the collective; rank 0 must see it as PeerGone
+    // from either form.
+    let plan = FaultPlan::new(1).kill(1, 0);
+    let outs = both_means_under(2, &plan, |w, out_of_place| {
+        if w.rank() == 1 {
+            w.mark_dead(0);
+            return None;
+        }
+        while w.is_alive(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Some(mean_of_ones(w, out_of_place))
+    });
+    assert_eq!(
+        outs[0].0,
+        Some(Err(ClusterError::PeerGone { peer: 1 })),
+        "in place"
+    );
+    assert_eq!(outs[0].1, outs[0].0, "out of place");
+    assert_eq!(outs[1], (None, None));
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! scalar reference that replays the ring's summation order, and the wire
 //! traffic the counters record must equal the seed's accounting exactly.
 
-use gcs_cluster::SimCluster;
+use gcs_cluster::{SimCluster, TcpCluster, TcpOptions, WorkerHandle};
 
 /// The collective's chunk partition (mirrors the internal `chunk_range`).
 fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
@@ -200,9 +200,38 @@ type Input = fn(usize, usize) -> f32;
 /// Per-member results plus per-rank `(bytes, messages)` sent.
 type RingRun = (Vec<Option<Vec<f32>>>, Vec<(u64, u64)>);
 
-/// The sum (or, with `mean`, the mean) over the ranks of `members`, their
-/// handles shrunk with `set_members`, of buffers filled by `input`.
-fn run_ring(world: usize, members: &[usize], len: usize, input: Input, mean: bool) -> RingRun {
+/// Which ring collective a run calls.
+#[derive(Clone, Copy, PartialEq)]
+enum Form {
+    /// `all_reduce_sum` in place.
+    Sum,
+    /// `all_reduce_mean` in place.
+    Mean,
+    /// `all_reduce_mean_from`, out of place.
+    MeanFrom,
+}
+
+/// This rank's `form` collective over a buffer filled by `input`. The
+/// out-of-place form must leave its source as it was.
+fn reduce(w: &WorkerHandle, len: usize, input: Input, form: Form) -> Vec<f32> {
+    let mut buf: Vec<f32> = (0..len).map(|i| input(w.rank(), i)).collect();
+    match form {
+        Form::Sum => w.all_reduce_sum(&mut buf).unwrap(),
+        Form::Mean => w.all_reduce_mean(&mut buf).unwrap(),
+        Form::MeanFrom => {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let before = bits(&buf);
+            let mean = w.all_reduce_mean_from(&buf).unwrap();
+            assert_eq!(bits(&buf), before, "all_reduce_mean_from wrote its source");
+            return mean;
+        }
+    }
+    buf
+}
+
+/// The `form` collective over the ranks of `members`, their handles
+/// shrunk with `set_members`, of buffers filled by `input`.
+fn run_ring(world: usize, members: &[usize], len: usize, input: Input, form: Form) -> RingRun {
     let cluster = SimCluster::new(world);
     let traffic = cluster.traffic().to_vec();
     let outs = cluster.run_workers(|mut w| {
@@ -210,19 +239,24 @@ fn run_ring(world: usize, members: &[usize], len: usize, input: Input, mean: boo
             return None;
         }
         w.set_members(members).unwrap();
-        let mut buf: Vec<f32> = (0..len).map(|i| input(w.rank(), i)).collect();
-        if mean {
-            w.all_reduce_mean(&mut buf).unwrap();
-        } else {
-            w.all_reduce_sum(&mut buf).unwrap();
-        }
-        Some(buf)
+        Some(reduce(&w, len, input, form))
     });
-    let sent = traffic
+    (outs, sent(&traffic))
+}
+
+/// Per-rank `(bytes, messages)` sent.
+fn sent(traffic: &[std::sync::Arc<gcs_cluster::TrafficCounter>]) -> Vec<(u64, u64)> {
+    traffic
         .iter()
         .map(|t| (t.bytes_sent(), t.messages_sent()))
-        .collect();
-    (outs, sent)
+        .collect()
+}
+
+/// Per-member result bits, for comparisons that must see NaN payloads.
+fn bits(outs: &[Option<Vec<f32>>]) -> Vec<Option<Vec<u32>>> {
+    outs.iter()
+        .map(|o| o.as_ref().map(|v| v.iter().map(|x| x.to_bits()).collect()))
+        .collect()
 }
 
 #[test]
@@ -241,8 +275,8 @@ fn all_reduce_mean_is_the_sum_divided_bit_for_bit() {
             for len in lens {
                 for (family, input) in inputs {
                     let ctx = format!("p={p} members={members:?} len={len} {family}");
-                    let (sums, sum_sent) = run_ring(p, &members, len, input, false);
-                    let (means, mean_sent) = run_ring(p, &members, len, input, true);
+                    let (sums, sum_sent) = run_ring(p, &members, len, input, Form::Sum);
+                    let (means, mean_sent) = run_ring(p, &members, len, input, Form::Mean);
                     // Same frames and bytes as the sum: 2(m-1) per member,
                     // none for ranks off the ring.
                     assert_eq!(mean_sent, sum_sent, "{ctx} traffic");
@@ -270,6 +304,47 @@ fn all_reduce_mean_is_the_sum_divided_bit_for_bit() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn all_reduce_mean_from_is_copy_then_mean_bit_for_bit() {
+    let inputs: [(&str, Input); 2] = [("finite", val), ("specials", special)];
+    for p in 1..=5usize {
+        // The full ring and every other rank (one rank alone at p <= 2).
+        let full: Vec<usize> = (0..p).collect();
+        let alternate: Vec<usize> = (0..p).step_by(2).collect();
+        for members in [full, alternate] {
+            for len in [0, 1, p - 1, p, 4097] {
+                for (family, input) in inputs {
+                    let ctx = format!("p={p} members={members:?} len={len} {family}");
+                    let (copies, copy_sent) = run_ring(p, &members, len, input, Form::Mean);
+                    let (froms, from_sent) = run_ring(p, &members, len, input, Form::MeanFrom);
+                    assert_eq!(from_sent, copy_sent, "{ctx} traffic");
+                    assert_eq!(bits(&froms), bits(&copies), "{ctx} bits");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn all_reduce_mean_from_is_copy_then_mean_over_tcp() {
+    for len in [0usize, 1, 2, 4097] {
+        for (family, input) in [("finite", val as Input), ("specials", special)] {
+            let run = |form| {
+                let run = TcpCluster::run_with(2, TcpOptions::default(), |w| {
+                    Some(reduce(&w, len, input, form))
+                })
+                .expect("tcp mesh forms on loopback");
+                (bits(&run.outputs), sent(&run.traffic))
+            };
+            assert_eq!(
+                run(Form::MeanFrom),
+                run(Form::Mean),
+                "len={len} {family}: bits or traffic differ"
+            );
         }
     }
 }

@@ -55,6 +55,10 @@ impl Compressor for NoCompression {
         Ok(Payload::Dense(grad.into_vec()))
     }
 
+    fn payload_is_gradient(&self) -> bool {
+        true
+    }
+
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
         let mut iter = payloads.iter();
         let first = iter.next().ok_or(CompressError::EmptyAggregate)?;

@@ -61,13 +61,27 @@ pub trait Compressor: Send {
     /// [`encode`](Compressor::encode) for a gradient the caller no longer
     /// needs, such as a freshly packed bucket. A scheme whose payload is
     /// the gradient itself overrides this to move the buffer instead of
-    /// copying it; the result must be bit-identical to `encode`.
+    /// copying it; the result must be bit-identical to `encode`. (Where
+    /// [`payload_is_gradient`](Compressor::payload_is_gradient) holds, an
+    /// engine may skip both for a bucket of one layer.)
     ///
     /// # Errors
     ///
     /// As [`encode`](Compressor::encode).
     fn encode_owned(&mut self, layer: usize, grad: Tensor) -> Result<Payload> {
         self.encode(layer, &grad)
+    }
+
+    /// Whether this scheme's whole exchange is one round whose payload is
+    /// [`Payload::Dense`] of exactly the gradient's elements — syncSGD.
+    ///
+    /// An engine may then skip [`encode`](Compressor::encode) and
+    /// all-reduce the gradient where it lies (out of place, so it is never
+    /// copied), then [`absorb`](Compressor::absorb) the mean as a `Dense`
+    /// payload. The result must be bit-identical to encoding. Defaults to
+    /// `false`; wrappers must forward it.
+    fn payload_is_gradient(&self) -> bool {
+        false
     }
 
     /// Produces the payload for a later round (`round >= 1`). Only
@@ -172,6 +186,10 @@ impl<C: Compressor + ?Sized> Compressor for Box<C> {
         (**self).encode_owned(layer, grad)
     }
 
+    fn payload_is_gradient(&self) -> bool {
+        (**self).payload_is_gradient()
+    }
+
     fn encode_round(&mut self, layer: usize, round: usize) -> Result<Payload> {
         (**self).encode_round(layer, round)
     }
@@ -210,6 +228,38 @@ mod tests {
     fn compressor_is_object_safe() {
         let c: Box<dyn Compressor> = Box::new(NoCompression::new());
         assert_eq!(c.properties().rounds, 1);
+    }
+
+    #[test]
+    fn boxed_compressors_forward_payload_is_gradient() {
+        // Engines drive `Box<dyn Compressor>`: a missing forward would
+        // silently take the copying path for syncSGD. Every variant of
+        // the registry, syncSGD first.
+        use crate::registry::MethodConfig as M;
+        let methods = [
+            M::SyncSgd,
+            M::Fp16,
+            M::PowerSgd { rank: 2 },
+            M::TopK { ratio: 0.2 },
+            M::SignSgd,
+            M::EfSignSgd,
+            M::Qsgd { levels: 15 },
+            M::TernGrad,
+            M::RandomK { ratio: 0.25 },
+            M::Atomo { rank: 2 },
+            M::OneBit,
+            M::Sketch { block: 4 },
+            M::Dgc { ratio: 0.05 },
+            M::Variance { kappa: 1.0 },
+            M::Natural,
+        ];
+        let forwarded: Vec<bool> = methods
+            .iter()
+            .map(|m| m.build().unwrap().payload_is_gradient())
+            .collect();
+        let mut expected = [false; 15];
+        expected[0] = true;
+        assert_eq!(forwarded, expected);
     }
 
     #[test]

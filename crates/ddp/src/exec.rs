@@ -88,6 +88,16 @@ pub(crate) enum Lane<'a> {
     Comm(&'a CommEngine, usize),
 }
 
+/// What a bucket round hands its collective.
+enum Contribution<'g> {
+    /// An encoded payload.
+    Payload(Payload),
+    /// Round 0 of a single-layer bucket whose payload is the layer's
+    /// gradient itself ([`Compressor::payload_is_gradient`]): the ring
+    /// mean reads it where it lies, so it is neither packed nor encoded.
+    Gradient(&'g [f32]),
+}
+
 /// A submitted bucket round: landed already on the inline lane, still on
 /// the comm thread on the comm lane.
 enum Leg {
@@ -137,15 +147,36 @@ impl Lane<'_> {
         }
     }
 
-    /// Starts `payload`'s collective, chosen by payload shape: summable
-    /// payloads ride the ring mean-all-reduce, everything else is serialized
-    /// (into a buffer recycled through `wires`) and all-gathered.
+    /// Whether the collective runs on the caller's thread, so it may read
+    /// the caller's gradients in place ([`Contribution::Gradient`]); the
+    /// comm thread needs owned buffers.
+    fn borrows(&self) -> bool {
+        matches!(self, Lane::Inline(_))
+    }
+
+    /// Starts `contribution`'s collective, chosen by payload shape: a
+    /// borrowed gradient and summable payloads ride the ring
+    /// mean-all-reduce (the gradient out of place), everything else is
+    /// serialized (into a buffer recycled through `wires`) and
+    /// all-gathered.
     fn submit(
         &self,
-        payload: Payload,
+        contribution: Contribution<'_>,
         wires: &mut Vec<Vec<u8>>,
         timing: &mut BucketTiming,
     ) -> Result<Leg> {
+        let payload = match (contribution, self) {
+            (Contribution::Gradient(src), Lane::Inline(worker)) => {
+                timing.ring_bytes += 4 * src.len() as u64;
+                timing.ring_rounds += 1;
+                let mean = timed(&mut timing.comm_s, || worker.all_reduce_mean_from(src))?;
+                return Ok(Leg::Landed(Landed::Reduced(PayloadShell::Dense, mean)));
+            }
+            // The schedule offers a borrowed gradient only where
+            // `borrows` holds; a comm thread gets an owned copy.
+            (Contribution::Gradient(src), Lane::Comm(..)) => Payload::Dense(src.to_vec()),
+            (Contribution::Payload(payload), _) => payload,
+        };
         match PayloadShell::split(payload) {
             // NCCL sums fp16 natively; a Half image is summed in f32 and
             // re-rounded by `assemble`, which matches Payload::add_assign
@@ -205,18 +236,25 @@ fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
 
 /// The one bucket schedule. Round-major over `buckets` with a drain
 /// barrier between rounds; bucket `b` runs on `compressors[arm_of(b)]`
-/// for that compressor's rounds only, and `first` produces its round-0
-/// payload. Leaves one [`BucketTiming`] per bucket in `scratch`; finishing
-/// the buckets is the caller's.
-fn run_rounds<C: Compressor>(
+/// for that compressor's rounds only, and `first(compressor, b, direct)`
+/// produces its round-0 contribution. `direct` says whether that may be a
+/// borrowed [`Contribution::Gradient`]: the compressor's payload is the
+/// gradient and the lane reads the caller's memory. Leaves one
+/// [`BucketTiming`] per bucket in `scratch`; finishing the buckets is the
+/// caller's.
+fn run_rounds<'g, C: Compressor>(
     lane: &Lane<'_>,
     compressors: &mut [C],
     arm_of: &dyn Fn(usize) -> usize,
     buckets: usize,
     scratch: &mut Scratch,
-    mut first: impl FnMut(&mut C, usize) -> Result<Payload>,
+    mut first: impl FnMut(&mut C, usize, bool) -> Result<Contribution<'g>>,
 ) -> Result<()> {
     let rounds: Vec<usize> = compressors.iter().map(|c| c.properties().rounds).collect();
+    let direct: Vec<bool> = compressors
+        .iter()
+        .map(|c| lane.borrows() && c.payload_is_gradient())
+        .collect();
     scratch.timings.clear();
     scratch
         .timings
@@ -238,14 +276,16 @@ fn run_rounds<C: Compressor>(
             }
             let compressor = &mut compressors[arm];
             let timing = &mut scratch.timings[bucket];
-            let payload = timed(&mut timing.encode_s, || {
+            let contribution = timed(&mut timing.encode_s, || {
                 if round == 0 {
-                    first(compressor, bucket)
+                    first(compressor, bucket, direct[arm])
                 } else {
-                    Ok(compressor.encode_round(bucket, round)?)
+                    Ok(Contribution::Payload(
+                        compressor.encode_round(bucket, round)?,
+                    ))
                 }
             })?;
-            let leg = lane.submit(payload, &mut scratch.wires, timing)?;
+            let leg = lane.submit(contribution, &mut scratch.wires, timing)?;
             inflight.push_back(Inflight { bucket, arm, leg });
         }
         // Rounds are a barrier: encode_round(b, r+1) may require the
@@ -301,7 +341,9 @@ fn complete_front<C: Compressor>(
 
 /// Runs one full compressed gradient exchange for `grads` (this worker's
 /// per-layer gradients), one layer per schedule bucket, and returns the
-/// decoded aggregated gradients in layer order.
+/// decoded aggregated gradients in layer order. Under a compressor whose
+/// payload is the gradient (syncSGD) each layer is all-reduced straight
+/// from `grads`, without a copy.
 ///
 /// # Errors
 ///
@@ -317,7 +359,13 @@ pub fn exchange_gradients<C: Compressor>(
         &|_| 0,
         grads.len(),
         &mut Scratch::default(),
-        |c, layer| Ok(c.encode(layer, &grads[layer])?),
+        |c, layer, direct| {
+            Ok(if direct {
+                Contribution::Gradient(grads[layer].data())
+            } else {
+                Contribution::Payload(c.encode(layer, &grads[layer])?)
+            })
+        },
     )?;
     grads
         .iter()
@@ -336,13 +384,18 @@ pub fn exchange_gradients<C: Compressor>(
 /// rework. Build a plan once with [`BucketPlan::new`] and drive
 /// [`exchange_gradients_with_plan`] with it every step.
 ///
-/// The packed bucket is *moved* into the compressor
-/// ([`Compressor::encode_owned`]): for syncSGD that buffer is the payload,
-/// rides the all-reduce in place and comes back from `finish` as the
-/// decoded flat. [`BucketPlan::scatter`] closes the circle: a single-layer
-/// bucket's flat becomes that layer's output tensor, so packing is the
-/// step's only copy of its bytes; a multi-layer bucket's flat, once its
-/// layers are copied out, becomes the next pack buffer.
+/// A packed bucket is *moved* into the compressor
+/// ([`Compressor::encode_owned`]). Under syncSGD
+/// ([`Compressor::payload_is_gradient`]) a single-layer bucket is not
+/// packed at all on the calling thread: the ring mean reads the layer's
+/// gradient where it lies and writes a fresh output once, which comes
+/// back from `finish` as the decoded flat — so the step copies none of its
+/// bytes. A multi-layer bucket (and every bucket on the pipelined
+/// engine's comm thread, which needs an owned buffer) is packed, and for
+/// syncSGD that buffer is the payload and rides the all-reduce in place.
+/// [`BucketPlan::scatter`] closes the circle: a single-layer bucket's flat
+/// becomes that layer's output tensor; a multi-layer bucket's flat, once
+/// its layers are copied out, becomes the next pack buffer.
 #[derive(Debug)]
 pub struct BucketPlan {
     /// Layer indices per bucket, filled in backward (reverse-layer) order
@@ -591,7 +644,8 @@ pub fn exchange_gradients_with_plan<C: Compressor>(
 }
 
 /// The bucketed exchange of every engine: the schedule over `plan`'s
-/// buckets with each packed bucket moved into its compressor, then
+/// buckets with each packed bucket moved into its compressor (or, where
+/// the schedule allows it, a single layer's gradient borrowed), then
 /// `finish` and scatter.
 pub(crate) fn exchange_plan<C: Compressor>(
     lane: &Lane<'_>,
@@ -600,9 +654,11 @@ pub(crate) fn exchange_plan<C: Compressor>(
     grads: &[Tensor],
     plan: &mut BucketPlan,
 ) -> Result<Vec<Tensor>> {
+    // Before any collective: a single-layer bucket is not packed, so
+    // `pack`'s own check may come too late.
+    plan.check_layout(grads)?;
     // Taken so `pack` can borrow the plan; a failed exchange leaves the
-    // plan without timings. `pack` checks the layout, and bucket 0 is
-    // packed before any collective starts.
+    // plan without timings.
     let mut scratch = std::mem::take(&mut plan.scratch);
     run_rounds(
         lane,
@@ -610,7 +666,12 @@ pub(crate) fn exchange_plan<C: Compressor>(
         arm_of,
         plan.num_buckets(),
         &mut scratch,
-        |c, bucket| Ok(c.encode_owned(bucket, plan.pack(grads, bucket)?)?),
+        |c, bucket, direct| {
+            Ok(match plan.layers(bucket) {
+                &[layer] if direct => Contribution::Gradient(grads[layer].data()),
+                _ => Contribution::Payload(c.encode_owned(bucket, plan.pack(grads, bucket)?)?),
+            })
+        },
     )?;
     let flats = scratch
         .timings
@@ -1002,6 +1063,44 @@ mod tests {
         }
         // The layout it was built for still packs.
         assert!(plan.pack(&layout, 0).is_ok());
+    }
+
+    #[test]
+    fn layout_mismatch_behind_a_single_layer_bucket_sends_no_frame() {
+        // A 200-byte cap puts layer 2 (256 B) alone in bucket 0, which
+        // syncSGD all-reduces straight from the gradient without packing;
+        // the mismatch is in layer 1 of bucket 1. The plan must refuse the
+        // layout before bucket 0 reaches the wire.
+        let layout = [
+            Tensor::randn([3usize], 1),
+            Tensor::randn([4usize], 2),
+            Tensor::randn([64usize], 3),
+        ];
+        let mismatched = [
+            Tensor::randn([3usize], 1),
+            Tensor::randn([5usize], 2),
+            Tensor::randn([64usize], 3),
+        ];
+        let cluster = gcs_cluster::SimCluster::new(2);
+        let traffic = cluster.traffic().to_vec();
+        let outs = cluster.run_workers(|worker| {
+            let mut plan = BucketPlan::new(&layout, 200);
+            assert_eq!(plan.layers(0), &[2]);
+            let mut c = MethodConfig::SyncSgd.build().unwrap();
+            exchange_gradients_with_plan(&worker, &mut c, &mismatched, &mut plan)
+        });
+        for out in outs {
+            assert!(
+                matches!(
+                    out,
+                    Err(ExecError::Compress(gcs_compress::CompressError::Protocol(
+                        _
+                    )))
+                ),
+                "{out:?}"
+            );
+        }
+        assert!(traffic.iter().all(|t| t.messages_sent() == 0));
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! `matrix.rs` consults [`simd_active()`] directly.
 
 mod scalar;
+mod write_once;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -52,6 +53,8 @@ mod avx512;
 
 use crate::pool::{Pool, SendPtr};
 use std::sync::OnceLock;
+
+pub use write_once::WriteOnce;
 
 /// Dispatch table of SIMD-accelerated primitives.
 ///
@@ -485,6 +488,41 @@ pub fn add_from_bytes_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
     pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
         (active().add_from_bytes)(&bytes[lo * 4..(lo + band.len()) * 4], band);
+    });
+}
+
+/// `x ← x / divisor` elementwise: IEEE division, never a reciprocal
+/// multiply, so a mean has the bits of dividing the sum.
+pub fn divide(xs: &mut [f32], divisor: f32) {
+    for x in xs {
+        *x /= divisor;
+    }
+}
+
+/// Elements the ring mean's final hop adds and then divides at a time:
+/// 2 KiB of `f32` and 2 KiB of wire, so the divide reads what the add just
+/// wrote from L1. A multiple of every kernel table's vector width.
+const MEAN_BLOCK: usize = 512;
+
+/// `out ← (out + decode(bytes)) / divisor`, one [`MEAN_BLOCK`] at a time:
+/// the dispatched [`add_from_bytes`], then [`divide`] on the L1-hot block.
+fn add_then_divide_blocks(bytes: &[u8], out: &mut [f32], divisor: f32) {
+    for (xs, w) in out.chunks_mut(MEAN_BLOCK).zip(bytes.chunks(4 * MEAN_BLOCK)) {
+        add_from_bytes(w, xs);
+        divide(xs, divisor);
+    }
+}
+
+/// The ring mean's final-hop reduce, `out ← (out + decode(bytes)) /
+/// divisor`, banded across `pool` like [`add_from_bytes_pooled`].
+/// Elementwise, so the bits equal the add over the whole range followed
+/// by the divide; on a 2 MB chunk this costs about the add alone, where
+/// the add and then a divide pass cost half as much again
+/// (`BENCH_datapath.json`, `ring_mean_hop`).
+pub fn add_from_bytes_then_divide_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32], divisor: f32) {
+    assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
+    pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
+        add_then_divide_blocks(&bytes[lo * 4..(lo + band.len()) * 4], band, divisor);
     });
 }
 

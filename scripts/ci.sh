@@ -26,8 +26,9 @@ GCS_FORCE_SCALAR=1 cargo test --workspace -q
 # replaced, the write-once `Vec` forms against the zeroed slice forms,
 # PowerSGD against its unfused reference and its goldens, the benchmark
 # models' gradient goldens, the wire image against `f32s_to_bytes`, the
-# ring mean against the ring sum divided (`ring_reference`) and every
-# engine against the parent goldens (`pipeline_bitexact`), named here so
+# ring mean against the ring sum divided and the out-of-place mean against
+# copy-then-mean (`ring_reference`) and every engine against the parent
+# goldens, syncSGD's at p = 2, 3, 4 among them (`pipeline_bitexact`), named here so
 # the gate does not rest on the two workspace passes above keeping them:
 # once under the default dispatch and once forced scalar (which also pins
 # the kernel pool to one thread).
