@@ -147,13 +147,6 @@ impl Lane<'_> {
         }
     }
 
-    /// Whether the collective runs on the caller's thread, so it may read
-    /// the caller's gradients in place ([`Contribution::Gradient`]); the
-    /// comm thread needs owned buffers.
-    fn borrows(&self) -> bool {
-        matches!(self, Lane::Inline(_))
-    }
-
     /// Starts `contribution`'s collective, chosen by payload shape: a
     /// borrowed gradient and summable payloads ride the ring
     /// mean-all-reduce (the gradient out of place), everything else is
@@ -172,8 +165,8 @@ impl Lane<'_> {
                 let mean = timed(&mut timing.comm_s, || worker.all_reduce_mean_from(src))?;
                 return Ok(Leg::Landed(Landed::Reduced(PayloadShell::Dense, mean)));
             }
-            // The schedule offers a borrowed gradient only where
-            // `borrows` holds; a comm thread gets an owned copy.
+            // The schedule borrows gradients only on the inline lane; a
+            // comm thread would need an owned copy.
             (Contribution::Gradient(src), Lane::Comm(..)) => Payload::Dense(src.to_vec()),
             (Contribution::Payload(payload), _) => payload,
         };
@@ -251,9 +244,11 @@ fn run_rounds<'g, C: Compressor>(
     mut first: impl FnMut(&mut C, usize, bool) -> Result<Contribution<'g>>,
 ) -> Result<()> {
     let rounds: Vec<usize> = compressors.iter().map(|c| c.properties().rounds).collect();
+    // Only a collective on the caller's thread may read the caller's
+    // gradients in place; the comm thread needs owned buffers.
     let direct: Vec<bool> = compressors
         .iter()
-        .map(|c| lane.borrows() && c.payload_is_gradient())
+        .map(|c| matches!(lane, Lane::Inline(_)) && c.payload_is_gradient())
         .collect();
     scratch.timings.clear();
     scratch

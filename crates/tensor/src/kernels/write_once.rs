@@ -28,15 +28,6 @@ pub struct WriteOnce {
     filled: Vec<Range<usize>>,
 }
 
-impl std::fmt::Debug for WriteOnce {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriteOnce")
-            .field("len", &self.len())
-            .field("filled", &self.filled)
-            .finish()
-    }
-}
-
 impl WriteOnce {
     /// An unfilled buffer of `len` elements (allocated, not written).
     pub fn new(len: usize) -> Self {
