@@ -158,21 +158,29 @@ fn delay_only_faults_leave_collective_results_bit_identical() {
             .map(|i| ((rank * 97 + i * 13) % 89) as f32 * 0.29 - 2.0)
             .collect()
     };
-    let clean = SimCluster::run(4, |w| {
+    // `straggle` is how long rank 0 sleeps before each collective, as a
+    // worker with a slow backward pass would.
+    let collectives = |w: WorkerHandle, straggle: Duration| {
+        if w.rank() == 0 {
+            std::thread::sleep(straggle);
+        }
         let mut ring = make(w.rank());
         w.all_reduce_sum(&mut ring).unwrap();
+        if w.rank() == 0 {
+            std::thread::sleep(straggle);
+        }
         let mut rab = make(w.rank());
         w.rabenseifner_all_reduce_sum(&mut rab).unwrap();
         (ring, rab)
-    });
+    };
+    let clean = SimCluster::run(4, |w| collectives(w, Duration::ZERO));
     let plan = FaultPlan::new(seed_from_env()).delay_jitter(Duration::from_micros(300));
-    let (delayed, events) = SimCluster::run_with_faults(4, plan, |w| {
-        let mut ring = make(w.rank());
-        w.all_reduce_sum(&mut ring).unwrap();
-        let mut rab = make(w.rank());
-        w.rabenseifner_all_reduce_sum(&mut rab).unwrap();
-        (ring, rab)
-    });
+    let (delayed, events) =
+        SimCluster::run_with_faults(4, plan.clone(), |w| collectives(w, Duration::ZERO));
+    // Fault fates come from each link's frame count, not the clock, so a
+    // straggler's sleep moves neither the bits nor the injected delays.
+    let (straggled, straggled_events) =
+        SimCluster::run_with_faults(4, plan, |w| collectives(w, Duration::from_millis(2)));
     assert!(
         events
             .iter()
@@ -180,11 +188,19 @@ fn delay_only_faults_leave_collective_results_bit_identical() {
         "delay-only plan must log only delays"
     );
     assert!(!events.is_empty());
-    for ((cr, cb), (dr, db)) in clean.iter().zip(&delayed) {
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(cr), bits(dr), "ring corrupted by delay");
-        assert_eq!(bits(cb), bits(db), "halving-doubling corrupted by delay");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for run in [&delayed, &straggled] {
+        for ((cr, cb), (dr, db)) in clean.iter().zip(run) {
+            assert_eq!(bits(cr), bits(dr), "ring corrupted by delay");
+            assert_eq!(bits(cb), bits(db), "halving-doubling corrupted by delay");
+        }
     }
+    // The sorted list holds every Delay with its `extra`, so equal lists
+    // mean an equal delay count and an equal summed injected delay.
+    assert_eq!(
+        straggled_events, events,
+        "a straggler changed the injected delays"
+    );
 }
 
 #[test]
