@@ -255,16 +255,10 @@ fn main() {
         "controller never beat the worst fixed scheme 1.3x (max {max_vs_worst:.2}x)"
     );
 
-    let choice = gcs_tensor::autotune::choice();
-    let metadata = json!({
-        "active_kernel_table": gcs_tensor::kernels::active().name,
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "autotune_provenance": choice.provenance,
-        "decision_traces": traces,
-        "smoke": smoke,
-    });
+    let mut metadata = gcs_bench::metadata(smoke);
+    if let Value::Object(fields) = &mut metadata {
+        fields.push(("decision_traces".to_owned(), Value::Array(traces)));
+    }
     let report: Value = json!({
         "bench": "adaptive",
         "smoke": smoke,
@@ -273,23 +267,5 @@ fn main() {
         "summary": summaries,
         "rows": rows,
     });
-    // `GCS_BENCH_OUT` redirects the report (written even in smoke mode,
-    // for the structural regression gate in CI).
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adaptive.json");
-    match (std::env::var("GCS_BENCH_OUT").ok(), smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            // Smoke timings are meaningless; don't clobber the tracked file.
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_adaptive.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("adaptive", &report, smoke);
 }

@@ -1013,38 +1013,6 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
     rows
 }
 
-/// `model name` from `/proc/cpuinfo`, or `"unknown"` off Linux.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Host + dispatch provenance for the tracked report (bench hygiene: a
-/// number without the CPU, dispatch mode, thread count and tile shape that
-/// produced it is noise).
-fn metadata(smoke: bool) -> Value {
-    let choice = gcs_tensor::autotune::choice();
-    json!({
-        "cpu_model": cpu_model(),
-        "kernel_features": kernels::feature_string(),
-        "active_kernel_table": kernels::active().name,
-        "simd_active": kernels::simd_active(),
-        "force_scalar": std::env::var("GCS_FORCE_SCALAR").ok(),
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "autotune_provenance": choice.provenance,
-        "smoke": smoke,
-    })
-}
-
 fn main() {
     println!("datapath micro-benchmark (release builds only give meaningful numbers)");
     let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
@@ -1064,7 +1032,7 @@ fn main() {
 
     let report = json!({
         "bench": "datapath",
-        "metadata": metadata(smoke),
+        "metadata": gcs_bench::metadata(smoke),
         "ring_all_reduce": ring,
         "all_reduce_algorithms": algos,
         "ring_mean_hop": mean_hop,
@@ -1079,25 +1047,5 @@ fn main() {
         "signs": signs,
         "simd_kernels": simd,
     });
-    // `GCS_BENCH_OUT` redirects the report (written even in smoke mode —
-    // the regression gate diffs report *structure* against the committed
-    // file and only compares timings between two full runs).
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datapath.json");
-    let out = std::env::var("GCS_BENCH_OUT").ok();
-    match (out, smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            // Smoke timings are meaningless; don't clobber the tracked file.
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_datapath.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("datapath", &report, smoke);
 }

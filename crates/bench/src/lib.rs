@@ -96,14 +96,18 @@ pub fn ms_pm(mean_s: f64, std_s: f64) -> String {
     format!("{:.1}±{:.1}", mean_s * 1e3, std_s * 1e3)
 }
 
-/// Directory the JSON results land in (`<workspace>/results`).
-pub fn results_dir() -> PathBuf {
+/// The workspace root.
+fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
     let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     dir.pop();
     dir.pop();
-    dir.push("results");
     dir
+}
+
+/// Directory the JSON results land in (`<workspace>/results`).
+pub fn results_dir() -> PathBuf {
+    workspace_root().join("results")
 }
 
 /// Writes a JSON value to `results/<name>.json` (best effort: prints a
@@ -129,6 +133,62 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
         }
         Err(e) => eprintln!("warning: cannot create {}: {e}", path.display()),
     }
+}
+
+/// `model name` from `/proc/cpuinfo`, or `"unknown"` off Linux.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|v| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Host + dispatch provenance for a tracked `BENCH_*.json` report (bench
+/// hygiene: a number without the CPU, dispatch mode, thread count and
+/// tile shape that produced it is noise). `scripts/bench_compare.py`
+/// skips its timing check when two reports name different CPUs.
+pub fn metadata(smoke: bool) -> serde_json::Value {
+    use gcs_tensor::kernels;
+    let choice = gcs_tensor::autotune::choice();
+    serde_json::json!({
+        "cpu_model": cpu_model(),
+        "kernel_features": kernels::feature_string(),
+        "active_kernel_table": kernels::active().name,
+        "simd_active": kernels::simd_active(),
+        "force_scalar": std::env::var("GCS_FORCE_SCALAR").ok(),
+        "kernel_threads": gcs_tensor::pool::global().width(),
+        "gemm_tile": choice.gemm_tile.name(),
+        "wire_chunk_elems": choice.wire_chunk_elems,
+        "autotune_provenance": choice.provenance,
+        "smoke": smoke,
+    })
+}
+
+/// Writes a tracked report to `BENCH_<name>.json` at the repo root, or to
+/// `GCS_BENCH_OUT` when that is set. `GCS_BENCH_OUT` is honoured even in
+/// smoke mode, for the CI structure gate; a smoke run without it writes
+/// nothing, since smoke timings are meaningless and must not clobber the
+/// tracked file.
+pub fn write_report(name: &str, report: &serde_json::Value, smoke: bool) {
+    let path = match std::env::var("GCS_BENCH_OUT") {
+        Ok(path) => PathBuf::from(path),
+        Err(_) => {
+            let path = workspace_root().join(format!("BENCH_{name}.json"));
+            if smoke {
+                println!("smoke mode: skipping write of {}", path.display());
+                return;
+            }
+            path
+        }
+    };
+    let text = serde_json::to_string_pretty(report).expect("serialize report");
+    std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 /// Runs a Figures-4/5/6-style weak-scaling comparison: for each paper

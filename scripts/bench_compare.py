@@ -7,12 +7,12 @@ Usage:
 Two layers of checking:
 
 1. **Structure** (always): the fresh report must contain every benchmark
-   row present in the baseline — same sections, same (kernel, shape/world)
-   identity keys, same timing fields. A refactor that silently drops a
-   tracked kernel row fails here even in smoke mode. Benches listed in
-   REQUIRED_METADATA (adaptive, straggler) must also carry the metadata
-   that makes a run attributable (autotune provenance, kernel threads,
-   active kernel table).
+   row present in the baseline — same sections, same (kernel/scheme,
+   shape/world) identity keys, same timing fields. A refactor that
+   silently drops a tracked kernel row fails here even in smoke mode.
+   Benches listed in REQUIRED_METADATA (adaptive) must also carry the
+   metadata that makes a run attributable (autotune provenance, kernel
+   threads, active kernel table).
 
 2. **Timings** (full runs only): every `*_ms` field shared by a matched
    row pair must not regress by more than `--max-regression` (default
@@ -29,18 +29,14 @@ import sys
 
 # Fields that identify a row within a section (never compared as timings).
 # The coarse keys name *what* is benchmarked (stable across smoke and full
-# runs); the fine keys pin the exact configuration (shape, world size),
-# which smoke mode shrinks — so structure checks use coarse identity and
-# timing checks use the full identity. `engine` distinguishes the pipeline
-# bench's per-engine breakdown rows (sequential / pipelined): dropping one
-# engine's breakdown must fail the structure gate, and its
-# `encode_ms`/`comm_ms`/`decode_ms`/`exposed_wait_ms` fields ride the same
-# >20% regression policy as every other timing field.
-# `op` names which of the three PowerSGD products a `skinny_gemm` row of
-# the datapath bench times (matmul / at_mul_b / reconstruct); their shapes
-# ride the existing m/k/n keys, the rank being the 4, 8 or 16 among them.
-COARSE_KEYS = ("kernel", "op", "method", "scheme", "regime", "engine")
-FINE_KEYS = ("p", "m", "k", "n", "bucket_bytes", "workers", "gbps", "latency_us")
+# runs); the fine keys pin the exact configuration (shape, world size,
+# link), which smoke mode shrinks — so structure checks use coarse identity
+# and timing checks use the full identity. `op` names which of the three
+# PowerSGD products a `skinny_gemm` row of the datapath bench times
+# (matmul / at_mul_b / reconstruct); `scheme` and `regime` name an
+# adaptive-bench row's arm and emulated link.
+COARSE_KEYS = ("kernel", "op", "scheme", "regime")
+FINE_KEYS = ("p", "m", "k", "n", "workers", "gbps", "latency_us")
 
 # Wall-clock fields that depend on the machine running the bench (the
 # adaptive report keeps them "for honesty, never gated") — excluded from
@@ -51,7 +47,6 @@ NOISY_FIELDS = {"measured_step_ms"}
 # concrete kernel/autotune configuration (keyed by the report's "bench").
 REQUIRED_METADATA = {
     "adaptive": ("autotune_provenance", "kernel_threads", "active_kernel_table"),
-    "straggler": ("autotune_provenance", "kernel_threads", "active_kernel_table"),
 }
 
 

@@ -65,6 +65,12 @@ bash benchmark/run.sh --list
 echo "==> benchmark smoke (dense-ring-tcp, 3 s)"
 timeout 120 bash benchmark/run.sh --workload dense-ring-tcp --seconds 3 --trace 0 > /dev/null
 
+# The pipelined engine over NetEmu in a release build, traced: the same
+# digest/replay/wire-byte checks, plus the per-layer overlap metrics
+# (`ddp.overlap_ratio`, `ddp.exposed_wait_ms`, `ddp.comm_busy_ms`).
+echo "==> benchmark smoke (topk-overlap-netem, 3 s, traced)"
+timeout 120 bash benchmark/run.sh --workload topk-overlap-netem --seconds 3 --trace 1 > /dev/null
+
 # Static verification layer, all five passes: (1) model-check every
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
 # (2) lint the workspace source (unsafe hygiene, data-plane panic paths,
@@ -103,10 +109,6 @@ GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_datapath_smoke.json \
 echo "==> bench smoke (datapath, GCS_FORCE_SCALAR=1)"
 GCS_BENCH_SMOKE=1 GCS_FORCE_SCALAR=1 cargo run -q --release -p gcs-bench --bin datapath
 
-echo "==> bench smoke (pipeline)"
-GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_pipeline_smoke.json \
-  cargo run -q --release -p gcs-bench --bin pipeline
-
 # Bench regression gate: the smoke reports must keep every tracked row of
 # the committed baselines (structure check; timings are only diffed when
 # comparing two full runs on the same CPU — see the script's docstring).
@@ -119,7 +121,6 @@ GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_adaptive_smoke.json \
 
 echo "==> bench compare (structure gate vs committed baselines)"
 python3 scripts/bench_compare.py BENCH_datapath.json results/bench_datapath_smoke.json
-python3 scripts/bench_compare.py BENCH_pipeline.json results/bench_pipeline_smoke.json
 python3 scripts/bench_compare.py BENCH_adaptive.json results/bench_adaptive_smoke.json
 
 # Fault-injection suite under two fixed seeds (decimal; the suite reads
@@ -224,10 +225,5 @@ GCS_FAULT_SEED=271828 timeout 300 cargo test -q -p gcs-ddp --test adaptive_fault
 
 echo "==> adaptive switch property suite"
 timeout 300 cargo test -q -p gcs-ddp --test adaptive_switch
-
-echo "==> bench smoke (straggler)"
-GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_straggler_smoke.json \
-  timeout 300 cargo run -q --release -p gcs-bench --bin straggler
-python3 scripts/bench_compare.py BENCH_straggler.json results/bench_straggler_smoke.json
 
 echo "CI OK"
