@@ -43,10 +43,10 @@ pub enum DataRef {
     /// Snapshot of the sender's current buffer over `range`.
     Elems(Range),
     /// Re-forward the payload of the most recent message received from
-    /// `src` (zero-copy frame forwarding in the ring all-gather and the
-    /// hierarchy leader ring forwards the *incoming* frame, not the
-    /// accumulated local state — the distinction is exactly what makes
-    /// those schedules correct, so the IR keeps it first-class).
+    /// `src` (zero-copy frame forwarding: the ring all-gather forwards
+    /// the *incoming* frame, not the accumulated local state — the
+    /// distinction is exactly what makes that schedule correct, so the IR
+    /// keeps it first-class).
     LastRecv { src: usize },
     /// An identity-carrying frame originating at process `origin`
     /// (all-gather contribution, broadcast payload).
@@ -63,8 +63,7 @@ pub enum RecvAction {
     /// same length). The sum is recorded left-associated:
     /// `new = Add(old, incoming)` — mirroring `add_f32s_from_bytes`.
     Accumulate(Range),
-    /// `buf[range] = payload` (reduce-scatter hand-off, broadcast copy,
-    /// Rabenseifner's remote-half adoption).
+    /// `buf[range] = payload` (reduce-scatter hand-off, broadcast copy).
     Overwrite(Range),
     /// Store the received blob, asserting its origin is `origin` — the
     /// receiver's index arithmetic claims to know who the frame is from,
@@ -119,15 +118,12 @@ pub struct Process {
 pub enum Expectation {
     /// Every process in `ranks` ends with an expression tree per element
     /// that sums every process in `contributors` exactly once
-    /// (completeness plus no-double-counting). With `bitwise` set, all
-    /// ranks must additionally hold *structurally identical* trees — the
-    /// deterministic-reduction-order check that bit-exact schedules (ring,
-    /// Rabenseifner) satisfy and reorder-tolerant ones (hierarchical,
-    /// whose leaders associate in ring-arrival order) do not.
+    /// (completeness plus no-double-counting), and all ranks must hold
+    /// *structurally identical* trees — the deterministic-reduction-order
+    /// check that makes the result bit-identical on every rank.
     ReducedVector {
         ranks: Vec<usize>,
         contributors: Vec<usize>,
-        bitwise: bool,
     },
     /// Every process in `ranks` ends holding a blob from every origin in
     /// `origins`.

@@ -5,9 +5,8 @@
 //!
 //! **Pass 1 — schedule verifier** ([`verify`], [`schedules`], [`ir`]):
 //! every collective's communication schedule (ring all-reduce /
-//! all-gather, Rabenseifner halving-doubling, the hierarchical
-//! node-leader reduce, binomial-tree broadcast, and the same rings over a
-//! live subset, as on a shrunk handle) is lifted into an IR of per-rank
+//! all-gather, binomial-tree broadcast, and the same rings over a live
+//! subset, as on a shrunk handle) is lifted into an IR of per-rank
 //! `Send` / `Recv` ops by replaying the implementation's exact index
 //! arithmetic. The verifier then proves, for p ∈ {2..16} and every
 //! dead-rank subset of size ≤ 2: pairing completeness, no self-sends,

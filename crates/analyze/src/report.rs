@@ -103,23 +103,6 @@ pub fn run_schedule_pass() -> SchedulePassReport {
                 verify_schedule(&schedules::ring_all_reduce(p, n)),
             );
         }
-        // Rabenseifner needs a power-of-two world.
-        if p.is_power_of_two() {
-            for n in [4 * p + 3, 7] {
-                rep.record(
-                    "rabenseifner",
-                    verify_schedule(&schedules::rabenseifner(p, n)),
-                );
-            }
-        }
-        // Hierarchical with several node widths, including ragged last
-        // nodes and the every-rank-is-a-leader edge.
-        for g in [1usize, 2, 4] {
-            rep.record(
-                "hierarchical",
-                verify_schedule(&schedules::hierarchical(p, g, 2 * p + 1)),
-            );
-        }
         // Binomial-tree broadcast from edge and middle roots.
         let mut roots = vec![0, p - 1, p / 2];
         roots.dedup();
@@ -157,7 +140,6 @@ pub fn run_schedule_pass() -> SchedulePassReport {
     for sched in [
         schedules::ring_all_reduce(2, 5),
         schedules::ring_all_reduce(3, 4),
-        schedules::rabenseifner(4, 4),
         schedules::broadcast(4, 1),
         schedules::comm_engine_pipeline(2, 1, 2, 2),
         schedules::comm_engine_pipeline(2, 2, 3, 1),
@@ -437,8 +419,6 @@ mod tests {
         // p ∈ 2..=16, every family present.
         for family in [
             "ring-all-reduce",
-            "rabenseifner",
-            "hierarchical",
             "broadcast",
             "ring-all-reduce-among",
             "ring-all-gather-among",

@@ -108,130 +108,7 @@ pub fn ring_all_reduce_among(p: usize, members: &[usize], n: usize) -> Schedule 
     s.expect = Expectation::ReducedVector {
         ranks: members.to_vec(),
         contributors: members.to_vec(),
-        bitwise: true,
     };
-    s
-}
-
-/// Recursive halving-doubling all-reduce — mirrors
-/// `WorkerHandle::rabenseifner_all_reduce_sum`. `p` must be a power of
-/// two (the implementation rejects anything else).
-pub fn rabenseifner(p: usize, n: usize) -> Schedule {
-    assert!(p.is_power_of_two(), "extractor mirrors the validated path");
-    let mut s = Schedule::new(format!("rabenseifner p={p} n={n}"), p, n);
-    s.expect = Expectation::ReducedVector {
-        ranks: (0..p).collect(),
-        contributors: (0..p).collect(),
-        bitwise: true,
-    };
-    if p == 1 {
-        return s;
-    }
-    for rank in 0..p {
-        let mut lo = 0usize;
-        let mut hi = n;
-        let mut handed_away: Vec<(usize, usize)> = Vec::new();
-        // Phase 1: recursive halving reduce-scatter.
-        let mut mask = p / 2;
-        while mask >= 1 {
-            let partner = rank ^ mask;
-            let mid = lo + (hi - lo) / 2;
-            let keep_low = rank & mask == 0;
-            let (send_range, keep_range) = if keep_low {
-                ((mid, hi), (lo, mid))
-            } else {
-                ((lo, mid), (mid, hi))
-            };
-            send_elems(&mut s, rank, partner, send_range.0, send_range.1);
-            recv_elems(&mut s, rank, partner, keep_range.0, keep_range.1, true);
-            handed_away.push(send_range);
-            lo = keep_range.0;
-            hi = keep_range.1;
-            mask /= 2;
-        }
-        // Phase 2: recursive doubling all-gather, replaying hand-offs in
-        // reverse.
-        let mut mask = 1usize;
-        while mask < p {
-            let partner = rank ^ mask;
-            send_elems(&mut s, rank, partner, lo, hi);
-            let Some((plo, phi)) = handed_away.pop() else {
-                break; // impossible for power-of-two p; keeps extractor total
-            };
-            recv_elems(&mut s, rank, partner, plo, phi, false);
-            lo = lo.min(plo);
-            hi = hi.max(phi);
-            mask *= 2;
-        }
-    }
-    s
-}
-
-/// Hierarchical (node-leader) all-reduce — mirrors
-/// `WorkerHandle::hierarchical_all_reduce_sum`. Sum-complete on every
-/// rank but *not* bit-deterministic across nodes: each leader folds the
-/// ring frames in its own arrival order, which is exactly what the
-/// implementation documents ("addition reordering aside").
-pub fn hierarchical(p: usize, gpus_per_node: usize, n: usize) -> Schedule {
-    assert!(gpus_per_node > 0, "extractor mirrors the validated path");
-    let mut s = Schedule::new(format!("hierarchical p={p} g={gpus_per_node} n={n}"), p, n);
-    s.expect = Expectation::ReducedVector {
-        ranks: (0..p).collect(),
-        contributors: (0..p).collect(),
-        bitwise: false,
-    };
-    if p == 1 {
-        return s;
-    }
-    let nodes = p.div_ceil(gpus_per_node);
-    for rank in 0..p {
-        let node = rank / gpus_per_node;
-        let leader = node * gpus_per_node;
-        let node_end = (leader + gpus_per_node).min(p);
-        let is_leader = rank == leader;
-
-        // Phase 1: node members reduce to the leader.
-        if is_leader {
-            for peer in leader + 1..node_end {
-                recv_elems(&mut s, rank, peer, 0, n, true);
-            }
-        } else {
-            send_elems(&mut s, rank, leader, 0, n);
-        }
-
-        // Phase 2: leader ring — pass-and-add of the full vector. The
-        // first send snapshots the node-reduced buffer; every later send
-        // forwards the frame received in the previous step (zero-copy in
-        // the implementation, `LastRecv` here).
-        if is_leader && nodes > 1 {
-            let next_leader = ((node + 1) % nodes) * gpus_per_node;
-            let prev_leader = ((node + nodes - 1) % nodes) * gpus_per_node;
-            for step in 0..nodes - 1 {
-                if step == 0 {
-                    send_elems(&mut s, rank, next_leader, 0, n);
-                } else {
-                    s.push(
-                        rank,
-                        Op::Send {
-                            dst: next_leader,
-                            bytes: n * 4,
-                            data: DataRef::LastRecv { src: prev_leader },
-                        },
-                    );
-                }
-                recv_elems(&mut s, rank, prev_leader, 0, n, true);
-            }
-        }
-
-        // Phase 3: leader broadcasts the node's result.
-        if is_leader {
-            for peer in leader + 1..node_end {
-                send_elems(&mut s, rank, peer, 0, n);
-            }
-        } else {
-            recv_elems(&mut s, rank, leader, 0, n, false);
-        }
-    }
     s
 }
 
@@ -373,7 +250,6 @@ pub fn comm_engine_pipeline(p: usize, depth: usize, jobs: usize, n: usize) -> Sc
     s.expect = Expectation::ReducedVector {
         ranks: comm_ids.clone(),
         contributors: comm_ids.clone(),
-        bitwise: true,
     };
     // Tiny control frames; sizes are arbitrary but fixed.
     let job_bytes = 8;
@@ -485,27 +361,6 @@ mod tests {
         let s = ring_all_reduce(p, n);
         for rank in 0..p {
             assert_eq!(s.sent_bytes(rank), 2 * (p - 1) * (n / p) * 4);
-        }
-    }
-
-    #[test]
-    fn rabenseifner_verifies_and_exhaustive_agrees() {
-        for p in [2usize, 4, 8] {
-            for n in [1usize, 7, 33] {
-                let s = rabenseifner(p, n);
-                let r = verify_schedule(&s);
-                assert!(r.ok(), "p={p} n={n}: {:?}", r.violations);
-            }
-        }
-        check_deadlock_exhaustive(&rabenseifner(4, 8), 500_000).expect("no deadlock");
-    }
-
-    #[test]
-    fn hierarchical_verifies_including_ragged_nodes() {
-        for (p, g) in [(8usize, 4usize), (6, 2), (5, 4), (4, 4), (3, 1), (7, 3)] {
-            let s = hierarchical(p, g, 6);
-            let r = verify_schedule(&s);
-            assert!(r.ok(), "p={p} g={g}: {:?}", r.violations);
         }
     }
 

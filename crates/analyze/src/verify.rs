@@ -482,7 +482,6 @@ fn check_expectation(s: &Schedule, states: &[ProcState], out: &mut Vec<Violation
         Expectation::ReducedVector {
             ranks,
             contributors,
-            bitwise,
         } => {
             let mut want = contributors.clone();
             want.sort_unstable();
@@ -502,7 +501,7 @@ fn check_expectation(s: &Schedule, states: &[ProcState], out: &mut Vec<Violation
                         });
                         return; // one concrete counterexample is enough
                     }
-                    if *bitwise && states[r].vec[e] != states[first].vec[e] {
+                    if states[r].vec[e] != states[first].vec[e] {
                         out.push(Violation::ExpectationFailed {
                             detail: format!(
                                 "elem {e}: {} reduces as {} but {} as {} — association differs, result is not bit-deterministic",
@@ -671,7 +670,7 @@ mod tests {
     }
 
     /// Two ranks exchange and accumulate one element — the smallest
-    /// correct all-reduce. Sum-complete but NOT bit-deterministic: rank 0
+    /// all-reduce. Sum-complete but NOT bit-deterministic: rank 0
     /// computes (0+1) while rank 1 computes (1+0), which is exactly why
     /// real schedules reduce-scatter so each element has one owner.
     fn tiny_exchange() -> Schedule {
@@ -683,37 +682,26 @@ mod tests {
         s.expect = Expectation::ReducedVector {
             ranks: vec![0, 1],
             contributors: vec![0, 1],
-            bitwise: false,
         };
         s
     }
 
     #[test]
     fn symmetric_exchange_is_not_bit_deterministic() {
-        // The same schedule under the bitwise expectation must fail:
-        // the two ranks associate the sum differently.
-        let mut s = tiny_exchange();
-        s.expect = Expectation::ReducedVector {
-            ranks: vec![0, 1],
-            contributors: vec![0, 1],
-            bitwise: true,
-        };
-        let r = verify_schedule(&s);
+        // Every op runs and every rank sums both contributions, but the
+        // two ranks associate the sum differently, so the reduced-vector
+        // expectation must fail on association alone.
+        let r = verify_schedule(&tiny_exchange());
+        assert_eq!(r.ops_executed, 4);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert!(
-            r.violations.iter().any(|v| matches!(
-                v,
+            matches!(
+                &r.violations[0],
                 Violation::ExpectationFailed { detail } if detail.contains("association differs")
-            )),
+            ),
             "{:?}",
             r.violations
         );
-    }
-
-    #[test]
-    fn tiny_exchange_verifies() {
-        let r = verify_schedule(&tiny_exchange());
-        assert!(r.ok(), "{:?}", r.violations);
-        assert_eq!(r.ops_executed, 4);
     }
 
     #[test]
@@ -806,7 +794,6 @@ mod tests {
         s.expect = Expectation::ReducedVector {
             ranks: vec![1],
             contributors: vec![0, 1],
-            bitwise: true,
         };
         let r = verify_schedule(&s);
         assert!(
@@ -841,7 +828,6 @@ mod tests {
         s.expect = Expectation::ReducedVector {
             ranks: vec![0, 2],
             contributors: vec![0, 1, 2],
-            bitwise: true,
         };
         let r = verify_schedule(&s);
         let has_assoc_failure = r.violations.iter().any(|v| {

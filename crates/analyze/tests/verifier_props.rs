@@ -194,28 +194,30 @@ fn ir_bytes_match_simcluster_ring_traffic() {
 }
 
 #[test]
-fn ir_bytes_match_simcluster_rabenseifner_traffic() {
-    // Same cross-check for recursive halving-doubling, including a
-    // length with odd halving splits.
-    for p in [2usize, 4, 8] {
-        for len in [64usize, 100] {
-            let s = schedules::rabenseifner(p, len);
+fn ir_bytes_match_simcluster_broadcast_traffic() {
+    // Broadcast is the analyzer-swept collective a live engine runs (the
+    // adaptive controller's decision broadcast). The root sends a blob of
+    // the extractor's size, so the per-rank comparison is exact.
+    for p in 2..=8usize {
+        for root in [0, p - 1] {
+            let s = schedules::broadcast(p, root);
             let cluster = SimCluster::new(p);
             let traffic = cluster.traffic().to_vec();
             cluster.run_workers(|h| {
-                let mut buf = vec![1.0f32; len];
-                h.rabenseifner_all_reduce_sum(&mut buf).unwrap();
+                let blob = vec![7u8; schedules::blob_bytes(root)];
+                let data = (h.rank() == root).then_some(&blob[..]);
+                h.broadcast(root, data).unwrap();
             });
             for (rank, t) in traffic.iter().enumerate() {
                 assert_eq!(
                     t.bytes_sent(),
                     s.sent_bytes(rank) as u64,
-                    "p={p} len={len} rank={rank}: wire bytes vs IR"
+                    "p={p} root={root} rank={rank}: broadcast wire bytes vs IR"
                 );
                 assert_eq!(
                     t.messages_sent(),
                     send_op_count(&s, rank) as u64,
-                    "p={p} len={len} rank={rank}: wire messages vs IR"
+                    "p={p} root={root} rank={rank}: broadcast wire messages vs IR"
                 );
             }
         }
@@ -256,7 +258,7 @@ fn ir_bytes_match_tcp_cluster_traffic_for_every_collective() {
     // counts payload bytes exactly like the sim counters (header bytes
     // are framing, not payload), so every rank's wire totals over real
     // loopback sockets must equal the schedule's — for the ring, for
-    // halving-doubling, and for the all-gather.
+    // the broadcast from either end, and for the all-gather.
     use gcs_cluster::{TcpCluster, TcpOptions};
 
     let p = 4usize;
@@ -281,23 +283,26 @@ fn ir_bytes_match_tcp_cluster_traffic_for_every_collective() {
         );
     }
 
-    let rab = schedules::rabenseifner(p, len);
-    let run = TcpCluster::run_with(p, TcpOptions::default(), |h| {
-        let mut buf = vec![1.0f32; len];
-        h.rabenseifner_all_reduce_sum(&mut buf).unwrap();
-    })
-    .expect("tcp mesh");
-    for (rank, t) in run.traffic.iter().enumerate() {
-        assert_eq!(
-            t.bytes_sent(),
-            rab.sent_bytes(rank) as u64,
-            "rab rank {rank}"
-        );
-        assert_eq!(
-            t.messages_sent(),
-            send_op_count(&rab, rank) as u64,
-            "rab rank {rank} messages"
-        );
+    for root in [0, p - 1] {
+        let bcast = schedules::broadcast(p, root);
+        let run = TcpCluster::run_with(p, TcpOptions::default(), |h| {
+            let blob = vec![7u8; schedules::blob_bytes(root)];
+            let data = (h.rank() == root).then_some(&blob[..]);
+            h.broadcast(root, data).unwrap();
+        })
+        .expect("tcp mesh");
+        for (rank, t) in run.traffic.iter().enumerate() {
+            assert_eq!(
+                t.bytes_sent(),
+                bcast.sent_bytes(rank) as u64,
+                "broadcast root {root} rank {rank}"
+            );
+            assert_eq!(
+                t.messages_sent(),
+                send_op_count(&bcast, rank) as u64,
+                "broadcast root {root} rank {rank} messages"
+            );
+        }
     }
 
     let gather = schedules::ring_all_gather(p);

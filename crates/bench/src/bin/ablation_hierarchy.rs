@@ -5,7 +5,7 @@
 //! a topology-aware baseline.
 
 use gcs_bench::{ms, print_table};
-use gcs_cluster::hierarchy::HierarchicalNetwork;
+use gcs_cluster::cost::HierarchicalNetwork;
 use gcs_models::presets;
 
 fn main() {

@@ -2,32 +2,29 @@
 //! the seed's naive implementations and writes `BENCH_datapath.json` at the
 //! repo root.
 //!
-//! Nine kernels are tracked:
+//! Eight kernels are tracked:
 //!
 //! 1. Ring all-reduce on a 25 MiB gradient for p ∈ {4, 8, 16}, against a
 //!    faithful reconstruction of the seed's clone-based ring (fresh wire
 //!    buffer plus per-element f32↔byte conversion every step).
-//! 2. All-reduce algorithms head-to-head on the same buffer: ring vs.
-//!    Rabenseifner recursive halving-doubling (power-of-two worlds) vs.
-//!    hierarchical two-level reduce.
-//! 3. Register-blocked GEMM against the seed's scalar i-k-j loop, on a
+//! 2. Register-blocked GEMM against the seed's scalar i-k-j loop, on a
 //!    PowerSGD-shaped skinny product and a square product; and `a_mul_bt`
 //!    at the MLP forward's shapes against the scalar dot loop it replaced.
-//! 4. PowerSGD rank-4 round trip over ResNet-50-style layer shapes, and
+//! 3. PowerSGD rank-4 round trip over ResNet-50-style layer shapes, and
 //!    the three products of one round trip on a 1024 x 1024 layer at
 //!    ranks 4, 8 and 16: the skinny paths against the general kernels
 //!    they took over from.
-//! 5. Top-k 1% selection and sign pack/unpack on the same 25 MiB buffer.
-//! 6. The ring mean's final reduce-scatter hop (add the incoming chunk,
+//! 4. Top-k 1% selection and sign pack/unpack on the same 25 MiB buffer.
+//! 5. The ring mean's final reduce-scatter hop (add the incoming chunk,
 //!    divide by the member count): one divide pass after the add against
 //!    the L1-blocked add-and-divide `all_reduce_mean` runs.
-//! 7. The training step's model-sized outputs (the big model's `gW1` and
+//! 6. The training step's model-sized outputs (the big model's `gW1` and
 //!    PowerSGD's rank-4 `Ĝ`) written once against zero-filled first, and
 //!    `minibatch_grad` of the benchmark's two models.
-//! 8. One 4 MiB single-layer syncSGD bucket through
+//! 7. One 4 MiB single-layer syncSGD bucket through
 //!    `exchange_gradients_with_plan` on two ranks: packed and reduced in
 //!    place against reduced out of place straight from the gradient.
-//! 9. Per-kernel SIMD vs. scalar rows: every primitive in the
+//! 8. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
 //!    the same buffers, plus the GEMM tile through both dispatch paths.
 //!    The report's `metadata` object records the CPU model, detected
@@ -87,9 +84,6 @@ impl Params {
 }
 
 const RING_WORLDS: [usize; 3] = [4, 8, 16];
-/// GPUs per node of the paper's p3.8xlarge testbed, used to group ranks
-/// in the hierarchical all-reduce.
-const GPUS_PER_NODE: usize = 4;
 
 /// Best-of-N speedup: on a single shared core the mean is dominated by
 /// scheduler noise, so ratios use the minimum observed time per variant.
@@ -259,70 +253,6 @@ fn ring_section(pr: Params) -> Vec<Value> {
             "fast_ms": fast.min_s * 1e3,
             "seed_ms": seed.min_s * 1e3,
             "speedup": sp,
-        }));
-    }
-    rows
-}
-
-/// All-reduce algorithm to benchmark head-to-head.
-#[derive(Clone, Copy)]
-enum Algo {
-    Ring,
-    Rabenseifner,
-    Hierarchical,
-}
-
-fn time_algo(pr: Params, p: usize, algo: Algo) -> Timing {
-    let mut outs = SimCluster::run(p, move |w| {
-        let mut buf: Vec<f32> = (0..pr.ring_elems)
-            .map(|i| (i % 97) as f32 * 1e-3 + w.rank() as f32)
-            .collect();
-        bench(1, pr.ring_iters, || {
-            match algo {
-                Algo::Ring => w.all_reduce_sum(&mut buf).expect("ring"),
-                Algo::Rabenseifner => w
-                    .rabenseifner_all_reduce_sum(&mut buf)
-                    .expect("rabenseifner"),
-                Algo::Hierarchical => w
-                    .hierarchical_all_reduce_sum(&mut buf, GPUS_PER_NODE)
-                    .expect("hierarchical"),
-            }
-            black_box(&buf);
-        })
-    });
-    outs.swap_remove(0)
-}
-
-/// Ring vs. Rabenseifner vs. hierarchical on the same buffer. All three
-/// produce identical sums (modulo addition order); what differs is the
-/// number of passes over the buffer and the message schedule, which is
-/// what shows up on an in-process transport where bandwidth is memcpy.
-fn all_reduce_algorithms_section(pr: Params) -> Vec<Value> {
-    let mut rows = Vec::new();
-    for &p in &RING_WORLDS {
-        let ring = time_algo(pr, p, Algo::Ring);
-        // Rabenseifner's recursive halving-doubling needs a power-of-two
-        // world; RING_WORLDS all qualify, but guard anyway so editing the
-        // sweep can't panic the bench.
-        let raben = p
-            .is_power_of_two()
-            .then(|| time_algo(pr, p, Algo::Rabenseifner));
-        let hier = time_algo(pr, p, Algo::Hierarchical);
-        let raben_ms = raben.map(|t| t.min_s * 1e3);
-        println!(
-            "all-reduce algos p={p:<2}  ring {}  rabenseifner {}  hierarchical {}",
-            ring.ms(),
-            raben.map_or_else(|| "n/a".into(), |t| t.ms()),
-            hier.ms()
-        );
-        rows.push(json!({
-            "kernel": "all_reduce_algorithms",
-            "p": p,
-            "gpus_per_node": GPUS_PER_NODE,
-            "mbytes": (pr.ring_elems * 4) as f64 / (1024.0 * 1024.0),
-            "ring_ms": ring.min_s * 1e3,
-            "rabenseifner_ms": raben_ms,
-            "hierarchical_ms": hier.min_s * 1e3,
         }));
     }
     rows
@@ -741,7 +671,7 @@ fn powersgd_section(pr: Params, smoke: bool) -> Value {
 fn skinny_gemm_section(pr: Params, smoke: bool) -> Vec<Value> {
     let n = if smoke { 64 } else { 1024 };
     let iters = pr.gemm_iters * 5;
-    let tile = gcs_tensor::autotune::choice().gemm_tile;
+    let tile = gcs_tensor::matrix::best_supported_tile();
     let layer = Tensor::randn([n, n], 43).into_vec();
     let layer_ref = MatrixRef::new(&layer, n, n).expect("layer view");
     let mut rows = Vec::new();
@@ -1018,7 +948,6 @@ fn main() {
     let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
     let pr = Params::new(smoke);
     let ring = ring_section(pr);
-    let algos = all_reduce_algorithms_section(pr);
     let mean_hop = ring_mean_hop_section(pr, smoke);
     let dense_bucket = dense_bucket_section(pr, smoke);
     let gemm = gemm_section(pr, smoke);
@@ -1034,7 +963,6 @@ fn main() {
         "bench": "datapath",
         "metadata": gcs_bench::metadata(smoke),
         "ring_all_reduce": ring,
-        "all_reduce_algorithms": algos,
         "ring_mean_hop": mean_hop,
         "dense_bucket": dense_bucket,
         "matmul": gemm,

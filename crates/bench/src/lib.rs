@@ -149,12 +149,11 @@ fn cpu_model() -> String {
 }
 
 /// Host + dispatch provenance for a tracked `BENCH_*.json` report (bench
-/// hygiene: a number without the CPU, dispatch mode, thread count and
-/// tile shape that produced it is noise). `scripts/bench_compare.py`
+/// hygiene: a number without the CPU, dispatch mode and thread count that
+/// produced it is noise). `scripts/bench_compare.py`
 /// skips its timing check when two reports name different CPUs.
 pub fn metadata(smoke: bool) -> serde_json::Value {
     use gcs_tensor::kernels;
-    let choice = gcs_tensor::autotune::choice();
     serde_json::json!({
         "cpu_model": cpu_model(),
         "kernel_features": kernels::feature_string(),
@@ -162,9 +161,6 @@ pub fn metadata(smoke: bool) -> serde_json::Value {
         "simd_active": kernels::simd_active(),
         "force_scalar": std::env::var("GCS_FORCE_SCALAR").ok(),
         "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "autotune_provenance": choice.provenance,
         "smoke": smoke,
     })
 }

@@ -108,7 +108,7 @@ MULTI-PROCESS FLAGS:
 
 ANALYZE FLAGS (gradcomp analyze):
   --all                   run all five passes (default when no pass is named)
-  --schedules             Pass 1: schedule verifier (ring/Rabenseifner/tree/among
+  --schedules             Pass 1: schedule verifier (ring/gather/broadcast/among
                           at p in 2..16 with dead-rank subsets of size <= 2)
   --lint                  Pass 2: workspace lint (unsafe allowlist, SAFETY
                           comments, data-plane panics, raw f32 loops,

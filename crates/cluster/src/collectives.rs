@@ -41,7 +41,7 @@ use std::ops::Range;
 
 /// Splits `len` elements into `p` contiguous chunks whose sizes differ by
 /// at most one. Returns the `(start, end)` of chunk `i`.
-pub(crate) fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
+fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
     let base = len / p;
     let rem = len % p;
     let start = i * base + i.min(rem);
@@ -49,16 +49,8 @@ pub(crate) fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
     (start, start + size)
 }
 
-/// Serializes `xs` little-endian into `out`, reusing its allocation.
-pub(crate) fn fill_bytes_from_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    // Plain resize, not clear + resize: bytes the buffer already holds are
-    // only overwritten below; whatever it grows by is zero-filled first.
-    out.resize(xs.len() * 4, 0);
-    kernels::f32s_to_bytes_pooled(pool::global(), xs, out);
-}
-
 /// Checks that `bytes` decodes to exactly `expected` f32s.
-pub(crate) fn check_f32_frame(bytes: &[u8], expected: usize, what: &str) -> Result<()> {
+fn check_f32_frame(bytes: &[u8], expected: usize, what: &str) -> Result<()> {
     if bytes.len() != expected * 4 {
         return Err(ClusterError::Mismatch(format!(
             "{what} frame of {} bytes != expected {} f32s",
@@ -70,14 +62,14 @@ pub(crate) fn check_f32_frame(bytes: &[u8], expected: usize, what: &str) -> Resu
 }
 
 /// Decodes `bytes` into `out[..]` in place (`out.len() * 4 == bytes.len()`).
-pub(crate) fn fill_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
+fn fill_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
     kernels::bytes_to_f32s_pooled(pool::global(), bytes, out);
 }
 
 /// Accumulates `bytes` (decoded as f32s) into `out[..]` in place — the
-/// reduce step of every ring / halving-doubling exchange. Elementwise, so
-/// SIMD and scalar dispatch produce identical bits.
-pub(crate) fn add_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
+/// ring's reduce step. Elementwise, so SIMD and scalar dispatch produce
+/// identical bits.
+fn add_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
     kernels::add_from_bytes_pooled(pool::global(), bytes, out);
 }
 
@@ -87,7 +79,7 @@ pub(crate) fn add_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
 /// the wire buffer is bit-identical to one built in a float buffer and
 /// re-serialized — including NaN payload propagation. One pass over the
 /// frame instead of decode + accumulate + re-encode.
-pub(crate) fn add_f32s_into_bytes(xs: &[f32], bytes: &mut [u8]) {
+fn add_f32s_into_bytes(xs: &[f32], bytes: &mut [u8]) {
     kernels::add_into_bytes_pooled(pool::global(), xs, bytes);
 }
 
@@ -369,7 +361,15 @@ impl WorkerHandle {
     /// Returns [`ClusterError::InvalidArgument`] if `root` is out of range,
     /// a non-root passes data, or the handle's ring was shrunk.
     pub fn broadcast(&self, root: usize, data: Option<&[u8]>) -> Result<Frame> {
-        let p = self.full_world("broadcast")?;
+        // Ranks are addressed by arithmetic over `0..world`, so a shrunk
+        // ring would route to (and block on) a dead rank.
+        let p = self.world();
+        if self.members().len() != p {
+            return Err(ClusterError::InvalidArgument(format!(
+                "broadcast needs all {p} ranks, but this handle's ring is {:?}",
+                self.members()
+            )));
+        }
         if root >= p {
             return Err(ClusterError::InvalidArgument(format!(
                 "broadcast root {root} out of range for world {p}"
@@ -679,23 +679,13 @@ mod tests {
 
     #[test]
     fn rank_addressed_collectives_refuse_a_shrunk_ring() {
-        // Rank 3 is gone; the survivors' handles ring over {0, 1, 2}. The
-        // four collectives that route by rank over the whole world must
-        // fail at once instead of addressing (and blocking on) rank 3.
+        // Rank 3 is gone; the survivors' handles ring over {0, 1, 2}.
+        // Broadcast routes by rank over the whole world, so it must fail
+        // at once instead of addressing (and blocking on) rank 3.
         let outs = run_among(4, &[0, 1, 2], |w| {
-            let invalid = |r: Result<()>| matches!(r, Err(ClusterError::InvalidArgument(_)));
-            let mut buf = vec![1.0f32; 8];
             let data = (w.rank() == 0).then_some(&[1u8][..]);
-            [
-                invalid(w.broadcast(0, data).map(|_| ())),
-                invalid(w.rabenseifner_all_reduce_sum(&mut buf)),
-                invalid(w.hierarchical_all_reduce_sum(&mut buf, 2)),
-                invalid(w.ps_all_reduce_sum(&mut buf, 0)),
-            ]
+            matches!(w.broadcast(0, data), Err(ClusterError::InvalidArgument(_)))
         });
-        assert_eq!(
-            outs,
-            vec![Some([true; 4]), Some([true; 4]), Some([true; 4]), None]
-        );
+        assert_eq!(outs, vec![Some(true), Some(true), Some(true), None]);
     }
 }

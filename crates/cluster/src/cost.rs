@@ -4,7 +4,12 @@
 //! `α` is per-message latency and `β = 1/BW`. Collective algorithms
 //! compose this per step; the formulas below are the standard ones
 //! (Thakur et al., 2005) and match Equation 1 of the paper for ring
-//! all-reduce.
+//! all-reduce. Two topologies the engines do not run are priced here
+//! too, for the ablations: a parameter server
+//! ([`NetworkModel::parameter_server`]) and a two-level network
+//! ([`HierarchicalNetwork`]).
+
+use crate::{ClusterError, Result};
 
 /// Analytic network model: latency per hop and bandwidth per link.
 ///
@@ -138,11 +143,107 @@ impl NetworkModel {
         let lg = (p as f64).log2().ceil();
         (self.alpha + bytes as f64 / self.bandwidth) * lg
     }
+
+    /// Aggregation time through `shards` parameter-server shards — the
+    /// topology the community *moved away from* (§2.2: "a number of
+    /// systems have shifted from using a parameter server based topology
+    /// to an all-reduce topology"). Each worker sends `bytes / shards` to
+    /// every shard and receives the aggregate back; a shard's link carries
+    /// `p·bytes/shards` in each direction, serialized by its NIC:
+    /// `2·α + 2·p·b / (s·BW)`. Unlike the ring's scale-free `2b(p−1)/p`,
+    /// this grows linearly with the worker count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidArgument`] if `shards == 0` — the
+    /// typed error path, not a panic, per the data-plane lint contract.
+    pub fn parameter_server(&self, bytes: usize, p: usize, shards: usize) -> Result<f64> {
+        if shards == 0 {
+            return Err(ClusterError::InvalidArgument(
+                "parameter server needs at least one shard".into(),
+            ));
+        }
+        if p <= 1 {
+            return Ok(0.0);
+        }
+        Ok(2.0 * self.alpha + 2.0 * (p as f64) * (bytes as f64) / (shards as f64 * self.bandwidth))
+    }
 }
 
 impl Default for NetworkModel {
     fn default() -> Self {
         Self::datacenter_10gbps()
+    }
+}
+
+/// A two-level network: a fast intra-node fabric and a slower inter-node
+/// network.
+///
+/// The paper's testbed is p3.8xlarge: 4 V100s per node on NVLink
+/// (~100+ GB/s) with ~10 Gbps between nodes. NCCL exploits this with a
+/// hierarchical all-reduce: reduce inside the node, ring across node
+/// leaders on the slow network, broadcast back inside the node. The paper
+/// models the flat ring for simplicity; this prices the hierarchical
+/// variant beside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HierarchicalNetwork {
+    /// Intra-node fabric (NVLink-class).
+    pub intra: NetworkModel,
+    /// Inter-node network (Ethernet-class).
+    pub inter: NetworkModel,
+    /// GPUs per node.
+    pub gpus_per_node: usize,
+}
+
+impl HierarchicalNetwork {
+    /// Creates a hierarchical model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gpus_per_node == 0`.
+    pub fn new(intra: NetworkModel, inter: NetworkModel, gpus_per_node: usize) -> Self {
+        assert!(gpus_per_node > 0, "need at least one GPU per node");
+        HierarchicalNetwork {
+            intra,
+            inter,
+            gpus_per_node,
+        }
+    }
+
+    /// The paper's testbed: 4 GPUs/node on ~100 GB/s NVLink (3 µs hop),
+    /// 10 Gbps / 15 µs between nodes.
+    pub fn p3_8xlarge() -> Self {
+        Self::new(
+            NetworkModel::new(3e-6, 100e9),
+            NetworkModel::datacenter_10gbps(),
+            4,
+        )
+    }
+
+    /// Cost of a hierarchical all-reduce of `bytes` across `p` GPUs:
+    /// intra-node reduce-scatter + inter-node ring over the node leaders
+    /// (on `bytes` — each leader carries the node's full reduced vector) +
+    /// intra-node broadcast. Falls back to a flat intra-node ring when all
+    /// GPUs share one node.
+    pub fn hierarchical_all_reduce(&self, bytes: usize, p: usize) -> f64 {
+        if p <= 1 {
+            return 0.0;
+        }
+        let g = self.gpus_per_node.min(p);
+        let nodes = p.div_ceil(g);
+        if nodes <= 1 {
+            return self.intra.ring_all_reduce(bytes, p);
+        }
+        let intra_reduce = self.intra.reduce_scatter(bytes, g);
+        let inter = self.inter.ring_all_reduce(bytes, nodes);
+        let intra_bcast = self.intra.broadcast(bytes, g);
+        intra_reduce + inter + intra_bcast
+    }
+
+    /// Cost of the flat ring all-reduce the paper models, where every hop
+    /// crosses the slow network.
+    pub fn flat_all_reduce(&self, bytes: usize, p: usize) -> f64 {
+        self.inter.ring_all_reduce(bytes, p)
     }
 }
 
@@ -278,14 +379,14 @@ mod tests {
             assert!(
                 matches!(
                     n.parameter_server(bytes, p, 0),
-                    Err(crate::ClusterError::InvalidArgument(_))
+                    Err(ClusterError::InvalidArgument(_))
                 ),
                 "parameter server shards=0, p={p}"
             );
         }
         assert!(matches!(
             n.parameter_server(bytes, 8, 0),
-            Err(crate::ClusterError::InvalidArgument(_))
+            Err(ClusterError::InvalidArgument(_))
         ));
         // And the first real world size is strictly positive and finite.
         for t in [
@@ -297,5 +398,56 @@ mod tests {
         ] {
             assert!(t.is_finite() && t > 0.0);
         }
+    }
+
+    #[test]
+    fn ps_cost_grows_linearly_ring_does_not() {
+        let net = NetworkModel::new(0.0, 1e9);
+        let bytes = 10_000_000;
+        let ps8 = net.parameter_server(bytes, 8, 1).unwrap();
+        let ps64 = net.parameter_server(bytes, 64, 1).unwrap();
+        assert!((ps64 / ps8 - 8.0).abs() < 1e-9, "PS scales with p");
+        let ring8 = net.ring_all_reduce(bytes, 8);
+        let ring64 = net.ring_all_reduce(bytes, 64);
+        assert!(ring64 / ring8 < 1.15, "ring stays flat");
+        // At p = 2 PS is within a small constant of the ring; at 64 it is
+        // hopeless.
+        assert!(net.parameter_server(bytes, 2, 1).unwrap() < 5.0 * net.ring_all_reduce(bytes, 2));
+        assert!(ps64 > 10.0 * ring64);
+    }
+
+    #[test]
+    fn sharding_divides_server_time() {
+        let net = NetworkModel::new(0.0, 1e9);
+        let one = net.parameter_server(1_000_000, 32, 1).unwrap();
+        let four = net.parameter_server(1_000_000, 32, 4).unwrap();
+        assert!((one / four - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn p3_defaults_are_sane() {
+        let h = HierarchicalNetwork::p3_8xlarge();
+        assert_eq!(h.gpus_per_node, 4);
+        assert!(h.intra.bandwidth > 10.0 * h.inter.bandwidth);
+    }
+
+    #[test]
+    fn hierarchical_beats_flat_ring_at_scale() {
+        // Flat ring pays inter-node latency for every one of p-1 hops;
+        // hierarchical pays it only across nodes.
+        let h = HierarchicalNetwork::p3_8xlarge();
+        let bytes = 100_000_000;
+        for p in [8usize, 32, 96] {
+            let flat = h.flat_all_reduce(bytes, p);
+            let hier = h.hierarchical_all_reduce(bytes, p);
+            assert!(hier < flat, "p={p}: hier {hier} vs flat {flat}");
+        }
+    }
+
+    #[test]
+    fn single_node_uses_intra_fabric_only() {
+        let h = HierarchicalNetwork::p3_8xlarge();
+        let t = h.hierarchical_all_reduce(1_000_000, 4);
+        assert!((t - h.intra.ring_all_reduce(1_000_000, 4)).abs() < 1e-12);
     }
 }

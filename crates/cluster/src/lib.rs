@@ -36,9 +36,6 @@ pub mod comm;
 pub mod cost;
 mod error;
 pub mod faults;
-pub mod hierarchy;
-pub mod ps;
-pub mod rabenseifner;
 pub mod tcp;
 pub mod transport;
 pub mod wire;

@@ -405,8 +405,7 @@ pub trait Transport: Send + std::fmt::Debug {
 
 /// A worker's endpoint into the cluster: rank, world size, point-to-point
 /// messaging and traffic accounting over a boxed [`Transport`] backend.
-/// Collective operations are implemented in [`crate::collectives`] (plus
-/// [`crate::hierarchy`], [`crate::rabenseifner`], [`crate::ps`]) and
+/// Collective operations are implemented in [`crate::collectives`] and
 /// exposed as inherent methods, so they work identically over every
 /// backend.
 ///
@@ -448,8 +447,7 @@ impl WorkerHandle {
     /// not on it are simply not on the ring. Ring collectives
     /// (`all_reduce_sum`, `all_gather_bytes`, `barrier`) and the means
     /// built on them then cover the members only; the rank-addressed
-    /// collectives (`broadcast`, Rabenseifner, hierarchical, parameter
-    /// server) refuse to run on a shrunk handle.
+    /// `broadcast` refuses to run on a shrunk handle.
     ///
     /// # Errors
     ///
@@ -493,24 +491,6 @@ impl WorkerHandle {
             self.members[(pos + 1) % m],
             self.members[(pos + m - 1) % m],
         )
-    }
-
-    /// The world size, for collectives that address peers by rank
-    /// arithmetic over `0..world` and so cannot run on a shrunk ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidArgument`] naming `what` when
-    /// [`WorkerHandle::set_members`] shrank this handle's ring.
-    pub(crate) fn full_world(&self, what: &str) -> Result<usize> {
-        let p = self.world();
-        if self.members.len() != p {
-            return Err(ClusterError::InvalidArgument(format!(
-                "{what} needs all {p} ranks, but this handle's ring is {:?}",
-                self.members
-            )));
-        }
-        Ok(p)
     }
 
     /// Short backend name (`"sim"`, `"tcp"`).

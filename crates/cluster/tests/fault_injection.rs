@@ -169,9 +169,17 @@ fn delay_only_faults_leave_collective_results_bit_identical() {
         if w.rank() == 0 {
             std::thread::sleep(straggle);
         }
-        let mut rab = make(w.rank());
-        w.rabenseifner_all_reduce_sum(&mut rab).unwrap();
-        (ring, rab)
+        let own: Vec<u8> = make(w.rank())
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect();
+        let gathered: Vec<Vec<u8>> = w
+            .all_gather_bytes(&own)
+            .unwrap()
+            .iter()
+            .map(|f| f.to_vec())
+            .collect();
+        (ring, gathered)
     };
     let clean = SimCluster::run(4, |w| collectives(w, Duration::ZERO));
     let plan = FaultPlan::new(seed_from_env()).delay_jitter(Duration::from_micros(300));
@@ -190,9 +198,9 @@ fn delay_only_faults_leave_collective_results_bit_identical() {
     assert!(!events.is_empty());
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for run in [&delayed, &straggled] {
-        for ((cr, cb), (dr, db)) in clean.iter().zip(run) {
+        for ((cr, cg), (dr, dg)) in clean.iter().zip(run) {
             assert_eq!(bits(cr), bits(dr), "ring corrupted by delay");
-            assert_eq!(bits(cb), bits(db), "halving-doubling corrupted by delay");
+            assert_eq!(cg, dg, "all-gather corrupted by delay");
         }
     }
     // The sorted list holds every Delay with its `extra`, so equal lists

@@ -603,7 +603,7 @@ mod tests {
     impl Reference {
         fn step(&mut self, c: &PowerSgd, grad: &Tensor) -> Vec<f32> {
             use gcs_tensor::matrix::{a_mul_bt, at_mul_b_with_tile, matmul_with_tile};
-            let tile = gcs_tensor::autotune::best_supported_tile();
+            let tile = gcs_tensor::matrix::best_supported_tile();
             let (m, n) = grad.shape().matricized();
             let r = c.effective_rank(m, n);
             if self.q.is_empty() || !c.warm_start {

@@ -2,7 +2,7 @@
 //! paths.
 //!
 //! Every scalar inner loop that dominates Table 2's encode/decode column or
-//! the ring/Rabenseifner reduce step lives behind the [`Kernels`] vtable: a
+//! the ring's reduce step lives behind the [`Kernels`] vtable: a
 //! plain struct of function pointers with one canonical scalar
 //! implementation ([`scalar()`]) and, on x86_64 hosts, explicitly
 //! vectorized tiers — AVX2+FMA and, where the CPU has it, AVX-512F
@@ -86,7 +86,7 @@ pub struct Kernels {
     pub bytes_to_f32s: fn(bytes: &[u8], out: &mut [f32]),
     /// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
     pub bytes_to_u32s: fn(bytes: &[u8], out: &mut [u32]),
-    /// The ring / Rabenseifner reduce step: `out[i] += f32::from_le_bytes`
+    /// The ring's reduce step: `out[i] += f32::from_le_bytes`
     /// of the i-th 4-byte group. `bytes.len() == 4 * out.len()`.
     pub add_from_bytes: fn(bytes: &[u8], out: &mut [f32]),
     /// The in-wire reduce step: the i-th 4-byte group of `bytes` becomes
@@ -127,8 +127,8 @@ pub struct Kernels {
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// Whether `GCS_FORCE_SCALAR=1` (or any non-empty value other than `0`) is
-/// set, pinning dispatch to the scalar table (and, via `pool::from_env` /
-/// `autotune`, the thread pool to width 1 and the autotuner off).
+/// set, pinning dispatch to the scalar table (and, via `pool::from_env`,
+/// the thread pool to width 1).
 pub(crate) fn force_scalar() -> bool {
     match std::env::var("GCS_FORCE_SCALAR") {
         Ok(v) => !v.is_empty() && v != "0",
@@ -377,15 +377,13 @@ pub fn gather_above(
 // Every kernel here is elementwise or per-32-element-block, so any split
 // into contiguous aligned bands computes exactly the serial result — the
 // banding is invisible in the output bits for every pool width (verified
-// by `tests/kernel_props.rs`). Band sizing comes from the autotuner's
-// wire-chunk choice so fork overhead is only paid on buffers that
-// amortize it.
+// by `tests/kernel_props.rs`). Bands hold at least `WIRE_MIN_ELEMS`
+// elements so fork overhead is only paid on buffers that amortize it.
 // ---------------------------------------------------------------------------
 
-/// Minimum elements per band for the pooled wire kernels.
-fn wire_min_elems() -> usize {
-    crate::autotune::choice().wire_chunk_elems
-}
+/// Minimum elements per band for the pooled wire kernels: 64 Ki floats =
+/// 256 KiB, comfortably above fork overhead.
+const WIRE_MIN_ELEMS: usize = 1 << 16;
 
 /// [`sign_pack`] with the word stream banded across `pool`. Each band
 /// packs a disjoint word range from the matching 32-element data blocks —
@@ -393,7 +391,7 @@ fn wire_min_elems() -> usize {
 pub fn sign_pack_pooled(pool: &Pool, data: &[f32], out: &mut [u32]) {
     assert_eq!(out.len(), data.len().div_ceil(32), "sign_pack word count");
     let n = data.len();
-    let min_words = (wire_min_elems() / 32).max(1);
+    let min_words = WIRE_MIN_ELEMS / 32;
     pool.for_rows(out, 1, min_words, |lo_word, band| {
         let d_lo = lo_word * 32;
         let d_hi = ((lo_word + band.len()) * 32).min(n);
@@ -414,7 +412,7 @@ fn for_word_blocks<T: Send>(
 ) {
     let n = out.len();
     let base = SendPtr(out.as_mut_ptr());
-    let min_words = (wire_min_elems() / 32).max(1);
+    let min_words = WIRE_MIN_ELEMS / 32;
     pool.for_spans(words.len(), min_words, move |lw, hw| {
         let lo = lw * 32;
         let hi = (hw * 32).min(n);
@@ -458,7 +456,7 @@ pub fn vote_add_pooled(pool: &Pool, words: &[u32], tally: &mut [i32]) {
 pub fn vote_pack_pooled(pool: &Pool, tally: &[i32], out: &mut [u32]) {
     assert_eq!(out.len(), tally.len().div_ceil(32), "vote_pack word count");
     let n = tally.len();
-    let min_words = (wire_min_elems() / 32).max(1);
+    let min_words = WIRE_MIN_ELEMS / 32;
     pool.for_rows(out, 1, min_words, |lo_word, band| {
         let t_lo = lo_word * 32;
         let t_hi = ((lo_word + band.len()) * 32).min(n);
@@ -469,7 +467,7 @@ pub fn vote_pack_pooled(pool: &Pool, tally: &[i32], out: &mut [u32]) {
 /// [`f32s_to_bytes`] banded across `pool` (a banded memcpy).
 pub fn f32s_to_bytes_pooled(pool: &Pool, xs: &[f32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
-    pool.for_rows(out, 4, wire_min_elems(), |lo, band| {
+    pool.for_rows(out, 4, WIRE_MIN_ELEMS, |lo, band| {
         (active().f32s_to_bytes)(&xs[lo..lo + band.len() / 4], band);
     });
 }
@@ -477,7 +475,7 @@ pub fn f32s_to_bytes_pooled(pool: &Pool, xs: &[f32], out: &mut [u8]) {
 /// [`bytes_to_f32s`] banded across `pool` (a banded memcpy).
 pub fn bytes_to_f32s_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "bytes_to_f32s byte count");
-    pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
+    pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
         (active().bytes_to_f32s)(&bytes[lo * 4..(lo + band.len()) * 4], band);
     });
 }
@@ -486,7 +484,7 @@ pub fn bytes_to_f32s_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
 /// splits an accumulation chain — bit-identical for every width.
 pub fn add_from_bytes_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
-    pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
+    pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
         (active().add_from_bytes)(&bytes[lo * 4..(lo + band.len()) * 4], band);
     });
 }
@@ -521,7 +519,7 @@ fn add_then_divide_blocks(bytes: &[u8], out: &mut [f32], divisor: f32) {
 /// (`BENCH_datapath.json`, `ring_mean_hop`).
 pub fn add_from_bytes_then_divide_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32], divisor: f32) {
     assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
-    pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
+    pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
         add_then_divide_blocks(&bytes[lo * 4..(lo + band.len()) * 4], band, divisor);
     });
 }
@@ -530,7 +528,7 @@ pub fn add_from_bytes_then_divide_pooled(pool: &Pool, bytes: &[u8], out: &mut [f
 /// for every width).
 pub fn add_into_bytes_pooled(pool: &Pool, xs: &[f32], bytes: &mut [u8]) {
     assert_eq!(bytes.len(), xs.len() * 4, "add_into_bytes byte count");
-    pool.for_rows(bytes, 4, wire_min_elems(), |lo, band| {
+    pool.for_rows(bytes, 4, WIRE_MIN_ELEMS, |lo, band| {
         (active().add_into_bytes)(&xs[lo..lo + band.len() / 4], band);
     });
 }
@@ -539,7 +537,7 @@ pub fn add_into_bytes_pooled(pool: &Pool, xs: &[f32], bytes: &mut [u8]) {
 /// every width).
 pub fn add_assign_pooled(pool: &Pool, acc: &mut [f32], other: &[f32]) {
     assert_eq!(acc.len(), other.len(), "add_assign length");
-    pool.for_rows(acc, 1, wire_min_elems(), |lo, band| {
+    pool.for_rows(acc, 1, WIRE_MIN_ELEMS, |lo, band| {
         (active().add_assign)(band, &other[lo..lo + band.len()]);
     });
 }

@@ -10,7 +10,7 @@
 //! only be read back once it is filled, and [`WriteOnce::into_vec`] hands
 //! out the buffer only when every element is.
 
-use super::{add_then_divide_blocks, wire_min_elems, MEAN_BLOCK};
+use super::{add_then_divide_blocks, MEAN_BLOCK, WIRE_MIN_ELEMS};
 use crate::pool::Pool;
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -69,7 +69,7 @@ impl WriteOnce {
         assert_eq!(bytes.len(), xs.len() * 4, "add_from_bytes byte count");
         let range = start..start + xs.len();
         let out = self.unfilled(range.clone());
-        pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
+        pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
             let xs = &xs[lo..lo + band.len()];
             let wire = &bytes[lo * 4..(lo + band.len()) * 4];
             for ((block, x), w) in band
@@ -94,7 +94,7 @@ impl WriteOnce {
         assert!(bytes.len().is_multiple_of(4), "bytes_to_f32s byte count");
         let range = start..start + bytes.len() / 4;
         let out = self.unfilled(range.clone());
-        pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
+        pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
             let wire = &bytes[lo * 4..(lo + band.len()) * 4];
             for (o, w) in band.iter_mut().zip(wire.chunks_exact(4)) {
                 o.write(f32::from_le_bytes([w[0], w[1], w[2], w[3]]));

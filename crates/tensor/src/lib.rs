@@ -29,7 +29,6 @@
 //! assert!((b.l2_norm() - 2.0 * a.l2_norm()).abs() < 1e-5);
 //! ```
 
-pub mod autotune;
 pub mod bits;
 pub mod f16;
 pub mod kernels;

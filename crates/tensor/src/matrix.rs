@@ -7,7 +7,6 @@
 //! needs a truncated SVD, implemented in [`svd_truncated`] via subspace
 //! iteration on top of the same kernels.
 
-use crate::autotune::GemmTile;
 use crate::{Result, Tensor, TensorError};
 use std::mem::MaybeUninit;
 
@@ -141,11 +140,55 @@ fn check_matmul(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &[f32]) -> Result<()> {
 /// operations, so which one ran is invisible in the result bits.
 const SKINNY_MAX: usize = 16;
 
-/// The register tile the dispatched entry points run: the autotuned
-/// choice when SIMD is active, scalar otherwise.
+/// Register-tile shape used by the matmul j-loops. Every tile computes
+/// the identical l-ordered FMA chain per output element, so switching
+/// tiles never changes output bits — only speed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GemmTile {
+    /// Scalar `mul_add` tiles only.
+    Scalar,
+    /// 4x16 AVX2+FMA tile (two ymm accumulators per row).
+    Avx2x16,
+    /// 4x32 AVX-512 tile (two zmm accumulators per row).
+    Avx512x32,
+}
+
+impl GemmTile {
+    /// Whether this tile runs vector code (needs the matching runtime
+    /// feature detection before use).
+    pub fn uses_simd(self) -> bool {
+        !matches!(self, GemmTile::Scalar)
+    }
+}
+
+/// Widest tile the running CPU supports.
+pub fn best_supported_tile() -> GemmTile {
+    if crate::kernels::avx512_supported() {
+        GemmTile::Avx512x32
+    } else if crate::kernels::avx2_supported() {
+        GemmTile::Avx2x16
+    } else {
+        GemmTile::Scalar
+    }
+}
+
+/// Every tile the running CPU can execute, narrowest first.
+pub fn supported_tiles() -> Vec<GemmTile> {
+    let mut tiles = vec![GemmTile::Scalar];
+    if crate::kernels::avx2_supported() {
+        tiles.push(GemmTile::Avx2x16);
+    }
+    if crate::kernels::avx512_supported() {
+        tiles.push(GemmTile::Avx512x32);
+    }
+    tiles
+}
+
+/// The register tile the dispatched entry points run: the widest
+/// supported one when SIMD is active, scalar otherwise.
 fn active_tile() -> GemmTile {
     if crate::kernels::simd_active() {
-        crate::autotune::choice().gemm_tile
+        best_supported_tile()
     } else {
         GemmTile::Scalar
     }
@@ -154,7 +197,7 @@ fn active_tile() -> GemmTile {
 /// [`matmul`] with the SIMD-tile dispatch pinned by the caller — exposed
 /// for the dispatch property tests and the datapath benchmark, which
 /// compare both paths explicitly. `true` means the *widest supported*
-/// tile, bypassing the autotuner. Everyone else wants [`matmul`].
+/// tile, whatever `GCS_FORCE_SCALAR` says. Everyone else wants [`matmul`].
 ///
 /// # Errors
 ///
@@ -167,17 +210,16 @@ pub fn matmul_with_dispatch(
     out: &mut [f32],
 ) -> Result<()> {
     let tile = if use_simd {
-        crate::autotune::best_supported_tile()
+        best_supported_tile()
     } else {
         GemmTile::Scalar
     };
     matmul_with_tile(tile, a, b, out)
 }
 
-/// [`matmul`] with an explicit register tile — what the autotuner
-/// benchmarks and the property tests sweep. The caller must only pass
-/// tiles in [`crate::autotune::supported_tiles`]; every supported tile
-/// produces bit-identical output.
+/// [`matmul`] with an explicit register tile — what the property tests
+/// sweep. The caller must only pass tiles in [`supported_tiles`]; every
+/// supported tile produces bit-identical output.
 ///
 /// # Errors
 ///
@@ -624,7 +666,7 @@ pub fn at_mul_b_with_dispatch(
     out: &mut [f32],
 ) -> Result<()> {
     let tile = if use_simd {
-        crate::autotune::best_supported_tile()
+        best_supported_tile()
     } else {
         GemmTile::Scalar
     };
@@ -1849,6 +1891,17 @@ mod tests {
 
     fn approx_eq(a: &[f32], b: &[f32], tol: f32) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < tol)
+    }
+
+    #[test]
+    fn best_supported_tile_matches_kernel_tables() {
+        let best = best_supported_tile();
+        match crate::kernels::simd().map(|k| k.name) {
+            Some("avx512") => assert_eq!(best, GemmTile::Avx512x32),
+            Some("avx2") => assert_eq!(best, GemmTile::Avx2x16),
+            _ => assert_eq!(best, GemmTile::Scalar),
+        }
+        assert_eq!(supported_tiles().last(), Some(&best));
     }
 
     #[test]

@@ -607,8 +607,9 @@ fn gather_above_appends_without_clobbering() {
 
 #[test]
 fn gemm_tiles_are_bit_identical() {
-    use gcs_tensor::autotune::{supported_tiles, GemmTile};
-    use gcs_tensor::matrix::{at_mul_b_with_tile, matmul_with_tile, MatrixRef};
+    use gcs_tensor::matrix::{
+        at_mul_b_with_tile, matmul_with_tile, supported_tiles, GemmTile, MatrixRef,
+    };
     // Dims chosen to hit the 4x32 AVX-512 tile, the 4x16 tile, the 4x4
     // tile, the column remainder and the row remainder in one product.
     for (m, k, n) in [
@@ -751,8 +752,7 @@ fn skinny_inputs(len: usize, salt: usize) -> [(Vec<f32>, BitsOf); 3] {
 
 #[test]
 fn skinny_matmul_and_at_mul_b_match_the_general_tiles() {
-    use gcs_tensor::autotune::{supported_tiles, GemmTile};
-    use gcs_tensor::matrix::{self, MatrixRef};
+    use gcs_tensor::matrix::{self, supported_tiles, GemmTile, MatrixRef};
     for case in skinny_cases() {
         let (m, k) = case.dims;
         let pools: Vec<Pool> = case.pools.clone().map(Pool::new).collect();

@@ -80,10 +80,19 @@ timeout 120 bash benchmark/run.sh --workload topk-overlap-netem --seconds 3 --tr
 # (4) prove the Hello handshake, decision protocol, and pipeline FIFO
 # window state machines; (5) fuzz the wire headers/frames and
 # Payload::from_bytes for all 15 methods at a fixed seed (deterministic,
-# finishes well under 10 s). Writes results/analyze_report.json and
-# exits non-zero on any violation.
-echo "==> gradcomp analyze --all"
-cargo run -q --release -p gcs-cli --bin gradcomp-cli -- analyze --all
+# finishes well under 10 s). Exits non-zero on any violation. The report
+# is deterministic, so it must also equal the committed
+# results/analyze_report.json byte for byte: a change that moves it
+# regenerates it in the same commit.
+echo "==> gradcomp analyze --all (report must match the committed one)"
+ANALYZE_REPORT=$(mktemp)
+cargo run -q --release -p gcs-cli --bin gradcomp-cli -- analyze --all --json "$ANALYZE_REPORT"
+if ! cmp "$ANALYZE_REPORT" results/analyze_report.json; then
+  rm -f "$ANALYZE_REPORT"
+  echo "results/analyze_report.json is stale: regenerate it with 'gradcomp analyze --all'"
+  exit 1
+fi
+rm -f "$ANALYZE_REPORT"
 
 # Negative self-test: each pass must still DETECT its seeded negative —
 # a racy thread model, a double-accepting Hello mutant, a panicking wire
