@@ -23,24 +23,29 @@
 //! stays inside its allowlist with `// SYNC:` justifications, and that
 //! panic-free crates declare `#![forbid(unsafe_code)]`.
 //!
-//! **Pass 3 — thread race checker** ([`threads`]): the threaded runtime
-//! (kernel pool join, CommEngine poison slot, pipeline window, adaptive
-//! broadcast, TCP reader threads) lifted into a thread/event IR and
-//! explored exhaustively on small configs; unordered conflicting access
-//! pairs, deadlocks, and lost wakeups are typed findings, with a
-//! vector-clock + lockset scan as the second opinion and source anchors
-//! guarding against model drift.
+//! **Pass 3 — thread race checker** ([`threads`]): the kernel pool's
+//! band cursor and condvar join, the one component whose data races the
+//! compiler cannot rule out (`gcs_tensor::pool` is the workspace's only
+//! file with `unsafe impl Send/Sync`), lifted into a thread/event IR and
+//! explored exhaustively at widths 1 and 2; unordered conflicting access
+//! pairs, deadlocks, and lost wakeups are typed findings, with source
+//! anchors guarding against model drift.
 //!
 //! **Pass 4 — protocol state machines** ([`protocol`]): the TCP Hello
 //! handshake, adaptive decision protocol, and pipeline FIFO window as
 //! explicit state machines, proved free of deadlock, double-accept,
 //! decision divergence, and out-of-window completion — with mutant
-//! machines as seeded negatives.
+//! machines as seeded negatives and source anchors into the code each
+//! machine models.
 //!
 //! **Pass 5 — deterministic wire fuzz** ([`fuzz`]): a SplitMix64-seeded
 //! structured fuzzer over `gcs_cluster::wire` headers/frames and
 //! `Payload::from_bytes` for all 15 registry methods; every mutation must
 //! yield a typed `Wire`/`Protocol` error, never a panic.
+//!
+//! Passes 1, 3 and 4 search state spaces through one explorer
+//! ([`explore`]): each model is a [`explore::Machine`], and every finding
+//! is an [`explore::Finding`].
 //!
 //! All passes run in CI via `gradcomp analyze --all` and fail the build
 //! on violations; [`report`] renders `results/analyze_report.json`
@@ -48,6 +53,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod explore;
 pub mod fuzz;
 pub mod ir;
 pub mod lint;

@@ -26,94 +26,14 @@
 //! newest-first window) used as seeded negatives: the pass must reject
 //! them, and `gradcomp analyze --inject double-accept` wires one into the
 //! CLI to prove the gate exits non-zero.
+//!
+//! The decision and window machines name source anchors in the code they
+//! model (`encode_decisions` / `decode_decisions` in `gcs_ddp::adaptive`;
+//! `run_rounds`, `complete_front` and `pop_front` in `gcs_ddp::exec`), so
+//! the pass reports `model-drift` when that code is refactored away.
 
-use std::collections::{HashSet, VecDeque};
-use std::hash::Hash;
-
-/// A typed finding from the protocol pass.
-#[derive(Clone, Debug)]
-pub struct ProtocolFinding {
-    pub machine: String,
-    /// `invariant-violation`, `deadlock`, or `state-explosion`.
-    pub kind: String,
-    pub detail: String,
-}
-
-/// An explicit-state protocol machine.
-pub trait Machine {
-    type State: Clone + Eq + Hash + std::fmt::Debug;
-    fn name(&self) -> String;
-    fn init(&self) -> Self::State;
-    /// All successor states (one per enabled protocol event).
-    fn successors(&self, s: &Self::State) -> Vec<Self::State>;
-    /// `Some(description)` when the state violates a safety invariant.
-    fn invariant(&self, s: &Self::State) -> Option<String>;
-    /// Whether a state with no successors is an acceptable terminal.
-    fn accepting(&self, s: &Self::State) -> bool;
-}
-
-/// Per-machine exploration outcome.
-#[derive(Clone, Debug)]
-pub struct MachineResult {
-    pub machine: String,
-    pub states: usize,
-    pub findings: Vec<ProtocolFinding>,
-}
-
-const MAX_STATES: usize = 1 << 20;
-/// Cap per machine so a badly broken mutant doesn't flood the report.
-const MAX_FINDINGS: usize = 4;
-
-/// Breadth-first exploration of every reachable state of `m`.
-pub fn explore<M: Machine>(m: &M) -> MachineResult {
-    let name = m.name();
-    let mut findings = Vec::new();
-    let mut seen: HashSet<M::State> = HashSet::new();
-    let mut queue: VecDeque<M::State> = VecDeque::new();
-    let init = m.init();
-    seen.insert(init.clone());
-    queue.push_back(init);
-    let mut deadlock_reported = false;
-
-    while let Some(s) = queue.pop_front() {
-        if seen.len() > MAX_STATES {
-            findings.push(ProtocolFinding {
-                machine: name.clone(),
-                kind: "state-explosion".into(),
-                detail: format!("exceeded {MAX_STATES} states"),
-            });
-            break;
-        }
-        if findings.len() < MAX_FINDINGS {
-            if let Some(v) = m.invariant(&s) {
-                findings.push(ProtocolFinding {
-                    machine: name.clone(),
-                    kind: "invariant-violation".into(),
-                    detail: v,
-                });
-            }
-        }
-        let succ = m.successors(&s);
-        if succ.is_empty() && !m.accepting(&s) && !deadlock_reported {
-            deadlock_reported = true;
-            findings.push(ProtocolFinding {
-                machine: name.clone(),
-                kind: "deadlock".into(),
-                detail: format!("non-accepting terminal state: {s:?}"),
-            });
-        }
-        for n in succ {
-            if seen.insert(n.clone()) {
-                queue.push_back(n);
-            }
-        }
-    }
-    MachineResult {
-        machine: name,
-        states: seen.len(),
-        findings,
-    }
-}
+use crate::explore::{Finding, Machine, PassReport, SourceAnchor};
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // Machine 1: TCP Hello handshake.
@@ -229,18 +149,18 @@ impl Machine for HelloMesh {
         out
     }
 
-    fn invariant(&self, s: &HelloState) -> Option<String> {
+    fn invariant(&self, s: &HelloState) -> Vec<String> {
         for dst in 0..self.p {
             for src in 0..self.p {
                 if s.accepted[dst][src] > 1 {
-                    return Some(format!(
+                    return vec![format!(
                         "double-accept: rank {dst} accepted {} Hellos from rank {src}",
                         s.accepted[dst][src]
-                    ));
+                    )];
                 }
             }
         }
-        None
+        Vec::new()
     }
 
     fn accepting(&self, s: &HelloState) -> bool {
@@ -337,24 +257,37 @@ impl Machine for DecisionProtocol {
         out
     }
 
-    fn invariant(&self, s: &DecState) -> Option<String> {
+    fn invariant(&self, s: &DecState) -> Vec<String> {
         // Divergence check: every follower's applied sequence must be a
         // prefix of rank 0's.
         for f in 1..self.p {
             let (fs, r0) = (&s.applied[f], &s.applied[0]);
             if fs.len() > r0.len() || fs[..] != r0[..fs.len()] {
-                return Some(format!(
+                return vec![format!(
                     "decision divergence: rank {f} applied {fs:?} but rank 0 decided {r0:?}"
-                ));
+                )];
             }
         }
-        None
+        Vec::new()
     }
 
     fn accepting(&self, s: &DecState) -> bool {
         s.r0_round as usize == DECISIONS.len()
             && s.queues.iter().all(Vec::is_empty)
             && s.applied.iter().all(|a| a[..] == DECISIONS[..])
+    }
+
+    fn anchors(&self) -> &[SourceAnchor] {
+        &[
+            SourceAnchor {
+                file: "crates/ddp/src/adaptive.rs",
+                ident: "encode_decisions",
+            },
+            SourceAnchor {
+                file: "crates/ddp/src/adaptive.rs",
+                ident: "decode_decisions",
+            },
+        ]
     }
 }
 
@@ -450,21 +383,21 @@ impl Machine for PipelineWindow {
         out
     }
 
-    fn invariant(&self, s: &WindowState) -> Option<String> {
+    fn invariant(&self, s: &WindowState) -> Vec<String> {
         if s.inflight.len() > self.window {
-            return Some(format!(
+            return vec![format!(
                 "window overflow: {} buckets in flight, bound is {}",
                 s.inflight.len(),
                 self.window
-            ));
+            )];
         }
         if s.completed.windows(2).any(|w| w[0] >= w[1]) {
-            return Some(format!(
+            return vec![format!(
                 "out-of-window completion: observed order {:?} is not the submission order",
                 s.completed
-            ));
+            )];
         }
-        None
+        Vec::new()
     }
 
     fn accepting(&self, s: &WindowState) -> bool {
@@ -472,127 +405,112 @@ impl Machine for PipelineWindow {
             && s.inflight.is_empty()
             && s.completed.len() == self.buckets
     }
+
+    fn anchors(&self) -> &[SourceAnchor] {
+        const EXEC: &str = "crates/ddp/src/exec.rs";
+        &[
+            SourceAnchor {
+                file: EXEC,
+                ident: "run_rounds",
+            },
+            SourceAnchor {
+                file: EXEC,
+                ident: "window",
+            },
+            SourceAnchor {
+                file: EXEC,
+                ident: "complete_front",
+            },
+            SourceAnchor {
+                file: EXEC,
+                ident: "pop_front",
+            },
+        ]
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Pass plumbing.
 // ---------------------------------------------------------------------------
 
-/// Report for the whole pass.
-#[derive(Clone, Debug, Default)]
-pub struct ProtocolPassReport {
-    pub machines_checked: usize,
-    pub states_explored: usize,
-    pub findings: Vec<ProtocolFinding>,
-    pub machines: Vec<String>,
-}
-
-impl ProtocolPassReport {
-    pub fn ok(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    fn absorb(&mut self, mut r: MachineResult) {
-        self.machines_checked += 1;
-        self.states_explored += r.states;
-        self.machines.push(r.machine.clone());
-        self.findings.append(&mut r.findings);
-    }
-}
-
 /// Pass 4 entry point: explore the real machines (including adversarial
-/// forged-Hello inputs) at every small config.
-pub fn run_protocol_pass() -> ProtocolPassReport {
-    let mut report = ProtocolPassReport::default();
+/// forged-Hello inputs) at every small config, and check their source
+/// anchors against the tree rooted at `root`.
+pub fn run_protocol_pass(root: &Path) -> PassReport {
+    let mut report = PassReport::default();
+    let root = Some(root);
     for p in [2usize, 3, 4] {
         for forged in [false, true] {
-            report.absorb(explore(&HelloMesh {
+            let hello = HelloMesh {
                 p,
                 mutant_double_accept: false,
                 forged,
-            }));
+            };
+            report.check(&hello, root);
         }
-        report.absorb(explore(&DecisionProtocol {
+        let decisions = DecisionProtocol {
             p,
             variant: DecisionVariant::Real,
-        }));
+        };
+        report.check(&decisions, root);
     }
     for buckets in [2usize, 3] {
         for window in [1usize, 2] {
-            report.absorb(explore(&PipelineWindow {
+            let lane = PipelineWindow {
                 buckets,
                 window,
                 variant: WindowVariant::Real,
-            }));
+            };
+            report.check(&lane, root);
         }
     }
     report
 }
 
-/// Seeded mutants: every machine here must produce at least one finding;
-/// a mutant that slips through clean is itself reported, so this report
-/// is never `ok()` while the checker has teeth.
-pub fn run_protocol_mutants() -> ProtocolPassReport {
-    let mut report = ProtocolPassReport::default();
-    let before = |r: &ProtocolPassReport| r.findings.len();
-    let mut checked_rejected = Vec::new();
+/// Explore a mutant; one that yields no finding is itself reported.
+fn check_mutant<M: Machine>(report: &mut PassReport, m: &M) {
+    let before = report.findings.len();
+    report.check(m, None);
+    if report.findings.len() == before {
+        let name = m.name();
+        report.findings.push(Finding {
+            model: name.clone(),
+            kind: "invariant-violation".into(),
+            detail: format!("mutant machine `{name}` was NOT rejected — checker lost its teeth"),
+        });
+    }
+}
 
-    let mut run = |report: &mut ProtocolPassReport, result: MachineResult| {
-        let n = before(report);
-        let name = result.machine.clone();
-        report.absorb(result);
-        checked_rejected.push((name, before(report) > n));
-    };
-
-    run(
+/// Seeded mutants: every machine here must produce at least one finding,
+/// so this report is never `ok()` while the checker has teeth.
+pub fn run_protocol_mutants() -> PassReport {
+    let mut report = PassReport::default();
+    check_mutant(
         &mut report,
-        explore(&HelloMesh {
+        &HelloMesh {
             p: 3,
             mutant_double_accept: true,
             forged: true,
-        }),
+        },
     );
-    run(
-        &mut report,
-        explore(&DecisionProtocol {
-            p: 2,
-            variant: DecisionVariant::SkipEmptyBroadcast,
-        }),
-    );
-    run(
-        &mut report,
-        explore(&DecisionProtocol {
-            p: 3,
-            variant: DecisionVariant::DecideLocally,
-        }),
-    );
-    run(
-        &mut report,
-        explore(&PipelineWindow {
-            buckets: 3,
-            window: 1,
-            variant: WindowVariant::NoWindowCheck,
-        }),
-    );
-    run(
-        &mut report,
-        explore(&PipelineWindow {
-            buckets: 3,
-            window: 2,
-            variant: WindowVariant::PopNewest,
-        }),
-    );
-
-    for (name, rejected) in checked_rejected {
-        if !rejected {
-            report.findings.push(ProtocolFinding {
-                machine: name.clone(),
-                kind: "invariant-violation".into(),
-                detail: format!(
-                    "mutant machine `{name}` was NOT rejected — checker lost its teeth"
-                ),
-            });
-        }
+    for (p, variant) in [
+        (2, DecisionVariant::SkipEmptyBroadcast),
+        (3, DecisionVariant::DecideLocally),
+    ] {
+        check_mutant(&mut report, &DecisionProtocol { p, variant });
+    }
+    for (window, variant) in [
+        (1, WindowVariant::NoWindowCheck),
+        (2, WindowVariant::PopNewest),
+    ] {
+        check_mutant(
+            &mut report,
+            &PipelineWindow {
+                buckets: 3,
+                window,
+                variant,
+            },
+        );
     }
     report
 }
@@ -600,16 +518,21 @@ pub fn run_protocol_mutants() -> ProtocolPassReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore;
+
+    fn repo_root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
 
     #[test]
     fn real_machines_verify_clean() {
-        let report = run_protocol_pass();
+        let report = run_protocol_pass(&repo_root());
         assert!(
             report.ok(),
             "real protocol machines must verify: {:#?}",
             report.findings
         );
-        assert!(report.machines_checked >= 13);
+        assert!(report.machines.len() >= 13);
         assert!(report.states_explored > 500);
     }
 
@@ -699,6 +622,6 @@ mod tests {
     fn mutant_suite_always_reports() {
         let report = run_protocol_mutants();
         assert!(!report.ok());
-        assert_eq!(report.machines_checked, 5);
+        assert_eq!(report.machines.len(), 5);
     }
 }

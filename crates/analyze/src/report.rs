@@ -10,11 +10,10 @@
 //! [`SCHEMA_VERSION`] plus deterministic key and pass ordering, so the
 //! tracked report diffs stay reviewable.
 
+use crate::explore::PassReport;
 use crate::fuzz::FuzzPassReport;
 use crate::lint::LintReport;
-use crate::protocol::ProtocolPassReport;
 use crate::schedules;
-use crate::threads::ThreadPassReport;
 use crate::verify::{check_deadlock_exhaustive, verify_schedule};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -134,8 +133,8 @@ pub fn run_schedule_pass() -> SchedulePassReport {
             }
         }
     }
-    // Exhaustive interleaving cross-checks (explicit-state DFS over all
-    // schedulings) on configurations small enough to enumerate — this
+    // Exhaustive interleaving cross-checks (every scheduling, through the
+    // shared explorer) on configurations small enough to enumerate — this
     // validates the canonical-order argument rather than assuming it.
     for sched in [
         schedules::ring_all_reduce(2, 5),
@@ -144,14 +143,14 @@ pub fn run_schedule_pass() -> SchedulePassReport {
         schedules::comm_engine_pipeline(2, 1, 2, 2),
         schedules::comm_engine_pipeline(2, 2, 3, 1),
     ] {
-        match check_deadlock_exhaustive(&sched, 2_000_000) {
+        match check_deadlock_exhaustive(&sched) {
             Ok(states) => {
                 rep.exhaustive_states += states;
                 *rep.configs_per_family
                     .entry("exhaustive-cross-check".into())
                     .or_insert(0) += 1;
             }
-            Err(v) => rep.violations.push((sched.name.clone(), v.to_string())),
+            Err(f) => rep.violations.push((sched.name.clone(), f.detail)),
         }
     }
     rep
@@ -163,8 +162,8 @@ pub fn run_schedule_pass() -> SchedulePassReport {
 pub struct AnalyzeReports<'a> {
     pub schedule: Option<&'a SchedulePassReport>,
     pub lint: Option<&'a LintReport>,
-    pub threads: Option<&'a ThreadPassReport>,
-    pub protocols: Option<&'a ProtocolPassReport>,
+    pub threads: Option<&'a PassReport>,
+    pub protocols: Option<&'a PassReport>,
     pub fuzz: Option<&'a FuzzPassReport>,
 }
 
@@ -172,8 +171,8 @@ impl AnalyzeReports<'_> {
     pub fn ok(&self) -> bool {
         self.schedule.is_none_or(SchedulePassReport::ok)
             && self.lint.is_none_or(LintReport::ok)
-            && self.threads.is_none_or(ThreadPassReport::ok)
-            && self.protocols.is_none_or(ProtocolPassReport::ok)
+            && self.threads.is_none_or(PassReport::ok)
+            && self.protocols.is_none_or(PassReport::ok)
             && self.fuzz.is_none_or(FuzzPassReport::ok)
     }
 }
@@ -244,12 +243,12 @@ pub fn to_json(reports: &AnalyzeReports<'_>) -> Value {
             .iter()
             .map(|f| json!({ "model": f.model, "kind": f.kind, "detail": f.detail }))
             .collect();
-        let models: Vec<Value> = t.models.iter().map(|m| json!(m)).collect();
+        let models: Vec<Value> = t.machines.iter().map(|m| json!(m)).collect();
         passes.push((
             "thread_race_checker".to_string(),
             json!({
                 "ok": t.ok(),
-                "models_checked": t.models_checked,
+                "models_checked": t.machines.len(),
                 "states_explored": t.states_explored,
                 "finding_count": t.findings.len(),
                 "models": models,
@@ -261,14 +260,14 @@ pub fn to_json(reports: &AnalyzeReports<'_>) -> Value {
         let findings: Vec<Value> = p
             .findings
             .iter()
-            .map(|f| json!({ "machine": f.machine, "kind": f.kind, "detail": f.detail }))
+            .map(|f| json!({ "machine": f.model, "kind": f.kind, "detail": f.detail }))
             .collect();
         let machines: Vec<Value> = p.machines.iter().map(|m| json!(m)).collect();
         passes.push((
             "protocol_machines".to_string(),
             json!({
                 "ok": p.ok(),
-                "machines_checked": p.machines_checked,
+                "machines_checked": p.machines.len(),
                 "states_explored": p.states_explored,
                 "finding_count": p.findings.len(),
                 "machines": machines,
@@ -351,7 +350,7 @@ pub fn render_text(reports: &AnalyzeReports<'_>) -> String {
     if let Some(t) = reports.threads {
         out.push_str(&format!(
             "thread race checker: {} models, {} states — {}\n",
-            t.models_checked,
+            t.machines.len(),
             t.states_explored,
             if t.ok() { "OK" } else { "FAILED" }
         ));
@@ -365,14 +364,14 @@ pub fn render_text(reports: &AnalyzeReports<'_>) -> String {
     if let Some(p) = reports.protocols {
         out.push_str(&format!(
             "protocol machines: {} machines, {} states — {}\n",
-            p.machines_checked,
+            p.machines.len(),
             p.states_explored,
             if p.ok() { "OK" } else { "FAILED" }
         ));
         for f in &p.findings {
             out.push_str(&format!(
                 "  FINDING [{}] {}: {}\n",
-                f.machine, f.kind, f.detail
+                f.model, f.kind, f.detail
             ));
         }
     }
@@ -444,7 +443,8 @@ mod tests {
         let sched = run_schedule_pass();
         let lint = LintReport::default();
         let threads = crate::threads::check_models(&[]);
-        let protocols = crate::protocol::run_protocol_pass();
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let protocols = crate::protocol::run_protocol_pass(&root);
         let fuzz = crate::fuzz::run_fuzz_pass(7, 32);
         let v = to_json(&AnalyzeReports {
             schedule: Some(&sched),

@@ -399,7 +399,7 @@ mod tests {
             }
         }
         // Cross-validate the canonical-order argument on a small config.
-        check_deadlock_exhaustive(&comm_engine_pipeline(2, 1, 2, 1), 500_000).expect("no deadlock");
+        check_deadlock_exhaustive(&comm_engine_pipeline(2, 1, 2, 1)).expect("no deadlock");
         // A producer that ignores the admission window deadlocks against
         // the bounded job channel: submit all jobs up front with no reply
         // recvs interleaved, while the comm thread blocks on a bounded

@@ -14,8 +14,8 @@
 //!    completion the final symbolic state is checked against the
 //!    schedule's [`Expectation`].
 //! 3. **Exhaustive interleaving search** (`check_deadlock_exhaustive`) —
-//!    explicit-state DFS over *all* schedulings, for cross-validating
-//!    layer 2 on small configurations.
+//!    every scheduling, as a [`Machine`] walked by the analyzer's one
+//!    explorer, for cross-validating layer 2 on small configurations.
 //!
 //! Why one canonical order suffices for deadlock-freedom: every channel
 //! here is point-to-point FIFO with exactly one writer and one reader,
@@ -31,11 +31,10 @@
 //! `sync_channel` handshake models too. `check_deadlock_exhaustive`
 //! exists to validate this argument empirically rather than trust it.
 
+use crate::explore::{explore, Finding, Machine};
 use crate::ir::{DataRef, Expectation, Expr, Op, RecvAction, Schedule};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 /// A verification failure, with enough context to act on.
@@ -233,8 +232,13 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
         })
         .collect();
     let mut executed = 0usize;
+    let queued = |queues: &HashMap<(usize, usize), VecDeque<Payload>>, ch| {
+        queues.get(&ch).map_or(0, VecDeque::len)
+    };
 
-    while let Some(pid) = next_enabled(s, &pcs, &queues) {
+    // Lowest-index enabled process first. Any choice rule is sound here
+    // (see module docs); lowest-index keeps runs reproducible.
+    while let Some(pid) = (0..n).find(|&pid| op_enabled(s, &pcs, &|ch| queued(&queues, ch), pid)) {
         let op = &s.processes[pid].ops[pcs[pid]];
         match op {
             Op::Send { dst, bytes, data } => {
@@ -271,7 +275,7 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
             }
             Op::Recv { src, action, .. } => {
                 let Some(payload) = queues.get_mut(&(*src, pid)).and_then(|q| q.pop_front()) else {
-                    // next_enabled guarantees non-empty; defensive.
+                    // op_enabled guarantees non-empty; defensive.
                     break;
                 };
                 if let Err(detail) = apply_recv(action, &payload, &mut states[pid]) {
@@ -295,7 +299,10 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
         .enumerate()
         .all(|(pid, &pc)| pc == s.processes[pid].ops.len());
     if !all_done {
-        return (vec![deadlock_report(s, &pcs, &queues)], executed);
+        return (
+            vec![deadlock_report(s, &pcs, &|ch| queued(&queues, ch))],
+            executed,
+        );
     }
     // Messages left in queues were sent and never received — static
     // pairing already flags this, so don't duplicate the report here.
@@ -306,32 +313,21 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
     (violations, executed)
 }
 
-/// Lowest-index enabled process, or `None` on quiescence. Any choice
-/// rule is sound here (see module docs); lowest-index keeps runs
-/// reproducible.
-fn next_enabled(
-    s: &Schedule,
-    pcs: &[usize],
-    queues: &HashMap<(usize, usize), VecDeque<Payload>>,
-) -> Option<usize> {
-    (0..s.processes.len()).find(|&pid| op_enabled(s, pcs, queues, pid))
-}
+/// Messages queued on each directed `(src, dst)` channel.
+type Queued<'a> = &'a dyn Fn((usize, usize)) -> usize;
 
-fn op_enabled(
-    s: &Schedule,
-    pcs: &[usize],
-    queues: &HashMap<(usize, usize), VecDeque<Payload>>,
-    pid: usize,
-) -> bool {
+/// Whether process `pid`'s next op can run: a send needs room in a
+/// bounded channel, a receive needs a queued message.
+fn op_enabled(s: &Schedule, pcs: &[usize], queued: Queued<'_>, pid: usize) -> bool {
     let Some(op) = s.processes[pid].ops.get(pcs[pid]) else {
         return false;
     };
     match op {
-        Op::Send { dst, .. } => match s.channel_caps.get(&(pid, *dst)) {
-            Some(cap) => queues.get(&(pid, *dst)).map_or(0, |q| q.len()) < *cap,
-            None => true,
-        },
-        Op::Recv { src, .. } => queues.get(&(*src, pid)).is_some_and(|q| !q.is_empty()),
+        Op::Send { dst, .. } => s
+            .channel_caps
+            .get(&(pid, *dst))
+            .is_none_or(|&cap| queued((pid, *dst)) < cap),
+        Op::Recv { src, .. } => queued((*src, pid)) > 0,
     }
 }
 
@@ -413,11 +409,7 @@ fn apply_recv(action: &RecvAction, payload: &Payload, st: &mut ProcState) -> Res
 
 /// Build the wait-for graph over blocked processes and report its cycle
 /// (or, for a non-cyclic hang, what each blocked process waits on).
-fn deadlock_report(
-    s: &Schedule,
-    pcs: &[usize],
-    queues: &HashMap<(usize, usize), VecDeque<Payload>>,
-) -> Violation {
+fn deadlock_report(s: &Schedule, pcs: &[usize], queued: Queued<'_>) -> Violation {
     // waits_on[pid] = the process whose progress would unblock pid.
     let mut waits_on: HashMap<usize, usize> = HashMap::new();
     let mut details = Vec::new();
@@ -441,10 +433,11 @@ fn deadlock_report(
             }
             Op::Recv { src, .. } => {
                 waits_on.insert(pid, *src);
-                let queued = queues.get(&(*src, pid)).map_or(0, |q| q.len());
                 details.push(format!(
                     "{} blocked receiving from {} ({} queued)",
-                    process.name, s.processes[*src].name, queued
+                    process.name,
+                    s.processes[*src].name,
+                    queued((*src, pid))
                 ));
             }
         }
@@ -547,105 +540,87 @@ fn check_expectation(s: &Schedule, states: &[ProcState], out: &mut Vec<Violation
     }
 }
 
-/// Layer 3: explicit-state DFS over **every** interleaving, tracking only
-/// what enabledness depends on (program counters + channel occupancy).
-///
-/// Returns `Ok(states_visited)` if no reachable quiescent state is a
-/// deadlock, `Err(violation)` on the first deadlock found. `state_cap`
-/// bounds the visited set; exceeding it returns an
-/// [`Violation::ExpectationFailed`] describing the blow-up (callers pick
-/// configs small enough that this never triggers).
-pub fn check_deadlock_exhaustive(s: &Schedule, state_cap: usize) -> Result<usize, Violation> {
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    struct State {
-        pcs: Vec<usize>,
-        // Occupancy per channel, in a fixed channel order.
-        occ: Vec<usize>,
+/// Layer 3's machine: every interleaving of a schedule, tracking only
+/// what enabledness depends on.
+struct Interleavings<'a>(&'a Schedule);
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct Progress {
+    pcs: Vec<usize>,
+    /// Messages queued per directed channel; empty channels are absent,
+    /// so each state has exactly one form.
+    queued: BTreeMap<(usize, usize), usize>,
+}
+
+impl Machine for Interleavings<'_> {
+    type State = Progress;
+
+    fn name(&self) -> String {
+        self.0.name.clone()
     }
-    // Fixed channel universe: every (src, dst) that appears in any op.
-    let mut chans: Vec<(usize, usize)> = Vec::new();
-    for (pid, p) in s.processes.iter().enumerate() {
-        for op in &p.ops {
-            let ch = match op {
-                Op::Send { dst, .. } => (pid, *dst),
-                Op::Recv { src, .. } => (*src, pid),
-            };
-            if !chans.contains(&ch) {
-                chans.push(ch);
-            }
+
+    fn init(&self) -> Progress {
+        Progress {
+            pcs: vec![0; self.0.processes.len()],
+            queued: BTreeMap::new(),
         }
     }
-    chans.sort_unstable();
-    let chan_idx: HashMap<(usize, usize), usize> =
-        chans.iter().enumerate().map(|(i, &c)| (c, i)).collect();
 
-    let enabled = |st: &State, pid: usize| -> Option<usize> {
-        // Returns the channel index the op acts on, if enabled.
-        let op = s.processes[pid].ops.get(st.pcs[pid])?;
-        match op {
-            Op::Send { dst, .. } => {
-                let ci = chan_idx[&(pid, *dst)];
-                match s.channel_caps.get(&(pid, *dst)) {
-                    Some(cap) if st.occ[ci] >= *cap => None,
-                    _ => Some(ci),
+    fn successors(&self, st: &Progress) -> Vec<Progress> {
+        let s = self.0;
+        let queued = |ch| st.queued.get(&ch).copied().unwrap_or(0);
+        let mut out = Vec::new();
+        for pid in 0..s.processes.len() {
+            if !op_enabled(s, &st.pcs, &queued, pid) {
+                continue;
+            }
+            let mut n = st.clone();
+            match s.processes[pid].ops[st.pcs[pid]] {
+                Op::Send { dst, .. } => *n.queued.entry((pid, dst)).or_insert(0) += 1,
+                Op::Recv { src, .. } => {
+                    let q = n.queued.entry((src, pid)).or_insert(0);
+                    *q -= 1;
+                    if *q == 0 {
+                        n.queued.remove(&(src, pid));
+                    }
                 }
             }
-            Op::Recv { src, .. } => {
-                let ci = chan_idx[&(*src, pid)];
-                (st.occ[ci] > 0).then_some(ci)
-            }
+            n.pcs[pid] += 1;
+            out.push(n);
         }
-    };
-
-    let initial = State {
-        pcs: vec![0; s.processes.len()],
-        occ: vec![0; chans.len()],
-    };
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut stack = vec![initial];
-    while let Some(st) = stack.pop() {
-        let mut h = DefaultHasher::new();
-        st.hash(&mut h);
-        if !visited.insert(h.finish()) {
-            continue;
-        }
-        if visited.len() > state_cap {
-            return Err(Violation::ExpectationFailed {
-                detail: format!("state space exceeds cap {state_cap} for '{}'", s.name),
-            });
-        }
-        let mut any = false;
-        for pid in 0..s.processes.len() {
-            let Some(ci) = enabled(&st, pid) else {
-                continue;
-            };
-            any = true;
-            let mut nxt = st.clone();
-            match &s.processes[pid].ops[st.pcs[pid]] {
-                Op::Send { .. } => nxt.occ[ci] += 1,
-                Op::Recv { .. } => nxt.occ[ci] -= 1,
-            }
-            nxt.pcs[pid] += 1;
-            stack.push(nxt);
-        }
-        if !any {
-            let done = st
-                .pcs
-                .iter()
-                .enumerate()
-                .all(|(pid, &pc)| pc == s.processes[pid].ops.len());
-            if !done {
-                // Reconstruct a queue view for the report (occupancy only).
-                let queues: HashMap<(usize, usize), VecDeque<Payload>> = chans
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (c, (0..st.occ[i]).map(|_| Payload::Opaque).collect()))
-                    .collect();
-                return Err(deadlock_report(s, &st.pcs, &queues));
-            }
-        }
+        out
     }
-    Ok(visited.len())
+
+    fn invariant(&self, _: &Progress) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn accepting(&self, st: &Progress) -> bool {
+        st.pcs
+            .iter()
+            .zip(&self.0.processes)
+            .all(|(&pc, p)| pc == p.ops.len())
+    }
+
+    fn stuck(&self, st: &Progress) -> (&'static str, String) {
+        let queued = |ch| st.queued.get(&ch).copied().unwrap_or(0);
+        let report = deadlock_report(self.0, &st.pcs, &queued);
+        ("deadlock", report.to_string())
+    }
+}
+
+/// Layer 3: explore **every** interleaving of `s`.
+///
+/// Returns the number of states visited, or the first finding: a
+/// `deadlock` carrying the same wait-for report as layer 2, or a
+/// `state-explosion` (callers pick configs small enough that this never
+/// triggers).
+pub fn check_deadlock_exhaustive(s: &Schedule) -> Result<usize, Finding> {
+    let r = explore(&Interleavings(s));
+    match r.findings.into_iter().next() {
+        Some(f) => Err(f),
+        None => Ok(r.states),
+    }
 }
 
 #[cfg(test)]
@@ -722,7 +697,7 @@ mod tests {
             })
             .expect("must report deadlock");
         assert_eq!(dl.len(), 2, "two-rank wait-for cycle: {dl:?}");
-        assert!(check_deadlock_exhaustive(&s, 10_000).is_err());
+        assert!(check_deadlock_exhaustive(&s).is_err());
     }
 
     #[test]
@@ -840,7 +815,7 @@ mod tests {
     #[test]
     fn exhaustive_agrees_with_canonical_on_tiny_exchange() {
         let s = tiny_exchange();
-        let states = check_deadlock_exhaustive(&s, 100_000).expect("no deadlock");
+        let states = check_deadlock_exhaustive(&s).expect("no deadlock");
         assert!(states > 1);
     }
 }

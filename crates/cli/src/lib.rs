@@ -788,7 +788,7 @@ fn cmd_analyze(rest: &[String]) -> Result<String> {
         if inject.as_deref() == Some("double-accept") {
             gcs_analyze::protocol::run_protocol_mutants()
         } else {
-            gcs_analyze::protocol::run_protocol_pass()
+            gcs_analyze::protocol::run_protocol_pass(std::path::Path::new(&root))
         }
     });
     let fuzz_rep = want_fuzz.then(|| {
