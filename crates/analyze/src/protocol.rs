@@ -3,11 +3,12 @@
 //! Three distributed protocols in the runtime are small enough to verify
 //! outright by explicit-state exploration:
 //!
-//! * the **TCP Hello handshake** (`TcpCluster::build`): every rank dials
+//! * the **TCP Hello handshake** (`TcpWorker::build`): every rank dials
 //!   its lower peers and accepts its higher ones, validating the Hello
-//!   frame's source rank and rejecting duplicates. Verified properties:
-//!   every interleaving of dials and deliveries reaches the full mesh
-//!   (deadlock freedom), no peer slot is accepted twice even under
+//!   frame's source rank; an out-of-range or duplicate Hello ends `build`
+//!   with a typed `Wire` error. Verified properties: every interleaving
+//!   of dials and deliveries reaches the full mesh or that typed failure
+//!   (deadlock freedom), and no peer slot is accepted twice even under
 //!   retransmitted/forged Hellos (no double-accept).
 //! * the **adaptive decision protocol** (`AdaptiveEngine`): rank 0
 //!   decides and *always* broadcasts; followers apply exactly what they
@@ -27,10 +28,11 @@
 //! them, and `gradcomp analyze --inject double-accept` wires one into the
 //! CLI to prove the gate exits non-zero.
 //!
-//! The decision and window machines name source anchors in the code they
-//! model (`encode_decisions` / `decode_decisions` in `gcs_ddp::adaptive`;
-//! `run_rounds`, `complete_front` and `pop_front` in `gcs_ddp::exec`), so
-//! the pass reports `model-drift` when that code is refactored away.
+//! Each machine names source anchors in the code it models (`Hello` and
+//! `accept` in `gcs_cluster::tcp`; `encode_decisions` / `decode_decisions`
+//! in `gcs_ddp::adaptive`; `run_rounds`, `complete_front` and `pop_front`
+//! in `gcs_ddp::exec`), so the pass reports `model-drift` when that code
+//! is refactored away.
 
 use crate::explore::{Finding, Machine, PassReport, SourceAnchor};
 use std::path::Path;
@@ -61,7 +63,8 @@ pub struct HelloState {
     accepted: Vec<Vec<u8>>,
     /// Forged frames still to inject: (duplicate, out-of-range).
     forge_budget: (u8, u8),
-    rejected: u8,
+    /// A rank rejected a Hello, so its `build` returned `ClusterError::Wire`.
+    failed: bool,
 }
 
 impl HelloMesh {
@@ -69,12 +72,12 @@ impl HelloMesh {
         let mut n = s.clone();
         let (src, dst) = n.inflight.remove(idx);
         let (src_us, dst_us) = (src as usize, dst as usize);
-        // Mirrors TcpWorker::build's accept-side validation.
-        if src_us <= dst_us || src_us >= self.p {
-            n.rejected += 1;
-        } else if n.accepted[dst_us][src_us] >= 1 && !self.mutant_double_accept {
-            // Duplicate Hello for an already-connected slot.
-            n.rejected += 1;
+        // Mirrors TcpWorker::build's accept-side validation: an
+        // out-of-range Hello, or a duplicate for an already-connected
+        // slot, fails the whole build.
+        let duplicate = n.accepted[dst_us][src_us] >= 1 && !self.mutant_double_accept;
+        if src_us <= dst_us || src_us >= self.p || duplicate {
+            n.failed = true;
         } else {
             n.accepted[dst_us][src_us] += 1;
         }
@@ -109,12 +112,15 @@ impl Machine for HelloMesh {
             inflight: Vec::new(),
             accepted: vec![vec![0; self.p]; self.p],
             forge_budget: if self.forged { (1, 1) } else { (0, 0) },
-            rejected: 0,
+            failed: false,
         }
     }
 
     fn successors(&self, s: &HelloState) -> Vec<HelloState> {
         let mut out = Vec::new();
+        if s.failed {
+            return out;
+        }
         // A rank dials its next lower peer, sending its Hello.
         for rank in 1..self.p {
             if (s.dialed[rank] as usize) < rank {
@@ -125,12 +131,18 @@ impl Machine for HelloMesh {
                 out.push(n);
             }
         }
-        // Any in-flight Hello is delivered (network reordering is free).
-        for idx in 0..s.inflight.len() {
+        // Any in-flight Hello is delivered (network reordering is free)
+        // while its destination's accept loop still runs; after that it
+        // sits unread in the listen backlog.
+        for (idx, &(_, dst)) in s.inflight.iter().enumerate() {
             if idx > 0 && s.inflight[idx] == s.inflight[idx - 1] {
                 continue; // identical frame, identical successor
             }
-            out.push(self.deliver(s, idx));
+            let dst = dst as usize;
+            let accepted: u8 = s.accepted[dst].iter().sum();
+            if (accepted as usize) < self.p - 1 - dst {
+                out.push(self.deliver(s, idx));
+            }
         }
         // Adversarial injections: a retransmitted duplicate of the real
         // (p-1 → 0) Hello, and an out-of-range Hello with src == dst.
@@ -164,12 +176,23 @@ impl Machine for HelloMesh {
     }
 
     fn accepting(&self, s: &HelloState) -> bool {
-        // Full mesh: every higher rank accepted by every lower rank,
-        // nothing left in flight, forged frames all injected + rejected.
-        s.inflight.is_empty()
-            && s.forge_budget == (0, 0)
-            && (1..self.p).all(|rank| s.dialed[rank] as usize == rank)
-            && (0..self.p).all(|dst| (dst + 1..self.p).all(|src| s.accepted[dst][src] == 1))
+        // A typed failure, or the full mesh: every higher rank accepted
+        // by every lower rank (a forged frame may be left in a backlog).
+        s.failed || (0..self.p).all(|dst| (dst + 1..self.p).all(|src| s.accepted[dst][src] == 1))
+    }
+
+    fn anchors(&self) -> &[SourceAnchor] {
+        const TCP: &str = "crates/cluster/src/tcp.rs";
+        &[
+            SourceAnchor {
+                file: TCP,
+                ident: "Hello",
+            },
+            SourceAnchor {
+                file: TCP,
+                ident: "accept",
+            },
+        ]
     }
 }
 
@@ -538,8 +561,8 @@ mod tests {
 
     #[test]
     fn forged_hellos_are_rejected_not_accepted() {
-        // The real handshake with forged frames still reaches the full
-        // mesh and never double-accepts.
+        // The real handshake with forged frames ends in the full mesh or
+        // a typed failure, and never double-accepts.
         let r = explore(&HelloMesh {
             p: 4,
             mutant_double_accept: false,

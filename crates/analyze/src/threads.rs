@@ -490,5 +490,18 @@ mod tests {
         let fs = check_anchors(&repo_root(), &m);
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].kind, "model-drift");
+
+        // Pass 4 machines carry anchors too: the Hello handshake is clean
+        // against the real tree and drifts on both anchors against a root
+        // without `crates/cluster/src/tcp.rs`.
+        let hello = crate::protocol::HelloMesh {
+            p: 2,
+            mutant_double_accept: false,
+            forged: false,
+        };
+        assert!(check_anchors(&repo_root(), &hello).is_empty());
+        let fs = check_anchors(Path::new(env!("CARGO_MANIFEST_DIR")), &hello);
+        assert_eq!(fs.len(), 2);
+        assert!(fs.iter().all(|f| f.kind == "model-drift"), "{fs:?}");
     }
 }

@@ -62,13 +62,13 @@ fn protocol_machine_state_counts() {
         got,
         &[
             ("hello-handshake/p2", 3),
-            ("hello-handshake/p2+forged", 24),
+            ("hello-handshake/p2+forged", 18),
             ("adaptive-decisions/p2/Real", 10),
             ("hello-handshake/p3", 21),
-            ("hello-handshake/p3+forged", 162),
+            ("hello-handshake/p3+forged", 140),
             ("adaptive-decisions/p3/Real", 30),
             ("hello-handshake/p4", 315),
-            ("hello-handshake/p4+forged", 2394),
+            ("hello-handshake/p4+forged", 2160),
             ("adaptive-decisions/p4/Real", 100),
             ("pipeline-window/buckets2-w1/Real", 7),
             ("pipeline-window/buckets2-w2/Real", 10),
@@ -109,7 +109,7 @@ fn protocol_mutant_state_counts() {
     assert_counts(
         got,
         &[
-            ("hello-handshake/p3+forged+mutant-double-accept", 162),
+            ("hello-handshake/p3+forged+mutant-double-accept", 140),
             ("adaptive-decisions/p2/SkipEmptyBroadcast", 8),
             ("adaptive-decisions/p3/DecideLocally", 30),
             ("pipeline-window/buckets3-w1/NoWindowCheck", 20),
