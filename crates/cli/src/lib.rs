@@ -113,13 +113,13 @@ ANALYZE FLAGS (gradcomp analyze):
   --lint                  Pass 2: workspace lint (unsafe allowlist, SAFETY
                           comments, data-plane panics, raw f32 loops,
                           Relaxed-ordering allowlist with SYNC comments)
-  --threads               Pass 3: happens-before race checker over thread/event
-                          models of pool/CommEngine/pipeline/adaptive/TCP
+  --threads               Pass 3: race/deadlock checker over the kernel pool's
+                          thread/event model (the only unsafe-Send/Sync code)
   --protocols             Pass 4: protocol state machines (Hello handshake,
                           adaptive decisions, pipeline FIFO window)
   --fuzz                  Pass 5: deterministic wire fuzz (headers, frames,
                           Payload::from_bytes for all 15 methods)
-  --fuzz-seed <u64>       fuzz seed (default 3900588966 = 0xE8828466)
+  --fuzz-seed <u64>       fuzz seed (default 3900867686 = 0xE8828466)
   --fuzz-iters <n>        fuzz iterations per target (default 1500)
   --inject <negative>     self-test: run one pass with a seeded negative that
                           MUST be detected (exit is non-zero when it is):
@@ -848,6 +848,12 @@ mod tests {
     fn no_args_prints_usage() {
         assert!(run(&[]).unwrap().contains("USAGE"));
         assert!(run(&args("help")).unwrap().contains("COMMANDS"));
+    }
+
+    #[test]
+    fn usage_names_the_default_fuzz_seed() {
+        let named = format!("default {DEFAULT_FUZZ_SEED} = 0x{DEFAULT_FUZZ_SEED:X}");
+        assert!(USAGE.contains(&named), "USAGE must say `{named}`");
     }
 
     #[test]
