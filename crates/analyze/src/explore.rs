@@ -32,6 +32,12 @@ pub struct SourceAnchor {
     pub ident: &'static str,
 }
 
+impl SourceAnchor {
+    pub const fn new(file: &'static str, ident: &'static str) -> Self {
+        SourceAnchor { file, ident }
+    }
+}
+
 /// An explicit-state model.
 pub trait Machine {
     type State: Clone + Eq + Hash + Debug;

@@ -183,16 +183,11 @@ impl Machine for HelloMesh {
 
     fn anchors(&self) -> &[SourceAnchor] {
         const TCP: &str = "crates/cluster/src/tcp.rs";
-        &[
-            SourceAnchor {
-                file: TCP,
-                ident: "Hello",
-            },
-            SourceAnchor {
-                file: TCP,
-                ident: "accept",
-            },
-        ]
+        const ANCHORS: &[SourceAnchor] = &[
+            SourceAnchor::new(TCP, "Hello"),
+            SourceAnchor::new(TCP, "accept"),
+        ];
+        ANCHORS
     }
 }
 
@@ -301,16 +296,12 @@ impl Machine for DecisionProtocol {
     }
 
     fn anchors(&self) -> &[SourceAnchor] {
-        &[
-            SourceAnchor {
-                file: "crates/ddp/src/adaptive.rs",
-                ident: "encode_decisions",
-            },
-            SourceAnchor {
-                file: "crates/ddp/src/adaptive.rs",
-                ident: "decode_decisions",
-            },
-        ]
+        const ADAPTIVE: &str = "crates/ddp/src/adaptive.rs";
+        const ANCHORS: &[SourceAnchor] = &[
+            SourceAnchor::new(ADAPTIVE, "encode_decisions"),
+            SourceAnchor::new(ADAPTIVE, "decode_decisions"),
+        ];
+        ANCHORS
     }
 }
 
@@ -431,24 +422,13 @@ impl Machine for PipelineWindow {
 
     fn anchors(&self) -> &[SourceAnchor] {
         const EXEC: &str = "crates/ddp/src/exec.rs";
-        &[
-            SourceAnchor {
-                file: EXEC,
-                ident: "run_rounds",
-            },
-            SourceAnchor {
-                file: EXEC,
-                ident: "window",
-            },
-            SourceAnchor {
-                file: EXEC,
-                ident: "complete_front",
-            },
-            SourceAnchor {
-                file: EXEC,
-                ident: "pop_front",
-            },
-        ]
+        const ANCHORS: &[SourceAnchor] = &[
+            SourceAnchor::new(EXEC, "run_rounds"),
+            SourceAnchor::new(EXEC, "window"),
+            SourceAnchor::new(EXEC, "complete_front"),
+            SourceAnchor::new(EXEC, "pop_front"),
+        ];
+        ANCHORS
     }
 }
 

@@ -118,7 +118,7 @@ impl ThreadModel {
         self.threads.push((name.into(), ops));
     }
     fn anchor(&mut self, file: &'static str, ident: &'static str) {
-        self.anchors.push(SourceAnchor { file, ident });
+        self.anchors.push(SourceAnchor::new(file, ident));
     }
 }
 
