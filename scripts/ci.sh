@@ -75,9 +75,8 @@ timeout 120 bash benchmark/run.sh --workload topk-overlap-netem --seconds 3 --tr
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
 # (2) lint the workspace source (unsafe hygiene, data-plane panic paths,
 # raw accumulation loops, Relaxed-ordering allowlist); (3) explore the
-# thread/event models of the pool, CommEngine, pipeline window,
-# adaptive broadcast, and TCP readers for races/deadlocks/lost wakeups;
-# (4) prove the Hello handshake, decision protocol, and pipeline FIFO
+# kernel pool's thread/event model, the one component outside a
+# forbid(unsafe_code) crate, for races/deadlocks/lost wakeups; (4) prove the Hello handshake, decision protocol, and pipeline FIFO
 # window state machines; (5) fuzz the wire headers/frames and
 # Payload::from_bytes for all 15 methods at a fixed seed (deterministic,
 # finishes well under 10 s). Exits non-zero on any violation. The report
@@ -96,16 +95,37 @@ rm -f "$ANALYZE_REPORT"
 
 # Negative self-test: each pass must still DETECT its seeded negative —
 # a racy thread model, a double-accepting Hello mutant, a panicking wire
-# parser. If any of these exits zero the gate has lost its teeth.
+# parser. If any of these exits zero the gate has lost its teeth. A
+# non-zero exit alone could also be a build failure or a mistyped flag,
+# so the report each run writes must carry the expected finding too.
+NEG_DIR=$(mktemp -d)
 for neg in race double-accept parser-panic; do
-  echo "==> gradcomp analyze --inject $neg (must fail)"
+  echo "==> gradcomp analyze --inject $neg (must fail with its finding)"
   if cargo run -q --release -p gcs-cli --bin gradcomp-cli -- \
-      analyze --inject "$neg" --json "/tmp/gcs_analyze_neg_$neg.json" \
+      analyze --inject "$neg" --json "$NEG_DIR/$neg.json" \
       > /dev/null 2>&1; then
     echo "analyze --inject $neg exited zero: seeded negative NOT detected"
     exit 1
   fi
+  python3 - "$neg" "$NEG_DIR/$neg.json" <<'PY'
+import json
+import sys
+
+neg, path = sys.argv[1], sys.argv[2]
+passes = json.load(open(path))["passes"]
+if neg == "race":
+    kinds = {f["kind"] for f in passes["thread_race_checker"]["findings"]}
+    found = {"unordered-access", "lost-wakeup"} <= kinds
+elif neg == "double-accept":
+    details = [f["detail"] for f in passes["protocol_machines"]["findings"]]
+    found = any(d.startswith("double-accept") for d in details)
+else:
+    found = bool(passes["wire_fuzz"]["findings"])
+if not found:
+    sys.exit(f"analyze --inject {neg}: the report lacks the expected finding")
+PY
 done
+rm -rf "$NEG_DIR"
 
 # Smoke-run the tracked benchmark binaries: tiny sizes, one iteration,
 # no JSON rewrite — catches bit-rot in the bench plumbing without the
