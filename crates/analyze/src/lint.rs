@@ -23,7 +23,7 @@
 //!   allowlisted files (the pool band cursor is the only sanctioned
 //!   site), and every allowlisted use needs a `// SYNC:` comment naming
 //!   the ordering argument; everything else synchronizes with `SeqCst`
-//!   or stronger so the Pass 3 happens-before models stay faithful.
+//!   or stronger, so the pool is the one ordering argument Pass 3 models.
 //!
 //! A site can be exempted explicitly with a
 //! `// lint: allow(<rule>)` comment on the same or previous line;
@@ -94,7 +94,7 @@ const RULE_RELAXED: &str = "relaxed-atomic-ordering";
 
 /// Files sanctioned to use `Ordering::Relaxed`: only the pool band
 /// cursor, whose claims are made publication-safe by the job mutex +
-/// condvar join (verified by the Pass 3 model).
+/// condvar join (verified by Pass 3's `pool-join` model).
 const RELAXED_ALLOWLIST: &[&str] = &["crates/tensor/src/pool.rs"];
 
 /// Lint every Rust source under `root` (a workspace checkout).
@@ -274,7 +274,7 @@ fn rule_relaxed(rel: &str, scan: &Scan, report: &mut LintReport) {
                 rel,
                 line,
                 RULE_RELAXED,
-                "`Ordering::Relaxed` outside the pool band-cursor allowlist; use SeqCst (or add the file to the allowlist with a Pass 3 model)".into(),
+                "`Ordering::Relaxed` outside the pool band-cursor allowlist; use SeqCst (or add the file to the allowlist with a Pass 3 thread model of it)".into(),
             );
         } else if !has_marker_comment(scan, statement_start(scan, line), "SYNC:") {
             push(
