@@ -11,7 +11,9 @@
 //! bucket. Fixed FNV-1a digests pin the per-layer exchange's bits, and
 //! syncSGD's through every sequential engine at p = 2, 3 and 4 on a layout
 //! with single- and multi-layer buckets, a layer shorter than the ring and
-//! −0.0, subnormal, ±inf and NaN-payload inputs.
+//! −0.0, subnormal, ±inf and NaN-payload inputs. SignSGD's and
+//! EF-SignSGD's are pinned at p = 2, 3 and 5 over three steps, final
+//! error-feedback residuals included.
 //!
 //! Against the reference driver the whole model is one flat bucket
 //! (`bucket_bytes = usize::MAX`), which the driver sees as one "layer";
@@ -411,4 +413,79 @@ fn syncsgd_exchanges_match_their_golden_digests() {
         .map(|world| engines.iter().map(|&e| dense_digest(world, e)).collect())
         .collect();
     assert_eq!(digests, GOLDEN, "syncSGD exchange bits moved");
+}
+
+/// SignSGD's golden layout, forward order: a 4096-word layer, a one-word
+/// row, a multi-word layer, and two layers whose last sign word is
+/// ragged (10 and 1000 elements).
+fn sign_shapes() -> Vec<Vec<usize>> {
+    vec![
+        vec![512, 256],
+        vec![512],
+        vec![10, 512],
+        vec![10],
+        vec![1000],
+    ]
+}
+
+/// Rank `rank`'s gradients at `step` for the SignSGD goldens: normal
+/// draws with exact +0.0 and −0.0 at hashed positions, so the pack's
+/// `x >= 0` convention and vote ties both show in the bits.
+fn sign_grads_at(rank: usize, step: usize) -> Vec<Tensor> {
+    sign_shapes()
+        .iter()
+        .enumerate()
+        .map(|(layer, s)| {
+            let seed = 7 + (step * 977 + rank * 131 + layer) as u64;
+            let mut data = Tensor::randn(s.clone(), seed).into_vec();
+            for (e, x) in data.iter_mut().enumerate() {
+                match (e as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 {
+                    0 => *x = 0.0,
+                    1 => *x = -0.0,
+                    _ => {}
+                }
+            }
+            Tensor::from_shape_vec(s.clone(), data).unwrap()
+        })
+        .collect()
+}
+
+/// FNV-1a over three per-layer exchange steps of `method` on a
+/// `world`-rank `SimCluster`, followed by every layer's final
+/// error-feedback residual (none for plain SignSGD), so the residual
+/// carried from step to step is pinned too.
+fn sign_digest(method: &MethodConfig, world: usize) -> u64 {
+    let runs = SimCluster::run(world, |w| {
+        let mut c = method.build().unwrap();
+        let mut outs: Vec<Vec<Tensor>> = (0..3)
+            .map(|step| exchange_gradients(&w, &mut c, &sign_grads_at(w.rank(), step)).unwrap())
+            .collect();
+        let residuals: Vec<Tensor> = (0..sign_shapes().len())
+            .filter_map(|layer| c.take_residual(layer))
+            .collect();
+        let expected = if *method == MethodConfig::EfSignSgd {
+            sign_shapes().len()
+        } else {
+            0
+        };
+        assert_eq!(residuals.len(), expected, "{method:?} residuals");
+        outs.push(residuals);
+        outs
+    });
+    fnv1a(&runs)
+}
+
+#[test]
+fn sign_exchanges_match_their_golden_digests() {
+    // One row per method (SignSGD, EF-SignSGD); one column per world size
+    // p = 2, 3, 5.
+    const GOLDEN: [[u64; 3]; 2] = [
+        [0xac6b34ee14f84d05, 0xbab9161732d7e2f5, 0xfc103ff92613dc55],
+        [0x8097c40146f4f2d9, 0xce94aa139cb84b29, 0xcf37ecccbbd9b43b],
+    ];
+    let digests: Vec<Vec<u64>> = [MethodConfig::SignSgd, MethodConfig::EfSignSgd]
+        .iter()
+        .map(|method| [2, 3, 5].iter().map(|&p| sign_digest(method, p)).collect())
+        .collect();
+    assert_eq!(digests, GOLDEN, "SignSGD exchange bits moved");
 }

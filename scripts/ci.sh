@@ -28,9 +28,11 @@ GCS_FORCE_SCALAR=1 cargo test --workspace -q
 # models' gradient goldens, the wire image against `f32s_to_bytes`, the
 # ring mean against the ring sum divided and the out-of-place mean against
 # copy-then-mean (`ring_reference`) and every engine against the parent
-# goldens, syncSGD's at p = 2, 3, 4 among them (`pipeline_bitexact`), named here so
-# the gate does not rest on the two workspace passes above keeping them:
-# once under the default dispatch and once forced scalar (which also pins
+# goldens (`pipeline_bitexact`), among them syncSGD's at p = 2, 3, 4
+# (`syncsgd_exchanges_match_their_golden_digests`) and SignSGD's and
+# EF-SignSGD's at p = 2, 3, 5 with the final EF residuals
+# (`sign_exchanges_match_their_golden_digests`), named here so the gate
+# does not rest on the two workspace passes above keeping them: once under the default dispatch and once forced scalar (which also pins
 # the kernel pool to one thread).
 for scalar in 0 1; do
   echo "==> GEMM paths + write-once + PowerSGD + MLP + ring mean bit-exactness (GCS_FORCE_SCALAR=$scalar)"
