@@ -2,7 +2,7 @@
 //! the seed's naive implementations and writes `BENCH_datapath.json` at the
 //! repo root.
 //!
-//! Eight kernels are tracked:
+//! Nine kernels are tracked:
 //!
 //! 1. Ring all-reduce on a 25 MiB gradient for p ∈ {4, 8, 16}, against a
 //!    faithful reconstruction of the seed's clone-based ring (fresh wire
@@ -24,7 +24,10 @@
 //! 7. One 4 MiB single-layer syncSGD bucket through
 //!    `exchange_gradients_with_plan` on two ranks: packed and reduced in
 //!    place against reduced out of place straight from the gradient.
-//! 8. Per-kernel SIMD vs. scalar rows: every primitive in the
+//! 8. SignSGD's majority vote over p = 2 and p = 5 packed sign vectors on
+//!    the same 25 MiB buffer: the bit-sliced `MajorityVote` against the
+//!    `i32` tally it replaced.
+//! 9. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
 //!    the same buffers, plus the GEMM tile through both dispatch paths.
 //!    The report's `metadata` object records the CPU model, detected
@@ -42,7 +45,7 @@ use gcs_compress::none::NoCompression;
 use gcs_compress::powersgd::PowerSgd;
 use gcs_compress::{Compressor, Payload, Properties};
 use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
-use gcs_tensor::bits::SignBits;
+use gcs_tensor::bits::{MajorityVote, SignBits};
 use gcs_tensor::kernels;
 use gcs_tensor::matrix::{
     a_mul_bt, at_mul_b, at_mul_b_into, at_mul_b_with_tile, matmul, matmul_with_dispatch,
@@ -825,6 +828,74 @@ fn selection_section(pr: Params) -> (Value, Value) {
     )
 }
 
+/// The `i32` tally the bit-sliced vote replaced, as its scalar kernels
+/// ran it (word by word, `+1` per set bit and `−1` otherwise, then
+/// `tally >= 0` packed back into words).
+fn reference_majority(voters: &[SignBits], n: usize) -> Vec<u32> {
+    let mut tally = vec![0i32; n];
+    for v in voters {
+        for (w, block) in v.words().iter().zip(tally.chunks_mut(32)) {
+            for (b, t) in block.iter_mut().enumerate() {
+                *t += (((w >> b) & 1) as i32) * 2 - 1;
+            }
+        }
+    }
+    let mut words = vec![0u32; n.div_ceil(32)];
+    for (w, chunk) in words.iter_mut().zip(tally.chunks(32)) {
+        for (b, &t) in chunk.iter().enumerate() {
+            *w |= u32::from(t >= 0) << b;
+        }
+    }
+    words
+}
+
+/// SignSGD's aggregation at p = 2 and p = 5: `MajorityVote` over `p` packed
+/// sign vectors (accumulate, then resolve to packed words) against the
+/// `i32` tally it replaced, checked equal before timing.
+fn majority_vote_section(pr: Params) -> Vec<Value> {
+    let n = pr.ring_elems;
+    [2usize, 5]
+        .into_iter()
+        .map(|p| {
+            let voters: Vec<SignBits> = (0..p)
+                .map(|v| SignBits::pack(Tensor::randn([n], 43 + v as u64).data()))
+                .collect();
+            let vote = || {
+                let mut vote = MajorityVote::new(n);
+                for v in &voters {
+                    vote.add(v);
+                }
+                vote.majority_bits()
+            };
+            assert_eq!(
+                vote().words(),
+                &reference_majority(&voters, n)[..],
+                "majority vote and its i32 tally reference disagree"
+            );
+            let fast = bench(1, pr.gemm_iters, || {
+                black_box(vote());
+            });
+            let reference = bench(1, pr.gemm_iters, || {
+                black_box(reference_majority(&voters, n));
+            });
+            let sp = speedup(&reference, &fast);
+            println!(
+                "majority vote     p={p} n={n}  {}  (i32 tally reference {}, {sp:.2}x)",
+                fast.ms(),
+                reference.ms()
+            );
+            json!({
+                "kernel": "majority_vote",
+                "p": p,
+                "n": n,
+                "vote_ms": fast.min_s * 1e3,
+                "tally_ms": reference.min_s * 1e3,
+                "speedup": sp,
+            })
+        })
+        .collect()
+}
+
 /// Times one kernel under both dispatch tables and returns the JSON row.
 /// The closure receives `use_simd` and runs the kernel on shared buffers
 /// (one closure, so the buffers are borrowed only once). `iters` comes from
@@ -865,7 +936,7 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
     let table = move |s: bool| if s { sv } else { sc };
     let mut rows = Vec::new();
 
-    // Sign pack / unpack / majority vote (SignSGD and 1-bit Adam paths).
+    // Sign pack / unpack (SignSGD and 1-bit Adam paths).
     let mut words = vec![0u32; words_len];
     rows.push(simd_row("sign_pack", n, iters, |s| {
         (table(s).sign_pack)(&data, black_box(&mut words));
@@ -873,13 +944,6 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
     let mut out = vec![0.0f32; n];
     rows.push(simd_row("sign_unpack_fill", n, iters, |s| {
         (table(s).unpack_fill)(&words, -1.0, 1.0, black_box(&mut out));
-    }));
-    let mut tally = vec![0i32; n];
-    rows.push(simd_row("vote_add", n, iters, |s| {
-        (table(s).vote_add)(&words, black_box(&mut tally));
-    }));
-    rows.push(simd_row("vote_pack", n, iters, |s| {
-        (table(s).vote_pack)(&tally, black_box(&mut words));
     }));
 
     // Wire (de)serialization and the ring's receive-and-accumulate step.
@@ -957,6 +1021,7 @@ fn main() {
     let psgd = powersgd_section(pr, smoke);
     let skinny = skinny_gemm_section(pr, smoke);
     let (topk, signs) = selection_section(pr);
+    let vote = majority_vote_section(pr);
     let simd = simd_kernels_section(pr);
 
     let report = json!({
@@ -973,6 +1038,7 @@ fn main() {
         "skinny_gemm": skinny,
         "topk": topk,
         "signs": signs,
+        "majority_vote": vote,
         "simd_kernels": simd,
     });
     gcs_bench::write_report("datapath", &report, smoke);

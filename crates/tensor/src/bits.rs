@@ -4,11 +4,13 @@
 //! aggregation is a per-coordinate majority vote:
 //! `sign(Σᵢ sign(gᵢ))` (Section 2.1 of the paper).
 //!
-//! The pack/unpack/vote inner loops dispatch through the *pooled*
+//! The pack/unpack inner loops dispatch through the *pooled*
 //! [`crate::kernels`] entry points, so they run vectorized (AVX-512 or
 //! AVX2 where detected) and banded across the global kernel pool on
 //! multi-core hosts — with byte-identical results to the serial scalar
-//! fallback in every configuration.
+//! fallback in every configuration. The vote never leaves the packed
+//! domain: [`MajorityVote`] counts bit-sliced, 32 coordinates per word
+//! operation, in plain loops that LLVM vectorizes.
 
 use crate::kernels;
 use crate::pool;
@@ -109,6 +111,13 @@ impl SignBits {
 /// every worker's vote before the outer sign is applied, which is why
 /// SignSGD has to use all-gather in the paper's experiments.
 ///
+/// The count stays in the packed domain: plane `j` holds bit `j` of every
+/// coordinate's positive-vote count, 32 coordinates per `u32`, so `p`
+/// voters need `⌈log2(p+1)⌉` planes of `len / 32` words instead of one
+/// `i32` per coordinate. A vote ripples its bits through the planes as a
+/// carry, and the outcome is one bit-sliced compare `count ≥ ⌈p/2⌉` —
+/// the same decision as `Σ ±1 ≥ 0`, so exact ties and zero voters give `+`.
+///
 /// # Example
 ///
 /// ```
@@ -122,8 +131,12 @@ impl SignBits {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MajorityVote {
-    /// +1 per positive vote, −1 per negative vote, per coordinate.
-    tally: Vec<i32>,
+    /// `planes[j]` word `w`, bit `b`: bit `j` of coordinate `32w + b`'s
+    /// count of positive votes.
+    planes: Vec<Vec<u32>>,
+    /// Scratch for the carry a vote ripples through the planes.
+    carry: Vec<u32>,
+    len: usize,
     voters: usize,
 }
 
@@ -131,21 +144,41 @@ impl MajorityVote {
     /// Creates a vote accumulator for `len`-element sign vectors.
     pub fn new(len: usize) -> Self {
         MajorityVote {
-            tally: vec![0; len],
+            planes: Vec::new(),
+            carry: Vec::new(),
+            len,
             voters: 0,
         }
     }
 
-    /// Adds one worker's sign vector to the tally.
+    /// Adds one worker's sign vector to the count.
     ///
     /// # Panics
     ///
     /// Panics if `bits.len()` differs from the accumulator length.
     pub fn add(&mut self, bits: &SignBits) {
-        assert_eq!(bits.len(), self.tally.len(), "vote length mismatch");
-        // +1 for a set bit, −1 otherwise, branchless.
-        kernels::vote_add_pooled(pool::global(), bits.words(), &mut self.tally);
+        assert_eq!(bits.len(), self.len, "vote length mismatch");
+        let n_words = self.len.div_ceil(32);
         self.voters += 1;
+        // The count can now reach `voters`, so it needs one more plane
+        // each time `voters` reaches a power of two.
+        if self.voters >> self.planes.len() != 0 {
+            self.planes.push(vec![0; n_words]);
+        }
+        self.carry.clear();
+        self.carry.extend_from_slice(&bits.words()[..n_words]);
+        if let Some(last) = self.carry.last_mut() {
+            *last &= tail_mask(self.len);
+        }
+        // Half adders, one plane at a time: sum = plane ^ carry,
+        // carry' = plane & carry.
+        for plane in &mut self.planes {
+            for (p, c) in plane.iter_mut().zip(&mut self.carry) {
+                let sum = *p ^ *c;
+                *c &= *p;
+                *p = sum;
+            }
+        }
     }
 
     /// Number of votes received so far.
@@ -156,21 +189,38 @@ impl MajorityVote {
     /// Resolves the majority as a `±scale` dense vector. Exact ties resolve
     /// to `+scale` (consistent with `sign(0) = +1` under `x >= 0` packing).
     pub fn majority(&self, scale: f32) -> Vec<f32> {
-        self.tally
-            .iter()
-            .map(|&t| if t >= 0 { scale } else { -scale })
-            .collect()
+        self.majority_bits().unpack(scale)
     }
 
     /// Resolves the majority directly into packed form (what the server
-    /// would broadcast back).
+    /// would broadcast back). Bits past `len` in the last word are zero.
     pub fn majority_bits(&self) -> SignBits {
-        let mut words = vec![0u32; self.tally.len().div_ceil(32)];
-        kernels::vote_pack_pooled(pool::global(), &self.tally, &mut words);
-        SignBits {
-            words,
-            len: self.tally.len(),
+        // `count ≥ t` from the least significant plane up: where the count
+        // and `t` agree on bit `j`, the lower bits decide; otherwise bit `j`
+        // does. Starting from "equal" (all ones) makes `t = 0` all `+`.
+        let t = self.voters.div_ceil(2);
+        let mut ge = vec![u32::MAX; self.len.div_ceil(32)];
+        for (j, plane) in self.planes.iter().enumerate() {
+            let t_bit = (t >> j) & 1 == 1;
+            for (g, &c) in ge.iter_mut().zip(plane) {
+                *g = if t_bit { c & *g } else { c | *g };
+            }
         }
+        if let Some(last) = ge.last_mut() {
+            *last &= tail_mask(self.len);
+        }
+        SignBits {
+            words: ge,
+            len: self.len,
+        }
+    }
+}
+
+/// The valid bits of the last word of a `len`-element packing.
+fn tail_mask(len: usize) -> u32 {
+    match len % 32 {
+        0 => u32::MAX,
+        r => (1 << r) - 1,
     }
 }
 

@@ -14,8 +14,6 @@
 //!   `movmskps`, reproducing the scalar `v >= 0.0` predicate exactly
 //!   (NaN → 0, `-0.0` → 1). A raw sign-bit `movmskps` would misclassify
 //!   positive NaNs.
-//! - `vote_add` turns the per-lane bit mask `m ∈ {0, -1}` into `±1` with
-//!   two integer subtracts: `t - 1 - 2m`.
 //! - `gather_above` left-packs matching lanes with a 256-entry
 //!   `vpermps` permutation LUT indexed by the compare movemask — the
 //!   classic AVX2 stream-compaction trick that LLVM cannot autovectorize
@@ -32,8 +30,6 @@ pub(super) static KERNELS: Kernels = Kernels {
     sign_pack,
     unpack_fill,
     unpack_add,
-    vote_add,
-    vote_pack,
     f32s_to_bytes,
     u32s_to_bytes,
     bytes_to_f32s,
@@ -52,7 +48,7 @@ pub(super) static KERNELS: Kernels = Kernels {
 const ABS_MASK: i32 = 0x7fff_ffff;
 
 // ---------------------------------------------------------------------------
-// sign pack / unpack / majority vote
+// sign pack / unpack
 // ---------------------------------------------------------------------------
 
 fn sign_pack(data: &[f32], out: &mut [u32]) {
@@ -131,61 +127,6 @@ unsafe fn unpack_select_avx2<const ACCUMULATE: bool>(
             *o = v;
         }
     }
-}
-
-fn vote_add(words: &[u32], tally: &mut [i32]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { vote_add_avx2(words, tally) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present; `words` must hold
-// at least `ceil(tally.len() / 32)` bit words.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn vote_add_avx2(words: &[u32], tally: &mut [i32]) {
-    let n = tally.len();
-    let bitsel = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    let ones = _mm256_set1_epi32(1);
-    let groups = n / 8;
-    for g in 0..groups {
-        let byte = (words[g / 4] >> ((g % 4) * 8)) & 0xff;
-        let bv = _mm256_set1_epi32(byte as i32);
-        // m = -1 where the bit is set; t += bit ? 1 : -1  ==  t - 1 - 2m.
-        let m = _mm256_cmpeq_epi32(_mm256_and_si256(bv, bitsel), bitsel);
-        let dst = tally.as_mut_ptr().add(g * 8) as *mut __m256i;
-        let t = _mm256_loadu_si256(dst);
-        let t = _mm256_sub_epi32(t, ones);
-        let t = _mm256_sub_epi32(t, _mm256_add_epi32(m, m));
-        _mm256_storeu_si256(dst, t);
-    }
-    for (i, t) in tally.iter_mut().enumerate().skip(groups * 8) {
-        *t += (((words[i / 32] >> (i % 32)) & 1) as i32) * 2 - 1;
-    }
-}
-
-fn vote_pack(tally: &[i32], out: &mut [u32]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { vote_pack_avx2(tally, out) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present; `out` must hold
-// `ceil(tally.len() / 32)` words.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn vote_pack_avx2(tally: &[i32], out: &mut [u32]) {
-    let full_words = tally.len() / 32;
-    let zero = _mm256_setzero_si256();
-    for (w, out_w) in out.iter_mut().enumerate().take(full_words) {
-        let base = tally.as_ptr().add(w * 32);
-        let mut acc = 0u32;
-        for g in 0..4 {
-            let t = _mm256_loadu_si256(base.add(g * 8) as *const __m256i);
-            // t >= 0  ==  !(0 > t); movemask the negatives and invert.
-            let negm = _mm256_cmpgt_epi32(zero, t);
-            let neg_bits = _mm256_movemask_ps(_mm256_castsi256_ps(negm)) as u32;
-            acc |= (!neg_bits & 0xff) << (8 * g);
-        }
-        *out_w = acc;
-    }
-    scalar::vote_pack(&tally[full_words * 32..], &mut out[full_words..]);
 }
 
 // ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ pub(super) static KERNELS: Kernels = Kernels {
     sign_pack,
     unpack_fill,
     unpack_add,
-    vote_add,
-    vote_pack,
     // Byte ↔ word conversions are memcpy on little-endian x86; the AVX2
     // table's `copy_nonoverlapping` entries are already width-optimal.
     f32s_to_bytes: avx2::f32s_to_bytes,
@@ -56,7 +54,7 @@ pub(super) static KERNELS: Kernels = Kernels {
 const ABS_MASK: i32 = 0x7fff_ffff;
 
 // ---------------------------------------------------------------------------
-// sign pack / unpack / majority vote
+// sign pack / unpack
 // ---------------------------------------------------------------------------
 
 fn sign_pack(data: &[f32], out: &mut [u32]) {
@@ -129,57 +127,6 @@ unsafe fn unpack_select_avx512<const ACCUMULATE: bool>(
             *o = v;
         }
     }
-}
-
-fn vote_add(words: &[u32], tally: &mut [i32]) {
-    // SAFETY: table installed only after AVX-512F runtime detection.
-    unsafe { vote_add_avx512(words, tally) }
-}
-
-// SAFETY: caller must guarantee AVX-512F is present; `words` must hold at
-// least `ceil(tally.len() / 32)` bit words.
-#[target_feature(enable = "avx512f")]
-unsafe fn vote_add_avx512(words: &[u32], tally: &mut [i32]) {
-    let n = tally.len();
-    let plus = _mm512_set1_epi32(1);
-    let minus = _mm512_set1_epi32(-1);
-    let groups = n / 16;
-    for g in 0..groups {
-        let k = ((words[g / 2] >> ((g % 2) * 16)) & 0xffff) as __mmask16;
-        // t += bit ? +1 : -1, as one masked blend + integer add (exact).
-        let delta = _mm512_mask_blend_epi32(k, minus, plus);
-        let dst = tally.as_mut_ptr().add(g * 16);
-        let t = _mm512_loadu_si512(dst as *const _);
-        _mm512_storeu_si512(dst as *mut _, _mm512_add_epi32(t, delta));
-    }
-    for (i, t) in tally.iter_mut().enumerate().skip(groups * 16) {
-        *t += (((words[i / 32] >> (i % 32)) & 1) as i32) * 2 - 1;
-    }
-}
-
-fn vote_pack(tally: &[i32], out: &mut [u32]) {
-    // SAFETY: table installed only after AVX-512F runtime detection.
-    unsafe { vote_pack_avx512(tally, out) }
-}
-
-// SAFETY: caller must guarantee AVX-512F is present; `out` must hold
-// `ceil(tally.len() / 32)` words.
-#[target_feature(enable = "avx512f")]
-unsafe fn vote_pack_avx512(tally: &[i32], out: &mut [u32]) {
-    let full_words = tally.len() / 32;
-    let zero = _mm512_setzero_si512();
-    for (w, out_w) in out.iter_mut().enumerate().take(full_words) {
-        let base = tally.as_ptr().add(w * 32);
-        // t >= 0 as a signed not-less-than compare straight to a mask.
-        let lo =
-            _mm512_cmp_epi32_mask::<_MM_CMPINT_NLT>(_mm512_loadu_si512(base as *const _), zero);
-        let hi = _mm512_cmp_epi32_mask::<_MM_CMPINT_NLT>(
-            _mm512_loadu_si512(base.add(16) as *const _),
-            zero,
-        );
-        *out_w = (lo as u32) | ((hi as u32) << 16);
-    }
-    scalar::vote_pack(&tally[full_words * 32..], &mut out[full_words..]);
 }
 
 // ---------------------------------------------------------------------------

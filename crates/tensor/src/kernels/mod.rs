@@ -14,7 +14,7 @@
 //! of what the CPU supports, which is how CI exercises both code paths.
 //!
 //! The `*_pooled` variants at the bottom fan the embarrassingly parallel
-//! kernels (sign pack/unpack/vote, wire byte↔f32 conversion and the wire
+//! kernels (sign pack/unpack, wire byte↔f32 conversion and the wire
 //! adds) out across a [`crate::pool::Pool`] in fixed 32-element-aligned
 //! bands. Banding never splits an accumulation chain — these kernels are
 //! all elementwise or per-32-element-block — so the pooled results are
@@ -26,7 +26,7 @@
 //! the two tables are interchangeable, so each kernel falls into one of two
 //! classes (verified by `tests/kernel_props.rs`):
 //!
-//! - **Bit kernels** (sign pack/unpack, majority vote, byte↔f32/u32
+//! - **Bit kernels** (sign pack/unpack, byte↔f32/u32
 //!   conversion, threshold gather): byte-identical output for every input,
 //!   including NaN and signed-zero payloads. E.g. sign packing follows the
 //!   scalar `v >= 0.0` predicate, so the AVX2 path uses an ordered
@@ -73,11 +73,6 @@ pub struct Kernels {
     pub unpack_fill: fn(words: &[u32], neg: f32, pos: f32, out: &mut [f32]),
     /// Accumulating variant: `out[i] += if bit i { pos } else { neg }`.
     pub unpack_add: fn(words: &[u32], neg: f32, pos: f32, out: &mut [f32]),
-    /// Majority-vote accumulate: `tally[i] += if bit i { 1 } else { -1 }`.
-    pub vote_add: fn(words: &[u32], tally: &mut [i32]),
-    /// Packs the vote outcome `tally[i] >= 0` back into bits (LSB-first).
-    /// `out.len() == tally.len().div_ceil(32)`.
-    pub vote_pack: fn(tally: &[i32], out: &mut [u32]),
     /// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
     pub f32s_to_bytes: fn(xs: &[f32], out: &mut [u8]),
     /// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
@@ -260,18 +255,6 @@ pub fn unpack_add(words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
     (active().unpack_add)(words, neg, pos, out);
 }
 
-/// Dispatched [`Kernels::vote_add`].
-pub fn vote_add(words: &[u32], tally: &mut [i32]) {
-    assert!(words.len() * 32 >= tally.len(), "vote_add word count");
-    (active().vote_add)(words, tally);
-}
-
-/// Dispatched [`Kernels::vote_pack`].
-pub fn vote_pack(tally: &[i32], out: &mut [u32]) {
-    assert_eq!(out.len(), tally.len().div_ceil(32), "vote_pack word count");
-    (active().vote_pack)(tally, out);
-}
-
 /// Dispatched [`Kernels::f32s_to_bytes`].
 pub fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
@@ -399,16 +382,16 @@ pub fn sign_pack_pooled(pool: &Pool, data: &[f32], out: &mut [u32]) {
     });
 }
 
-/// Shared banding of the three word-indexed mutators (`unpack_fill`,
-/// `unpack_add`, `vote_add`): spans of whole sign words map to disjoint
-/// 32-aligned ranges of the float/tally buffer, handed out through a raw
-/// base pointer because the span authority (`words`) is the *shared*
-/// input here, not the mutable output.
-fn for_word_blocks<T: Send>(
+/// Shared banding of the two word-indexed mutators (`unpack_fill`,
+/// `unpack_add`): spans of whole sign words map to disjoint 32-aligned
+/// ranges of the float buffer, handed out through a raw base pointer
+/// because the span authority (`words`) is the *shared* input here, not
+/// the mutable output.
+fn for_word_blocks(
     pool: &Pool,
     words: &[u32],
-    out: &mut [T],
-    f: impl Fn(&[u32], &mut [T]) + Sync,
+    out: &mut [f32],
+    f: impl Fn(&[u32], &mut [f32]) + Sync,
 ) {
     let n = out.len();
     let base = SendPtr(out.as_mut_ptr());
@@ -440,27 +423,6 @@ pub fn unpack_add_pooled(pool: &Pool, words: &[u32], neg: f32, pos: f32, out: &m
     assert!(words.len() * 32 >= out.len(), "unpack_add word count");
     for_word_blocks(pool, words, out, |w, band| {
         (active().unpack_add)(w, neg, pos, band);
-    });
-}
-
-/// [`vote_add`] banded across `pool` (bit-identical for every width —
-/// each tally element is touched by exactly one band).
-pub fn vote_add_pooled(pool: &Pool, words: &[u32], tally: &mut [i32]) {
-    assert!(words.len() * 32 >= tally.len(), "vote_add word count");
-    for_word_blocks(pool, words, tally, |w, band| {
-        (active().vote_add)(w, band);
-    });
-}
-
-/// [`vote_pack`] with the word stream banded across `pool`.
-pub fn vote_pack_pooled(pool: &Pool, tally: &[i32], out: &mut [u32]) {
-    assert_eq!(out.len(), tally.len().div_ceil(32), "vote_pack word count");
-    let n = tally.len();
-    let min_words = WIRE_MIN_ELEMS / 32;
-    pool.for_rows(out, 1, min_words, |lo_word, band| {
-        let t_lo = lo_word * 32;
-        let t_hi = ((lo_word + band.len()) * 32).min(n);
-        (active().vote_pack)(&tally[t_lo..t_hi], band);
     });
 }
 

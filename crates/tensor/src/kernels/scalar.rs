@@ -11,8 +11,6 @@ pub(super) static KERNELS: Kernels = Kernels {
     sign_pack,
     unpack_fill,
     unpack_add,
-    vote_add,
-    vote_pack,
     f32s_to_bytes,
     u32s_to_bytes,
     bytes_to_f32s,
@@ -27,7 +25,7 @@ pub(super) static KERNELS: Kernels = Kernels {
     gather_above,
 };
 
-/// The sign predicate shared by pack and vote: NaN packs as 0 (negative),
+/// The sign predicate of the pack: NaN packs as 0 (negative),
 /// `-0.0` packs as 1 (non-negative), matching IEEE `>=`.
 #[inline(always)]
 fn is_non_negative(v: f32) -> bool {
@@ -57,24 +55,6 @@ pub(super) fn unpack_add(words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
         for (b, o) in block.iter_mut().enumerate() {
             *o += if (w >> b) & 1 == 1 { pos } else { neg };
         }
-    }
-}
-
-pub(super) fn vote_add(words: &[u32], tally: &mut [i32]) {
-    for (w, block) in words.iter().zip(tally.chunks_mut(32)) {
-        for (b, t) in block.iter_mut().enumerate() {
-            *t += (((w >> b) & 1) as i32) * 2 - 1;
-        }
-    }
-}
-
-pub(super) fn vote_pack(tally: &[i32], out: &mut [u32]) {
-    for (w, chunk) in out.iter_mut().zip(tally.chunks(32)) {
-        let mut acc = 0u32;
-        for (b, &t) in chunk.iter().enumerate() {
-            acc |= u32::from(t >= 0) << b;
-        }
-        *w = acc;
     }
 }
 

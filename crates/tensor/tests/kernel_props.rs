@@ -109,34 +109,50 @@ fn unpack_fill_and_add_are_byte_identical() {
     }
 }
 
+/// `MajorityVote`'s bit-sliced count against a per-coordinate `i32` tally
+/// (`+1` per set bit, `−1` otherwise, majority `tally >= 0`), after every
+/// voter from 0 to 9. The input words carry random bits past `len`, which
+/// the vote must ignore, and the output must leave them zero.
 #[test]
-fn vote_add_and_pack_are_byte_identical() {
-    for (sc, simd) in pairs() {
-        let tbl = simd.name;
-        for n in lengths() {
-            let mut tally_a: Vec<i32> = (0..n as i32).map(|i| (i % 7) - 3).collect();
-            let mut tally_b = tally_a.clone();
-            for voter in 0..3u32 {
-                let data: Vec<f32> = (0..n)
-                    .map(|i| {
-                        if (i as u32 ^ voter).is_multiple_of(3) {
-                            1.0
-                        } else {
-                            -1.0
-                        }
+fn majority_vote_matches_an_i32_tally() {
+    use gcs_tensor::bits::{MajorityVote, SignBits};
+    for len in [0usize, 1, 31, 32, 33, 100, 131_072] {
+        let n_words = len.div_ceil(32);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ len as u64;
+        let mut vote = MajorityVote::new(len);
+        let mut tally = vec![0i32; len];
+        for voters in 0..=9 {
+            if voters > 0 {
+                let words: Vec<u32> = (0..n_words)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 16) as u32
                     })
                     .collect();
-                let mut words = vec![0u32; n.div_ceil(32)];
-                (sc.sign_pack)(&data, &mut words);
-                (sc.vote_add)(&words, &mut tally_a);
-                (simd.vote_add)(&words, &mut tally_b);
-                assert_eq!(tally_a, tally_b, "{tbl} n={n} voter={voter}");
+                for (i, t) in tally.iter_mut().enumerate() {
+                    *t += if (words[i / 32] >> (i % 32)) & 1 == 1 {
+                        1
+                    } else {
+                        -1
+                    };
+                }
+                vote.add(&SignBits::from_words(words, len));
             }
-            let mut wa = vec![0u32; n.div_ceil(32)];
-            let mut wb = vec![0xffff_ffffu32; n.div_ceil(32)];
-            (sc.vote_pack)(&tally_a, &mut wa);
-            (simd.vote_pack)(&tally_b, &mut wb);
-            assert_eq!(wa, wb, "{tbl} pack n={n}");
+            let mut want = vec![0u32; n_words];
+            for (i, &t) in tally.iter().enumerate() {
+                want[i / 32] |= u32::from(t >= 0) << (i % 32);
+            }
+            let got = vote.majority_bits();
+            assert_eq!(vote.voters(), voters);
+            assert_eq!(got.len(), len);
+            assert_eq!(got.words(), &want[..], "len={len} voters={voters}");
+            let dense: Vec<f32> = tally
+                .iter()
+                .map(|&t| if t >= 0 { 0.5 } else { -0.5 })
+                .collect();
+            assert_eq!(vote.majority(0.5), dense, "len={len} voters={voters}");
         }
     }
 }
@@ -1041,10 +1057,6 @@ fn pooled_wire_kernels_are_bit_identical_across_widths_and_runs() {
             kernels::sign_pack(&data, &mut words_ref);
             let mut unpack_ref = vec![0.0f32; n];
             kernels::unpack_fill(&words_ref, -1.5, 0.25, &mut unpack_ref);
-            let mut tally_ref: Vec<i32> = (0..n as i32).map(|i| (i % 5) - 2).collect();
-            kernels::vote_add(&words_ref, &mut tally_ref);
-            let mut vote_ref = vec![0u32; words];
-            kernels::vote_pack(&tally_ref, &mut vote_ref);
             let mut bytes_ref = vec![0u8; n * 4];
             kernels::f32s_to_bytes(&data, &mut bytes_ref);
             let mut add_ref = data.clone();
@@ -1068,14 +1080,6 @@ fn pooled_wire_kernels_are_bit_identical_across_widths_and_runs() {
                 let mut u_ref = data.clone();
                 kernels::unpack_add(&words_ref, -1.5, 0.25, &mut u_ref);
                 assert_eq!(bits(&u_ref), bits(&u), "unpack_add {ctx}");
-
-                let mut t: Vec<i32> = (0..n as i32).map(|i| (i % 5) - 2).collect();
-                kernels::vote_add_pooled(&pool, &words_ref, &mut t);
-                assert_eq!(tally_ref, t, "vote_add {ctx}");
-
-                let mut v = vec![0u32; words];
-                kernels::vote_pack_pooled(&pool, &tally_ref, &mut v);
-                assert_eq!(vote_ref, v, "vote_pack {ctx}");
 
                 let mut by = vec![0xAAu8; n * 4];
                 kernels::f32s_to_bytes_pooled(&pool, &data, &mut by);
