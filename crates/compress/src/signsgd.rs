@@ -49,8 +49,6 @@ pub struct SignSgd {
     residual: HashMap<usize, Tensor>,
     /// Aggregated payload awaiting `finish`.
     pending: HashMap<usize, Payload>,
-    /// Scratch for `gradient + residual`, reused across encodes.
-    work: Vec<f32>,
 }
 
 impl SignSgd {
@@ -118,43 +116,42 @@ impl Compressor for SignSgd {
                 scale,
             });
         }
-        // v = gradient + residual, built in the reusable scratch buffer.
+        // v = residual + gradient, built in the layer's residual buffer (a
+        // layer's first encode starts from a copy of the gradient). The sum
+        // commutes exactly, so this is the `g + e` of the EF update.
         let numel = grad.numel();
-        self.work.clear();
-        self.work.extend_from_slice(grad.data());
-        if let Some(e) = self.residual.get(&layer) {
-            if e.numel() != numel {
+        let mut v = match self.residual.remove(&layer) {
+            Some(e) if e.numel() != numel => {
+                self.residual.insert(layer, e);
                 return Err(CompressError::Protocol(format!(
                     "residual shape mismatch for layer {layer}"
                 )));
             }
-            gcs_tensor::kernels::add_assign(&mut self.work, e.data());
-        }
-        let bits = SignBits::pack(&self.work);
+            Some(e) => {
+                let mut v = e.into_vec();
+                gcs_tensor::kernels::add_assign(&mut v, grad.data());
+                v
+            }
+            None => grad.data().to_vec(),
+        };
+        let bits = SignBits::pack(&v);
         let scale = match self.scale {
             SignScale::Unit => 1.0,
             SignScale::MeanAbs => {
                 if numel == 0 {
                     0.0
                 } else {
-                    gcs_tensor::kernels::sum_abs(&self.work) / numel as f32
+                    gcs_tensor::kernels::sum_abs(&v) / numel as f32
                 }
             }
         };
         // residual = v - decode(bits): decode is `+scale` exactly when
-        // `v >= 0` (the pack convention), so it folds into one pass and the
-        // old residual tensor's buffer is recycled in place.
-        let mut res_vec = match self.residual.remove(&layer) {
-            Some(t) if t.numel() == numel => t.into_vec(),
-            _ => vec![0.0; numel],
-        };
-        for (r, &v) in res_vec.iter_mut().zip(&self.work) {
-            *r = v - if v >= 0.0 { scale } else { -scale };
+        // `v >= 0` (the pack convention), so it is rewritten in place.
+        for x in &mut v {
+            *x -= if *x >= 0.0 { scale } else { -scale };
         }
-        self.residual.insert(
-            layer,
-            Tensor::from_shape_vec(grad.shape().clone(), res_vec)?,
-        );
+        self.residual
+            .insert(layer, Tensor::from_shape_vec(grad.shape().clone(), v)?);
         Ok(Payload::Signs {
             len: bits.len(),
             words: bits.into_words(),
@@ -163,34 +160,35 @@ impl Compressor for SignSgd {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        if payloads.is_empty() {
-            return Err(CompressError::EmptyAggregate);
-        }
-        let mut vote: Option<MajorityVote> = None;
-        let mut scale_sum = 0.0f32;
-        for p in payloads {
-            match p {
-                Payload::Signs { words, len, scale } => {
-                    let bits = SignBits::from_words(words.clone(), *len);
-                    let v = vote.get_or_insert_with(|| MajorityVote::new(*len));
-                    v.add(&bits);
-                    scale_sum += scale;
-                }
-                other => {
-                    return Err(CompressError::PayloadKind {
-                        expected: "Signs",
-                        actual: other.kind_name(),
-                    });
-                }
-            }
-        }
-        let Some(vote) = vote else {
+        // Every payload is checked before the first vote is counted.
+        let signs = payloads
+            .iter()
+            .map(|p| match p {
+                Payload::Signs { words, len, scale } => Ok((words, *len, *scale)),
+                other => Err(CompressError::PayloadKind {
+                    expected: "Signs",
+                    actual: other.kind_name(),
+                }),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let Some(&(_, len, _)) = signs.first() else {
             return Err(CompressError::EmptyAggregate);
         };
+        if signs.iter().any(|&(_, l, _)| l != len) {
+            return Err(CompressError::Protocol(
+                "sign payloads disagree on length".into(),
+            ));
+        }
+        let mut vote = MajorityVote::new(len);
+        let mut scale_sum = 0.0f32;
+        for (words, _, scale) in signs {
+            vote.add(&SignBits::from_words(words.clone(), len));
+            scale_sum += scale;
+        }
         let bits = vote.majority_bits();
         Ok(Payload::Signs {
-            len: bits.len(),
-            words: bits.words().to_vec(),
+            len,
+            words: bits.into_words(),
             scale: scale_sum / payloads.len() as f32,
         })
     }
@@ -320,6 +318,36 @@ mod tests {
             err < 1e-5,
             "decode + residual must reconstruct input: {err}"
         );
+    }
+
+    #[test]
+    fn aggregate_rejects_mismatched_lengths() {
+        let signs = |len: usize| Payload::Signs {
+            words: vec![0; len.div_ceil(32)],
+            len,
+            scale: 1.0,
+        };
+        let c = SignSgd::new();
+        assert!(matches!(
+            c.aggregate(0, &[signs(40), signs(33)]),
+            Err(CompressError::Protocol(_))
+        ));
+        assert!(matches!(
+            c.aggregate(0, &[signs(40), signs(40), signs(64)]),
+            Err(CompressError::Protocol(_))
+        ));
+        assert!(c.aggregate(0, &[signs(40), signs(40)]).is_ok());
+    }
+
+    #[test]
+    fn ef_residual_of_another_size_is_rejected_and_kept() {
+        let mut c = SignSgd::with_error_feedback();
+        assert!(c
+            .inject_residual(0, Tensor::from_vec(vec![0.5; 3]))
+            .unwrap());
+        let err = c.encode(0, &Tensor::from_vec(vec![1.0; 4])).unwrap_err();
+        assert!(matches!(err, CompressError::Protocol(_)), "{err:?}");
+        assert_eq!(c.residual.get(&0).unwrap().data(), &[0.5; 3]);
     }
 
     #[test]
