@@ -32,8 +32,9 @@ GCS_FORCE_SCALAR=1 cargo test --workspace -q
 # (`syncsgd_exchanges_match_their_golden_digests`) and SignSGD's and
 # EF-SignSGD's at p = 2, 3, 5 with the final EF residuals
 # (`sign_exchanges_match_their_golden_digests`), named here so the gate
-# does not rest on the two workspace passes above keeping them: once under the default dispatch and once forced scalar (which also pins
-# the kernel pool to one thread).
+# does not rest on the two workspace passes above keeping them: once
+# under the default dispatch and once forced scalar (which also pins the
+# kernel pool to one thread).
 for scalar in 0 1; do
   echo "==> GEMM paths + write-once + PowerSGD + MLP + ring mean bit-exactness (GCS_FORCE_SCALAR=$scalar)"
   GCS_FORCE_SCALAR=$scalar cargo test -q -p gcs-tensor --test kernel_props -- \
@@ -72,6 +73,12 @@ timeout 120 bash benchmark/run.sh --workload dense-ring-tcp --seconds 3 --trace 
 # (`ddp.overlap_ratio`, `ddp.exposed_wait_ms`, `ddp.comm_busy_ms`).
 echo "==> benchmark smoke (topk-overlap-netem, 3 s, traced)"
 timeout 120 bash benchmark/run.sh --workload topk-overlap-netem --seconds 3 --trace 1 > /dev/null
+
+# EF-SignSGD per layer over loopback TCP: the only workload whose
+# exchange encodes signs and takes the majority vote. It needs 5 s: at
+# 3 s the run gives up before it reaches the target loss.
+echo "==> benchmark smoke (train-smallmsg-tcp, 5 s)"
+timeout 120 bash benchmark/run.sh --workload train-smallmsg-tcp --seconds 5 --trace 0 > /dev/null
 
 # Static verification layer, all five passes: (1) model-check every
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
