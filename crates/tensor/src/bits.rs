@@ -113,10 +113,10 @@ impl SignBits {
 ///
 /// The count stays in the packed domain: plane `j` holds bit `j` of every
 /// coordinate's positive-vote count, 32 coordinates per `u32`, so `p`
-/// voters need `⌈log2(p+1)⌉` planes of `len / 32` words instead of one
-/// `i32` per coordinate. A vote ripples its bits through the planes as a
-/// carry, and the outcome is one bit-sliced compare `count ≥ ⌈p/2⌉` —
-/// the same decision as `Σ ±1 ≥ 0`, so exact ties and zero voters give `+`.
+/// voters need `⌈log2(p+1)⌉` planes of `⌈len/32⌉` words. A vote ripples
+/// its bits through the planes as a carry, and the outcome is one
+/// bit-sliced compare `count ≥ ⌈p/2⌉` — the same decision as
+/// `Σ ±1 ≥ 0`, so exact ties and zero voters give `+`.
 ///
 /// # Example
 ///
