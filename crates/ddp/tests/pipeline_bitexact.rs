@@ -13,7 +13,10 @@
 //! with single- and multi-layer buckets, a layer shorter than the ring and
 //! −0.0, subnormal, ±inf and NaN-payload inputs. SignSGD's and
 //! EF-SignSGD's are pinned at p = 2, 3 and 5 over three steps, final
-//! error-feedback residuals included.
+//! error-feedback residuals included. The per-layer exchange of every
+//! method is pinned again at p = 3 and 5 on a layout with a layer shorter
+//! than the ring (empty ring chunks), and syncSGD's at p = 3 on a plan
+//! that alternates packed and single-layer buckets.
 //!
 //! Against the reference driver the whole model is one flat bucket
 //! (`bucket_bytes = usize::MAX`), which the driver sees as one "layer";
@@ -488,4 +491,132 @@ fn sign_exchanges_match_their_golden_digests() {
         .map(|method| [2, 3, 5].iter().map(|&p| sign_digest(method, p)).collect())
         .collect();
     assert_eq!(digests, GOLDEN, "SignSGD exchange bits moved");
+}
+
+/// The ragged per-layer layout: a 2-element layer is shorter than the
+/// ring at p = 3 and 5, so some of its ring chunks are empty.
+fn ragged_shapes() -> Vec<Vec<usize>> {
+    vec![vec![6, 10], vec![33], vec![4, 4, 3, 3], vec![2]]
+}
+
+fn ragged_grads_at(rank: usize, step: usize) -> Vec<Tensor> {
+    ragged_shapes()
+        .iter()
+        .enumerate()
+        .map(|(l, s)| Tensor::randn(s.clone(), 91 + (step * 977 + rank * 131 + l) as u64))
+        .collect()
+}
+
+#[test]
+fn ragged_per_layer_exchange_matches_its_golden_digests() {
+    // One row per world size p = 3, 5; one digest per registry method, in
+    // `registry()` order.
+    const GOLDEN: [[u64; 15]; 2] = [
+        [
+            0x20845fa78a0d1341,
+            0x996722285f726eed,
+            0x4af223a8cff8fed6,
+            0xc5cd6fa273cc6383,
+            0x6ada86ffe9d455b5,
+            0xb49ac1a9f5d6e91e,
+            0x66e658e94bf15af2,
+            0xadf1c9dbe4070e31,
+            0xc3ec2a678c9d7427,
+            0xa8a0a9442957aa43,
+            0xb553a4b5d7a4d534,
+            0xc3886178c2b81926,
+            0xbf4dc4630547ba5d,
+            0x4b0616b2ea13aa7d,
+            0xe375b12bbea1a14c,
+        ],
+        [
+            0x3d738db8986a0ee2,
+            0xf8e87b7bf7a6d52e,
+            0x86840f3cf2dce432,
+            0xa76d9a0cb499f492,
+            0x2933bbb62dcccc95,
+            0xd92ea8f7a85cdb6e,
+            0xf55c9389c5243792,
+            0x60bd2374df05f46a,
+            0x44fe3f878c419eea,
+            0xf1e9175987a98b89,
+            0x11ac9df765890be6,
+            0x59ff8dac89bfaf5a,
+            0x7171338cb19ad5d0,
+            0x72bc52fab1a6b6f0,
+            0x1e3a701b317d6b62,
+        ],
+    ];
+    let digests: Vec<Vec<u64>> = [3, 5]
+        .iter()
+        .map(|&world| {
+            registry()
+                .iter()
+                .map(|method| {
+                    let runs = SimCluster::run(world, |w| {
+                        let mut c = method.build().unwrap();
+                        (0..STEPS)
+                            .map(|step| {
+                                let grads = ragged_grads_at(w.rank(), step);
+                                exchange_gradients(&w, &mut c, &grads).unwrap()
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    fnv1a(&runs)
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(digests, GOLDEN, "ragged per-layer exchange bits moved");
+}
+
+/// A layout whose 600 B plan alternates packed and single-layer buckets:
+/// backward from the last layer, 8 + 200 + 200 B share bucket 0, the
+/// 700 B layer is bucket 1 alone, 100 + 100 B share bucket 2, and the
+/// 640 B layer is bucket 3 alone.
+fn mixed_shapes() -> Vec<Vec<usize>> {
+    vec![
+        vec![10, 16],
+        vec![5, 5],
+        vec![25],
+        vec![7, 25],
+        vec![50],
+        vec![5, 10],
+        vec![2],
+    ]
+}
+
+#[test]
+fn syncsgd_mixed_plan_matches_its_golden_digest() {
+    const CAP: usize = 600;
+    const WORLD_MIXED: usize = 3;
+    let grads_at = |rank: usize, step: usize| -> Vec<Tensor> {
+        mixed_shapes()
+            .iter()
+            .enumerate()
+            .map(|(layer, s)| {
+                let n: usize = s.iter().product();
+                let data = (0..n).map(|e| dense_value(rank, step, layer, e)).collect();
+                Tensor::from_shape_vec(s.clone(), data).unwrap()
+            })
+            .collect()
+    };
+    let plan = BucketPlan::new(&grads_at(0, 0), CAP);
+    let buckets: Vec<&[usize]> = (0..plan.num_buckets()).map(|b| plan.layers(b)).collect();
+    assert_eq!(buckets, [&[6usize, 5, 4][..], &[3], &[2, 1], &[0]]);
+    let runs = SimCluster::run(WORLD_MIXED, |w| {
+        let mut c = MethodConfig::SyncSgd.build().unwrap();
+        let mut plan = BucketPlan::new(&grads_at(w.rank(), 0), CAP);
+        (0..STEPS)
+            .map(|step| {
+                let grads = grads_at(w.rank(), step);
+                exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
+            })
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(
+        fnv1a(&runs),
+        0xf06ba2fa5c148a9b,
+        "syncSGD mixed-plan bits moved"
+    );
 }
