@@ -9,9 +9,11 @@
 //! # Data-plane fast path
 //!
 //! The ring all-reduce ([`WorkerHandle::all_reduce_sum`],
-//! [`WorkerHandle::all_reduce_mean`] and the out-of-place
-//! [`WorkerHandle::all_reduce_mean_from`], one body) makes no pass over
-//! the gradient that is neither wire nor arithmetic. Each phase's seed —
+//! [`WorkerHandle::all_reduce_mean`], the out-of-place
+//! [`WorkerHandle::all_reduce_mean_from`] and the fused
+//! [`WorkerHandle::all_reduce_mean_many`], one body over a chunk table)
+//! makes no pass over the gradient that is neither wire nor arithmetic
+//! (the fused form adds one pack and one unpack copy of its buffers). Each phase's seed —
 //! this rank's own chunk, then its completed chunk — goes out with
 //! [`WorkerHandle::send_slice`] straight from the caller's memory
 //! ([`gcs_tensor::kernels::f32s_wire_image`], a borrowed view on
@@ -47,6 +49,16 @@ fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
     let start = i * base + i.min(rem);
     let size = base + usize::from(i < rem);
     (start, start + size)
+}
+
+/// The ring's chunk table for one `len`-element buffer over `m` members:
+/// `m + 1` offsets, chunk `i` being `table[i]..table[i + 1]` — the equal
+/// split of [`chunk_range`].
+fn chunk_table(len: usize, m: usize) -> Vec<usize> {
+    (0..m)
+        .map(|i| chunk_range(len, m, i).0)
+        .chain([len])
+        .collect()
 }
 
 /// Checks that `bytes` decodes to exactly `expected` f32s.
@@ -206,7 +218,8 @@ impl WorkerHandle {
     /// Returns [`ClusterError::Mismatch`] if peers send differently-sized
     /// chunks and [`ClusterError::Disconnected`] if a peer hangs up.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) -> Result<()> {
-        self.ring_all_reduce(&mut InPlace { buf, mean: false })
+        let table = chunk_table(buf.len(), self.members().len());
+        self.ring_all_reduce(&mut InPlace { buf, mean: false }, &table)
     }
 
     /// Ring all-reduce (mean): after the call every member's `buf` holds
@@ -225,7 +238,61 @@ impl WorkerHandle {
     ///
     /// As [`WorkerHandle::all_reduce_sum`].
     pub fn all_reduce_mean(&self, buf: &mut [f32]) -> Result<()> {
-        self.ring_all_reduce(&mut InPlace { buf, mean: true })
+        let table = chunk_table(buf.len(), self.members().len());
+        self.ring_all_reduce(&mut InPlace { buf, mean: true }, &table)
+    }
+
+    /// [`WorkerHandle::all_reduce_mean`] of every buffer in `bufs`, in one
+    /// ring: each buffer ends bit-identical to its own ring mean, and the
+    /// call sends the `2(m−1)` frames of one ring with the byte total of
+    /// all of them. Every member must pass the same number of buffers with
+    /// the same lengths. One buffer is exactly
+    /// [`WorkerHandle::all_reduce_mean`], without a copy; none sends
+    /// nothing.
+    ///
+    /// Several buffers are packed **chunk-major**: fused chunk `c` is
+    /// every buffer's chunk `c` of its own ring, in buffer order. Each
+    /// element thus meets the same operands in the same order, and is
+    /// divided on the same hop, as in its own ring — empty chunks of
+    /// buffers shorter than the ring included — at any member count.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerHandle::all_reduce_sum`].
+    pub fn all_reduce_mean_many(&self, bufs: &mut [Vec<f32>]) -> Result<()> {
+        match bufs {
+            [] => return Ok(()),
+            [buf] => return self.all_reduce_mean(buf),
+            _ => {}
+        }
+        let m = self.members().len();
+        let mut fused = Vec::with_capacity(bufs.iter().map(Vec::len).sum());
+        let mut table = Vec::with_capacity(m + 1);
+        for c in 0..m {
+            table.push(fused.len());
+            for buf in bufs.iter() {
+                let (s, e) = chunk_range(buf.len(), m, c);
+                fused.extend_from_slice(&buf[s..e]);
+            }
+        }
+        table.push(fused.len());
+        self.ring_all_reduce(
+            &mut InPlace {
+                buf: &mut fused,
+                mean: true,
+            },
+            &table,
+        )?;
+        let mut from = fused.as_slice();
+        for c in 0..m {
+            for buf in bufs.iter_mut() {
+                let (s, e) = chunk_range(buf.len(), m, c);
+                let (chunk, rest) = from.split_at(e - s);
+                buf[s..e].copy_from_slice(chunk);
+                from = rest;
+            }
+        }
+        Ok(())
     }
 
     /// Out-of-place ring all-reduce (mean): returns the elementwise sum of
@@ -247,26 +314,35 @@ impl WorkerHandle {
             src,
             out: WriteOnce::new(src.len()),
         };
-        self.ring_all_reduce(&mut io)?;
+        self.ring_all_reduce(&mut io, &chunk_table(src.len(), self.members().len()))?;
         io.out.into_vec().ok_or_else(|| {
             ClusterError::Protocol("ring mean left part of its output unwritten".into())
         })
     }
 
     /// The one ring body behind [`WorkerHandle::all_reduce_sum`],
-    /// [`WorkerHandle::all_reduce_mean`] and
+    /// [`WorkerHandle::all_reduce_mean`],
+    /// [`WorkerHandle::all_reduce_mean_many`] and
     /// [`WorkerHandle::all_reduce_mean_from`]; `io` says where this rank's
     /// contribution is read and the result written, and whether each
     /// completed chunk is divided by the member count (locally, adding no
-    /// frame).
-    fn ring_all_reduce(&self, io: &mut impl RingIo) -> Result<()> {
+    /// frame). Chunk `i` of the ring is `table[i]..table[i + 1]`: the
+    /// equal split for one buffer, the chunk-major concatenation of every
+    /// buffer's equal split for several.
+    fn ring_all_reduce(&self, io: &mut impl RingIo, table: &[usize]) -> Result<()> {
         let (m, pos, next, prev) = self.ring();
+        if table.len() != m + 1 || table.last() != Some(&io.len()) {
+            return Err(ClusterError::InvalidArgument(format!(
+                "ring chunk table {table:?} does not split {} elements {m} ways",
+                io.len()
+            )));
+        }
         let divisor = m as f32;
         if m == 1 {
             io.alone(divisor);
             return Ok(());
         }
-        let len = io.len();
+        let chunk = |i: usize| (table[i], table[i + 1]);
         // Holds a converted seed on big-endian targets only; on
         // little-endian ones the seeds go out from the caller's memory.
         let mut scratch: Vec<u8> = Vec::new();
@@ -274,7 +350,7 @@ impl WorkerHandle {
         // Phase 1: reduce-scatter. Only the seed send reads our own
         // chunk; partial sums then travel (and accumulate) in wire form.
         // After m-1 steps chunk (pos+1) % m holds the full sum.
-        let (ss, se) = chunk_range(len, m, pos);
+        let (ss, se) = chunk(pos);
         self.send_slice(
             next,
             kernels::f32s_wire_image(io.local(ss..se), &mut scratch),
@@ -282,7 +358,7 @@ impl WorkerHandle {
         for s in 0..m - 1 {
             let recv_idx = (pos + 2 * m - s - 1) % m;
             let incoming = self.recv_robust(prev)?;
-            let (rs, re) = chunk_range(len, m, recv_idx);
+            let (rs, re) = chunk(recv_idx);
             check_f32_frame(&incoming, re - rs, "reduce-scatter")?;
             if s + 1 < m - 1 {
                 // Fold our contribution into the wire image and pass it
@@ -303,7 +379,7 @@ impl WorkerHandle {
         // goes out from the result; every other frame is decoded into it
         // and forwarded as-is.
         let own = (pos + 1) % m;
-        let (ss, se) = chunk_range(len, m, own);
+        let (ss, se) = chunk(own);
         self.send_slice(
             next,
             kernels::f32s_wire_image(io.completed(ss..se)?, &mut scratch),
@@ -311,7 +387,7 @@ impl WorkerHandle {
         for s in 0..m - 1 {
             let recv_idx = (pos + m - s) % m;
             let incoming = self.recv_robust(prev)?;
-            let (rs, re) = chunk_range(len, m, recv_idx);
+            let (rs, re) = chunk(recv_idx);
             check_f32_frame(&incoming, re - rs, "all-gather")?;
             io.gather(rs..re, &incoming);
             if s + 1 < m - 1 {

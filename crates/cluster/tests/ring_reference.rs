@@ -348,3 +348,116 @@ fn all_reduce_mean_from_is_copy_then_mean_over_tcp() {
         }
     }
 }
+
+/// Buffer lists for the fused ring: none, one, empty buffers, buffers
+/// shorter than the ring, ragged ones and one spanning several blocks.
+fn buffer_lists(p: usize) -> Vec<Vec<usize>> {
+    vec![
+        vec![],
+        vec![5],
+        vec![0, 3, 0],
+        vec![1, p.saturating_sub(1), 2 * p + 3, 97],
+        vec![4097, 2, 0, 13, 1],
+    ]
+}
+
+/// Rank `rank`'s buffers of `lens`, filled by `input`; buffer `b` starts
+/// at element `1000 * b` of the family so no two buffers repeat.
+fn buffers(rank: usize, lens: &[usize], input: Input) -> Vec<Vec<f32>> {
+    lens.iter()
+        .enumerate()
+        .map(|(b, &len)| (0..len).map(|i| input(rank, 1000 * b + i)).collect())
+        .collect()
+}
+
+/// One `all_reduce_mean_many` over all buffers (`fused`), or one
+/// `all_reduce_mean` per buffer.
+fn mean_many(w: &WorkerHandle, lens: &[usize], input: Input, fused: bool) -> Vec<Vec<u32>> {
+    let mut bufs = buffers(w.rank(), lens, input);
+    if fused {
+        w.all_reduce_mean_many(&mut bufs).unwrap();
+    } else {
+        for buf in &mut bufs {
+            w.all_reduce_mean(buf).unwrap();
+        }
+    }
+    bufs.iter()
+        .map(|b| b.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// Per-member result bits and per-rank `(bytes, messages)` sent.
+type ManyRun = (Vec<Option<Vec<Vec<u32>>>>, Vec<(u64, u64)>);
+
+fn run_many(world: usize, members: &[usize], lens: &[usize], input: Input, fused: bool) -> ManyRun {
+    let cluster = SimCluster::new(world);
+    let traffic = cluster.traffic().to_vec();
+    let outs = cluster.run_workers(|mut w| {
+        if !members.contains(&w.rank()) {
+            return None;
+        }
+        w.set_members(members).unwrap();
+        Some(mean_many(&w, lens, input, fused))
+    });
+    (outs, sent(&traffic))
+}
+
+#[test]
+fn all_reduce_mean_many_is_each_buffers_own_ring_bit_for_bit() {
+    let inputs: [(&str, Input); 2] = [("finite", val), ("specials", special)];
+    // Full rings of 1, 2, 3 and 5 members, and a ring shrunk to 3 of 5.
+    let rings: [(usize, Vec<usize>); 5] = [
+        (1, vec![0]),
+        (2, vec![0, 1]),
+        (3, vec![0, 1, 2]),
+        (5, vec![0, 1, 2, 3, 4]),
+        (5, vec![0, 2, 3]),
+    ];
+    for (world, members) in rings {
+        let m = members.len();
+        for lens in buffer_lists(m) {
+            for (family, input) in inputs {
+                let ctx = format!("p={world} members={members:?} lens={lens:?} {family}");
+                let (fused, fused_sent) = run_many(world, &members, &lens, input, true);
+                let (apart, apart_sent) = run_many(world, &members, &lens, input, false);
+                assert_eq!(fused, apart, "{ctx} bits");
+                for rank in 0..world {
+                    let on_ring = members.contains(&rank) && !lens.is_empty();
+                    let frames = if on_ring { 2 * (m - 1) as u64 } else { 0 };
+                    assert_eq!(fused_sent[rank].1, frames, "{ctx} rank={rank} frames");
+                    assert_eq!(
+                        fused_sent[rank].0, apart_sent[rank].0,
+                        "{ctx} rank={rank} bytes"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn all_reduce_mean_many_is_each_buffers_own_ring_over_tcp() {
+    for lens in buffer_lists(2) {
+        for (family, input) in [("finite", val as Input), ("specials", special)] {
+            let run = |fused| {
+                let run = TcpCluster::run_with(2, TcpOptions::default(), |w| {
+                    Some(mean_many(&w, &lens, input, fused))
+                })
+                .expect("tcp mesh forms on loopback");
+                (bits_many(run.outputs), sent(&run.traffic))
+            };
+            let (fused, fused_sent) = run(true);
+            let (apart, apart_sent) = run(false);
+            assert_eq!(fused, apart, "lens={lens:?} {family}: bits differ");
+            for (rank, (f, a)) in fused_sent.iter().zip(&apart_sent).enumerate() {
+                let frames = if lens.is_empty() { 0 } else { 2 };
+                assert_eq!(*f, (a.0, frames), "lens={lens:?} {family} rank={rank}");
+            }
+        }
+    }
+}
+
+/// Unwraps every rank's result of a full-ring run.
+fn bits_many(outs: Vec<Option<Vec<Vec<u32>>>>) -> Vec<Vec<Vec<u32>>> {
+    outs.into_iter().flatten().collect()
+}
