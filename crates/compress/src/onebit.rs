@@ -84,38 +84,19 @@ impl Compressor for OneBitSgd {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        if payloads.is_empty() {
-            return Err(CompressError::EmptyAggregate);
+        let (len, halves) = crate::payload::agreed_views(payloads, "TwoScale", |p| match p {
+            Payload::TwoScale {
+                words,
+                len,
+                neg,
+                pos,
+            } => Some((*len, (words, *neg, *pos))),
+            _ => None,
+        })?;
+        let mut a = vec![0.0; len];
+        for (words, neg, pos) in halves {
+            SignBits::from_words(words.clone(), len).unpack_add_into(neg, pos, &mut a);
         }
-        let mut acc: Option<Vec<f32>> = None;
-        for p in payloads {
-            match p {
-                Payload::TwoScale {
-                    words,
-                    len,
-                    neg,
-                    pos,
-                } => {
-                    let bits = SignBits::from_words(words.clone(), *len);
-                    let a = acc.get_or_insert_with(|| vec![0.0; *len]);
-                    if a.len() != *len {
-                        return Err(CompressError::Protocol(
-                            "two-scale payloads disagree on length".into(),
-                        ));
-                    }
-                    bits.unpack_add_into(*neg, *pos, a);
-                }
-                other => {
-                    return Err(CompressError::PayloadKind {
-                        expected: "TwoScale",
-                        actual: other.kind_name(),
-                    });
-                }
-            }
-        }
-        let Some(mut a) = acc else {
-            return Err(CompressError::EmptyAggregate);
-        };
         gcs_tensor::kernels::scale(&mut a, 1.0 / payloads.len() as f32);
         Ok(Payload::Dense(a))
     }
@@ -155,6 +136,21 @@ impl Compressor for OneBitSgd {
 mod tests {
     use super::*;
     use crate::driver::round_trip;
+
+    #[test]
+    fn forged_two_scale_length_is_a_protocol_error() {
+        let two_scale = |len| Payload::TwoScale {
+            words: vec![0b1011],
+            len,
+            neg: -1.0,
+            pos: 1.0,
+        };
+        crate::payload::tests::assert_forged_length_refused(
+            &OneBitSgd::new(),
+            two_scale(4),
+            two_scale(1 << 40),
+        );
+    }
 
     #[test]
     fn reconstruction_preserves_bucket_means() {

@@ -52,6 +52,68 @@ pub(crate) fn scatter_add_checked(
     Ok(())
 }
 
+/// Checks every gathered payload before an `aggregate` allocates anything
+/// sized by one of them: each must be the variant `view` accepts
+/// (`expected` names it), and all must agree on the dense length `view`
+/// reads. Peers supply every length but the receiver's own, which is
+/// always in the set, so agreement bounds the allocation by what this
+/// rank encoded. Returns that length and every payload's view, in order.
+///
+/// # Errors
+///
+/// [`CompressError::EmptyAggregate`] for no payloads,
+/// [`CompressError::PayloadKind`] for a payload of another variant, and
+/// [`CompressError::Protocol`] if the lengths disagree.
+pub(crate) fn agreed_views<'a, T>(
+    payloads: &'a [Payload],
+    expected: &'static str,
+    view: impl Fn(&'a Payload) -> Option<(usize, T)>,
+) -> Result<(usize, Vec<T>)> {
+    let views = payloads
+        .iter()
+        .map(|p| {
+            view(p).ok_or_else(|| CompressError::PayloadKind {
+                expected,
+                actual: p.kind_name(),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let Some(&(len, _)) = views.first() else {
+        return Err(CompressError::EmptyAggregate);
+    };
+    if views.iter().any(|&(l, _)| l != len) {
+        return Err(CompressError::Protocol(format!(
+            "{expected} payloads disagree on length"
+        )));
+    }
+    Ok((len, views.into_iter().map(|(_, v)| v).collect()))
+}
+
+/// The mean of `Sparse` payloads as a `Dense` one: the aggregate of the
+/// sparsifiers (Top-K, DGC, variance-based), whose coordinate sets
+/// differ across workers.
+///
+/// # Errors
+///
+/// As [`agreed_views`], plus [`CompressError::Protocol`] for an index
+/// past the dense length.
+pub(crate) fn sparse_mean(payloads: &[Payload]) -> Result<Payload> {
+    let (len, pairs) = agreed_views(payloads, "Sparse", |p| match p {
+        Payload::Sparse {
+            len,
+            indices,
+            values,
+        } => Some((*len, (indices, values))),
+        _ => None,
+    })?;
+    let mut dense = vec![0.0; len];
+    for (indices, values) in pairs {
+        scatter_add_checked(&mut dense, indices, values)?;
+    }
+    kernels::scale(&mut dense, 1.0 / payloads.len() as f32);
+    Ok(Payload::Dense(dense))
+}
+
 /// A compressed gradient in one of the representations used by the schemes
 /// in this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -501,7 +563,8 @@ impl Payload {
         }
     }
 
-    /// Deserializes a payload produced by [`Payload::to_bytes`].
+    /// Deserializes a payload produced by [`Payload::to_bytes`] — the
+    /// `n = 1` case of [`Payload::from_bytes_many`].
     ///
     /// The input must be exactly one payload: every byte is consumed, and
     /// trailing bytes (e.g. a length field that doesn't cover a whole
@@ -513,22 +576,58 @@ impl Payload {
     /// Returns [`CompressError::Wire`] on truncated, malformed, or
     /// over-long input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Payload> {
+        Self::from_bytes_many(bytes, 1)?
+            .pop()
+            .ok_or_else(|| CompressError::Wire("no payload parsed".into()))
+    }
+
+    /// Deserializes exactly `n` payloads written back to back by
+    /// [`Payload::write_bytes`]. Each serialization is self-delimiting, so
+    /// the concatenation needs no length prefix and costs no byte beyond
+    /// its payloads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompressError::Wire`] if any payload is truncated or
+    /// malformed, or if bytes remain after the `n`-th.
+    pub fn from_bytes_many(bytes: &[u8], n: usize) -> Result<Vec<Payload>> {
         let mut r = Reader::new(bytes);
-        let tag = r.u8()?;
-        let payload = match tag {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(r.payload()?);
+        }
+        if r.pos != bytes.len() {
+            let after = match &out[..] {
+                [one] => format!("{} payload", one.kind_name()),
+                _ => format!("{n} payloads"),
+            };
+            return Err(CompressError::Wire(format!(
+                "{} trailing bytes after {after}",
+                bytes.len() - r.pos
+            )));
+        }
+        Ok(out)
+    }
+}
+
+impl Reader<'_> {
+    /// Reads one payload from the cursor.
+    fn payload(&mut self) -> Result<Payload> {
+        let tag = self.u8()?;
+        Ok(match tag {
             TAG_DENSE => {
-                let n = r.u64()? as usize;
-                Payload::Dense(r.f32s(n)?)
+                let n = self.u64()? as usize;
+                Payload::Dense(self.f32s(n)?)
             }
             TAG_HALF => {
-                let n = r.u64()? as usize;
-                Payload::Half(r.u16s(n)?)
+                let n = self.u64()? as usize;
+                Payload::Half(self.u16s(n)?)
             }
             TAG_SPARSE => {
-                let len = r.u64()? as usize;
-                let k = r.u64()? as usize;
-                let indices = r.u32s(k)?;
-                let values = r.f32s(k)?;
+                let len = self.u64()? as usize;
+                let k = self.u64()? as usize;
+                let indices = self.u32s(k)?;
+                let values = self.f32s(k)?;
                 Payload::Sparse {
                     len,
                     indices,
@@ -536,24 +635,24 @@ impl Payload {
                 }
             }
             TAG_SHARED_SPARSE => {
-                let len = r.u64()? as usize;
-                let seed = r.u64()?;
-                let k = r.u64()? as usize;
+                let len = self.u64()? as usize;
+                let seed = self.u64()?;
+                let k = self.u64()? as usize;
                 Payload::SharedSparse {
                     len,
                     seed,
-                    values: r.f32s(k)?,
+                    values: self.f32s(k)?,
                 }
             }
             TAG_SIGNS => {
-                let len = r.u64()? as usize;
-                let scale = r.f32()?;
-                let words = r.u32s(len.div_ceil(32))?;
+                let len = self.u64()? as usize;
+                let scale = self.f32()?;
+                let words = self.u32s(len.div_ceil(32))?;
                 Payload::Signs { words, len, scale }
             }
             TAG_FACTOR_P | TAG_FACTOR_Q => {
-                let rows = r.u64()? as usize;
-                let cols = r.u64()? as usize;
+                let rows = self.u64()? as usize;
+                let cols = self.u64()? as usize;
                 let total = rows
                     .checked_mul(cols)
                     .ok_or_else(|| CompressError::Wire("factor dimensions overflow".into()))?;
@@ -565,28 +664,28 @@ impl Payload {
                     },
                     rows,
                     cols,
-                    data: r.f32s(total)?,
+                    data: self.f32s(total)?,
                 }
             }
             TAG_QUANTIZED => {
-                let n = r.u64()? as usize;
-                let scale = r.f32()?;
-                let raw = r.bytes(n)?;
+                let n = self.u64()? as usize;
+                let scale = self.f32()?;
+                let raw = self.bytes(n)?;
                 Payload::Quantized {
                     scale,
                     levels: raw.iter().map(|&b| b as i8).collect(),
                 }
             }
             TAG_TERNARY => {
-                let len = r.u64()? as usize;
-                let scale = r.f32()?;
-                let packed = r.bytes(len.div_ceil(4))?.to_vec();
+                let len = self.u64()? as usize;
+                let scale = self.f32()?;
+                let packed = self.bytes(len.div_ceil(4))?.to_vec();
                 Payload::Ternary { len, scale, packed }
             }
             TAG_SVD => {
-                let rows = r.u64()? as usize;
-                let cols = r.u64()? as usize;
-                let rank = r.u64()? as usize;
+                let rows = self.u64()? as usize;
+                let cols = self.u64()? as usize;
+                let rank = self.u64()? as usize;
                 let nu = rows.checked_mul(rank);
                 let nv = cols.checked_mul(rank);
                 let (nu, nv) = match (nu, nv) {
@@ -597,16 +696,16 @@ impl Payload {
                     rows,
                     cols,
                     rank,
-                    u: r.f32s(nu)?,
-                    s: r.f32s(rank)?,
-                    v: r.f32s(nv)?,
+                    u: self.f32s(nu)?,
+                    s: self.f32s(rank)?,
+                    v: self.f32s(nv)?,
                 }
             }
             TAG_TWO_SCALE => {
-                let len = r.u64()? as usize;
-                let neg = r.f32()?;
-                let pos = r.f32()?;
-                let words = r.u32s(len.div_ceil(32))?;
+                let len = self.u64()? as usize;
+                let neg = self.f32()?;
+                let pos = self.f32()?;
+                let words = self.u32s(len.div_ceil(32))?;
                 Payload::TwoScale {
                     words,
                     len,
@@ -617,15 +716,7 @@ impl Payload {
             other => {
                 return Err(CompressError::Wire(format!("unknown payload tag {other}")));
             }
-        };
-        if r.pos != bytes.len() {
-            return Err(CompressError::Wire(format!(
-                "{} trailing bytes after {} payload",
-                bytes.len() - r.pos,
-                payload.kind_name()
-            )));
-        }
-        Ok(payload)
+        })
     }
 }
 
@@ -743,8 +834,72 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::Compressor;
+
+    /// Asserts that `c` refuses `forged` — a payload whose peer-supplied
+    /// length disagrees with `honest`'s — with a typed protocol error
+    /// whichever of the two comes first, before it allocates by that
+    /// length.
+    pub(crate) fn assert_forged_length_refused(
+        c: &dyn Compressor,
+        honest: Payload,
+        forged: Payload,
+    ) {
+        for pair in [[forged.clone(), honest.clone()], [honest, forged]] {
+            let got = c.aggregate(0, &pair);
+            assert!(matches!(got, Err(CompressError::Protocol(_))), "{got:?}");
+        }
+    }
+
+    /// An honest 8-element `Sparse` payload, and one parsed off the wire
+    /// whose length field claims 2^40 elements.
+    pub(crate) fn honest_and_forged_sparse() -> (Payload, Payload) {
+        let sparse = |len| Payload::Sparse {
+            len,
+            indices: vec![1],
+            values: vec![0.5],
+        };
+        let forged = Payload::from_bytes(&sparse(1 << 40).to_bytes()).unwrap();
+        (sparse(8), forged)
+    }
+
+    #[test]
+    fn concatenated_payloads_parse_back_exactly() {
+        let payloads = vec![
+            Payload::Dense(vec![1.0, -2.0]),
+            Payload::Signs {
+                words: vec![0b101],
+                len: 3,
+                scale: 0.5,
+            },
+            Payload::Sparse {
+                len: 9,
+                indices: vec![4],
+                values: vec![2.0],
+            },
+        ];
+        let mut wire = Vec::new();
+        for p in &payloads {
+            p.write_bytes(&mut wire);
+        }
+        let total: usize = payloads.iter().map(|p| p.to_bytes().len()).sum();
+        assert_eq!(wire.len(), total, "no byte beyond the payloads");
+        assert_eq!(Payload::from_bytes_many(&wire, 3).unwrap(), payloads);
+        assert_eq!(Payload::from_bytes_many(&[], 0).unwrap(), vec![]);
+        // Too few payloads asked for leaves trailing bytes; too many, or a
+        // cut anywhere, is a truncated one.
+        for (bytes, n) in [
+            (&wire[..], 2),
+            (&wire[..], 4),
+            (&wire[..wire.len() - 1], 3),
+            (&wire[..1], 1),
+        ] {
+            let got = Payload::from_bytes_many(bytes, n);
+            assert!(matches!(got, Err(CompressError::Wire(_))), "{got:?}");
+        }
+    }
 
     fn roundtrip(p: Payload) {
         let bytes = p.to_bytes();

@@ -161,27 +161,13 @@ impl Compressor for SignSgd {
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
         // Every payload is checked before the first vote is counted.
-        let signs = payloads
-            .iter()
-            .map(|p| match p {
-                Payload::Signs { words, len, scale } => Ok((words, *len, *scale)),
-                other => Err(CompressError::PayloadKind {
-                    expected: "Signs",
-                    actual: other.kind_name(),
-                }),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let Some(&(_, len, _)) = signs.first() else {
-            return Err(CompressError::EmptyAggregate);
-        };
-        if signs.iter().any(|&(_, l, _)| l != len) {
-            return Err(CompressError::Protocol(
-                "sign payloads disagree on length".into(),
-            ));
-        }
+        let (len, signs) = crate::payload::agreed_views(payloads, "Signs", |p| match p {
+            Payload::Signs { words, len, scale } => Some((*len, (words, *scale))),
+            _ => None,
+        })?;
         let mut vote = MajorityVote::new(len);
         let mut scale_sum = 0.0f32;
-        for (words, _, scale) in signs {
+        for (words, scale) in signs {
             vote.add(&SignBits::from_words(words.clone(), len));
             scale_sum += scale;
         }

@@ -108,42 +108,24 @@ impl Compressor for TernGrad {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        if payloads.is_empty() {
-            return Err(CompressError::EmptyAggregate);
-        }
-        let mut acc: Option<Vec<f32>> = None;
-        for p in payloads {
-            match p {
-                Payload::Ternary { len, scale, packed } => {
-                    let codes = unpack_ternary(packed, *len);
-                    let a = acc.get_or_insert_with(|| vec![0.0; *len]);
-                    if a.len() != *len {
-                        return Err(CompressError::Protocol(
-                            "ternary payloads disagree on length".into(),
-                        ));
-                    }
-                    for (x, c) in a.iter_mut().zip(&codes) {
-                        // Fused decode-and-add: the addend is synthesized
-                        // per element, so no bulk kernel applies.
-                        // lint: allow(raw-f32-accumulation)
-                        *x += match *c {
-                            CODE_POS => *scale,
-                            CODE_NEG => -*scale,
-                            _ => 0.0,
-                        };
-                    }
-                }
-                other => {
-                    return Err(CompressError::PayloadKind {
-                        expected: "Ternary",
-                        actual: other.kind_name(),
-                    });
-                }
+        let (len, ternaries) = crate::payload::agreed_views(payloads, "Ternary", |p| match p {
+            Payload::Ternary { len, scale, packed } => Some((*len, (*scale, packed))),
+            _ => None,
+        })?;
+        let mut a = vec![0.0; len];
+        for (scale, packed) in ternaries {
+            let codes = unpack_ternary(packed, len);
+            for (x, c) in a.iter_mut().zip(&codes) {
+                // Fused decode-and-add: the addend is synthesized per
+                // element, so no bulk kernel applies.
+                // lint: allow(raw-f32-accumulation)
+                *x += match *c {
+                    CODE_POS => scale,
+                    CODE_NEG => -scale,
+                    _ => 0.0,
+                };
             }
         }
-        let Some(mut a) = acc else {
-            return Err(CompressError::EmptyAggregate);
-        };
         let inv = 1.0 / payloads.len() as f32;
         for x in &mut a {
             *x *= inv;
@@ -185,6 +167,20 @@ impl Compressor for TernGrad {
 mod tests {
     use super::*;
     use crate::driver::round_trip;
+
+    #[test]
+    fn forged_ternary_length_is_a_protocol_error() {
+        let ternary = |len| Payload::Ternary {
+            len,
+            scale: 0.5,
+            packed: vec![0b0110],
+        };
+        crate::payload::tests::assert_forged_length_refused(
+            &TernGrad::new(),
+            ternary(4),
+            ternary(1 << 40),
+        );
+    }
 
     #[test]
     fn pack_unpack_roundtrip() {

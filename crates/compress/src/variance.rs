@@ -137,41 +137,7 @@ impl Compressor for VarianceSparsifier {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        if payloads.is_empty() {
-            return Err(CompressError::EmptyAggregate);
-        }
-        let mut dense: Option<Vec<f32>> = None;
-        for p in payloads {
-            match p {
-                Payload::Sparse {
-                    len,
-                    indices,
-                    values,
-                } => {
-                    let d = dense.get_or_insert_with(|| vec![0.0; *len]);
-                    if d.len() != *len {
-                        return Err(CompressError::Protocol(
-                            "sparse payloads disagree on dense length".into(),
-                        ));
-                    }
-                    crate::payload::scatter_add_checked(d, indices, values)?;
-                }
-                other => {
-                    return Err(CompressError::PayloadKind {
-                        expected: "Sparse",
-                        actual: other.kind_name(),
-                    });
-                }
-            }
-        }
-        let Some(mut d) = dense else {
-            return Err(CompressError::EmptyAggregate);
-        };
-        let inv = 1.0 / payloads.len() as f32;
-        for x in &mut d {
-            *x *= inv;
-        }
-        Ok(Payload::Dense(d))
+        crate::payload::sparse_mean(payloads)
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
@@ -209,6 +175,16 @@ impl Compressor for VarianceSparsifier {
 mod tests {
     use super::*;
     use crate::driver::round_trip;
+
+    #[test]
+    fn forged_sparse_length_is_a_protocol_error() {
+        let (honest, forged) = crate::payload::tests::honest_and_forged_sparse();
+        crate::payload::tests::assert_forged_length_refused(
+            &VarianceSparsifier::new(1.0).unwrap(),
+            honest,
+            forged,
+        );
+    }
 
     #[test]
     fn rejects_bad_kappa() {
