@@ -25,17 +25,27 @@
 //! collective sequence. Only where the collective runs differs:
 //!
 //! * the **inline** lane runs it on the calling thread (the sequential and
-//!   adaptive engines);
-//! * the **comm** lane queues it on a [`CommEngine`] thread with at most
-//!   `depth` in flight and absorbs strictly in submission order (the
-//!   pipelined engine).
+//!   adaptive engines), **one ring and one gather per round**: each
+//!   bucket's payload waits in a batch until the round drains, when every
+//!   summable image rides one [`WorkerHandle::all_reduce_mean_many`] and
+//!   every other payload, serialized back to back, one
+//!   [`WorkerHandle::all_gather_bytes`]. A bucket whose payload is the
+//!   caller's gradient is never copied into the batch: it lands the batch
+//!   first, so collectives stay in bucket order, then runs its own ring;
+//! * the **comm** lane queues each bucket's collective on a
+//!   [`CommEngine`] thread with at most `depth` in flight and absorbs
+//!   strictly in submission order (the pipelined engine). It keeps one
+//!   collective per bucket: batching would serialize the overlap of each
+//!   collective with the next bucket's encode.
 //!
-//! The split, the collective call, deserialization, `aggregate` and
-//! `absorb` are written once, so every engine is bit-identical to every
-//! other, and numerically equal to the centralized reference driver in
-//! `gcs_compress::driver`. Timing follows one rule on both lanes (see
-//! [`BucketTiming`]): `comm_s` is time in the collective — the ring mean's
-//! divide included — and everything after it is `decode_s`.
+//! Either way `aggregate` and `absorb` run in bucket order. The split,
+//! deserialization, `aggregate` and `absorb` are written once, and the
+//! fused collectives are bit-identical to one per bucket, so every engine
+//! is bit-identical to every other, and numerically equal to the
+//! centralized reference driver in `gcs_compress::driver`. Timing follows
+//! one rule on both lanes (see [`BucketTiming`]): `comm_s` is time in the
+//! collective — the ring mean's divide included — and everything after it
+//! is `decode_s`.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -110,6 +120,8 @@ enum Landed {
     Reduced(PayloadShell, Vec<f32>),
     /// Every member's frame, plus the buffer this rank sent.
     Gathered(Vec<Frame>, Vec<u8>),
+    /// Every member's payload, parsed out of a fused gather.
+    Parsed(Vec<Payload>),
 }
 
 /// A collective queued on the comm thread.
@@ -137,9 +149,10 @@ struct Inflight {
 }
 
 impl Lane<'_> {
-    /// How many collectives may be in flight before the schedule absorbs
-    /// the oldest. One on the inline lane: each round lands inside
-    /// `submit` and is absorbed before the next bucket is encoded.
+    /// How many landed bucket rounds may wait before the schedule absorbs
+    /// the oldest. One on the inline lane, whose rounds land at the
+    /// round's drain or when a borrowed gradient flushes the batch, and
+    /// are absorbed before the next bucket is encoded.
     fn window(&self) -> usize {
         match self {
             Lane::Inline(_) => 1,
@@ -147,74 +160,235 @@ impl Lane<'_> {
         }
     }
 
-    /// Starts `contribution`'s collective, chosen by payload shape: a
-    /// borrowed gradient and summable payloads ride the ring
-    /// mean-all-reduce (the gradient out of place), everything else is
-    /// serialized (into a buffer recycled through `wires`) and
+    /// Hands `bucket`'s `contribution` to its collective, chosen by
+    /// payload shape: a borrowed gradient and summable payloads ride the
+    /// ring mean-all-reduce, everything else is serialized and
     /// all-gathered.
+    ///
+    /// On the inline lane a payload waits in `scratch.batch` for the
+    /// round's one ring and one gather; a borrowed gradient first lands
+    /// the batch, so collectives stay in bucket order, then runs its own
+    /// ring out of place. On the comm lane every contribution is queued
+    /// as its own collective, its wire buffer recycled through
+    /// `scratch.wires`. Anything landed or queued joins `inflight`.
     fn submit(
         &self,
+        bucket: usize,
+        arm: usize,
         contribution: Contribution<'_>,
-        wires: &mut Vec<Vec<u8>>,
-        timing: &mut BucketTiming,
-    ) -> Result<Leg> {
-        let payload = match (contribution, self) {
-            (Contribution::Gradient(src), Lane::Inline(worker)) => {
-                timing.ring_bytes += 4 * src.len() as u64;
-                timing.ring_rounds += 1;
+        scratch: &mut Scratch,
+        inflight: &mut VecDeque<Inflight>,
+    ) -> Result<()> {
+        let leg = match (self, contribution) {
+            (Lane::Inline(worker), Contribution::Gradient(src)) => {
+                scratch.batch.land(worker, &mut scratch.timings, inflight)?;
+                let timing = &mut scratch.timings[bucket];
+                timing.add_ring(src.len());
                 let mean = timed(&mut timing.comm_s, || worker.all_reduce_mean_from(src))?;
-                return Ok(Leg::Landed(Landed::Reduced(PayloadShell::Dense, mean)));
+                Leg::Landed(Landed::Reduced(PayloadShell::Dense, mean))
             }
-            // The schedule borrows gradients only on the inline lane; a
-            // comm thread would need an owned copy.
-            (Contribution::Gradient(src), Lane::Comm(..)) => Payload::Dense(src.to_vec()),
-            (Contribution::Payload(payload), _) => payload,
-        };
-        match PayloadShell::split(payload) {
-            // NCCL sums fp16 natively; a Half image is summed in f32 and
-            // re-rounded by `assemble`, which matches Payload::add_assign
-            // semantics up to rounding order.
-            Ok((shell, mut image)) => {
-                timing.ring_bytes += 4 * image.len() as u64;
-                timing.ring_rounds += 1;
-                Ok(match self {
-                    Lane::Inline(worker) => {
-                        timed(&mut timing.comm_s, || worker.all_reduce_mean(&mut image))?;
-                        Leg::Landed(Landed::Reduced(shell, image))
-                    }
-                    Lane::Comm(comm, _) => {
+            (Lane::Inline(_), Contribution::Payload(payload)) => {
+                scratch
+                    .batch
+                    .push(bucket, arm, payload, &mut scratch.timings[bucket]);
+                return Ok(());
+            }
+            (Lane::Comm(comm, _), contribution) => {
+                let timing = &mut scratch.timings[bucket];
+                let payload = match contribution {
+                    // The schedule borrows gradients only on the inline
+                    // lane; a comm thread would need an owned copy.
+                    Contribution::Gradient(src) => Payload::Dense(src.to_vec()),
+                    Contribution::Payload(payload) => payload,
+                };
+                match PayloadShell::split(payload) {
+                    Ok((shell, image)) => {
+                        timing.add_ring(image.len());
                         Leg::Queued(Queued::Reduce(shell, comm.start_all_reduce_mean(image)?))
                     }
-                })
-            }
-            // Non-associative aggregation: gather every member's payload
-            // and reduce locally (identically on every member).
-            Err(payload) => {
-                let mut wire = wires.pop().unwrap_or_default();
-                wire.clear();
-                payload.write_bytes(&mut wire);
-                timing.gather_bytes += wire.len() as u64;
-                timing.gather_rounds += 1;
-                Ok(match self {
-                    Lane::Inline(worker) => {
-                        let frames = timed(&mut timing.comm_s, || worker.all_gather_bytes(&wire))?;
-                        Leg::Landed(Landed::Gathered(frames, wire))
-                    }
-                    Lane::Comm(comm, _) => {
+                    Err(payload) => {
+                        let mut wire = scratch.wires.pop().unwrap_or_default();
+                        wire.clear();
+                        payload.write_bytes(&mut wire);
+                        timing.add_gather(wire.len());
                         Leg::Queued(Queued::Gather(comm.start_all_gather(wire)?))
                     }
-                })
+                }
             }
+        };
+        inflight.push_back(Inflight { bucket, arm, leg });
+        Ok(())
+    }
+
+    /// Lands whatever the lane still holds at a round's drain: the inline
+    /// lane's batch. The comm lane's collectives are already queued.
+    fn land(&self, scratch: &mut Scratch, inflight: &mut VecDeque<Inflight>) -> Result<()> {
+        match self {
+            Lane::Inline(worker) => scratch.batch.land(worker, &mut scratch.timings, inflight),
+            Lane::Comm(..) => Ok(()),
         }
     }
 }
 
+/// One bucket round waiting in a [`Batch`].
+#[derive(Debug)]
+struct Deferred {
+    bucket: usize,
+    arm: usize,
+    /// `Some` for the next image of [`Batch::images`], `None` for the next
+    /// payload of [`Batch::wire`].
+    shell: Option<PayloadShell>,
+    /// Bytes the bucket puts on its collective: its share of that
+    /// collective's time.
+    bytes: u64,
+}
+
+/// The inline lane's deferred bucket rounds, in bucket order, waiting for
+/// one ring and one gather.
+///
+/// Summable payloads' images ride one [`WorkerHandle::all_reduce_mean_many`]
+/// (each bit-identical to its own ring); every other payload is
+/// serialized back to back into one wire buffer, all-gathered once and
+/// parsed with [`Payload::from_bytes_many`]. Both add no byte to the
+/// wire: the ring carries the same images, and serialized payloads
+/// delimit themselves.
+#[derive(Debug, Default)]
+struct Batch {
+    entries: Vec<Deferred>,
+    images: Vec<Vec<f32>>,
+    wire: Vec<u8>,
+}
+
+impl Batch {
+    /// Defers `bucket`'s `payload`, counting its wire bytes and round.
+    fn push(&mut self, bucket: usize, arm: usize, payload: Payload, timing: &mut BucketTiming) {
+        let (shell, bytes) = match PayloadShell::split(payload) {
+            // NCCL sums fp16 natively; a Half image is summed in f32 and
+            // re-rounded by `assemble`, which matches Payload::add_assign
+            // semantics up to rounding order.
+            Ok((shell, image)) => {
+                timing.add_ring(image.len());
+                let bytes = 4 * image.len() as u64;
+                self.images.push(image);
+                (Some(shell), bytes)
+            }
+            // Non-associative aggregation: gather every member's payload
+            // and reduce locally (identically on every member).
+            Err(payload) => {
+                let start = self.wire.len();
+                payload.write_bytes(&mut self.wire);
+                timing.add_gather(self.wire.len() - start);
+                (None, (self.wire.len() - start) as u64)
+            }
+        };
+        self.entries.push(Deferred {
+            bucket,
+            arm,
+            shell,
+            bytes,
+        });
+    }
+
+    /// Runs the batch's ring (if it holds an image) and then its gather
+    /// (if it holds a serialized payload), and moves every deferred round
+    /// onto `inflight` in bucket order, landed. Each collective's wall time
+    /// is split across its buckets in proportion to their bytes as
+    /// `comm_s`; parsing the gathered frames is split the same way as
+    /// `decode_s`.
+    fn land(
+        &mut self,
+        worker: &WorkerHandle,
+        timings: &mut [BucketTiming],
+        inflight: &mut VecDeque<Inflight>,
+    ) -> Result<()> {
+        // (bytes, rounds) on the ring, or on the gather.
+        let tally = |ring: bool| {
+            self.entries
+                .iter()
+                .filter(|e| e.shell.is_some() == ring)
+                .fold((0, 0), |(bytes, n), e| (bytes + e.bytes, n + 1))
+        };
+        let (ring_total, gather_total) = (tally(true), tally(false));
+        let (mut ring_s, mut gather_s, mut parse_s) = (0.0, 0.0, 0.0);
+        if ring_total.1 > 0 {
+            timed(&mut ring_s, || {
+                worker.all_reduce_mean_many(&mut self.images)
+            })?;
+        }
+        let mut parsed = Vec::new();
+        if gather_total.1 > 0 {
+            let frames = timed(&mut gather_s, || worker.all_gather_bytes(&self.wire))?;
+            self.wire.clear();
+            parsed = timed(&mut parse_s, || parse_per_bucket(&frames, gather_total.1))?;
+        }
+        let mut images = self.images.drain(..);
+        let mut parsed = parsed.into_iter();
+        let lost = || CompressError::Protocol("a batched bucket round lost its payload".into());
+        for Deferred {
+            bucket,
+            arm,
+            shell,
+            bytes,
+        } in self.entries.drain(..)
+        {
+            let timing = &mut timings[bucket];
+            let landed = match shell {
+                Some(shell) => {
+                    timing.comm_s += share(ring_s, bytes, ring_total);
+                    Landed::Reduced(shell, images.next().ok_or_else(lost)?)
+                }
+                None => {
+                    timing.comm_s += share(gather_s, bytes, gather_total);
+                    timing.decode_s += share(parse_s, bytes, gather_total);
+                    Landed::Parsed(parsed.next().ok_or_else(lost)?)
+                }
+            };
+            inflight.push_back(Inflight {
+                bucket,
+                arm,
+                leg: Leg::Landed(landed),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Parses `n` back-to-back payloads out of every member's frame, and
+/// regroups them from one list per member into one per bucket round, each
+/// in member order.
+fn parse_per_bucket(frames: &[Frame], n: usize) -> Result<Vec<Vec<Payload>>> {
+    let mut per_bucket: Vec<Vec<Payload>> =
+        (0..n).map(|_| Vec::with_capacity(frames.len())).collect();
+    for frame in frames {
+        for (round, payload) in per_bucket
+            .iter_mut()
+            .zip(Payload::from_bytes_many(frame, n)?)
+        {
+            round.push(payload);
+        }
+    }
+    Ok(per_bucket)
+}
+
+/// The part of `secs`, spent in one collective for `(total_bytes, count)`
+/// bucket rounds, that belongs to a round of `bytes` bytes: in proportion
+/// to the bytes, or evenly when the collective carried none.
+fn share(secs: f64, bytes: u64, (total_bytes, count): (u64, usize)) -> f64 {
+    if total_bytes == 0 {
+        secs / count as f64
+    } else {
+        secs * bytes as f64 / total_bytes as f64
+    }
+}
+
 /// What the schedule keeps between exchanges: recycled gather-path wire
-/// buffers (up to a window's worth circulate) and the per-bucket timings
-/// of the most recent exchange.
+/// buffers of the comm lane (up to a window's worth circulate), the
+/// inline lane's batch, and the per-bucket timings of the most recent
+/// exchange.
 #[derive(Debug, Default)]
 struct Scratch {
     wires: Vec<Vec<u8>>,
+    batch: Batch,
     timings: Vec<BucketTiming>,
 }
 
@@ -270,8 +444,7 @@ fn run_rounds<'g, C: Compressor>(
                 complete_front(compressors, round, &mut inflight, scratch)?;
             }
             let compressor = &mut compressors[arm];
-            let timing = &mut scratch.timings[bucket];
-            let contribution = timed(&mut timing.encode_s, || {
+            let contribution = timed(&mut scratch.timings[bucket].encode_s, || {
                 if round == 0 {
                     first(compressor, bucket, direct[arm])
                 } else {
@@ -280,11 +453,11 @@ fn run_rounds<'g, C: Compressor>(
                     ))
                 }
             })?;
-            let leg = lane.submit(contribution, &mut scratch.wires, timing)?;
-            inflight.push_back(Inflight { bucket, arm, leg });
+            lane.submit(bucket, arm, contribution, scratch, &mut inflight)?;
         }
         // Rounds are a barrier: encode_round(b, r+1) may require the
         // absorb of round r for bucket b, so drain before moving on.
+        lane.land(scratch, &mut inflight)?;
         while !inflight.is_empty() {
             complete_front(compressors, round, &mut inflight, scratch)?;
         }
@@ -295,8 +468,8 @@ fn run_rounds<'g, C: Compressor>(
 /// Lands the oldest in-flight bucket round and absorbs it — the in-order
 /// absorb invariant (the comm thread finishes jobs FIFO, so the front is
 /// also the first to land). Blocked wait on the comm lane is `comm_s` and
-/// `exposed_wait_s`; reassembly or `aggregate`, and `absorb`, are
-/// `decode_s`.
+/// `exposed_wait_s`; reassembly or deserialization and `aggregate`, and
+/// `absorb`, are `decode_s`.
 fn complete_front<C: Compressor>(
     compressors: &mut [C],
     round: usize,
@@ -329,6 +502,7 @@ fn complete_front<C: Compressor>(
                     .collect::<gcs_compress::Result<_>>()?;
                 compressor.aggregate(round, &payloads)?
             }
+            Landed::Parsed(payloads) => compressor.aggregate(round, &payloads)?,
         };
         Ok(compressor.absorb(bucket, round, agg)?)
     })
@@ -336,7 +510,8 @@ fn complete_front<C: Compressor>(
 
 /// Runs one full compressed gradient exchange for `grads` (this worker's
 /// per-layer gradients), one layer per schedule bucket, and returns the
-/// decoded aggregated gradients in layer order. Under a compressor whose
+/// decoded aggregated gradients in layer order. Every layer's payload of a
+/// round rides that round's one ring or one gather. Under a compressor whose
 /// payload is the gradient (syncSGD) each layer is all-reduced straight
 /// from `grads`, without a copy.
 ///
@@ -687,7 +862,9 @@ pub(crate) fn exchange_plan<C: Compressor>(
 /// — the raw signal the adaptive controller's measured mode consumes. One
 /// rule on both lanes of the schedule: `encode_s` ends where the payload
 /// is handed to the collective, `comm_s` is the collective, and
-/// `decode_s` is everything after it.
+/// `decode_s` is everything after it. A collective the inline lane fuses
+/// across buckets, and the parse of its gathered frames, are split across
+/// those buckets in proportion to the bytes each put on it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BucketTiming {
     /// Bucket index.
@@ -695,8 +872,9 @@ pub struct BucketTiming {
     /// Seconds spent encoding (all rounds, including packing).
     pub encode_s: f64,
     /// Seconds spent in the cluster collective (all rounds): the call on
-    /// the inline lane, the blocked wait on the comm lane. The ring mean's
-    /// divide happens inside the collective, so it is counted here.
+    /// the inline lane (this bucket's byte share of a fused call), the
+    /// blocked wait on the comm lane. The ring mean's divide happens inside
+    /// the collective, so it is counted here.
     pub comm_s: f64,
     /// Seconds spent turning collective results into the absorbed payload
     /// (reassembling a ring mean, deserialization and `aggregate`), in
@@ -716,6 +894,20 @@ pub struct BucketTiming {
     pub gather_bytes: u64,
     /// Number of gather rounds.
     pub gather_rounds: u32,
+}
+
+impl BucketTiming {
+    /// Counts a ring round over `elems` f32s.
+    fn add_ring(&mut self, elems: usize) {
+        self.ring_bytes += 4 * elems as u64;
+        self.ring_rounds += 1;
+    }
+
+    /// Counts a gather round of a `bytes`-long serialized payload.
+    fn add_gather(&mut self, bytes: usize) {
+        self.gather_bytes += bytes as u64;
+        self.gather_rounds += 1;
+    }
 }
 
 /// Bytes a summable payload occupies on the ring — the length of the f32
@@ -1096,6 +1288,32 @@ mod tests {
             );
         }
         assert!(traffic.iter().all(|t| t.messages_sent() == 0));
+    }
+
+    #[test]
+    fn inline_lane_issues_one_collective_per_round() {
+        // Four layers at p = 3. A gathered method sends one all-gather
+        // (m − 1 frames) per round and a summable one ring (2(m − 1)
+        // frames) per round, however many layers ride them; syncSGD's
+        // gradients are all-reduced where they lie, one ring per layer.
+        let layers = [vec![6usize, 10], vec![33], vec![4, 4, 3, 3], vec![2]];
+        for (method, frames) in [
+            (MethodConfig::SignSgd, 2),
+            (MethodConfig::TopK { ratio: 0.2 }, 2),
+            (MethodConfig::PowerSgd { rank: 2 }, 2 * 4),
+            (MethodConfig::SyncSgd, 4 * 4),
+        ] {
+            let grads = make_grads(3, &layers, 5);
+            let cluster = gcs_cluster::SimCluster::new(3);
+            let traffic = cluster.traffic().to_vec();
+            cluster.run_workers(|worker| {
+                let mut c = method.build().unwrap();
+                exchange_gradients(&worker, &mut c, &grads[worker.rank()]).unwrap()
+            });
+            for t in &traffic {
+                assert_eq!(t.messages_sent(), frames, "{method:?}");
+            }
+        }
     }
 
     #[test]
