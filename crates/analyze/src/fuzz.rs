@@ -8,7 +8,11 @@
 //!   `read_frame` over truncated/mutated streams;
 //! * `gcs_compress::Payload::from_bytes` — a corpus built by encoding a
 //!   real gradient with **all 15 registry methods**, then truncated,
-//!   extended, stomped and bit-flipped.
+//!   extended, stomped and bit-flipped;
+//! * `gcs_compress::Payload::from_bytes_many` — back-to-back
+//!   concatenations of several methods' payloads (what the inline lane's
+//!   fused gather carries), intact, truncated, with trailing bytes, or
+//!   parsed as the wrong count.
 //!
 //! The contract under test: every mutation yields a typed
 //! [`ClusterError::Wire`]/[`ClusterError::Io`] or
@@ -379,6 +383,56 @@ fn fuzz_payload_random(rng: &mut SplitMix64, iters: usize, report: &mut FuzzPass
     t.finish(report);
 }
 
+/// Concatenations of one to four corpus payloads parsed with
+/// `Payload::from_bytes_many`. An intact one must parse back to exactly
+/// its payloads; a truncated one, one with trailing junk, or one parsed
+/// as one payload too few or too many must fail typed — accepting it is a
+/// violation too.
+fn fuzz_payload_many(
+    rng: &mut SplitMix64,
+    corpus: &[(String, Vec<u8>)],
+    iters: usize,
+    report: &mut FuzzPassReport,
+) {
+    let mut t = TargetRunner::new("payload-many");
+    for case in 0..iters {
+        let k = 1 + rng.below(4);
+        let mut bytes = Vec::new();
+        for _ in 0..k {
+            bytes.extend_from_slice(&corpus[rng.below(corpus.len())].1);
+        }
+        let intact = bytes.clone();
+        let mut n = k;
+        match rng.below(4) {
+            0 => {}
+            1 => bytes.truncate(rng.below(bytes.len())),
+            2 => {
+                for _ in 0..1 + rng.below(16) {
+                    bytes.push(rng.byte());
+                }
+            }
+            _ => n = if rng.below(2) == 0 { k - 1 } else { k + 1 },
+        }
+        let well_formed = n == k && bytes == intact;
+        t.record(
+            case,
+            probe(AssertUnwindSafe(|| {
+                let parsed = classify_compress(Payload::from_bytes_many(&bytes, n))?;
+                let mut rewritten = Vec::new();
+                for p in &parsed {
+                    p.write_bytes(&mut rewritten);
+                }
+                match (well_formed, rewritten == bytes) {
+                    (true, true) => Ok(()),
+                    (true, false) => Err("concatenation did not parse back to its bytes".into()),
+                    (false, _) => Err(format!("malformed concatenation of {k} accepted as {n}")),
+                }
+            })),
+        );
+    }
+    t.finish(report);
+}
+
 /// Deliberately buggy "parser" with an unchecked index: the seeded
 /// negative proving the pass detects untyped panics.
 fn buggy_probe_parse(bytes: &[u8]) -> Result<u8, String> {
@@ -429,6 +483,7 @@ fn run_targets(seed: u64, iters: usize, negative: bool) -> FuzzPassReport {
         fuzz_payload_corpus(&corpus, &mut report);
         fuzz_payload_mutated(&mut rng, &corpus, iters, &mut report);
         fuzz_payload_random(&mut rng, iters, &mut report);
+        fuzz_payload_many(&mut rng, &corpus, iters, &mut report);
         if negative {
             fuzz_buggy_parser(&mut rng, iters.min(256), &mut report);
         }
@@ -464,10 +519,16 @@ mod tests {
         assert_eq!(report.corpus_methods, 15);
         // Every target ran and actually rejected things (i.e. the
         // mutations are reaching the validation paths).
-        assert_eq!(report.stats.len(), 6);
+        assert_eq!(report.stats.len(), 7);
         for s in &report.stats {
             assert!(s.cases > 0, "{} ran no cases", s.target);
         }
+        let many = report
+            .stats
+            .iter()
+            .find(|s| s.target == "payload-many")
+            .expect("multi-payload target present");
+        assert!(many.accepted > 0 && many.rejected > 0, "{many:?}");
         let rejected: usize = report.stats.iter().map(|s| s.rejected).sum();
         assert!(
             rejected > 500,

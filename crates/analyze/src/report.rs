@@ -102,6 +102,12 @@ pub fn run_schedule_pass() -> SchedulePassReport {
                 verify_schedule(&schedules::ring_all_reduce(p, n)),
             );
         }
+        // The inline lane's fused ring over ragged buffers: an empty one,
+        // one shorter than the ring, and one with remainder chunks.
+        rep.record(
+            "ring-all-reduce-fused",
+            verify_schedule(&schedules::ring_all_reduce_fused(p, &[p - 1, 0, 4 * p + 3])),
+        );
         // Binomial-tree broadcast from edge and middle roots.
         let mut roots = vec![0, p - 1, p / 2];
         roots.dedup();

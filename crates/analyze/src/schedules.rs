@@ -22,6 +22,31 @@ pub fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
     (start, start + size)
 }
 
+/// `chunk_table` from `gcs-cluster::collectives`: the ring's `m + 1`
+/// chunk offsets for one `n`-element buffer, chunk `i` being
+/// `table[i]..table[i + 1]`.
+pub fn chunk_table(n: usize, m: usize) -> Vec<usize> {
+    (0..m).map(|i| chunk_range(n, m, i).0).chain([n]).collect()
+}
+
+/// The chunk table of `WorkerHandle::all_reduce_mean_many` for buffers of
+/// `lens` elements over `m` members: packed chunk-major, fused chunk `c`
+/// is every buffer's `chunk_range(len, m, c)`, in buffer order.
+pub fn fused_chunk_table(lens: &[usize], m: usize) -> Vec<usize> {
+    let mut table = vec![0];
+    for c in 0..m {
+        let chunk: usize = lens
+            .iter()
+            .map(|&len| {
+                let (s, e) = chunk_range(len, m, c);
+                e - s
+            })
+            .sum();
+        table.push(table[c] + chunk);
+    }
+    table
+}
+
 fn send_elems(s: &mut Schedule, from: usize, to: usize, lo: usize, hi: usize) {
     s.push(
         from,
@@ -50,21 +75,25 @@ fn recv_elems(s: &mut Schedule, at: usize, from: usize, lo: usize, hi: usize, ac
 }
 
 /// Ring all-reduce over `members` (actual process ids, strictly
-/// ascending), reducing `n` elements at `offset` into each member's
-/// buffer. Mirrors `WorkerHandle::ring_all_reduce`, the one ring body
-/// behind `all_reduce_sum`, `all_reduce_mean` and the out-of-place
-/// `all_reduce_mean_from`, which rings over the handle's member list
+/// ascending), reducing the elements `table` splits into `m` chunks (chunk
+/// `i` is `table[i]..table[i + 1]`) at `offset` into each member's buffer.
+/// Mirrors `WorkerHandle::ring_all_reduce`, the one ring body behind
+/// `all_reduce_sum`, `all_reduce_mean`, the out-of-place
+/// `all_reduce_mean_from` (all three over [`chunk_table`]) and the fused
+/// `all_reduce_mean_many` (over [`fused_chunk_table`]), which rings over
+/// the handle's member list
 /// (`WorkerHandle::set_members`): members `0..p` is the healthy ring
 /// (`pos = rank`, `m = p`), and `ring_all_reduce_among` with a subset
 /// models a shrunk handle. The mean's divide by `m` is local arithmetic
 /// on the reduce-scatter's final hop, and where the out-of-place form
 /// reads its contribution and writes its result is local too; neither
 /// adds a frame, so one schedule models all three.
-fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, n: usize) {
+fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, table: &[usize]) {
     let m = members.len();
     if m <= 1 {
         return;
     }
+    let chunk = |i: usize| (table[i], table[i + 1]);
     for (pos, &rank) in members.iter().enumerate() {
         let next = members[(pos + 1) % m];
         let prev = members[(pos + m - 1) % m];
@@ -72,18 +101,18 @@ fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, 
         for step in 0..m - 1 {
             let send_idx = (pos + m - step) % m;
             let recv_idx = (pos + 2 * m - step - 1) % m;
-            let (ss, se) = chunk_range(n, m, send_idx);
+            let (ss, se) = chunk(send_idx);
             send_elems(s, rank, next, offset + ss, offset + se);
-            let (rs, re) = chunk_range(n, m, recv_idx);
+            let (rs, re) = chunk(recv_idx);
             recv_elems(s, rank, prev, offset + rs, offset + re, true);
         }
         // Phase 2: all-gather of the reduced chunks.
         for step in 0..m - 1 {
             let send_idx = (pos + 1 + m - step) % m;
             let recv_idx = (pos + m - step) % m;
-            let (ss, se) = chunk_range(n, m, send_idx);
+            let (ss, se) = chunk(send_idx);
             send_elems(s, rank, next, offset + ss, offset + se);
-            let (rs, re) = chunk_range(n, m, recv_idx);
+            let (rs, re) = chunk(recv_idx);
             recv_elems(s, rank, prev, offset + rs, offset + re, false);
         }
     }
@@ -104,10 +133,26 @@ pub fn ring_all_reduce_among(p: usize, members: &[usize], n: usize) -> Schedule 
         p,
         n,
     );
-    push_ring_all_reduce_ops(&mut s, members, 0, n);
+    push_ring_all_reduce_ops(&mut s, members, 0, &chunk_table(n, members.len()));
     s.expect = Expectation::ReducedVector {
         ranks: members.to_vec(),
         contributors: members.to_vec(),
+    };
+    s
+}
+
+/// The fused ring of `all_reduce_mean_many` over buffers of `lens`
+/// elements on a full `p`-rank ring: one reduce-scatter and one
+/// all-gather over the chunk-major packing, so every element of every
+/// buffer must end reduced over all ranks.
+pub fn ring_all_reduce_fused(p: usize, lens: &[usize]) -> Schedule {
+    let n = lens.iter().sum();
+    let members: Vec<usize> = (0..p).collect();
+    let mut s = Schedule::new(format!("ring-all-reduce-fused p={p} lens={lens:?}"), p, n);
+    push_ring_all_reduce_ops(&mut s, &members, 0, &fused_chunk_table(lens, p));
+    s.expect = Expectation::ReducedVector {
+        ranks: members.clone(),
+        contributors: members,
     };
     s
 }
@@ -307,7 +352,7 @@ pub fn comm_engine_pipeline(p: usize, depth: usize, jobs: usize, n: usize) -> Sc
                 },
             );
         }
-        push_ring_all_reduce_ops(&mut s, &comm_ids, k * n, n);
+        push_ring_all_reduce_ops(&mut s, &comm_ids, k * n, &chunk_table(n, p));
         for r in 0..p {
             let comm = p + r;
             s.push(
@@ -341,6 +386,24 @@ mod tests {
                 assert_eq!(covered, len);
             }
         }
+    }
+
+    #[test]
+    fn fused_ring_verifies_and_moves_each_buffers_own_bytes() {
+        for p in [2usize, 3, 5] {
+            let lens = [p - 1, 0, 4 * p + 3, 1];
+            let fused = ring_all_reduce_fused(p, &lens);
+            assert!(verify_schedule(&fused).ok(), "p={p}");
+            for rank in 0..p {
+                let apart: usize = lens
+                    .iter()
+                    .map(|&n| ring_all_reduce(p, n).sent_bytes(rank))
+                    .sum();
+                assert_eq!(fused.sent_bytes(rank), apart, "p={p} rank={rank}");
+            }
+        }
+        // One buffer's fused table is its own.
+        assert_eq!(fused_chunk_table(&[7], 3), chunk_table(7, 3));
     }
 
     #[test]

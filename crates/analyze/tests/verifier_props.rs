@@ -194,6 +194,29 @@ fn ir_bytes_match_simcluster_ring_traffic() {
 }
 
 #[test]
+fn ir_bytes_match_simcluster_fused_ring_traffic() {
+    // The fused extractor mirrors `WorkerHandle::all_reduce_mean_many`:
+    // one ring's frames carrying every buffer's bytes.
+    for p in [2usize, 3, 5] {
+        let lens = [p - 1, 0, 4 * p + 3, 1];
+        let s = schedules::ring_all_reduce_fused(p, &lens);
+        let cluster = SimCluster::new(p);
+        let traffic = cluster.traffic().to_vec();
+        cluster.run_workers(|h| {
+            let mut bufs: Vec<Vec<f32>> = lens.iter().map(|&n| vec![1.0f32; n]).collect();
+            h.all_reduce_mean_many(&mut bufs).unwrap();
+        });
+        for (rank, t) in traffic.iter().enumerate() {
+            assert_eq!(
+                (t.bytes_sent(), t.messages_sent()),
+                (s.sent_bytes(rank) as u64, send_op_count(&s, rank) as u64),
+                "p={p} rank={rank}: wire bytes and messages vs IR"
+            );
+        }
+    }
+}
+
+#[test]
 fn ir_bytes_match_simcluster_broadcast_traffic() {
     // Broadcast is the analyzer-swept collective a live engine runs (the
     // adaptive controller's decision broadcast). The root sends a blob of
