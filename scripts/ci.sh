@@ -26,11 +26,18 @@ GCS_FORCE_SCALAR=1 cargo test --workspace -q
 # replaced, the write-once `Vec` forms against the zeroed slice forms,
 # PowerSGD against its unfused reference and its goldens, the benchmark
 # models' gradient goldens, the wire image against `f32s_to_bytes`, the
-# ring mean against the ring sum divided and the out-of-place mean against
-# copy-then-mean (`ring_reference`) and every engine against the parent
-# goldens (`pipeline_bitexact`), among them syncSGD's at p = 2, 3, 4
-# (`syncsgd_exchanges_match_their_golden_digests`) and SignSGD's and
-# EF-SignSGD's at p = 2, 3, 5 with the final EF residuals
+# ring mean against the ring sum divided, the out-of-place mean against
+# copy-then-mean and the fused mean of several buffers against each
+# buffer's own ring, on SimCluster and TcpCluster
+# (`all_reduce_mean_many_is_each_buffers_own_ring_*`, all in
+# `ring_reference`) and every engine against the parent goldens
+# (`pipeline_bitexact`), among them syncSGD's at p = 2, 3, 4
+# (`syncsgd_exchanges_match_their_golden_digests`) and at p = 3 on a plan
+# mixing packed and single-layer buckets
+# (`syncsgd_mixed_plan_matches_its_golden_digest`), every method's
+# per-layer exchange at p = 3, 5 with empty ring chunks
+# (`ragged_per_layer_exchange_matches_its_golden_digests`), and SignSGD's
+# and EF-SignSGD's at p = 2, 3, 5 with the final EF residuals
 # (`sign_exchanges_match_their_golden_digests`), named here so the gate
 # does not rest on the two workspace passes above keeping them: once
 # under the default dispatch and once forced scalar (which also pins the
@@ -74,6 +81,11 @@ timeout 120 bash benchmark/run.sh --workload dense-ring-tcp --seconds 3 --trace 
 echo "==> benchmark smoke (topk-overlap-netem, 3 s, traced)"
 timeout 120 bash benchmark/run.sh --workload topk-overlap-netem --seconds 3 --trace 1 > /dev/null
 
+# PowerSGD per layer over in-memory channels: the only workload whose
+# inline lane fuses every layer's factor into one ring per round.
+echo "==> benchmark smoke (lowrank-sim, 3 s)"
+timeout 120 bash benchmark/run.sh --workload lowrank-sim --seconds 3 --trace 0 > /dev/null
+
 # EF-SignSGD per layer over loopback TCP: the only workload whose
 # exchange encodes signs and takes the majority vote. It needs 5 s: at
 # 3 s the run gives up before it reaches the target loss.
@@ -86,8 +98,9 @@ timeout 120 bash benchmark/run.sh --workload train-smallmsg-tcp --seconds 5 --tr
 # raw accumulation loops, Relaxed-ordering allowlist); (3) explore the
 # kernel pool's thread/event model, the one component outside a
 # forbid(unsafe_code) crate, for races/deadlocks/lost wakeups; (4) prove the Hello handshake, decision protocol, and pipeline FIFO
-# window state machines; (5) fuzz the wire headers/frames and
-# Payload::from_bytes for all 15 methods at a fixed seed (deterministic,
+# window state machines; (5) fuzz the wire headers/frames,
+# Payload::from_bytes for all 15 methods and Payload::from_bytes_many over
+# their concatenations at a fixed seed (deterministic,
 # finishes well under 10 s). Exits non-zero on any violation. The report
 # is deterministic, so it must also equal the committed
 # results/analyze_report.json byte for byte: a change that moves it
