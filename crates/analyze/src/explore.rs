@@ -1,12 +1,12 @@
 //! The analyzer's one state-space search.
 //!
 //! Every exhaustive check is a [`Machine`]: the interleaving cross-check
-//! of the schedule pass (Pass 1), the kernel-pool thread models (Pass 3),
-//! and the protocol machines (Pass 4). [`explore`] visits every reachable
-//! state breadth-first and reports what it sees as typed [`Finding`]s:
-//! invariant violations, non-accepting terminal states, and a blown state
-//! budget. A machine may also name [`SourceAnchor`]s in the code it
-//! abstracts; [`check_anchors`] reports `model-drift` when one is gone.
+//! of the schedule pass (Pass 1) and the protocol machines (Pass 3).
+//! [`explore`] visits every reachable state breadth-first and reports
+//! what it sees as typed [`Finding`]s: invariant violations,
+//! non-accepting terminal states, and a blown state budget. A machine
+//! may also name [`SourceAnchor`]s in the code it abstracts;
+//! [`check_anchors`] reports `model-drift` when one is gone.
 
 use crate::lint;
 use std::collections::{HashSet, VecDeque};
@@ -18,8 +18,8 @@ use std::path::Path;
 #[derive(Clone, Debug)]
 pub struct Finding {
     pub model: String,
-    /// `invariant-violation`, `unordered-access`, `deadlock`,
-    /// `lost-wakeup`, `state-explosion`, or `model-drift`.
+    /// `invariant-violation`, `deadlock`, `state-explosion`, or
+    /// `model-drift`.
     pub kind: String,
     pub detail: String,
 }
@@ -41,8 +41,6 @@ impl SourceAnchor {
 /// An explicit-state model.
 pub trait Machine {
     type State: Clone + Eq + Hash + Debug;
-    /// Finding kind of an [`invariant`](Machine::invariant) violation.
-    const VIOLATION: &'static str = "invariant-violation";
     fn name(&self) -> String;
     fn init(&self) -> Self::State;
     /// All successor states (one per enabled event).
@@ -105,7 +103,7 @@ pub fn explore<M: Machine>(m: &M) -> MachineResult {
         }
         for detail in m.invariant(&s) {
             if findings.len() < MAX_FINDINGS && reported.insert(detail.clone()) {
-                findings.push(finding(M::VIOLATION, detail));
+                findings.push(finding("invariant-violation", detail));
             }
         }
         let succ = m.successors(&s);

@@ -1,4 +1,4 @@
-//! Pass 5 — deterministic structured wire fuzz.
+//! Pass 4 — deterministic structured wire fuzz.
 //!
 //! A seed-deterministic SplitMix64 generator (no new dependencies) drives
 //! structured mutations against the two parsers that consume bytes from
@@ -491,7 +491,7 @@ fn run_targets(seed: u64, iters: usize, negative: bool) -> FuzzPassReport {
     report
 }
 
-/// Pass 5 entry point: fuzz the real parsers at a fixed seed/budget.
+/// Pass 4 entry point: fuzz the real parsers at a fixed seed/budget.
 pub fn run_fuzz_pass(seed: u64, iters: usize) -> FuzzPassReport {
     run_targets(seed, iters, false)
 }

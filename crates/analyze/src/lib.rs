@@ -1,6 +1,6 @@
 //! # gcs-analyze — static verification layer
 //!
-//! Five passes that turn the repo's correctness assumptions into
+//! Four passes that turn the repo's correctness assumptions into
 //! machine-checked invariants before anything runs:
 //!
 //! **Pass 1 — schedule verifier** ([`verify`], [`schedules`], [`ir`]):
@@ -19,37 +19,30 @@
 //! Rust scanner enforcing that `unsafe` stays inside the SIMD allowlist
 //! and carries `// SAFETY:` comments, that data-plane code never
 //! panics where it should propagate `Result`s, that raw f32 accumulation
-//! loops route through `gcs_tensor::kernels`, that `Ordering::Relaxed`
-//! stays inside its allowlist with `// SYNC:` justifications, and that
-//! panic-free crates declare `#![forbid(unsafe_code)]`.
+//! loops route through `gcs_tensor::kernels`, that no code outside tests
+//! uses `Ordering::Relaxed`, and that panic-free crates declare
+//! `#![forbid(unsafe_code)]`. Every threaded component lives in a
+//! `#![forbid(unsafe_code)]` crate, where a data race is a compile error.
 //!
-//! **Pass 3 — thread race checker** ([`threads`]): the kernel pool's
-//! band cursor and condvar join, the one component whose data races the
-//! compiler cannot rule out (`gcs_tensor::pool` is the workspace's only
-//! file with `unsafe impl Send/Sync`), lifted into a thread/event IR and
-//! explored exhaustively at widths 1 and 2; unordered conflicting access
-//! pairs, deadlocks, and lost wakeups are typed findings, with source
-//! anchors guarding against model drift.
-//!
-//! **Pass 4 — protocol state machines** ([`protocol`]): the TCP Hello
+//! **Pass 3 — protocol state machines** ([`protocol`]): the TCP Hello
 //! handshake, adaptive decision protocol, and pipeline FIFO window as
 //! explicit state machines, proved free of deadlock, double-accept,
 //! decision divergence, and out-of-window completion — with mutant
 //! machines as seeded negatives and source anchors into the code each
 //! machine models.
 //!
-//! **Pass 5 — deterministic wire fuzz** ([`fuzz`]): a SplitMix64-seeded
+//! **Pass 4 — deterministic wire fuzz** ([`fuzz`]): a SplitMix64-seeded
 //! structured fuzzer over `gcs_cluster::wire` headers/frames and
 //! `Payload::from_bytes` for all 15 registry methods; every mutation must
 //! yield a typed `Wire`/`Protocol` error, never a panic.
 //!
-//! Passes 1, 3 and 4 search state spaces through one explorer
+//! Passes 1 and 3 search state spaces through one explorer
 //! ([`explore`]): each model is a [`explore::Machine`], and every finding
 //! is an [`explore::Finding`].
 //!
 //! All passes run in CI via `gradcomp analyze --all` and fail the build
 //! on violations; [`report`] renders `results/analyze_report.json`
-//! (schema v2, stable key order).
+//! (schema v3, stable key order).
 
 #![forbid(unsafe_code)]
 
@@ -60,5 +53,4 @@ pub mod lint;
 pub mod protocol;
 pub mod report;
 pub mod schedules;
-pub mod threads;
 pub mod verify;

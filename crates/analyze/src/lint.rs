@@ -5,8 +5,7 @@
 //! that enforce repo invariants `rustc` and `clippy` don't know about:
 //!
 //! - `unsafe-outside-allowlist` — `unsafe` appears only under
-//!   `crates/tensor/src/kernels/`, `crates/tensor/src/matrix.rs`, or
-//!   `crates/tensor/src/pool.rs`.
+//!   `crates/tensor/src/kernels/` or in `crates/tensor/src/matrix.rs`.
 //! - `unsafe-missing-safety-comment` — every `unsafe` token is preceded
 //!   (same line or the adjacent comment/attribute block above) by a
 //!   `// SAFETY:` comment.
@@ -19,11 +18,9 @@
 //!   association order and dispatches SIMD).
 //! - `missing-forbid-unsafe` — crates that need no unsafe must say so
 //!   with `#![forbid(unsafe_code)]`.
-//! - `relaxed-atomic-ordering` — `Ordering::Relaxed` atomics only in
-//!   allowlisted files (the pool band cursor is the only sanctioned
-//!   site), and every allowlisted use needs a `// SYNC:` comment naming
-//!   the ordering argument; everything else synchronizes with `SeqCst`
-//!   or stronger, so the pool is the one ordering argument Pass 3 models.
+//! - `relaxed-atomic-ordering` — no `Ordering::Relaxed` outside test
+//!   code: every atomic synchronizes with `SeqCst`, so no ordering
+//!   argument is left for a reader (or a checker) to verify.
 //!
 //! A site can be exempted explicitly with a
 //! `// lint: allow(<rule>)` comment on the same or previous line;
@@ -91,11 +88,6 @@ const RULE_PANIC: &str = "panic-in-data-plane";
 const RULE_ACCUM: &str = "raw-f32-accumulation";
 const RULE_FORBID: &str = "missing-forbid-unsafe";
 const RULE_RELAXED: &str = "relaxed-atomic-ordering";
-
-/// Files sanctioned to use `Ordering::Relaxed`: only the pool band
-/// cursor, whose claims are made publication-safe by the job mutex +
-/// condvar join (verified by Pass 3's `pool-join` model).
-const RELAXED_ALLOWLIST: &[&str] = &["crates/tensor/src/pool.rs"];
 
 /// Lint every Rust source under `root` (a workspace checkout).
 pub fn run_lint(root: &Path) -> io::Result<LintReport> {
@@ -170,7 +162,7 @@ fn lint_file(rel: &str, text: &str, report: &mut LintReport) {
 }
 
 /// Count whole-token occurrences of `ident` in source text (comments and
-/// string contents excluded) — the thread pass's model-drift anchors.
+/// string contents excluded) — the protocol pass's model-drift anchors.
 pub(crate) fn ident_count(text: &str, ident: &str) -> usize {
     lex(text).tokens.iter().filter(|t| t.text == ident).count()
 }
@@ -182,9 +174,7 @@ fn is_data_plane_src(rel: &str) -> bool {
 }
 
 fn unsafe_allowlisted(rel: &str) -> bool {
-    rel.starts_with("crates/tensor/src/kernels/")
-        || rel == "crates/tensor/src/matrix.rs"
-        || rel == "crates/tensor/src/pool.rs"
+    rel.starts_with("crates/tensor/src/kernels/") || rel == "crates/tensor/src/matrix.rs"
 }
 
 /// `// lint: allow(<rule>)` on the token's own or previous line.
@@ -233,7 +223,7 @@ fn rule_unsafe(rel: &str, scan: &Scan, report: &mut LintReport) {
                 rel,
                 tok.line,
                 RULE_UNSAFE_ALLOWLIST,
-                "`unsafe` outside the kernels/matrix/pool allowlist".into(),
+                "`unsafe` outside the kernels/matrix allowlist".into(),
             );
             continue;
         }
@@ -251,9 +241,8 @@ fn rule_unsafe(rel: &str, scan: &Scan, report: &mut LintReport) {
 }
 
 /// `Ordering::Relaxed` (token sequence `Ordering :: Relaxed`, which also
-/// catches `use ...::Ordering::Relaxed` imports) is flagged outside the
-/// allowlist; allowlisted uses must carry a `// SYNC:` comment the same
-/// way `unsafe` carries `// SAFETY:`.
+/// catches `use ...::Ordering::Relaxed` imports) is flagged everywhere
+/// outside test code.
 fn rule_relaxed(rel: &str, scan: &Scan, report: &mut LintReport) {
     let t = &scan.tokens;
     for i in 0..t.len() {
@@ -263,71 +252,28 @@ fn rule_relaxed(rel: &str, scan: &Scan, report: &mut LintReport) {
         let seq = t.get(i + 1).is_some_and(|x| x.text == ":")
             && t.get(i + 2).is_some_and(|x| x.text == ":")
             && t.get(i + 3).is_some_and(|x| x.text == "Relaxed");
-        if !seq {
-            continue;
-        }
-        let line = t[i].line;
-        if !RELAXED_ALLOWLIST.contains(&rel) {
+        if seq {
             push(
                 report,
                 scan,
                 rel,
-                line,
+                t[i].line,
                 RULE_RELAXED,
-                "`Ordering::Relaxed` outside the pool band-cursor allowlist; use SeqCst (or add the file to the allowlist with a Pass 3 thread model of it)".into(),
-            );
-        } else if !has_marker_comment(scan, statement_start(scan, line), "SYNC:") {
-            push(
-                report,
-                scan,
-                rel,
-                line,
-                RULE_RELAXED,
-                "allowlisted `Ordering::Relaxed` without a `// SYNC:` comment justifying the ordering".into(),
+                "`Ordering::Relaxed` outside test code; use SeqCst".into(),
             );
         }
     }
-}
-
-/// Walks up from `line` to the first line of its enclosing statement, so
-/// a justification comment above a rustfmt-wrapped method chain (e.g.
-/// `self.next\n    .fetch_update(Ordering::Relaxed, ...)`) still counts.
-/// A line is a continuation when the line above it is code that does not
-/// end in `;`, `{`, `}` or `,`.
-fn statement_start(scan: &Scan, line: usize) -> usize {
-    let mut ln = line;
-    while ln > 1 {
-        let above = scan
-            .lines
-            .get(ln - 2)
-            .map(String::as_str)
-            .unwrap_or("")
-            .trim();
-        let boundary = above.is_empty()
-            || above.starts_with("//")
-            || above.starts_with("#[")
-            || above.ends_with(';')
-            || above.ends_with('{')
-            || above.ends_with('}')
-            || above.ends_with(',');
-        if boundary {
-            break;
-        }
-        ln -= 1;
-    }
-    ln
 }
 
 /// A `SAFETY:` comment counts if it sits on the `unsafe` line itself or
 /// anywhere in the contiguous run of comment / attribute / blank lines
 /// directly above it.
 fn has_safety_comment(scan: &Scan, line: usize) -> bool {
-    has_marker_comment(scan, line, "SAFETY:")
-}
-
-/// Shared marker-comment scan for `// SAFETY:` / `// SYNC:` style rules.
-fn has_marker_comment(scan: &Scan, line: usize, marker: &str) -> bool {
-    let contains = |ln: usize| scan.comments.get(&ln).is_some_and(|c| c.contains(marker));
+    let contains = |ln: usize| {
+        scan.comments
+            .get(&ln)
+            .is_some_and(|c| c.contains("SAFETY:"))
+    };
     if contains(line) {
         return true;
     }
@@ -815,11 +761,17 @@ fn hot() {
     #[test]
     fn unsafe_outside_allowlist_flagged() {
         let src = "fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        let r = scan_rules("crates/cluster/src/foo.rs", src);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.rule == "unsafe-outside-allowlist"));
+        // Outside `kernels/` and `matrix.rs`, `crates/tensor` is no exception.
+        for file in ["crates/cluster/src/foo.rs", "crates/tensor/src/pool.rs"] {
+            let r = scan_rules(file, src);
+            assert!(
+                r.violations
+                    .iter()
+                    .any(|v| v.rule == "unsafe-outside-allowlist"),
+                "{file}: {:?}",
+                r.violations
+            );
+        }
     }
 
     #[test]
@@ -907,16 +859,17 @@ const E: char = '\u{1F600}';
     }
 
     #[test]
-    fn allowlisted_relaxed_needs_sync_comment() {
+    fn relaxed_is_flagged_in_the_former_pool_allowlist_too() {
+        // No file is exempt, and a justification comment does not make
+        // one so.
         let bare = "fn claim(c: &AtomicUsize) { c.load(Ordering::Relaxed); }\n";
-        let r = scan_rules("crates/tensor/src/pool.rs", bare);
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert!(r.violations[0].message.contains("SYNC:"));
-
         let commented =
             "// SYNC: cursor claims are CAS-unique; results publish via the job mutex.\nfn claim(c: &AtomicUsize) { c.load(Ordering::Relaxed); }\n";
-        let r = scan_rules("crates/tensor/src/pool.rs", commented);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        for src in [bare, commented] {
+            let r = scan_rules("crates/tensor/src/pool.rs", src);
+            assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+            assert_eq!(r.violations[0].rule, "relaxed-atomic-ordering");
+        }
     }
 
     #[test]

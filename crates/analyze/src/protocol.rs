@@ -1,4 +1,4 @@
-//! Pass 4 — protocol state machines.
+//! Pass 3 — protocol state machines.
 //!
 //! Three distributed protocols in the runtime are small enough to verify
 //! outright by explicit-state exploration:
@@ -436,7 +436,7 @@ impl Machine for PipelineWindow {
 // Pass plumbing.
 // ---------------------------------------------------------------------------
 
-/// Pass 4 entry point: explore the real machines (including adversarial
+/// Pass 3 entry point: explore the real machines (including adversarial
 /// forged-Hello inputs) at every small config, and check their source
 /// anchors against the tree rooted at `root`.
 pub fn run_protocol_pass(root: &Path) -> PassReport {
@@ -521,7 +521,7 @@ pub fn run_protocol_mutants() -> PassReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore;
+    use crate::explore::{check_anchors, explore};
 
     fn repo_root() -> std::path::PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -537,6 +537,21 @@ mod tests {
         );
         assert!(report.machines.len() >= 13);
         assert!(report.states_explored > 500);
+    }
+
+    #[test]
+    fn anchor_drift_is_detected() {
+        // The Hello handshake is clean against the real tree and drifts
+        // on both anchors against a root without `crates/cluster/src/tcp.rs`.
+        let hello = HelloMesh {
+            p: 2,
+            mutant_double_accept: false,
+            forged: false,
+        };
+        assert!(check_anchors(&repo_root(), &hello).is_empty());
+        let fs = check_anchors(Path::new(env!("CARGO_MANIFEST_DIR")), &hello);
+        assert_eq!(fs.len(), 2);
+        assert!(fs.iter().all(|f| f.kind == "model-drift"), "{fs:?}");
     }
 
     #[test]

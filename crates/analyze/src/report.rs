@@ -5,7 +5,7 @@
 //! schedules (ring collectives on a handle shrunk by `set_members`), and
 //! cross-validates the canonical-order deadlock check with exhaustive
 //! interleaving search on small configurations.
-//! `to_json` renders all five passes into the
+//! `to_json` renders all four passes into the
 //! `results/analyze_report.json` shape CI consumes: a fixed
 //! [`SCHEMA_VERSION`] plus deterministic key and pass ordering, so the
 //! tracked report diffs stay reviewable.
@@ -22,9 +22,10 @@ use std::collections::BTreeMap;
 /// key addition/removal/reorder; pinned by `crates/cli/tests/analyze_cli.rs`.
 ///
 /// * v1 — PR 5: `schedule_verifier` + `workspace_lint`, no version field.
-/// * v2 — this PR: `schema_version` field, `thread_race_checker`,
+/// * v2 — `schema_version` field, `thread_race_checker`,
 ///   `protocol_machines`, and `wire_fuzz` passes, stable key order.
-pub const SCHEMA_VERSION: u64 = 2;
+/// * v3 — `thread_race_checker` removed with the kernel pool it modelled.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Aggregated outcome of the schedule-verification pass.
 #[derive(Debug, Clone, Default)]
@@ -162,13 +163,12 @@ pub fn run_schedule_pass() -> SchedulePassReport {
     rep
 }
 
-/// The five pass outcomes feeding one report; any subset may be present
+/// The four pass outcomes feeding one report; any subset may be present
 /// (the CLI can run passes separately).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeReports<'a> {
     pub schedule: Option<&'a SchedulePassReport>,
     pub lint: Option<&'a LintReport>,
-    pub threads: Option<&'a PassReport>,
     pub protocols: Option<&'a PassReport>,
     pub fuzz: Option<&'a FuzzPassReport>,
 }
@@ -177,7 +177,6 @@ impl AnalyzeReports<'_> {
     pub fn ok(&self) -> bool {
         self.schedule.is_none_or(SchedulePassReport::ok)
             && self.lint.is_none_or(LintReport::ok)
-            && self.threads.is_none_or(PassReport::ok)
             && self.protocols.is_none_or(PassReport::ok)
             && self.fuzz.is_none_or(FuzzPassReport::ok)
     }
@@ -185,7 +184,7 @@ impl AnalyzeReports<'_> {
 
 /// Render the passes as the `results/analyze_report.json` document.
 /// Key order is deterministic: top-level `tool`, `schema_version`, `ok`,
-/// `passes`, with passes in pipeline order (1→5) and fixed keys inside
+/// `passes`, with passes in pipeline order (1→4) and fixed keys inside
 /// each pass, so report diffs are stable and reviewable.
 pub fn to_json(reports: &AnalyzeReports<'_>) -> Value {
     let mut passes: Vec<(String, Value)> = Vec::new();
@@ -240,25 +239,6 @@ pub fn to_json(reports: &AnalyzeReports<'_>) -> Value {
                 "allowed_count": l.allowed.len(),
                 "violations": violations,
                 "allowed": allowed,
-            }),
-        ));
-    }
-    if let Some(t) = reports.threads {
-        let findings: Vec<Value> = t
-            .findings
-            .iter()
-            .map(|f| json!({ "model": f.model, "kind": f.kind, "detail": f.detail }))
-            .collect();
-        let models: Vec<Value> = t.machines.iter().map(|m| json!(m)).collect();
-        passes.push((
-            "thread_race_checker".to_string(),
-            json!({
-                "ok": t.ok(),
-                "models_checked": t.machines.len(),
-                "states_explored": t.states_explored,
-                "finding_count": t.findings.len(),
-                "models": models,
-                "findings": findings,
             }),
         ));
     }
@@ -353,20 +333,6 @@ pub fn render_text(reports: &AnalyzeReports<'_>) -> String {
             out.push_str(&format!("  VIOLATION {v}\n"));
         }
     }
-    if let Some(t) = reports.threads {
-        out.push_str(&format!(
-            "thread race checker: {} models, {} states — {}\n",
-            t.machines.len(),
-            t.states_explored,
-            if t.ok() { "OK" } else { "FAILED" }
-        ));
-        for f in &t.findings {
-            out.push_str(&format!(
-                "  FINDING [{}] {}: {}\n",
-                f.model, f.kind, f.detail
-            ));
-        }
-    }
     if let Some(p) = reports.protocols {
         out.push_str(&format!(
             "protocol machines: {} machines, {} states — {}\n",
@@ -448,25 +414,22 @@ mod tests {
     fn json_shape_has_all_passes_in_order() {
         let sched = run_schedule_pass();
         let lint = LintReport::default();
-        let threads = crate::threads::check_models(&[]);
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let protocols = crate::protocol::run_protocol_pass(&root);
         let fuzz = crate::fuzz::run_fuzz_pass(7, 32);
         let v = to_json(&AnalyzeReports {
             schedule: Some(&sched),
             lint: Some(&lint),
-            threads: Some(&threads),
             protocols: Some(&protocols),
             fuzz: Some(&fuzz),
         });
         let s = serde_json::to_string_pretty(&v).unwrap();
-        assert!(s.contains("\"schema_version\": 2"));
+        assert!(s.contains("\"schema_version\": 3"));
         assert!(s.contains("\"ok\": true"));
-        // Pipeline order is part of the schema: 1→5.
+        // Pipeline order is part of the schema: 1→4.
         let order = [
             "schedule_verifier",
             "workspace_lint",
-            "thread_race_checker",
             "protocol_machines",
             "wire_fuzz",
         ];

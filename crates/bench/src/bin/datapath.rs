@@ -49,7 +49,7 @@ use gcs_tensor::bits::{MajorityVote, SignBits};
 use gcs_tensor::kernels;
 use gcs_tensor::matrix::{
     a_mul_bt, at_mul_b, at_mul_b_into, at_mul_b_with_tile, matmul, matmul_with_dispatch,
-    matmul_with_tile, reconstruct_residual_into, reconstruct_residual_pooled, MatrixRef,
+    matmul_with_tile, reconstruct_residual, reconstruct_residual_into, MatrixRef,
 };
 use gcs_tensor::select::top_k_abs_with;
 use gcs_tensor::Shape;
@@ -360,12 +360,11 @@ fn a_mul_bt_section(pr: Params, smoke: bool) -> Vec<Value> {
 /// overwritten by the slice form, or written once by the `Vec` form. The
 /// big model's weight gradient `gW1 = dhidᵀ · X` (a 4-row batch:
 /// `1024 x 4 · 4 x 1024`) and PowerSGD's rank-4 `Ĝ = P̂ · Q̄ᵀ` of a
-/// `1024 x 1024` layer with its residual update, on one kernel thread as
+/// `1024 x 1024` layer with its residual update, on the calling thread as
 /// the benchmark runs them. Both forms are checked bit-equal.
 fn write_once_section(pr: Params, smoke: bool) -> Vec<Value> {
     let (d, r) = if smoke { (64usize, 4usize) } else { (1024, 4) };
     let iters = pr.gemm_iters * 10;
-    let pool = gcs_tensor::Pool::new(1);
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut rows = Vec::new();
     let mut push = |op: &str, zeroed: Timing, once: Timing| {
@@ -397,7 +396,7 @@ fn write_once_section(pr: Params, smoke: bool) -> Vec<Value> {
     };
     let once_atb = || {
         let mut g = Vec::new();
-        at_mul_b_into(&pool, dm, xm, &mut g).expect("at_mul_b_into");
+        at_mul_b_into(dm, xm, &mut g).expect("at_mul_b_into");
         g
     };
     let zeroed = bench(2, iters, || drop(black_box(zeroed_atb())));
@@ -419,12 +418,12 @@ fn write_once_section(pr: Params, smoke: bool) -> Vec<Value> {
     let layer = Tensor::randn([d, d], 89).into_vec();
     let zeroed_rec = |e: &mut [f32]| {
         let mut g = vec![0.0f32; d * d];
-        reconstruct_residual_pooled(&pool, pm, qm, Some(e), &mut g).expect("reconstruct");
+        reconstruct_residual(pm, qm, Some(e), &mut g).expect("reconstruct");
         g
     };
     let once_rec = |e: &mut [f32]| {
         let mut g = Vec::new();
-        reconstruct_residual_into(&pool, pm, qm, Some(e), &mut g).expect("reconstruct_into");
+        reconstruct_residual_into(pm, qm, Some(e), &mut g).expect("reconstruct_into");
         g
     };
     let mut e = layer.clone();
@@ -721,10 +720,9 @@ fn skinny_gemm_section(pr: Params, smoke: bool) -> Vec<Value> {
         // updates its residual in place, so it starts each call from a
         // residual it wrote itself; the timing does not depend on values.
         let p_ref = MatrixRef::new(&fast_out, n, r).expect("factor view");
-        let pool = gcs_tensor::Pool::new(1);
         let (mut g, mut e) = (vec![0.0f32; n * n], layer.clone());
         let fast = bench(2, iters, || {
-            reconstruct_residual_pooled(&pool, p_ref, q_ref, Some(&mut e), black_box(&mut g))
+            reconstruct_residual(p_ref, q_ref, Some(&mut e), black_box(&mut g))
                 .expect("reconstruct");
         });
         let (mut g_ref, mut e_ref) = (vec![0.0f32; n * n], vec![0.0f32; n * n]);
@@ -736,8 +734,7 @@ fn skinny_gemm_section(pr: Params, smoke: bool) -> Vec<Value> {
             black_box(&mut e_ref);
         });
         e.copy_from_slice(&layer);
-        reconstruct_residual_pooled(&pool, p_ref, q_ref, Some(&mut e), &mut g)
-            .expect("reconstruct");
+        reconstruct_residual(p_ref, q_ref, Some(&mut e), &mut g).expect("reconstruct");
         assert_eq!(
             (&g, &e),
             (&g_ref, &e_ref),

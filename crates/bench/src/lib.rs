@@ -149,8 +149,8 @@ fn cpu_model() -> String {
 }
 
 /// Host + dispatch provenance for a tracked `BENCH_*.json` report (bench
-/// hygiene: a number without the CPU, dispatch mode and thread count that
-/// produced it is noise). `scripts/bench_compare.py`
+/// hygiene: a number without the CPU and dispatch mode that produced it
+/// is noise). `scripts/bench_compare.py`
 /// skips its timing check when two reports name different CPUs.
 pub fn metadata(smoke: bool) -> serde_json::Value {
     use gcs_tensor::kernels;
@@ -160,7 +160,6 @@ pub fn metadata(smoke: bool) -> serde_json::Value {
         "active_kernel_table": kernels::active().name,
         "simd_active": kernels::simd_active(),
         "force_scalar": std::env::var("GCS_FORCE_SCALAR").ok(),
-        "kernel_threads": gcs_tensor::pool::global().width(),
         "smoke": smoke,
     })
 }

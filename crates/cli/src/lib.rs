@@ -107,23 +107,21 @@ MULTI-PROCESS FLAGS:
                   [--port 0] [--addr-file F]     F gets the bound address
 
 ANALYZE FLAGS (gradcomp analyze):
-  --all                   run all five passes (default when no pass is named)
+  --all                   run all four passes (default when no pass is named)
   --schedules             Pass 1: schedule verifier (ring/gather/broadcast/among
                           at p in 2..16 with dead-rank subsets of size <= 2)
   --lint                  Pass 2: workspace lint (unsafe allowlist, SAFETY
                           comments, data-plane panics, raw f32 loops,
-                          Relaxed-ordering allowlist with SYNC comments)
-  --threads               Pass 3: race/deadlock checker over the kernel pool's
-                          thread/event model (the only unsafe-Send/Sync code)
-  --protocols             Pass 4: protocol state machines (Hello handshake,
+                          no Relaxed atomics outside tests)
+  --protocols             Pass 3: protocol state machines (Hello handshake,
                           adaptive decisions, pipeline FIFO window)
-  --fuzz                  Pass 5: deterministic wire fuzz (headers, frames,
+  --fuzz                  Pass 4: deterministic wire fuzz (headers, frames,
                           Payload::from_bytes for all 15 methods)
   --fuzz-seed <u64>       fuzz seed (default 3900867686 = 0xE8828466)
   --fuzz-iters <n>        fuzz iterations per target (default 1500)
   --inject <negative>     self-test: run one pass with a seeded negative that
                           MUST be detected (exit is non-zero when it is):
-                          race | double-accept | parser-panic
+                          double-accept | parser-panic
   --root .                workspace root to lint / anchor-check
   --json <path>           report path (default <root>/results/analyze_report.json)
 ";
@@ -680,18 +678,17 @@ const DEFAULT_FUZZ_SEED: u64 = 0xE882_8466;
 /// under the CI budget of 10 s.
 const DEFAULT_FUZZ_ITERS: usize = 1500;
 
-/// `gradcomp analyze [--all|--schedules|--lint|--threads|--protocols|--fuzz]
+/// `gradcomp analyze [--all|--schedules|--lint|--protocols|--fuzz]
 /// [--fuzz-seed N] [--fuzz-iters N] [--inject NEG] [--root PATH] [--json PATH]`.
 ///
 /// Runs the static-analysis passes, writes the machine-readable report
 /// (schema v2, stable key order), and fails (so `main` exits non-zero)
 /// if any pass found violations. `--inject` swaps one pass's subject for
-/// a seeded negative — a racy thread model, a double-accepting Hello
-/// machine, or a panicking parser — so CI can prove the gate has teeth.
+/// a seeded negative — a double-accepting Hello machine or a panicking
+/// parser — so CI can prove the gate has teeth.
 fn cmd_analyze(rest: &[String]) -> Result<String> {
     let mut want_schedules = false;
     let mut want_lint = false;
-    let mut want_threads = false;
     let mut want_protocols = false;
     let mut want_fuzz = false;
     let mut fuzz_seed = DEFAULT_FUZZ_SEED;
@@ -705,13 +702,11 @@ fn cmd_analyze(rest: &[String]) -> Result<String> {
             "--all" => {
                 want_schedules = true;
                 want_lint = true;
-                want_threads = true;
                 want_protocols = true;
                 want_fuzz = true;
             }
             "--schedules" => want_schedules = true,
             "--lint" => want_lint = true,
-            "--threads" => want_threads = true,
             "--protocols" => want_protocols = true,
             "--fuzz" => want_fuzz = true,
             "--root" | "--json" | "--fuzz-seed" | "--fuzz-iters" | "--inject" => {
@@ -747,20 +742,18 @@ fn cmd_analyze(rest: &[String]) -> Result<String> {
     // `--inject` selects the pass that owns the negative; other explicit
     // selections still run alongside it.
     match inject.as_deref() {
-        Some("race") => want_threads = true,
         Some("double-accept") => want_protocols = true,
         Some("parser-panic") => want_fuzz = true,
         Some(other) => {
             return Err(CliError(format!(
-                "unknown --inject negative '{other}' (race | double-accept | parser-panic)"
+                "unknown --inject negative '{other}' (double-accept | parser-panic)"
             )));
         }
         None => {}
     }
-    if !(want_schedules || want_lint || want_threads || want_protocols || want_fuzz) {
+    if !(want_schedules || want_lint || want_protocols || want_fuzz) {
         want_schedules = true;
         want_lint = true;
-        want_threads = true;
         want_protocols = true;
         want_fuzz = true;
     }
@@ -774,16 +767,6 @@ fn cmd_analyze(rest: &[String]) -> Result<String> {
     } else {
         None
     };
-    let threads_rep = want_threads.then(|| {
-        let root = std::path::Path::new(&root);
-        if inject.as_deref() == Some("race") {
-            let mut models = gcs_analyze::threads::real_models();
-            models.extend(gcs_analyze::threads::seeded_negative_models());
-            gcs_analyze::threads::check_models(&models)
-        } else {
-            gcs_analyze::threads::run_thread_pass(root)
-        }
-    });
     let protocols_rep = want_protocols.then(|| {
         if inject.as_deref() == Some("double-accept") {
             gcs_analyze::protocol::run_protocol_mutants()
@@ -802,7 +785,6 @@ fn cmd_analyze(rest: &[String]) -> Result<String> {
     let reports = gcs_analyze::report::AnalyzeReports {
         schedule: schedule_rep.as_ref(),
         lint: lint_rep.as_ref(),
-        threads: threads_rep.as_ref(),
         protocols: protocols_rep.as_ref(),
         fuzz: fuzz_rep.as_ref(),
     };

@@ -146,17 +146,18 @@ fn analyze_lint_fails_on_relaxed_ordering_outside_allowlist() {
 }
 
 #[test]
-fn analyze_lint_fails_on_allowlisted_relaxed_without_sync_comment() {
+fn analyze_lint_fails_on_relaxed_in_the_former_pool_allowlist() {
     let root = ScratchRoot::new("nosync");
     let src = root.0.join("crates/tensor/src");
     fs::create_dir_all(&src).unwrap();
-    // The allowlisted file itself: Relaxed is permitted here, but only
-    // with a `// SYNC:` comment justifying the ordering.
+    // A justification comment does not exempt a file: Relaxed is
+    // rejected in `crates/tensor` as everywhere else.
     fs::write(
         src.join("pool.rs"),
         concat!(
             "use std::sync::atomic::{AtomicUsize, Ordering};\n",
             "pub fn claim(c: &AtomicUsize) -> usize {\n",
+            "    // SYNC: claims are CAS-unique.\n",
             "    c.fetch_add(1, Ordering::Relaxed)\n",
             "}\n",
         ),
@@ -164,10 +165,10 @@ fn analyze_lint_fails_on_allowlisted_relaxed_without_sync_comment() {
     .unwrap();
 
     let args = s(&["analyze", "--lint", "--root", root.0.to_str().unwrap()]);
-    let err = gcs_cli::run(&args).expect_err("allowlisted Relaxed without SYNC must fail");
+    let err = gcs_cli::run(&args).expect_err("Relaxed in pool.rs must fail");
     assert!(
-        err.0.contains("SYNC"),
-        "error should demand the SYNC comment: {}",
+        err.0.contains("relaxed-atomic-ordering"),
+        "error should cite the rule: {}",
         err.0
     );
 }
@@ -201,8 +202,8 @@ fn analyze_all_report_pins_schema_version_and_key_order() {
     let json: serde_json::Value = serde_json::from_str(&text).unwrap();
     assert_eq!(
         json["schema_version"].as_u64(),
-        Some(2),
-        "schema_version is pinned at 2: {text}"
+        Some(3),
+        "schema_version is pinned at 3: {text}"
     );
     assert_eq!(json["ok"].as_bool(), Some(true));
 
@@ -215,38 +216,20 @@ fn analyze_all_report_pins_schema_version_and_key_order() {
     assert!(pos("schema_version") < pos("ok"));
     assert!(pos("ok") < pos("passes"));
     assert!(pos("schedule_verifier") < pos("workspace_lint"));
-    assert!(pos("workspace_lint") < pos("thread_race_checker"));
-    assert!(pos("thread_race_checker") < pos("protocol_machines"));
+    assert!(pos("workspace_lint") < pos("protocol_machines"));
+    assert!(!text.contains("thread_race_checker"), "{text}");
     assert!(pos("protocol_machines") < pos("wire_fuzz"));
 }
 
 #[test]
-fn analyze_inject_race_is_detected() {
-    let root = ScratchRoot::new("inj-race");
-    let json_path = root.0.join("report.json");
-    let args = s(&[
-        "analyze",
-        "--inject",
-        "race",
-        "--root",
-        root.0.to_str().unwrap(),
-        "--json",
-        json_path.to_str().unwrap(),
-    ]);
-    let err = gcs_cli::run(&args).expect_err("seeded racy model must be flagged");
-    assert!(
-        err.0.contains("unordered-access"),
-        "error should report the race: {}",
-        err.0
-    );
-
-    let json: serde_json::Value =
-        serde_json::from_str(&fs::read_to_string(&json_path).unwrap()).unwrap();
-    let count = json["passes"]["thread_race_checker"]["finding_count"]
-        .as_u64()
-        .unwrap();
-    assert!(count >= 1, "report must record the seeded race");
-    assert_eq!(json["ok"].as_bool(), Some(false));
+fn analyze_rejects_the_retired_thread_pass() {
+    for args in [
+        &["analyze", "--threads"][..],
+        &["analyze", "--inject", "race"],
+    ] {
+        let err = gcs_cli::run(&s(args)).expect_err("the thread pass is gone");
+        assert!(err.0.contains("unknown"), "{args:?}: {}", err.0);
+    }
 }
 
 #[test]

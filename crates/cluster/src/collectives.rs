@@ -30,15 +30,13 @@
 //! read their buffer and writes a fresh [`WriteOnce`] output in those two
 //! places only, so it neither copies the gradient nor zero-fills the
 //! output. Every conversion and
-//! reduce dispatches through the pooled [`gcs_tensor::kernels`] entry
-//! points (AVX-512/AVX2 where detected, banded across the kernel pool on
-//! multi-core hosts; fixed association order keeps results identical in
-//! every configuration).
+//! reduce dispatches through [`gcs_tensor::kernels`] (AVX-512/AVX2 where
+//! detected; fixed association order keeps results identical in every
+//! configuration) on the calling thread.
 
 use crate::transport::{Frame, WorkerHandle};
 use crate::{ClusterError, Result};
 use gcs_tensor::kernels::{self, WriteOnce};
-use gcs_tensor::pool;
 use std::ops::Range;
 
 /// Splits `len` elements into `p` contiguous chunks whose sizes differ by
@@ -75,14 +73,14 @@ fn check_f32_frame(bytes: &[u8], expected: usize, what: &str) -> Result<()> {
 
 /// Decodes `bytes` into `out[..]` in place (`out.len() * 4 == bytes.len()`).
 fn fill_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
-    kernels::bytes_to_f32s_pooled(pool::global(), bytes, out);
+    kernels::bytes_to_f32s(bytes, out);
 }
 
 /// Accumulates `bytes` (decoded as f32s) into `out[..]` in place — the
 /// ring's reduce step. Elementwise, so SIMD and scalar dispatch produce
 /// identical bits.
 fn add_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
-    kernels::add_from_bytes_pooled(pool::global(), bytes, out);
+    kernels::add_from_bytes(bytes, out);
 }
 
 /// Folds `xs` into the wire image in place: `bytes ← encode(x + decode(w))`
@@ -92,7 +90,7 @@ fn add_f32s_from_bytes(out: &mut [f32], bytes: &[u8]) {
 /// re-serialized — including NaN payload propagation. One pass over the
 /// frame instead of decode + accumulate + re-encode.
 fn add_f32s_into_bytes(xs: &[f32], bytes: &mut [u8]) {
-    kernels::add_into_bytes_pooled(pool::global(), xs, bytes);
+    kernels::add_into_bytes(xs, bytes);
 }
 
 /// Where the ring body reads this rank's contribution and writes the
@@ -135,7 +133,7 @@ impl RingIo for InPlace<'_> {
     fn complete(&mut self, range: Range<usize>, incoming: &[u8], divisor: f32) {
         let out = &mut self.buf[range];
         if self.mean {
-            kernels::add_from_bytes_then_divide_pooled(pool::global(), incoming, out, divisor);
+            kernels::add_from_bytes_then_divide(incoming, out, divisor);
         } else {
             add_f32s_from_bytes(out, incoming);
         }
@@ -174,7 +172,7 @@ impl RingIo for OutOfPlace<'_> {
     fn complete(&mut self, range: Range<usize>, incoming: &[u8], divisor: f32) {
         let (start, xs) = (range.start, &self.src[range]);
         self.out
-            .fill_add_from_bytes_then_divide(pool::global(), start, xs, incoming, divisor);
+            .fill_add_from_bytes_then_divide(start, xs, incoming, divisor);
     }
 
     fn completed(&self, range: Range<usize>) -> Result<&[f32]> {
@@ -184,8 +182,7 @@ impl RingIo for OutOfPlace<'_> {
     }
 
     fn gather(&mut self, range: Range<usize>, incoming: &[u8]) {
-        self.out
-            .fill_from_bytes(pool::global(), range.start, incoming);
+        self.out.fill_from_bytes(range.start, incoming);
     }
 
     fn alone(&mut self, divisor: f32) {

@@ -209,7 +209,7 @@ struct FaultCtx {
 /// totals are comparable across backends and against the schedule IR
 /// (the TCP header overhead is bookkeeping, not schedule traffic).
 /// Counters are SeqCst: they sit off the hot path, and the workspace
-/// lint sanctions `Ordering::Relaxed` only at the pool band cursor.
+/// lint rejects `Ordering::Relaxed` outside tests.
 #[derive(Debug, Default)]
 pub struct TrafficCounter {
     bytes_sent: AtomicU64,

@@ -4,7 +4,7 @@
 //! `start_*` or answered through its pending handle — must observe the
 //! poisoned error. Nothing may hang and nothing may silently succeed,
 //! because a success after a failure would desynchronize cross-rank job
-//! pairing (the hazard the Pass 3 `comm-engine` model checks in
+//! pairing (the hazard the Pass 1 `comm-engine` schedule checks in
 //! miniature).
 //!
 //! Honors `GCS_FAULT_SEED` so CI can sweep the deterministic fault

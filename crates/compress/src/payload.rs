@@ -8,7 +8,6 @@
 use crate::{CompressError, Result};
 use gcs_tensor::f16::{decode_f16, encode_f16};
 use gcs_tensor::kernels;
-use gcs_tensor::pool;
 
 /// Which low-rank factor a [`Payload::Factor`] carries (PowerSGD sends `P`
 /// then `Q`, paying the all-reduce latency twice — see §4.2 of the paper).
@@ -357,7 +356,7 @@ impl Payload {
         match (self, other) {
             (Payload::Dense(a), Payload::Dense(b)) => {
                 check_len(a.len(), b.len())?;
-                kernels::add_assign_pooled(pool::global(), a, b);
+                kernels::add_assign(a, b);
                 Ok(())
             }
             (Payload::Half(a), Payload::Half(b)) => {
@@ -734,12 +733,11 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Appends `xs` as little-endian `f32`s with one bulk resize and a
-/// dispatched bulk-serialization kernel (no per-element Vec growth),
-/// banded across the kernel pool for large payloads.
+/// dispatched bulk-serialization kernel (no per-element Vec growth).
 fn push_f32s(out: &mut Vec<u8>, xs: &[f32]) {
     let start = out.len();
     out.resize(start + xs.len() * 4, 0);
-    kernels::f32s_to_bytes_pooled(pool::global(), xs, &mut out[start..]);
+    kernels::f32s_to_bytes(xs, &mut out[start..]);
 }
 
 fn push_u32s(out: &mut Vec<u8>, xs: &[u32]) {
@@ -808,7 +806,7 @@ impl<'a> Reader<'a> {
                 .ok_or_else(|| CompressError::Wire("length overflow".into()))?,
         )?;
         let mut out = vec![0.0f32; n];
-        kernels::bytes_to_f32s_pooled(pool::global(), b, &mut out);
+        kernels::bytes_to_f32s(b, &mut out);
         Ok(out)
     }
 

@@ -25,9 +25,8 @@
 
 use crate::{CompressError, Compressor, Factor, Payload, Properties, Result};
 use gcs_tensor::matrix::{
-    at_mul_b_pooled, matmul_pooled, orthonormalize_columns, reconstruct_residual_into, MatrixRef,
+    at_mul_b, matmul, orthonormalize_columns, reconstruct_residual_into, MatrixRef,
 };
-use gcs_tensor::pool;
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 
@@ -247,8 +246,7 @@ impl Compressor for PowerSgd {
         let mut p = std::mem::take(&mut state.p_scratch);
         p.clear();
         p.resize(m * r, 0.0);
-        matmul_pooled(
-            pool::global(),
+        matmul(
             MatrixRef::new(&state.error, m, n)?,
             MatrixRef::new(&state.q, n, r)?,
             &mut p,
@@ -279,8 +277,7 @@ impl Compressor for PowerSgd {
         let mut q = std::mem::take(&mut state.q_scratch);
         q.clear();
         q.resize(n * r, 0.0);
-        at_mul_b_pooled(
-            pool::global(),
+        at_mul_b(
             MatrixRef::new(&state.error, m, n)?,
             MatrixRef::new(p_hat, m, r)?,
             &mut q,
@@ -374,7 +371,6 @@ impl Compressor for PowerSgd {
         // pass, E ← M − Ĝ over the buffer that held M.
         let mut g_hat = Vec::new();
         reconstruct_residual_into(
-            pool::global(),
             MatrixRef::new(&p_hat, m, r)?,
             MatrixRef::new(&q_agg, n, r)?,
             ef.then_some(&mut state.error[..]),
@@ -462,7 +458,6 @@ impl Compressor for PowerSgd {
 mod tests {
     use super::*;
     use crate::driver::{all_reduce_compressed, round_trip};
-    use gcs_tensor::matrix::matmul;
     use gcs_tensor::stats::relative_l2_error;
 
     #[test]

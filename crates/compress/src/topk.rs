@@ -8,8 +8,7 @@
 //! every scale it measured.
 
 use crate::{CompressError, Compressor, Payload, Properties, Result};
-use gcs_tensor::pool;
-use gcs_tensor::select::top_k_abs_pooled;
+use gcs_tensor::select::top_k_abs_with;
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 
@@ -89,7 +88,7 @@ impl Compressor for TopK {
         if !self.error_feedback {
             // Fast path: select straight from the gradient; the only
             // steady-state allocations are the k-sized output arrays.
-            let sel = top_k_abs_pooled(pool::global(), grad.data(), k, &mut self.mags);
+            let sel = top_k_abs_with(grad.data(), k, &mut self.mags);
             return Ok(Payload::Sparse {
                 len: grad.numel(),
                 indices: sel.indices,
@@ -107,7 +106,7 @@ impl Compressor for TopK {
             }
             _ => grad.clone(),
         };
-        let sel = top_k_abs_pooled(pool::global(), v.data(), k, &mut self.mags);
+        let sel = top_k_abs_with(v.data(), k, &mut self.mags);
         // Residual keeps exactly the dropped coordinates.
         let mut res = v;
         for &i in &sel.indices {

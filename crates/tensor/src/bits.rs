@@ -4,16 +4,13 @@
 //! aggregation is a per-coordinate majority vote:
 //! `sign(Σᵢ sign(gᵢ))` (Section 2.1 of the paper).
 //!
-//! The pack/unpack inner loops dispatch through the *pooled*
-//! [`crate::kernels`] entry points, so they run vectorized (AVX-512 or
-//! AVX2 where detected) and banded across the global kernel pool on
-//! multi-core hosts — with byte-identical results to the serial scalar
-//! fallback in every configuration. The vote never leaves the packed
-//! domain: [`MajorityVote`] counts bit-sliced, 32 coordinates per word
-//! operation, in plain loops that LLVM vectorizes.
+//! The pack/unpack inner loops dispatch through [`crate::kernels`], so
+//! they run vectorized (AVX-512 or AVX2 where detected) with
+//! byte-identical results to the scalar fallback. The vote never leaves
+//! the packed domain: [`MajorityVote`] counts bit-sliced, 32 coordinates
+//! per word operation, in plain loops that LLVM vectorizes.
 
 use crate::kernels;
-use crate::pool;
 
 /// A packed vector of signs: bit = 1 means the element was non-negative.
 ///
@@ -31,7 +28,7 @@ impl SignBits {
     pub fn pack(data: &[f32]) -> Self {
         let len = data.len();
         let mut words = vec![0u32; len.div_ceil(32)];
-        kernels::sign_pack_pooled(pool::global(), data, &mut words);
+        kernels::sign_pack(data, &mut words);
         SignBits { words, len }
     }
 
@@ -40,7 +37,7 @@ impl SignBits {
     /// Element `i` becomes `+scale` if bit `i` is set, `-scale` otherwise.
     pub fn unpack(&self, scale: f32) -> Vec<f32> {
         let mut out = vec![0.0; self.len];
-        kernels::unpack_fill_pooled(pool::global(), &self.words, -scale, scale, &mut out);
+        kernels::unpack_fill(&self.words, -scale, scale, &mut out);
         out
     }
 
@@ -49,13 +46,13 @@ impl SignBits {
     /// distinct per-bucket means for the two halves).
     pub fn unpack_into(&self, neg: f32, pos: f32, out: &mut [f32]) {
         assert_eq!(out.len(), self.len, "unpack_into length mismatch");
-        kernels::unpack_fill_pooled(pool::global(), &self.words, neg, pos, out);
+        kernels::unpack_fill(&self.words, neg, pos, out);
     }
 
     /// Accumulating unpack: `out[i] += if bit i { pos } else { neg }`.
     pub fn unpack_add_into(&self, neg: f32, pos: f32, out: &mut [f32]) {
         assert_eq!(out.len(), self.len, "unpack_add_into length mismatch");
-        kernels::unpack_add_pooled(pool::global(), &self.words, neg, pos, out);
+        kernels::unpack_add(&self.words, neg, pos, out);
     }
 
     /// Number of packed elements.

@@ -13,12 +13,8 @@
 //! `GCS_FORCE_SCALAR=1` in the environment pins the scalar table regardless
 //! of what the CPU supports, which is how CI exercises both code paths.
 //!
-//! The `*_pooled` variants at the bottom fan the embarrassingly parallel
-//! kernels (sign pack/unpack, wire byte↔f32 conversion and the wire
-//! adds) out across a [`crate::pool::Pool`] in fixed 32-element-aligned
-//! bands. Banding never splits an accumulation chain — these kernels are
-//! all elementwise or per-32-element-block — so the pooled results are
-//! bitwise identical to the serial kernels for every pool width.
+//! Every kernel runs on its caller's thread. Rank threads, and a rank's
+//! comm thread, are the only threads that compute.
 //!
 //! # Exactness contract
 //!
@@ -37,7 +33,7 @@
 //!   reassociation at all; the horizontal [`sum_abs`] reduction is defined
 //!   lane-striped (8 partial sums combined in a fixed pairwise tree, then a
 //!   scalar tail) in *both* implementations, so results are reproducible
-//!   bit-for-bit across dispatch modes and worker counts.
+//!   bit-for-bit across dispatch modes.
 //!
 //! The GEMM microkernel's FMA lanes are dispatched separately (its tile
 //! routines are const-generic, which function pointers can't express) —
@@ -51,7 +47,6 @@ mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
 
-use crate::pool::{Pool, SendPtr};
 use std::sync::OnceLock;
 
 pub use write_once::WriteOnce;
@@ -122,8 +117,7 @@ pub struct Kernels {
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// Whether `GCS_FORCE_SCALAR=1` (or any non-empty value other than `0`) is
-/// set, pinning dispatch to the scalar table (and, via `pool::from_env`,
-/// the thread pool to width 1).
+/// set, pinning dispatch to the scalar table.
 pub(crate) fn force_scalar() -> bool {
     match std::env::var("GCS_FORCE_SCALAR") {
         Ok(v) => !v.is_empty() && v != "0",
@@ -354,103 +348,6 @@ pub fn gather_above(
     (active().gather_above)(data, threshold, with_nan, indices, values);
 }
 
-// ---------------------------------------------------------------------------
-// Pooled variants: fixed 32-element-aligned banding across a Pool.
-//
-// Every kernel here is elementwise or per-32-element-block, so any split
-// into contiguous aligned bands computes exactly the serial result — the
-// banding is invisible in the output bits for every pool width (verified
-// by `tests/kernel_props.rs`). Bands hold at least `WIRE_MIN_ELEMS`
-// elements so fork overhead is only paid on buffers that amortize it.
-// ---------------------------------------------------------------------------
-
-/// Minimum elements per band for the pooled wire kernels: 64 Ki floats =
-/// 256 KiB, comfortably above fork overhead.
-const WIRE_MIN_ELEMS: usize = 1 << 16;
-
-/// [`sign_pack`] with the word stream banded across `pool`. Each band
-/// packs a disjoint word range from the matching 32-element data blocks —
-/// identical output for every width.
-pub fn sign_pack_pooled(pool: &Pool, data: &[f32], out: &mut [u32]) {
-    assert_eq!(out.len(), data.len().div_ceil(32), "sign_pack word count");
-    let n = data.len();
-    let min_words = WIRE_MIN_ELEMS / 32;
-    pool.for_rows(out, 1, min_words, |lo_word, band| {
-        let d_lo = lo_word * 32;
-        let d_hi = ((lo_word + band.len()) * 32).min(n);
-        (active().sign_pack)(&data[d_lo..d_hi], band);
-    });
-}
-
-/// Shared banding of the two word-indexed mutators (`unpack_fill`,
-/// `unpack_add`): spans of whole sign words map to disjoint 32-aligned
-/// ranges of the float buffer, handed out through a raw base pointer
-/// because the span authority (`words`) is the *shared* input here, not
-/// the mutable output.
-fn for_word_blocks(
-    pool: &Pool,
-    words: &[u32],
-    out: &mut [f32],
-    f: impl Fn(&[u32], &mut [f32]) + Sync,
-) {
-    let n = out.len();
-    let base = SendPtr(out.as_mut_ptr());
-    let min_words = WIRE_MIN_ELEMS / 32;
-    pool.for_spans(words.len(), min_words, move |lw, hw| {
-        let lo = lw * 32;
-        let hi = (hw * 32).min(n);
-        if lo >= hi {
-            return;
-        }
-        // SAFETY: `for_spans` hands out disjoint `[lw, hw)` word spans, so
-        // the 32-aligned `[lo, hi)` element ranges are disjoint too; `out`
-        // stays mutably borrowed for the whole dispatch.
-        let band = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-        f(&words[lw..hw], band);
-    });
-}
-
-/// [`unpack_fill`] banded across `pool` (bit-identical for every width).
-pub fn unpack_fill_pooled(pool: &Pool, words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
-    assert!(words.len() * 32 >= out.len(), "unpack_fill word count");
-    for_word_blocks(pool, words, out, |w, band| {
-        (active().unpack_fill)(w, neg, pos, band);
-    });
-}
-
-/// [`unpack_add`] banded across `pool` (bit-identical for every width).
-pub fn unpack_add_pooled(pool: &Pool, words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
-    assert!(words.len() * 32 >= out.len(), "unpack_add word count");
-    for_word_blocks(pool, words, out, |w, band| {
-        (active().unpack_add)(w, neg, pos, band);
-    });
-}
-
-/// [`f32s_to_bytes`] banded across `pool` (a banded memcpy).
-pub fn f32s_to_bytes_pooled(pool: &Pool, xs: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
-    pool.for_rows(out, 4, WIRE_MIN_ELEMS, |lo, band| {
-        (active().f32s_to_bytes)(&xs[lo..lo + band.len() / 4], band);
-    });
-}
-
-/// [`bytes_to_f32s`] banded across `pool` (a banded memcpy).
-pub fn bytes_to_f32s_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len() * 4, "bytes_to_f32s byte count");
-    pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
-        (active().bytes_to_f32s)(&bytes[lo * 4..(lo + band.len()) * 4], band);
-    });
-}
-
-/// [`add_from_bytes`] banded across `pool`: elementwise, so banding never
-/// splits an accumulation chain — bit-identical for every width.
-pub fn add_from_bytes_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
-    pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
-        (active().add_from_bytes)(&bytes[lo * 4..(lo + band.len()) * 4], band);
-    });
-}
-
 /// `x ← x / divisor` elementwise: IEEE division, never a reciprocal
 /// multiply, so a mean has the bits of dividing the sum.
 pub fn divide(xs: &mut [f32], divisor: f32) {
@@ -464,44 +361,19 @@ pub fn divide(xs: &mut [f32], divisor: f32) {
 /// wrote from L1. A multiple of every kernel table's vector width.
 const MEAN_BLOCK: usize = 512;
 
-/// `out ← (out + decode(bytes)) / divisor`, one [`MEAN_BLOCK`] at a time:
-/// the dispatched [`add_from_bytes`], then [`divide`] on the L1-hot block.
-fn add_then_divide_blocks(bytes: &[u8], out: &mut [f32], divisor: f32) {
+/// The ring mean's final-hop reduce, `out ← (out + decode(bytes)) /
+/// divisor`, one [`MEAN_BLOCK`] at a time: the dispatched
+/// [`add_from_bytes`], then [`divide`] on the L1-hot block. Elementwise,
+/// so the bits equal the add over the whole range followed by the divide;
+/// on a 2 MB chunk this costs about the add alone, where the add and then
+/// a divide pass cost half as much again (`BENCH_datapath.json`,
+/// `ring_mean_hop`).
+pub fn add_from_bytes_then_divide(bytes: &[u8], out: &mut [f32], divisor: f32) {
+    assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
     for (xs, w) in out.chunks_mut(MEAN_BLOCK).zip(bytes.chunks(4 * MEAN_BLOCK)) {
         add_from_bytes(w, xs);
         divide(xs, divisor);
     }
-}
-
-/// The ring mean's final-hop reduce, `out ← (out + decode(bytes)) /
-/// divisor`, banded across `pool` like [`add_from_bytes_pooled`].
-/// Elementwise, so the bits equal the add over the whole range followed
-/// by the divide; on a 2 MB chunk this costs about the add alone, where
-/// the add and then a divide pass cost half as much again
-/// (`BENCH_datapath.json`, `ring_mean_hop`).
-pub fn add_from_bytes_then_divide_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32], divisor: f32) {
-    assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
-    pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
-        add_then_divide_blocks(&bytes[lo * 4..(lo + band.len()) * 4], band, divisor);
-    });
-}
-
-/// [`add_into_bytes`] banded across `pool` (elementwise; bit-identical
-/// for every width).
-pub fn add_into_bytes_pooled(pool: &Pool, xs: &[f32], bytes: &mut [u8]) {
-    assert_eq!(bytes.len(), xs.len() * 4, "add_into_bytes byte count");
-    pool.for_rows(bytes, 4, WIRE_MIN_ELEMS, |lo, band| {
-        (active().add_into_bytes)(&xs[lo..lo + band.len() / 4], band);
-    });
-}
-
-/// [`add_assign`] banded across `pool` (elementwise; bit-identical for
-/// every width).
-pub fn add_assign_pooled(pool: &Pool, acc: &mut [f32], other: &[f32]) {
-    assert_eq!(acc.len(), other.len(), "add_assign length");
-    pool.for_rows(acc, 1, WIRE_MIN_ELEMS, |lo, band| {
-        (active().add_assign)(band, &other[lo..lo + band.len()]);
-    });
 }
 
 #[cfg(test)]

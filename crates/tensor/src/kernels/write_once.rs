@@ -10,8 +10,7 @@
 //! only be read back once it is filled, and [`WriteOnce::into_vec`] hands
 //! out the buffer only when every element is.
 
-use super::{add_then_divide_blocks, MEAN_BLOCK, WIRE_MIN_ELEMS};
-use crate::pool::Pool;
+use super::{add_from_bytes_then_divide, MEAN_BLOCK};
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
@@ -49,10 +48,9 @@ impl WriteOnce {
 
     /// The ring mean's final hop into `[start, start + xs.len())`:
     /// `(x + decode(w)) / divisor` per element. Each `MEAN_BLOCK` block is
-    /// a copy of `xs` that the dispatched [`super::add_from_bytes`] and
-    /// then [`super::divide`] update while it is in L1 — the in-place
-    /// [`super::add_from_bytes_then_divide_pooled`] run on a copy of `xs`,
-    /// so the bits are the same. Banded across `pool` like it.
+    /// a copy of `xs` that [`add_from_bytes_then_divide`] updates while it
+    /// is in L1 — the in-place form run on a copy of `xs`, so the bits are
+    /// the same.
     ///
     /// # Panics
     ///
@@ -60,7 +58,6 @@ impl WriteOnce {
     /// bounds or overlaps a filled one.
     pub fn fill_add_from_bytes_then_divide(
         &mut self,
-        pool: &Pool,
         start: usize,
         xs: &[f32],
         bytes: &[u8],
@@ -69,37 +66,30 @@ impl WriteOnce {
         assert_eq!(bytes.len(), xs.len() * 4, "add_from_bytes byte count");
         let range = start..start + xs.len();
         let out = self.unfilled(range.clone());
-        pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
-            let xs = &xs[lo..lo + band.len()];
-            let wire = &bytes[lo * 4..(lo + band.len()) * 4];
-            for ((block, x), w) in band
-                .chunks_mut(MEAN_BLOCK)
-                .zip(xs.chunks(MEAN_BLOCK))
-                .zip(wire.chunks(4 * MEAN_BLOCK))
-            {
-                add_then_divide_blocks(w, block.write_copy_of_slice(x), divisor);
-            }
-        });
+        for ((block, x), w) in out
+            .chunks_mut(MEAN_BLOCK)
+            .zip(xs.chunks(MEAN_BLOCK))
+            .zip(bytes.chunks(4 * MEAN_BLOCK))
+        {
+            add_from_bytes_then_divide(w, block.write_copy_of_slice(x), divisor);
+        }
         self.mark_filled(range);
     }
 
     /// `[start, start + bytes.len() / 4)` ← the little-endian `f32`s of
-    /// `bytes` (the all-gather's decode), banded across `pool`.
+    /// `bytes` (the all-gather's decode).
     ///
     /// # Panics
     ///
     /// Panics if `bytes.len()` is not a multiple of 4, or the range is out
     /// of bounds or overlaps a filled one.
-    pub fn fill_from_bytes(&mut self, pool: &Pool, start: usize, bytes: &[u8]) {
+    pub fn fill_from_bytes(&mut self, start: usize, bytes: &[u8]) {
         assert!(bytes.len().is_multiple_of(4), "bytes_to_f32s byte count");
         let range = start..start + bytes.len() / 4;
         let out = self.unfilled(range.clone());
-        pool.for_rows(out, 1, WIRE_MIN_ELEMS, |lo, band| {
-            let wire = &bytes[lo * 4..(lo + band.len()) * 4];
-            for (o, w) in band.iter_mut().zip(wire.chunks_exact(4)) {
-                o.write(f32::from_le_bytes([w[0], w[1], w[2], w[3]]));
-            }
-        });
+        for (o, w) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            o.write(f32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        }
         self.mark_filled(range);
     }
 
@@ -195,9 +185,8 @@ mod tests {
 
     #[test]
     fn ranges_fill_in_any_order_and_finish_once_covered() {
-        let pool = Pool::new(1);
         let mut out = WriteOnce::new(10);
-        out.fill_from_bytes(&pool, 6, &[1.0f32, 2.0].map(f32::to_le_bytes).concat());
+        out.fill_from_bytes(6, &[1.0f32, 2.0].map(f32::to_le_bytes).concat());
         out.fill_divided(0, &[4.0, 6.0], 2.0);
         assert_eq!(out.filled(6..8), Some(&[1.0f32, 2.0][..]));
         assert_eq!(out.filled(0..2), Some(&[2.0f32, 3.0][..]));
@@ -208,7 +197,7 @@ mod tests {
         assert_eq!(out.filled(11..12), None);
         out.fill_divided(8, &[5.0, 7.0], 1.0);
         let wire = [9.0f32, 10.0, 11.0, 12.0].map(f32::to_le_bytes).concat();
-        out.fill_add_from_bytes_then_divide(&pool, 2, &[1.0, 2.0, 3.0, 4.0], &wire, 2.0);
+        out.fill_add_from_bytes_then_divide(2, &[1.0, 2.0, 3.0, 4.0], &wire, 2.0);
         // Adjacent fills merge, so a read may span several of them.
         assert_eq!(out.filled(1..9).map(<[f32]>::len), Some(8));
         assert_eq!(

@@ -39,7 +39,6 @@ pub mod shape;
 pub mod stats;
 mod tensor;
 
-pub use pool::Pool;
 pub use shape::Shape;
 pub use tensor::{Tensor, TensorError};
 

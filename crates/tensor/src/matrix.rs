@@ -649,7 +649,11 @@ fn mm_rows_avx512<const GA: usize, const GB: usize>(
 /// Returns [`TensorError::ShapeMismatch`] if row counts or the output buffer
 /// size do not line up.
 pub fn at_mul_b(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<()> {
-    at_mul_b_pooled(&crate::pool::Pool::new(1), a, b, out)
+    check_at_mul_b(a, b)?;
+    check_out(out, a.cols(), b.cols())?;
+    // SAFETY: `at_mul_b_uninit` stores only initialised values.
+    at_mul_b_uninit(a, b, unsafe { as_uninit(out) });
+    Ok(())
 }
 
 /// [`at_mul_b`] with the SIMD-tile dispatch pinned by the caller — see
@@ -922,8 +926,7 @@ fn atb_block_avx512<const N: usize, const V: usize>(
 /// Row `i` of the output is a function of A column `i` and all of B only,
 /// and every element is accumulated as an l-ordered FMA chain in both the
 /// tiled and remainder paths below, so computing a band in isolation is
-/// bit-identical to the same rows of the full product — the property the
-/// pooled variant relies on.
+/// bit-identical to the same rows of the full product.
 fn atb_rows(
     tile: GemmTile,
     a_s: &[f32],
@@ -1415,142 +1418,63 @@ fn dot_in_order(arow: &[f32], brow: &[f32]) -> f32 {
     arow.iter().zip(brow).map(|(x, y)| x * y).sum()
 }
 
-/// Minimum FMAs a band must amortize before forking is worth ~10 µs of
-/// scoped-spawn overhead.
-const MIN_BAND_FLOPS: usize = 1 << 16;
-
-/// Rows per band so that each band performs at least [`MIN_BAND_FLOPS`]
-/// multiply-adds (`row_cost` = FMAs per output row).
-fn band_rows(row_cost: usize) -> usize {
-    MIN_BAND_FLOPS.div_ceil(row_cost.max(1))
-}
-
-/// [`matmul`] with output rows banded across `pool`.
-///
-/// Row `i` of `A · B` depends only on row `i` of A, so each band is a
-/// complete `matmul` of an A sub-view — the per-element FMA order is
-/// unchanged and the result is **bit-identical** to the serial kernel.
-///
-/// # Errors
-///
-/// Same shape errors as [`matmul`].
-pub fn matmul_pooled(
-    pool: &crate::pool::Pool,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    out: &mut [f32],
-) -> Result<()> {
-    check_matmul(a, b, out)?;
-    let (k, n) = (a.cols(), b.cols());
-    let a_s = a.as_slice();
-    pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
-        let rows = band.len() / n;
-        let sub =
-            MatrixRef::new(&a_s[row_lo * k..(row_lo + rows) * k], rows, k).expect("band sub-view");
-        matmul(sub, b, band).expect("validated dims");
-    });
-    Ok(())
-}
-
-/// [`at_mul_b`] with output rows banded across `pool`.
-///
-/// Output row `i` comes from A *column* `i` (not contiguous in A), so the
-/// bands run the shared [`atb_rows`] kernel over `[i0, i1)` directly;
-/// per-element FMA order is unchanged → bit-identical to the serial
-/// kernel.
-///
-/// # Errors
-///
-/// Same shape errors as [`at_mul_b`].
-pub fn at_mul_b_pooled(
-    pool: &crate::pool::Pool,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    out: &mut [f32],
-) -> Result<()> {
-    check_at_mul_b(a, b)?;
-    check_out(out, a.cols(), b.cols())?;
-    // SAFETY: `at_mul_b_uninit` stores only initialised values.
-    at_mul_b_uninit(pool, a, b, unsafe { as_uninit(out) });
-    Ok(())
-}
-
-/// [`at_mul_b_pooled`] into a caller's `Vec`, which ends up holding the
-/// product and nothing else: its capacity is reused (or grown), and every
-/// element is written once, with no zero-fill first. The bits are those of
-/// [`at_mul_b_pooled`], which runs the same kernels.
+/// [`at_mul_b`] into a caller's `Vec`, which ends up holding the product
+/// and nothing else: its capacity is reused (or grown), and every element
+/// is written once, with no zero-fill first. The bits are those of
+/// [`at_mul_b`], which runs the same kernels.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the row counts of `A` and `B`
 /// differ.
-pub fn at_mul_b_into(
-    pool: &crate::pool::Pool,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    out: &mut Vec<f32>,
-) -> Result<()> {
+pub fn at_mul_b_into(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut Vec<f32>) -> Result<()> {
     check_at_mul_b(a, b)?;
     // SAFETY: `at_mul_b_uninit` stores every element of `out`.
-    unsafe { fill_vec(out, a.cols() * b.cols(), |o| at_mul_b_uninit(pool, a, b, o)) };
+    unsafe { fill_vec(out, a.cols() * b.cols(), |o| at_mul_b_uninit(a, b, o)) };
     Ok(())
 }
 
 /// The body of both `Aᵀ · B` forms: stores every element of `out`
 /// (`a.cols() x b.cols()`, shapes checked by the caller).
-fn at_mul_b_uninit(
-    pool: &crate::pool::Pool,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    out: &mut [MaybeUninit<f32>],
-) {
+fn at_mul_b_uninit(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [MaybeUninit<f32>]) {
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
     let a_s = a.as_slice();
     let b_s = b.as_slice();
     if out.is_empty() {
         return;
     }
-    let tile = active_tile();
+    if n >= SKINNY_MAX {
+        atb_rows(active_tile(), a_s, b_s, (k, m, n), 0, m, out);
+        return;
+    }
+    let mut lo = 0;
     #[cfg(target_arch = "x86_64")]
-    let wide = avx512_paths_active();
-    pool.for_rows(out, n, band_rows(k * n), |row_lo, band| {
-        let rows = band.len() / n;
-        if n < SKINNY_MAX {
-            let mut lo = row_lo;
-            #[cfg(target_arch = "x86_64")]
-            if wide {
-                // SAFETY: `wide` is set only when `avx512_paths_active` saw
-                // the AVX-512 tier detected.
-                lo = unsafe { atb_skinny_avx512(a_s, b_s, (k, m, n), row_lo, row_lo + rows, band) };
-            }
-            let rest = &mut band[(lo - row_lo) * n..];
-            if !rest.is_empty() {
-                atb_rows_skinny(a_s, b_s, (k, m, n), lo, row_lo + rows, rest);
-            }
-        } else {
-            atb_rows(tile, a_s, b_s, (k, m, n), row_lo, row_lo + rows, band);
-        }
-    });
+    if avx512_paths_active() {
+        // SAFETY: `avx512_paths_active` saw the AVX-512 tier detected.
+        lo = unsafe { atb_skinny_avx512(a_s, b_s, (k, m, n), 0, m, out) };
+    }
+    let rest = &mut out[lo * n..];
+    if !rest.is_empty() {
+        atb_rows_skinny(a_s, b_s, (k, m, n), lo, m, rest);
+    }
 }
 
 /// PowerSGD's decode in one pass over the layer: `out = A · Bᵀ` (`A` is
 /// `m x k`, `B` is `n x k`; `Ĝ = P̂ · Q̄ᵀ`) and, when `resid` is given,
 /// `resid ← resid − out` (`E ← M − Ĝ`) while the row of `out` is still in
-/// registers. Output rows are banded across `pool`.
+/// registers.
 ///
 /// Every element of `out` is computed as in [`a_mul_bt`] and every element
 /// of `resid` as the separate subtraction would, so the result is
-/// bit-identical to the two-step form at every pool width. `B` is
-/// transposed once so that a row of `out` vectorises across its columns;
-/// the shared dimension is PowerSGD's rank, so the transposed copy is
-/// small next to `out`.
+/// bit-identical to the two-step form. `B` is transposed once so that a
+/// row of `out` vectorises across its columns; the shared dimension is
+/// PowerSGD's rank, so the transposed copy is small next to `out`.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if column counts or the size of
 /// `out` or `resid` do not line up.
-pub fn reconstruct_residual_pooled(
-    pool: &crate::pool::Pool,
+pub fn reconstruct_residual(
     a: MatrixRef<'_>,
     b: MatrixRef<'_>,
     resid: Option<&mut [f32]>,
@@ -1559,22 +1483,21 @@ pub fn reconstruct_residual_pooled(
     check_reconstruct(a, b, resid.as_deref())?;
     check_out(out, a.rows(), b.rows())?;
     // SAFETY: `reconstruct_uninit` stores only initialised values.
-    reconstruct_uninit(pool, a, b, resid, unsafe { as_uninit(out) });
+    reconstruct_uninit(a, b, resid, unsafe { as_uninit(out) });
     Ok(())
 }
 
-/// [`reconstruct_residual_pooled`] with `Ĝ` written into a caller's `Vec`,
-/// which ends up holding it and nothing else: its capacity is reused (or
+/// [`reconstruct_residual`] with `Ĝ` written into a caller's `Vec`, which
+/// ends up holding it and nothing else: its capacity is reused (or
 /// grown), and every element is written once, with no zero-fill first.
-/// The bits are those of [`reconstruct_residual_pooled`], which runs the
-/// same kernel.
+/// The bits are those of [`reconstruct_residual`], which runs the same
+/// kernel.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if column counts or the size of
 /// `resid` do not line up.
 pub fn reconstruct_residual_into(
-    pool: &crate::pool::Pool,
     a: MatrixRef<'_>,
     b: MatrixRef<'_>,
     resid: Option<&mut [f32]>,
@@ -1583,7 +1506,7 @@ pub fn reconstruct_residual_into(
     check_reconstruct(a, b, resid.as_deref())?;
     let len = a.rows() * b.rows();
     // SAFETY: `reconstruct_uninit` stores every element of `out`.
-    unsafe { fill_vec(out, len, |o| reconstruct_uninit(pool, a, b, resid, o)) };
+    unsafe { fill_vec(out, len, |o| reconstruct_uninit(a, b, resid, o)) };
     Ok(())
 }
 
@@ -1604,7 +1527,6 @@ fn check_reconstruct(a: MatrixRef<'_>, b: MatrixRef<'_>, resid: Option<&[f32]>) 
 /// The body of both reconstruct forms: stores every element of `out`
 /// (`a.rows() x b.rows()`, shapes checked by the caller).
 fn reconstruct_uninit(
-    pool: &crate::pool::Pool,
     a: MatrixRef<'_>,
     b: MatrixRef<'_>,
     resid: Option<&mut [f32]>,
@@ -1614,27 +1536,18 @@ fn reconstruct_uninit(
     if out.is_empty() {
         return;
     }
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
+    let b_s = b.as_slice();
     let mut bt = vec![0.0f32; k * n];
     for (j, brow) in b_s.chunks_exact(k.max(1)).enumerate() {
         for (l, &bv) in brow.iter().enumerate() {
             bt[l * n + j] = bv;
         }
     }
-    let bt = &bt;
-    let a_band = |row_lo: usize, len: usize| &a_s[row_lo * k..row_lo * k + len / n * k];
-    match resid {
-        Some(resid) => pool.for_row_pairs(out, resid, n, band_rows(k * n), |row_lo, o, e| {
-            abt_rows(a_band(row_lo, o.len()), b_s, bt, (k, n), Some(e), o);
-        }),
-        None => pool.for_rows(out, n, band_rows(k * n), |row_lo, o| {
-            abt_rows(a_band(row_lo, o.len()), b_s, bt, (k, n), None, o);
-        }),
-    }
+    abt_rows(a.as_slice(), b_s, &bt, (k, n), resid, out);
 }
 
 /// Rows of `A · Bᵀ`, `bt` being `B` transposed (`k x n`), with the
-/// optional residual update of [`reconstruct_residual_pooled`].
+/// optional residual update of [`reconstruct_residual`].
 ///
 /// [`a_mul_bt`] forms each element as `s = 0; s += a[l] * b[l]` with `l`
 /// ascending, one output row per vector lane, and the last `n % 4` columns
@@ -1642,12 +1555,12 @@ fn reconstruct_uninit(
 /// one output column per lane instead, which suits PowerSGD's small `k`:
 /// the transposed `B` is then small enough to copy.
 fn abt_rows(
-    a_band: &[f32],
+    a_s: &[f32],
     b_s: &[f32],
     bt: &[f32],
     (k, n): (usize, usize),
-    mut resid_band: Option<&mut [f32]>,
-    out_band: &mut [MaybeUninit<f32>],
+    mut resid: Option<&mut [f32]>,
+    out: &mut [MaybeUninit<f32>],
 ) {
     const W: usize = 64;
     // Rows per block: each `k x W` panel of `bt` is reused across the
@@ -1655,10 +1568,10 @@ fn abt_rows(
     const ROWS: usize = 8;
     let n4 = n - n % 4;
     let nw = n4 - n4 % W;
-    for (blk, oblock) in out_band.chunks_mut(ROWS * n).enumerate() {
+    for (blk, oblock) in out.chunks_mut(ROWS * n).enumerate() {
         let rows = oblock.len() / n;
-        let ablock = &a_band[blk * ROWS * k..(blk * ROWS + rows) * k];
-        let mut eblock = resid_band
+        let ablock = &a_s[blk * ROWS * k..(blk * ROWS + rows) * k];
+        let mut eblock = resid
             .as_deref_mut()
             .map(|e| &mut e[blk * ROWS * n..(blk * ROWS + rows) * n]);
         for j in (0..nw).step_by(W) {
@@ -2058,14 +1971,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_kernels_are_bit_identical_to_serial() {
-        use crate::pool::Pool;
-        let pool = Pool::new(3);
+    fn fused_reconstruct_is_a_mul_bt_then_subtract() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // The large case actually fans out (row cost k*n = 64 FMAs, so
-        // bands of ~1024 rows → 3 bands at width 3); the odd small sizes
-        // run inline but exercise the remainder paths of the sub-view
-        // kernels.
+        // Odd sizes exercise the remainder paths of the row blocks.
         for (m, k, n) in [
             (4099usize, 4usize, 16usize),
             (33, 4, 29),
@@ -2074,91 +1982,41 @@ mod tests {
             (70, 6, 1),
         ] {
             let a = Tensor::randn([m, k], (m * 31 + n) as u64).into_vec();
-            let b = Tensor::randn([k, n], (k * 7 + n) as u64).into_vec();
-            let mut serial = vec![0.0f32; m * n];
-            let mut pooled = vec![0.0f32; m * n];
-            matmul(
+            let b = Tensor::randn([n, k], (n + 55) as u64).into_vec();
+            let layer = Tensor::randn([m, n], (m + 977) as u64).into_vec();
+            let (am, bm) = (
                 MatrixRef::new(&a, m, k).unwrap(),
-                MatrixRef::new(&b, k, n).unwrap(),
-                &mut serial,
-            )
-            .unwrap();
-            matmul_pooled(
-                &pool,
-                MatrixRef::new(&a, m, k).unwrap(),
-                MatrixRef::new(&b, k, n).unwrap(),
-                &mut pooled,
-            )
-            .unwrap();
-            assert_eq!(bits(&serial), bits(&pooled), "matmul {m}x{k}x{n}");
-
-            // Aᵀ·B: A is k x m (shared dim first).
-            let at = Tensor::randn([k, m], (m + 977) as u64).into_vec();
-            let mut serial2 = vec![0.0f32; m * n];
-            let mut pooled2 = vec![0.0f32; m * n];
-            at_mul_b(
-                MatrixRef::new(&at, k, m).unwrap(),
-                MatrixRef::new(&b, k, n).unwrap(),
-                &mut serial2,
-            )
-            .unwrap();
-            at_mul_b_pooled(
-                &pool,
-                MatrixRef::new(&at, k, m).unwrap(),
-                MatrixRef::new(&b, k, n).unwrap(),
-                &mut pooled2,
-            )
-            .unwrap();
-            assert_eq!(bits(&serial2), bits(&pooled2), "at_mul_b {m}x{k}x{n}");
-
-            // A·Bᵀ with the residual update: B is n x k.
-            let bt = Tensor::randn([n, k], (n + 55) as u64).into_vec();
-            let mut serial3 = vec![0.0f32; m * n];
-            let mut pooled3 = vec![0.0f32; m * n];
-            a_mul_bt(
-                MatrixRef::new(&a, m, k).unwrap(),
-                MatrixRef::new(&bt, n, k).unwrap(),
-                &mut serial3,
-            )
-            .unwrap();
-            let mut resid = serial2.clone();
-            reconstruct_residual_pooled(
-                &pool,
-                MatrixRef::new(&a, m, k).unwrap(),
-                MatrixRef::new(&bt, n, k).unwrap(),
-                Some(&mut resid),
-                &mut pooled3,
-            )
-            .unwrap();
-            let two_step: Vec<f32> = serial2.iter().zip(&serial3).map(|(w, g)| w - g).collect();
+                MatrixRef::new(&b, n, k).unwrap(),
+            );
+            let mut g_want = vec![0.0f32; m * n];
+            a_mul_bt(am, bm, &mut g_want).unwrap();
+            let mut g = vec![0.0f32; m * n];
+            let mut resid = layer.clone();
+            reconstruct_residual(am, bm, Some(&mut resid), &mut g).unwrap();
+            let two_step: Vec<f32> = layer.iter().zip(&g_want).map(|(w, g)| w - g).collect();
             assert_eq!(bits(&two_step), bits(&resid), "residual {m}x{k}x{n}");
-            assert_eq!(bits(&serial3), bits(&pooled3), "a_mul_bt {m}x{k}x{n}");
+            assert_eq!(bits(&g_want), bits(&g), "a_mul_bt {m}x{k}x{n}");
         }
     }
 
     #[test]
-    fn pooled_kernels_validate_shapes() {
-        use crate::pool::Pool;
-        let pool = Pool::new(2);
+    fn products_validate_shapes() {
         let a = [0.0f32; 6];
         let b = [0.0f32; 6];
         let mut out = [0.0f32; 4];
-        assert!(matmul_pooled(
-            &pool,
+        assert!(matmul(
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 2, 3).unwrap(),
             &mut out
         )
         .is_err());
-        assert!(at_mul_b_pooled(
-            &pool,
+        assert!(at_mul_b(
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 3, 2).unwrap(),
             &mut out
         )
         .is_err());
-        assert!(reconstruct_residual_pooled(
-            &pool,
+        assert!(reconstruct_residual(
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 3, 2).unwrap(),
             None,
@@ -2166,8 +2024,7 @@ mod tests {
         )
         .is_err());
         // A residual of the wrong size is rejected before anything is written.
-        assert!(reconstruct_residual_pooled(
-            &pool,
+        assert!(reconstruct_residual(
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 2, 3).unwrap(),
             Some(&mut [0.0f32; 3]),

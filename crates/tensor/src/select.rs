@@ -1,7 +1,6 @@
 //! Top-k / random-k index selection used by sparsification compressors.
 
 use crate::kernels;
-use crate::pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,26 +73,6 @@ pub fn top_k_abs(data: &[f32], k: usize) -> SparseSelection {
 /// magnitudes) and then the candidates' magnitudes; only the fallback
 /// grows it to a full `|data|`-sized copy.
 pub fn top_k_abs_with(data: &[f32], k: usize, mags: &mut Vec<f32>) -> SparseSelection {
-    // A width-1 pool owns no threads and runs every band inline.
-    top_k_abs_pooled(&Pool::new(1), data, k, mags)
-}
-
-/// [`top_k_abs_with`] with the passes over `data` (the candidate gather;
-/// in the fallback the magnitude fill and the threshold gather) fanned out
-/// across `pool`.
-///
-/// The banded stages are order-preserving: the `|data|` fill is
-/// elementwise, and the chunked gather emits each span's hits with
-/// span-local index fixup before concatenating in span order — the same
-/// ascending index order as the serial scan. The sample, the quickselects
-/// and the tie fill are serial and read the same values for every width,
-/// so the result is **bit-identical** to [`top_k_abs_with`].
-pub fn top_k_abs_pooled(
-    pool: &Pool,
-    data: &[f32],
-    k: usize,
-    mags: &mut Vec<f32>,
-) -> SparseSelection {
     let n = data.len();
     if k == 0 || n == 0 {
         return SparseSelection {
@@ -107,9 +86,9 @@ pub fn top_k_abs_pooled(
             values: data.to_vec(),
         };
     }
-    match top_k_from_sampled_bound(pool, data, k, mags) {
+    match top_k_from_sampled_bound(data, k, mags) {
         Some(sel) => sel,
-        None => top_k_full(pool, data, k, mags),
+        None => top_k_full(data, k, mags),
     }
 }
 
@@ -130,7 +109,6 @@ const SAMPLE_STRIDE: usize = 64;
 /// list alone. The sample only decides how many candidates there are,
 /// never which entries are selected.
 fn top_k_from_sampled_bound(
-    pool: &Pool,
     data: &[f32],
     k: usize,
     mags: &mut Vec<f32>,
@@ -157,7 +135,7 @@ fn top_k_from_sampled_bound(
         // everything.
         return None;
     }
-    let (cand_idx, cand_val) = gather_above(pool, data, lo, true);
+    let (cand_idx, cand_val) = gather_above(data, lo, true);
     if cand_idx.len() < k {
         return None;
     }
@@ -181,18 +159,15 @@ fn top_k_from_sampled_bound(
 /// route taken when sampling cannot bound the threshold, and the
 /// reference the sampled route is tested against. Requires
 /// `0 < k < data.len()`.
-fn top_k_full(pool: &Pool, data: &[f32], k: usize, mags: &mut Vec<f32>) -> SparseSelection {
+fn top_k_full(data: &[f32], k: usize, mags: &mut Vec<f32>) -> SparseSelection {
     mags.clear();
     mags.resize(data.len(), 0.0);
-    // ~64k elements per band before forking pays for itself.
-    pool.for_rows(&mut mags[..], 1, 1 << 16, |lo, band| {
-        kernels::abs_into(&data[lo..lo + band.len()], band);
-    });
+    kernels::abs_into(data, mags);
     let threshold = kth_threshold(mags, k);
     // Gather: first everything strictly above threshold (SIMD stream
     // compaction on AVX2/AVX-512 hosts, same index order as the scalar
     // scan), then fill with threshold-equal entries until k are collected.
-    let (indices, values) = gather_above(pool, data, threshold, false);
+    let (indices, values) = gather_above(data, threshold, false);
     let entries = data.iter().enumerate().map(|(i, &v)| (i as u32, v));
     finish_selection(entries, k, threshold, indices, values)
 }
@@ -207,27 +182,10 @@ fn kth_threshold(mags: &mut [f32], k: usize) -> f32 {
     *kth
 }
 
-/// [`kernels::gather_above`] over all of `data`, chunked across `pool`:
-/// each span gathers its own sub-slice (span-local indices, fixed up by
-/// the span offset), and `map_spans` returns the parts in span order, so
-/// the concatenation is the serial scan's output for every width.
-fn gather_above(pool: &Pool, data: &[f32], threshold: f32, with_nan: bool) -> (Vec<u32>, Vec<f32>) {
-    let mut parts = pool
-        .map_spans(data.len(), 1 << 16, |lo, hi| {
-            let mut idx = Vec::new();
-            let mut val = Vec::new();
-            kernels::gather_above(&data[lo..hi], threshold, with_nan, &mut idx, &mut val);
-            for i in &mut idx {
-                *i += lo as u32;
-            }
-            (idx, val)
-        })
-        .into_iter();
-    let (mut indices, mut values) = parts.next().unwrap_or_default();
-    for (idx, val) in parts {
-        indices.extend_from_slice(&idx);
-        values.extend_from_slice(&val);
-    }
+/// [`kernels::gather_above`] over all of `data` into fresh vectors.
+fn gather_above(data: &[f32], threshold: f32, with_nan: bool) -> (Vec<u32>, Vec<f32>) {
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    kernels::gather_above(data, threshold, with_nan, &mut indices, &mut values);
     (indices, values)
 }
 
@@ -383,14 +341,13 @@ mod tests {
     fn sampled_bound_route_equals_full_select() {
         // Well-mixed data: the sample must bound the threshold (the route
         // returns `Some`) and the result must be the full select's.
-        let pool = Pool::new(1);
         let mut data = crate::Tensor::randn([100_000], 11).into_vec();
         data[777] = f32::NAN;
         data[50_001] = f32::NEG_INFINITY;
         for k in [1usize, 100, 1000, 10_000] {
-            let sampled = top_k_from_sampled_bound(&pool, &data, k, &mut Vec::new())
+            let sampled = top_k_from_sampled_bound(&data, k, &mut Vec::new())
                 .unwrap_or_else(|| panic!("k={k}: sample failed to bound gaussian data"));
-            let full = top_k_full(&pool, &data, k, &mut Vec::new());
+            let full = top_k_full(&data, k, &mut Vec::new());
             assert_eq!(sampled.indices, full.indices, "k={k}");
             assert_eq!(value_bits(&sampled), value_bits(&full), "k={k}");
         }
@@ -398,11 +355,9 @@ mod tests {
 
     #[test]
     fn sampled_bound_route_declines_what_it_cannot_prove() {
-        let pool = Pool::new(1);
         let n = 100_000;
-        let declines = |data: &[f32], k: usize| {
-            top_k_from_sampled_bound(&pool, data, k, &mut Vec::new()).is_none()
-        };
+        let declines =
+            |data: &[f32], k: usize| top_k_from_sampled_bound(data, k, &mut Vec::new()).is_none();
         let gauss = crate::Tensor::randn([n], 12).into_vec();
         // All tied: nothing ranks above the bound.
         assert!(declines(&vec![2.0; n], n / 100));
@@ -432,26 +387,6 @@ mod tests {
         for (data, k) in [(&spikes, n / 100), (&sparse, n / 100), (&nans, n / 100)] {
             assert_eq!(top_k_abs(data, k).len(), k);
         }
-    }
-
-    #[test]
-    fn pooled_top_k_is_bit_identical_to_serial() {
-        let pool = Pool::new(3);
-        let data: Vec<f32> = (0..200_000)
-            .map(|i| ((i * 131 % 7919) as f32 - 3959.5) * 0.017)
-            .collect();
-        for k in [1usize, 100, 9999] {
-            let serial = top_k_abs_with(&data, k, &mut Vec::new());
-            let pooled = top_k_abs_pooled(&pool, &data, k, &mut Vec::new());
-            assert_eq!(serial.indices, pooled.indices, "k={k}");
-            let sb: Vec<u32> = serial.values.iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = pooled.values.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, pb, "k={k}");
-        }
-        // Degenerate cases route through the serial path.
-        assert!(top_k_abs_pooled(&pool, &data, 0, &mut Vec::new()).is_empty());
-        let all = top_k_abs_pooled(&pool, &[1.0, 2.0], 5, &mut Vec::new());
-        assert_eq!(all.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Synthetic learning tasks with exact, hand-written backward passes.
 
 use gcs_tensor::matrix::{a_mul_bt, at_mul_b_into, matmul, MatrixRef};
-use gcs_tensor::{Pool, Tensor};
+use gcs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -402,12 +402,10 @@ impl Task for MlpClassification {
             *x *= inv;
         }
         // The weight gradients are written once into fresh buffers, never
-        // zero-filled first, on this thread alone.
-        let serial = Pool::new(1);
+        // zero-filled first.
         // gW2 = dlogitsᵀ H  (c x h); gb2 = column sums of dlogits.
         let mut gw2 = Vec::new();
         at_mul_b_into(
-            &serial,
             MatrixRef::new(&probs, b, c).expect("probs shape"),
             MatrixRef::new(&hid, b, h).expect("hid shape"),
             &mut gw2,
@@ -433,7 +431,6 @@ impl Task for MlpClassification {
         // gW1 = dhidᵀ X  (h x d); gb1 = column sums of dhid.
         let mut gw1 = Vec::new();
         at_mul_b_into(
-            &serial,
             MatrixRef::new(&dhid, b, h).expect("dhid shape"),
             MatrixRef::new(&xb, b, d).expect("xb shape"),
             &mut gw1,

@@ -11,8 +11,7 @@ Two layers of checking:
    shape/world) identity keys, same timing fields. A refactor that
    silently drops a tracked kernel row fails here even in smoke mode.
    Benches listed in REQUIRED_METADATA (adaptive) must also carry the
-   metadata that makes a run attributable (kernel threads, active kernel
-   table).
+   metadata that makes a run attributable (the active kernel table).
 
 2. **Timings** (full runs only): every `*_ms` field shared by a matched
    row pair must not regress by more than `--max-regression` (default
@@ -46,7 +45,7 @@ NOISY_FIELDS = {"measured_step_ms"}
 # Per-bench metadata the report must carry so runs stay attributable to a
 # concrete kernel configuration (keyed by the report's "bench").
 REQUIRED_METADATA = {
-    "adaptive": ("kernel_threads", "active_kernel_table"),
+    "adaptive": ("active_kernel_table",),
 }
 
 
