@@ -42,6 +42,8 @@ pub(super) static KERNELS: Kernels = Kernels {
     abs_into,
     sum_abs,
     gather_above,
+    // LLVM already vectorizes the branch-free scalar form to ymm.
+    tanh: scalar::tanh,
 };
 
 /// IEEE-754 abs mask (clears the sign bit), matching `f32::abs` bitwise.

@@ -16,6 +16,9 @@
 //!   branches once per 64 lanes.
 //! - **16-lane elementwise kernels** halve the instruction count on the
 //!   wire-add and unpack hot loops.
+//! - **Mask blends make `tanh` branch-free on 16 lanes**: fdlibm's
+//!   `tanhf` runs every path and each lane keeps its own, the same op
+//!   sequence as the scalar form.
 //!
 //! The exactness contract is unchanged: ordered compares (`_CMP_GE_OQ` /
 //! `_CMP_GT_OQ`) against `+0.0` reproduce the scalar predicates on NaN and
@@ -48,6 +51,7 @@ pub(super) static KERNELS: Kernels = Kernels {
     // 8-lane striping is the kernel contract; see the module docs.
     sum_abs: avx2::sum_abs,
     gather_above,
+    tanh,
 };
 
 /// IEEE-754 abs mask (clears the sign bit), matching `f32::abs` bitwise.
@@ -337,4 +341,161 @@ unsafe fn gather_above_avx512<const CMP: i32>(
         indices,
         values,
     );
+}
+
+// ---------------------------------------------------------------------------
+// fdlibm tanhf
+// ---------------------------------------------------------------------------
+
+fn tanh(v: &mut [f32]) {
+    // SAFETY: table installed only after AVX-512F runtime detection.
+    unsafe { tanh_avx512(v) }
+}
+
+// SAFETY: caller must guarantee AVX-512F is present; all loads/stores stay
+// inside `v`.
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_avx512(v: &mut [f32]) {
+    let full = v.len() / 16;
+    for i in 0..full {
+        let p = v.as_mut_ptr().add(i * 16);
+        _mm512_storeu_ps(p, tanhf16(_mm512_loadu_ps(p)));
+    }
+    scalar::tanh(&mut v[full * 16..]);
+}
+
+/// `-v`: a sign flip, as C's unary minus is (`0 - v` differs at ±0).
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn neg16(v: __m512) -> __m512 {
+    _mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(v),
+        _mm512_set1_epi32(i32::MIN),
+    ))
+}
+
+/// `y · 2^k` by adding `k` to the biased exponent.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn add_to_exponent16(y: __m512, k: __m512i) -> __m512 {
+    _mm512_castsi512_ps(_mm512_add_epi32(
+        _mm512_castps_si512(y),
+        _mm512_slli_epi32::<23>(k),
+    ))
+}
+
+/// The scalar table's branch-free `tanhf` on 16 lanes: the same ops in the
+/// same order, each `if` a mask blend (`blend(m, a, b)` takes `b` where
+/// `m` is set). Float→int is the truncating `vcvttps2dq`, and `vpsrlvd`
+/// gives 0 for counts past 31, as the scalar `checked_shr` does.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn tanhf16(x: __m512) -> __m512 {
+    let one = _mm512_set1_ps(1.0);
+    let two = _mm512_set1_ps(2.0);
+    let jx = _mm512_castps_si512(x);
+    let ix = _mm512_and_si512(jx, _mm512_set1_epi32(ABS_MASK));
+    let negative = _mm512_cmplt_epi32_mask(jx, _mm512_setzero_si512());
+    let ge1 = _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(0x3f80_0000));
+    let coef = _mm512_mask_blend_ps(ge1, _mm512_set1_ps(-2.0), two);
+    let u = _mm512_mul_ps(coef, _mm512_castsi512_ps(ix));
+    let t = expm1f16(u);
+    let tp2 = _mm512_add_ps(t, two);
+    let z = _mm512_mask_blend_ps(
+        ge1,
+        _mm512_div_ps(neg16(t), tp2),
+        _mm512_sub_ps(one, _mm512_div_ps(two, tp2)),
+    );
+    let saturated = _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(0x41b0_0000));
+    let z = _mm512_mask_blend_ps(saturated, z, _mm512_set1_ps(1.0 - scalar::TINY));
+    let z = _mm512_mask_blend_ps(negative, z, neg16(z));
+    let tiny = _mm512_cmplt_epi32_mask(ix, _mm512_set1_epi32(0x2400_0000));
+    let z = _mm512_mask_blend_ps(tiny, z, _mm512_mul_ps(x, _mm512_add_ps(one, x)));
+    let zero = _mm512_cmpeq_epi32_mask(ix, _mm512_setzero_si512());
+    let z = _mm512_mask_blend_ps(zero, z, x);
+    let inv = _mm512_div_ps(one, x);
+    let nonfinite =
+        _mm512_mask_blend_ps(negative, _mm512_add_ps(inv, one), _mm512_sub_ps(inv, one));
+    let nonfinite_lanes = _mm512_cmpge_epi32_mask(ix, _mm512_set1_epi32(0x7f80_0000));
+    _mm512_mask_blend_ps(nonfinite_lanes, z, nonfinite)
+}
+
+/// The scalar table's `expm1f` on 16 lanes (see `scalar.rs` for the paths
+/// it leaves out).
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn expm1f16(x: __m512) -> __m512 {
+    let one = _mm512_set1_ps(1.0);
+    let half = _mm512_set1_ps(0.5);
+    let hx = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(ABS_MASK));
+    // |x| < 2^-25 returns x; the other paths run on 0.25 there.
+    let tiny = _mm512_cmplt_epi32_mask(hx, _mm512_set1_epi32(0x3300_0000));
+    let w = _mm512_mask_blend_ps(tiny, x, _mm512_set1_ps(0.25));
+    let negative = _mm512_cmplt_epi32_mask(_mm512_castps_si512(w), _mm512_setzero_si512());
+    // Argument reduction: k = ±1 near ln2, else trunc(w / ln2 ± 0.5).
+    let near = _mm512_cmplt_epi32_mask(hx, _mm512_set1_epi32(0x3f85_1592));
+    let ln2_hi = _mm512_set1_ps(scalar::LN2_HI);
+    let ln2_lo = _mm512_set1_ps(scalar::LN2_LO);
+    let rounding = _mm512_mask_blend_ps(negative, half, _mm512_set1_ps(-0.5));
+    let k_far = _mm512_cvttps_epi32(_mm512_add_ps(
+        _mm512_mul_ps(_mm512_set1_ps(scalar::INVLN2), w),
+        rounding,
+    ));
+    let t = _mm512_cvtepi32_ps(k_far);
+    let hi_near =
+        _mm512_mask_blend_ps(negative, _mm512_sub_ps(w, ln2_hi), _mm512_add_ps(w, ln2_hi));
+    let lo_near = _mm512_mask_blend_ps(negative, ln2_lo, _mm512_set1_ps(-scalar::LN2_LO));
+    let k_near = _mm512_mask_blend_epi32(negative, _mm512_set1_epi32(1), _mm512_set1_epi32(-1));
+    let hi = _mm512_mask_blend_ps(near, _mm512_sub_ps(w, _mm512_mul_ps(t, ln2_hi)), hi_near);
+    let lo = _mm512_mask_blend_ps(near, _mm512_mul_ps(t, ln2_lo), lo_near);
+    let k = _mm512_mask_blend_epi32(near, k_far, k_near);
+    let xr = _mm512_sub_ps(hi, lo);
+    let cr = _mm512_sub_ps(_mm512_sub_ps(hi, xr), lo);
+    let reduce = _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3eb1_7218));
+    let r = _mm512_mask_blend_ps(reduce, w, xr);
+    let c = _mm512_maskz_mov_ps(reduce, cr);
+    let k = _mm512_maskz_mov_epi32(reduce, k);
+    // r is now in the primary range.
+    let hfx = _mm512_mul_ps(half, r);
+    let hxs = _mm512_mul_ps(r, hfx);
+    let mut p = _mm512_mul_ps(hxs, _mm512_set1_ps(scalar::Q5));
+    for q in [scalar::Q4, scalar::Q3, scalar::Q2, scalar::Q1] {
+        p = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(q), p));
+    }
+    let r1 = _mm512_add_ps(one, p);
+    let t = _mm512_sub_ps(_mm512_set1_ps(3.0), _mm512_mul_ps(r1, hfx));
+    let e = _mm512_mul_ps(
+        hxs,
+        _mm512_div_ps(
+            _mm512_sub_ps(r1, t),
+            _mm512_sub_ps(_mm512_set1_ps(6.0), _mm512_mul_ps(r, t)),
+        ),
+    );
+    let k0 = _mm512_sub_ps(r, _mm512_sub_ps(_mm512_mul_ps(r, e), hxs));
+    let e = _mm512_sub_ps(_mm512_sub_ps(_mm512_mul_ps(r, _mm512_sub_ps(e, c)), c), hxs);
+    let k_minus1 = _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(r, e)), half);
+    let e_minus_r = _mm512_sub_ps(e, r);
+    let far = _mm512_sub_ps(add_to_exponent16(_mm512_sub_ps(one, e_minus_r), k), one);
+    let t = _mm512_castsi512_ps(_mm512_sub_epi32(
+        _mm512_set1_epi32(0x3f80_0000),
+        _mm512_srlv_epi32(_mm512_set1_epi32(0x0100_0000), k),
+    ));
+    let below23 = add_to_exponent16(_mm512_sub_ps(t, e_minus_r), k);
+    let t = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(
+        _mm512_set1_epi32(0x7f),
+        k,
+    )));
+    let above23 = add_to_exponent16(_mm512_add_ps(_mm512_sub_ps(r, _mm512_add_ps(e, t)), one), k);
+    let lt23 = _mm512_cmplt_epi32_mask(k, _mm512_set1_epi32(23));
+    let y = _mm512_mask_blend_ps(lt23, above23, below23);
+    let far_lanes = _mm512_cmple_epi32_mask(k, _mm512_set1_epi32(-2))
+        | _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56));
+    let y = _mm512_mask_blend_ps(far_lanes, y, far);
+    let y = _mm512_mask_blend_ps(
+        _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)),
+        y,
+        k_minus1,
+    );
+    let y = _mm512_mask_blend_ps(_mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), y, k0);
+    _mm512_mask_blend_ps(tiny, y, x)
 }

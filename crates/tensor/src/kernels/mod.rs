@@ -18,9 +18,9 @@
 //!
 //! # Exactness contract
 //!
-//! Callers throughout `gcs-tensor`, `gcs-compress` and `gcs-cluster` assume
-//! the two tables are interchangeable, so each kernel falls into one of two
-//! classes (verified by `tests/kernel_props.rs`):
+//! Callers throughout `gcs-tensor`, `gcs-compress`, `gcs-cluster` and
+//! `gcs-train` assume the tables are interchangeable, so each kernel falls
+//! into one of three classes (verified by `tests/kernel_props.rs`):
 //!
 //! - **Bit kernels** (sign pack/unpack, byte↔f32/u32
 //!   conversion, threshold gather): byte-identical output for every input,
@@ -34,6 +34,14 @@
 //!   lane-striped (8 partial sums combined in a fixed pairwise tree, then a
 //!   scalar tail) in *both* implementations, so results are reproducible
 //!   bit-for-bit across dispatch modes.
+//! - **Transcendental kernels** ([`tanh`]): one op sequence in every
+//!   table, fdlibm's `tanhf` and `expm1f` (what glibc ships), so every
+//!   table gives fdlibm's bits, NaN payloads included. The scalar form is
+//!   branch-free (all paths computed, each element keeps its own) so LLVM
+//!   vectorizes it; the AVX-512 form blends with masks. Negation is a sign
+//!   flip, never `0.0 - t`; `k` is a truncating float→int conversion; the
+//!   scalar shift is defined for the out-of-range counts of lanes on other
+//!   paths, as vector shifts are; nothing is fused into an FMA.
 //!
 //! The GEMM microkernel's FMA lanes are dispatched separately (its tile
 //! routines are const-generic, which function pointers can't express) —
@@ -112,6 +120,10 @@ pub struct Kernels {
         indices: &mut Vec<u32>,
         values: &mut Vec<f32>,
     ),
+    /// In place, `v[i] = tanhf(v[i])` with fdlibm's `tanhf` (the one glibc
+    /// ships): its op sequence in every table, so its bits, NaN payloads
+    /// included.
+    pub tanh: fn(v: &mut [f32]),
 }
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
@@ -346,6 +358,11 @@ pub fn gather_above(
     values: &mut Vec<f32>,
 ) {
     (active().gather_above)(data, threshold, with_nan, indices, values);
+}
+
+/// Dispatched [`Kernels::tanh`].
+pub fn tanh(v: &mut [f32]) {
+    (active().tanh)(v);
 }
 
 /// `x ← x / divisor` elementwise: IEEE division, never a reciprocal

@@ -1050,3 +1050,332 @@ fn nan_inputs_keep_top_k_selection_deterministic_and_exactly_k() {
     assert_eq!(sel.len(), 2);
     assert_eq!(sel.indices, select::top_k_abs(&noisy, 2).indices);
 }
+
+// ---------------------------------------------------------------------------
+// tanh: fdlibm's `tanhf`, bit for bit, in every table
+// ---------------------------------------------------------------------------
+
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q1: f32 = f32::from_bits(0xbd08_8889);
+const Q2: f32 = f32::from_bits(0x3ad0_0d01);
+const Q3: f32 = f32::from_bits(0xb8a6_70cd);
+const Q4: f32 = f32::from_bits(0x3686_7e54);
+const Q5: f32 = f32::from_bits(0xb457_edbb);
+const TINY: f32 = 1.0e-30;
+/// `expm1f`'s thresholds on `|u|` bits: 0.5 ln2, 1.5 ln2, 2^-25.
+const EXPM1_THRESHOLDS: [u32; 3] = [0x3eb1_7218, 0x3f85_1592, 0x3300_0000];
+/// `tanhf`'s thresholds on `|x|` bits: 2^-55, 1, 22.
+const TANH_THRESHOLDS: [u32; 3] = [0x2400_0000, 0x3f80_0000, 0x41b0_0000];
+
+/// `y · 2^k` through the exponent field: fdlibm's
+/// `SET_FLOAT_WORD(y, i + (k << 23))`.
+fn add_exp(y: f32, k: i32) -> f32 {
+    f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32))
+}
+
+/// fdlibm's `expm1f` (the Sun libm that glibc's
+/// `sysdeps/ieee754/flt-32/s_expm1f.c` comes from), branch for branch.
+fn ref_expm1f(mut x: f32) -> f32 {
+    const HUGE: f32 = 1.0e30;
+    const O_THRESHOLD: f32 = f32::from_bits(0x42b1_7180);
+    let xsb = x.to_bits() & 0x8000_0000;
+    let hx = x.to_bits() & 0x7fff_ffff;
+    // Huge and non-finite arguments.
+    if hx >= 0x4195_b844 {
+        if hx >= 0x42b1_7218 {
+            if hx > 0x7f80_0000 {
+                return x + x;
+            }
+            if hx == 0x7f80_0000 {
+                return if xsb == 0 { x } else { -1.0 };
+            }
+            if x > O_THRESHOLD {
+                return HUGE * HUGE;
+            }
+        }
+        if xsb != 0 {
+            return TINY - 1.0;
+        }
+    }
+    // Argument reduction.
+    let k: i32;
+    let c: f32;
+    if hx > EXPM1_THRESHOLDS[0] {
+        let (hi, lo);
+        if hx < EXPM1_THRESHOLDS[1] {
+            if xsb == 0 {
+                (hi, lo, k) = (x - LN2_HI, LN2_LO, 1);
+            } else {
+                (hi, lo, k) = (x + LN2_HI, -LN2_LO, -1);
+            }
+        } else {
+            k = (INVLN2 * x + if xsb == 0 { 0.5 } else { -0.5 }) as i32;
+            let t = k as f32;
+            hi = x - t * LN2_HI;
+            lo = t * LN2_LO;
+        }
+        x = hi - lo;
+        c = (hi - x) - lo;
+    } else if hx < EXPM1_THRESHOLDS[2] {
+        let t = HUGE + x;
+        return x - (t - (HUGE + x));
+    } else {
+        k = 0;
+        c = 0.0;
+    }
+    // x is now in the primary range.
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+    let t = 3.0 - r1 * hfx;
+    let mut e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    e = x * (e - c) - c;
+    e -= hxs;
+    if k == -1 {
+        return 0.5 * (x - e) - 0.5;
+    }
+    if k == 1 {
+        return if x < -0.25 {
+            -2.0 * (e - (x + 0.5))
+        } else {
+            1.0 + 2.0 * (x - e)
+        };
+    }
+    if k <= -2 || k > 56 {
+        let y = 1.0 - (e - x);
+        let y = if k == 128 {
+            y * 2.0 * f32::from_bits(0x7f00_0000)
+        } else {
+            add_exp(y, k)
+        };
+        return y - 1.0;
+    }
+    if k < 23 {
+        let t = f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k));
+        add_exp(t - (e - x), k)
+    } else {
+        let t = f32::from_bits(((0x7f - k) << 23) as u32);
+        add_exp((x - (e + t)) + 1.0, k)
+    }
+}
+
+/// fdlibm's `tanhf` (glibc's `s_tanhf.c`), branch for branch: the
+/// reference every table's `tanh` must reproduce.
+fn ref_tanhf(x: f32) -> f32 {
+    let jx = x.to_bits() as i32;
+    let ix = jx & 0x7fff_ffff;
+    if ix >= 0x7f80_0000 {
+        return if jx >= 0 {
+            1.0 / x + 1.0
+        } else {
+            1.0 / x - 1.0
+        };
+    }
+    let z;
+    if ix < TANH_THRESHOLDS[2] as i32 {
+        if ix == 0 {
+            return x;
+        }
+        if ix < TANH_THRESHOLDS[0] as i32 {
+            return x * (1.0 + x);
+        }
+        if ix >= TANH_THRESHOLDS[1] as i32 {
+            let t = ref_expm1f(2.0 * x.abs());
+            z = 1.0 - 2.0 / (t + 2.0);
+        } else {
+            let t = ref_expm1f(-2.0 * x.abs());
+            z = -t / (t + 2.0);
+        }
+    } else {
+        z = 1.0 - TINY;
+    }
+    if jx >= 0 {
+        z
+    } else {
+        -z
+    }
+}
+
+/// Every table the host runs (`tables()` lists `scalar()` first), once per
+/// distinct `tanh` body: the AVX2 table's entry is the scalar one.
+fn tanh_tables() -> Vec<&'static Kernels> {
+    let mut out: Vec<&'static Kernels> = Vec::new();
+    for t in kernels::tables() {
+        if !out.iter().any(|o| std::ptr::fn_addr_eq(o.tanh, t.tanh)) {
+            out.push(t);
+        }
+    }
+    out
+}
+
+/// Runs every table's `tanh` over `xs` and asserts each output's bits equal
+/// [`ref_tanhf`]'s.
+fn assert_tanh_matches_reference(xs: &[f32], what: &str) {
+    let want: Vec<u32> = xs.iter().map(|&x| ref_tanhf(x).to_bits()).collect();
+    for t in tanh_tables() {
+        let mut got = xs.to_vec();
+        (t.tanh)(&mut got);
+        for (i, (&g, &w)) in bits(&got).iter().zip(&want).enumerate() {
+            assert_eq!(
+                g,
+                w,
+                "{} {what}: tanh({:#010x}) = {g:#010x}, fdlibm gives {w:#010x}",
+                t.name,
+                xs[i].to_bits()
+            );
+        }
+    }
+}
+
+/// Inputs at the edges of every path: both neighbours of each threshold,
+/// the `k` = 22/23 and 56/57 switches, ±0, subnormals, ±inf and quiet and
+/// signalling NaNs with payloads, each with both signs.
+fn tanh_edge_inputs() -> Vec<f32> {
+    let mut mags: Vec<u32> = Vec::new();
+    for t in TANH_THRESHOLDS {
+        mags.extend([t - 1, t, t + 1]);
+    }
+    // tanhf passes u = ±2|x| to expm1f, and halving is exact here.
+    for t in EXPM1_THRESHOLDS {
+        mags.extend([t - 1, t, t + 1].map(|u| u - 0x0080_0000));
+    }
+    // k = trunc(2|x| / ln2 + 0.5) switches at |x| = (k - 0.5) ln2 / 2: a
+    // window of 64 ulps each side holds the switch whatever the rounding.
+    for k in [3.0f64, 22.0, 23.0, 56.0, 57.0, 63.0] {
+        let centre = ((k - 0.5) * std::f64::consts::LN_2 / 2.0) as f32;
+        mags.extend((0..129).map(|d| centre.to_bits() - 64 + d));
+    }
+    mags.extend([0, 1, 2, 0x0040_0000, 0x007f_ffff, 0x0080_0000, 0x7f7f_ffff]);
+    mags.extend([0x7f80_0000, 0x7f80_0001, 0x7fa0_0000, 0x7fbf_ffff]);
+    mags.extend([0x7fc0_0000, 0x7fc0_0001, 0x7fd2_3456, 0x7fff_ffff]);
+    mags.iter()
+        .flat_map(|&m| [f32::from_bits(m), f32::from_bits(m | 0x8000_0000)])
+        .collect()
+}
+
+/// Every 4093rd f32 bit pattern (4093 is prime, so the low mantissa bits
+/// vary too): about a million inputs over every path and both signs.
+fn tanh_sweep() -> Vec<f32> {
+    (0..1u64 << 32)
+        .step_by(4093)
+        .map(|b| f32::from_bits(b as u32))
+        .collect()
+}
+
+#[test]
+fn tanh_matches_fdlibm_bitwise_in_every_table() {
+    for n in lengths() {
+        assert_tanh_matches_reference(&payload(n), &format!("payload n={n}"));
+    }
+    // Large-ish normal arguments in [-24, 24] across every path, then the
+    // edges, each also at an odd offset so the vector tails see them.
+    let spread: Vec<f32> = (0..4099u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 8) as f32 / 349_525.0 - 24.0)
+        .collect();
+    assert_tanh_matches_reference(&spread, "spread");
+    assert_tanh_matches_reference(&tanh_sweep(), "sweep");
+    let edges = tanh_edge_inputs();
+    assert_tanh_matches_reference(&edges, "edges");
+    assert_tanh_matches_reference(&edges[5..], "edges offset by 5");
+    // The dispatched wrapper is one of the tables.
+    let mut v = edges.clone();
+    kernels::tanh(&mut v);
+    let want: Vec<u32> = edges.iter().map(|&x| ref_tanhf(x).to_bits()).collect();
+    assert_eq!(bits(&v), want, "kernels::tanh");
+}
+
+/// Fixed (input bits → output bits) pairs, so the reference itself cannot
+/// drift: one per `tanhf` path and per `expm1f` path `tanhf` reaches.
+/// They are glibc's `tanhf` at run time. An `f32::tanh` that LLVM folds at
+/// compile time can differ: it folds -0.3 to the correctly rounded
+/// `0xbe95_26ee`, one ulp from fdlibm's.
+#[test]
+fn fdlibm_tanh_reference_is_pinned() {
+    let pinned = [
+        (0x2380_0000, 0x2380_0000), // 2^-56: x(1 + x)
+        (0x3200_0000, 0x3200_0000), // 2^-27: expm1f's |u| < 2^-25 path
+        (0x3dcc_cccd, 0x3dcc_1ebc), // 0.1: k = 0
+        (0xbe99_999a, 0xbe95_26ed), // -0.3: k = -1
+        (0x3f40_0000, 0x3f22_991f), // 0.75: k = -2
+        (0x4020_0000, 0x3f7c_92c1), // 2.5: k = 7, below 23
+        (0xc100_0000, 0xbf7f_fffc), // -8: k = 23
+        (0x41a8_0000, 0x3f80_0000), // 21: k = 61, past 56
+        (0xff80_0000, 0xbf80_0000), // -inf
+        (0x7fa0_0001, 0x7fe0_0001), // signalling NaN, quieted
+    ];
+    for (x, want) in pinned {
+        let got = ref_tanhf(f32::from_bits(x)).to_bits();
+        assert_eq!(got, want, "tanhf({x:#010x})");
+    }
+}
+
+/// Every table's `tanh` against the reference on all 2^32 bit patterns.
+/// Run in release: `cargo test --release -p gcs-tensor --test kernel_props
+/// -- --ignored tanh_matches_fdlibm_on_every_bit_pattern`.
+#[test]
+#[ignore = "exhaustive; about 40 s in release on 2 cores"]
+fn tanh_matches_fdlibm_on_every_bit_pattern() {
+    exhaustive(|xs, want| {
+        for (w, &x) in want.iter_mut().zip(xs) {
+            *w = ref_tanhf(x);
+        }
+        let mut got = xs.to_vec();
+        for t in tanh_tables() {
+            got.copy_from_slice(xs);
+            (t.tanh)(&mut got);
+            let bad = got
+                .iter()
+                .zip(&*want)
+                .position(|(g, w)| g.to_bits() != w.to_bits());
+            if let Some(i) = bad {
+                panic!(
+                    "{}: tanh({:#010x}) differs from fdlibm",
+                    t.name,
+                    xs[i].to_bits()
+                );
+            }
+        }
+    });
+}
+
+/// The reference against the host libm's `tanhf` (`f32::tanh`) on all 2^32
+/// bit patterns. This tests the host's libm, not the repo, so it stays out
+/// of CI; it passes where the libm is fdlibm's `tanhf`, as glibc's is.
+#[test]
+#[ignore = "exhaustive; checks the host libm"]
+fn fdlibm_tanh_reference_matches_the_host_libm_on_every_bit_pattern() {
+    exhaustive(|xs, _| {
+        for &x in xs {
+            let (got, want) = (ref_tanhf(x).to_bits(), x.tanh().to_bits());
+            assert_eq!(got, want, "tanh({:#010x})", x.to_bits());
+        }
+    });
+}
+
+/// Calls `check(inputs, scratch)` on every f32 bit pattern, in blocks of
+/// 2^16 split across the available cores.
+fn exhaustive(check: impl Fn(&[f32], &mut [f32]) + Sync) {
+    const BLOCK: u64 = 1 << 16;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
+    let blocks = (1u64 << 32) / BLOCK;
+    std::thread::scope(|s| {
+        for w in 0..threads {
+            let check = &check;
+            s.spawn(move || {
+                let mut xs = vec![0.0f32; BLOCK as usize];
+                let mut scratch = xs.clone();
+                for b in (w..blocks).step_by(threads as usize) {
+                    for (i, x) in xs.iter_mut().enumerate() {
+                        *x = f32::from_bits((b * BLOCK + i as u64) as u32);
+                    }
+                    check(&xs, &mut scratch);
+                }
+            });
+        }
+    });
+}

@@ -58,15 +58,14 @@ impl Sgd {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `params` and `grads`
-    /// differ in count (before any update) or if a parameter and its
-    /// gradient differ in shape.
+    /// Returns [`TensorError::ShapeMismatch`], before any parameter or
+    /// velocity is written, if `params` and `grads` differ in count, if a
+    /// parameter and its gradient differ in shape, or, with momentum, if
+    /// the velocity kept from earlier steps does not match the gradients.
     pub fn step(&mut self, params: &mut [Tensor], grads: &[Tensor]) -> gcs_tensor::Result<()> {
-        if params.len() != grads.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected: format!("{} gradients, one per parameter", params.len()),
-                actual: format!("{} gradients", grads.len()),
-            });
+        check_counts(params.len(), grads.len(), "parameter")?;
+        for (p, g) in params.iter().zip(grads) {
+            check_shapes(p, g)?;
         }
         if self.momentum == 0.0 {
             for (p, g) in params.iter_mut().zip(grads) {
@@ -80,6 +79,10 @@ impl Sgd {
                 .map(|g| Tensor::zeros(g.shape().clone()))
                 .collect();
         }
+        check_counts(self.velocity.len(), grads.len(), "velocity")?;
+        for (v, g) in self.velocity.iter().zip(grads) {
+            check_shapes(v, g)?;
+        }
         for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
             v.scale(self.momentum);
             v.add_assign(g)?;
@@ -87,6 +90,26 @@ impl Sgd {
         }
         Ok(())
     }
+}
+
+fn check_counts(expected: usize, grads: usize, what: &str) -> gcs_tensor::Result<()> {
+    if expected == grads {
+        return Ok(());
+    }
+    Err(TensorError::ShapeMismatch {
+        expected: format!("{expected} gradients, one per {what}"),
+        actual: format!("{grads} gradients"),
+    })
+}
+
+fn check_shapes(expected: &Tensor, grad: &Tensor) -> gcs_tensor::Result<()> {
+    if expected.shape() == grad.shape() {
+        return Ok(());
+    }
+    Err(TensorError::ShapeMismatch {
+        expected: expected.shape().to_string(),
+        actual: grad.shape().to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -134,6 +157,40 @@ mod tests {
                     grads.len()
                 );
                 assert_eq!(&p, params, "nothing is updated");
+            }
+        }
+    }
+
+    /// A wrong shape in the last layer is caught before the first layer
+    /// moves, and, with momentum, before any velocity is scaled or added.
+    #[test]
+    fn last_layer_shape_mismatch_moves_nothing_either_way() {
+        let params = vec![Tensor::zeros([2]), Tensor::zeros([2])];
+        let good = vec![Tensor::from_vec(vec![1.0, 1.0]); 2];
+        let bad = vec![Tensor::from_vec(vec![1.0, 1.0]), Tensor::zeros([3])];
+        for mut opt in [Sgd::new(0.5), Sgd::new(0.5).momentum(0.9)] {
+            let mut p = params.clone();
+            opt.step(&mut p, &good).unwrap();
+            let (moved, velocity) = (p.clone(), opt.velocity.clone());
+            let err = opt.step(&mut p, &bad);
+            assert!(
+                matches!(err, Err(TensorError::ShapeMismatch { .. })),
+                "{err:?}"
+            );
+            assert_eq!(p, moved, "params untouched");
+            assert_eq!(opt.velocity, velocity, "velocity untouched");
+            // A velocity kept from earlier steps rejects gradients of
+            // another count or shape, even where they match the params.
+            if opt.momentum > 0.0 {
+                let err = opt.step(&mut p[..1], &good[..1]);
+                assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
+                assert_eq!(p, moved);
+                assert_eq!(opt.velocity, velocity);
+                let mut wider = vec![Tensor::zeros([3]); 2];
+                let err = opt.step(&mut wider, &[Tensor::zeros([3]), Tensor::zeros([3])]);
+                assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
+                assert_eq!(wider, vec![Tensor::zeros([3]); 2]);
+                assert_eq!(opt.velocity, velocity);
             }
         }
     }

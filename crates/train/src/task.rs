@@ -1,5 +1,6 @@
 //! Synthetic learning tasks with exact, hand-written backward passes.
 
+use gcs_tensor::kernels;
 use gcs_tensor::matrix::{a_mul_bt, at_mul_b_into, matmul, MatrixRef};
 use gcs_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -245,6 +246,10 @@ impl Task for LogisticRegression {
 /// Two-layer MLP (tanh hidden) softmax classification on Gaussian blobs.
 /// Parameters: `[W1 (h x d), b1 (h), W2 (c x h), b2 (c)]` with an exact
 /// hand-written backward pass.
+///
+/// The hidden tanh is [`kernels::tanh`], fdlibm's `tanhf` in every kernel
+/// table, so it does not depend on the host libm. The softmax's `exp` and
+/// the loss's `ln` still call the host libm's.
 #[derive(Debug, Clone)]
 pub struct MlpClassification {
     dim: usize,
@@ -312,11 +317,12 @@ impl MlpClassification {
             &mut hid,
         )
         .expect("dims agree");
-        for r in 0..b {
-            for j in 0..h {
-                hid[r * h + j] = (hid[r * h + j] + params[1].data()[j]).tanh();
+        for row in hid.chunks_exact_mut(h) {
+            for (v, &bias) in row.iter_mut().zip(params[1].data()) {
+                *v += bias;
             }
         }
+        kernels::tanh(&mut hid);
         // logits = H W2ᵀ + b2
         let mut logits = vec![0.0f32; b * c];
         a_mul_bt(

@@ -38,21 +38,27 @@ GCS_FORCE_SCALAR=1 cargo test --workspace -q
 # per-layer exchange at p = 3, 5 with empty ring chunks
 # (`ragged_per_layer_exchange_matches_its_golden_digests`), and SignSGD's
 # and EF-SignSGD's at p = 2, 3, 5 with the final EF residuals
-# (`sign_exchanges_match_their_golden_digests`), named here so the gate
+# (`sign_exchanges_match_their_golden_digests`), and the MLP's tanh
+# against a branchy fdlibm `tanhf` in every kernel table
+# (`tanh_matches_fdlibm_bitwise_in_every_table`, with the reference's own
+# pinned pairs), named here so the gate
 # does not rest on the two workspace passes above keeping them: once
 # under the default dispatch and once forced scalar. `cargo test` passes
 # when a filter matches nothing, so each run must report a test that ran.
-filtered_test() {
+filtered_run() {
   local out
-  out=$(cargo test -q "$@" 2>&1) || { echo "$out"; return 1; }
+  out=$("$@" 2>&1) || { echo "$out"; return 1; }
   echo "$out"
   if ! grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$out"; then
-    echo "cargo test $*: no test ran"
+    echo "$*: no test ran"
     return 1
   fi
 }
+filtered_test() {
+  filtered_run cargo test -q "$@"
+}
 for scalar in 0 1; do
-  echo "==> GEMM paths + write-once + PowerSGD + MLP + ring mean bit-exactness (GCS_FORCE_SCALAR=$scalar)"
+  echo "==> GEMM paths + write-once + PowerSGD + MLP + tanh + ring mean bit-exactness (GCS_FORCE_SCALAR=$scalar)"
   export GCS_FORCE_SCALAR=$scalar
   filtered_test -p gcs-tensor --test kernel_props -- \
     skinny fused a_mul_bt_matches_the_scalar_reference \
@@ -60,10 +66,19 @@ for scalar in 0 1; do
     write_once_forms_match_the_zeroed_slice_forms wire_image_is_the_bytes_f32s_to_bytes_writes
   filtered_test -p gcs-compress --lib powersgd
   filtered_test -p gcs-train --lib mlp_grad_and_loss_bits_are_pinned
+  filtered_test -p gcs-tensor --test kernel_props -- \
+    tanh_matches_fdlibm_bitwise_in_every_table fdlibm_tanh_reference_is_pinned
   filtered_test -p gcs-cluster --test ring_reference
   filtered_test -p gcs-ddp --test pipeline_bitexact
 done
 unset GCS_FORCE_SCALAR
+
+# Every kernel table's tanh against the fdlibm reference on all 2^32 f32
+# bit patterns (about 40 s in release on 2 cores). The reference's own
+# check against the host libm is left out: it tests the host, not the repo.
+echo "==> tanh: every table against fdlibm on all 2^32 inputs (release)"
+filtered_run timeout 300 cargo test -q --release -p gcs-tensor --test kernel_props -- \
+  --ignored --exact tanh_matches_fdlibm_on_every_bit_pattern
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
