@@ -148,10 +148,10 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Host + dispatch provenance for a tracked `BENCH_*.json` report (bench
-/// hygiene: a number without the CPU and dispatch mode that produced it
-/// is noise). `scripts/bench_compare.py`
-/// skips its timing check when two reports name different CPUs.
+/// Host + dispatch provenance for the tracked `BENCH_adaptive.json`
+/// report (a number without the CPU and dispatch mode that produced it is
+/// noise). `scripts/bench_compare.py` skips its timing check when two
+/// reports name different CPUs.
 pub fn metadata(smoke: bool) -> serde_json::Value {
     use gcs_tensor::kernels;
     serde_json::json!({

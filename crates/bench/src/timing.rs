@@ -1,9 +1,8 @@
-//! Minimal wall-clock micro-benchmark harness.
+//! Minimal wall-clock micro-benchmark harness for the `benches/` targets.
 //!
-//! Replaces the former Criterion dev-dependency (unavailable offline) for
-//! the `benches/` targets and powers the `datapath` perf-tracking binary.
+//! Replaces the former Criterion dev-dependency (unavailable offline).
 //! Deliberately simple: warmup runs, then a fixed number of timed
-//! iterations, reporting mean / std / min.
+//! iterations, reporting mean and standard deviation.
 
 use std::time::Instant;
 
@@ -12,15 +11,7 @@ use std::time::Instant;
 pub struct Timing {
     pub mean_s: f64,
     pub std_s: f64,
-    pub min_s: f64,
     pub iters: usize,
-}
-
-impl Timing {
-    /// Mean formatted in milliseconds.
-    pub fn ms(&self) -> String {
-        format!("{:.3}", self.mean_s * 1e3)
-    }
 }
 
 /// Runs `f` `warmup` times untimed, then `iters` timed iterations.
@@ -45,11 +36,9 @@ pub fn bench<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Timing {
         .map(|s| (s - mean_s) * (s - mean_s))
         .sum::<f64>()
         / iters as f64;
-    let min_s = samples.iter().copied().fold(f64::INFINITY, f64::min);
     Timing {
         mean_s,
         std_s: var.sqrt(),
-        min_s,
         iters,
     }
 }
@@ -70,7 +59,6 @@ mod tests {
         });
         assert_eq!(t.iters, 5);
         assert!(t.mean_s >= 0.002);
-        assert!(t.min_s <= t.mean_s + 1e-9);
         assert!(t.std_s >= 0.0);
     }
 

@@ -382,9 +382,9 @@ const MEAN_BLOCK: usize = 512;
 /// divisor`, one [`MEAN_BLOCK`] at a time: the dispatched
 /// [`add_from_bytes`], then [`divide`] on the L1-hot block. Elementwise,
 /// so the bits equal the add over the whole range followed by the divide;
-/// on a 2 MB chunk this costs about the add alone, where the add and then
-/// a divide pass cost half as much again (`BENCH_datapath.json`,
-/// `ring_mean_hop`).
+/// on a 2 MB chunk this cost about the add alone, where the add and then
+/// a divide pass cost half as much again (DESIGN.md §8 keeps the
+/// measurement).
 pub fn add_from_bytes_then_divide(bytes: &[u8], out: &mut [f32], divisor: f32) {
     assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
     for (xs, w) in out.chunks_mut(MEAN_BLOCK).zip(bytes.chunks(4 * MEAN_BLOCK)) {

@@ -195,9 +195,9 @@ fn active_tile() -> GemmTile {
 }
 
 /// [`matmul`] with the SIMD-tile dispatch pinned by the caller — exposed
-/// for the dispatch property tests and the datapath benchmark, which
-/// compare both paths explicitly. `true` means the *widest supported*
-/// tile, whatever `GCS_FORCE_SCALAR` says. Everyone else wants [`matmul`].
+/// for the dispatch property tests, which compare both paths explicitly.
+/// `true` means the *widest supported* tile, whatever `GCS_FORCE_SCALAR`
+/// says. Everyone else wants [`matmul`].
 ///
 /// # Errors
 ///
@@ -1464,34 +1464,13 @@ fn at_mul_b_uninit(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [MaybeUninit<f3
 /// `resid ← resid − out` (`E ← M − Ĝ`) while the row of `out` is still in
 /// registers.
 ///
+/// `out` ends up holding `Ĝ` and nothing else: its capacity is reused (or
+/// grown), and every element is written once, with no zero-fill first.
 /// Every element of `out` is computed as in [`a_mul_bt`] and every element
 /// of `resid` as the separate subtraction would, so the result is
 /// bit-identical to the two-step form. `B` is transposed once so that a
 /// row of `out` vectorises across its columns; the shared dimension is
 /// PowerSGD's rank, so the transposed copy is small next to `out`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if column counts or the size of
-/// `out` or `resid` do not line up.
-pub fn reconstruct_residual(
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    resid: Option<&mut [f32]>,
-    out: &mut [f32],
-) -> Result<()> {
-    check_reconstruct(a, b, resid.as_deref())?;
-    check_out(out, a.rows(), b.rows())?;
-    // SAFETY: `reconstruct_uninit` stores only initialised values.
-    reconstruct_uninit(a, b, resid, unsafe { as_uninit(out) });
-    Ok(())
-}
-
-/// [`reconstruct_residual`] with `Ĝ` written into a caller's `Vec`, which
-/// ends up holding it and nothing else: its capacity is reused (or
-/// grown), and every element is written once, with no zero-fill first.
-/// The bits are those of [`reconstruct_residual`], which runs the same
-/// kernel.
 ///
 /// # Errors
 ///
@@ -1510,7 +1489,7 @@ pub fn reconstruct_residual_into(
     Ok(())
 }
 
-/// Shape check shared by the reconstruct entry points.
+/// Shape check of [`reconstruct_residual_into`].
 fn check_reconstruct(a: MatrixRef<'_>, b: MatrixRef<'_>, resid: Option<&[f32]>) -> Result<()> {
     if a.cols() != b.cols() {
         return Err(TensorError::ShapeMismatch {
@@ -1524,8 +1503,8 @@ fn check_reconstruct(a: MatrixRef<'_>, b: MatrixRef<'_>, resid: Option<&[f32]>) 
     }
 }
 
-/// The body of both reconstruct forms: stores every element of `out`
-/// (`a.rows() x b.rows()`, shapes checked by the caller).
+/// The body of [`reconstruct_residual_into`]: stores every element of
+/// `out` (`a.rows() x b.rows()`, shapes checked by the caller).
 fn reconstruct_uninit(
     a: MatrixRef<'_>,
     b: MatrixRef<'_>,
@@ -1547,7 +1526,7 @@ fn reconstruct_uninit(
 }
 
 /// Rows of `A · Bᵀ`, `bt` being `B` transposed (`k x n`), with the
-/// optional residual update of [`reconstruct_residual`].
+/// optional residual update of [`reconstruct_residual_into`].
 ///
 /// [`a_mul_bt`] forms each element as `s = 0; s += a[l] * b[l]` with `l`
 /// ascending, one output row per vector lane, and the last `n % 4` columns
@@ -1990,9 +1969,9 @@ mod tests {
             );
             let mut g_want = vec![0.0f32; m * n];
             a_mul_bt(am, bm, &mut g_want).unwrap();
-            let mut g = vec![0.0f32; m * n];
+            let mut g = Vec::new();
             let mut resid = layer.clone();
-            reconstruct_residual(am, bm, Some(&mut resid), &mut g).unwrap();
+            reconstruct_residual_into(am, bm, Some(&mut resid), &mut g).unwrap();
             let two_step: Vec<f32> = layer.iter().zip(&g_want).map(|(w, g)| w - g).collect();
             assert_eq!(bits(&two_step), bits(&resid), "residual {m}x{k}x{n}");
             assert_eq!(bits(&g_want), bits(&g), "a_mul_bt {m}x{k}x{n}");
@@ -2016,21 +1995,23 @@ mod tests {
             &mut out
         )
         .is_err());
-        assert!(reconstruct_residual(
+        let mut g = vec![7.0f32; 4];
+        assert!(reconstruct_residual_into(
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 3, 2).unwrap(),
             None,
-            &mut out
+            &mut g
         )
         .is_err());
         // A residual of the wrong size is rejected before anything is written.
-        assert!(reconstruct_residual(
+        assert!(reconstruct_residual_into(
             MatrixRef::new(&a, 2, 3).unwrap(),
             MatrixRef::new(&b, 2, 3).unwrap(),
             Some(&mut [0.0f32; 3]),
-            &mut out
+            &mut g
         )
         .is_err());
+        assert_eq!(g, [7.0; 4]);
     }
 
     #[test]

@@ -795,29 +795,54 @@ fn skinny_matmul_and_at_mul_b_match_the_general_tiles() {
 #[test]
 fn fused_reconstruct_matches_a_mul_bt_then_subtract() {
     use gcs_tensor::matrix::{self, MatrixRef};
+    // Shapes `(m, k, n)` of `Ĝ = A · Bᵀ`: every skinny case, then a shared
+    // side past the skinny widths, the 64-, 4- and 1-column blocks with
+    // remainder rows, and three with thousands of rows.
+    let mut shapes = Vec::new();
     for case in skinny_cases() {
         let (m, n) = case.dims;
-        for &k in &case.widths {
-            let a_in = skinny_inputs(m * k, n);
-            let b_in = skinny_inputs(n * k, m);
-            let w_in = skinny_inputs(m * n, k);
-            let inputs = a_in.iter().zip(&b_in).zip(&w_in).take(case.families);
-            for (((a, cmp), (b, _)), (work, _)) in inputs {
-                let am = MatrixRef::new(a, m, k).unwrap();
-                let bm = MatrixRef::new(b, n, k).unwrap();
-                let mut g_want = vec![0.0f32; m * n];
-                matrix::a_mul_bt(am, bm, &mut g_want).unwrap();
-                let e_want: Vec<f32> = work.iter().zip(&g_want).map(|(w, g)| w - g).collect();
-                let mut g = vec![f32::NAN; m * n];
+        shapes.extend(case.widths.iter().map(|&k| ((m, k, n), case.families)));
+    }
+    shapes.extend(
+        [
+            (67, 33, 37),
+            (6, 5, 1),
+            (70, 6, 15),
+            (4099, 4, 16),
+            (16411, 4, 3),
+            (701, 4, 100),
+        ]
+        .map(|dims| (dims, 3)),
+    );
+    for ((m, k, n), families) in shapes {
+        let a_in = skinny_inputs(m * k, n);
+        let b_in = skinny_inputs(n * k, m);
+        let w_in = skinny_inputs(m * n, k);
+        let inputs = a_in.iter().zip(&b_in).zip(&w_in).take(families);
+        for (((a, cmp), (b, _)), (work, _)) in inputs {
+            let am = MatrixRef::new(a, m, k).unwrap();
+            let bm = MatrixRef::new(b, n, k).unwrap();
+            let mut g_want = vec![0.0f32; m * n];
+            matrix::a_mul_bt(am, bm, &mut g_want).unwrap();
+            let e_want: Vec<f32> = work.iter().zip(&g_want).map(|(w, g)| w - g).collect();
+            // `Ĝ` into a fresh `Vec`, a recycled one with spare capacity
+            // and a recycled one too small (it must grow): every element
+            // is written once, so no stale NaN survives.
+            let recycled = [
+                Vec::new(),
+                vec![f32::NAN; m * n + 37],
+                vec![f32::NAN; m * n / 2],
+            ];
+            for mut g in recycled {
                 let mut e = work.clone();
-                matrix::reconstruct_residual(am, bm, Some(&mut e), &mut g).unwrap();
+                matrix::reconstruct_residual_into(am, bm, Some(&mut e), &mut g).unwrap();
                 assert_eq!(cmp(&g_want), cmp(&g), "G {m}x{k}x{n}");
                 assert_eq!(cmp(&e_want), cmp(&e), "E {m}x{k}x{n}");
-                // Without a residual the product alone is the same.
-                g.fill(f32::NAN);
-                matrix::reconstruct_residual(am, bm, None, &mut g).unwrap();
-                assert_eq!(cmp(&g_want), cmp(&g), "G only {m}x{k}x{n}");
             }
+            // Without a residual the product alone is the same.
+            let mut g = vec![f32::NAN; m * n];
+            matrix::reconstruct_residual_into(am, bm, None, &mut g).unwrap();
+            assert_eq!(cmp(&g_want), cmp(&g), "G only {m}x{k}x{n}");
         }
     }
 }
@@ -925,14 +950,13 @@ fn a_mul_bt_interleaved_rows_match_the_scalar_reference() {
 }
 
 #[test]
-fn write_once_forms_match_the_zeroed_slice_forms() {
+fn at_mul_b_into_matches_the_zeroed_slice_form() {
     use gcs_tensor::matrix::{self, MatrixRef};
-    // Each `Vec` form against the slice form over a zeroed buffer, from a
+    // The `Vec` form against the slice form over a zeroed buffer, from a
     // fresh `Vec`, a recycled one with spare capacity and a recycled one
     // too small (it must grow). Shapes `(rows, k, cols)` of the output:
-    // the `Aᵀ · B` register tiles with remainder rows and a column tail,
-    // its skinny path, the reconstruct's 64-, 4- and 1-column blocks, and
-    // three with thousands of rows.
+    // the register tiles with remainder rows and a column tail, the skinny
+    // path, and three with thousands of rows.
     let shapes = [
         (67usize, 33usize, 37usize),
         (6, 5, 1),
@@ -953,7 +977,6 @@ fn write_once_forms_match_the_zeroed_slice_forms() {
         let len = rows * cols;
         let a_in = skinny_inputs(k * rows, cols);
         let b_in = skinny_inputs(k * cols, rows);
-        let resid = payload(len + 5)[5..].to_vec();
         for ((a, _), (b, _)) in a_in.iter().zip(&b_in) {
             // Aᵀ · B: A is k x rows, B is k x cols.
             let (am, bm) = (
@@ -966,23 +989,6 @@ fn write_once_forms_match_the_zeroed_slice_forms() {
                 matrix::at_mul_b_into(am, bm, &mut got).unwrap();
                 let ctx = format!("at_mul_b {rows}x{k}x{cols}");
                 assert_eq!(bits(&want), bits(&got), "{ctx}");
-            }
-            // A · Bᵀ with and without the residual: A is rows x k, B is
-            // cols x k.
-            let (am, bm) = (
-                MatrixRef::new(a, rows, k).unwrap(),
-                MatrixRef::new(b, cols, k).unwrap(),
-            );
-            let (mut want, mut want_e) = (vec![0.0f32; len], resid.clone());
-            matrix::reconstruct_residual(am, bm, Some(&mut want_e), &mut want).unwrap();
-            for mut got in recycled(len) {
-                let mut e = resid.clone();
-                matrix::reconstruct_residual_into(am, bm, Some(&mut e), &mut got).unwrap();
-                let ctx = format!("reconstruct {rows}x{k}x{cols}");
-                assert_eq!(bits(&want), bits(&got), "{ctx}");
-                assert_eq!(bits(&want_e), bits(&e), "{ctx} residual");
-                matrix::reconstruct_residual_into(am, bm, None, &mut got).unwrap();
-                assert_eq!(bits(&want), bits(&got), "{ctx} without residual");
             }
         }
     }

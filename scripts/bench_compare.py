@@ -7,9 +7,9 @@ Usage:
 Two layers of checking:
 
 1. **Structure** (always): the fresh report must contain every benchmark
-   row present in the baseline — same sections, same (kernel/scheme,
-   shape/world) identity keys, same timing fields. A refactor that
-   silently drops a tracked kernel row fails here even in smoke mode.
+   row present in the baseline — same sections, same (scheme/regime,
+   workers/link) identity keys, same timing fields. A refactor that
+   silently drops a tracked row fails here even in smoke mode.
    Benches listed in REQUIRED_METADATA (adaptive) must also carry the
    metadata that makes a run attributable (the active kernel table).
 
@@ -28,14 +28,12 @@ import sys
 
 # Fields that identify a row within a section (never compared as timings).
 # The coarse keys name *what* is benchmarked (stable across smoke and full
-# runs); the fine keys pin the exact configuration (shape, world size,
-# link), which smoke mode shrinks — so structure checks use coarse identity
-# and timing checks use the full identity. `op` names which of the three
-# PowerSGD products a `skinny_gemm` row of the datapath bench times
-# (matmul / at_mul_b / reconstruct); `scheme` and `regime` name an
-# adaptive-bench row's arm and emulated link.
-COARSE_KEYS = ("kernel", "op", "scheme", "regime")
-FINE_KEYS = ("p", "m", "k", "n", "workers", "gbps", "latency_us")
+# runs): `scheme` and `regime` name an adaptive-bench row's arm and
+# emulated link. The fine keys pin the exact configuration (world size,
+# link), which smoke mode shrinks — so structure checks use coarse
+# identity and timing checks use the full identity.
+COARSE_KEYS = ("scheme", "regime")
+FINE_KEYS = ("workers", "gbps", "latency_us")
 
 # Wall-clock fields that depend on the machine running the bench (the
 # adaptive report keeps them "for honesty, never gated") — excluded from

@@ -21,9 +21,10 @@ cargo test --workspace -q
 echo "==> cargo test --workspace -q (GCS_FORCE_SCALAR=1)"
 GCS_FORCE_SCALAR=1 cargo test --workspace -q
 
-# The skinny GEMM paths and the fused reconstruct against the general
-# kernels, `a_mul_bt` (both row layouts) against the scalar loop it
-# replaced, the write-once `Vec` forms against the zeroed slice forms,
+# The skinny GEMM paths against the general kernels, the fused
+# reconstruct (into a fresh, a recycled and a too-small `Vec`) against
+# `a_mul_bt` then a subtract, `a_mul_bt` (both row layouts) against the
+# scalar loop it replaced, `at_mul_b_into` against the zeroed slice form,
 # PowerSGD against its unfused reference and its goldens, the benchmark
 # models' gradient goldens, the wire image against `f32s_to_bytes`, the
 # ring mean against the ring sum divided, the out-of-place mean against
@@ -63,7 +64,7 @@ for scalar in 0 1; do
   filtered_test -p gcs-tensor --test kernel_props -- \
     skinny fused a_mul_bt_matches_the_scalar_reference \
     a_mul_bt_interleaved_rows_match_the_scalar_reference \
-    write_once_forms_match_the_zeroed_slice_forms wire_image_is_the_bytes_f32s_to_bytes_writes
+    at_mul_b_into_matches_the_zeroed_slice_form wire_image_is_the_bytes_f32s_to_bytes_writes
   filtered_test -p gcs-compress --lib powersgd
   filtered_test -p gcs-train --lib mlp_grad_and_loss_bits_are_pinned
   filtered_test -p gcs-tensor --test kernel_props -- \
@@ -79,6 +80,17 @@ unset GCS_FORCE_SCALAR
 echo "==> tanh: every table against fdlibm on all 2^32 inputs (release)"
 filtered_run timeout 300 cargo test -q --release -p gcs-tensor --test kernel_props -- \
   --ignored --exact tanh_matches_fdlibm_on_every_bit_pattern
+
+# The whole kernel property suite on optimised code, the code the
+# benchmark and the CLI run, under both dispatch modes: every table pair,
+# the GEMM paths, `a_mul_bt`, the fused reconstruct, top-k, the sign
+# kernels and the majority vote.
+for scalar in 0 1; do
+  echo "==> kernel_props in release (GCS_FORCE_SCALAR=$scalar)"
+  export GCS_FORCE_SCALAR=$scalar
+  filtered_run timeout 300 cargo test -q --release -p gcs-tensor --test kernel_props
+done
+unset GCS_FORCE_SCALAR
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -170,29 +182,20 @@ PY
 done
 rm -rf "$NEG_DIR"
 
-# Smoke-run the tracked benchmark binaries: tiny sizes, one iteration,
-# no JSON rewrite — catches bit-rot in the bench plumbing without the
-# minutes-long full runs. The datapath smoke runs under both dispatch
-# modes so the scalar fallback paths stay executable too.
-echo "==> bench smoke (datapath)"
-GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_datapath_smoke.json \
-  cargo run -q --release -p gcs-bench --bin datapath
-
-echo "==> bench smoke (datapath, GCS_FORCE_SCALAR=1)"
-GCS_BENCH_SMOKE=1 GCS_FORCE_SCALAR=1 cargo run -q --release -p gcs-bench --bin datapath
-
-# Bench regression gate: the smoke reports must keep every tracked row of
-# the committed baselines (structure check; timings are only diffed when
+# Smoke-run the tracked benchmark binary: tiny sizes, one iteration, no
+# JSON rewrite — catches bit-rot in the bench plumbing without the
+# minutes-long full run.
+# Bench regression gate: the smoke report must keep every tracked row of
+# the committed baseline (structure check; timings are only diffed when
 # comparing two full runs on the same CPU — see the script's docstring).
-# Regenerate the committed files with full runs and the same script flags
+# Regenerate the committed file with a full run and the same script flags
 # before landing intentional changes: a >20% slowdown on matched full-run
 # rows fails the gate.
 echo "==> bench smoke (adaptive)"
 GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_adaptive_smoke.json \
   timeout 300 cargo run -q --release -p gcs-bench --bin adaptive
 
-echo "==> bench compare (structure gate vs committed baselines)"
-python3 scripts/bench_compare.py BENCH_datapath.json results/bench_datapath_smoke.json
+echo "==> bench compare (structure gate vs the committed baseline)"
 python3 scripts/bench_compare.py BENCH_adaptive.json results/bench_adaptive_smoke.json
 
 # Fault-injection suite under two fixed seeds (decimal; the suite reads
