@@ -706,14 +706,14 @@ impl Controller {
                 self.estimate(bucket, a)
                     .total_cmp(&self.estimate(bucket, b))
             })
-            .unwrap_or(0); // lint: allow(panic-in-data-plane) — arms is non-empty by construction
+            .unwrap_or(0);
         match self.cfg.objective {
             Objective::FastestIteration => fastest,
             Objective::Budget { per_step_s } => {
                 let share = per_step_s * self.elems[bucket] as f64 / self.total_elems as f64;
                 (0..self.cfg.arms.len())
                     .find(|&a| self.estimate(bucket, a) <= share)
-                    .unwrap_or(fastest) // lint: allow(panic-in-data-plane) — Option::unwrap_or is total
+                    .unwrap_or(fastest)
             }
         }
     }
