@@ -194,29 +194,6 @@ fn active_tile() -> GemmTile {
     }
 }
 
-/// [`matmul`] with the SIMD-tile dispatch pinned by the caller — exposed
-/// for the dispatch property tests, which compare both paths explicitly.
-/// `true` means the *widest supported* tile, whatever `GCS_FORCE_SCALAR`
-/// says. Everyone else wants [`matmul`].
-///
-/// # Errors
-///
-/// Same shape errors as [`matmul`].
-#[doc(hidden)]
-pub fn matmul_with_dispatch(
-    use_simd: bool,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    out: &mut [f32],
-) -> Result<()> {
-    let tile = if use_simd {
-        best_supported_tile()
-    } else {
-        GemmTile::Scalar
-    };
-    matmul_with_tile(tile, a, b, out)
-}
-
 /// [`matmul`] with an explicit register tile — what the property tests
 /// sweep. The caller must only pass tiles in [`supported_tiles`]; every
 /// supported tile produces bit-identical output.
@@ -654,27 +631,6 @@ pub fn at_mul_b(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f32]) -> Result<(
     // SAFETY: `at_mul_b_uninit` stores only initialised values.
     at_mul_b_uninit(a, b, unsafe { as_uninit(out) });
     Ok(())
-}
-
-/// [`at_mul_b`] with the SIMD-tile dispatch pinned by the caller — see
-/// [`matmul_with_dispatch`].
-///
-/// # Errors
-///
-/// Same shape errors as [`at_mul_b`].
-#[doc(hidden)]
-pub fn at_mul_b_with_dispatch(
-    use_simd: bool,
-    a: MatrixRef<'_>,
-    b: MatrixRef<'_>,
-    out: &mut [f32],
-) -> Result<()> {
-    let tile = if use_simd {
-        best_supported_tile()
-    } else {
-        GemmTile::Scalar
-    };
-    at_mul_b_with_tile(tile, a, b, out)
 }
 
 /// [`at_mul_b`] with an explicit register tile — see [`matmul_with_tile`]

@@ -648,11 +648,13 @@ fn gemm_tiles_are_bit_identical() {
         let mut atb_ref = vec![0.0f32; m * n];
         at_mul_b_with_tile(GemmTile::Scalar, atm, bm, &mut atb_ref).unwrap();
 
+        // Each tile writes into a NaN-filled buffer: every output element
+        // must be stored, none accumulated onto what was there.
         for tile in supported_tiles() {
-            let mut out = vec![0.0f32; m * n];
+            let mut out = vec![f32::NAN; m * n];
             matmul_with_tile(tile, am, bm, &mut out).unwrap();
             assert_eq!(bits(&mm_ref), bits(&out), "matmul {:?} {m}x{k}x{n}", tile);
-            let mut out = vec![0.0f32; m * n];
+            let mut out = vec![f32::NAN; m * n];
             at_mul_b_with_tile(tile, atm, bm, &mut out).unwrap();
             assert_eq!(
                 bits(&atb_ref),
@@ -661,37 +663,6 @@ fn gemm_tiles_are_bit_identical() {
                 tile
             );
         }
-    }
-}
-
-#[test]
-fn gemm_dispatch_paths_are_bit_identical() {
-    use gcs_tensor::matrix::{at_mul_b_with_dispatch, matmul_with_dispatch, MatrixRef};
-    if kernels::simd().is_none() {
-        return;
-    }
-    for (m, k, n) in [(4, 8, 16), (13, 17, 37), (64, 32, 48)] {
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| (((i * 53) % 97) as f32 - 48.0) * 0.021)
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| (((i * 37) % 101) as f32 - 50.0) * 0.013)
-            .collect();
-        let am = MatrixRef::new(&a, m, k).unwrap();
-        let bm = MatrixRef::new(&b, k, n).unwrap();
-        let mut scalar_out = vec![0.0f32; m * n];
-        let mut simd_out = vec![0.0f32; m * n];
-        matmul_with_dispatch(false, am, bm, &mut scalar_out).unwrap();
-        matmul_with_dispatch(true, am, bm, &mut simd_out).unwrap();
-        assert_eq!(bits(&scalar_out), bits(&simd_out), "matmul {m}x{k}x{n}");
-
-        let at: Vec<f32> = (0..k * m)
-            .map(|i| ((i * 29 % 83) as f32 - 41.0) * 0.02)
-            .collect();
-        let atm = MatrixRef::new(&at, k, m).unwrap();
-        at_mul_b_with_dispatch(false, atm, bm, &mut scalar_out).unwrap();
-        at_mul_b_with_dispatch(true, atm, bm, &mut simd_out).unwrap();
-        assert_eq!(bits(&scalar_out), bits(&simd_out), "at_mul_b {k}x{m}x{n}");
     }
 }
 
