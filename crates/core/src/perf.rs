@@ -22,10 +22,9 @@
 //! simulator (median deviation asserted in tests).
 
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::sim::{AllReduceAlgo, SimConfig};
+use gcs_ddp::sim::{SimConfig, SyncComm};
 use gcs_ddp::wire::{wire_plan, Collective};
 use gcs_models::buckets::partition;
-use gcs_models::encode_cost::encode_cost;
 
 /// Output of the analytic model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,82 +39,46 @@ pub struct Prediction {
     pub total_s: f64,
 }
 
-fn comm_time(cfg: &SimConfig, bytes: usize, collective: Collective) -> f64 {
-    match collective {
-        Collective::AllReduce => match cfg.allreduce {
-            AllReduceAlgo::Ring => cfg.network.ring_all_reduce(bytes, cfg.workers),
-            AllReduceAlgo::DoubleTree => cfg.network.tree_all_reduce(bytes, cfg.workers),
-        },
-        Collective::AllGather => cfg.network.all_gather(bytes, cfg.workers),
-    }
-}
-
-/// The paper's bucketed-overlap closed form:
-/// `max(γ·T_comp + T_enc, (k−1)·T_comm(b·s)) + T_comm(b̂·s)` where `s`
-/// scales bucket bytes (1 for syncSGD, ½ for the FP16 hook).
-fn predict_bucketed(cfg: &SimConfig, t_comp: f64, byte_scale: f64, encode_s: f64) -> Prediction {
-    let buckets = partition(&cfg.model, cfg.bucket_bytes);
-    let k = buckets.len();
-    let scaled = |bytes: usize| (bytes as f64 * byte_scale) as usize;
-    let overlapped: f64 = buckets[..k - 1]
-        .iter()
-        .map(|b| comm_time(cfg, scaled(b.bytes), Collective::AllReduce))
-        .sum();
-    let last = comm_time(cfg, scaled(buckets[k - 1].bytes), Collective::AllReduce);
-    let total = (cfg.device.gamma * t_comp + encode_s).max(overlapped) + last;
-    Prediction {
-        t_comp_s: t_comp,
-        t_encdec_s: encode_s,
-        t_comm_s: overlapped + last,
-        total_s: total,
-    }
-}
-
-/// Evaluates the closed-form §4 model for `cfg`.
+/// Evaluates the closed-form §4 model for `cfg`, on the terms of
+/// [`SimConfig::sync_plan`] the event simulator reads too.
 pub fn predict_iteration(cfg: &SimConfig) -> Prediction {
-    let t_comp = cfg.device.backward_seconds(&cfg.model, cfg.batch);
-    if cfg.workers == 1 {
+    let t_comp = cfg.backward_s();
+    let Some(sync) = cfg.sync_plan() else {
         return Prediction {
             t_comp_s: t_comp,
             t_encdec_s: 0.0,
             t_comm_s: 0.0,
             total_s: t_comp,
         };
-    }
-    match &cfg.method {
-        MethodConfig::SyncSgd => predict_bucketed(cfg, t_comp, 1.0, 0.0),
-        // FP16 uses the DDP bucket pipeline with half the bytes — the fp16
-        // comm hook casts buckets in place and overlaps like syncSGD.
-        MethodConfig::Fp16 => {
-            let enc = encode_cost(&MethodConfig::Fp16, &cfg.model);
-            let t_cast = cfg
-                .device
-                .scale_encode_seconds(enc.total_with_integration(cfg.workers));
-            predict_bucketed(cfg, t_comp, 0.5, t_cast)
+    };
+    let (t_comm, total) = match &sync.comm {
+        // The bucketed-overlap closed form:
+        // `max(γ·T_comp + T_enc, (k−1)·T_comm(b·s)) + T_comm(b̂·s)` where
+        // `s` scales bucket bytes (1 for syncSGD, ½ for the FP16 hook).
+        SyncComm::Bucketed { byte_scale } => {
+            let buckets = partition(&cfg.model, cfg.bucket_bytes);
+            let k = buckets.len();
+            let bucket_time = |bytes: usize| {
+                cfg.comm_time((bytes as f64 * byte_scale) as usize, Collective::AllReduce)
+            };
+            let overlapped: f64 = buckets[..k - 1].iter().map(|b| bucket_time(b.bytes)).sum();
+            let last = bucket_time(buckets[k - 1].bytes);
+            (overlapped + last, sync.compute_s.max(overlapped) + last)
         }
-        method => {
-            let enc = encode_cost(method, &cfg.model);
-            let t_encdec = cfg
-                .device
-                .scale_encode_seconds(enc.total_with_integration(cfg.workers));
-            let plan = wire_plan(method, &cfg.model);
+        SyncComm::Sequential(plan) => {
             let t_comm: f64 = plan
                 .rounds
                 .iter()
-                .map(|r| comm_time(cfg, r.bytes, r.collective))
+                .map(|r| cfg.comm_time(r.bytes, r.collective))
                 .sum();
-            let compute = if cfg.overlap_compression {
-                cfg.device.compression_contention * (t_comp + t_encdec)
-            } else {
-                t_comp + t_encdec
-            };
-            Prediction {
-                t_comp_s: t_comp,
-                t_encdec_s: t_encdec,
-                t_comm_s: t_comm,
-                total_s: compute + t_comm,
-            }
+            (t_comm, sync.compute_s + t_comm)
         }
+    };
+    Prediction {
+        t_comp_s: t_comp,
+        t_encdec_s: sync.t_encdec_s,
+        t_comm_s: t_comm,
+        total_s: total,
     }
 }
 
@@ -132,14 +95,11 @@ pub fn predict_iteration(cfg: &SimConfig) -> Prediction {
 /// hide under compute. Payloads smaller than one bucket are streamed in 8
 /// per-layer pipeline chunks.
 pub fn predict_generic_overlapped(cfg: &SimConfig) -> Prediction {
-    let t_comp = cfg.device.backward_seconds(&cfg.model, cfg.batch);
     if cfg.workers == 1 || matches!(cfg.method, MethodConfig::SyncSgd) {
         return predict_iteration(cfg);
     }
-    let enc = encode_cost(&cfg.method, &cfg.model);
-    let t_encdec = cfg
-        .device
-        .scale_encode_seconds(enc.total_with_integration(cfg.workers));
+    let t_comp = cfg.backward_s();
+    let t_encdec = cfg.encode_decode_s();
     let plan = wire_plan(&cfg.method, &cfg.model);
     // Split the compressed payload into c buckets; the collective of the
     // (single logical) round applies to each bucket.
@@ -154,8 +114,8 @@ pub fn predict_generic_overlapped(cfg: &SimConfig) -> Prediction {
     let c = total_bytes.div_ceil(cfg.bucket_bytes).max(8);
     let bucket = total_bytes / c;
     let last = total_bytes - bucket * (c - 1);
-    let overlapped: f64 = (0..c - 1).map(|_| comm_time(cfg, bucket, collective)).sum();
-    let t_last = comm_time(cfg, last, collective);
+    let overlapped: f64 = (0..c - 1).map(|_| cfg.comm_time(bucket, collective)).sum();
+    let t_last = cfg.comm_time(last, collective);
     let compute = cfg.device.gamma * t_comp + t_encdec;
     let total = compute.max(overlapped) + t_last;
     Prediction {

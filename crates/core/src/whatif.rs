@@ -10,8 +10,7 @@ use crate::perf::predict_iteration;
 use gcs_cluster::cost::NetworkModel;
 use gcs_compress::registry::MethodConfig;
 use gcs_ddp::sim::SimConfig;
-use gcs_ddp::wire::{wire_plan, Collective};
-use gcs_models::encode_cost::encode_cost;
+use gcs_ddp::wire::wire_plan;
 use gcs_models::{DeviceSpec, ModelSpec};
 
 /// One point of a two-method comparison sweep.
@@ -113,6 +112,10 @@ pub struct TradeoffPoint {
 /// bytes are multiplied by `l·k`. The paper's conclusion — "any reduction
 /// in encode-decode time even at the expense of increased communication
 /// helps" — falls out of the returned grid.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`.
 #[allow(clippy::too_many_arguments)] // mirrors the experiment's parameter grid
 pub fn tradeoff_sweep(
     model: &ModelSpec,
@@ -124,20 +127,18 @@ pub fn tradeoff_sweep(
     ks: &[f64],
     ls: &[f64],
 ) -> Vec<TradeoffPoint> {
-    let t_comp = device.backward_seconds(model, batch);
-    let enc = encode_cost(base, model);
-    let base_encdec = device.scale_encode_seconds(enc.total_with_integration(workers));
+    let cfg = SimConfig::new(model.clone(), workers)
+        .batch_per_worker(batch)
+        .device(device.clone())
+        .network(*network)
+        .method(base.clone());
+    let t_comp = cfg.backward_s();
+    let base_encdec = cfg.encode_decode_s();
     let plan = wire_plan(base, model);
     let comm_of = |multiplier: f64| -> f64 {
         plan.rounds
             .iter()
-            .map(|r| {
-                let bytes = (r.bytes as f64 * multiplier) as usize;
-                match r.collective {
-                    Collective::AllReduce => network.ring_all_reduce(bytes, workers),
-                    Collective::AllGather => network.all_gather(bytes, workers),
-                }
-            })
+            .map(|r| cfg.comm_time((r.bytes as f64 * multiplier) as usize, r.collective))
             .sum()
     };
     let baseline_s = t_comp + base_encdec + comm_of(1.0);

@@ -53,6 +53,7 @@ use std::time::Instant;
 use gcs_cluster::{CommEngine, Frame, PendingGather, PendingReduce, WorkerHandle};
 use gcs_compress::registry::MethodConfig;
 use gcs_compress::{CompressError, Compressor, Payload, PayloadShell};
+use gcs_models::buckets::partition_bytes;
 use gcs_tensor::Tensor;
 
 /// Errors from the distributed engine: compression or transport.
@@ -618,46 +619,25 @@ impl BucketPlan {
     }
 
     fn build(grads: &[Tensor], bucket_bytes: usize, matricize: bool) -> Self {
-        assert!(bucket_bytes > 0, "bucket size must be positive");
-        let mut buckets: Vec<Vec<usize>> = Vec::new();
-        let mut current: Vec<usize> = Vec::new();
-        let mut current_bytes = 0usize;
-        for idx in (0..grads.len()).rev() {
-            let b = grads[idx].numel() * 4;
-            if current_bytes > 0 && current_bytes + b > bucket_bytes {
-                buckets.push(std::mem::take(&mut current));
-                current_bytes = 0;
-            }
-            current.push(idx);
-            current_bytes += b;
-        }
-        if !current.is_empty() {
-            buckets.push(current);
-        }
-        let elems: Vec<usize> = buckets
-            .iter()
-            .map(|layers| layers.iter().map(|&i| grads[i].numel()).sum())
-            .collect();
+        let layer_elems: Vec<usize> = grads.iter().map(Tensor::numel).collect();
+        let layer_bytes: Vec<usize> = layer_elems.iter().map(|n| n * 4).collect();
+        let (buckets, elems): (Vec<Vec<usize>>, Vec<usize>) =
+            partition_bytes(&layer_bytes, bucket_bytes)
+                .into_iter()
+                .map(|b| (b.layers, b.bytes / 4))
+                .unzip();
         let shapes = elems
             .iter()
-            .map(|&n| {
-                let d = if matricize {
-                    largest_divisor_le_sqrt(n)
-                } else {
-                    1
-                };
-                if d > 1 {
-                    gcs_tensor::Shape::new(vec![d, n / d])
-                } else {
-                    gcs_tensor::Shape::new(vec![n])
-                }
+            .map(|&n| match matricize.then(|| largest_divisor_le_sqrt(n)) {
+                Some(d) if d > 1 => gcs_tensor::Shape::new(vec![d, n / d]),
+                _ => gcs_tensor::Shape::new(vec![n]),
             })
             .collect();
         BucketPlan {
             buckets,
             elems,
             shapes,
-            layer_elems: grads.iter().map(Tensor::numel).collect(),
+            layer_elems,
             pack: Vec::new(),
             scratch: Scratch::default(),
         }

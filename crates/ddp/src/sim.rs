@@ -16,14 +16,22 @@
 //!   then communication proceeds per the method's [`WirePlan`]: ring
 //!   all-reduce rounds for associative schemes, all-gather otherwise.
 //!
+//! [`SimConfig::sync_plan`] picks between the two and derives their
+//! compute terms; [`SimConfig::comm_time`] prices every collective. The
+//! iteration's two-stream schedule is laid out once, and
+//! [`simulate_iteration`] folds the same events that
+//! [`crate::trace::trace_iteration`] returns, so the breakdown and the
+//! Figure-2 timeline cannot drift apart.
+//!
 //! The simulator is deterministic. [`simulate_measured`] adds calibrated
 //! multiplicative jitter to emulate testbed noise for Figure-8-style
 //! model-vs-measured comparisons.
 
+use crate::trace::{schedule, Stream};
 use crate::wire::{wire_plan, Collective, WirePlan};
 use gcs_cluster::cost::NetworkModel;
 use gcs_compress::registry::MethodConfig;
-use gcs_models::buckets::{bucket_ready_fractions, partition, DEFAULT_BUCKET_BYTES};
+use gcs_models::buckets::DEFAULT_BUCKET_BYTES;
 use gcs_models::encode_cost::encode_cost;
 use gcs_models::{DeviceSpec, ModelSpec};
 use rand::rngs::StdRng;
@@ -134,12 +142,93 @@ impl SimConfig {
         self
     }
 
-    fn all_reduce_time(&self, bytes: usize) -> f64 {
-        match self.allreduce {
-            AllReduceAlgo::Ring => self.network.ring_all_reduce(bytes, self.workers),
-            AllReduceAlgo::DoubleTree => self.network.tree_all_reduce(bytes, self.workers),
+    /// Backward-pass time `T_comp` (no contention factors).
+    pub fn backward_s(&self) -> f64 {
+        self.device.backward_seconds(&self.model, self.batch)
+    }
+
+    /// Encode + decode time of the method, aggregation included, on this
+    /// config's device.
+    pub fn encode_decode_s(&self) -> f64 {
+        let enc = encode_cost(&self.method, &self.model);
+        self.device
+            .scale_encode_seconds(enc.total_with_integration(self.workers))
+    }
+
+    /// How the iteration synchronises gradients, or `None` for a single
+    /// worker (no communication, no compression).
+    pub fn sync_plan(&self) -> Option<SyncPlan> {
+        if self.workers == 1 {
+            return None;
+        }
+        let (t_encdec_s, comm) = match &self.method {
+            MethodConfig::SyncSgd => (0.0, SyncComm::Bucketed { byte_scale: 1.0 }),
+            // FP16 rides the DDP bucket pipeline: the comm hook casts each
+            // bucket in place (cheap, memory-bound) and all-reduces half
+            // the bytes, so it overlaps exactly like syncSGD.
+            MethodConfig::Fp16 => (
+                self.encode_decode_s(),
+                SyncComm::Bucketed { byte_scale: 0.5 },
+            ),
+            method => (
+                self.encode_decode_s(),
+                SyncComm::Sequential(wire_plan(method, &self.model)),
+            ),
+        };
+        let t_comp = self.backward_s();
+        let compute_s = match comm {
+            SyncComm::Bucketed { .. } => self.device.gamma * t_comp + t_encdec_s,
+            // §3.1: compression and backward compete for the GPU; both
+            // slow down by the contention factor, so the overlapped
+            // variant costs more than running them back to back.
+            SyncComm::Sequential(_) if self.overlap_compression => {
+                self.device.compression_contention * (t_comp + t_encdec_s)
+            }
+            SyncComm::Sequential(_) => t_comp + t_encdec_s,
+        };
+        Some(SyncPlan {
+            t_encdec_s,
+            compute_s,
+            comm,
+        })
+    }
+
+    /// Time of one `collective` on `bytes` per worker.
+    pub fn comm_time(&self, bytes: usize, collective: Collective) -> f64 {
+        let (net, p) = (&self.network, self.workers);
+        match collective {
+            Collective::AllGather => net.all_gather(bytes, p),
+            Collective::AllReduce => match self.allreduce {
+                AllReduceAlgo::Ring => net.ring_all_reduce(bytes, p),
+                AllReduceAlgo::DoubleTree => net.tree_all_reduce(bytes, p),
+            },
         }
     }
+}
+
+/// How one iteration synchronises gradients: the terms both the
+/// simulator's schedule and the §4 closed form (`gcs_core::perf`) read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SyncPlan {
+    /// Encode + decode time on the compute stream (FP16: the bucket cast).
+    pub t_encdec_s: f64,
+    /// When the compute stream is done with backward and encode/decode.
+    pub compute_s: f64,
+    /// What goes on the wire, and when.
+    pub comm: SyncComm,
+}
+
+/// The communication half of a [`SyncPlan`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SyncComm {
+    /// DDP's bucket pipeline: each bucket all-reduces `byte_scale` of its
+    /// bytes once backward has filled it, overlapping the rest of backward.
+    Bucketed {
+        /// 1 for syncSGD, ½ for the FP16 hook.
+        byte_scale: f64,
+    },
+    /// A compressed method's rounds, back to back once compute is done.
+    Sequential(WirePlan),
 }
 
 /// Timing breakdown of one simulated iteration (backward + gradient sync;
@@ -191,98 +280,39 @@ impl IterationBreakdown {
     }
 }
 
-/// Simulates one iteration and returns its timing breakdown.
+/// Simulates one iteration and returns its timing breakdown: a fold over
+/// the events [`crate::trace::trace_iteration`] returns.
 pub fn simulate_iteration(cfg: &SimConfig) -> IterationBreakdown {
-    let t_comp = cfg.device.backward_seconds(&cfg.model, cfg.batch);
-    if cfg.workers == 1 {
-        // Single worker: no communication, no compression needed.
-        return IterationBreakdown {
-            backward_s: t_comp,
-            encode_decode_s: 0.0,
-            comm_s: 0.0,
-            exposed_comm_s: 0.0,
-            total_s: t_comp,
-            wire_bytes: 0,
-        };
-    }
-    match &cfg.method {
-        MethodConfig::SyncSgd => simulate_bucketed(cfg, t_comp, 1.0, 0.0),
-        // FP16 rides the DDP bucket pipeline: the comm hook casts each
-        // bucket in place (cheap, memory-bound) and all-reduces half the
-        // bytes, so it overlaps exactly like syncSGD.
-        MethodConfig::Fp16 => {
-            let enc = encode_cost(&MethodConfig::Fp16, &cfg.model);
-            let t_cast = cfg
-                .device
-                .scale_encode_seconds(enc.total_with_integration(cfg.workers));
-            simulate_bucketed(cfg, t_comp, 0.5, t_cast)
+    let backward_s = cfg.backward_s();
+    let schedule = schedule(cfg);
+    // Busy time is each comm span's own duration, summed in event order.
+    let comm_s = schedule.comm_s.iter().fold(0.0, |busy, d| busy + d);
+    let (encode_decode_s, compute_s) = schedule
+        .sync
+        .as_ref()
+        .map_or((0.0, backward_s), |p| (p.t_encdec_s, p.compute_s));
+    let (total_s, exposed_comm_s, wire_bytes) = match schedule.sync.map(|p| p.comm) {
+        Some(SyncComm::Bucketed { byte_scale }) => {
+            let comm_end = schedule
+                .events
+                .last()
+                .filter(|e| e.stream == Stream::Comm)
+                .map_or(0.0, |e| e.end_s);
+            let total = comm_end.max(compute_s);
+            let wire = (cfg.model.size_bytes() as f64 * byte_scale) as usize;
+            (total, (total - compute_s).max(0.0), wire)
         }
-        method => simulate_compressed(cfg, t_comp, method),
-    }
-}
-
-/// The DDP bucket pipeline: overlapped per-bucket all-reduce on
-/// `byte_scale` of each bucket's bytes, plus `encode_s` of cheap per-bucket
-/// compression work charged to the compute stream.
-fn simulate_bucketed(
-    cfg: &SimConfig,
-    t_comp: f64,
-    byte_scale: f64,
-    encode_s: f64,
-) -> IterationBreakdown {
-    let buckets = partition(&cfg.model, cfg.bucket_bytes);
-    let ready_frac = bucket_ready_fractions(&cfg.model, &buckets);
-    let backward_end = cfg.device.gamma * t_comp + encode_s;
-    let mut comm_free = 0.0f64;
-    let mut comm_busy = 0.0f64;
-    for (bucket, frac) in buckets.iter().zip(&ready_frac) {
-        let ready = backward_end * frac;
-        let start = ready.max(comm_free);
-        let dur = cfg.all_reduce_time((bucket.bytes as f64 * byte_scale) as usize);
-        comm_free = start + dur;
-        comm_busy += dur;
-    }
-    let total = comm_free.max(backward_end);
-    IterationBreakdown {
-        backward_s: t_comp,
-        encode_decode_s: encode_s,
-        comm_s: comm_busy,
-        exposed_comm_s: (total - backward_end).max(0.0),
-        total_s: total,
-        wire_bytes: (cfg.model.size_bytes() as f64 * byte_scale) as usize,
-    }
-}
-
-/// A compressed method: backward, then encode/decode, then its wire plan.
-fn simulate_compressed(cfg: &SimConfig, t_comp: f64, method: &MethodConfig) -> IterationBreakdown {
-    let enc = encode_cost(method, &cfg.model);
-    let t_encdec = cfg
-        .device
-        .scale_encode_seconds(enc.total_with_integration(cfg.workers));
-    let plan: WirePlan = wire_plan(method, &cfg.model);
-    let mut comm = 0.0f64;
-    for round in &plan.rounds {
-        comm += match round.collective {
-            Collective::AllReduce => cfg.all_reduce_time(round.bytes),
-            Collective::AllGather => cfg.network.all_gather(round.bytes, cfg.workers),
-        };
-    }
-    let compute_phase = if cfg.overlap_compression {
-        // §3.1: compression and backward compete for the GPU; both slow
-        // down by the contention factor, so the overlapped variant costs
-        // more than running them back to back.
-        cfg.device.compression_contention * (t_comp + t_encdec)
-    } else {
-        t_comp + t_encdec
+        Some(SyncComm::Sequential(plan)) => (compute_s + comm_s, comm_s, plan.total_bytes()),
+        // One worker: backward only.
+        None => (backward_s, 0.0, 0),
     };
-    let total = compute_phase + comm;
     IterationBreakdown {
-        backward_s: t_comp,
-        encode_decode_s: t_encdec,
-        comm_s: comm,
-        exposed_comm_s: comm,
-        total_s: total,
-        wire_bytes: plan.total_bytes(),
+        backward_s,
+        encode_decode_s,
+        comm_s,
+        exposed_comm_s,
+        total_s,
+        wire_bytes,
     }
 }
 

@@ -3,13 +3,14 @@
 //! The paper illustrates comm/compute overlap with a profiler screenshot:
 //! backward kernels on one CUDA stream, bucket all-reduces on another,
 //! only the last bucket's communication exposed. [`trace_iteration`]
-//! produces the same two-stream timeline from the event simulator, and
-//! [`render_ascii`] draws it as a Gantt chart.
+//! returns that two-stream timeline, and [`render_ascii`] draws it as a
+//! Gantt chart. The timeline is the simulator's own schedule:
+//! [`crate::sim::simulate_iteration`] folds these very events, so the
+//! event end times agree with its breakdown by construction.
 
-use crate::sim::SimConfig;
-use gcs_compress::registry::MethodConfig;
+use crate::sim::{SimConfig, SyncComm, SyncPlan};
+use crate::wire::Collective;
 use gcs_models::buckets::{bucket_ready_fractions, partition};
-use gcs_models::encode_cost::encode_cost;
 
 /// Which execution stream an event runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,119 +50,99 @@ impl TraceEvent {
     }
 }
 
-/// Produces the two-stream timeline of one iteration for `cfg`. The event
-/// end times agree with [`crate::sim::simulate_iteration`].
-pub fn trace_iteration(cfg: &SimConfig) -> Vec<TraceEvent> {
-    let t_comp = cfg.device.backward_seconds(&cfg.model, cfg.batch);
-    let mut events = Vec::new();
-    if cfg.workers == 1 {
-        events.push(TraceEvent::new(Stream::Compute, "backward", 0.0, t_comp));
-        return events;
+/// The two-stream schedule of one iteration: the events and the terms
+/// [`crate::sim::simulate_iteration`] folds them with.
+pub(crate) struct Schedule {
+    /// The iteration's sync plan (`None`: one worker).
+    pub(crate) sync: Option<SyncPlan>,
+    /// Every span, compute first, comm spans in launch order.
+    pub(crate) events: Vec<TraceEvent>,
+    /// Each comm span's duration, in event order.
+    pub(crate) comm_s: Vec<f64>,
+}
+
+impl Schedule {
+    fn compute(&mut self, label: &str, start_s: f64, end_s: f64) {
+        self.events
+            .push(TraceEvent::new(Stream::Compute, label, start_s, end_s));
     }
-    match &cfg.method {
-        MethodConfig::SyncSgd | MethodConfig::Fp16 => {
-            let (byte_scale, cast_s) = if matches!(cfg.method, MethodConfig::Fp16) {
-                let enc = encode_cost(&MethodConfig::Fp16, &cfg.model);
-                (
-                    0.5,
-                    cfg.device
-                        .scale_encode_seconds(enc.total_with_integration(cfg.workers)),
-                )
-            } else {
-                (1.0, 0.0)
-            };
-            let backward_end = cfg.device.gamma * t_comp + cast_s;
-            events.push(TraceEvent::new(
-                Stream::Compute,
-                if cast_s > 0.0 {
+
+    /// Appends a comm span of `dur` from `start_s`; returns its end.
+    fn comm(&mut self, label: String, start_s: f64, dur: f64) -> f64 {
+        self.events
+            .push(TraceEvent::new(Stream::Comm, label, start_s, start_s + dur));
+        self.comm_s.push(dur);
+        start_s + dur
+    }
+}
+
+/// Lays out the iteration for `cfg` on the compute and comm streams.
+pub(crate) fn schedule(cfg: &SimConfig) -> Schedule {
+    let t_comp = cfg.backward_s();
+    let sync = cfg.sync_plan();
+    let mut s = Schedule {
+        sync: None,
+        events: Vec::new(),
+        comm_s: Vec::new(),
+    };
+    let Some(plan) = &sync else {
+        s.compute("backward", 0.0, t_comp);
+        return s;
+    };
+    match &plan.comm {
+        SyncComm::Bucketed { byte_scale } => {
+            s.compute(
+                if plan.t_encdec_s > 0.0 {
                     "backward + fp16 cast (γ overlap slowdown)"
                 } else {
                     "backward (γ overlap slowdown)"
                 },
                 0.0,
-                backward_end,
-            ));
+                plan.compute_s,
+            );
             let buckets = partition(&cfg.model, cfg.bucket_bytes);
             let ready = bucket_ready_fractions(&cfg.model, &buckets);
             let mut comm_free = 0.0f64;
             for (i, (bucket, frac)) in buckets.iter().zip(&ready).enumerate() {
-                let start = (backward_end * frac).max(comm_free);
-                let bytes = (bucket.bytes as f64 * byte_scale) as usize;
-                let dur = match cfg.allreduce {
-                    crate::sim::AllReduceAlgo::Ring => {
-                        cfg.network.ring_all_reduce(bytes, cfg.workers)
-                    }
-                    crate::sim::AllReduceAlgo::DoubleTree => {
-                        cfg.network.tree_all_reduce(bytes, cfg.workers)
-                    }
-                };
-                events.push(TraceEvent::new(
-                    Stream::Comm,
-                    format!(
-                        "bucket {i} all-reduce ({:.1} MB)",
-                        bucket.bytes as f64 / 1e6
-                    ),
-                    start,
-                    start + dur,
-                ));
-                comm_free = start + dur;
+                let (mb, bytes) = (bucket.bytes as f64 / 1e6, bucket.bytes as f64 * byte_scale);
+                comm_free = s.comm(
+                    format!("bucket {i} all-reduce ({mb:.1} MB)"),
+                    (plan.compute_s * frac).max(comm_free),
+                    cfg.comm_time(bytes as usize, Collective::AllReduce),
+                );
             }
         }
-        method => {
-            let enc = encode_cost(method, &cfg.model);
-            let t_encdec = cfg
-                .device
-                .scale_encode_seconds(enc.total_with_integration(cfg.workers));
-            let plan = crate::wire::wire_plan(method, &cfg.model);
-            let (backward_span, encode_span) = if cfg.overlap_compression {
-                let end = cfg.device.compression_contention * (t_comp + t_encdec);
+        SyncComm::Sequential(wire) => {
+            if cfg.overlap_compression {
                 // Contended: both kernels share the stream for the window.
-                ((0.0, end), (0.0, end))
+                s.compute("backward", 0.0, plan.compute_s);
+                s.compute("encode/decode", 0.0, plan.compute_s);
             } else {
-                ((0.0, t_comp), (t_comp, t_comp + t_encdec))
-            };
-            events.push(TraceEvent::new(
-                Stream::Compute,
-                "backward",
-                backward_span.0,
-                backward_span.1,
-            ));
-            events.push(TraceEvent::new(
-                Stream::Compute,
-                "encode/decode",
-                encode_span.0,
-                encode_span.1,
-            ));
-            let mut t = encode_span.1;
-            for (i, round) in plan.rounds.iter().enumerate() {
-                let dur = match round.collective {
-                    crate::wire::Collective::AllReduce => match cfg.allreduce {
-                        crate::sim::AllReduceAlgo::Ring => {
-                            cfg.network.ring_all_reduce(round.bytes, cfg.workers)
-                        }
-                        crate::sim::AllReduceAlgo::DoubleTree => {
-                            cfg.network.tree_all_reduce(round.bytes, cfg.workers)
-                        }
-                    },
-                    crate::wire::Collective::AllGather => {
-                        cfg.network.all_gather(round.bytes, cfg.workers)
-                    }
-                };
+                s.compute("backward", 0.0, t_comp);
+                s.compute("encode/decode", t_comp, plan.compute_s);
+            }
+            let mut t = plan.compute_s;
+            for (i, round) in wire.rounds.iter().enumerate() {
                 let kind = match round.collective {
-                    crate::wire::Collective::AllReduce => "all-reduce",
-                    crate::wire::Collective::AllGather => "all-gather",
+                    Collective::AllReduce => "all-reduce",
+                    Collective::AllGather => "all-gather",
                 };
-                events.push(TraceEvent::new(
-                    Stream::Comm,
+                t = s.comm(
                     format!("round {i} {kind} ({:.1} MB)", round.bytes as f64 / 1e6),
                     t,
-                    t + dur,
-                ));
-                t += dur;
+                    cfg.comm_time(round.bytes, round.collective),
+                );
             }
         }
     }
-    events
+    s.sync = sync;
+    s
+}
+
+/// Produces the two-stream timeline of one iteration for `cfg`: the
+/// events [`crate::sim::simulate_iteration`] folds into its breakdown.
+pub fn trace_iteration(cfg: &SimConfig) -> Vec<TraceEvent> {
+    schedule(cfg).events
 }
 
 /// What happened in a robustness-relevant run event.
@@ -243,6 +224,7 @@ pub fn render_ascii(events: &[TraceEvent], width: usize) -> String {
 mod tests {
     use super::*;
     use crate::sim::simulate_iteration;
+    use gcs_compress::registry::MethodConfig;
     use gcs_models::presets;
 
     #[test]

@@ -6,7 +6,7 @@
 //! (§2.2 "Bucketing Gradients"). The performance model's `k` (number of
 //! buckets) and `b̂` (last-bucket size) come from this partitioning.
 
-use crate::ModelSpec;
+use crate::{LayerSpec, ModelSpec};
 
 /// The DDP default bucket size (25 MB).
 pub const DEFAULT_BUCKET_BYTES: usize = 25 * 1024 * 1024;
@@ -21,10 +21,21 @@ pub struct Bucket {
     pub bytes: usize,
 }
 
-/// Partitions a model's gradients into buckets of at most `bucket_bytes`,
-/// filled in backward (reverse-layer) order, mirroring
-/// `DistributedDataParallel`. A single layer larger than the bucket size
-/// gets a bucket of its own.
+/// Buckets `model`'s gradients the way `DistributedDataParallel` does:
+/// [`partition_bytes`] over the layers' gradient sizes.
+///
+/// # Panics
+///
+/// Panics if `bucket_bytes == 0`.
+pub fn partition(model: &ModelSpec, bucket_bytes: usize) -> Vec<Bucket> {
+    let layer_bytes: Vec<usize> = model.layers.iter().map(LayerSpec::grad_bytes).collect();
+    partition_bytes(&layer_bytes, bucket_bytes)
+}
+
+/// Partitions layers of `layer_bytes[i]` gradient bytes (forward order)
+/// into buckets of at most `bucket_bytes`, filled in backward order. A
+/// layer larger than the bucket size gets a bucket of its own, and every
+/// layer lands in exactly one bucket, zero-byte layers included.
 ///
 /// The returned buckets are in fill order: `buckets[0]` is the first
 /// bucket ready during backward.
@@ -32,29 +43,20 @@ pub struct Bucket {
 /// # Panics
 ///
 /// Panics if `bucket_bytes == 0`.
-pub fn partition(model: &ModelSpec, bucket_bytes: usize) -> Vec<Bucket> {
+pub fn partition_bytes(layer_bytes: &[usize], bucket_bytes: usize) -> Vec<Bucket> {
     assert!(bucket_bytes > 0, "bucket size must be positive");
-    let mut buckets = Vec::new();
-    let mut current = Bucket {
-        layers: Vec::new(),
-        bytes: 0,
-    };
-    for (idx, layer) in model.layers.iter().enumerate().rev() {
-        let b = layer.grad_bytes();
-        if current.bytes > 0 && current.bytes + b > bucket_bytes {
-            buckets.push(std::mem::replace(
-                &mut current,
-                Bucket {
-                    layers: Vec::new(),
-                    bytes: 0,
-                },
-            ));
+    let mut buckets: Vec<Bucket> = Vec::new();
+    for (idx, &bytes) in layer_bytes.iter().enumerate().rev() {
+        match buckets.last_mut() {
+            Some(open) if open.bytes == 0 || open.bytes + bytes <= bucket_bytes => {
+                open.layers.push(idx);
+                open.bytes += bytes;
+            }
+            _ => buckets.push(Bucket {
+                layers: vec![idx],
+                bytes,
+            }),
         }
-        current.layers.push(idx);
-        current.bytes += b;
-    }
-    if current.bytes > 0 {
-        buckets.push(current);
     }
     buckets
 }
@@ -199,6 +201,17 @@ mod tests {
             assert!(w[0] <= w[1] + 1e-12);
         }
         assert!((ready.last().unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_byte_layers_keep_a_bucket() {
+        // Layer 0 has no elements and is left after the oversized layer 1
+        // closes the first bucket: it still gets a bucket of its own.
+        let buckets = partition_bytes(&[0, 400, 8, 0], 16);
+        let layers: Vec<&[usize]> = buckets.iter().map(|b| &b.layers[..]).collect();
+        assert_eq!(layers, [&[3, 2][..], &[1], &[0]]);
+        assert_eq!(buckets[2].bytes, 0);
+        assert!(partition_bytes(&[], 16).is_empty());
     }
 
     #[test]

@@ -152,6 +152,31 @@ if ! cmp "$ANALYZE_REPORT" results/analyze_report.json; then
 fi
 rm -f "$ANALYZE_REPORT"
 
+# Every result file that does not time the host (all but table2.json,
+# whose CPU column is measured) is deterministic, so each bin must
+# rewrite its results/<bin>.json byte for byte: a change that moves one
+# regenerates it in the same commit. Each bin takes well under a second
+# in release; the committed copies are put back whatever the outcome.
+echo "==> results/*.json (each must regenerate byte-identical)"
+cargo build -q --release -p gcs-bench --bins
+RESULTS_SAVED=$(mktemp -d)
+STALE=()
+for bin in table1 fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fig12 \
+    fig13 convergence ablation_allreduce ablation_buckets ablation_hierarchy ablation_ps \
+    ext_local_sgd ext_time_to_accuracy ext_large_models ext_strong_scaling; do
+  cp "results/$bin.json" "$RESULTS_SAVED/"
+  ./target/release/"$bin" > /dev/null
+  cmp -s "results/$bin.json" "$RESULTS_SAVED/$bin.json" || STALE+=("$bin")
+  cp "$RESULTS_SAVED/$bin.json" results/
+done
+rm -rf "$RESULTS_SAVED"
+if [ ${#STALE[@]} -gt 0 ]; then
+  for bin in "${STALE[@]}"; do
+    echo "results/$bin.json is stale: regenerate it with 'cargo run --release -p gcs-bench --bin $bin'"
+  done
+  exit 1
+fi
+
 # Negative self-test: each pass must still DETECT its seeded negative —
 # a double-accepting Hello mutant, a panicking wire parser. If any of these exits zero the gate has lost its teeth. A
 # non-zero exit alone could also be a build failure or a mistyped flag,
