@@ -29,7 +29,9 @@
 //! assert_eq!(sums, vec![10.0; 4]); // 1+2+3+4 on every worker
 //! ```
 
-#![forbid(unsafe_code)]
+// Data-plane errors propagate as `Result`s. An attribute, not `[lints]`, so
+// integration-test helpers may unwrap (`clippy.toml` exempts unit tests).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod collectives;
 pub mod comm;

@@ -37,7 +37,9 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// Data-plane errors propagate as `Result`s. An attribute, not `[lints]`, so
+// integration-test helpers may unwrap (`clippy.toml` exempts unit tests).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod adaptive;
 pub mod atomo;

@@ -29,8 +29,6 @@
 //! assert!(t.total_s > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod accuracy;
 pub mod ideal;
 pub mod perf;

@@ -27,7 +27,9 @@
 //! assert!(breakdown.total_s > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+// Data-plane errors propagate as `Result`s. An attribute, not `[lints]`, so
+// integration-test helpers may unwrap (`clippy.toml` exempts unit tests).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod adaptive;
 pub mod exec;

@@ -104,11 +104,12 @@ pub(crate) fn schedule(cfg: &SimConfig) -> Schedule {
             let ready = bucket_ready_fractions(&cfg.model, &buckets);
             let mut comm_free = 0.0f64;
             for (i, (bucket, frac)) in buckets.iter().zip(&ready).enumerate() {
-                let (mb, bytes) = (bucket.bytes as f64 / 1e6, bucket.bytes as f64 * byte_scale);
+                // Labelled with the bytes the span prices (FP16: half).
+                let bytes = (bucket.bytes as f64 * byte_scale) as usize;
                 comm_free = s.comm(
-                    format!("bucket {i} all-reduce ({mb:.1} MB)"),
+                    format!("bucket {i} all-reduce ({:.1} MB)", bytes as f64 / 1e6),
                     (plan.compute_s * frac).max(comm_free),
-                    cfg.comm_time(bytes as usize, Collective::AllReduce),
+                    cfg.comm_time(bytes, Collective::AllReduce),
                 );
             }
         }

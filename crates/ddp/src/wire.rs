@@ -91,9 +91,11 @@ pub fn wire_plan(method: &MethodConfig, model: &ModelSpec) -> WirePlan {
             }
         }
         other => {
-            // Documented panic contract (see `# Panics` above): callers
-            // validate user-supplied configs with MethodConfig::build.
-            let compressor = other.build().expect("valid method config"); // lint: allow(panic-in-data-plane)
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract (see `# Panics` above): callers validate user-supplied configs with MethodConfig::build"
+            )]
+            let compressor = other.build().expect("valid method config");
             let bytes: usize = model
                 .layers
                 .iter()

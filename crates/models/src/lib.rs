@@ -27,8 +27,6 @@
 //! assert!((t - 0.122).abs() < 0.02); // paper: ~122 ms
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod buckets;
 pub mod device;
 pub mod encode_cost;

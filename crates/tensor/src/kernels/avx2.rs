@@ -58,8 +58,9 @@ fn sign_pack(data: &[f32], out: &mut [u32]) {
     unsafe { sign_pack_avx2(data, out) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present; `out` must hold
-// `ceil(data.len() / 32)` words (the table contract checked by `mod.rs`).
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present; `out` must hold
+/// `ceil(data.len() / 32)` words (the table contract checked by `mod.rs`).
 #[target_feature(enable = "avx2,fma")]
 unsafe fn sign_pack_avx2(data: &[f32], out: &mut [u32]) {
     let full_words = data.len() / 32;
@@ -91,8 +92,9 @@ fn unpack_add(words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
 /// Shared body of `unpack_fill` / `unpack_add`: broadcast one byte of the
 /// bit stream per 8-lane group, test it against per-lane bit selectors, and
 /// blend `neg`/`pos`. `ACCUMULATE` adds into `out` instead of storing.
-// SAFETY: caller must guarantee AVX2+FMA are present; `words` must hold
-// at least `ceil(out.len() / 32)` bit words.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present; `words` must hold
+/// at least `ceil(out.len() / 32)` bit words.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn unpack_select_avx2<const ACCUMULATE: bool>(
     words: &[u32],
@@ -174,9 +176,10 @@ fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
     unsafe { add_from_bytes_avx2(bytes, out) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present and that `bytes`
-// holds exactly `4 * out.len()` little-endian f32s; unaligned loads are
-// used throughout so `bytes` needs no alignment.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and that `bytes`
+/// holds exactly `4 * out.len()` little-endian f32s; unaligned loads are
+/// used throughout so `bytes` needs no alignment.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn add_from_bytes_avx2(bytes: &[u8], out: &mut [f32]) {
     let n = out.len();
@@ -197,9 +200,10 @@ fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
     unsafe { add_into_bytes_avx2(xs, bytes) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present and that `bytes`
-// holds exactly `4 * xs.len()` little-endian f32s; unaligned loads/stores
-// are used so `bytes` needs no alignment.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and that `bytes`
+/// holds exactly `4 * xs.len()` little-endian f32s; unaligned loads/stores
+/// are used so `bytes` needs no alignment.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn add_into_bytes_avx2(xs: &[f32], bytes: &mut [u8]) {
     let full = xs.len() / 8;
@@ -222,8 +226,9 @@ fn add_assign(acc: &mut [f32], other: &[f32]) {
     unsafe { add_assign_avx2(acc, other) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present and
-// `other.len() >= acc.len()`.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and
+/// `other.len() >= acc.len()`.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn add_assign_avx2(acc: &mut [f32], other: &[f32]) {
     let full = acc.len() / 8;
@@ -240,8 +245,9 @@ fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     unsafe { axpy_avx2(y, alpha, x) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present and
-// `x.len() >= y.len()`.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and
+/// `x.len() >= y.len()`.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn axpy_avx2(y: &mut [f32], alpha: f32, x: &[f32]) {
     let a = _mm256_set1_ps(alpha);
@@ -260,8 +266,9 @@ fn scale(v: &mut [f32], alpha: f32) {
     unsafe { scale_avx2(v, alpha) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present; all loads/stores
-// stay inside `v`.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present; all loads/stores
+/// stay inside `v`.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn scale_avx2(v: &mut [f32], alpha: f32) {
     let a = _mm256_set1_ps(alpha);
@@ -278,8 +285,9 @@ fn abs_into(data: &[f32], out: &mut [f32]) {
     unsafe { abs_into_avx2(data, out) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present and
-// `out.len() >= data.len()`.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and
+/// `out.len() >= data.len()`.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn abs_into_avx2(data: &[f32], out: &mut [f32]) {
     let mask = _mm256_castsi256_ps(_mm256_set1_epi32(ABS_MASK));
@@ -300,8 +308,9 @@ pub(super) fn sum_abs(data: &[f32]) -> f32 {
     unsafe { sum_abs_avx2(data) }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present; reads stay inside
-// `data`.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present; reads stay inside
+/// `data`.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn sum_abs_avx2(data: &[f32]) -> f32 {
     // One vaddps per 8 elements IS the scalar kernel's lane striping:
@@ -368,10 +377,11 @@ fn gather_above(
     }
 }
 
-// SAFETY: caller must guarantee AVX2+FMA are present and pass `_CMP_GT_OQ`
-// or `_CMP_NLE_UQ` as `CMP`. The over-wide stores below land in capacity
-// reserved immediately beforehand (`reserve(8)`), and `set_len` only
-// commits the `cnt` initialized slots.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and pass `_CMP_GT_OQ`
+/// or `_CMP_NLE_UQ` as `CMP`. The over-wide stores below land in capacity
+/// reserved immediately beforehand (`reserve(8)`), and `set_len` only
+/// commits the `cnt` initialized slots.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gather_above_avx2<const CMP: i32>(
     data: &[f32],

@@ -66,8 +66,9 @@ fn sign_pack(data: &[f32], out: &mut [u32]) {
     unsafe { sign_pack_avx512(data, out) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present; `out` must hold
-// `ceil(data.len() / 32)` words (the table contract checked by `mod.rs`).
+/// # Safety
+/// Caller must guarantee AVX-512F is present; `out` must hold
+/// `ceil(data.len() / 32)` words (the table contract checked by `mod.rs`).
 #[target_feature(enable = "avx512f")]
 unsafe fn sign_pack_avx512(data: &[f32], out: &mut [u32]) {
     let full_words = data.len() / 32;
@@ -96,8 +97,9 @@ fn unpack_add(words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
 /// Shared body of `unpack_fill` / `unpack_add`: 16 bits of the sign stream
 /// become one mask register, which blends `neg`/`pos` in a single
 /// `vblendmps`. `ACCUMULATE` adds into `out` instead of storing.
-// SAFETY: caller must guarantee AVX-512F is present; `words` must hold at
-// least `ceil(out.len() / 32)` bit words.
+/// # Safety
+/// Caller must guarantee AVX-512F is present; `words` must hold at
+/// least `ceil(out.len() / 32)` bit words.
 #[target_feature(enable = "avx512f")]
 unsafe fn unpack_select_avx512<const ACCUMULATE: bool>(
     words: &[u32],
@@ -142,9 +144,10 @@ fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
     unsafe { add_from_bytes_avx512(bytes, out) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present and that `bytes` holds
-// exactly `4 * out.len()` little-endian f32s; unaligned loads are used
-// throughout so `bytes` needs no alignment.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and that `bytes` holds
+/// exactly `4 * out.len()` little-endian f32s; unaligned loads are used
+/// throughout so `bytes` needs no alignment.
 #[target_feature(enable = "avx512f")]
 unsafe fn add_from_bytes_avx512(bytes: &[u8], out: &mut [f32]) {
     let full = out.len() / 16;
@@ -164,9 +167,10 @@ fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
     unsafe { add_into_bytes_avx512(xs, bytes) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present and that `bytes` holds
-// exactly `4 * xs.len()` little-endian f32s; unaligned loads/stores are
-// used so `bytes` needs no alignment.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and that `bytes` holds
+/// exactly `4 * xs.len()` little-endian f32s; unaligned loads/stores are
+/// used so `bytes` needs no alignment.
 #[target_feature(enable = "avx512f")]
 unsafe fn add_into_bytes_avx512(xs: &[f32], bytes: &mut [u8]) {
     let full = xs.len() / 16;
@@ -189,8 +193,9 @@ fn add_assign(acc: &mut [f32], other: &[f32]) {
     unsafe { add_assign_avx512(acc, other) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present and
-// `other.len() >= acc.len()`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and
+/// `other.len() >= acc.len()`.
 #[target_feature(enable = "avx512f")]
 unsafe fn add_assign_avx512(acc: &mut [f32], other: &[f32]) {
     let full = acc.len() / 16;
@@ -207,8 +212,9 @@ fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     unsafe { axpy_avx512(y, alpha, x) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present and
-// `x.len() >= y.len()`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and
+/// `x.len() >= y.len()`.
 #[target_feature(enable = "avx512f")]
 unsafe fn axpy_avx512(y: &mut [f32], alpha: f32, x: &[f32]) {
     let a = _mm512_set1_ps(alpha);
@@ -227,8 +233,9 @@ fn scale(v: &mut [f32], alpha: f32) {
     unsafe { scale_avx512(v, alpha) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present; all loads/stores stay
-// inside `v`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present; all loads/stores stay
+/// inside `v`.
 #[target_feature(enable = "avx512f")]
 unsafe fn scale_avx512(v: &mut [f32], alpha: f32) {
     let a = _mm512_set1_ps(alpha);
@@ -245,8 +252,9 @@ fn abs_into(data: &[f32], out: &mut [f32]) {
     unsafe { abs_into_avx512(data, out) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present and
-// `out.len() >= data.len()`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and
+/// `out.len() >= data.len()`.
 #[target_feature(enable = "avx512f")]
 unsafe fn abs_into_avx512(data: &[f32], out: &mut [f32]) {
     let mask = _mm512_set1_epi32(ABS_MASK);
@@ -282,11 +290,12 @@ fn gather_above(
     }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present and pass `_CMP_GT_OQ`
-// or `_CMP_NLE_UQ` as `CMP`. `vcompressps` / `vpcompressd` store exactly
-// `popcount(mask)` elements; a 64-lane group stores at most 64 in total
-// into the 64 slots reserved past `len` immediately beforehand, and
-// `set_len` commits exactly the count stored.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and pass `_CMP_GT_OQ`
+/// or `_CMP_NLE_UQ` as `CMP`. `vcompressps` / `vpcompressd` store exactly
+/// `popcount(mask)` elements; a 64-lane group stores at most 64 in total
+/// into the 64 slots reserved past `len` immediately beforehand, and
+/// `set_len` commits exactly the count stored.
 #[target_feature(enable = "avx512f")]
 unsafe fn gather_above_avx512<const CMP: i32>(
     data: &[f32],
@@ -352,8 +361,9 @@ fn tanh(v: &mut [f32]) {
     unsafe { tanh_avx512(v) }
 }
 
-// SAFETY: caller must guarantee AVX-512F is present; all loads/stores stay
-// inside `v`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present; all loads/stores stay
+/// inside `v`.
 #[target_feature(enable = "avx512f")]
 unsafe fn tanh_avx512(v: &mut [f32]) {
     let full = v.len() / 16;
@@ -365,6 +375,8 @@ unsafe fn tanh_avx512(v: &mut [f32]) {
 }
 
 /// `-v`: a sign flip, as C's unary minus is (`0 - v` differs at ±0).
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[inline]
 #[target_feature(enable = "avx512f")]
 fn neg16(v: __m512) -> __m512 {
@@ -375,6 +387,8 @@ fn neg16(v: __m512) -> __m512 {
 }
 
 /// `y · 2^k` by adding `k` to the biased exponent.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[inline]
 #[target_feature(enable = "avx512f")]
 fn add_to_exponent16(y: __m512, k: __m512i) -> __m512 {
@@ -388,6 +402,8 @@ fn add_to_exponent16(y: __m512, k: __m512i) -> __m512 {
 /// same order, each `if` a mask blend (`blend(m, a, b)` takes `b` where
 /// `m` is set). Float→int is the truncating `vcvttps2dq`, and `vpsrlvd`
 /// gives 0 for counts past 31, as the scalar `checked_shr` does.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[inline]
 #[target_feature(enable = "avx512f")]
 fn tanhf16(x: __m512) -> __m512 {
@@ -422,6 +438,8 @@ fn tanhf16(x: __m512) -> __m512 {
 
 /// The scalar table's `expm1f` on 16 lanes (see `scalar.rs` for the paths
 /// it leaves out).
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[inline]
 #[target_feature(enable = "avx512f")]
 fn expm1f16(x: __m512) -> __m512 {

@@ -31,7 +31,11 @@
 
 pub mod bits;
 pub mod f16;
+// The only modules where `unsafe` compiles (`unsafe_code = "deny"` in
+// Cargo.toml): the SIMD kernel tables and the GEMM paths built on them.
+#[allow(unsafe_code)]
 pub mod kernels;
+#[allow(unsafe_code)]
 pub mod matrix;
 pub mod pool;
 pub mod select;

@@ -424,9 +424,10 @@ fn mm_tile16(
 /// AVX2+FMA 4 x 16 tile: two ymm accumulators per row, one broadcast per
 /// A element, `vfmadd231ps` over the shared dimension — the same fused
 /// l-ordered chain as the scalar `mul_add` tile.
-// SAFETY: caller must guarantee AVX2+FMA are present and that the tile
-// `[i..i+4) x [j..j+16)` lies fully inside `out` (rows of length `n`),
-// with `a_rows`/`b_s` covering the shared dimension `k`.
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and that the tile
+/// `[i..i+4) x [j..j+16)` lies fully inside `out` (rows of length `n`),
+/// with `a_rows`/`b_s` covering the shared dimension `k`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn mm_tile16_avx2(
@@ -461,9 +462,10 @@ unsafe fn mm_tile16_avx2(
 /// broadcast per A element — the same fused l-ordered chain as the
 /// scalar `mul_add` tile, so the wider registers are invisible in the
 /// output bits.
-// SAFETY: caller must guarantee AVX-512F is present and that the tile
-// `[i..i+4) x [j..j+32)` lies fully inside `out` (rows of length `n`),
-// with `a_rows`/`b_s` covering the shared dimension `k`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and that the tile
+/// `[i..i+4) x [j..j+32)` lies fully inside `out` (rows of length `n`),
+/// with `a_rows`/`b_s` covering the shared dimension `k`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn mm_tile32_avx512(
@@ -500,9 +502,10 @@ unsafe fn mm_tile32_avx512(
 /// identical to [`mm_tile32_avx512`] — only the number of rows in flight
 /// and where the running sum parks between panels differ, neither of
 /// which touches the arithmetic.
-// SAFETY: caller must guarantee AVX-512F is present and that the block
-// `[i..i+8) x [j..j+32)` lies fully inside `out` (rows of length `n`),
-// with `a_rows`/`b_s` covering the shared (panel) dimension `k`.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and that the block
+/// `[i..i+8) x [j..j+32)` lies fully inside `out` (rows of length `n`),
+/// with `a_rows`/`b_s` covering the shared (panel) dimension `k`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn mm_tile32x8_avx512(
@@ -548,6 +551,8 @@ unsafe fn mm_tile32x8_avx512(
 /// four rows of four floats (at `n = 4`, one straight 64-byte store). The
 /// chain is [`mm_tile`]'s, `s = fma(a, b, s)` from `+0.0` with `l`
 /// ascending; the last `n % 4` columns run [`mm_col_tail`].
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn mm_skinny_avx512(a_s: &[f32], b_s: &[f32], (m4, k, n): (usize, usize, usize), out: &mut [f32]) {
@@ -568,6 +573,8 @@ fn mm_skinny_avx512(a_s: &[f32], b_s: &[f32], (m4, k, n): (usize, usize, usize),
 /// Columns `[0, 4GA)` of [`mm_skinny_avx512`], eight rows per pass (two
 /// accumulator sets per column group keep two chains in flight) and a
 /// last four-row pass.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn mm_skinny_groups_avx512<const GA: usize>(
@@ -587,6 +594,8 @@ fn mm_skinny_groups_avx512<const GA: usize>(
 }
 
 /// Rows `[i, i + 4GB)`, columns `[0, 4GA)` of [`mm_skinny_avx512`].
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -667,9 +676,10 @@ fn check_at_mul_b(a: MatrixRef<'_>, b: MatrixRef<'_>) -> Result<()> {
 }
 
 /// `out` as a slice the write-once kernels can fill.
-// SAFETY: caller must guarantee that nothing stores an uninitialised value
-// through the returned slice, so `out` is still initialised when the
-// borrow ends.
+/// # Safety
+/// Caller must guarantee that nothing stores an uninitialised value
+/// through the returned slice, so `out` is still initialised when the
+/// borrow ends.
 unsafe fn as_uninit(out: &mut [f32]) -> &mut [MaybeUninit<f32>] {
     // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and the caller
     // keeps every element initialised.
@@ -678,8 +688,9 @@ unsafe fn as_uninit(out: &mut [f32]) -> &mut [MaybeUninit<f32>] {
 
 /// Sets `out` to the `len` elements `fill` writes: its capacity is reused
 /// (or grown), and nothing is zero-filled before `fill` runs.
-// SAFETY: caller must guarantee that `fill` stores a value into every
-// element of the slice it is handed, or panics.
+/// # Safety
+/// Caller must guarantee that `fill` stores a value into every
+/// element of the slice it is handed, or panics.
 unsafe fn fill_vec(out: &mut Vec<f32>, len: usize, fill: impl FnOnce(&mut [MaybeUninit<f32>])) {
     out.clear();
     out.reserve(len);
@@ -762,6 +773,8 @@ fn atb_rows_skinny(
 /// beyond, then 16-row blocks. Each output element is
 /// [`atb_rows_skinny`]'s chain, `s = fma(a, b, s)` from `+0.0` with `l`
 /// ascending.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn atb_skinny_avx512(
@@ -792,6 +805,8 @@ fn atb_skinny_avx512(
 }
 
 /// [`atb_skinny_avx512`] at `n = N`: blocks of `16V` rows, then of 16.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn atb_skinny_blocks<const N: usize, const V: usize>(
@@ -825,6 +840,8 @@ const ATB_PREFETCH_ROWS: usize = 4;
 /// Output rows `[i, i + 16V)` of the skinny `Aᵀ · B` (`B` is `k x N`) into
 /// `out`: `A` is streamed row by row, `V` zmm of row `l` against a
 /// broadcast of each `B[l][c]`, into `N x V` register accumulators.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -1016,9 +1033,10 @@ fn atb_tile16(
 
 /// AVX2+FMA 4 x 16 `Aᵀ · B` tile — same fused l-ordered chain as the
 /// scalar `mul_add` tile.
-// SAFETY: caller must guarantee AVX2+FMA are present and that the tile
-// `[oi..oi+4) x [j..j+16)` lies fully inside `out` (rows of length `n`),
-// with column block `i..i+4` valid in `a_s` (rows of length `m`).
+/// # Safety
+/// Caller must guarantee AVX2+FMA are present and that the tile
+/// `[oi..oi+4) x [j..j+16)` lies fully inside `out` (rows of length `n`),
+/// with column block `i..i+4` valid in `a_s` (rows of length `m`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn atb_tile16_avx2(
@@ -1050,9 +1068,10 @@ unsafe fn atb_tile16_avx2(
 
 /// AVX-512 4 x 32 `Aᵀ · B` tile — same fused l-ordered chain as the
 /// scalar `mul_add` tile.
-// SAFETY: caller must guarantee AVX-512F is present and that the tile
-// `[oi..oi+4) x [j..j+32)` lies fully inside `out` (rows of length `n`),
-// with column block `i..i+4` valid in `a_s` (rows of length `m`).
+/// # Safety
+/// Caller must guarantee AVX-512F is present and that the tile
+/// `[oi..oi+4) x [j..j+32)` lies fully inside `out` (rows of length `n`),
+/// with column block `i..i+4` valid in `a_s` (rows of length `m`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn atb_tile32_avx512(
@@ -1193,6 +1212,8 @@ const ABT4_STEP: [[i32; 16]; 4] = {
 /// [`interleave4_avx512`] a zmm holds 4 rows x 4 columns, lane `4c + r`
 /// the chain of row `r`, column `j + c`: `s = 0.0; s += a·b`, a multiply
 /// then an add, never fused, `l` ascending.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn abt4_cols_avx512(panel: &[f32], b_s: &[f32], (k, n): (usize, usize), oblock: &mut [f32]) {
@@ -1217,6 +1238,8 @@ fn abt4_cols_avx512(panel: &[f32], b_s: &[f32], (k, n): (usize, usize), oblock: 
 /// Columns `[j, j + 4G)` of [`abt4_cols_avx512`]: `G` zmm accumulators,
 /// four columns each, transposed into the output rows; lanes of padding
 /// rows are dropped.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -1251,6 +1274,8 @@ fn abt4_group_avx512<const G: usize>(
 /// permute of four rows of `b` (four 16-byte loads merged per four `l`);
 /// a `k` that is not a multiple of four finishes one `l` at a time in the
 /// same lanes.
+/// # Safety
+/// Caller must guarantee AVX-512F is present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -1313,8 +1338,9 @@ fn interleave4_avx512<const GA: usize, const GB: usize, const FUSED: bool>(
 
 /// One step `l` of [`interleave4_avx512`]: `a_l` points at the step's
 /// `4GA` A floats, and `bv` holds the B side already spread over the lanes.
-// SAFETY: caller must guarantee AVX-512F is present and that `a_l` is
-// valid for reading `4GA` floats.
+/// # Safety
+/// Caller must guarantee AVX-512F is present and that `a_l` is
+/// valid for reading `4GA` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]

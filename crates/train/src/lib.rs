@@ -30,8 +30,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod adaptive;
 pub mod harness;
 pub mod local_sgd;

@@ -95,6 +95,56 @@ unset GCS_FORCE_SCALAR
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The source rules that compiler lints hold (`unsafe_code` in the
+# manifests, the documented-`unsafe` lints in gcs-tensor's, the data-plane
+# `unwrap`/`expect`/`panic!` lints in the cluster, ddp and compress
+# `lib.rs`) each get a seeded negative, as the analyzer passes do below:
+# one violating item is appended to one file of a copy of the tracked
+# sources, and clippy must fail on the copy with that lint among its
+# diagnostics' codes. The copy keeps one target dir, so each negative
+# after the first re-checks one crate. The file is restored with a fresh
+# mtime, so the next check does not reuse the violating build.
+LINT_DIR=$(mktemp -d)
+trap 'rm -rf "$LINT_DIR"' EXIT
+git ls-files -z | tar --null -T - -cf - | tar -xf - -C "$LINT_DIR"
+# seeded_negative FILE LINT ITEM CLIPPY_ARGS...
+seeded_negative() {
+  local rel=$1 file=$LINT_DIR/$1 lint=$2 item=$3 out
+  shift 3
+  echo "==> seeded $lint in $rel (clippy must fail with it)"
+  cp "$file" "$file.orig"
+  printf '\n%s\n' "$item" >> "$file"
+  if out=$(cargo clippy -q --offline --message-format=json "$@" 2>&1); then
+    echo "clippy passed with $lint seeded in $file"
+    return 1
+  fi
+  cp "$file.orig" "$file"
+  rm "$file.orig"
+  grep -qF "\"code\":{\"code\":\"$lint\"" <<<"$out" || {
+    echo "$out"
+    echo "clippy failed without $lint, which was seeded in $file"
+    return 1
+  }
+}
+workspace_clippy() {
+  seeded_negative "$1" "$2" "$3" --manifest-path "$LINT_DIR/Cargo.toml" -p "$4" -- -D warnings
+}
+DEREF='pub fn seeded_negative(x: &u8) -> u8 { let p: *const u8 = x; unsafe { *p } }'
+workspace_clippy crates/models/src/lib.rs unsafe_code "$DEREF" gcs-models
+workspace_clippy crates/tensor/src/select.rs unsafe_code "$DEREF" gcs-tensor
+workspace_clippy crates/tensor/src/kernels/scalar.rs clippy::undocumented_unsafe_blocks \
+  "#[allow(dead_code)] $DEREF" gcs-tensor
+workspace_clippy crates/tensor/src/kernels/scalar.rs clippy::missing_safety_doc \
+  '#[allow(dead_code)] unsafe fn seeded_negative() {}' gcs-tensor
+for crate in cluster ddp compress; do
+  workspace_clippy "crates/$crate/src/lib.rs" clippy::unwrap_used \
+    'pub fn seeded_negative(x: Option<u8>) -> u8 { x.unwrap() }' "gcs-$crate"
+  workspace_clippy "crates/$crate/src/lib.rs" clippy::expect_used \
+    'pub fn seeded_negative(x: Option<u8>) -> u8 { x.expect("seeded") }' "gcs-$crate"
+  workspace_clippy "crates/$crate/src/lib.rs" clippy::panic \
+    'pub fn seeded_negative() { panic!("seeded") }' "gcs-$crate"
+done
+
 # The repo's benchmark (BENCHMARK.json) is a crate of its own outside the
 # workspace, so nothing above builds or tests it: run its unit tests —
 # among them the one that fails when BENCHMARK.json and the code that
@@ -102,6 +152,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 # BENCHMARK.json names still builds and starts.
 echo "==> benchmark crate tests"
 cargo test --offline --manifest-path benchmark/Cargo.toml --target-dir target -q
+
+# No `unsafe` in the benchmark crate either. It is a workspace of its own,
+# so `unsafe_code` comes in as a clippy argument, which reaches the
+# benchmark package but not its path dependencies (gcs-tensor among
+# them). Its seeded negative goes into the copy made above.
+echo "==> benchmark crate: no unsafe"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --target-dir target --all-targets \
+  -- -A warnings -F unsafe_code
+seeded_negative benchmark/src/main.rs unsafe_code "$DEREF" \
+  --manifest-path "$LINT_DIR/benchmark/Cargo.toml" --target-dir "$LINT_DIR/target" --all-targets \
+  -- -A warnings -F unsafe_code
+rm -rf "$LINT_DIR"
 
 echo "==> benchmark/run.sh --list"
 bash benchmark/run.sh --list
@@ -132,8 +194,9 @@ timeout 120 bash benchmark/run.sh --workload train-smallmsg-tcp --seconds 5 --tr
 
 # Static verification layer, all four passes: (1) model-check every
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
-# (2) lint the workspace source (unsafe hygiene, data-plane panic paths,
-# raw accumulation loops, no Relaxed atomics); (3) prove the Hello
+# (2) lint the workspace source for raw accumulation loops and Relaxed
+# atomics, listing every allow marker and every `#[allow]`/`#[expect]` of
+# the compiler lints seeded above; (3) prove the Hello
 # handshake, decision protocol, and pipeline FIFO window state machines;
 # (4) fuzz the wire headers/frames,
 # Payload::from_bytes for all 15 methods and Payload::from_bytes_many over

@@ -129,7 +129,7 @@ fn simulated_schedules_and_predictions_match_their_golden_digests() {
         model.prediction(&predict_generic_overlapped(cfg));
     }
     assert_eq!(sim.0, 0x6269_76a1_4e20_ede5, "breakdown digest moved");
-    assert_eq!(trace.0, 0xbe84_7d69_d73f_47d1, "trace digest moved");
+    assert_eq!(trace.0, 0xb580_4ffb_9abf_c401, "trace digest moved");
     assert_eq!(model.0, 0x6770_8878_cf16_4175, "prediction digest moved");
 }
 
