@@ -12,7 +12,7 @@
 //! dead-rank subset of size ≤ 2: pairing completeness, no self-sends,
 //! byte conservation per step, deterministic reduction order (via
 //! symbolic per-element expression trees), and deadlock-freedom with
-//! bounded channel capacities (covering the CommEngine/PipelinedEngine
+//! bounded channel capacities (covering the CommEngine/comm-lane
 //! `sync_channel` handshake).
 //!
 //! **Pass 2 — workspace lint** ([`lint`]): a dependency-free token-level

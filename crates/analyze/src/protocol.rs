@@ -10,14 +10,14 @@
 //!   of dials and deliveries reaches the full mesh or that typed failure
 //!   (deadlock freedom), and no peer slot is accepted twice even under
 //!   retransmitted/forged Hellos (no double-accept).
-//! * the **adaptive decision protocol** (`AdaptiveEngine`): rank 0
-//!   decides and *always* broadcasts; followers apply exactly what they
-//!   receive, in order. Verified: follower assignment sequences are
+//! * the **adaptive decision protocol** (an `Exchanger`'s adaptive
+//!   arms): rank 0 decides and *always* broadcasts; followers apply
+//!   exactly what they receive, in order. Verified: follower assignment sequences are
 //!   always a prefix of rank 0's, and every run converges with identical
 //!   assignments (no decision divergence).
 //! * the **pipeline FIFO-completion window** (the bucket schedule's comm
-//!   lane, `run_rounds` in `gcs_ddp::exec`, as `PipelinedEngine` drives
-//!   it): at most `depth` buckets in flight, completions consumed strictly
+//!   lane, `run_rounds` in `gcs_ddp::exec`, as an `Exchanger` on
+//!   `Lane::Comm` drives it): at most `depth` buckets in flight, completions consumed strictly
 //!   front-first by `complete_front`. Verified: the in-flight bound holds in every
 //!   reachable state and completions are observed in submission order (no
 //!   out-of-window completion).

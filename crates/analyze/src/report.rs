@@ -128,7 +128,7 @@ pub fn run_schedule_pass() -> SchedulePassReport {
             );
         }
     }
-    // CommEngine/PipelinedEngine handshake: bounded job channel of
+    // CommEngine/comm-lane handshake: bounded job channel of
     // capacity `depth`, in-flight window of the same depth.
     for p in [2usize, 4, 8] {
         for depth in [1usize, 2, 3] {

@@ -270,11 +270,11 @@ pub fn broadcast(p: usize, root: usize) -> Schedule {
     s
 }
 
-/// The CommEngine / PipelinedEngine handshake: `p` producer processes
+/// The CommEngine / comm-lane handshake: `p` producer processes
 /// (ids `0..p`) each drive a comm thread (ids `p..2p`) over a bounded
 /// job channel of capacity `depth` (`mpsc::sync_channel(queue_depth)` in
 /// `CommEngine::spawn`), with at most `depth` jobs in flight before the
-/// producer blocks on a completion reply — the `PipelinedEngine`
+/// producer blocks on a completion reply — the comm lane's
 /// admission rule. Each job runs a full ring all-reduce among the comm
 /// threads over its own `n`-element segment.
 ///
@@ -302,7 +302,7 @@ pub fn comm_engine_pipeline(p: usize, depth: usize, jobs: usize, n: usize) -> Sc
     for r in 0..p {
         let comm = p + r;
         s.channel_caps.insert((r, comm), depth);
-        // Producer: submit with the PipelinedEngine window rule.
+        // Producer: submit with the comm lane's window rule.
         let mut inflight = 0usize;
         for _ in 0..jobs {
             if inflight == depth {

@@ -3,7 +3,7 @@
 //! `BENCH_adaptive.json` at the repo root.
 //!
 //! For each regime (slow WAN-ish link → fast datacenter link) the same
-//! gradient workload runs through [`AdaptiveEngine`] five ways: the live
+//! gradient workload runs through an adaptive [`Exchanger`] five ways: the live
 //! controller (twice — the decision traces must be bit-identical), and
 //! once per arm pinned as a single-arm config. Pinned runs use the
 //! identical engine and per-step decision broadcast, so the comparison
@@ -27,7 +27,7 @@ use gcs_cluster::cost::NetworkModel;
 use gcs_cluster::{NetEmu, SimCluster, WorkerHandle};
 use gcs_compress::adaptive::{AdaptiveConfig, Decision};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::AdaptiveEngine;
+use gcs_ddp::{ExchangeConfig, Exchanger};
 use gcs_tensor::Tensor;
 use serde_json::{json, Value};
 
@@ -120,13 +120,14 @@ fn run_engine(regime: &Regime, scheme_arms: Vec<MethodConfig>, bp: &BenchParams)
         let cfg = AdaptiveConfig::new(scheme_arms.clone())
             .expect("config")
             .link(link);
-        let mut engine = AdaptiveEngine::new(cfg, bucket_bytes).expect("engine");
         let grads = grads_for(worker.rank(), &shapes);
+        let exchange = ExchangeConfig::adaptive(cfg, bucket_bytes);
+        let mut engine = Exchanger::new(worker, exchange).expect("engine");
         // Untimed warmup exchange: builds the plan, runs tune_initial.
-        engine.exchange(&worker, &grads).expect("warmup exchange");
+        engine.exchange(&grads).expect("warmup exchange");
         let started = Instant::now();
         for _ in 0..steps {
-            engine.exchange(&worker, &grads).expect("exchange");
+            engine.exchange(&grads).expect("exchange");
         }
         let measured_step_s = started.elapsed().as_secs_f64() / steps as f64;
         let c = engine.controller().expect("initialized");

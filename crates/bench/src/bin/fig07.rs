@@ -5,7 +5,7 @@
 //! batch 64 — larger batches give syncSGD more backward time to hide its
 //! communication behind.
 
-use gcs_bench::{ms_pm, print_table};
+use gcs_bench::{ms, print_table};
 use gcs_compress::registry::MethodConfig;
 use gcs_core::study::Study;
 use gcs_models::presets;
@@ -23,18 +23,18 @@ fn main() {
             ])
             .worker_counts(vec![workers])
             .run();
-        let speedup = out[0].measured_s / out[1].measured_s;
+        let speedup = out[0].simulated_s / out[1].simulated_s;
         rows.push(vec![
             batch.to_string(),
-            ms_pm(out[0].measured_s, out[0].std_s),
-            ms_pm(out[1].measured_s, out[1].std_s),
+            ms(out[0].simulated_s),
+            ms(out[1].simulated_s),
             format!("{:+.1}%", (speedup - 1.0) * 100.0),
         ]);
         json.push(serde_json::json!({
             "model": model.name,
             "batch": batch,
-            "sync_s": out[0].measured_s,
-            "powersgd4_s": out[1].measured_s,
+            "sync_s": out[0].simulated_s,
+            "powersgd4_s": out[1].simulated_s,
             "speedup": speedup,
         }));
     }
@@ -63,18 +63,18 @@ fn main() {
             ])
             .worker_counts(vec![64])
             .run();
-        let speedup = out[0].measured_s / out[1].measured_s;
+        let speedup = out[0].simulated_s / out[1].simulated_s;
         bert_rows.push(vec![
             batch.to_string(),
-            ms_pm(out[0].measured_s, out[0].std_s),
-            ms_pm(out[1].measured_s, out[1].std_s),
+            ms(out[0].simulated_s),
+            ms(out[1].simulated_s),
             format!("{:+.1}%", (speedup - 1.0) * 100.0),
         ]);
         json.push(serde_json::json!({
             "model": bert.name,
             "batch": batch,
-            "sync_s": out[0].measured_s,
-            "powersgd4_s": out[1].measured_s,
+            "sync_s": out[0].simulated_s,
+            "powersgd4_s": out[1].simulated_s,
             "speedup": speedup,
         }));
     }

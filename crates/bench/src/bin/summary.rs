@@ -90,7 +90,7 @@ fn run_checks() -> Vec<Check> {
                     .find(|r| {
                         s(r, "model") == model && s(r, "method") == method && r["workers"] == 96
                     })
-                    .map(|r| f(r, "measured_s"))
+                    .map(|r| f(r, "simulated_s"))
             };
             match (
                 get("ResNet-50", "syncSGD"),
@@ -116,12 +116,12 @@ fn run_checks() -> Vec<Check> {
                             && s(r, "method") == "syncSGD"
                             && &r["workers"] == workers
                     })
-                    .map(|r| f(r, "measured_s"))
+                    .map(|r| f(r, "simulated_s"))
             };
             rows.iter()
                 .filter(|r| s(r, "method").starts_with("TopK"))
                 .all(|r| match sync(s(r, "model"), &r["workers"]) {
-                    Some(t) => f(r, "measured_s") > t,
+                    Some(t) => f(r, "simulated_s") > t,
                     None => false,
                 })
         }),
@@ -139,7 +139,7 @@ fn run_checks() -> Vec<Check> {
                             && s(r, "method") == method
                             && r["workers"] == 96
                     })
-                    .map(|r| f(r, "measured_s"))
+                    .map(|r| f(r, "simulated_s"))
             };
             match (get("syncSGD"), get("SignSGD")) {
                 (Some(sync), Some(sign)) => sign > 2.5 * sync,
@@ -166,7 +166,7 @@ fn run_checks() -> Vec<Check> {
     // Fig 8: median errors small for sync/powersgd.
     checks.push(check(
         "fig08",
-        "performance model tracks measurement (median error < 10% for sync & PowerSGD)",
+        "closed form tracks the event schedule (median error < 10% for sync & PowerSGD)",
         load("fig08").map(|rows| {
             let median_for = |method: &str| {
                 let errs: Vec<f64> = rows

@@ -224,22 +224,21 @@ pub fn scaling_figure(
                 table_rows.push(vec![
                     r.method.clone(),
                     r.workers.to_string(),
-                    ms_pm(r.measured_s, r.std_s),
+                    ms(r.simulated_s),
                 ]);
                 all_rows.push(serde_json::json!({
                     "model": &r.model,
                     "method": &r.method,
                     "workers": r.workers,
                     "batch": r.batch,
-                    "measured_s": r.measured_s,
-                    "std_s": r.std_s,
+                    "simulated_s": r.simulated_s,
                     "predicted_s": r.predicted_s,
                 }));
             }
         }
         print_table(
             &format!("{title} — {} (batch {batch}/GPU)", model.name),
-            &["Method", "GPUs", "Iteration time (ms, mean±std)"],
+            &["Method", "GPUs", "Iteration time (ms, simulated)"],
             &table_rows,
         );
         if model.name.starts_with("BERT") {

@@ -505,10 +505,12 @@ pub fn run(args: &[String]) -> Result<String> {
                 .workers(workers)
                 .steps(steps)
                 .seed(seed)
+                .exchange(gcs_ddp::ExchangeConfig::per_layer(method.clone()))
                 .faulty(plan);
             let task = gcs_train::task::LinearRegression::new(8, 96, 0.01, 41);
-            let (rep, events) = gcs_train::threaded::train_threaded(&task, &method, &cfg)
+            let run = gcs_train::threaded::train_threaded(&task, &cfg)
                 .map_err(|e| CliError(format!("faulty run failed: {e}")))?;
+            let (rep, events) = (run.report, run.events);
             writeln!(
                 out,
                 "{} | {workers} workers | {steps} steps | fault seed {seed:#x}",
@@ -558,7 +560,7 @@ pub fn run(args: &[String]) -> Result<String> {
 fn cmd_adaptive(rest: &[String]) -> Result<String> {
     use gcs_cluster::cost::NetworkModel;
     use gcs_compress::adaptive::AdaptiveConfig;
-    use gcs_train::adaptive::train_threaded_adaptive;
+    use gcs_train::threaded::{train_threaded, AdaptiveReport, ThreadedReport};
 
     let map = flag_map(rest)?;
     let get_parse = |key: &str, default: &str| -> Result<f64> {
@@ -605,15 +607,21 @@ fn cmd_adaptive(rest: &[String]) -> Result<String> {
         .steps(steps)
         .lr(0.05)
         .seed(seed);
-    let run = |scheme_arms: Vec<MethodConfig>| -> Result<gcs_train::adaptive::AdaptiveTrainReport> {
+    let run = |scheme_arms: Vec<MethodConfig>| -> Result<(ThreadedReport, AdaptiveReport)> {
         let acfg = AdaptiveConfig::new(scheme_arms)
             .map_err(|e| CliError(e.to_string()))?
             .link(link);
-        train_threaded_adaptive(&task, &acfg, bucket_bytes, &cfg)
-            .map_err(|e| CliError(format!("adaptive run failed: {e}")))
+        let exchange = gcs_ddp::ExchangeConfig::adaptive(acfg, bucket_bytes);
+        let run = train_threaded(&task, &cfg.clone().exchange(exchange))
+            .map_err(|e| CliError(format!("adaptive run failed: {e}")))?;
+        let controller = run
+            .adaptive
+            .clone()
+            .ok_or_else(|| CliError("adaptive run left no controller".into()))?;
+        Ok((run, controller))
     };
 
-    let adaptive = run(arms.clone())?;
+    let (adaptive_run, adaptive) = run(arms.clone())?;
     let mut out = String::new();
     writeln!(
         out,
@@ -644,8 +652,8 @@ fn cmd_adaptive(rest: &[String]) -> Result<String> {
     for (b, &a) in adaptive.assignment.iter().enumerate() {
         writeln!(out, "    bucket {b} -> {}", arm_name(a)).expect("write");
     }
-    let target = 0.4 * adaptive.report.initial_loss();
-    let fmt_ttl = |r: &gcs_train::adaptive::AdaptiveTrainReport| -> String {
+    let target = 0.4 * adaptive_run.report.initial_loss();
+    let fmt_ttl = |r: &ThreadedReport| -> String {
         r.time_to_loss(target)
             .map_or_else(|| "not reached".into(), |t| format!("{:.2} ms", t * 1e3))
     };
@@ -653,17 +661,17 @@ fn cmd_adaptive(rest: &[String]) -> Result<String> {
         out,
         "  adaptive   : step {:.3} ms | time-to-0.4x-loss {}",
         adaptive.modelled_step_s * 1e3,
-        fmt_ttl(&adaptive)
+        fmt_ttl(&adaptive_run)
     )
     .expect("write");
     for arm in &arms {
-        let fixed = run(vec![arm.clone()])?;
+        let (fixed_run, fixed) = run(vec![arm.clone()])?;
         writeln!(
             out,
             "  {:<11}: step {:.3} ms | time-to-0.4x-loss {}",
             method_name(arm),
             fixed.modelled_step_s * 1e3,
-            fmt_ttl(&fixed)
+            fmt_ttl(&fixed_run)
         )
         .expect("write");
     }

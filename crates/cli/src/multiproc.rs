@@ -24,7 +24,7 @@ use crate::{flag_map, CliError, Result};
 use gcs_cluster::wire::{self, FrameKind, WireHeader};
 use gcs_cluster::{SimCluster, TcpCluster, TcpOptions, WorkerHandle};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
+use gcs_ddp::{Arms, ExchangeConfig, Exchanger, Lane, Plan};
 use gcs_tensor::Tensor;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -53,18 +53,26 @@ fn make_grads(rank: usize, step: usize) -> Vec<Tensor> {
         .collect()
 }
 
-/// Runs `steps` bucketed exchanges and folds every output bit into an
-/// FNV-1a 64 digest — rank-local, so the orchestrator can compare each
-/// worker against the sim reference independently.
-fn run_steps(w: &WorkerHandle, method: &MethodConfig, steps: usize) -> Result<u64> {
-    let mut c = method
-        .build()
-        .map_err(|e| CliError(format!("building method: {e}")))?;
-    let mut plan = BucketPlan::new(&make_grads(w.rank(), 0), usize::MAX);
+/// Runs `steps` exchanges of the whole model as one bucket and folds every
+/// output bit into an FNV-1a 64 digest — rank-local, so the orchestrator
+/// can compare each worker against the sim reference independently.
+fn run_steps(w: WorkerHandle, method: &MethodConfig, steps: usize) -> Result<u64> {
+    let rank = w.rank();
+    let cfg = ExchangeConfig {
+        plan: Plan::Buckets {
+            bytes: usize::MAX,
+            matricize: false,
+        },
+        lane: Lane::Inline,
+        arms: Arms::One(method.clone()),
+    };
+    let mut exchanger =
+        Exchanger::new(w, cfg).map_err(|e| CliError(format!("building method: {e}")))?;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for step in 0..steps {
-        let grads = make_grads(w.rank(), step);
-        let outs = exchange_gradients_with_plan(w, &mut c, &grads, &mut plan)
+        let grads = make_grads(rank, step);
+        let outs = exchanger
+            .exchange(&grads)
             .map_err(|e| CliError(format!("step {step} exchange: {e}")))?;
         for t in &outs {
             for v in t.data() {
@@ -81,7 +89,7 @@ fn run_steps(w: &WorkerHandle, method: &MethodConfig, steps: usize) -> Result<u6
 /// The expected per-rank digests, computed on the deterministic
 /// in-process backend.
 fn sim_digests(world: usize, method: &MethodConfig, steps: usize) -> Result<Vec<u64>> {
-    SimCluster::run(world, |w| run_steps(&w, method, steps))
+    SimCluster::run(world, |w| run_steps(w, method, steps))
         .into_iter()
         .collect()
 }
@@ -139,7 +147,7 @@ pub(crate) fn cmd_worker(rest: &[String]) -> Result<String> {
     })?;
     let handle = TcpCluster::connect(rank, &peers, TcpOptions::default())
         .map_err(|e| CliError(format!("forming mesh as rank {rank}: {e}")))?;
-    let digest = run_steps(&handle, &method, steps)?;
+    let digest = run_steps(handle, &method, steps)?;
     Ok(format!(
         "worker rank {rank}/{} done: {steps} steps, digest {digest:016x}\n",
         peers.len()
@@ -180,8 +188,7 @@ fn worker_orchestrated(orch_addr: &str) -> Result<String> {
 
     let handle = TcpCluster::connect_with_listener(rank, listener, &addrs, TcpOptions::default())
         .map_err(|e| CliError(format!("forming mesh as rank {rank}: {e}")))?;
-    let digest = run_steps(&handle, &method, steps)?;
-    drop(handle);
+    let digest = run_steps(handle, &method, steps)?;
     send_control(&mut control, MSG_RESULT, &format!("{rank};{digest:016x}"))?;
     Ok(format!(
         "worker rank {rank}/{} done: {steps} steps, digest {digest:016x}\n",

@@ -1,10 +1,10 @@
-//! Adaptive data plane: the per-bucket scheme-switching engine driven by
-//! [`gcs_compress::adaptive::Controller`].
+//! The adaptive arms of an [`Exchanger`](crate::Exchanger): per-bucket
+//! scheme switching driven by [`gcs_compress::adaptive::Controller`].
 //!
-//! The engine holds one compressor per controller arm and runs the bucket
-//! schedule of [`crate::exec`] on the inline lane, each bucket on its
-//! currently-assigned arm and for that arm's rounds only. The schedule is
-//! round-major like every other engine's; because every rank holds the
+//! The exchanger holds one compressor per controller arm and runs the
+//! bucket schedule of [`crate::exec`] on the inline lane, each bucket on
+//! its currently-assigned arm and for that arm's rounds only. The schedule
+//! is round-major for every configuration; because every rank holds the
 //! same assignment, every rank still issues the same collective sequence.
 //! The schedule's [`BucketTiming`]s feed the controller's measured mode.
 //!
@@ -21,14 +21,13 @@
 //!    [`switch_scheme`], carrying (or documented-resetting) the
 //!    error-feedback residual.
 
-use crate::exec::{exchange_plan, BucketPlan, BucketTiming, Lane, Result};
+use crate::exec::{BucketPlan, BucketTiming, Result};
 use gcs_cluster::WorkerHandle;
 use gcs_compress::adaptive::{
     decode_decisions, encode_decisions, AdaptiveConfig, Controller, Decision, Observation,
 };
 use gcs_compress::driver::{switch_scheme, ResidualPolicy, SwitchOutcome};
 use gcs_compress::{CompressError, Compressor};
-use gcs_tensor::Tensor;
 
 /// One executed scheme switch: the controller's decision plus what
 /// happened to the error-feedback residual at the boundary.
@@ -40,111 +39,88 @@ pub struct SwitchRecord {
     pub outcome: SwitchOutcome,
 }
 
-/// Data-parallel engine with per-bucket adaptive scheme selection.
-pub struct AdaptiveEngine {
-    cfg: AdaptiveConfig,
-    bucket_bytes: usize,
-    residual_policy: ResidualPolicy,
-    /// One compressor per arm; per-bucket state inside each is keyed by
-    /// bucket index.
-    compressors: Vec<Box<dyn Compressor>>,
-    /// Replay script for deterministic re-runs (None = live policy).
+/// The controller side of adaptive arms: its config, the residual policy
+/// applied at switches, an optional replay script, and, once started, the
+/// controller and the switches it executed.
+pub(crate) struct Adaptive {
+    config: AdaptiveConfig,
+    residual: ResidualPolicy,
     script: Option<Vec<Decision>>,
-    plan: Option<BucketPlan>,
-    controller: Option<Controller>,
-    switches: Vec<SwitchRecord>,
+    pub(crate) controller: Option<Controller>,
+    pub(crate) switches: Vec<SwitchRecord>,
 }
 
-impl AdaptiveEngine {
-    /// Creates an engine with the given controller config and bucket
-    /// size. The controller itself is constructed lazily at the first
-    /// exchange, when the gradient layout and world size are known.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompressError::InvalidConfig`] when an arm fails to
-    /// build or `bucket_bytes` is zero.
-    pub fn new(cfg: AdaptiveConfig, bucket_bytes: usize) -> Result<Self> {
-        if bucket_bytes == 0 {
-            return Err(
-                CompressError::InvalidConfig("bucket_bytes must be positive".into()).into(),
-            );
-        }
-        let compressors = cfg
-            .arms
-            .iter()
-            .map(|m| m.build())
-            .collect::<gcs_compress::Result<Vec<_>>>()?;
-        Ok(AdaptiveEngine {
-            cfg,
-            bucket_bytes,
-            residual_policy: ResidualPolicy::Carry,
-            compressors,
-            script: None,
-            plan: None,
+impl Adaptive {
+    pub(crate) fn new(
+        config: AdaptiveConfig,
+        residual: ResidualPolicy,
+        script: Option<Vec<Decision>>,
+    ) -> Self {
+        Adaptive {
+            config,
+            residual,
+            script,
             controller: None,
             switches: Vec::new(),
-        })
+        }
     }
 
-    /// Sets the residual policy applied at scheme switches.
-    #[must_use]
-    pub fn residual_policy(mut self, policy: ResidualPolicy) -> Self {
-        self.residual_policy = policy;
-        self
+    /// The arm `bucket` runs on (arm 0 before the controller starts).
+    pub(crate) fn arm_of(&self, bucket: usize) -> usize {
+        self.controller.as_ref().map_or(0, |c| c.arm_of(bucket))
     }
 
-    /// Replays a recorded decision trace instead of running the live
-    /// policy (see [`Controller::scripted`]). Must be set before the
-    /// first exchange.
-    #[must_use]
-    pub fn scripted(mut self, script: Vec<Decision>) -> Self {
-        self.script = Some(script);
-        self
-    }
-
-    /// The controller, once the first exchange has initialized it.
-    pub fn controller(&self) -> Option<&Controller> {
-        self.controller.as_ref()
-    }
-
-    /// Timing probes of the most recent exchange.
-    pub fn last_timings(&self) -> &[BucketTiming] {
-        self.plan.as_ref().map_or(&[], BucketPlan::last_timings)
-    }
-
-    /// Every scheme switch executed so far, with residual outcomes.
-    pub fn switches(&self) -> &[SwitchRecord] {
-        &self.switches
-    }
-
-    /// Runs one full adaptive gradient exchange: times every bucket,
-    /// exchanges on the current arm assignment, then runs the end-of-step
-    /// decision protocol (rank-0 policy + broadcast + residual-carrying
-    /// switches).
-    ///
-    /// # Errors
-    ///
-    /// Propagates compression and transport errors.
-    pub fn exchange(&mut self, worker: &WorkerHandle, grads: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.ensure_plan(worker, grads)?;
-        // `ensure_plan` always leaves both in place; destructure to
-        // appease the borrow checker without re-checking everywhere.
-        let (Some(plan), Some(controller)) = (self.plan.as_mut(), self.controller.as_mut()) else {
-            return Err(CompressError::Protocol("adaptive engine not initialized".into()).into());
+    /// Starts over on a new bucket plan (the first, or one for a new
+    /// gradient layout): resets every arm's per-bucket state, builds the
+    /// controller for the plan's bucket shapes and runs the
+    /// initial-assignment broadcast.
+    pub(crate) fn start<C: Compressor>(
+        &mut self,
+        worker: &WorkerHandle,
+        plan: &BucketPlan,
+        compressors: &mut [C],
+    ) -> Result<()> {
+        let shapes: Vec<gcs_tensor::Shape> = (0..plan.num_buckets())
+            .map(|b| plan.bucket_shape(b).clone())
+            .collect();
+        // A layout change orphans all per-bucket compressor state.
+        for c in compressors.iter_mut() {
+            c.reset();
+        }
+        self.switches.clear();
+        self.controller = None;
+        let cfg = self.config.clone();
+        let mut controller = match self.script.clone() {
+            Some(script) => Controller::scripted(cfg, &shapes, worker.world(), script)?,
+            None => Controller::new(cfg, &shapes, worker.world())?,
         };
+        // Initial assignment: rank 0 decides, everyone else replays.
+        if worker.rank() == 0 {
+            let ds = controller.tune_initial();
+            worker.broadcast(0, Some(&encode_decisions(&ds)?))?;
+        } else {
+            let frame = worker.broadcast(0, None)?;
+            controller.apply_initial(&decode_decisions(&frame)?)?;
+        }
+        self.controller = Some(controller);
+        Ok(())
+    }
 
-        let out = exchange_plan(
-            &Lane::Inline(worker),
-            &mut self.compressors,
-            &|b| controller.arm_of(b),
-            grads,
-            plan,
-        )?;
-
-        // Feed the probes back (every rank keeps its controller copy
-        // warm; only rank 0's estimates drive decisions).
-        for t in plan.last_timings() {
+    /// The end-of-step protocol after an exchange that left `timings`:
+    /// feeds them to the controller, runs the decision broadcast and
+    /// executes the switches, carrying residuals per the policy.
+    pub(crate) fn end_step<C: Compressor>(
+        &mut self,
+        worker: &WorkerHandle,
+        timings: &[BucketTiming],
+        compressors: &mut [C],
+    ) -> Result<()> {
+        let Some(controller) = self.controller.as_mut() else {
+            return Err(CompressError::Protocol("adaptive arms not started".into()).into());
+        };
+        // Every rank keeps its controller copy warm; only rank 0's
+        // estimates drive decisions.
+        for t in timings {
             controller.observe(Observation {
                 bucket: t.bucket,
                 arm: controller.arm_of(t.bucket),
@@ -157,8 +133,6 @@ impl AdaptiveEngine {
                 gather_rounds: t.gather_rounds,
             });
         }
-
-        // End-of-step decision protocol.
         let decisions = if worker.rank() == 0 {
             let ds = controller.end_step();
             worker.broadcast(0, Some(&encode_decisions(&ds)?))?;
@@ -169,59 +143,15 @@ impl AdaptiveEngine {
             controller.apply(&ds)?;
             ds
         };
-        self.execute_switches(&decisions)?;
-        Ok(out)
-    }
-
-    /// Builds the bucket plan and controller on first use (or when the
-    /// gradient layout changes), and runs the initial-assignment
-    /// broadcast.
-    fn ensure_plan(&mut self, worker: &WorkerHandle, grads: &[Tensor]) -> Result<()> {
-        if self.plan.as_ref().is_some_and(|plan| plan.matches(grads)) {
-            return Ok(());
-        }
-        let plan = BucketPlan::matricized(grads, self.bucket_bytes);
-        let shapes: Vec<gcs_tensor::Shape> = (0..plan.num_buckets())
-            .map(|b| plan.bucket_shape(b).clone())
-            .collect();
-        // A layout change orphans all per-bucket compressor state.
-        for c in &mut self.compressors {
-            c.reset();
-        }
-        self.switches.clear();
-        let mut controller = match self.script.clone() {
-            Some(script) => {
-                Controller::scripted(self.cfg.clone(), &shapes, worker.world(), script)?
-            }
-            None => Controller::new(self.cfg.clone(), &shapes, worker.world())?,
-        };
-        // Initial assignment: rank 0 decides, everyone else replays.
-        if worker.rank() == 0 {
-            let ds = controller.tune_initial();
-            worker.broadcast(0, Some(&encode_decisions(&ds)?))?;
-        } else {
-            let frame = worker.broadcast(0, None)?;
-            controller.apply_initial(&decode_decisions(&frame)?)?;
-        }
-        self.plan = Some(plan);
-        self.controller = Some(controller);
-        Ok(())
-    }
-
-    /// Executes compressor-level scheme switches for `decisions`,
-    /// carrying residuals per the configured policy.
-    fn execute_switches(&mut self, decisions: &[Decision]) -> Result<()> {
         for d in decisions {
             // A no-op or out-of-range decision switches nothing.
-            let Ok([old, new]) = self
-                .compressors
-                .get_disjoint_mut([d.from as usize, d.to as usize])
+            let Ok([old, new]) = compressors.get_disjoint_mut([d.from as usize, d.to as usize])
             else {
                 continue;
             };
-            let outcome = switch_scheme(old, new, d.bucket as usize, self.residual_policy)?;
+            let outcome = switch_scheme(old, new, d.bucket as usize, self.residual)?;
             self.switches.push(SwitchRecord {
-                decision: d.clone(),
+                decision: d,
                 outcome,
             });
         }
@@ -232,10 +162,12 @@ impl AdaptiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExchangeConfig, Exchanger};
     use gcs_cluster::cost::NetworkModel;
     use gcs_cluster::SimCluster;
     use gcs_compress::adaptive::DecisionInputs;
     use gcs_compress::registry::MethodConfig;
+    use gcs_tensor::Tensor;
 
     fn arms() -> Vec<MethodConfig> {
         vec![
@@ -259,10 +191,11 @@ mod tests {
             let cfg = AdaptiveConfig::new(arms())
                 .unwrap()
                 .link(NetworkModel::from_gbps(15e-6, 0.05));
-            let mut engine = AdaptiveEngine::new(cfg, 16 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 11);
+            let mut engine =
+                Exchanger::new(worker, ExchangeConfig::adaptive(cfg, 16 * 1024)).unwrap();
             for _ in 0..3 {
-                let out = engine.exchange(&worker, &grads)?;
+                let out = engine.exchange(&grads)?;
                 for g in &out {
                     assert!(g.data().iter().all(|x| x.is_finite()));
                 }
@@ -299,10 +232,11 @@ mod tests {
             let cfg = AdaptiveConfig::new(vec![MethodConfig::PowerSgd { rank: 2 }])
                 .unwrap()
                 .link(NetworkModel::from_gbps(15e-6, 0.5));
-            let mut engine = AdaptiveEngine::new(cfg, 8 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 23);
+            let mut engine =
+                Exchanger::new(worker, ExchangeConfig::adaptive(cfg, 8 * 1024)).unwrap();
             for _ in 0..4 {
-                engine.exchange(&worker, &grads)?;
+                engine.exchange(&grads)?;
             }
             Ok::<_, crate::exec::ExecError>(engine.switches().len())
         });
@@ -319,10 +253,11 @@ mod tests {
                 .inputs(DecisionInputs::Measured)
                 .warmup_steps(3)
                 .link(NetworkModel::from_gbps(15e-6, 1.0));
-            let mut engine = AdaptiveEngine::new(cfg, 16 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 5);
+            let mut engine =
+                Exchanger::new(worker, ExchangeConfig::adaptive(cfg, 16 * 1024)).unwrap();
             for _ in 0..6 {
-                let out = engine.exchange(&worker, &grads)?;
+                let out = engine.exchange(&grads)?;
                 for g in &out {
                     assert!(g.data().iter().all(|x| x.is_finite()));
                 }
@@ -347,9 +282,10 @@ mod tests {
     fn timings_report_positive_wire_traffic() {
         let results = SimCluster::run(2, move |worker| {
             let cfg = AdaptiveConfig::new(vec![MethodConfig::SyncSgd]).unwrap();
-            let mut engine = AdaptiveEngine::new(cfg, 16 * 1024).unwrap();
             let grads = grads_for(worker.rank(), 3);
-            engine.exchange(&worker, &grads)?;
+            let mut engine =
+                Exchanger::new(worker, ExchangeConfig::adaptive(cfg, 16 * 1024)).unwrap();
+            engine.exchange(&grads)?;
             Ok::<_, crate::exec::ExecError>(engine.last_timings().to_vec())
         });
         for r in results {

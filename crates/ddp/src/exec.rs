@@ -1,10 +1,9 @@
-//! Real-execution data-parallel engine, and the one bucket schedule every
-//! exchange engine runs.
+//! The one bucket schedule every gradient exchange runs, and the bucket
+//! plan it runs over.
 //!
-//! Runs `p` worker threads over the `gcs-cluster` channel mesh. Each
-//! worker owns a compressor instance and real per-layer gradients; the
-//! round protocol of `gcs-compress` is driven through *actual
-//! collectives*:
+//! Each worker owns a compressor instance and real per-layer gradients;
+//! the round protocol of `gcs-compress` is driven through *actual
+//! collectives* of the `gcs-cluster` mesh:
 //!
 //! * summable payloads (all-reducible methods) travel through the ring
 //!   mean-all-reduce on their `f32` content, which divides by the member
@@ -13,45 +12,45 @@
 //!   locally on every worker — exactly what PyTorch implementations of
 //!   SignSGD/Top-K must do.
 //!
+//! [`crate::Exchanger`] is the entry point. This module holds what it
+//! drives: [`BucketPlan`], the per-bucket [`BucketTiming`]s, and the
+//! private round loop.
+//!
 //! # One schedule, two lanes
 //!
-//! The per-layer [`exchange_gradients`], the bucketed
-//! [`exchange_gradients_with_plan`], [`crate::PipelinedEngine`] and
-//! [`crate::AdaptiveEngine`] all walk their buckets through one private
-//! round loop. It is round-major (every bucket's round 0, then every
+//! The round loop is round-major (every bucket's round 0, then every
 //! bucket's round 1, …) with a drain barrier between rounds, and each
 //! bucket runs only the rounds of the compressor (arm) it is assigned to.
 //! Every rank shares the assignment, so every rank issues the same
 //! collective sequence. Only where the collective runs differs:
 //!
-//! * the **inline** lane runs it on the calling thread (the sequential and
-//!   adaptive engines), **one ring and one gather per round**: each
-//!   bucket's payload waits in a batch until the round drains, when every
-//!   summable image rides one [`WorkerHandle::all_reduce_mean_many`] and
-//!   every other payload, serialized back to back, one
-//!   [`WorkerHandle::all_gather_bytes`]. A bucket whose payload is the
-//!   caller's gradient is never copied into the batch: it lands the batch
-//!   first, so collectives stay in bucket order, then runs its own ring;
+//! * the **inline** lane runs it on the calling thread, **one ring and one
+//!   gather per round**: each bucket's payload waits in a batch until the
+//!   round drains, when every summable image rides one
+//!   [`WorkerHandle::all_reduce_mean_many`] and every other payload,
+//!   serialized back to back, one [`WorkerHandle::all_gather_bytes`]. A
+//!   bucket whose payload is the caller's gradient is never copied into
+//!   the batch: it lands the batch first, so collectives stay in bucket
+//!   order, then runs its own ring;
 //! * the **comm** lane queues each bucket's collective on a
 //!   [`CommEngine`] thread with at most `depth` in flight and absorbs
-//!   strictly in submission order (the pipelined engine). It keeps one
-//!   collective per bucket: batching would serialize the overlap of each
-//!   collective with the next bucket's encode.
+//!   strictly in submission order. It keeps one collective per bucket:
+//!   batching would serialize the overlap of each collective with the next
+//!   bucket's encode.
 //!
 //! Either way `aggregate` and `absorb` run in bucket order. The split,
 //! deserialization, `aggregate` and `absorb` are written once, and the
-//! fused collectives are bit-identical to one per bucket, so every engine
-//! is bit-identical to every other, and numerically equal to the
-//! centralized reference driver in `gcs_compress::driver`. Timing follows
-//! one rule on both lanes (see [`BucketTiming`]): `comm_s` is time in the
-//! collective — the ring mean's divide included — and everything after it
-//! is `decode_s`.
+//! fused collectives are bit-identical to one per bucket, so every lane is
+//! bit-identical to the other, and numerically equal to the centralized
+//! reference driver in `gcs_compress::driver`. Timing follows one rule on
+//! both lanes (see [`BucketTiming`]): `comm_s` is time in the collective —
+//! the ring mean's divide included — and everything after it is
+//! `decode_s`.
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
 use gcs_cluster::{CommEngine, Frame, PendingGather, PendingReduce, WorkerHandle};
-use gcs_compress::registry::MethodConfig;
 use gcs_compress::{CompressError, Compressor, Payload, PayloadShell};
 use gcs_models::buckets::partition_bytes;
 use gcs_tensor::Tensor;
@@ -92,8 +91,8 @@ impl From<gcs_cluster::ClusterError> for ExecError {
 pub type Result<T> = std::result::Result<T, ExecError>;
 
 /// Where the schedule runs each bucket's collective.
-pub(crate) enum Lane<'a> {
-    /// On the calling thread, inside [`Lane::submit`].
+pub(crate) enum LaneRef<'a> {
+    /// On the calling thread, inside [`LaneRef::submit`].
     Inline(&'a WorkerHandle),
     /// Queued on a comm thread, at most `depth` collectives in flight.
     Comm(&'a CommEngine, usize),
@@ -149,15 +148,15 @@ struct Inflight {
     leg: Leg,
 }
 
-impl Lane<'_> {
+impl LaneRef<'_> {
     /// How many landed bucket rounds may wait before the schedule absorbs
     /// the oldest. One on the inline lane, whose rounds land at the
     /// round's drain or when a borrowed gradient flushes the batch, and
     /// are absorbed before the next bucket is encoded.
     fn window(&self) -> usize {
         match self {
-            Lane::Inline(_) => 1,
-            Lane::Comm(_, depth) => *depth,
+            LaneRef::Inline(_) => 1,
+            LaneRef::Comm(_, depth) => *depth,
         }
     }
 
@@ -181,20 +180,20 @@ impl Lane<'_> {
         inflight: &mut VecDeque<Inflight>,
     ) -> Result<()> {
         let leg = match (self, contribution) {
-            (Lane::Inline(worker), Contribution::Gradient(src)) => {
+            (LaneRef::Inline(worker), Contribution::Gradient(src)) => {
                 scratch.batch.land(worker, &mut scratch.timings, inflight)?;
                 let timing = &mut scratch.timings[bucket];
                 timing.add_ring(src.len());
                 let mean = timed(&mut timing.comm_s, || worker.all_reduce_mean_from(src))?;
                 Leg::Landed(Landed::Reduced(PayloadShell::Dense, mean))
             }
-            (Lane::Inline(_), Contribution::Payload(payload)) => {
+            (LaneRef::Inline(_), Contribution::Payload(payload)) => {
                 scratch
                     .batch
                     .push(bucket, arm, payload, &mut scratch.timings[bucket]);
                 return Ok(());
             }
-            (Lane::Comm(comm, _), contribution) => {
+            (LaneRef::Comm(comm, _), contribution) => {
                 let timing = &mut scratch.timings[bucket];
                 let payload = match contribution {
                     // The schedule borrows gradients only on the inline
@@ -225,8 +224,8 @@ impl Lane<'_> {
     /// lane's batch. The comm lane's collectives are already queued.
     fn land(&self, scratch: &mut Scratch, inflight: &mut VecDeque<Inflight>) -> Result<()> {
         match self {
-            Lane::Inline(worker) => scratch.batch.land(worker, &mut scratch.timings, inflight),
-            Lane::Comm(..) => Ok(()),
+            LaneRef::Inline(worker) => scratch.batch.land(worker, &mut scratch.timings, inflight),
+            LaneRef::Comm(..) => Ok(()),
         }
     }
 }
@@ -387,10 +386,10 @@ fn share(secs: f64, bytes: u64, (total_bytes, count): (u64, usize)) -> f64 {
 /// inline lane's batch, and the per-bucket timings of the most recent
 /// exchange.
 #[derive(Debug, Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     wires: Vec<Vec<u8>>,
     batch: Batch,
-    timings: Vec<BucketTiming>,
+    pub(crate) timings: Vec<BucketTiming>,
 }
 
 /// Runs `f`, adding its wall-clock seconds to `slot`.
@@ -411,7 +410,7 @@ fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
 /// [`BucketTiming`] per bucket in `scratch`; finishing the buckets is the
 /// caller's.
 fn run_rounds<'g, C: Compressor>(
-    lane: &Lane<'_>,
+    lane: &LaneRef<'_>,
     compressors: &mut [C],
     arm_of: &dyn Fn(usize) -> usize,
     buckets: usize,
@@ -423,7 +422,7 @@ fn run_rounds<'g, C: Compressor>(
     // gradients in place; the comm thread needs owned buffers.
     let direct: Vec<bool> = compressors
         .iter()
-        .map(|c| matches!(lane, Lane::Inline(_)) && c.payload_is_gradient())
+        .map(|c| matches!(lane, LaneRef::Inline(_)) && c.payload_is_gradient())
         .collect();
     scratch.timings.clear();
     scratch
@@ -509,27 +508,24 @@ fn complete_front<C: Compressor>(
     })
 }
 
-/// Runs one full compressed gradient exchange for `grads` (this worker's
-/// per-layer gradients), one layer per schedule bucket, and returns the
-/// decoded aggregated gradients in layer order. Every layer's payload of a
-/// round rides that round's one ring or one gather. Under a compressor whose
-/// payload is the gradient (syncSGD) each layer is all-reduced straight
-/// from `grads`, without a copy.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn exchange_gradients<C: Compressor>(
-    worker: &WorkerHandle,
+/// The per-layer exchange: one schedule bucket per layer, in layer order,
+/// each encoded in its own shape from the borrowed gradient, then
+/// `finish`ed into the decoded aggregated gradients in layer order. Every
+/// layer's payload of a round rides that round's one ring or one gather.
+/// Under a compressor whose payload is the gradient (syncSGD) each layer
+/// is all-reduced straight from `grads`, without a copy.
+pub(crate) fn exchange_layers<C: Compressor>(
+    lane: &LaneRef<'_>,
     compressor: &mut C,
     grads: &[Tensor],
+    scratch: &mut Scratch,
 ) -> Result<Vec<Tensor>> {
     run_rounds(
-        &Lane::Inline(worker),
+        lane,
         std::slice::from_mut(compressor),
         &|_| 0,
         grads.len(),
-        &mut Scratch::default(),
+        scratch,
         |c, layer, direct| {
             Ok(if direct {
                 Contribution::Gradient(grads[layer].data())
@@ -545,15 +541,29 @@ pub fn exchange_gradients<C: Compressor>(
         .collect()
 }
 
-/// The bucket partition of a gradient set plus the persistent buffers the
-/// bucketed exchange needs — the flat pack buffer and the schedule's
-/// recycled wire buffers — and the per-bucket timings of its most recent
-/// exchange.
+/// The per-layer exchange of `grads` on the calling thread.
+#[deprecated(note = "use an `Exchanger` built with `ExchangeConfig::per_layer`")]
+pub fn exchange_gradients<C: Compressor>(
+    worker: &WorkerHandle,
+    compressor: &mut C,
+    grads: &[Tensor],
+) -> Result<Vec<Tensor>> {
+    exchange_layers(
+        &LaneRef::Inline(worker),
+        compressor,
+        grads,
+        &mut Scratch::default(),
+    )
+}
+
+/// The bucket partition of a gradient set plus the flat pack buffer the
+/// bucketed exchange reuses.
 ///
 /// DDP computes its bucket assignment once at model construction and
 /// reuses it every iteration; recomputing the partition per step is pure
-/// rework. Build a plan once with [`BucketPlan::new`] and drive
-/// [`exchange_gradients_with_plan`] with it every step.
+/// rework. An [`Exchanger`](crate::Exchanger) with a bucket plan builds
+/// one at its first exchange and keeps it while the gradient layout
+/// stays the same.
 ///
 /// A packed bucket is *moved* into the compressor
 /// ([`Compressor::encode_owned`]). Under syncSGD
@@ -561,8 +571,8 @@ pub fn exchange_gradients<C: Compressor>(
 /// packed at all on the calling thread: the ring mean reads the layer's
 /// gradient where it lies and writes a fresh output once, which comes
 /// back from `finish` as the decoded flat — so the step copies none of its
-/// bytes. A multi-layer bucket (and every bucket on the pipelined
-/// engine's comm thread, which needs an owned buffer) is packed, and for
+/// bytes. A multi-layer bucket (and every bucket on the comm lane, whose
+/// thread needs an owned buffer) is packed, and for
 /// syncSGD that buffer is the payload and rides the all-reduce in place.
 /// [`BucketPlan::scatter`] closes the circle: a single-layer bucket's flat
 /// becomes that layer's output tensor; a multi-layer bucket's flat, once
@@ -583,8 +593,6 @@ pub struct BucketPlan {
     /// Flat pack buffer, taken by [`BucketPlan::pack`] and refilled by
     /// [`BucketPlan::scatter`] (or [`BucketPlan::reclaim`]).
     pack: Vec<f32>,
-    /// Wire buffers and timings of the schedule.
-    scratch: Scratch,
 }
 
 impl BucketPlan {
@@ -618,7 +626,7 @@ impl BucketPlan {
         Self::build(grads, bucket_bytes, true)
     }
 
-    fn build(grads: &[Tensor], bucket_bytes: usize, matricize: bool) -> Self {
+    pub(crate) fn build(grads: &[Tensor], bucket_bytes: usize, matricize: bool) -> Self {
         let layer_elems: Vec<usize> = grads.iter().map(Tensor::numel).collect();
         let layer_bytes: Vec<usize> = layer_elems.iter().map(|n| n * 4).collect();
         let (buckets, elems): (Vec<Vec<usize>>, Vec<usize>) =
@@ -639,7 +647,6 @@ impl BucketPlan {
             shapes,
             layer_elems,
             pack: Vec::new(),
-            scratch: Scratch::default(),
         }
     }
 
@@ -751,33 +758,10 @@ impl BucketPlan {
             })
             .collect()
     }
-
-    /// Per-bucket timing probes of the most recent exchange driven by
-    /// this plan, whichever engine ran it (empty before the first, and
-    /// after one that failed).
-    pub fn last_timings(&self) -> &[BucketTiming] {
-        &self.scratch.timings
-    }
 }
 
-/// Runs the exchange at **bucket granularity** on a prebuilt
-/// [`BucketPlan`], the way PyTorch DDP comm hooks actually see gradients:
-/// layers are packed (in backward order) into the plan's flat buckets,
-/// each bucket is compressed and aggregated as one tensor, and the
-/// decoded buckets are scattered back to per-layer gradients. The
-/// partition, pack buffer and wire buffers all persist across steps; read
-/// the per-bucket timings back with [`BucketPlan::last_timings`].
-///
-/// Bucketing amortizes per-collective latency and — because the
-/// compressor sees one long flat vector — sidesteps the per-layer encode
-/// overhead §4.2 complains about. It is also the only way to use
-/// non-layer-wise methods (Table 1's Random-K row) inside DDP.
-///
-/// # Errors
-///
-/// Returns a protocol error, before any collective runs, if `plan` was
-/// built for a different gradient layout ([`BucketPlan::matches`] is
-/// false); propagates compression and transport errors.
+/// The bucketed exchange of `grads` over `plan` on the calling thread.
+#[deprecated(note = "use an `Exchanger` built with `Plan::Buckets`")]
 pub fn exchange_gradients_with_plan<C: Compressor>(
     worker: &WorkerHandle,
     compressor: &mut C,
@@ -785,37 +769,40 @@ pub fn exchange_gradients_with_plan<C: Compressor>(
     plan: &mut BucketPlan,
 ) -> Result<Vec<Tensor>> {
     exchange_plan(
-        &Lane::Inline(worker),
+        &LaneRef::Inline(worker),
         std::slice::from_mut(compressor),
         &|_| 0,
         grads,
         plan,
+        &mut Scratch::default(),
     )
 }
 
-/// The bucketed exchange of every engine: the schedule over `plan`'s
-/// buckets with each packed bucket moved into its compressor (or, where
-/// the schedule allows it, a single layer's gradient borrowed), then
-/// `finish` and scatter.
+/// The exchange at **bucket granularity**, the way PyTorch DDP comm hooks
+/// see gradients: the schedule over `plan`'s buckets, each packed bucket
+/// moved into its compressor (or a single layer's gradient borrowed where
+/// the schedule allows it), then `finish` and scatter. Bucketing amortizes
+/// per-collective latency, sidesteps the per-layer encode overhead of
+/// §4.2, and is the only way to run non-layer-wise methods (Table 1's
+/// Random-K) inside DDP. A plan built for another layout is a protocol
+/// error before any collective runs.
 pub(crate) fn exchange_plan<C: Compressor>(
-    lane: &Lane<'_>,
+    lane: &LaneRef<'_>,
     compressors: &mut [C],
     arm_of: &dyn Fn(usize) -> usize,
     grads: &[Tensor],
     plan: &mut BucketPlan,
+    scratch: &mut Scratch,
 ) -> Result<Vec<Tensor>> {
     // Before any collective: a single-layer bucket is not packed, so
     // `pack`'s own check may come too late.
     plan.check_layout(grads)?;
-    // Taken so `pack` can borrow the plan; a failed exchange leaves the
-    // plan without timings.
-    let mut scratch = std::mem::take(&mut plan.scratch);
     run_rounds(
         lane,
         compressors,
         arm_of,
         plan.num_buckets(),
-        &mut scratch,
+        scratch,
         |c, bucket, direct| {
             Ok(match plan.layers(bucket) {
                 &[layer] if direct => Contribution::Gradient(grads[layer].data()),
@@ -834,7 +821,6 @@ pub(crate) fn exchange_plan<C: Compressor>(
             })?)
         })
         .collect::<Result<Vec<Tensor>>>()?;
-    plan.scratch = scratch;
     plan.scatter(grads, flats)
 }
 
@@ -917,36 +903,12 @@ fn largest_divisor_le_sqrt(n: usize) -> usize {
     best
 }
 
-/// Convenience harness: runs `exchange_gradients` across `p` in-process
-/// worker threads where worker `w` contributes `grads_per_worker[w]`, with
-/// a fresh compressor built from `method` on every worker. Returns each
-/// worker's decoded gradients.
-///
-/// # Errors
-///
-/// Propagates the first worker error encountered.
-///
-/// # Panics
-///
-/// Panics if `grads_per_worker` is empty or a worker thread panics.
-pub fn data_parallel_exchange(
-    method: &MethodConfig,
-    grads_per_worker: &[Vec<Tensor>],
-) -> Result<Vec<Vec<Tensor>>> {
-    assert!(!grads_per_worker.is_empty(), "need at least one worker");
-    let p = grads_per_worker.len();
-    let results = gcs_cluster::SimCluster::run(p, |worker| {
-        let mut compressor = method.build()?;
-        let grads = &grads_per_worker[worker.rank()];
-        exchange_gradients(&worker, &mut compressor, grads)
-    });
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExchangeConfig, Exchanger, Lane, Plan};
     use gcs_compress::driver::all_reduce_compressed;
+    use gcs_compress::registry::MethodConfig;
     use gcs_tensor::stats::relative_l2_error;
 
     fn make_grads(workers: usize, layers: &[Vec<usize>], seed: u64) -> Vec<Vec<Tensor>> {
@@ -961,15 +923,31 @@ mod tests {
             .collect()
     }
 
-    /// One bucketed exchange on a fresh plan of `cap`-byte buckets.
-    fn bucketed<C: Compressor>(
-        worker: &WorkerHandle,
-        c: &mut C,
-        grads: &[Tensor],
-        cap: usize,
-    ) -> Vec<Tensor> {
-        let mut plan = BucketPlan::new(grads, cap);
-        exchange_gradients_with_plan(worker, c, grads, &mut plan).unwrap()
+    /// `method` over flat buckets of at most `cap` bytes, inline.
+    fn bucketed(method: MethodConfig, cap: usize) -> ExchangeConfig {
+        ExchangeConfig {
+            plan: Plan::Buckets {
+                bytes: cap,
+                matricize: false,
+            },
+            lane: Lane::Inline,
+            arms: crate::Arms::One(method),
+        }
+    }
+
+    /// One exchange of `cfg` on every rank of a `SimCluster`, where rank
+    /// `w` contributes `grads[w]`.
+    fn exchange_everywhere(cfg: &ExchangeConfig, grads: &[Vec<Tensor>]) -> Vec<Vec<Tensor>> {
+        gcs_cluster::SimCluster::run(grads.len(), |worker| {
+            let rank = worker.rank();
+            let mut exchanger = Exchanger::new(worker, cfg.clone()).unwrap();
+            exchanger.exchange(&grads[rank]).unwrap()
+        })
+    }
+
+    /// The per-layer exchange of `method` on every rank.
+    fn per_layer(method: &MethodConfig, grads: &[Vec<Tensor>]) -> Vec<Vec<Tensor>> {
+        exchange_everywhere(&ExchangeConfig::per_layer(method.clone()), grads)
     }
 
     /// The real engine must agree with the centralized reference driver.
@@ -984,7 +962,7 @@ mod tests {
         };
         let layers = vec![vec![6usize, 10], vec![33], vec![4, 4, 3, 3]];
         let grads = make_grads(workers, &layers, 42);
-        let distributed = data_parallel_exchange(&method, &grads).expect("engine runs");
+        let distributed = per_layer(&method, &grads);
 
         // Reference: one compressor per worker, centralized aggregation,
         // layer by layer.
@@ -1063,7 +1041,7 @@ mod tests {
     #[test]
     fn syncsgd_engine_computes_exact_mean() {
         let grads = make_grads(4, &[vec![17]], 7);
-        let outs = data_parallel_exchange(&MethodConfig::SyncSgd, &grads).unwrap();
+        let outs = per_layer(&MethodConfig::SyncSgd, &grads);
         let mut mean = Tensor::zeros([17]);
         for g in &grads {
             mean.add_assign(&g[0]).unwrap();
@@ -1082,7 +1060,7 @@ mod tests {
             MethodConfig::TopK { ratio: 0.5 },
         ] {
             let grads = make_grads(4, &[vec![8, 8]], 11);
-            let outs = data_parallel_exchange(&method, &grads).unwrap();
+            let outs = per_layer(&method, &grads);
             for w in 1..4 {
                 assert_eq!(outs[0], outs[w], "{method:?} diverged across workers");
             }
@@ -1092,10 +1070,7 @@ mod tests {
     #[test]
     fn bucketed_exchange_matches_exact_mean_for_syncsgd() {
         let grads = make_grads(3, &[vec![6usize, 4], vec![9], vec![5, 5]], 31);
-        let outs = gcs_cluster::SimCluster::run(3, |worker| {
-            let mut c = MethodConfig::SyncSgd.build().unwrap();
-            bucketed(&worker, &mut c, &grads[worker.rank()], 64)
-        });
+        let outs = exchange_everywhere(&bucketed(MethodConfig::SyncSgd, 64), &grads);
         // Exact mean, layer by layer, regardless of bucket boundaries.
         for layer in 0..3 {
             let mut mean = Tensor::zeros(grads[0][layer].shape().clone());
@@ -1121,10 +1096,7 @@ mod tests {
             MethodConfig::RandomK { ratio: 0.5 }, // not layer-wise: needs buckets
         ] {
             let grads = make_grads(2, &[vec![4usize, 4], vec![7]], 37);
-            let outs = gcs_cluster::SimCluster::run(2, |worker| {
-                let mut c = method.build().unwrap();
-                bucketed(&worker, &mut c, &grads[worker.rank()], 48)
-            });
+            let outs = exchange_everywhere(&bucketed(method.clone(), 48), &grads);
             assert_eq!(outs[0], outs[1], "{method:?} diverged");
             for (out, g) in outs[0].iter().zip(&grads[0]) {
                 assert_eq!(out.shape(), g.shape());
@@ -1134,25 +1106,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_exchange_keeps_per_bucket_timings_on_the_plan() {
+    fn bucket_exchange_keeps_per_bucket_timings() {
         let grads = make_grads(2, &[vec![64usize], vec![6, 5], vec![40]], 43);
         let outs = gcs_cluster::SimCluster::run(2, |worker| {
             let grads = &grads[worker.rank()];
-            let mut plan = BucketPlan::new(grads, 256);
-            assert!(plan.last_timings().is_empty());
-            let mut ring = MethodConfig::SyncSgd.build().unwrap();
-            exchange_gradients_with_plan(&worker, &mut ring, grads, &mut plan).unwrap();
-            let ring_timings = plan.last_timings().to_vec();
-            let mut gather = MethodConfig::SignSgd.build().unwrap();
-            exchange_gradients_with_plan(&worker, &mut gather, grads, &mut plan).unwrap();
-            (
-                plan.num_buckets(),
-                ring_timings,
-                plan.last_timings().to_vec(),
-            )
+            let mut ring = Exchanger::new(worker, bucketed(MethodConfig::SyncSgd, 256)).unwrap();
+            assert!(ring.last_timings().is_empty());
+            ring.exchange(grads).unwrap();
+            ring.exchange(grads).unwrap();
+            let ring_timings = ring.last_timings().to_vec();
+            let (worker, _) = ring.into_parts();
+            let mut gather = Exchanger::new(worker, bucketed(MethodConfig::SignSgd, 256)).unwrap();
+            gather.exchange(grads).unwrap();
+            (ring_timings, gather.last_timings().to_vec())
         });
-        for (buckets, ring, gather) in outs {
-            assert_eq!(buckets, 3);
+        for (ring, gather) in outs {
+            assert_eq!((ring.len(), gather.len()), (3, 3));
             // One entry per bucket, refreshed (not appended) per exchange.
             for (b, (r, g)) in ring.iter().zip(&gather).enumerate() {
                 assert_eq!((r.bucket, g.bucket), (b, b));
@@ -1193,6 +1162,27 @@ mod tests {
         assert_eq!(plan.pack(&grads, 1).unwrap().data().as_ptr(), multi);
     }
 
+    /// The bucketed exchange over a given `plan` on the inline lane: the
+    /// only way to hand the schedule a plan built for another layout (an
+    /// `Exchanger` rebuilds its plan when the layout changes).
+    fn inline_plan_exchange(
+        worker: &WorkerHandle,
+        c: &mut Box<dyn Compressor>,
+        grads: &[Tensor],
+        plan: &mut BucketPlan,
+    ) -> Result<Vec<Tensor>> {
+        let lane = LaneRef::Inline(worker);
+        let mut scratch = Scratch::default();
+        exchange_plan(
+            &lane,
+            std::slice::from_mut(c),
+            &|_| 0,
+            grads,
+            plan,
+            &mut scratch,
+        )
+    }
+
     #[test]
     fn plan_for_another_layout_is_a_typed_error() {
         // Built for three layers, given two: no panic and no garbage
@@ -1213,7 +1203,7 @@ mod tests {
         let outs = gcs_cluster::SimCluster::run(1, |worker| {
             let mut plan = BucketPlan::new(&layout, 16);
             let mut c = MethodConfig::SyncSgd.build().unwrap();
-            protocol(&exchange_gradients_with_plan(
+            protocol(&inline_plan_exchange(
                 &worker,
                 &mut c,
                 &layout[..2],
@@ -1254,7 +1244,7 @@ mod tests {
             let mut plan = BucketPlan::new(&layout, 200);
             assert_eq!(plan.layers(0), &[2]);
             let mut c = MethodConfig::SyncSgd.build().unwrap();
-            exchange_gradients_with_plan(&worker, &mut c, &mismatched, &mut plan)
+            inline_plan_exchange(&worker, &mut c, &mismatched, &mut plan)
         });
         for out in outs {
             assert!(
@@ -1287,8 +1277,12 @@ mod tests {
             let cluster = gcs_cluster::SimCluster::new(3);
             let traffic = cluster.traffic().to_vec();
             cluster.run_workers(|worker| {
-                let mut c = method.build().unwrap();
-                exchange_gradients(&worker, &mut c, &grads[worker.rank()]).unwrap()
+                let rank = worker.rank();
+                let cfg = ExchangeConfig::per_layer(method.clone());
+                Exchanger::new(worker, cfg)
+                    .unwrap()
+                    .exchange(&grads[rank])
+                    .unwrap()
             });
             for t in &traffic {
                 assert_eq!(t.messages_sent(), frames, "{method:?}");
@@ -1301,11 +1295,8 @@ mod tests {
         // With an unbounded bucket, bucketed syncSGD equals the per-layer
         // engine's result exactly.
         let grads = make_grads(2, &[vec![3usize, 3], vec![5]], 41);
-        let whole = gcs_cluster::SimCluster::run(2, |worker| {
-            let mut c = MethodConfig::SyncSgd.build().unwrap();
-            bucketed(&worker, &mut c, &grads[worker.rank()], usize::MAX)
-        });
-        let layered = data_parallel_exchange(&MethodConfig::SyncSgd, &grads).unwrap();
+        let whole = exchange_everywhere(&bucketed(MethodConfig::SyncSgd, usize::MAX), &grads);
+        let layered = per_layer(&MethodConfig::SyncSgd, &grads);
         for (a, b) in whole[0].iter().zip(&layered[0]) {
             assert!(relative_l2_error(a, b) < 1e-6);
         }
@@ -1322,8 +1313,14 @@ mod tests {
                 return None;
             }
             worker.set_members(&members).unwrap();
-            let mut c = MethodConfig::SyncSgd.build().unwrap();
-            Some(exchange_gradients(&worker, &mut c, &grads[worker.rank()]).unwrap())
+            let rank = worker.rank();
+            let cfg = ExchangeConfig::per_layer(MethodConfig::SyncSgd);
+            Some(
+                Exchanger::new(worker, cfg)
+                    .unwrap()
+                    .exchange(&grads[rank])
+                    .unwrap(),
+            )
         });
         let mut mean = Tensor::zeros([9]);
         for &m in &members {
@@ -1354,8 +1351,14 @@ mod tests {
                 return None;
             }
             worker.set_members(&members).unwrap();
-            let mut c = MethodConfig::SignSgd.build().unwrap();
-            Some(exchange_gradients(&worker, &mut c, &grads[worker.rank()]).unwrap())
+            let rank = worker.rank();
+            let cfg = ExchangeConfig::per_layer(MethodConfig::SignSgd);
+            Some(
+                Exchanger::new(worker, cfg)
+                    .unwrap()
+                    .exchange(&grads[rank])
+                    .unwrap(),
+            )
         });
         let survivors: Vec<_> = outs.iter().flatten().collect();
         assert_eq!(survivors.len(), 3);
@@ -1381,9 +1384,11 @@ mod tests {
         let g2 = make_grads(3, &layers, 22);
         let p = 3;
         let outs = gcs_cluster::SimCluster::run(p, |worker| {
-            let mut c = MethodConfig::PowerSgd { rank: 2 }.build().unwrap();
-            let a = exchange_gradients(&worker, &mut c, &g1[worker.rank()]).unwrap();
-            let b = exchange_gradients(&worker, &mut c, &g2[worker.rank()]).unwrap();
+            let rank = worker.rank();
+            let cfg = ExchangeConfig::per_layer(MethodConfig::PowerSgd { rank: 2 });
+            let mut exchanger = Exchanger::new(worker, cfg).unwrap();
+            let a = exchanger.exchange(&g1[rank]).unwrap();
+            let b = exchanger.exchange(&g2[rank]).unwrap();
             (a, b)
         });
         for w in 1..p {

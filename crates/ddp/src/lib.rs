@@ -7,12 +7,11 @@
 //!   bucketing, communication/computation overlap on a separate stream,
 //!   the γ contention factor, ring/tree all-reduce, and
 //!   sequential-vs-overlapped gradient compression (§3.1). This is the
-//!   stand-in for the paper's AWS testbed; the benches sample it (with
-//!   calibrated jitter) to produce "measured" curves.
-//! * [`exec`] — a real **data-plane** engine: `p` worker threads compress
-//!   actual gradients and aggregate them through the channel-level
-//!   collectives of `gcs-cluster`, reproducing exactly the semantics of the
-//!   centralized reference driver in `gcs-compress`.
+//!   stand-in for the paper's AWS testbed: the benches' "simulated" curves.
+//! * [`Exchanger`] — the real **data-plane** engine: each worker compresses
+//!   actual gradients and aggregates them through the collectives of
+//!   `gcs-cluster`, running [`exec`]'s bucket schedule and reproducing the
+//!   semantics of the centralized reference driver in `gcs-compress`.
 //!
 //! # Example
 //!
@@ -32,13 +31,16 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod adaptive;
+pub mod exchanger;
 pub mod exec;
 pub mod pipeline;
 pub mod sim;
 pub mod trace;
 pub mod wire;
 
-pub use adaptive::{AdaptiveEngine, SwitchRecord};
+pub use adaptive::SwitchRecord;
+pub use exchanger::{Arms, ExchangeConfig, Exchanger, Lane, Plan};
 pub use exec::{summable_wire_bytes, BucketTiming};
+#[allow(deprecated)]
 pub use pipeline::{PipelineConfig, PipelinedEngine};
 pub use trace::{RunEvent, RunEventKind};

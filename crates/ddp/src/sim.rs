@@ -23,9 +23,8 @@
 //! [`crate::trace::trace_iteration`] returns, so the breakdown and the
 //! Figure-2 timeline cannot drift apart.
 //!
-//! The simulator is deterministic. [`simulate_measured`] adds calibrated
-//! multiplicative jitter to emulate testbed noise for Figure-8-style
-//! model-vs-measured comparisons.
+//! The simulator is deterministic: Figure 8 compares the §4 closed form
+//! with its event schedule, not with a measured run.
 
 use crate::trace::{schedule, Stream};
 use crate::wire::{wire_plan, Collective, WirePlan};
@@ -34,8 +33,6 @@ use gcs_compress::registry::MethodConfig;
 use gcs_models::buckets::DEFAULT_BUCKET_BYTES;
 use gcs_models::encode_cost::encode_cost;
 use gcs_models::{DeviceSpec, ModelSpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// All-reduce algorithm selection (the paper forces ring via
 /// `NCCL_TREE_THRESHOLD=0`; tree is provided for the ablation bench).
@@ -381,28 +378,6 @@ pub fn simulate_strong_scaling(cfg: &SimConfig, global_batch: usize) -> Iteratio
     simulate_iteration(&cfg.clone().batch_per_worker(per_worker))
 }
 
-/// Samples `iters` jittered iteration times (seconds), emulating testbed
-/// noise: multiplicative Gaussian jitter with the ~4% std the paper's
-/// error bars show, never below 90% of the deterministic time.
-pub fn simulate_measured(cfg: &SimConfig, iters: usize, seed: u64) -> Vec<f64> {
-    let base = simulate_iteration(cfg).total_s;
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..iters)
-        .map(|_| {
-            // Sum of 4 uniforms ≈ Gaussian (Irwin–Hall), cheap and bounded.
-            let u: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() / 4.0 - 0.5;
-            let eps = u * 0.16; // std ≈ 0.04
-            base * (1.0 + eps).max(0.9)
-        })
-        .collect()
-}
-
-/// Mean and standard deviation of [`simulate_measured`] samples.
-pub fn measured_mean_std(cfg: &SimConfig, iters: usize, seed: u64) -> (f64, f64) {
-    let samples = simulate_measured(cfg, iters, seed);
-    gcs_tensor::stats::mean_std(&samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,23 +646,5 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn local_sgd_zero_period_panics() {
         let _ = simulate_local_sgd(&cfg(presets::resnet50(), 4), 0);
-    }
-
-    #[test]
-    fn measured_jitter_is_centered_and_bounded() {
-        let c = cfg(presets::resnet50(), 16);
-        let base = simulate_iteration(&c).total_s;
-        let samples = simulate_measured(&c, 200, 7);
-        let (mean, std) = gcs_tensor::stats::mean_std(&samples);
-        assert!((mean - base).abs() / base < 0.02, "mean {mean} vs {base}");
-        assert!(std / base < 0.08, "std {std}");
-        assert!(samples.iter().all(|&s| s >= 0.9 * base));
-    }
-
-    #[test]
-    fn measured_is_deterministic_per_seed() {
-        let c = cfg(presets::resnet50(), 8);
-        assert_eq!(simulate_measured(&c, 10, 1), simulate_measured(&c, 10, 1));
-        assert_ne!(simulate_measured(&c, 10, 1), simulate_measured(&c, 10, 2));
     }
 }

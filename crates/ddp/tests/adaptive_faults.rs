@@ -8,7 +8,7 @@ use std::time::Duration;
 use gcs_cluster::{FaultPlan, SimCluster};
 use gcs_compress::adaptive::{AdaptiveConfig, DecisionInputs};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::AdaptiveEngine;
+use gcs_ddp::{ExchangeConfig, Exchanger};
 use gcs_tensor::Tensor;
 
 const WORLD: usize = 4;
@@ -51,10 +51,11 @@ fn run_measured(plan: FaultPlan) -> Vec<RankOutcome> {
             .unwrap()
             .inputs(DecisionInputs::Measured)
             .warmup_steps(3);
-        let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES).unwrap();
         let grads = grads_for(worker.rank(), 61);
+        let exchange = ExchangeConfig::adaptive(cfg, BUCKET_BYTES);
+        let mut engine = Exchanger::new(worker, exchange).unwrap();
         for _ in 0..STEPS {
-            let out = engine.exchange(&worker, &grads).unwrap();
+            let out = engine.exchange(&grads).unwrap();
             for g in &out {
                 assert!(g.data().iter().all(|x| x.is_finite()));
             }

@@ -8,7 +8,7 @@ use gcs_cluster::SimCluster;
 use gcs_compress::adaptive::{AdaptiveConfig, Decision, DecisionInputs};
 use gcs_compress::driver::ResidualPolicy;
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::AdaptiveEngine;
+use gcs_ddp::{Arms, ExchangeConfig, Exchanger, Lane, Plan};
 use gcs_tensor::Tensor;
 
 const WORLD: usize = 3;
@@ -54,13 +54,22 @@ fn forced_script() -> Vec<Decision> {
 fn forced_switches_keep_gradients_finite_and_residuals_bounded() {
     let outs = SimCluster::run(WORLD, |worker| {
         let cfg = AdaptiveConfig::new(arms()).unwrap();
-        let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES)
-            .unwrap()
-            .residual_policy(ResidualPolicy::Carry)
-            .scripted(forced_script());
         let grads = grads_for(worker.rank(), 17);
+        let exchange = ExchangeConfig {
+            plan: Plan::Buckets {
+                bytes: BUCKET_BYTES,
+                matricize: true,
+            },
+            lane: Lane::Inline,
+            arms: Arms::Adaptive {
+                config: cfg,
+                residual: ResidualPolicy::Carry,
+                script: Some(forced_script()),
+            },
+        };
+        let mut engine = Exchanger::new(worker, exchange).unwrap();
         for _ in 0..6 {
-            let out = engine.exchange(&worker, &grads).unwrap();
+            let out = engine.exchange(&grads).unwrap();
             for g in &out {
                 assert!(
                     g.data().iter().all(|x| x.is_finite()),
@@ -118,13 +127,22 @@ fn forced_script_outputs_match_their_golden_digest() {
     const GOLDEN: u64 = 0xf4c0f3f893e78e98;
     let outs = SimCluster::run(WORLD, |worker| {
         let cfg = AdaptiveConfig::new(arms()).unwrap();
-        let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES)
-            .unwrap()
-            .residual_policy(ResidualPolicy::Carry)
-            .scripted(forced_script());
         let grads = grads_for(worker.rank(), 17);
+        let exchange = ExchangeConfig {
+            plan: Plan::Buckets {
+                bytes: BUCKET_BYTES,
+                matricize: true,
+            },
+            lane: Lane::Inline,
+            arms: Arms::Adaptive {
+                config: cfg,
+                residual: ResidualPolicy::Carry,
+                script: Some(forced_script()),
+            },
+        };
+        let mut engine = Exchanger::new(worker, exchange).unwrap();
         (0..6)
-            .map(|_| engine.exchange(&worker, &grads).unwrap())
+            .map(|_| engine.exchange(&grads).unwrap())
             .collect::<Vec<_>>()
     });
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -147,13 +165,22 @@ fn forced_script_outputs_match_their_golden_digest() {
 fn reset_policy_documents_the_drop_instead_of_carrying() {
     let outs = SimCluster::run(WORLD, |worker| {
         let cfg = AdaptiveConfig::new(arms()).unwrap();
-        let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES)
-            .unwrap()
-            .residual_policy(ResidualPolicy::Reset)
-            .scripted(forced_script());
         let grads = grads_for(worker.rank(), 29);
+        let exchange = ExchangeConfig {
+            plan: Plan::Buckets {
+                bytes: BUCKET_BYTES,
+                matricize: true,
+            },
+            lane: Lane::Inline,
+            arms: Arms::Adaptive {
+                config: cfg,
+                residual: ResidualPolicy::Reset,
+                script: Some(forced_script()),
+            },
+        };
+        let mut engine = Exchanger::new(worker, exchange).unwrap();
         for _ in 0..6 {
-            let out = engine.exchange(&worker, &grads).unwrap();
+            let out = engine.exchange(&grads).unwrap();
             for g in &out {
                 assert!(g.data().iter().all(|x| x.is_finite()));
             }
@@ -181,11 +208,12 @@ fn recorded_trace_replays_bit_identically() {
             .unwrap()
             .inputs(DecisionInputs::Measured)
             .warmup_steps(3);
-        let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES).unwrap();
         let grads = grads_for(worker.rank(), 41);
+        let exchange = ExchangeConfig::adaptive(cfg, BUCKET_BYTES);
+        let mut engine = Exchanger::new(worker, exchange).unwrap();
         let mut bits = Vec::new();
         for _ in 0..5 {
-            let out = engine.exchange(&worker, &grads).unwrap();
+            let out = engine.exchange(&grads).unwrap();
             bits.push(
                 out.iter()
                     .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
@@ -208,13 +236,23 @@ fn recorded_trace_replays_bit_identically() {
                 .unwrap()
                 .inputs(DecisionInputs::Measured)
                 .warmup_steps(3);
-            let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES)
-                .unwrap()
-                .scripted(trace.clone());
             let grads = grads_for(worker.rank(), 41);
+            let exchange = ExchangeConfig {
+                plan: Plan::Buckets {
+                    bytes: BUCKET_BYTES,
+                    matricize: true,
+                },
+                lane: Lane::Inline,
+                arms: Arms::Adaptive {
+                    config: cfg,
+                    residual: ResidualPolicy::Carry,
+                    script: Some(trace.clone()),
+                },
+            };
+            let mut engine = Exchanger::new(worker, exchange).unwrap();
             let mut bits = Vec::new();
             for _ in 0..5 {
-                let out = engine.exchange(&worker, &grads).unwrap();
+                let out = engine.exchange(&grads).unwrap();
                 bits.push(
                     out.iter()
                         .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
@@ -238,10 +276,11 @@ fn modelled_decision_traces_are_deterministic_across_runs() {
             let cfg = AdaptiveConfig::new(arms())
                 .unwrap()
                 .link(NetworkModel::from_gbps(15e-6, 0.1));
-            let mut engine = AdaptiveEngine::new(cfg, BUCKET_BYTES).unwrap();
             let grads = grads_for(worker.rank(), 53);
+            let exchange = ExchangeConfig::adaptive(cfg, BUCKET_BYTES);
+            let mut engine = Exchanger::new(worker, exchange).unwrap();
             for _ in 0..4 {
-                engine.exchange(&worker, &grads).unwrap();
+                engine.exchange(&grads).unwrap();
             }
             let c = engine.controller().unwrap();
             let assignment: Vec<usize> = (0..c.num_buckets()).map(|b| c.arm_of(b)).collect();

@@ -7,8 +7,7 @@ use std::time::Duration;
 
 use gcs_cluster::{FaultKind, FaultPlan, SimCluster};
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
-use gcs_ddp::{PipelineConfig, PipelinedEngine};
+use gcs_ddp::{Arms, ExchangeConfig, Exchanger, Lane, Plan};
 use gcs_tensor::Tensor;
 
 const WORLD: usize = 4;
@@ -42,26 +41,27 @@ fn make_grads(rank: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// `method` on one bucket holding the whole model, on `lane`.
+fn one_bucket(method: &MethodConfig, lane: Lane) -> ExchangeConfig {
+    ExchangeConfig {
+        plan: Plan::Buckets {
+            bytes: usize::MAX,
+            matricize: false,
+        },
+        lane,
+        arms: Arms::One(method.clone()),
+    }
+}
+
 fn sequential_exchange(w: gcs_cluster::WorkerHandle, method: &MethodConfig) -> Vec<Tensor> {
-    let mut c = method.build().unwrap();
     let grads = make_grads(w.rank());
-    let mut plan = BucketPlan::new(&grads, usize::MAX);
-    exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
+    let mut eng = Exchanger::new(w, one_bucket(method, Lane::Inline)).unwrap();
+    eng.exchange(&grads).unwrap()
 }
 
 fn pipelined_exchange(w: gcs_cluster::WorkerHandle, method: &MethodConfig) -> Vec<Tensor> {
-    let c = method.build().unwrap();
     let grads = make_grads(w.rank());
-    let mut eng = PipelinedEngine::new(
-        w,
-        c,
-        PipelineConfig {
-            bucket_bytes: usize::MAX,
-            depth: 2,
-            matricize: false,
-        },
-    )
-    .unwrap();
+    let mut eng = Exchanger::new(w, one_bucket(method, Lane::Comm { depth: 2 })).unwrap();
     let out = eng.exchange(&grads).unwrap();
     let _ = eng.into_parts();
     out

@@ -27,8 +27,8 @@ use gcs_cluster::SimCluster;
 use gcs_compress::adaptive::AdaptiveConfig;
 use gcs_compress::driver::all_reduce_compressed;
 use gcs_compress::registry::MethodConfig;
-use gcs_ddp::exec::{exchange_gradients, exchange_gradients_with_plan, BucketPlan};
-use gcs_ddp::{AdaptiveEngine, BucketTiming, PipelineConfig, PipelinedEngine};
+use gcs_ddp::exec::BucketPlan;
+use gcs_ddp::{Arms, BucketTiming, ExchangeConfig, Exchanger, Lane, Plan};
 use gcs_tensor::Tensor;
 
 const WORLD: usize = 4;
@@ -102,21 +102,31 @@ fn wire_counts(timings: &[BucketTiming]) -> Vec<WireCounts> {
 /// One rank's output bits and per-bucket wire counts, one entry per step.
 type Run = Vec<(Vec<u32>, Vec<WireCounts>)>;
 
+/// `method` on `plan` and `lane`.
+fn one(method: &MethodConfig, plan: Plan, lane: Lane) -> ExchangeConfig {
+    ExchangeConfig {
+        plan,
+        lane,
+        arms: Arms::One(method.clone()),
+    }
+}
+
+/// Buckets of at most `bytes`, flat or matricized.
+fn capped(bytes: usize, matricize: bool) -> Plan {
+    Plan::Buckets { bytes, matricize }
+}
+
 /// The sequential exchange on a flat (or matricized) plan built once.
 fn sequential(method: &MethodConfig, cap: usize, matricize: bool) -> Vec<Run> {
     SimCluster::run(WORLD, |w| {
-        let mut c = method.build().unwrap();
-        let layout = make_grads_at(w.rank(), 0);
-        let mut plan = if matricize {
-            BucketPlan::matricized(&layout, cap)
-        } else {
-            BucketPlan::new(&layout, cap)
-        };
+        let rank = w.rank();
+        let cfg = one(method, capped(cap, matricize), Lane::Inline);
+        let mut eng = Exchanger::new(w, cfg).unwrap();
         (0..STEPS)
             .map(|step| {
-                let grads = make_grads_at(w.rank(), step);
-                let out = exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap();
-                (bits(&out), wire_counts(plan.last_timings()))
+                let grads = make_grads_at(rank, step);
+                let out = eng.exchange(&grads).unwrap();
+                (bits(&out), wire_counts(eng.last_timings()))
             })
             .collect()
     })
@@ -125,12 +135,8 @@ fn sequential(method: &MethodConfig, cap: usize, matricize: bool) -> Vec<Run> {
 fn pipelined(method: &MethodConfig, cap: usize, depth: usize) -> Vec<Run> {
     SimCluster::run(WORLD, |w| {
         let rank = w.rank();
-        let cfg = PipelineConfig {
-            bucket_bytes: cap,
-            depth,
-            matricize: false,
-        };
-        let mut eng = PipelinedEngine::new(w, method.build().unwrap(), cfg).unwrap();
+        let cfg = one(method, capped(cap, false), Lane::Comm { depth });
+        let mut eng = Exchanger::new(w, cfg).unwrap();
         let run = (0..STEPS)
             .map(|step| {
                 let out = eng.exchange(&make_grads_at(rank, step)).unwrap();
@@ -144,11 +150,12 @@ fn pipelined(method: &MethodConfig, cap: usize, depth: usize) -> Vec<Run> {
 
 fn one_arm_adaptive(method: &MethodConfig, cap: usize) -> Vec<Run> {
     SimCluster::run(WORLD, |w| {
+        let rank = w.rank();
         let cfg = AdaptiveConfig::new(vec![method.clone()]).unwrap();
-        let mut eng = AdaptiveEngine::new(cfg, cap).unwrap();
+        let mut eng = Exchanger::new(w, ExchangeConfig::adaptive(cfg, cap)).unwrap();
         (0..STEPS)
             .map(|step| {
-                let out = eng.exchange(&w, &make_grads_at(w.rank(), step)).unwrap();
+                let out = eng.exchange(&make_grads_at(rank, step)).unwrap();
                 (bits(&out), wire_counts(eng.last_timings()))
             })
             .collect()
@@ -216,11 +223,10 @@ fn per_layer_exchange_matches_its_golden_digests() {
         .iter()
         .map(|method| {
             let runs = SimCluster::run(WORLD, |w| {
-                let mut c = method.build().unwrap();
+                let rank = w.rank();
+                let mut eng = Exchanger::new(w, ExchangeConfig::per_layer(method.clone())).unwrap();
                 (0..STEPS)
-                    .map(|step| {
-                        exchange_gradients(&w, &mut c, &make_grads_at(w.rank(), step)).unwrap()
-                    })
+                    .map(|step| eng.exchange(&make_grads_at(rank, step)).unwrap())
                     .collect::<Vec<_>>()
             });
             fnv1a(&runs)
@@ -234,10 +240,9 @@ fn sequential_plan_matches_the_reference_driver_for_every_method() {
     // The net above pins every engine to this exchange bit for bit.
     for method in registry() {
         let sequential = SimCluster::run(WORLD, |w| {
-            let mut c = method.build().unwrap();
             let grads = make_grads(w.rank());
-            let mut plan = BucketPlan::new(&grads, usize::MAX);
-            exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
+            let cfg = one(&method, capped(usize::MAX, false), Lane::Inline);
+            Exchanger::new(w, cfg).unwrap().exchange(&grads).unwrap()
         });
 
         // The reference driver sees the same flat concatenation as one
@@ -347,23 +352,17 @@ enum DenseEngine {
 /// FNV-1a over two syncSGD steps on a `world`-rank `SimCluster`.
 fn dense_digest(world: usize, engine: DenseEngine) -> u64 {
     let runs = SimCluster::run(world, |w| {
-        let mut c = MethodConfig::SyncSgd.build().unwrap();
-        let layout = dense_grads_at(w.rank(), 0);
-        let mut plan = match engine {
-            DenseEngine::PerLayer => None,
-            DenseEngine::Plan { cap, matricize } if matricize => {
-                Some(BucketPlan::matricized(&layout, cap))
-            }
-            DenseEngine::Plan { cap, .. } => Some(BucketPlan::new(&layout, cap)),
+        let rank = w.rank();
+        let plan = match engine {
+            DenseEngine::PerLayer => Plan::PerLayer,
+            DenseEngine::Plan { cap, matricize } => capped(cap, matricize),
         };
+        let cfg = one(&MethodConfig::SyncSgd, plan, Lane::Inline);
+        let mut eng = Exchanger::new(w, cfg).unwrap();
         (0..STEPS)
             .map(|step| {
-                let grads = dense_grads_at(w.rank(), step);
-                match plan.as_mut() {
-                    Some(plan) => exchange_gradients_with_plan(&w, &mut c, &grads, plan),
-                    None => exchange_gradients(&w, &mut c, &grads),
-                }
-                .unwrap()
+                let grads = dense_grads_at(rank, step);
+                eng.exchange(&grads).unwrap()
             })
             .collect::<Vec<_>>()
     });
@@ -459,10 +458,13 @@ fn sign_grads_at(rank: usize, step: usize) -> Vec<Tensor> {
 /// carried from step to step is pinned too.
 fn sign_digest(method: &MethodConfig, world: usize) -> u64 {
     let runs = SimCluster::run(world, |w| {
-        let mut c = method.build().unwrap();
+        let rank = w.rank();
+        let mut eng = Exchanger::new(w, ExchangeConfig::per_layer(method.clone())).unwrap();
         let mut outs: Vec<Vec<Tensor>> = (0..3)
-            .map(|step| exchange_gradients(&w, &mut c, &sign_grads_at(w.rank(), step)).unwrap())
+            .map(|step| eng.exchange(&sign_grads_at(rank, step)).unwrap())
             .collect();
+        let (_, mut arms) = eng.into_parts();
+        let c = &mut arms[0];
         let residuals: Vec<Tensor> = (0..sign_shapes().len())
             .filter_map(|layer| c.take_residual(layer))
             .collect();
@@ -554,11 +556,13 @@ fn ragged_per_layer_exchange_matches_its_golden_digests() {
                 .iter()
                 .map(|method| {
                     let runs = SimCluster::run(world, |w| {
-                        let mut c = method.build().unwrap();
+                        let rank = w.rank();
+                        let cfg = ExchangeConfig::per_layer(method.clone());
+                        let mut eng = Exchanger::new(w, cfg).unwrap();
                         (0..STEPS)
                             .map(|step| {
-                                let grads = ragged_grads_at(w.rank(), step);
-                                exchange_gradients(&w, &mut c, &grads).unwrap()
+                                let grads = ragged_grads_at(rank, step);
+                                eng.exchange(&grads).unwrap()
                             })
                             .collect::<Vec<_>>()
                     });
@@ -605,12 +609,13 @@ fn syncsgd_mixed_plan_matches_its_golden_digest() {
     let buckets: Vec<&[usize]> = (0..plan.num_buckets()).map(|b| plan.layers(b)).collect();
     assert_eq!(buckets, [&[6usize, 5, 4][..], &[3], &[2, 1], &[0]]);
     let runs = SimCluster::run(WORLD_MIXED, |w| {
-        let mut c = MethodConfig::SyncSgd.build().unwrap();
-        let mut plan = BucketPlan::new(&grads_at(w.rank(), 0), CAP);
+        let rank = w.rank();
+        let cfg = one(&MethodConfig::SyncSgd, capped(CAP, false), Lane::Inline);
+        let mut eng = Exchanger::new(w, cfg).unwrap();
         (0..STEPS)
             .map(|step| {
-                let grads = grads_at(w.rank(), step);
-                exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
+                let grads = grads_at(rank, step);
+                eng.exchange(&grads).unwrap()
             })
             .collect::<Vec<_>>()
     });
@@ -619,4 +624,70 @@ fn syncsgd_mixed_plan_matches_its_golden_digest() {
         0xf06ba2fa5c148a9b,
         "syncSGD mixed-plan bits moved"
     );
+}
+
+/// The deprecated entry points are wrappers with no logic of their own:
+/// each computes the same bits as the `Exchanger` config it wraps, for
+/// every method at p = 3 over two steps. The benchmark crate is their only
+/// other caller.
+#[test]
+#[allow(deprecated)]
+fn deprecated_wrappers_match_their_exchanger_configs() {
+    use gcs_ddp::exec::{exchange_gradients, exchange_gradients_with_plan};
+    use gcs_ddp::{PipelineConfig, PipelinedEngine};
+    const P: usize = 3;
+    const MIB: usize = 1 << 20;
+    let through = |cfg: ExchangeConfig| -> Vec<Vec<Vec<Tensor>>> {
+        SimCluster::run(P, |w| {
+            let rank = w.rank();
+            let mut eng = Exchanger::new(w, cfg.clone()).unwrap();
+            (0..STEPS)
+                .map(|step| eng.exchange(&make_grads_at(rank, step)).unwrap())
+                .collect()
+        })
+    };
+    for method in registry() {
+        let per_layer = SimCluster::run(P, |w| {
+            let mut c = method.build().unwrap();
+            (0..STEPS)
+                .map(|step| exchange_gradients(&w, &mut c, &make_grads_at(w.rank(), step)).unwrap())
+                .collect::<Vec<_>>()
+        });
+        let with_plan = SimCluster::run(P, |w| {
+            let mut c = method.build().unwrap();
+            let mut plan = BucketPlan::new(&make_grads_at(w.rank(), 0), MIB);
+            (0..STEPS)
+                .map(|step| {
+                    let grads = make_grads_at(w.rank(), step);
+                    exchange_gradients_with_plan(&w, &mut c, &grads, &mut plan).unwrap()
+                })
+                .collect::<Vec<_>>()
+        });
+        let pipelined = SimCluster::run(P, |w| {
+            let rank = w.rank();
+            let cfg = PipelineConfig {
+                bucket_bytes: MIB,
+                depth: 2,
+                ..PipelineConfig::default()
+            };
+            let mut eng = PipelinedEngine::new(w, method.build().unwrap(), cfg).unwrap();
+            let outs = (0..STEPS)
+                .map(|step| eng.exchange(&make_grads_at(rank, step)).unwrap())
+                .collect::<Vec<_>>();
+            let _ = eng.into_parts();
+            outs
+        });
+        let comm = Lane::Comm { depth: 2 };
+        for (wrapper, cfg) in [
+            (per_layer, ExchangeConfig::per_layer(method.clone())),
+            (with_plan, one(&method, capped(MIB, false), Lane::Inline)),
+            (pipelined, one(&method, capped(MIB, false), comm)),
+        ] {
+            assert_eq!(
+                fnv1a(&wrapper),
+                fnv1a(&through(cfg.clone())),
+                "{method:?}: the wrapper of {cfg:?} deviates"
+            );
+        }
+    }
 }

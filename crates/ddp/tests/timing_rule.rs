@@ -7,8 +7,7 @@
 use gcs_cluster::SimCluster;
 use gcs_compress::registry::MethodConfig;
 use gcs_compress::{Compressor, Payload};
-use gcs_ddp::exec::{exchange_gradients_with_plan, BucketPlan};
-use gcs_ddp::{PipelineConfig, PipelinedEngine};
+use gcs_ddp::{Exchanger, Lane, Plan};
 use gcs_tensor::{Shape, Tensor};
 
 /// A gather-path scheme whose `aggregate` sleeps, so the timing rule's
@@ -55,14 +54,16 @@ fn aggregate_is_decode_time_not_comm_time_on_both_lanes() {
     let outs = SimCluster::run(2, |worker| {
         let slow = || SlowAggregate(MethodConfig::SignSgd.build().unwrap());
         let grads = &grads[worker.rank()];
-        let mut plan = BucketPlan::new(grads, usize::MAX);
-        exchange_gradients_with_plan(&worker, &mut slow(), grads, &mut plan).unwrap();
-        let inline = plan.last_timings()[0];
-        let cfg = PipelineConfig {
-            bucket_bytes: usize::MAX,
-            ..PipelineConfig::default()
+        let plan = Plan::Buckets {
+            bytes: usize::MAX,
+            matricize: false,
         };
-        let mut engine = PipelinedEngine::new(worker, slow(), cfg).unwrap();
+        let mut engine = Exchanger::with_compressor(worker, plan, Lane::Inline, slow()).unwrap();
+        engine.exchange(grads).unwrap();
+        let inline = engine.last_timings()[0];
+        let (worker, _) = engine.into_parts();
+        let lane = Lane::Comm { depth: 2 };
+        let mut engine = Exchanger::with_compressor(worker, plan, lane, slow()).unwrap();
         engine.exchange(grads).unwrap();
         let comm = engine.last_timings()[0];
         let _ = engine.into_parts();

@@ -30,7 +30,6 @@
 //! # }
 //! ```
 
-pub mod adaptive;
 pub mod harness;
 pub mod local_sgd;
 pub mod optim;

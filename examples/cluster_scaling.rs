@@ -8,7 +8,7 @@
 
 use gradcomp::cluster::SimCluster;
 use gradcomp::compress::registry::MethodConfig;
-use gradcomp::ddp::exec::exchange_gradients;
+use gradcomp::ddp::{ExchangeConfig, Exchanger};
 use gradcomp::tensor::Tensor;
 
 /// Runs one real gradient exchange on `workers` in-process workers and
@@ -20,8 +20,10 @@ fn per_worker_traffic(method: &MethodConfig, workers: usize) -> u64 {
     let cluster = SimCluster::new(workers);
     let counters = cluster.traffic().to_vec();
     cluster.run_workers(|worker| {
-        let mut compressor = method.build().expect("method builds");
-        exchange_gradients(&worker, &mut compressor, &grads[worker.rank()]).expect("exchange");
+        let rank = worker.rank();
+        let cfg = ExchangeConfig::per_layer(method.clone());
+        let mut exchanger = Exchanger::new(worker, cfg).expect("method builds");
+        exchanger.exchange(&grads[rank]).expect("exchange");
     });
     counters.iter().map(|t| t.bytes_sent()).sum::<u64>() / workers as u64
 }

@@ -7,9 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
+# The workspace pass runs the root package's suites too.
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

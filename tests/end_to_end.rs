@@ -2,10 +2,12 @@
 //! real compression, real collectives, real training, and the performance
 //! model on top.
 
+use gradcomp::cluster::SimCluster;
 use gradcomp::compress::registry::MethodConfig;
 use gradcomp::core::perf::predict_iteration;
-use gradcomp::ddp::exec::data_parallel_exchange;
+use gradcomp::ddp::exec::Result as ExchangeResult;
 use gradcomp::ddp::sim::{simulate_iteration, SimConfig};
+use gradcomp::ddp::{ExchangeConfig, Exchanger};
 use gradcomp::models::presets;
 use gradcomp::tensor::{stats, Tensor};
 use gradcomp::train::harness::{train_distributed, TrainConfig};
@@ -24,12 +26,26 @@ fn worker_grads(workers: usize, seed: u64) -> Vec<Vec<Tensor>> {
         .collect()
 }
 
+/// One per-layer exchange of `method` on every rank of an in-process
+/// cluster, rank `w` contributing `grads[w]`.
+fn exchange_everywhere(
+    method: &MethodConfig,
+    grads: &[Vec<Tensor>],
+) -> ExchangeResult<Vec<Vec<Tensor>>> {
+    SimCluster::run(grads.len(), |worker| {
+        let rank = worker.rank();
+        Exchanger::new(worker, ExchangeConfig::per_layer(method.clone()))?.exchange(&grads[rank])
+    })
+    .into_iter()
+    .collect()
+}
+
 #[test]
 fn every_catalogue_method_exchanges_over_real_cluster() {
     for cfg in gradcomp::compress::registry::table1_methods() {
         let grads = worker_grads(3, 5);
         let outs =
-            data_parallel_exchange(&cfg, &grads).unwrap_or_else(|e| panic!("{cfg:?} failed: {e}"));
+            exchange_everywhere(&cfg, &grads).unwrap_or_else(|e| panic!("{cfg:?} failed: {e}"));
         assert_eq!(outs.len(), 3);
         // All workers decode the same gradients, with the right shapes.
         for w in 1..3 {
@@ -46,7 +62,7 @@ fn every_catalogue_method_exchanges_over_real_cluster() {
 fn syncsgd_exchange_is_the_exact_mean() {
     let workers = 4;
     let grads = worker_grads(workers, 9);
-    let outs = data_parallel_exchange(&MethodConfig::SyncSgd, &grads).expect("exchange");
+    let outs = exchange_everywhere(&MethodConfig::SyncSgd, &grads).expect("exchange");
     for layer in 0..3 {
         let mut mean = Tensor::zeros(grads[0][layer].shape().clone());
         for w in &grads {
