@@ -14,6 +14,7 @@
 //! whose identity (origin rank) matters but whose contents do not.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 
 /// Half-open element range `[lo, hi)` into a process's f32 buffer.
@@ -89,17 +90,32 @@ pub enum Op {
 }
 
 impl Op {
-    /// The peer process this op communicates with.
-    pub fn peer(&self) -> usize {
-        match self {
-            Op::Send { dst, .. } => *dst,
-            Op::Recv { src, .. } => *src,
+    /// What the wire sees of this op: direction, peer and byte count.
+    pub fn wire(&self) -> WireOp {
+        match *self {
+            Op::Send {
+                dst: peer, bytes, ..
+            } => WireOp::Send { peer, bytes },
+            Op::Recv {
+                src: peer, bytes, ..
+            } => WireOp::Recv { peer, bytes },
         }
     }
+}
 
-    pub fn bytes(&self) -> usize {
+/// An [`Op`] without its data: all that a recording of the running code
+/// observes of one point-to-point operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireOp {
+    Send { peer: usize, bytes: usize },
+    Recv { peer: usize, bytes: usize },
+}
+
+impl fmt::Display for WireOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Op::Send { bytes, .. } | Op::Recv { bytes, .. } => *bytes,
+            WireOp::Send { peer, bytes } => write!(f, "send {bytes} B to {peer}"),
+            WireOp::Recv { peer, bytes } => write!(f, "recv {bytes} B from {peer}"),
         }
     }
 }
@@ -194,11 +210,6 @@ impl Schedule {
             })
             .sum()
     }
-
-    /// Total op count across all processes.
-    pub fn total_ops(&self) -> usize {
-        self.processes.iter().map(|p| p.ops.len()).sum()
-    }
 }
 
 /// Symbolic per-element value: a leaf per contributing process, combined
@@ -289,6 +300,5 @@ mod tests {
         );
         assert_eq!(s.sent_bytes(0), 16);
         assert_eq!(s.recv_bytes(1), 16);
-        assert_eq!(s.total_ops(), 2);
     }
 }

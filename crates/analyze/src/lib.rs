@@ -3,15 +3,15 @@
 //! Four passes that turn the repo's correctness assumptions into
 //! machine-checked invariants before anything runs:
 //!
-//! **Pass 1 — schedule verifier** ([`verify`], [`schedules`], [`ir`]):
-//! every collective's communication schedule (ring all-reduce /
-//! all-gather, binomial-tree broadcast, and the same rings over a live
-//! subset, as on a shrunk handle) is lifted into an IR of per-rank
-//! `Send` / `Recv` ops by replaying the implementation's exact index
-//! arithmetic. The verifier then proves, for p ∈ {2..16} and every
-//! dead-rank subset of size ≤ 2: pairing completeness, no self-sends,
-//! byte conservation per step, deterministic reduction order (via
-//! symbolic per-element expression trees), and deadlock-freedom with
+//! **Pass 1 — schedule verifier** ([`verify`], [`schedules`], [`ir`],
+//! [`conformance`]): every collective (the ring all-reduce's four entry
+//! points and the ring all-gather, also over a live subset as on a shrunk
+//! handle; binomial-tree broadcast) is lifted into an IR of per-rank
+//! `Send` / `Recv` ops and, for p ∈ {2..16} and every dead-rank subset of
+//! size ≤ 2, checked op for op against a recording of the real collective
+//! on `SimCluster`. The verifier then proves pairing completeness, no
+//! self-sends, byte conservation per step, deterministic reduction order
+//! (via symbolic per-element expression trees), and deadlock-freedom with
 //! bounded channel capacities (covering the CommEngine/comm-lane
 //! `sync_channel` handshake).
 //!
@@ -45,6 +45,7 @@
 //! on violations; [`report`] renders `results/analyze_report.json`
 //! (schema v3, stable key order).
 
+pub mod conformance;
 pub mod explore;
 pub mod fuzz;
 pub mod ir;

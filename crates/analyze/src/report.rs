@@ -1,15 +1,17 @@
 //! Pass orchestration and the machine-readable report.
 //!
-//! `run_schedule_pass` sweeps every schedule family over p ∈ {2..16},
-//! including every dead-rank subset of size ≤ 2 for the `*_among`
-//! schedules (ring collectives on a handle shrunk by `set_members`), and
-//! cross-validates the canonical-order deadlock check with exhaustive
+//! `run_schedule_pass` sweeps every collective over p ∈ {2..16} and
+//! every dead-rank subset of size ≤ 2 (the rings a handle shrunk by
+//! `set_members` runs), verifying each call's schedule and checking it
+//! op for op against a recording of the real collective on `SimCluster`;
+//! it cross-validates the canonical-order deadlock check with exhaustive
 //! interleaving search on small configurations.
 //! `to_json` renders all four passes into the
 //! `results/analyze_report.json` shape CI consumes: a fixed
 //! [`SCHEMA_VERSION`] plus deterministic key and pass ordering, so the
 //! tracked report diffs stay reviewable.
 
+use crate::conformance;
 use crate::explore::PassReport;
 use crate::fuzz::FuzzPassReport;
 use crate::lint::LintReport;
@@ -49,7 +51,10 @@ impl SchedulePassReport {
         self.configs_per_family.values().sum()
     }
 
-    fn record(&mut self, family: &str, result: crate::verify::VerifyResult) {
+    /// Counts a verified schedule under its family, the first word of its
+    /// name (`ring-all-reduce p=3 ...`).
+    fn record(&mut self, result: crate::verify::VerifyResult) {
+        let family = result.schedule.split(' ').next().unwrap_or_default();
         *self
             .configs_per_family
             .entry(family.to_string())
@@ -88,44 +93,30 @@ pub fn live_subsets(p: usize, max_dead: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// The full static sweep: all schedule families, p ∈ {2..16}, dead-rank
-/// subsets of size ≤ 2 for the `*_among` (shrunk-handle) schedules,
-/// bounded-channel CommEngine handshakes, plus exhaustive interleaving cross-checks on
-/// configurations small enough to enumerate.
+/// The full sweep: for p ∈ {2..16} and every ring left by ≤ 2 dead ranks,
+/// one `SimCluster` records [`conformance::calls`], and each call's
+/// schedule is verified and must equal its recording op for op; then the
+/// bounded-channel CommEngine handshakes and exhaustive cross-checks.
 pub fn run_schedule_pass() -> SchedulePassReport {
     let mut rep = SchedulePassReport::default();
     for p in 2..=16usize {
-        // Ring all-reduce: an awkward length (remainder chunks) and a
-        // length below p (empty chunks still travel as 0-byte frames).
-        for n in [4 * p + 3, p - 1] {
-            rep.record(
-                "ring-all-reduce",
-                verify_schedule(&schedules::ring_all_reduce(p, n)),
-            );
-        }
-        // The inline lane's fused ring over ragged buffers: an empty one,
-        // one shorter than the ring, and one with remainder chunks.
-        rep.record(
-            "ring-all-reduce-fused",
-            verify_schedule(&schedules::ring_all_reduce_fused(p, &[p - 1, 0, 4 * p + 3])),
-        );
-        // Binomial-tree broadcast from edge and middle roots.
-        let mut roots = vec![0, p - 1, p / 2];
-        roots.dedup();
-        for root in roots {
-            rep.record("broadcast", verify_schedule(&schedules::broadcast(p, root)));
-        }
-        // Live-subset collectives over every dead set of size ≤ 2.
         for members in live_subsets(p, 2) {
-            let m = members.len();
-            rep.record(
-                "ring-all-reduce-among",
-                verify_schedule(&schedules::ring_all_reduce_among(p, &members, 4 * m + 3)),
-            );
-            rep.record(
-                "ring-all-gather-among",
-                verify_schedule(&schedules::ring_all_gather_among(p, &members)),
-            );
+            let calls = conformance::calls(p, &members);
+            let recorded = conformance::record_sim(p, &members, &calls).unwrap_or_else(|e| {
+                let run = format!("cluster p={p} members={members:?}");
+                rep.violations.push((run, format!("recording failed: {e}")));
+                Vec::new()
+            });
+            for (k, call) in calls.iter().enumerate() {
+                let s = call.schedule(p, &members);
+                let mut result = verify_schedule(&s);
+                for (rank, ops) in recorded.iter().enumerate() {
+                    result
+                        .violations
+                        .extend(conformance::conform(&s, rank, &ops[k]));
+                }
+                rep.record(result);
+            }
         }
     }
     // CommEngine/comm-lane handshake: bounded job channel of
@@ -133,10 +124,9 @@ pub fn run_schedule_pass() -> SchedulePassReport {
     for p in [2usize, 4, 8] {
         for depth in [1usize, 2, 3] {
             for jobs in [1usize, 4] {
-                rep.record(
-                    "comm-engine",
-                    verify_schedule(&schedules::comm_engine_pipeline(p, depth, jobs, 5)),
-                );
+                rep.record(verify_schedule(&schedules::comm_engine_pipeline(
+                    p, depth, jobs, 5,
+                )));
             }
         }
     }
@@ -144,8 +134,8 @@ pub fn run_schedule_pass() -> SchedulePassReport {
     // shared explorer) on configurations small enough to enumerate — this
     // validates the canonical-order argument rather than assuming it.
     for sched in [
-        schedules::ring_all_reduce(2, 5),
-        schedules::ring_all_reduce(3, 4),
+        schedules::ring_all_reduce(2, &[0, 1], &[5]),
+        schedules::ring_all_reduce(3, &[0, 1, 2], &[4]),
         schedules::broadcast(4, 1),
         schedules::comm_engine_pipeline(2, 1, 2, 2),
         schedules::comm_engine_pipeline(2, 2, 3, 1),
@@ -387,27 +377,23 @@ mod tests {
     fn full_sweep_is_clean() {
         let rep = run_schedule_pass();
         assert!(rep.ok(), "violations: {:?}", rep.violations);
-        // p ∈ 2..=16, every family present.
-        for family in [
-            "ring-all-reduce",
-            "broadcast",
-            "ring-all-reduce-among",
-            "ring-all-gather-among",
-            "comm-engine",
-            "exhaustive-cross-check",
-        ] {
-            assert!(
-                rep.configs_per_family.get(family).copied().unwrap_or(0) > 0,
-                "family {family} missing from sweep"
-            );
-        }
-        // Dead-rank subsets: Σ_{p=2..16} (1 + p + C(p,2)) configs each
-        // for reduce-among and gather-among.
-        let expected: usize = (2..=16usize)
+        // Every ring left by at most two dead ranks, p ∈ 2..=16:
+        // Σ (1 + p + C(p,2)), each with four ring all-reduce calls and one
+        // all-gather; broadcast at full membership from roots {0, p/2, p − 1}.
+        let rings: usize = (2..=16usize)
             .map(|p| 1 + p + if p >= 3 { p * (p - 1) / 2 } else { 0 })
             .sum();
-        assert_eq!(rep.configs_per_family["ring-all-reduce-among"], expected);
-        assert_eq!(rep.configs_per_family["ring-all-gather-among"], expected);
+        let want = [
+            ("broadcast", 2 + 3 * 14),
+            ("comm-engine", 18),
+            ("exhaustive-cross-check", 5),
+            ("ring-all-gather", rings),
+            ("ring-all-reduce", 4 * rings),
+        ];
+        assert_eq!(
+            rep.configs_per_family,
+            want.map(|(f, n)| (f.to_string(), n)).into()
+        );
     }
 
     #[test]

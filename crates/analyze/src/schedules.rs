@@ -1,51 +1,14 @@
 //! Schedule extractors: lift each collective in `gcs-cluster` into the
-//! IR by replaying its exact index arithmetic (neighbor selection, chunk
-//! boundaries, send/recv interleaving) without moving any bytes.
-//!
-//! Every function here mirrors one implementation — same loop structure,
-//! same modular arithmetic, same per-tick ordering — so a verified
-//! schedule is evidence about the real code path, not about an idealized
-//! textbook version. Divergences between an extractor and its
-//! implementation are themselves bugs; the property tests in
-//! `tests/verifier_props.rs` pin the extractors to the real collectives'
-//! traffic counters to keep the two from drifting apart.
+//! IR by replaying its index arithmetic (neighbor selection, chunk order,
+//! send/recv interleaving) over the cluster's own [`chunk_table`],
+//! without moving any bytes. What the wire shows of a schedule is checked
+//! against the code op for op ([`crate::conformance`]); what it cannot
+//! show — which element range a send snapshots, whether a recv
+//! accumulates or overwrites — is the extractor's, and is what the
+//! reduction-order proof reads.
 
 use crate::ir::{DataRef, Expectation, Op, Range, RecvAction, Schedule};
-
-/// `chunk_range` from `gcs-cluster::collectives`: `p` contiguous chunks
-/// of `len` elements whose sizes differ by at most one.
-pub fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
-    let base = len / p;
-    let rem = len % p;
-    let start = i * base + i.min(rem);
-    let size = base + usize::from(i < rem);
-    (start, start + size)
-}
-
-/// `chunk_table` from `gcs-cluster::collectives`: the ring's `m + 1`
-/// chunk offsets for one `n`-element buffer, chunk `i` being
-/// `table[i]..table[i + 1]`.
-pub fn chunk_table(n: usize, m: usize) -> Vec<usize> {
-    (0..m).map(|i| chunk_range(n, m, i).0).chain([n]).collect()
-}
-
-/// The chunk table of `WorkerHandle::all_reduce_mean_many` for buffers of
-/// `lens` elements over `m` members: packed chunk-major, fused chunk `c`
-/// is every buffer's `chunk_range(len, m, c)`, in buffer order.
-pub fn fused_chunk_table(lens: &[usize], m: usize) -> Vec<usize> {
-    let mut table = vec![0];
-    for c in 0..m {
-        let chunk: usize = lens
-            .iter()
-            .map(|&len| {
-                let (s, e) = chunk_range(len, m, c);
-                e - s
-            })
-            .sum();
-        table.push(table[c] + chunk);
-    }
-    table
-}
+use gcs_cluster::collectives::chunk_table;
 
 fn send_elems(s: &mut Schedule, from: usize, to: usize, lo: usize, hi: usize) {
     s.push(
@@ -77,17 +40,12 @@ fn recv_elems(s: &mut Schedule, at: usize, from: usize, lo: usize, hi: usize, ac
 /// Ring all-reduce over `members` (actual process ids, strictly
 /// ascending), reducing the elements `table` splits into `m` chunks (chunk
 /// `i` is `table[i]..table[i + 1]`) at `offset` into each member's buffer.
-/// Mirrors `WorkerHandle::ring_all_reduce`, the one ring body behind
-/// `all_reduce_sum`, `all_reduce_mean`, the out-of-place
-/// `all_reduce_mean_from` (all three over [`chunk_table`]) and the fused
-/// `all_reduce_mean_many` (over [`fused_chunk_table`]), which rings over
-/// the handle's member list
-/// (`WorkerHandle::set_members`): members `0..p` is the healthy ring
-/// (`pos = rank`, `m = p`), and `ring_all_reduce_among` with a subset
-/// models a shrunk handle. The mean's divide by `m` is local arithmetic
-/// on the reduce-scatter's final hop, and where the out-of-place form
-/// reads its contribution and writes its result is local too; neither
-/// adds a frame, so one schedule models all three.
+/// Models `WorkerHandle::ring_all_reduce`, the one ring body behind
+/// `all_reduce_sum`, `all_reduce_mean`, `all_reduce_mean_from` and the
+/// fused `all_reduce_mean_many`. The mean's divide by `m` is local
+/// arithmetic on the reduce-scatter's final hop, and where the
+/// out-of-place form reads its contribution and writes its result is
+/// local too; neither adds a frame, so one schedule models all four.
 fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, table: &[usize]) {
     let m = members.len();
     if m <= 1 {
@@ -97,62 +55,35 @@ fn push_ring_all_reduce_ops(s: &mut Schedule, members: &[usize], offset: usize, 
     for (pos, &rank) in members.iter().enumerate() {
         let next = members[(pos + 1) % m];
         let prev = members[(pos + m - 1) % m];
-        // Phase 1: reduce-scatter.
-        for step in 0..m - 1 {
-            let send_idx = (pos + m - step) % m;
-            let recv_idx = (pos + 2 * m - step - 1) % m;
-            let (ss, se) = chunk(send_idx);
-            send_elems(s, rank, next, offset + ss, offset + se);
-            let (rs, re) = chunk(recv_idx);
-            recv_elems(s, rank, prev, offset + rs, offset + re, true);
-        }
-        // Phase 2: all-gather of the reduced chunks.
-        for step in 0..m - 1 {
-            let send_idx = (pos + 1 + m - step) % m;
-            let recv_idx = (pos + m - step) % m;
-            let (ss, se) = chunk(send_idx);
-            send_elems(s, rank, next, offset + ss, offset + se);
-            let (rs, re) = chunk(recv_idx);
-            recv_elems(s, rank, prev, offset + rs, offset + re, false);
+        // Phase 1, the reduce-scatter, accumulates; phase 2, the
+        // all-gather of the reduced chunks, runs one position further on.
+        for (shift, accumulate) in [(0, true), (1, false)] {
+            for step in 0..m - 1 {
+                let (ss, se) = chunk((pos + shift + m - step) % m);
+                send_elems(s, rank, next, offset + ss, offset + se);
+                let (rs, re) = chunk((pos + shift + 2 * m - step - 1) % m);
+                recv_elems(s, rank, prev, offset + rs, offset + re, accumulate);
+            }
         }
     }
 }
 
-/// Full-membership ring all-reduce: `p` ranks, `n` elements.
-pub fn ring_all_reduce(p: usize, n: usize) -> Schedule {
-    let members: Vec<usize> = (0..p).collect();
-    ring_all_reduce_among(p, &members, n)
-}
-
-/// Shrunk-ring all-reduce among a live subset of a `p`-rank world.
-/// Non-members get empty programs (dead ranks are simply not on the
-/// ring).
-pub fn ring_all_reduce_among(p: usize, members: &[usize], n: usize) -> Schedule {
+/// Ring all-reduce of buffers of `lens` elements among `members` of a
+/// `p`-rank world, over [`chunk_table`]`(lens, m)`: one buffer is
+/// `all_reduce_sum`/`_mean`/`_mean_from`, several the fused
+/// `all_reduce_mean_many`. Non-members get empty programs (dead ranks
+/// are simply not on the ring); every element of every buffer must end
+/// reduced over all members.
+pub fn ring_all_reduce(p: usize, members: &[usize], lens: &[usize]) -> Schedule {
     let mut s = Schedule::new(
-        format!("ring-all-reduce p={p} members={members:?} n={n}"),
+        format!("ring-all-reduce p={p} members={members:?} lens={lens:?}"),
         p,
-        n,
+        lens.iter().sum(),
     );
-    push_ring_all_reduce_ops(&mut s, members, 0, &chunk_table(n, members.len()));
+    push_ring_all_reduce_ops(&mut s, members, 0, &chunk_table(lens, members.len()));
     s.expect = Expectation::ReducedVector {
         ranks: members.to_vec(),
         contributors: members.to_vec(),
-    };
-    s
-}
-
-/// The fused ring of `all_reduce_mean_many` over buffers of `lens`
-/// elements on a full `p`-rank ring: one reduce-scatter and one
-/// all-gather over the chunk-major packing, so every element of every
-/// buffer must end reduced over all ranks.
-pub fn ring_all_reduce_fused(p: usize, lens: &[usize]) -> Schedule {
-    let n = lens.iter().sum();
-    let members: Vec<usize> = (0..p).collect();
-    let mut s = Schedule::new(format!("ring-all-reduce-fused p={p} lens={lens:?}"), p, n);
-    push_ring_all_reduce_ops(&mut s, &members, 0, &fused_chunk_table(lens, p));
-    s.expect = Expectation::ReducedVector {
-        ranks: members.clone(),
-        contributors: members,
     };
     s
 }
@@ -164,12 +95,12 @@ pub fn blob_bytes(origin: usize) -> usize {
     16 + 8 * origin
 }
 
-/// Ring all-gather over `members` — mirrors `WorkerHandle::all_gather_bytes`,
-/// one code body over the handle's member list (members `0..p` is the
-/// healthy ring, a subset a handle shrunk by `set_members`): each
-/// blob traverses the ring by zero-copy forwarding, and the receiver
-/// attributes step-`s` arrivals to origin position `(pos + 2m - s - 1) % m`.
-pub fn ring_all_gather_among(p: usize, members: &[usize]) -> Schedule {
+/// Ring all-gather among `members` of a `p`-rank world — models
+/// `WorkerHandle::all_gather_bytes` (members `0..p` is the healthy ring,
+/// a subset a handle shrunk by `set_members`): each blob traverses the
+/// ring by zero-copy forwarding, and the receiver attributes step-`s`
+/// arrivals to origin position `(pos + 2m - s - 1) % m`.
+pub fn ring_all_gather(p: usize, members: &[usize]) -> Schedule {
     let mut s = Schedule::new(format!("ring-all-gather p={p} members={members:?}"), p, 0);
     s.expect = Expectation::GatheredBlobs {
         ranks: members.to_vec(),
@@ -186,8 +117,7 @@ pub fn ring_all_gather_among(p: usize, members: &[usize]) -> Schedule {
             // Step 0 sends our own blob; later steps forward the frame
             // just received. Either way the sender can compute the
             // origin, so the byte count (origin-dependent) is exact.
-            let sent_origin_pos = (pos + 2 * m - step) % m; // == pos at step 0
-            let sent_origin = members[sent_origin_pos % m];
+            let sent_origin = members[(pos + 2 * m - step) % m]; // pos at step 0
             let data = if step == 0 {
                 DataRef::Blob { origin: rank }
             } else {
@@ -215,18 +145,12 @@ pub fn ring_all_gather_among(p: usize, members: &[usize]) -> Schedule {
     s
 }
 
-/// Full-membership ring all-gather.
-pub fn ring_all_gather(p: usize) -> Schedule {
-    let members: Vec<usize> = (0..p).collect();
-    ring_all_gather_among(p, &members)
-}
-
-/// Binomial-tree broadcast from `root` — mirrors
+/// Binomial-tree broadcast from `root` — models
 /// `WorkerHandle::broadcast`: virtual ranks rotate `root` to 0, and in
 /// the round with mask `2^k` every holder `vrank < mask` feeds
 /// `vrank + mask`.
 pub fn broadcast(p: usize, root: usize) -> Schedule {
-    assert!(root < p, "extractor mirrors the validated path");
+    assert!(root < p, "extractor models the validated path");
     let mut s = Schedule::new(format!("broadcast p={p} root={root}"), p, 0);
     s.expect = Expectation::BroadcastBlob {
         root,
@@ -352,7 +276,7 @@ pub fn comm_engine_pipeline(p: usize, depth: usize, jobs: usize, n: usize) -> Sc
                 },
             );
         }
-        push_ring_all_reduce_ops(&mut s, &comm_ids, k * n, &chunk_table(n, p));
+        push_ring_all_reduce_ops(&mut s, &comm_ids, k * n, &chunk_table(&[n], p));
         for r in 0..p {
             let comm = p + r;
             s.push(
@@ -372,85 +296,6 @@ pub fn comm_engine_pipeline(p: usize, depth: usize, jobs: usize, n: usize) -> Sc
 mod tests {
     use super::*;
     use crate::verify::{check_deadlock_exhaustive, verify_schedule};
-
-    #[test]
-    fn chunk_range_partitions() {
-        for len in [0usize, 1, 7, 67, 100] {
-            for p in [1usize, 2, 5, 16] {
-                let mut covered = 0;
-                for i in 0..p {
-                    let (s, e) = chunk_range(len, p, i);
-                    assert_eq!(s, covered);
-                    covered = e;
-                }
-                assert_eq!(covered, len);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_ring_verifies_and_moves_each_buffers_own_bytes() {
-        for p in [2usize, 3, 5] {
-            let lens = [p - 1, 0, 4 * p + 3, 1];
-            let fused = ring_all_reduce_fused(p, &lens);
-            assert!(verify_schedule(&fused).ok(), "p={p}");
-            for rank in 0..p {
-                let apart: usize = lens
-                    .iter()
-                    .map(|&n| ring_all_reduce(p, n).sent_bytes(rank))
-                    .sum();
-                assert_eq!(fused.sent_bytes(rank), apart, "p={p} rank={rank}");
-            }
-        }
-        // One buffer's fused table is its own.
-        assert_eq!(fused_chunk_table(&[7], 3), chunk_table(7, 3));
-    }
-
-    #[test]
-    fn ring_all_reduce_verifies_small() {
-        for p in [2usize, 3, 5, 8] {
-            for n in [1usize, 7, 4 * p + 3, p.saturating_sub(1)] {
-                let s = ring_all_reduce(p, n);
-                let r = verify_schedule(&s);
-                assert!(r.ok(), "p={p} n={n}: {:?}", r.violations);
-            }
-        }
-    }
-
-    #[test]
-    fn ring_all_reduce_byte_totals_match_formula() {
-        // Per-rank send traffic when p | n: 2(p-1) chunks of n/p f32s.
-        let (p, n) = (8usize, 64usize);
-        let s = ring_all_reduce(p, n);
-        for rank in 0..p {
-            assert_eq!(s.sent_bytes(rank), 2 * (p - 1) * (n / p) * 4);
-        }
-    }
-
-    #[test]
-    fn gather_and_broadcast_verify() {
-        for p in 2..=6 {
-            let r = verify_schedule(&ring_all_gather(p));
-            assert!(r.ok(), "gather p={p}: {:?}", r.violations);
-            for root in 0..p {
-                let r = verify_schedule(&broadcast(p, root));
-                assert!(r.ok(), "bcast p={p} root={root}: {:?}", r.violations);
-            }
-        }
-    }
-
-    #[test]
-    fn among_subsets_verify() {
-        let s = ring_all_reduce_among(5, &[0, 2, 3], 7);
-        let r = verify_schedule(&s);
-        assert!(r.ok(), "{:?}", r.violations);
-        let s = ring_all_gather_among(5, &[1, 4]);
-        let r = verify_schedule(&s);
-        assert!(r.ok(), "{:?}", r.violations);
-        // Single survivor: empty program, trivially complete.
-        let s = ring_all_reduce_among(4, &[2], 5);
-        assert!(verify_schedule(&s).ok());
-    }
 
     #[test]
     fn comm_engine_handshake_verifies_and_needs_the_bound() {

@@ -32,7 +32,7 @@
 //! exists to validate this argument empirically rather than trust it.
 
 use crate::explore::{explore, Finding, Machine};
-use crate::ir::{DataRef, Expectation, Expr, Op, RecvAction, Schedule};
+use crate::ir::{DataRef, Expectation, Expr, Op, RecvAction, Schedule, WireOp};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -75,6 +75,14 @@ pub enum Violation {
     ExpectationFailed {
         detail: String,
     },
+    /// The running collective's recorded program departs from the
+    /// schedule at this op (`None`: that side's program has ended).
+    Nonconforming {
+        process: usize,
+        op_index: usize,
+        schedule: Option<WireOp>,
+        recorded: Option<WireOp>,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -110,6 +118,16 @@ impl fmt::Display for Violation {
             }
             Violation::ExpectationFailed { detail } => {
                 write!(f, "expectation failed: {detail}")
+            }
+            Violation::Nonconforming {
+                process,
+                op_index,
+                schedule,
+                recorded,
+            } => {
+                let show = |op: &Option<WireOp>| op.map_or("nothing".into(), |o| o.to_string());
+                let (s, r) = (show(schedule), show(recorded));
+                write!(f, "process {process} op {op_index}: the schedule has {s}, the code ran {r}")
             }
         }
     }
@@ -236,9 +254,14 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
         queues.get(&ch).map_or(0, VecDeque::len)
     };
 
-    // Lowest-index enabled process first. Any choice rule is sound here
-    // (see module docs); lowest-index keeps runs reproducible.
-    while let Some(pid) = (0..n).find(|&pid| op_enabled(s, &pcs, &|ch| queued(&queues, ch), pid)) {
+    // The last process to run goes on until it blocks, then the next
+    // enabled one in index order. Any fixed choice rule is sound (see
+    // module docs) and reproducible; this one costs O(1) tests per op.
+    let mut last = 0;
+    while let Some(pid) = (0..n)
+        .map(|k| (last + k) % n)
+        .find(|&pid| op_enabled(s, &pcs, &|ch| queued(&queues, ch), pid))
+    {
         let op = &s.processes[pid].ops[pcs[pid]];
         match op {
             Op::Send { dst, bytes, data } => {
@@ -292,6 +315,7 @@ fn simulate(s: &Schedule) -> (Vec<Violation>, usize) {
         }
         pcs[pid] += 1;
         executed += 1;
+        last = pid;
     }
 
     let all_done = pcs
@@ -483,6 +507,11 @@ fn check_expectation(s: &Schedule, states: &[ProcState], out: &mut Vec<Violation
             };
             for &r in ranks {
                 for e in 0..s.elems {
+                    // The all-gather hands every rank the same node: a
+                    // tree already checked on the first rank.
+                    if r != first && Rc::ptr_eq(&states[r].vec[e], &states[first].vec[e]) {
+                        continue;
+                    }
                     let leaves = states[r].vec[e].leaves();
                     if leaves != want {
                         out.push(Violation::ExpectationFailed {

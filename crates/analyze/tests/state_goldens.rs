@@ -107,8 +107,8 @@ fn protocol_mutant_state_counts() {
 #[test]
 fn exhaustive_cross_check_state_counts() {
     let got = [
-        schedules::ring_all_reduce(2, 5),
-        schedules::ring_all_reduce(3, 4),
+        schedules::ring_all_reduce(2, &[0, 1], &[5]),
+        schedules::ring_all_reduce(3, &[0, 1, 2], &[4]),
         schedules::broadcast(4, 1),
         schedules::comm_engine_pipeline(2, 1, 2, 2),
         schedules::comm_engine_pipeline(2, 2, 3, 1),
@@ -122,8 +122,8 @@ fn exhaustive_cross_check_state_counts() {
     assert_counts(
         got,
         &[
-            ("ring-all-reduce p=2 members=[0, 1] n=5", 15),
-            ("ring-all-reduce p=3 members=[0, 1, 2] n=4", 129),
+            ("ring-all-reduce p=2 members=[0, 1] lens=[5]", 15),
+            ("ring-all-reduce p=3 members=[0, 1, 2] lens=[4]", 129),
             ("broadcast p=4 root=1", 13),
             ("comm-engine p=2 depth=1 jobs=2 n=2", 95),
             ("comm-engine p=2 depth=2 jobs=3 n=1", 609),

@@ -6,20 +6,25 @@
 //!    the paper's Equation 1 family charges for. With `α = 0` and
 //!    `BW = 1` the model's "time" *is* the per-rank byte volume, so the
 //!    comparison needs no tolerance when the chunking is uniform.
-//! 2. The live transport (`SimCluster` traffic counters) — the IR
-//!    extractors claim to mirror `WorkerHandle`'s collectives, so the
-//!    per-rank bytes and message counts must agree with what the real
-//!    implementation puts on the wire.
+//! 2. The running code over real sockets — Pass 1 checks every schedule
+//!    op for op against a recording of the collective on `SimCluster`;
+//!    the same calls under the same recorder on `TcpCluster` must yield
+//!    the same programs.
 //!
 //! Plus the required negative: a mispaired schedule (one send routed to
 //! the wrong peer) must be rejected, and specifically as a deadlock by
 //! both the canonical simulation and the exhaustive interleaving check.
 
+use gcs_analyze::conformance;
 use gcs_analyze::ir::{Op, Schedule};
 use gcs_analyze::schedules;
 use gcs_analyze::verify::{check_deadlock_exhaustive, static_checks, verify_schedule, Violation};
 use gcs_cluster::cost::NetworkModel;
-use gcs_cluster::SimCluster;
+
+/// The full ring of `p` ranks.
+fn all(p: usize) -> Vec<usize> {
+    (0..p).collect()
+}
 
 /// `α = 0`, `BW = 1 B/s`: model time in seconds == byte volume.
 fn unit_model() -> NetworkModel {
@@ -45,7 +50,7 @@ fn ring_per_rank_volume_equals_alpha_beta_model_when_divisible() {
     for p in 2..=16usize {
         let n = 13 * p; // divisible by p
         let bytes = 4 * n;
-        let s = schedules::ring_all_reduce(p, n);
+        let s = schedules::ring_all_reduce(p, &all(p), &[n]);
         let expect = model.ring_all_reduce(bytes, p);
         for rank in 0..p {
             assert_eq!(
@@ -73,7 +78,7 @@ fn ring_reduce_scatter_phase_matches_model_term() {
     for p in 2..=16usize {
         let n = 13 * p;
         let bytes = 4 * n;
-        let s = schedules::ring_all_reduce(p, n);
+        let s = schedules::ring_all_reduce(p, &all(p), &[n]);
         let expect = model.reduce_scatter(bytes, p);
         for rank in 0..p {
             let phase1: usize = s.processes[rank]
@@ -104,7 +109,7 @@ fn ring_total_volume_conserved_for_ragged_sizes() {
     for p in 2..=16usize {
         for n in [p + 1, 257, 1000] {
             let bytes = 4 * n;
-            let s = schedules::ring_all_reduce(p, n);
+            let s = schedules::ring_all_reduce(p, &all(p), &[n]);
             let total_sent: usize = (0..p).map(|r| s.sent_bytes(r)).sum();
             let total_recv: usize = (0..p).map(|r| s.recv_bytes(r)).sum();
             assert_eq!(total_sent, 2 * (p - 1) * bytes, "p={p} n={n} total");
@@ -127,7 +132,7 @@ fn all_gather_total_volume_is_sum_of_per_origin_model_terms() {
     // crosses p−1 hops.
     let model = unit_model();
     for p in 2..=16usize {
-        let s = schedules::ring_all_gather(p);
+        let s = schedules::ring_all_gather(p, &all(p));
         let total_sent: usize = (0..p).map(|r| s.sent_bytes(r)).sum();
         let expect: f64 = (0..p)
             .map(|origin| model.all_gather(schedules::blob_bytes(origin), p))
@@ -141,11 +146,12 @@ fn broadcast_depth_and_volume_match_model() {
     // Binomial-tree broadcast: the model charges `(α + b/BW)·⌈log₂ p⌉`.
     // With α = BW = 1 that factors as `(1 + b)·L`; the IR's critical
     // depth (the root sends in every round) must equal that same L, and
-    // the total volume is one blob per non-root rank.
+    // the total volume is one blob per non-root rank, from every root.
     let model = NetworkModel::new(1.0, 1.0);
     for p in 2..=16usize {
-        for root in [0, p - 1] {
+        for root in 0..p {
             let s = schedules::broadcast(p, root);
+            assert!(verify_schedule(&s).ok(), "p={p} root={root}");
             let b = schedules::blob_bytes(root);
             let rounds = (p as f64).log2().ceil() as usize;
             assert_eq!(
@@ -163,188 +169,27 @@ fn broadcast_depth_and_volume_match_model() {
 }
 
 #[test]
-fn ir_bytes_match_simcluster_ring_traffic() {
-    // The extractor claims to mirror `WorkerHandle::all_reduce_sum`
-    // byte-for-byte. Hold it to that: run the real collective and
-    // compare every rank's wire counters (bytes *and* message counts)
-    // against the IR's totals — including ragged sizes.
-    for p in [2usize, 3, 5, 8] {
-        for len in [64usize, 257] {
-            let s = schedules::ring_all_reduce(p, len);
-            let cluster = SimCluster::new(p);
-            let traffic = cluster.traffic().to_vec();
-            cluster.run_workers(|h| {
-                let mut buf = vec![1.0f32; len];
-                h.all_reduce_sum(&mut buf).unwrap();
-            });
-            for (rank, t) in traffic.iter().enumerate() {
-                assert_eq!(
-                    t.bytes_sent(),
-                    s.sent_bytes(rank) as u64,
-                    "p={p} len={len} rank={rank}: wire bytes vs IR"
-                );
-                assert_eq!(
-                    t.messages_sent(),
-                    send_op_count(&s, rank) as u64,
-                    "p={p} len={len} rank={rank}: wire messages vs IR"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn ir_bytes_match_simcluster_fused_ring_traffic() {
-    // The fused extractor mirrors `WorkerHandle::all_reduce_mean_many`:
-    // one ring's frames carrying every buffer's bytes.
-    for p in [2usize, 3, 5] {
-        let lens = [p - 1, 0, 4 * p + 3, 1];
-        let s = schedules::ring_all_reduce_fused(p, &lens);
-        let cluster = SimCluster::new(p);
-        let traffic = cluster.traffic().to_vec();
-        cluster.run_workers(|h| {
-            let mut bufs: Vec<Vec<f32>> = lens.iter().map(|&n| vec![1.0f32; n]).collect();
-            h.all_reduce_mean_many(&mut bufs).unwrap();
-        });
-        for (rank, t) in traffic.iter().enumerate() {
-            assert_eq!(
-                (t.bytes_sent(), t.messages_sent()),
-                (s.sent_bytes(rank) as u64, send_op_count(&s, rank) as u64),
-                "p={p} rank={rank}: wire bytes and messages vs IR"
-            );
-        }
-    }
-}
-
-#[test]
-fn ir_bytes_match_simcluster_broadcast_traffic() {
-    // Broadcast is the analyzer-swept collective a live engine runs (the
-    // adaptive controller's decision broadcast). The root sends a blob of
-    // the extractor's size, so the per-rank comparison is exact.
-    for p in 2..=8usize {
-        for root in [0, p - 1] {
-            let s = schedules::broadcast(p, root);
-            let cluster = SimCluster::new(p);
-            let traffic = cluster.traffic().to_vec();
-            cluster.run_workers(|h| {
-                let blob = vec![7u8; schedules::blob_bytes(root)];
-                let data = (h.rank() == root).then_some(&blob[..]);
-                h.broadcast(root, data).unwrap();
-            });
-            for (rank, t) in traffic.iter().enumerate() {
-                assert_eq!(
-                    t.bytes_sent(),
-                    s.sent_bytes(rank) as u64,
-                    "p={p} root={root} rank={rank}: broadcast wire bytes vs IR"
-                );
-                assert_eq!(
-                    t.messages_sent(),
-                    send_op_count(&s, rank) as u64,
-                    "p={p} root={root} rank={rank}: broadcast wire messages vs IR"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn ir_bytes_match_simcluster_all_gather_traffic() {
-    // The gather extractor fixes per-origin blob sizes via blob_bytes;
-    // reproduce those sizes on the live transport so the comparison is
-    // exact per rank.
-    for p in [2usize, 4, 7] {
-        let s = schedules::ring_all_gather(p);
-        let cluster = SimCluster::new(p);
-        let traffic = cluster.traffic().to_vec();
-        cluster.run_workers(|h| {
-            let own = vec![0u8; schedules::blob_bytes(h.rank())];
-            h.all_gather_bytes(&own).unwrap();
-        });
-        for (rank, t) in traffic.iter().enumerate() {
-            assert_eq!(
-                t.bytes_sent(),
-                s.sent_bytes(rank) as u64,
-                "p={p} rank={rank}: gather wire bytes vs IR"
-            );
-            assert_eq!(
-                t.messages_sent(),
-                send_op_count(&s, rank) as u64,
-                "p={p} rank={rank}: gather wire messages vs IR"
-            );
-        }
-    }
-}
-
-#[test]
-fn ir_bytes_match_tcp_cluster_traffic_for_every_collective() {
-    // The same IR must describe BOTH transport backends: the TCP mesh
-    // counts payload bytes exactly like the sim counters (header bytes
-    // are framing, not payload), so every rank's wire totals over real
-    // loopback sockets must equal the schedule's — for the ring, for
-    // the broadcast from either end, and for the all-gather.
+fn tcp_cluster_runs_the_verified_programs() {
+    // The schedules Pass 1 verifies, checked op for op against the same
+    // calls on the TCP mesh under the same recorder: the full ring, and a
+    // ring shrunk to three of the four ranks. (Payload-only byte
+    // accounting is `gcs-cluster`'s own test.)
     use gcs_cluster::{TcpCluster, TcpOptions};
 
-    let p = 4usize;
-    let len = 100usize;
-
-    let ring = schedules::ring_all_reduce(p, len);
-    let run = TcpCluster::run_with(p, TcpOptions::default(), |h| {
-        let mut buf = vec![1.0f32; len];
-        h.all_reduce_sum(&mut buf).unwrap();
-    })
-    .expect("tcp mesh");
-    for (rank, t) in run.traffic.iter().enumerate() {
-        assert_eq!(
-            t.bytes_sent(),
-            ring.sent_bytes(rank) as u64,
-            "ring rank {rank}"
-        );
-        assert_eq!(
-            t.messages_sent(),
-            send_op_count(&ring, rank) as u64,
-            "ring rank {rank} messages"
-        );
-    }
-
-    for root in [0, p - 1] {
-        let bcast = schedules::broadcast(p, root);
+    let p = 4;
+    for members in [vec![0, 1, 2, 3], vec![0, 1, 3]] {
+        let calls = conformance::calls(p, &members);
         let run = TcpCluster::run_with(p, TcpOptions::default(), |h| {
-            let blob = vec![7u8; schedules::blob_bytes(root)];
-            let data = (h.rank() == root).then_some(&blob[..]);
-            h.broadcast(root, data).unwrap();
+            conformance::record(h, &members, &calls)
         })
         .expect("tcp mesh");
-        for (rank, t) in run.traffic.iter().enumerate() {
-            assert_eq!(
-                t.bytes_sent(),
-                bcast.sent_bytes(rank) as u64,
-                "broadcast root {root} rank {rank}"
-            );
-            assert_eq!(
-                t.messages_sent(),
-                send_op_count(&bcast, rank) as u64,
-                "broadcast root {root} rank {rank} messages"
-            );
+        let recorded: Vec<_> = run.outputs.into_iter().map(|r| r.expect("ran")).collect();
+        for (k, call) in calls.iter().enumerate() {
+            let s = call.schedule(p, &members);
+            for (rank, ops) in recorded.iter().enumerate() {
+                assert_eq!(conformance::conform(&s, rank, &ops[k]), None, "{}", s.name);
+            }
         }
-    }
-
-    let gather = schedules::ring_all_gather(p);
-    let run = TcpCluster::run_with(p, TcpOptions::default(), |h| {
-        let own = vec![0u8; schedules::blob_bytes(h.rank())];
-        h.all_gather_bytes(&own).unwrap();
-    })
-    .expect("tcp mesh");
-    for (rank, t) in run.traffic.iter().enumerate() {
-        assert_eq!(
-            t.bytes_sent(),
-            gather.sent_bytes(rank) as u64,
-            "gather rank {rank}"
-        );
-        assert_eq!(
-            t.messages_sent(),
-            send_op_count(&gather, rank) as u64,
-            "gather rank {rank} messages"
-        );
     }
 }
 
@@ -354,7 +199,7 @@ fn ir_bytes_match_tcp_cluster_traffic_for_every_collective() {
 /// message still has a plausible length; only pairing and progress
 /// analysis can catch it.
 fn mispaired_ring(p: usize, n: usize) -> Schedule {
-    let mut s = schedules::ring_all_reduce(p, n);
+    let mut s = schedules::ring_all_reduce(p, &all(p), &[n]);
     let first_send = s.processes[0]
         .ops
         .iter_mut()
@@ -411,7 +256,7 @@ fn mispaired_schedule_is_rejected_as_deadlock() {
 
     // And the unmodified schedule is clean under both checks — the
     // rejection above is caused by the mispairing, nothing else.
-    let clean = schedules::ring_all_reduce(3, 12);
+    let clean = schedules::ring_all_reduce(3, &all(3), &[12]);
     assert!(verify_schedule(&clean).ok());
     check_deadlock_exhaustive(&clean).expect("well-formed ring must be deadlock-free");
 }
@@ -426,7 +271,7 @@ fn dead_rank_subsets_keep_model_equivalence() {
         let members: Vec<usize> = (0..p).filter(|r| !dead.contains(r)).collect();
         let m = members.len();
         let n = 13 * m;
-        let s = schedules::ring_all_reduce_among(p, &members, n);
+        let s = schedules::ring_all_reduce(p, &members, &[n]);
         let expect = model.ring_all_reduce(4 * n, m);
         for &rank in &members {
             assert_eq!(

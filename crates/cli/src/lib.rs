@@ -106,8 +106,10 @@ MULTI-PROCESS FLAGS:
 
 ANALYZE FLAGS (gradcomp analyze):
   --all                   run all four passes (default when no pass is named)
-  --schedules             Pass 1: schedule verifier (ring/gather/broadcast/among
-                          at p in 2..16 with dead-rank subsets of size <= 2)
+  --schedules             Pass 1: schedule verifier (ring all-reduce, all-gather,
+                          broadcast at p in 2..16 with dead-rank subsets of
+                          size <= 2), each schedule checked op for op against
+                          the real collective run on SimCluster
   --lint                  Pass 2: workspace lint (raw f32 loops in data-plane
                           code, no Relaxed atomics outside tests; lists every
                           allow marker and #[allow]/#[expect] of the

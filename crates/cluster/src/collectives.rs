@@ -49,13 +49,14 @@ fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
     (start, start + size)
 }
 
-/// The ring's chunk table for one `len`-element buffer over `m` members:
-/// `m + 1` offsets, chunk `i` being `table[i]..table[i + 1]` — the equal
-/// split of [`chunk_range`].
-fn chunk_table(len: usize, m: usize) -> Vec<usize> {
-    (0..m)
-        .map(|i| chunk_range(len, m, i).0)
-        .chain([len])
+/// The ring's chunk table for buffers of `lens` elements over `m`
+/// members: `m + 1` offsets into their **chunk-major** packing, chunk `c`
+/// (`table[c]..table[c + 1]`) holding every buffer's [`chunk_range`] `c`
+/// in buffer order, so it starts at the sum of their starts (chunk `m`'s
+/// start is a buffer's end). One buffer (`&[len]`) gets the equal split.
+pub fn chunk_table(lens: &[usize], m: usize) -> Vec<usize> {
+    (0..=m)
+        .map(|c| lens.iter().map(|&len| chunk_range(len, m, c).0).sum())
         .collect()
 }
 
@@ -215,7 +216,7 @@ impl WorkerHandle {
     /// Returns [`ClusterError::Mismatch`] if peers send differently-sized
     /// chunks and [`ClusterError::Disconnected`] if a peer hangs up.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) -> Result<()> {
-        let table = chunk_table(buf.len(), self.members().len());
+        let table = chunk_table(&[buf.len()], self.members().len());
         self.ring_all_reduce(&mut InPlace { buf, mean: false }, &table)
     }
 
@@ -235,7 +236,7 @@ impl WorkerHandle {
     ///
     /// As [`WorkerHandle::all_reduce_sum`].
     pub fn all_reduce_mean(&self, buf: &mut [f32]) -> Result<()> {
-        let table = chunk_table(buf.len(), self.members().len());
+        let table = chunk_table(&[buf.len()], self.members().len());
         self.ring_all_reduce(&mut InPlace { buf, mean: true }, &table)
     }
 
@@ -263,16 +264,15 @@ impl WorkerHandle {
             _ => {}
         }
         let m = self.members().len();
-        let mut fused = Vec::with_capacity(bufs.iter().map(Vec::len).sum());
-        let mut table = Vec::with_capacity(m + 1);
+        let lens: Vec<usize> = bufs.iter().map(Vec::len).collect();
+        let table = chunk_table(&lens, m);
+        let mut fused = Vec::with_capacity(lens.iter().sum());
         for c in 0..m {
-            table.push(fused.len());
             for buf in bufs.iter() {
                 let (s, e) = chunk_range(buf.len(), m, c);
                 fused.extend_from_slice(&buf[s..e]);
             }
         }
-        table.push(fused.len());
         self.ring_all_reduce(
             &mut InPlace {
                 buf: &mut fused,
@@ -311,7 +311,7 @@ impl WorkerHandle {
             src,
             out: WriteOnce::new(src.len()),
         };
-        self.ring_all_reduce(&mut io, &chunk_table(src.len(), self.members().len()))?;
+        self.ring_all_reduce(&mut io, &chunk_table(&[src.len()], self.members().len()))?;
         io.out.into_vec().ok_or_else(|| {
             ClusterError::Protocol("ring mean left part of its output unwritten".into())
         })
@@ -520,15 +520,19 @@ mod tests {
     fn chunk_ranges_partition_exactly() {
         for len in [0usize, 1, 7, 16, 100] {
             for p in [1usize, 2, 3, 5, 16] {
+                let table = chunk_table(&[len], p);
                 let mut covered = 0;
                 for i in 0..p {
                     let (s, e) = chunk_range(len, p, i);
                     assert_eq!(s, covered, "len={len} p={p} i={i}");
+                    assert_eq!((table[i], table[i + 1]), (s, e), "len={len} p={p} i={i}");
                     covered = e;
                 }
                 assert_eq!(covered, len);
             }
         }
+        // Several buffers: fused chunk c is the sum of their chunks c.
+        assert_eq!(chunk_table(&[2, 0, 7, 1], 3), [0, 5, 8, 10]);
     }
 
     #[test]

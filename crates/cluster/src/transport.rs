@@ -435,6 +435,13 @@ impl WorkerHandle {
         }
     }
 
+    /// Unwraps the backend, dropping the member list — so a wrapper
+    /// transport can be put around it and installed with
+    /// [`WorkerHandle::from_transport`].
+    pub fn into_transport(self) -> Box<dyn Transport> {
+        self.inner
+    }
+
     /// The ranks the ring collectives run over, ascending: `0..world`
     /// unless [`WorkerHandle::set_members`] shrank the ring.
     pub fn members(&self) -> &[usize] {

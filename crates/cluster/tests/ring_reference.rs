@@ -8,7 +8,8 @@
 
 use gcs_cluster::{SimCluster, TcpCluster, TcpOptions, WorkerHandle};
 
-/// The collective's chunk partition (mirrors the internal `chunk_range`).
+/// The equal split the ring's chunks should follow, written out here as
+/// this test's own reference rather than taken from the crate.
 fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
     let base = len / p;
     let rem = len % p;

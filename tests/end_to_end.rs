@@ -100,7 +100,7 @@ fn distributed_training_loss_decreases_for_all_reducible_methods() {
 }
 
 #[test]
-fn simulator_model_and_measurement_agree_on_winner() {
+fn closed_form_and_event_schedule_agree_on_winner() {
     // Whatever the analytic model says about "does PowerSGD beat syncSGD",
     // the event simulator must agree, across the full grid.
     for model in presets::paper_models() {
