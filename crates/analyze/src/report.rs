@@ -360,6 +360,14 @@ pub fn render_text(reports: &AnalyzeReports<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The Pass 1 sweep, run once per test binary and shared by every test
+    /// that reads it.
+    fn sweep() -> &'static SchedulePassReport {
+        static SWEEP: OnceLock<SchedulePassReport> = OnceLock::new();
+        SWEEP.get_or_init(run_schedule_pass)
+    }
 
     #[test]
     fn live_subsets_counts() {
@@ -375,7 +383,7 @@ mod tests {
 
     #[test]
     fn full_sweep_is_clean() {
-        let rep = run_schedule_pass();
+        let rep = sweep();
         assert!(rep.ok(), "violations: {:?}", rep.violations);
         // Every ring left by at most two dead ranks, p ∈ 2..=16:
         // Σ (1 + p + C(p,2)), each with four ring all-reduce calls and one
@@ -398,13 +406,13 @@ mod tests {
 
     #[test]
     fn json_shape_has_all_passes_in_order() {
-        let sched = run_schedule_pass();
+        let sched = sweep();
         let lint = LintReport::default();
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let protocols = crate::protocol::run_protocol_pass(&root);
         let fuzz = crate::fuzz::run_fuzz_pass(7, 32);
         let v = to_json(&AnalyzeReports {
-            schedule: Some(&sched),
+            schedule: Some(sched),
             lint: Some(&lint),
             protocols: Some(&protocols),
             fuzz: Some(&fuzz),

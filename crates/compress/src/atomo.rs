@@ -6,10 +6,10 @@
 //! all-reducible), and the SVD itself is the expensive encode step the
 //! paper contrasts with PowerSGD's cheaper power iteration.
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::matrix::svd_truncated;
 use gcs_tensor::{Shape, Tensor};
-use std::collections::HashMap;
 
 /// ATOMO (SVD) compressor.
 #[derive(Debug)]
@@ -17,7 +17,7 @@ pub struct Atomo {
     rank: usize,
     /// Subspace iterations for the truncated SVD.
     svd_iters: usize,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl Atomo {
@@ -35,7 +35,7 @@ impl Atomo {
         Ok(Atomo {
             rank,
             svd_iters: 10,
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
         })
     }
 
@@ -82,85 +82,43 @@ impl Compressor for Atomo {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        if payloads.is_empty() {
-            return Err(CompressError::EmptyAggregate);
-        }
-        let mut acc: Option<Vec<f32>> = None;
-        for p in payloads {
-            match p {
-                Payload::Svd {
-                    rows,
-                    cols,
-                    rank,
-                    u,
-                    s,
-                    v,
-                } => {
-                    let svd = gcs_tensor::matrix::TruncatedSvd {
-                        u: u.clone(),
-                        s: s.clone(),
-                        v: v.clone(),
-                        rank: *rank,
-                    };
-                    let mut dense = vec![0.0f32; rows * cols];
-                    svd.reconstruct(*rows, *cols, &mut dense)?;
-                    match &mut acc {
-                        None => acc = Some(dense),
-                        Some(a) => {
-                            if a.len() != dense.len() {
-                                return Err(CompressError::Protocol(
-                                    "svd payloads disagree on shape".into(),
-                                ));
-                            }
-                            gcs_tensor::kernels::add_assign(a, &dense);
-                        }
-                    }
-                }
-                other => {
-                    return Err(CompressError::PayloadKind {
-                        expected: "Svd",
-                        actual: other.kind_name(),
-                    });
-                }
-            }
-        }
-        let Some(mut a) = acc else {
-            return Err(CompressError::EmptyAggregate);
-        };
-        let inv = 1.0 / payloads.len() as f32;
-        for x in &mut a {
-            *x *= inv;
-        }
-        Ok(Payload::Dense(a))
+        crate::payload::decoded_mean(payloads, "Svd", |p| {
+            let Payload::Svd {
+                rows,
+                cols,
+                rank,
+                u,
+                s,
+                v,
+            } = p
+            else {
+                return None;
+            };
+            let svd = gcs_tensor::matrix::TruncatedSvd {
+                u: u.clone(),
+                s: s.clone(),
+                v: v.clone(),
+                rank: *rank,
+            };
+            let mut dense = vec![0.0f32; rows * cols];
+            Some(
+                svd.reconstruct(*rows, *cols, &mut dense)
+                    .map(|()| dense)
+                    .map_err(Into::into),
+            )
+        })
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "ATOMO has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("ATOMO", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

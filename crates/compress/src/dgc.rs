@@ -10,6 +10,7 @@
 //! sparsification, so the accumulated residual carries velocity rather
 //! than raw gradients. Like Top-K it is not all-reduce compatible.
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
@@ -28,7 +29,7 @@ pub struct Dgc {
     residual: HashMap<usize, Tensor>,
     /// Velocity state per layer (momentum correction).
     velocity: HashMap<usize, Tensor>,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
     /// Sampled-magnitude scratch for the threshold estimate, reused
     /// across encodes.
     sample: Vec<f32>,
@@ -42,11 +43,7 @@ impl Dgc {
     ///
     /// Returns [`CompressError::InvalidConfig`] unless `0 < ratio <= 1`.
     pub fn new(ratio: f64) -> Result<Self> {
-        if !(ratio > 0.0 && ratio <= 1.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "DGC ratio must be in (0, 1], got {ratio}"
-            )));
-        }
+        crate::payload::check_ratio("DGC ratio", ratio)?;
         Ok(Dgc {
             ratio,
             sample_fraction: 0.01,
@@ -54,7 +51,7 @@ impl Dgc {
             rng: StdRng::seed_from_u64(0xd9c0),
             residual: HashMap::new(),
             velocity: HashMap::new(),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
             sample: Vec::new(),
         })
     }
@@ -83,11 +80,7 @@ impl Dgc {
     ///
     /// Returns [`CompressError::InvalidConfig`] unless `0 < fraction <= 1`.
     pub fn sample_fraction(mut self, fraction: f64) -> Result<Self> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "sample fraction must be in (0, 1], got {fraction}"
-            )));
-        }
+        crate::payload::check_ratio("sample fraction", fraction)?;
         self.sample_fraction = fraction;
         Ok(self)
     }
@@ -106,7 +99,7 @@ impl Dgc {
         self.sample.clear();
         self.sample
             .extend((0..sample_n).map(|_| data[rng.gen_range(0..n)].abs()));
-        let k = ((sample_n as f64 * self.ratio).round() as usize).clamp(1, sample_n);
+        let k = crate::payload::kept(sample_n, self.ratio);
         // One order statistic, so a quickselect rather than a sort. NaN-
         // total descending order: a NaN gradient must not scramble the
         // sampled threshold between runs.
@@ -128,8 +121,7 @@ impl Compressor for Dgc {
     }
 
     fn compressed_bytes(&self, shape: &Shape) -> usize {
-        let k = ((shape.numel() as f64 * self.ratio).round() as usize).max(1);
-        k * 8
+        crate::payload::kept(shape.numel(), self.ratio) * 8
     }
 
     fn encode(&mut self, layer: usize, grad: &Tensor) -> Result<Payload> {
@@ -187,34 +179,17 @@ impl Compressor for Dgc {
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "DGC has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("DGC", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
         self.residual.clear();
         self.velocity.clear();
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

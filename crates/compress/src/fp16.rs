@@ -1,10 +1,10 @@
 //! Half-precision gradient communication — the "often a 2x reduction is all
 //! you need" baseline from the paper's takeaway #1.
 
-use crate::{CompressError, Compressor, Payload, Properties, Result};
+use crate::payload::Absorbed;
+use crate::{Compressor, Payload, Properties, Result};
 use gcs_tensor::f16::{decode_f16, encode_f16};
 use gcs_tensor::{Shape, Tensor};
-use std::collections::HashMap;
 
 /// Communicates gradients as IEEE binary16, aggregated by an fp16-native
 /// all-reduce (sums computed in `f32`, re-rounded to fp16 per hop —
@@ -15,7 +15,7 @@ use std::collections::HashMap;
 /// all the compression that is useful.
 #[derive(Debug, Default)]
 pub struct Fp16 {
-    pending: HashMap<usize, Vec<u16>>,
+    absorbed: Absorbed<Vec<u16>>,
 }
 
 impl Fp16 {
@@ -44,43 +44,24 @@ impl Compressor for Fp16 {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        let mut iter = payloads.iter();
-        let first = iter.next().ok_or(CompressError::EmptyAggregate)?;
-        let mut acc = first.clone();
-        for p in iter {
-            acc.add_assign(p)?;
-        }
-        acc.scale(1.0 / payloads.len() as f32)?;
-        Ok(acc)
+        crate::payload::summable_mean(payloads)
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "FP16 has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Half(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Half",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed
+            .absorb("FP16", layer, round, agg, "Half", |p| match p {
+                Payload::Half(v) => Some(v),
+                _ => None,
+            })
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
+        let v = self.absorbed.take(layer)?;
         Tensor::from_shape_vec(shape.clone(), decode_f16(&v)).map_err(Into::into)
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

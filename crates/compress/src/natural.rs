@@ -13,11 +13,11 @@
 //! `value = sign(code) * 2^(|code| - BIAS)` with `|code| in 1..=127`,
 //! covering magnitudes from `2^-63` to `2^63`.
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Exponent bias: `|code| - BIAS` is the power of two.
 const BIAS: i32 = 64;
@@ -60,7 +60,7 @@ fn decode_value(code: i8) -> f32 {
 #[derive(Debug)]
 pub struct NaturalCompression {
     rng: StdRng,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl Default for NaturalCompression {
@@ -74,7 +74,7 @@ impl NaturalCompression {
     pub fn new() -> Self {
         NaturalCompression {
             rng: StdRng::seed_from_u64(0x2a7a),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
         }
     }
 
@@ -139,40 +139,21 @@ impl Compressor for NaturalCompression {
         let Some(mut a) = acc else {
             return Err(CompressError::EmptyAggregate);
         };
-        let inv = 1.0 / payloads.len() as f32;
-        for x in &mut a {
-            *x *= inv;
-        }
+        gcs_tensor::kernels::scale(&mut a, 1.0 / payloads.len() as f32);
         Ok(Payload::Dense(a))
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "natural compression has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed
+            .absorb_dense("natural compression", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

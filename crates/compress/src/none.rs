@@ -1,8 +1,8 @@
 //! The uncompressed baseline (synchronous SGD).
 
-use crate::{CompressError, Compressor, Payload, Properties, Result};
+use crate::payload::Absorbed;
+use crate::{Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
-use std::collections::HashMap;
 
 /// No compression: gradients travel as raw `f32` and aggregate by exact
 /// mean. This is the "syncSGD" baseline every experiment in the paper
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Default)]
 pub struct NoCompression {
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl NoCompression {
@@ -60,49 +60,26 @@ impl Compressor for NoCompression {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        let mut iter = payloads.iter();
-        let first = iter.next().ok_or(CompressError::EmptyAggregate)?;
-        let mut acc = first.clone();
-        for p in iter {
-            acc.add_assign(p)?;
-        }
-        acc.scale(1.0 / payloads.len() as f32)?;
-        Ok(acc)
+        crate::payload::summable_mean(payloads)
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "syncSGD has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("syncSGD", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompressError;
 
     #[test]
     fn properties_match_table1() {

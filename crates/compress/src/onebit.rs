@@ -6,7 +6,8 @@
 //! Reconstruction values differ per worker, so aggregation needs
 //! all-gather.
 
-use crate::{CompressError, Compressor, Payload, Properties, Result};
+use crate::payload::Absorbed;
+use crate::{Compressor, Payload, Properties, Result};
 use gcs_tensor::bits::SignBits;
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -15,7 +16,7 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct OneBitSgd {
     residual: HashMap<usize, Tensor>,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl OneBitSgd {
@@ -102,33 +103,16 @@ impl Compressor for OneBitSgd {
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "1-bit SGD has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("1-bit SGD", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
         self.residual.clear();
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

@@ -7,7 +7,8 @@
 
 use crate::{CompressError, Result};
 use gcs_tensor::f16::{decode_f16, encode_f16};
-use gcs_tensor::kernels;
+use gcs_tensor::{kernels, Shape, Tensor};
+use std::collections::HashMap;
 
 /// Which low-rank factor a [`Payload::Factor`] carries (PowerSGD sends `P`
 /// then `Q`, paying the all-reduce latency twice — see §4.2 of the paper).
@@ -30,6 +31,23 @@ pub(crate) fn check_sparse_index_space(n: usize) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Checks a sparsifier's keep-fraction: unless `0 < ratio <= 1`, an
+/// [`CompressError::InvalidConfig`] that calls it `what`.
+pub(crate) fn check_ratio(what: &str, ratio: f64) -> Result<()> {
+    if !(ratio > 0.0 && ratio <= 1.0) {
+        return Err(CompressError::InvalidConfig(format!(
+            "{what} must be in (0, 1], got {ratio}"
+        )));
+    }
+    Ok(())
+}
+
+/// Coordinates a sparsifier keeping `ratio` of `numel` sends: the
+/// rounded product, at least 1.
+pub(crate) fn kept(numel: usize, ratio: f64) -> usize {
+    ((numel as f64 * ratio).round() as usize).clamp(1, numel.max(1))
 }
 
 /// `dense[i] += v` for each sparse `(i, v)` pair. The pairs come off the
@@ -111,6 +129,119 @@ pub(crate) fn sparse_mean(payloads: &[Payload]) -> Result<Payload> {
     }
     kernels::scale(&mut dense, 1.0 / payloads.len() as f32);
     Ok(Payload::Dense(dense))
+}
+
+/// The mean of summable payloads, the aggregate of the all-reducible
+/// methods: the first plus the others, scaled by `1/n`. Fails on no
+/// payloads, or as [`Payload::add_assign`] on mismatched ones.
+pub(crate) fn summable_mean(payloads: &[Payload]) -> Result<Payload> {
+    let (first, rest) = payloads
+        .split_first()
+        .ok_or(CompressError::EmptyAggregate)?;
+    let mut acc = first.clone();
+    for p in rest {
+        acc.add_assign(p)?;
+    }
+    acc.scale(1.0 / payloads.len() as f32)?;
+    Ok(acc)
+}
+
+/// The mean of payloads that each `decode` to a dense vector, as a `Dense`
+/// one: the first decoded vector, plus each later one as it is decoded,
+/// times `1/n`. `decode` returns `None` for a payload of another variant
+/// than `expected`, which fails as [`CompressError::PayloadKind`]; decoded
+/// lengths that disagree fail as [`CompressError::Protocol`].
+pub(crate) fn decoded_mean(
+    payloads: &[Payload],
+    expected: &'static str,
+    decode: impl Fn(&Payload) -> Option<Result<Vec<f32>>>,
+) -> Result<Payload> {
+    let mut acc: Option<Vec<f32>> = None;
+    for p in payloads {
+        let dense = decode(p).ok_or_else(|| CompressError::PayloadKind {
+            expected,
+            actual: p.kind_name(),
+        })??;
+        match &mut acc {
+            None => acc = Some(dense),
+            Some(a) if a.len() == dense.len() => kernels::add_assign(a, &dense),
+            Some(_) => {
+                return Err(CompressError::Protocol(format!(
+                    "{expected} payloads disagree on length"
+                )))
+            }
+        }
+    }
+    let mut a = acc.ok_or(CompressError::EmptyAggregate)?;
+    kernels::scale(&mut a, 1.0 / payloads.len() as f32);
+    Ok(Payload::Dense(a))
+}
+
+/// What each layer absorbed from its one round, held until `finish`: the
+/// single-round half of the [`Compressor`](crate::Compressor) protocol,
+/// shared by every method but PowerSGD. `T` is the part of the aggregated
+/// payload the method decodes in `finish` (by default a `Dense` mean).
+#[derive(Debug, Default)]
+pub(crate) struct Absorbed<T = Vec<f32>>(HashMap<usize, T>);
+
+impl<T> Absorbed<T> {
+    /// `absorb` for the single-round method `name`: keeps what `view`
+    /// takes out of `agg` for `layer`. A round other than 0 is a
+    /// [`CompressError::Protocol`]; `view` returns `None` for a payload of
+    /// another variant than `expected`, a [`CompressError::PayloadKind`].
+    pub(crate) fn absorb(
+        &mut self,
+        name: &str,
+        layer: usize,
+        round: usize,
+        agg: Payload,
+        expected: &'static str,
+        view: impl FnOnce(Payload) -> Option<T>,
+    ) -> Result<()> {
+        if round != 0 {
+            return Err(CompressError::Protocol(format!(
+                "{name} has a single round, got {round}"
+            )));
+        }
+        let actual = agg.kind_name();
+        let v = view(agg).ok_or(CompressError::PayloadKind { expected, actual })?;
+        self.0.insert(layer, v);
+        Ok(())
+    }
+
+    /// Removes what `layer` absorbed, for `finish`; a
+    /// [`CompressError::Protocol`] if nothing was absorbed since.
+    pub(crate) fn take(&mut self, layer: usize) -> Result<T> {
+        self.0.remove(&layer).ok_or_else(|| {
+            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
+        })
+    }
+
+    /// Drops everything absorbed (`reset`).
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+impl Absorbed {
+    /// [`absorb`](Absorbed::absorb) of a `Dense` aggregate.
+    pub(crate) fn absorb_dense(
+        &mut self,
+        name: &str,
+        layer: usize,
+        round: usize,
+        agg: Payload,
+    ) -> Result<()> {
+        self.absorb(name, layer, round, agg, "Dense", |p| match p {
+            Payload::Dense(v) => Some(v),
+            _ => None,
+        })
+    }
+
+    /// `finish` of a `Dense` aggregate: the mean itself, in `shape`.
+    pub(crate) fn finish_dense(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
+        Tensor::from_shape_vec(shape.clone(), self.take(layer)?).map_err(Into::into)
+    }
 }
 
 /// A compressed gradient in one of the representations used by the schemes

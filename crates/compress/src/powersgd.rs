@@ -291,14 +291,7 @@ impl Compressor for PowerSgd {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        let mut iter = payloads.iter();
-        let first = iter.next().ok_or(CompressError::EmptyAggregate)?;
-        let mut acc = first.clone();
-        for p in iter {
-            acc.add_assign(p)?;
-        }
-        acc.scale(1.0 / payloads.len() as f32)?;
-        Ok(acc)
+        crate::payload::summable_mean(payloads)
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {

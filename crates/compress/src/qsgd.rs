@@ -5,18 +5,18 @@
 //! Per-worker scales differ, so the aggregation is not associative and the
 //! method falls in the all-gather column of Table 1.
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// QSGD quantizer with `s` levels (at most 127 so levels fit in `i8`).
 #[derive(Debug)]
 pub struct Qsgd {
     levels: u8,
     rng: StdRng,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl Qsgd {
@@ -36,7 +36,7 @@ impl Qsgd {
         Ok(Qsgd {
             levels,
             rng: StdRng::seed_from_u64(0x515d),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
         })
     }
 
@@ -99,71 +99,22 @@ impl Compressor for Qsgd {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        if payloads.is_empty() {
-            return Err(CompressError::EmptyAggregate);
-        }
-        let mut acc: Option<Vec<f32>> = None;
-        for p in payloads {
-            match p {
-                Payload::Quantized { scale, levels } => {
-                    let dense = dequantize(*scale, levels);
-                    match &mut acc {
-                        None => acc = Some(dense),
-                        Some(a) => {
-                            if a.len() != dense.len() {
-                                return Err(CompressError::Protocol(
-                                    "quantized payloads disagree on length".into(),
-                                ));
-                            }
-                            gcs_tensor::kernels::add_assign(a, &dense);
-                        }
-                    }
-                }
-                other => {
-                    return Err(CompressError::PayloadKind {
-                        expected: "Quantized",
-                        actual: other.kind_name(),
-                    });
-                }
-            }
-        }
-        let Some(mut a) = acc else {
-            return Err(CompressError::EmptyAggregate);
-        };
-        let inv = 1.0 / payloads.len() as f32;
-        for x in &mut a {
-            *x *= inv;
-        }
-        Ok(Payload::Dense(a))
+        crate::payload::decoded_mean(payloads, "Quantized", |p| match p {
+            Payload::Quantized { scale, levels } => Some(Ok(dequantize(*scale, levels))),
+            _ => None,
+        })
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "QSGD has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("QSGD", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

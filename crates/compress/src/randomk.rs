@@ -7,6 +7,7 @@
 //! the full flattened gradient, so per-layer overlap with the backward pass
 //! is unavailable).
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::select::random_k;
 use gcs_tensor::{Shape, Tensor};
@@ -21,7 +22,7 @@ pub struct RandomK {
     /// Per-layer iteration counters; all workers advance in lock step.
     iteration: HashMap<usize, u64>,
     residual: HashMap<usize, Tensor>,
-    pending: HashMap<usize, Payload>,
+    absorbed: Absorbed<(usize, u64, Vec<f32>)>,
 }
 
 impl RandomK {
@@ -31,18 +32,14 @@ impl RandomK {
     ///
     /// Returns [`CompressError::InvalidConfig`] unless `0 < ratio <= 1`.
     pub fn new(ratio: f64) -> Result<Self> {
-        if !(ratio > 0.0 && ratio <= 1.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "random-k ratio must be in (0, 1], got {ratio}"
-            )));
-        }
+        crate::payload::check_ratio("random-k ratio", ratio)?;
         Ok(RandomK {
             ratio,
             base_seed: 0xabcd_ef01,
             error_feedback: false,
             iteration: HashMap::new(),
             residual: HashMap::new(),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
         })
     }
 
@@ -54,7 +51,7 @@ impl RandomK {
 
     /// Number of kept coordinates for `numel` elements (at least 1).
     pub fn k_for(&self, numel: usize) -> usize {
-        ((numel as f64 * self.ratio).round() as usize).clamp(1, numel.max(1))
+        crate::payload::kept(numel, self.ratio)
     }
 
     /// The shared coordinate seed for `(layer, iteration)`.
@@ -109,41 +106,19 @@ impl Compressor for RandomK {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        let mut iter = payloads.iter();
-        let first = iter.next().ok_or(CompressError::EmptyAggregate)?;
-        let mut acc = first.clone();
-        for p in iter {
-            acc.add_assign(p)?;
-        }
-        acc.scale(1.0 / payloads.len() as f32)?;
-        Ok(acc)
+        crate::payload::summable_mean(payloads)
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "Random-K has a single round, got {round}"
-            )));
-        }
-        match &agg {
-            Payload::SharedSparse { .. } => {
-                self.pending.insert(layer, agg);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "SharedSparse",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed
+            .absorb("Random-K", layer, round, agg, "SharedSparse", |p| match p {
+                Payload::SharedSparse { len, seed, values } => Some((len, seed, values)),
+                _ => None,
+            })
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let agg = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        let Payload::SharedSparse { len, seed, values } = agg else {
-            unreachable!("absorb validated the variant");
-        };
+        let (len, seed, values) = self.absorbed.take(layer)?;
         if len != shape.numel() {
             return Err(CompressError::Protocol(format!(
                 "payload length {len} does not match shape {shape}"
@@ -164,7 +139,7 @@ impl Compressor for RandomK {
     fn reset(&mut self) {
         self.iteration.clear();
         self.residual.clear();
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

@@ -6,6 +6,7 @@
 //! all-reduce compatible — in the paper this is what makes its
 //! communication grow linearly with worker count (Figure 6).
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::bits::{MajorityVote, SignBits};
 use gcs_tensor::{Shape, Tensor};
@@ -47,8 +48,8 @@ pub struct SignSgd {
     error_feedback: bool,
     /// Error-feedback memory per layer.
     residual: HashMap<usize, Tensor>,
-    /// Aggregated payload awaiting `finish`.
-    pending: HashMap<usize, Payload>,
+    /// The majority's sign words, length and scale, awaiting `finish`.
+    absorbed: Absorbed<(Vec<u32>, usize, f32)>,
 }
 
 impl SignSgd {
@@ -180,37 +181,22 @@ impl Compressor for SignSgd {
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "SignSGD has a single round, got {round}"
-            )));
-        }
-        match &agg {
-            Payload::Signs { .. } => {
-                self.pending.insert(layer, agg);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Signs",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed
+            .absorb("SignSGD", layer, round, agg, "Signs", |p| match p {
+                Payload::Signs { words, len, scale } => Some((words, len, scale)),
+                _ => None,
+            })
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let agg = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        let Payload::Signs { words, len, scale } = agg else {
-            unreachable!("absorb validated the variant");
-        };
+        let (words, len, scale) = self.absorbed.take(layer)?;
         let bits = SignBits::from_words(words, len);
         Tensor::from_shape_vec(shape.clone(), bits.unpack(scale)).map_err(Into::into)
     }
 
     fn reset(&mut self) {
         self.residual.clear();
-        self.pending.clear();
+        self.absorbed.clear();
     }
 
     fn take_residual(&mut self, layer: usize) -> Option<Tensor> {

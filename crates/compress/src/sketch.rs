@@ -12,6 +12,7 @@
 //! the approximation quality of the basis differs, which we document as a
 //! substitution in DESIGN.md.
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -24,8 +25,7 @@ pub struct LinearSketch {
     block: usize,
     error_feedback: bool,
     residual: HashMap<usize, Tensor>,
-    pending: HashMap<usize, Vec<f32>>,
-    lens: HashMap<usize, usize>,
+    absorbed: Absorbed,
 }
 
 impl LinearSketch {
@@ -45,8 +45,7 @@ impl LinearSketch {
             block,
             error_feedback: false,
             residual: HashMap::new(),
-            pending: HashMap::new(),
-            lens: HashMap::new(),
+            absorbed: Absorbed::default(),
         })
     }
 
@@ -104,7 +103,6 @@ impl Compressor for LinearSketch {
         } else {
             grad.clone()
         };
-        self.lens.insert(layer, v.numel());
         let sketch = self.project(v.data());
         if self.error_feedback {
             let own = self.lift(&sketch, v.numel());
@@ -115,38 +113,15 @@ impl Compressor for LinearSketch {
     }
 
     fn aggregate(&self, _round: usize, payloads: &[Payload]) -> Result<Payload> {
-        let mut iter = payloads.iter();
-        let first = iter.next().ok_or(CompressError::EmptyAggregate)?;
-        let mut acc = first.clone();
-        for p in iter {
-            acc.add_assign(p)?;
-        }
-        acc.scale(1.0 / payloads.len() as f32)?;
-        Ok(acc)
+        crate::payload::summable_mean(payloads)
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "sketch has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("sketch", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let sketch = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
+        let sketch = self.absorbed.take(layer)?;
         let numel = shape.numel();
         if self.sketch_len(numel) != sketch.len() {
             return Err(CompressError::Protocol(format!(
@@ -159,8 +134,7 @@ impl Compressor for LinearSketch {
 
     fn reset(&mut self) {
         self.residual.clear();
-        self.pending.clear();
-        self.lens.clear();
+        self.absorbed.clear();
     }
 }
 

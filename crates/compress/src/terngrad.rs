@@ -4,11 +4,11 @@
 //! transmitted 2 bits per element (16x compression). Per-worker scales make
 //! the aggregation non-associative (Table 1: not all-reducible).
 
-use crate::{CompressError, Compressor, Payload, Properties, Result};
+use crate::payload::Absorbed;
+use crate::{Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// 2-bit codes used in the packed representation.
 const CODE_ZERO: u8 = 0b00;
@@ -35,7 +35,7 @@ fn unpack_ternary(packed: &[u8], len: usize) -> Vec<u8> {
 #[derive(Debug)]
 pub struct TernGrad {
     rng: StdRng,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl Default for TernGrad {
@@ -49,7 +49,7 @@ impl TernGrad {
     pub fn new() -> Self {
         TernGrad {
             rng: StdRng::seed_from_u64(0x7e47),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
         }
     }
 
@@ -126,40 +126,20 @@ impl Compressor for TernGrad {
                 };
             }
         }
-        let inv = 1.0 / payloads.len() as f32;
-        for x in &mut a {
-            *x *= inv;
-        }
+        gcs_tensor::kernels::scale(&mut a, 1.0 / payloads.len() as f32);
         Ok(Payload::Dense(a))
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "TernGrad has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("TernGrad", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

@@ -7,7 +7,8 @@
 //! (Table 2: ~240–295 ms on ResNet-50) make Top-K slower than syncSGD at
 //! every scale it measured.
 
-use crate::{CompressError, Compressor, Payload, Properties, Result};
+use crate::payload::Absorbed;
+use crate::{Compressor, Payload, Properties, Result};
 use gcs_tensor::select::top_k_abs_with;
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -19,7 +20,7 @@ pub struct TopK {
     ratio: f64,
     error_feedback: bool,
     residual: HashMap<usize, Tensor>,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
     /// Magnitude scratch for the selection, reused across encodes: the
     /// strided sample and the candidates' magnitudes (a few percent of the
     /// layer), or every magnitude when the select falls back to a full
@@ -35,16 +36,12 @@ impl TopK {
     ///
     /// Returns [`CompressError::InvalidConfig`] unless `0 < ratio <= 1`.
     pub fn new(ratio: f64) -> Result<Self> {
-        if !(ratio > 0.0 && ratio <= 1.0) {
-            return Err(CompressError::InvalidConfig(format!(
-                "top-k ratio must be in (0, 1], got {ratio}"
-            )));
-        }
+        crate::payload::check_ratio("top-k ratio", ratio)?;
         Ok(TopK {
             ratio,
             error_feedback: false,
             residual: HashMap::new(),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
             mags: Vec::new(),
         })
     }
@@ -63,7 +60,7 @@ impl TopK {
 
     /// Number of coordinates kept for an `n`-element gradient (at least 1).
     pub fn k_for(&self, numel: usize) -> usize {
-        ((numel as f64 * self.ratio).round() as usize).clamp(1, numel.max(1))
+        crate::payload::kept(numel, self.ratio)
     }
 }
 
@@ -126,33 +123,16 @@ impl Compressor for TopK {
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "TopK has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed.absorb_dense("TopK", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
         self.residual.clear();
-        self.pending.clear();
+        self.absorbed.clear();
     }
 
     fn take_residual(&mut self, layer: usize) -> Option<Tensor> {
@@ -178,6 +158,7 @@ impl Compressor for TopK {
 mod tests {
     use super::*;
     use crate::driver::{all_reduce_compressed, round_trip};
+    use crate::CompressError;
 
     #[test]
     fn forged_sparse_length_is_a_protocol_error() {

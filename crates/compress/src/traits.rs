@@ -41,7 +41,12 @@ pub struct Properties {
 /// exactly these semantics over real collectives.
 ///
 /// Implementations keep per-layer state (error feedback memory, PowerSGD's
-/// warm-started `Q`), keyed by the `layer` index.
+/// warm-started `Q`), keyed by the `layer` index. Every single-round
+/// method holds its absorbed aggregate in one shared store,
+/// `payload::Absorbed`, which owns the round check, the payload-kind check
+/// and the "finish before absorb" error, so such a method's `absorb` is
+/// one delegating call and its `finish` only decodes. PowerSGD, the one
+/// two-round method, keeps its rounds in its own per-layer state.
 pub trait Compressor: Send {
     /// Method metadata (Table 1 row).
     fn properties(&self) -> Properties;

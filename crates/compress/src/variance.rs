@@ -10,6 +10,7 @@
 //! and only confident coordinates are transmitted. Coordinate sets differ
 //! per worker, so aggregation requires all-gather.
 
+use crate::payload::Absorbed;
 use crate::{CompressError, Compressor, Payload, Properties, Result};
 use gcs_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -31,7 +32,7 @@ pub struct VarianceSparsifier {
     /// EMA decay for the moment estimates.
     beta: f32,
     layers: HashMap<usize, LayerStats>,
-    pending: HashMap<usize, Vec<f32>>,
+    absorbed: Absorbed,
 }
 
 impl VarianceSparsifier {
@@ -51,7 +52,7 @@ impl VarianceSparsifier {
             kappa: kappa as f32,
             beta: 0.9,
             layers: HashMap::new(),
-            pending: HashMap::new(),
+            absorbed: Absorbed::default(),
         })
     }
 
@@ -141,33 +142,17 @@ impl Compressor for VarianceSparsifier {
     }
 
     fn absorb(&mut self, layer: usize, round: usize, agg: Payload) -> Result<()> {
-        if round != 0 {
-            return Err(CompressError::Protocol(format!(
-                "variance sparsifier has a single round, got {round}"
-            )));
-        }
-        match agg {
-            Payload::Dense(v) => {
-                self.pending.insert(layer, v);
-                Ok(())
-            }
-            other => Err(CompressError::PayloadKind {
-                expected: "Dense",
-                actual: other.kind_name(),
-            }),
-        }
+        self.absorbed
+            .absorb_dense("variance sparsifier", layer, round, agg)
     }
 
     fn finish(&mut self, layer: usize, shape: &Shape) -> Result<Tensor> {
-        let v = self.pending.remove(&layer).ok_or_else(|| {
-            CompressError::Protocol(format!("finish before absorb for layer {layer}"))
-        })?;
-        Tensor::from_shape_vec(shape.clone(), v).map_err(Into::into)
+        self.absorbed.finish_dense(layer, shape)
     }
 
     fn reset(&mut self) {
         self.layers.clear();
-        self.pending.clear();
+        self.absorbed.clear();
     }
 }
 

@@ -4,7 +4,7 @@
 
 use gcs_compress::driver::{all_reduce_compressed, round_trip};
 use gcs_compress::registry::MethodConfig;
-use gcs_compress::{Compressor, Payload};
+use gcs_compress::{CompressError, Compressor, Payload};
 use gcs_tensor::{stats, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,5 +205,105 @@ fn identical_inputs_aggregate_to_roundtrip() {
             1e-4
         };
         assert!(err < tol || solo.l2_norm() == 0.0, "{method:?}: err {err}");
+    }
+}
+
+/// Every method refuses its protocol driven out of order, with a typed
+/// error: an `absorb` one round past the last, an `absorb` of a payload
+/// kind the method never produces, `finish` before `absorb`, a second
+/// `finish`, and `finish` after `reset` dropped what was absorbed.
+#[test]
+fn protocol_misuse_is_a_typed_error() {
+    let g = Tensor::randn([6, 5], 0x208);
+    let shape = g.shape();
+    // Runs every round of one exchange of `g` except `finish`; returns
+    // the last aggregated payload and every payload kind seen.
+    let exchange = |c: &mut Box<dyn Compressor>| {
+        let mut kinds = Vec::new();
+        let mut last = None;
+        for round in 0..c.properties().rounds {
+            let p = if round == 0 {
+                c.encode(0, &g)
+            } else {
+                c.encode_round(0, round)
+            }
+            .expect("encode");
+            let agg = c
+                .aggregate(round, std::slice::from_ref(&p))
+                .expect("aggregate");
+            kinds.extend([p.kind_name(), agg.kind_name()]);
+            c.absorb(0, round, agg.clone()).expect("absorb");
+            last = Some(agg);
+        }
+        (last.expect("at least one round"), kinds)
+    };
+    let is_protocol = |r: Result<(), CompressError>| matches!(r, Err(CompressError::Protocol(_)));
+    for method in all_methods() {
+        let build = || method.build().expect("builds");
+        let rounds = build().properties().rounds;
+
+        let mut c = build();
+        let (last, kinds) = exchange(&mut c);
+        assert!(
+            is_protocol(c.absorb(0, rounds, last)),
+            "{method:?}: absorb past the last round"
+        );
+
+        let foreign = [
+            Payload::Ternary {
+                len: 30,
+                scale: 1.0,
+                packed: vec![0; 8],
+            },
+            Payload::TwoScale {
+                words: vec![0],
+                len: 30,
+                neg: -1.0,
+                pos: 1.0,
+            },
+        ]
+        .into_iter()
+        .find(|p| !kinds.contains(&p.kind_name()))
+        .expect("a kind the method never produces");
+        let mut c = build();
+        c.encode(0, &g).expect("encode");
+        let got = c.absorb(0, 0, foreign);
+        if matches!(method, MethodConfig::PowerSgd { .. }) {
+            // PowerSGD matches round and kind together: a foreign kind is
+            // an unexpected (round, payload) pair.
+            assert!(is_protocol(got), "{method:?}: foreign kind");
+        } else {
+            assert!(
+                matches!(got, Err(CompressError::PayloadKind { .. })),
+                "{method:?}: foreign kind gave {got:?}"
+            );
+        }
+
+        let mut c = build();
+        assert!(
+            is_protocol(c.finish(0, shape).map(drop)),
+            "{method:?}: finish on a fresh compressor"
+        );
+        c.encode(0, &g).expect("encode");
+        assert!(
+            is_protocol(c.finish(0, shape).map(drop)),
+            "{method:?}: finish before absorb"
+        );
+
+        let mut c = build();
+        exchange(&mut c);
+        c.finish(0, shape).expect("finish");
+        assert!(
+            is_protocol(c.finish(0, shape).map(drop)),
+            "{method:?}: second finish"
+        );
+
+        let mut c = build();
+        exchange(&mut c);
+        c.reset();
+        assert!(
+            is_protocol(c.finish(0, shape).map(drop)),
+            "{method:?}: finish after reset"
+        );
     }
 }
