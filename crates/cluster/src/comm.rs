@@ -6,8 +6,7 @@
 //! channel and return immediately with a pending handle.  The caller
 //! overlaps its own compute (packing / encoding the next gradient bucket)
 //! with the collective in flight and later blocks on
-//! [`PendingReduce::wait`] / [`PendingGather::wait`] to retrieve the
-//! result.
+//! [`Pending::wait`] to retrieve the result.
 //!
 //! # Ordering invariant
 //!
@@ -34,60 +33,79 @@
 //! bit-exact with the sequential engine.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crate::transport::{Frame, WorkerHandle};
 use crate::{ClusterError, Result};
 
-/// One queued collective.  Buffers travel by value so the comm thread can
-/// work on them without synchronization; they come back through the reply
-/// channel for the caller to recycle.
-enum Job {
-    /// Mean-all-reduce `data` across the ring's members, reply with the
-    /// reduced buffer.
-    ReduceMean {
-        data: Vec<f32>,
-        reply: Sender<Result<Vec<f32>>>,
-    },
-    /// All-gather `data`; reply with one [`Frame`] per rank plus the sent
-    /// buffer (so the caller can reuse its wire allocation).
-    GatherBytes {
-        data: Vec<u8>,
-        reply: Sender<Result<(Vec<Frame>, Vec<u8>)>>,
-    },
-}
+/// One queued collective. Buffers travel by value inside it so the comm
+/// thread can work on them without synchronization; they come back
+/// through the job's reply channel for the caller to recycle.
+type Job = Box<dyn FnOnce(&WorkerHandle, &Shared) + Send>;
 
-/// In-flight mean-all-reduce started by [`CommEngine::start_all_reduce_mean`].
+/// In-flight collective started by [`CommEngine::start_all_reduce_mean`]
+/// (`T` is the reduced buffer) or [`CommEngine::start_all_gather`] (`T`
+/// is one frame per rank, in rank order, this rank's entry a zero-copy
+/// view of what it sent, plus the sent buffer for recycling).
 #[must_use = "a pending collective does nothing until waited on"]
-pub struct PendingReduce {
-    rx: Receiver<Result<Vec<f32>>>,
+pub struct Pending<T> {
+    rx: Receiver<Result<T>>,
 }
 
-impl PendingReduce {
-    /// Block until the collective completes and return the reduced buffer.
-    pub fn wait(self) -> Result<Vec<f32>> {
+impl<T> Pending<T> {
+    /// Block until the collective completes and return its result.
+    pub fn wait(self) -> Result<T> {
         self.rx
             .recv()
             .unwrap_or(Err(ClusterError::Disconnected { peer: usize::MAX }))
     }
 }
 
-/// In-flight all-gather started by [`CommEngine::start_all_gather`].
-#[must_use = "a pending collective does nothing until waited on"]
-pub struct PendingGather {
-    rx: Receiver<Result<(Vec<Frame>, Vec<u8>)>>,
+/// What the comm thread shares with its engine.
+#[derive(Default)]
+struct Shared {
+    /// First collective error the comm thread hit. Once set, the engine is
+    /// poisoned: queued and future jobs are answered with this error
+    /// instead of being executed, so one rank's failure surfaces
+    /// immediately on every subsequent `start_*`/`wait` instead of
+    /// desynchronizing the cross-rank job pairing (or hanging).
+    poisoned: Mutex<Option<ClusterError>>,
+    /// Nanoseconds the comm thread has spent executing collectives (wire
+    /// busy time).  The gap between a caller's blocked `wait` time and
+    /// this counter is scheduling overhead / exposed encode time.
+    busy_nanos: AtomicU64,
 }
 
-impl PendingGather {
-    /// Block until the gather completes.  Returns one frame per rank (in
-    /// rank order; this rank's entry is a zero-copy view of what it sent)
-    /// plus the original send buffer for recycling.
-    pub fn wait(self) -> Result<(Vec<Frame>, Vec<u8>)> {
-        self.rx
-            .recv()
-            .unwrap_or(Err(ClusterError::Disconnected { peer: usize::MAX }))
+impl Shared {
+    fn last_error(&self) -> Option<ClusterError> {
+        // A poisoned mutex only means another thread panicked while
+        // holding the lock; the Option inside is still valid.
+        self.poisoned
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// Runs one collective, timed, and poisons the engine if it fails. A
+    /// poisoned engine answers without touching the wire: executing
+    /// further collectives after a failure would desynchronize rank
+    /// pairing.
+    fn execute<T>(&self, collective: impl FnOnce() -> Result<T>) -> Result<T> {
+        if let Some(e) = self.last_error() {
+            return Err(e);
+        }
+        let t0 = Instant::now();
+        let res = collective();
+        self.busy_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
+        if let Err(e) = &res {
+            let mut slot = self.poisoned.lock().unwrap_or_else(|e| e.into_inner());
+            slot.get_or_insert_with(|| e.clone());
+        }
+        res
     }
 }
 
@@ -100,16 +118,7 @@ pub struct CommEngine {
     jobs: Option<SyncSender<Job>>,
     thread: Option<JoinHandle<WorkerHandle>>,
     rank: usize,
-    /// First collective error the comm thread hit. Once set, the engine is
-    /// poisoned: queued and future jobs are answered with this error
-    /// instead of being executed, so one rank's failure surfaces
-    /// immediately on every subsequent `start_*`/`wait` instead of
-    /// desynchronizing the cross-rank job pairing (or hanging).
-    poisoned: Arc<Mutex<Option<ClusterError>>>,
-    /// Nanoseconds the comm thread has spent executing collectives (wire
-    /// busy time).  The gap between a caller's blocked `wait` time and
-    /// this counter is scheduling overhead / exposed encode time.
-    busy_nanos: Arc<AtomicU64>,
+    shared: Arc<Shared>,
 }
 
 impl CommEngine {
@@ -130,54 +139,13 @@ impl CommEngine {
         }
         let rank = worker.rank();
         let (tx, rx) = sync_channel::<Job>(queue_depth);
-        let poisoned: Arc<Mutex<Option<ClusterError>>> = Arc::new(Mutex::new(None));
-        let poison = Arc::clone(&poisoned);
-        let busy_nanos = Arc::new(AtomicU64::new(0));
-        let busy = Arc::clone(&busy_nanos);
+        let shared = Arc::new(Shared::default());
+        let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name(format!("gcs-comm-{rank}"))
             .spawn(move || {
-                // A poisoned mutex only means another thread panicked while
-                // holding the lock; the Option inside is still valid.
-                let stored_error = || poison.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                let store_error = |res: &Result<()>| {
-                    if let Err(e) = res {
-                        let mut slot = poison.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(e.clone());
-                        }
-                    }
-                };
                 while let Ok(job) = rx.recv() {
-                    match job {
-                        Job::ReduceMean { mut data, reply } => {
-                            // A poisoned engine answers without touching the
-                            // wire: executing further collectives after a
-                            // failure would desynchronize rank pairing.
-                            if let Some(e) = stored_error() {
-                                let _ = reply.send(Err(e));
-                                continue;
-                            }
-                            let t0 = std::time::Instant::now();
-                            let res = worker.all_reduce_mean(&mut data);
-                            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            store_error(&res);
-                            // A dropped reply receiver just means the caller
-                            // abandoned the pending handle; keep serving.
-                            let _ = reply.send(res.map(|()| data));
-                        }
-                        Job::GatherBytes { data, reply } => {
-                            if let Some(e) = stored_error() {
-                                let _ = reply.send(Err(e));
-                                continue;
-                            }
-                            let t0 = std::time::Instant::now();
-                            let res = worker.all_gather_bytes(&data);
-                            busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
-                            store_error(&res.as_ref().map(|_| ()).map_err(Clone::clone));
-                            let _ = reply.send(res.map(|frames| (frames, data)));
-                        }
-                    }
+                    job(&worker, &thread_shared);
                 }
                 worker
             })
@@ -186,8 +154,7 @@ impl CommEngine {
             jobs: Some(tx),
             thread: Some(thread),
             rank,
-            poisoned,
-            busy_nanos,
+            shared,
         })
     }
 
@@ -196,17 +163,14 @@ impl CommEngine {
     /// time to it).  Caller `wait` time minus this delta is *exposed*
     /// wait — time the pipeline stalled with nothing on the wire.
     pub fn busy_seconds(&self) -> f64 {
-        self.busy_nanos.load(Ordering::SeqCst) as f64 * 1e-9
+        self.shared.busy_nanos.load(Ordering::SeqCst) as f64 * 1e-9
     }
 
     /// The first collective error the comm thread hit, if any. A poisoned
     /// engine fails every subsequent job with this error instead of
     /// touching the wire.
     pub fn last_error(&self) -> Option<ClusterError> {
-        self.poisoned
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.shared.last_error()
     }
 
     /// Rank of the underlying worker.
@@ -218,37 +182,39 @@ impl CommEngine {
     /// bit-identical to the blocking [`WorkerHandle::all_reduce_mean`].
     ///
     /// Blocks only if the job queue is full (backpressure).
-    pub fn start_all_reduce_mean(&self, data: Vec<f32>) -> Result<PendingReduce> {
-        if let Some(e) = self.last_error() {
-            return Err(e);
-        }
-        let (reply, rx) = std::sync::mpsc::channel();
-        let Some(jobs) = self.jobs.as_ref() else {
-            return Err(ClusterError::Protocol(
-                "comm engine already shut down".into(),
-            ));
-        };
-        jobs.send(Job::ReduceMean { data, reply })
-            .map_err(|_| ClusterError::Disconnected { peer: self.rank })?;
-        Ok(PendingReduce { rx })
+    pub fn start_all_reduce_mean(&self, mut data: Vec<f32>) -> Result<Pending<Vec<f32>>> {
+        self.start(move |worker| worker.all_reduce_mean(&mut data).map(|()| data))
     }
 
     /// Enqueue an all-gather of `data` (opaque bytes).
     ///
     /// Blocks only if the job queue is full (backpressure).
-    pub fn start_all_gather(&self, data: Vec<u8>) -> Result<PendingGather> {
+    pub fn start_all_gather(&self, data: Vec<u8>) -> Result<Pending<(Vec<Frame>, Vec<u8>)>> {
+        self.start(move |worker| worker.all_gather_bytes(&data).map(|frames| (frames, data)))
+    }
+
+    /// Enqueues `collective` behind every job already queued.
+    fn start<T: Send + 'static>(
+        &self,
+        collective: impl FnOnce(&WorkerHandle) -> Result<T> + Send + 'static,
+    ) -> Result<Pending<T>> {
         if let Some(e) = self.last_error() {
             return Err(e);
         }
-        let (reply, rx) = std::sync::mpsc::channel();
         let Some(jobs) = self.jobs.as_ref() else {
             return Err(ClusterError::Protocol(
                 "comm engine already shut down".into(),
             ));
         };
-        jobs.send(Job::GatherBytes { data, reply })
+        let (reply, rx) = std::sync::mpsc::channel();
+        let job: Job = Box::new(move |worker, shared| {
+            // A dropped reply receiver just means the caller abandoned the
+            // pending handle; keep serving.
+            let _ = reply.send(shared.execute(|| collective(worker)));
+        });
+        jobs.send(job)
             .map_err(|_| ClusterError::Disconnected { peer: self.rank })?;
-        Ok(PendingGather { rx })
+        Ok(Pending { rx })
     }
 
     /// Drain any queued jobs, stop the comm thread, and recover the

@@ -19,6 +19,14 @@
 //! runs with the same plan and the same per-worker program produce the
 //! same event sequence even though worker threads interleave arbitrarily.
 //!
+//! # One injector
+//!
+//! Both backends send every frame through one sender-side injector, so a
+//! plan drops, delays and reorders the same frames, and logs the same
+//! events, on [`SimCluster`](crate::SimCluster) and on
+//! [`TcpCluster`](crate::TcpCluster). An injected delay is rounded up to
+//! whole microseconds on both, the unit the TCP header carries.
+//!
 //! # Dead ranks
 //!
 //! Rank death is *scheduled*, not emergent: the plan says "rank `r` dies
@@ -29,7 +37,9 @@
 //! [`ClusterError::PeerGone`](crate::ClusterError::PeerGone)) exists to
 //! turn protocol bugs into errors instead of hangs.
 
-use std::sync::Mutex;
+use crate::Result;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How `recv` behaves inside collectives when a frame is late.
@@ -206,7 +216,8 @@ pub enum FaultKind {
     /// The frame's delivery was delayed by `extra` beyond the (emulated)
     /// network time.
     Delay {
-        /// Extra delay injected on top of the link's base delivery time.
+        /// Extra delay injected on top of the link's base delivery time,
+        /// in whole microseconds.
         extra: Duration,
     },
     /// The frame was silently lost.
@@ -360,6 +371,100 @@ impl LinkFaults {
                 plan.delay_jitter.mul_f64(delay_roll)
             },
         }
+    }
+}
+
+/// Sender-side fault injection for one worker under a [`FaultPlan`].
+/// Both backends drive their links through it, so a plan drops, delays,
+/// reorders and logs the same frames on each. `H` is what the backend
+/// puts on a link: a packet with its emulated delivery time in the
+/// simulator, a frame with its header delay over TCP.
+#[derive(Debug)]
+pub(crate) struct Injector<H> {
+    pub(crate) plan: Arc<FaultPlan>,
+    pub(crate) log: Arc<FaultLog>,
+    rank: usize,
+    /// Per-outgoing-link fault streams.
+    links: Vec<RefCell<LinkFaults>>,
+    /// Reorder stash: what was held back to swap with the link's next
+    /// frame. Flushed (in link order) before the worker blocks in a
+    /// receive, so a held frame can never deadlock a lock-step collective.
+    held: Vec<RefCell<Option<H>>>,
+}
+
+impl<H> Injector<H> {
+    /// Fault streams for every link out of `rank` in a `world`-rank cluster.
+    pub(crate) fn new(plan: Arc<FaultPlan>, log: Arc<FaultLog>, rank: usize, world: usize) -> Self {
+        Injector {
+            links: (0..world)
+                .map(|dst| RefCell::new(LinkFaults::new(plan.seed, rank, dst)))
+                .collect(),
+            held: (0..world).map(|_| RefCell::new(None)).collect(),
+            plan,
+            log,
+            rank,
+        }
+    }
+
+    fn record(&self, dst: usize, seq: u64, kind: FaultKind) {
+        self.log.record(FaultEvent {
+            src: self.rank,
+            dst,
+            seq,
+            kind,
+        });
+    }
+
+    /// Sends one frame to `peer` as the link's next fate decides: drops
+    /// it, or `wrap`s it with its injected delay — rounded up to whole
+    /// µs, which is what the TCP header carries and what the log records
+    /// — and either holds it back for a swap or `put`s it on the link,
+    /// followed by the frame held before it.
+    pub(crate) fn send(
+        &self,
+        peer: usize,
+        wrap: impl FnOnce(Duration) -> H,
+        put: impl Fn(usize, H) -> Result<()>,
+    ) -> Result<()> {
+        let fate = self.links[peer].borrow_mut().next_fate(&self.plan);
+        if fate.drop {
+            self.record(peer, fate.seq, FaultKind::Drop);
+            return Ok(());
+        }
+        let extra = Duration::from_micros(fate.extra.as_nanos().div_ceil(1_000) as u64);
+        if !extra.is_zero() {
+            self.record(peer, fate.seq, FaultKind::Delay { extra });
+        }
+        let item = wrap(extra);
+        let previously_held = self.held[peer].borrow_mut().take();
+        if fate.reorder && previously_held.is_none() {
+            // Hold this frame back; the link's next send (or this worker's
+            // next receive, whichever comes first) releases it.
+            *self.held[peer].borrow_mut() = Some(item);
+            self.record(peer, fate.seq, FaultKind::Reorder);
+            return Ok(());
+        }
+        // The fresh frame goes first, then any held one: the swap.
+        put(peer, item)?;
+        if let Some(held) = previously_held {
+            put(peer, held)?;
+        }
+        Ok(())
+    }
+
+    /// Releases every held frame, in link order. A gone peer just loses
+    /// its frame: the flush is best-effort by design.
+    pub(crate) fn flush(&self, put: impl Fn(usize, H) -> Result<()>) {
+        for (peer, slot) in self.held.iter().enumerate() {
+            if let Some(item) = slot.borrow_mut().take() {
+                let _ = put(peer, item);
+            }
+        }
+    }
+
+    /// Logs this worker's scheduled death at `at_iter`.
+    pub(crate) fn record_death(&self, at_iter: usize) {
+        self.record(self.rank, at_iter as u64, FaultKind::RankDead { at_iter });
     }
 }
 

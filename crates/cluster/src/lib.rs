@@ -42,7 +42,7 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use comm::{CommEngine, PendingGather, PendingReduce};
+pub use comm::{CommEngine, Pending};
 pub use error::ClusterError;
 pub use faults::{DeadRank, FaultEvent, FaultKind, FaultLog, FaultPlan, RecvPolicy};
 pub use tcp::{TcpCluster, TcpOptions, TcpRun};

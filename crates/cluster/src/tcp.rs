@@ -16,14 +16,13 @@
 //!
 //! # Fault injection
 //!
-//! The same deterministic [`FaultPlan`] streams drive this backend,
-//! decided sender-side per directed link: a dropped frame is simply never
-//! written, a delayed frame carries its extra delay in the header's
-//! `delay_us` field (applied receiver-side, so the socket itself is never
-//! throttled), and a reordered frame is held back to swap with the link's
-//! next frame — flushed before the worker blocks in a receive, exactly
-//! like the simulator. `mark_dead` announces the death to every peer with
-//! a [`FrameKind::Dead`] control frame.
+//! Every frame goes through the simulator's sender-side injector (see
+//! [`crate::faults`]), so a [`FaultPlan`] decides and logs the same fates
+//! here: a dropped frame is never written, a delayed frame carries its
+//! extra delay in the header's `delay_us` field (applied receiver-side,
+//! so the socket itself is never throttled), and a reordered frame is
+//! held back to swap with the link's next frame. `mark_dead` announces
+//! the death to every peer with a [`FrameKind::Dead`] control frame.
 //!
 //! # Liveness
 //!
@@ -36,13 +35,12 @@
 //! a surprise hangup and reports the latter as `Disconnected`; a real
 //! wire has no such oracle.)
 
-use crate::faults::{FaultEvent, FaultKind, FaultLog, FaultPlan, LinkFaults};
+use crate::faults::{FaultEvent, FaultLog, FaultPlan, Injector};
 use crate::transport::{
-    check_peer, Frame, Mailbox, Packet, TrafficCounter, Transport, WorkerHandle,
+    check_peer, run_scoped, Frame, Mailbox, Packet, TrafficCounter, Transport, WorkerHandle,
 };
 use crate::wire::{self, FrameKind, WireHeader};
 use crate::{ClusterError, Result};
-use std::cell::RefCell;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,20 +81,6 @@ impl TcpOptions {
     }
 }
 
-/// Sender-side fault state (mirrors the simulator's per-link streams).
-#[derive(Debug)]
-struct TcpFaults {
-    plan: Arc<FaultPlan>,
-    log: Arc<FaultLog>,
-    /// Per-outgoing-link fault streams.
-    links: Vec<RefCell<LinkFaults>>,
-    /// Reorder stash: a frame (plus its injected delay) held back to swap
-    /// with the link's next frame. Flushed before this worker blocks in a
-    /// receive, so a held frame can never deadlock a lock-step
-    /// collective.
-    held: Vec<RefCell<Option<(Frame, Duration)>>>,
-}
-
 /// One rank's endpoint into the TCP mesh.
 #[derive(Debug)]
 struct TcpWorker {
@@ -112,7 +96,9 @@ struct TcpWorker {
     /// frame or a socket close from peer `j` clears `alive[j]`.
     alive: Arc<Vec<AtomicBool>>,
     traffic: Arc<TrafficCounter>,
-    faults: Option<TcpFaults>,
+    /// Fault injection, if this mesh runs under a [`FaultPlan`]; what it
+    /// puts on a link is a frame and its header delay.
+    faults: Option<Injector<(Frame, Duration)>>,
     readers: Vec<JoinHandle<()>>,
 }
 
@@ -136,17 +122,24 @@ impl TcpWorker {
         })
     }
 
-    /// Releases every reorder-held frame (in link order); same contract
-    /// as the simulator's flush.
+    /// Puts a frame on the link to `peer`: the loop-back queue for a
+    /// self-send (applying `delay` as the reader threads do), the socket
+    /// otherwise.
+    fn put(&self, peer: usize, (frame, delay): (Frame, Duration)) -> Result<()> {
+        if peer != self.rank {
+            return self.write_data(peer, &frame, delay);
+        }
+        let deliver_at = (!delay.is_zero()).then(|| Instant::now() + delay);
+        self.loopback
+            .send(Packet { frame, deliver_at })
+            .map_err(|_| ClusterError::Disconnected { peer })
+    }
+
+    /// Releases every reorder-held frame: before a receive, on death and
+    /// on drop, as the simulator does.
     fn flush_held(&self) {
-        if let Some(ctx) = &self.faults {
-            for peer in 0..self.world {
-                if let Some((frame, delay)) = ctx.held[peer].borrow_mut().take() {
-                    // A gone peer just loses the frame; the flush is
-                    // best-effort by design.
-                    let _ = self.write_data(peer, &frame, delay);
-                }
-            }
+        if let Some(faults) = &self.faults {
+            faults.flush(|peer, held| self.put(peer, held));
         }
     }
 }
@@ -176,60 +169,14 @@ impl Transport for TcpWorker {
         // accounting to the simulator, so per-rank counters match across
         // backends frame for frame.
         self.traffic.record(frame.len());
-        if peer == self.rank {
-            return self
-                .loopback
-                .send(Packet {
-                    frame,
-                    deliver_at: None,
-                })
-                .map_err(|_| ClusterError::Disconnected { peer });
-        }
-        let Some(ctx) = &self.faults else {
-            return self.write_data(peer, &frame, Duration::ZERO);
+        let Some(faults) = &self.faults else {
+            return self.put(peer, (frame, Duration::ZERO));
         };
-        let fate = ctx.links[peer].borrow_mut().next_fate(&ctx.plan);
-        if fate.drop {
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: peer,
-                seq: fate.seq,
-                kind: FaultKind::Drop,
-            });
-            return Ok(());
-        }
-        let mut delay = Duration::ZERO;
-        if !fate.extra.is_zero() {
-            // Quantize to the header's microsecond field, rounding up so
-            // the injected delay stays visible; the log records what the
-            // wire actually carries.
-            delay = Duration::from_micros(fate.extra.as_nanos().div_ceil(1_000) as u64);
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: peer,
-                seq: fate.seq,
-                kind: FaultKind::Delay { extra: delay },
-            });
-        }
-        let previously_held = ctx.held[peer].borrow_mut().take();
-        if fate.reorder && previously_held.is_none() {
-            // Hold this frame back; the link's next send (or this
-            // worker's next receive, whichever comes first) releases it.
-            *ctx.held[peer].borrow_mut() = Some((frame, delay));
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: peer,
-                seq: fate.seq,
-                kind: FaultKind::Reorder,
-            });
-            return Ok(());
-        }
-        // Write the fresh frame first, then any held one: the swap.
-        self.write_data(peer, &frame, delay)?;
-        if let Some((held_frame, held_delay)) = previously_held {
-            self.write_data(peer, &held_frame, held_delay)?;
-        }
-        Ok(())
+        faults.send(
+            peer,
+            |delay| (frame, delay),
+            |peer, held| self.put(peer, held),
+        )
     }
 
     /// Writes the borrowed bytes to the socket with the same header,
@@ -282,22 +229,17 @@ impl Transport for TcpWorker {
             }
         }
         self.alive[self.rank].store(false, Ordering::SeqCst);
-        if let Some(ctx) = &self.faults {
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: self.rank,
-                seq: at_iter as u64,
-                kind: FaultKind::RankDead { at_iter },
-            });
+        if let Some(faults) = &self.faults {
+            faults.record_death(at_iter);
         }
     }
 
     fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|ctx| ctx.plan.as_ref())
+        self.faults.as_ref().map(|faults| faults.plan.as_ref())
     }
 
     fn fault_log(&self) -> Option<Arc<FaultLog>> {
-        self.faults.as_ref().map(|ctx| Arc::clone(&ctx.log))
+        self.faults.as_ref().map(|faults| Arc::clone(&faults.log))
     }
 }
 
@@ -390,8 +332,9 @@ pub struct TcpRun<R> {
 
 /// The multi-process TCP backend. For a real run each OS process calls
 /// [`TcpCluster::connect`] with the shared address list; the in-process
-/// `run*` helpers mirror [`SimCluster`](crate::SimCluster)'s for tests
-/// and benches — same collectives, real sockets.
+/// `run*` helpers run one rank per thread, as
+/// [`SimCluster`](crate::SimCluster)'s do, for tests and benches — same
+/// collectives, real sockets.
 #[derive(Debug)]
 pub struct TcpCluster;
 
@@ -407,26 +350,10 @@ impl TcpCluster {
     /// failures or a spent connection budget, [`ClusterError::Wire`] on a
     /// malformed handshake.
     pub fn connect(rank: usize, addrs: &[String], opts: TcpOptions) -> Result<WorkerHandle> {
-        if addrs.is_empty() {
-            return Err(ClusterError::InvalidArgument(
-                "cluster needs at least one worker address".into(),
-            ));
-        }
         check_peer(rank, addrs.len())?;
         let listener = TcpListener::bind(&addrs[rank][..])
             .map_err(|err| ClusterError::Io(format!("binding {}: {err}", addrs[rank])))?;
-        let faults = opts
-            .plan
-            .clone()
-            .map(|plan| (Arc::new(plan), Arc::new(FaultLog::new())));
-        Self::build(
-            rank,
-            listener,
-            addrs,
-            &opts,
-            faults,
-            Arc::new(TrafficCounter::default()),
-        )
+        Self::connect_with_listener(rank, listener, addrs, opts)
     }
 
     /// [`TcpCluster::connect`] with a pre-bound listener — for callers
@@ -589,20 +516,12 @@ impl TcpCluster {
             mailbox: Mailbox::new(receivers),
             alive,
             traffic,
-            faults: faults.map(|(plan, log)| TcpFaults {
-                links: (0..world)
-                    .map(|dst| RefCell::new(LinkFaults::new(plan.seed, rank, dst)))
-                    .collect(),
-                held: (0..world).map(|_| RefCell::new(None)).collect(),
-                plan,
-                log,
-            }),
+            faults: faults.map(|(plan, log)| Injector::new(plan, log, rank, world)),
             readers,
         })))
     }
 
-    /// Convenience mirror of [`SimCluster::run`](crate::SimCluster::run)
-    /// over real sockets: binds `world` loopback listeners, forms the
+    /// [`SimCluster::run`](crate::SimCluster::run) over real sockets: binds `world` loopback listeners, forms the
     /// mesh on `world` scoped threads, runs `f(handle)` on each, and
     /// returns the results in rank order.
     ///
@@ -685,33 +604,13 @@ impl TcpCluster {
         let traffic: Vec<Arc<TrafficCounter>> = (0..world)
             .map(|_| Arc::new(TrafficCounter::default()))
             .collect();
-        let addrs_ref = &addrs;
-        let opts_ref = &opts;
-        let f = &f;
-        let outputs = std::thread::scope(|s| {
-            let joins: Vec<_> = listeners
-                .into_iter()
-                .enumerate()
-                .map(|(rank, listener)| {
-                    let faults = shared.clone();
-                    let counter = Arc::clone(&traffic[rank]);
-                    s.spawn(move || -> Result<R> {
-                        let handle =
-                            Self::build(rank, listener, addrs_ref, opts_ref, faults, counter)?;
-                        Ok(f(handle))
-                    })
-                })
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| match j.join() {
-                    Ok(r) => r,
-                    // Re-raise the worker's own panic on the caller's
-                    // thread instead of inventing a second panic site.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Result<Vec<R>>>()
-        })?;
+        let ranks = listeners.into_iter().enumerate().collect();
+        let outputs = run_scoped(ranks, |(rank, listener)| {
+            let counter = Arc::clone(&traffic[rank]);
+            Self::build(rank, listener, &addrs, &opts, shared.clone(), counter).map(&f)
+        })
+        .into_iter()
+        .collect::<Result<Vec<R>>>()?;
         let events = shared.map(|(_, log)| log.events()).unwrap_or_default();
         Ok(TcpRun {
             outputs,
@@ -724,7 +623,7 @@ impl TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::RecvPolicy;
+    use crate::faults::{FaultKind, RecvPolicy};
 
     #[test]
     fn tcp_point_to_point_roundtrip() {

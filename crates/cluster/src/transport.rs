@@ -16,7 +16,8 @@
 //! ranks. Each worker thread owns a [`WorkerHandle`] giving it `send` /
 //! `recv` to any peer plus the collectives (exposed as methods). Traffic
 //! is counted per worker so tests and benches can assert on bytes actually
-//! moved.
+//! moved. Under a [`FaultPlan`] each worker sends through the sender-side
+//! injector in [`crate::faults`], the one the TCP backend uses too.
 //!
 //! Messages travel as [`Frame`]s — reference-counted byte buffers. Cloning
 //! a frame bumps a refcount instead of copying the payload, so collectives
@@ -39,7 +40,7 @@
 //! what a sequential engine cannot. Emulation is a property of the
 //! simulator; the TCP backend's wire is real and needs none.
 
-use crate::faults::{FaultEvent, FaultKind, FaultLog, FaultPlan, LinkFaults, RecvPolicy};
+use crate::faults::{FaultEvent, FaultLog, FaultPlan, Injector, RecvPolicy};
 use crate::{ClusterError, Result};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -185,23 +186,6 @@ impl NetEmu {
 pub(crate) struct Packet {
     pub(crate) frame: Frame,
     pub(crate) deliver_at: Option<Instant>,
-}
-
-/// Per-worker fault-injection state, present when the cluster was built
-/// with a [`FaultPlan`].
-#[derive(Debug)]
-struct FaultCtx {
-    plan: Arc<FaultPlan>,
-    log: Arc<FaultLog>,
-    /// `alive[r]`: whether rank `r` is still participating. Cleared by
-    /// `mark_dead`; checked as a backstop on send/recv.
-    alive: Arc<Vec<AtomicBool>>,
-    /// Per-outgoing-link fault streams.
-    links: Vec<RefCell<LinkFaults>>,
-    /// Reorder stash: a frame held back to swap with the link's next
-    /// frame. Flushed (in link order) before this worker blocks in a
-    /// receive, so a held frame can never deadlock a lock-step collective.
-    held: Vec<RefCell<Option<Packet>>>,
 }
 
 /// Per-worker traffic counters, shared with the cluster for post-run
@@ -662,23 +646,25 @@ struct SimWorker {
     /// `link_free[j]`: when the directed link to rank `j` finishes its
     /// current transmission (only meaningful with `netem`).
     link_free: Vec<Cell<Instant>>,
-    /// Fault injection, if enabled for this cluster.
-    faults: Option<FaultCtx>,
+    /// Fault injection plus the shared alive bitmap (`alive[r]`: whether
+    /// rank `r` is still participating, cleared by `mark_dead`), if this
+    /// cluster runs under a [`FaultPlan`].
+    faults: Option<(Injector<Packet>, Arc<Vec<AtomicBool>>)>,
 }
 
 impl SimWorker {
-    /// Releases every reorder-held frame (in link order). Called before
-    /// any receive so a held frame cannot deadlock a lock-step collective:
-    /// once the sender starts waiting, everything it owes is on the wire.
+    fn put(&self, peer: usize, packet: Packet) -> Result<()> {
+        self.senders[peer]
+            .send(packet)
+            .map_err(|_| ClusterError::Disconnected { peer })
+    }
+
+    /// Releases every reorder-held frame. Called before any receive so a
+    /// held frame cannot deadlock a lock-step collective: once the sender
+    /// starts waiting, everything it owes is on the wire.
     fn flush_held(&self) {
-        if let Some(ctx) = &self.faults {
-            for peer in 0..self.world {
-                if let Some(packet) = ctx.held[peer].borrow_mut().take() {
-                    // A gone peer just loses the frame; the flush is
-                    // best-effort by design.
-                    let _ = self.senders[peer].send(packet);
-                }
-            }
+        if let Some((faults, _)) = &self.faults {
+            faults.flush(|peer, packet| self.put(peer, packet));
         }
     }
 
@@ -715,61 +701,25 @@ impl Transport for SimWorker {
             return Err(ClusterError::PeerGone { peer });
         }
         self.traffic.record(frame.len());
-        let mut deliver_at = self.netem.map(|emu| {
+        let deliver_at = self.netem.map(|emu| {
             let now = Instant::now();
             let start = self.link_free[peer].get().max(now);
             let done = start + emu.tx_time(frame.len());
             self.link_free[peer].set(done);
             done + emu.latency
         });
-        let Some(ctx) = &self.faults else {
-            return self.senders[peer]
-                .send(Packet { frame, deliver_at })
-                .map_err(|_| ClusterError::Disconnected { peer });
+        let Some((faults, _)) = &self.faults else {
+            return self.put(peer, Packet { frame, deliver_at });
         };
-        let fate = ctx.links[peer].borrow_mut().next_fate(&ctx.plan);
-        if fate.drop {
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: peer,
-                seq: fate.seq,
-                kind: FaultKind::Drop,
-            });
-            return Ok(());
-        }
-        if !fate.extra.is_zero() {
-            deliver_at = Some(deliver_at.unwrap_or_else(Instant::now) + fate.extra);
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: peer,
-                seq: fate.seq,
-                kind: FaultKind::Delay { extra: fate.extra },
-            });
-        }
-        let packet = Packet { frame, deliver_at };
-        let previously_held = ctx.held[peer].borrow_mut().take();
-        if fate.reorder && previously_held.is_none() {
-            // Hold this frame back; the link's next send (or this worker's
-            // next receive, whichever comes first) releases it.
-            *ctx.held[peer].borrow_mut() = Some(packet);
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: peer,
-                seq: fate.seq,
-                kind: FaultKind::Reorder,
-            });
-            return Ok(());
-        }
-        // Enqueue the fresh frame first, then any held one: the swap.
-        self.senders[peer]
-            .send(packet)
-            .map_err(|_| ClusterError::Disconnected { peer })?;
-        if let Some(held) = previously_held {
-            self.senders[peer]
-                .send(held)
-                .map_err(|_| ClusterError::Disconnected { peer })?;
-        }
-        Ok(())
+        let delayed = |extra: Duration| {
+            let deliver_at = if extra.is_zero() {
+                deliver_at
+            } else {
+                Some(deliver_at.unwrap_or_else(Instant::now) + extra)
+            };
+            Packet { frame, deliver_at }
+        };
+        faults.send(peer, delayed, |peer, packet| self.put(peer, packet))
     }
 
     fn recv(&self, peer: usize) -> Result<Frame> {
@@ -789,28 +739,25 @@ impl Transport for SimWorker {
     fn is_alive(&self, peer: usize) -> bool {
         self.faults
             .as_ref()
-            .is_none_or(|ctx| ctx.alive[peer].load(Ordering::SeqCst))
+            .is_none_or(|(_, alive)| alive[peer].load(Ordering::SeqCst))
     }
 
     fn mark_dead(&self, at_iter: usize) {
-        if let Some(ctx) = &self.faults {
+        if let Some((faults, alive)) = &self.faults {
             self.flush_held();
-            ctx.alive[self.rank].store(false, Ordering::SeqCst);
-            ctx.log.record(FaultEvent {
-                src: self.rank,
-                dst: self.rank,
-                seq: at_iter as u64,
-                kind: FaultKind::RankDead { at_iter },
-            });
+            alive[self.rank].store(false, Ordering::SeqCst);
+            faults.record_death(at_iter);
         }
     }
 
     fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|ctx| ctx.plan.as_ref())
+        self.faults.as_ref().map(|(faults, _)| faults.plan.as_ref())
     }
 
     fn fault_log(&self) -> Option<Arc<FaultLog>> {
-        self.faults.as_ref().map(|ctx| Arc::clone(&ctx.log))
+        self.faults
+            .as_ref()
+            .map(|(faults, _)| Arc::clone(&faults.log))
     }
 }
 
@@ -863,20 +810,11 @@ impl SimCluster {
     /// Panics if `world == 0`.
     pub fn new_with_faults(world: usize, netem: Option<NetEmu>, plan: Option<FaultPlan>) -> Self {
         assert!(world > 0, "cluster needs at least one worker");
-        // mesh[i][j]: channel carrying frames from i to j.
-        let mut senders_by_src: Vec<Vec<Sender<Packet>>> = Vec::with_capacity(world);
-        let mut receivers_by_dst: Vec<Vec<Option<Receiver<Packet>>>> = (0..world)
-            .map(|_| (0..world).map(|_| None).collect())
-            .collect();
-        for src in 0..world {
-            let mut row = Vec::with_capacity(world);
-            for dst_receivers in receivers_by_dst.iter_mut() {
-                let (tx, rx) = channel();
-                row.push(tx);
-                dst_receivers[src] = Some(rx);
-            }
-            senders_by_src.push(row);
-        }
+        // mesh[dst][src]: the channel carrying frames from src to dst. Each
+        // worker owns its receiver row and clones its column of senders.
+        let (mesh, receivers): (Vec<Vec<_>>, Vec<Vec<_>>) = (0..world)
+            .map(|_| (0..world).map(|_| channel()).unzip())
+            .unzip();
         let traffic: Vec<Arc<TrafficCounter>> = (0..world)
             .map(|_| Arc::new(TrafficCounter::default()))
             .collect();
@@ -892,38 +830,22 @@ impl SimCluster {
             )
         });
         let epoch = Instant::now();
-        let handles = senders_by_src
+        let handles = receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, senders)| {
-                let receivers = receivers_by_dst[rank]
-                    .iter_mut()
-                    .map(|r| {
-                        let Some(r) = r.take() else {
-                            // Every (src, dst) slot is filled by the mesh
-                            // construction loop above; reachable only
-                            // through a logic error in this constructor.
-                            unreachable!("mesh fully populated");
-                        };
-                        r
-                    })
-                    .collect();
+            .map(|(rank, receivers)| {
                 WorkerHandle::from_transport(Box::new(SimWorker {
                     rank,
                     world,
-                    senders,
+                    senders: mesh.iter().map(|to_dst| to_dst[rank].clone()).collect(),
                     mailbox: Mailbox::new(receivers),
                     traffic: Arc::clone(&traffic[rank]),
                     netem,
                     link_free: (0..world).map(|_| Cell::new(epoch)).collect(),
-                    faults: fault_shared.as_ref().map(|(plan, log, alive)| FaultCtx {
-                        plan: Arc::clone(plan),
-                        log: Arc::clone(log),
-                        alive: Arc::clone(alive),
-                        links: (0..world)
-                            .map(|dst| RefCell::new(LinkFaults::new(plan.seed, rank, dst)))
-                            .collect(),
-                        held: (0..world).map(|_| RefCell::new(None)).collect(),
+                    faults: fault_shared.as_ref().map(|(plan, log, alive)| {
+                        let injector =
+                            Injector::new(Arc::clone(plan), Arc::clone(log), rank, world);
+                        (injector, Arc::clone(alive))
                     }),
                 }))
             })
@@ -992,13 +914,9 @@ impl SimCluster {
         R: Send,
     {
         let cluster = SimCluster::new_with_faults(world, None, Some(plan));
-        // A plan was installed above, so a log exists; the fallback empty
-        // log keeps this total without a panic path.
-        let log = cluster
-            .fault_log()
-            .unwrap_or_else(|| Arc::new(FaultLog::new()));
+        let log = cluster.fault_log();
         let outs = cluster.run_workers(f);
-        (outs, log.events())
+        (outs, log.map(|log| log.events()).unwrap_or_default())
     }
 
     /// Like [`SimCluster::run`], but on *this* cluster — clone the
@@ -1013,21 +931,28 @@ impl SimCluster {
         F: Fn(WorkerHandle) -> R + Sync,
         R: Send,
     {
-        let handles = self.into_handles();
-        let f = &f;
-        std::thread::scope(|s| {
-            let joins: Vec<_> = handles.into_iter().map(|h| s.spawn(move || f(h))).collect();
-            joins
-                .into_iter()
-                .map(|j| match j.join() {
-                    Ok(r) => r,
-                    // Re-raise the worker's own panic on the caller's
-                    // thread instead of inventing a second panic site.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
+        run_scoped(self.handles, f)
     }
+}
+
+/// Runs `f` on one scoped thread per item and returns the results in item
+/// (rank) order. A worker's panic is re-raised on the caller's thread
+/// instead of inventing a second panic site.
+pub(crate) fn run_scoped<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|s| {
+        let joins: Vec<_> = items
+            .into_iter()
+            .map(|item| s.spawn(move || f(item)))
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| {
+                j.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]

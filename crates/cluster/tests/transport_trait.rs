@@ -360,3 +360,43 @@ fn send_slice_under_drop_and_reorder_matches_send_on_both_backends() {
         }
     }
 }
+
+#[test]
+fn one_plan_logs_the_same_faults_on_both_backends() {
+    // Both backends send through one injector, so the same plan over the
+    // same lock-step program drops, delays and reorders the same frames,
+    // and logs each delay as the same whole number of microseconds. Ranks
+    // pass frames round a 3-ring and to themselves (the loop-back link);
+    // a shared barrier keeps every rank up until all have sent, so no
+    // link closes under a sender.
+    let done = std::sync::Barrier::new(3);
+    for seed in seeds() {
+        let plan = FaultPlan::new(seed)
+            .drop_prob(0.2)
+            .reorder_prob(0.3)
+            .delay_jitter(Duration::from_micros(1_500));
+        let runs = run_both(3, &plan, |w| {
+            for k in 0..32u8 {
+                for peer in [w.ring_next(), w.rank()] {
+                    w.send(peer, vec![k; 64]).unwrap();
+                }
+                // A lost or late frame just times out: only the sends and
+                // the flush before each receive decide the log.
+                for peer in [w.ring_prev(), w.rank()] {
+                    let _ = w.recv_deadline(peer, Duration::from_millis(1));
+                }
+            }
+            done.wait();
+        });
+        let (_, _, sim) = &runs[0];
+        let (_, _, tcp) = &runs[1];
+        for kind in [
+            |k: &FaultKind| matches!(k, FaultKind::Drop),
+            |k: &FaultKind| matches!(k, FaultKind::Reorder),
+            |k: &FaultKind| matches!(k, FaultKind::Delay { .. }),
+        ] {
+            assert!(sim.iter().any(|e| kind(&e.kind)), "seed {seed}: {sim:?}");
+        }
+        assert_eq!(tcp, sim, "seed {seed}: the backends' fault logs differ");
+    }
+}

@@ -86,23 +86,17 @@ impl Compressor for Atomo {
             let Payload::Svd {
                 rows,
                 cols,
-                rank,
                 u,
                 s,
                 v,
+                ..
             } = p
             else {
                 return None;
             };
-            let svd = gcs_tensor::matrix::TruncatedSvd {
-                u: u.clone(),
-                s: s.clone(),
-                v: v.clone(),
-                rank: *rank,
-            };
             let mut dense = vec![0.0f32; rows * cols];
             Some(
-                svd.reconstruct(*rows, *cols, &mut dense)
+                gcs_tensor::matrix::reconstruct_svd(u, s, v, *rows, *cols, &mut dense)
                     .map(|()| dense)
                     .map_err(Into::into),
             )

@@ -338,10 +338,14 @@ impl Compressor for PowerSgd {
                 state.q_agg = Some(data);
                 Ok(())
             }
-            (r, p) => Err(CompressError::Protocol(format!(
+            (r, p @ Payload::Factor { .. }) => Err(CompressError::Protocol(format!(
                 "unexpected round {r} payload {}",
                 p.kind_name()
             ))),
+            (_, p) => Err(CompressError::PayloadKind {
+                expected: "Factor",
+                actual: p.kind_name(),
+            }),
         }
     }
 

@@ -74,16 +74,12 @@ impl SignSgd {
         self
     }
 
-    fn scale_for(&self, v: &Tensor) -> f32 {
+    /// The decode scale for the signs of `v`.
+    fn scale_for(&self, v: &[f32]) -> f32 {
         match self.scale {
             SignScale::Unit => 1.0,
-            SignScale::MeanAbs => {
-                if v.numel() == 0 {
-                    0.0
-                } else {
-                    v.l1_norm() / v.numel() as f32
-                }
-            }
+            SignScale::MeanAbs if v.is_empty() => 0.0,
+            SignScale::MeanAbs => gcs_tensor::kernels::sum_abs(v) / v.len() as f32,
         }
     }
 }
@@ -110,7 +106,7 @@ impl Compressor for SignSgd {
         if !self.error_feedback {
             // Fast path: pack directly from the gradient, no copies.
             let bits = SignBits::pack(grad.data());
-            let scale = self.scale_for(grad);
+            let scale = self.scale_for(grad.data());
             return Ok(Payload::Signs {
                 len: bits.len(),
                 words: bits.into_words(),
@@ -136,16 +132,7 @@ impl Compressor for SignSgd {
             None => grad.data().to_vec(),
         };
         let bits = SignBits::pack(&v);
-        let scale = match self.scale {
-            SignScale::Unit => 1.0,
-            SignScale::MeanAbs => {
-                if numel == 0 {
-                    0.0
-                } else {
-                    gcs_tensor::kernels::sum_abs(&v) / numel as f32
-                }
-            }
-        };
+        let scale = self.scale_for(&v);
         // residual = v - decode(bits): decode is `+scale` exactly when
         // `v >= 0` (the pack convention), so it is rewritten in place.
         for x in &mut v {

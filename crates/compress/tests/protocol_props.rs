@@ -268,16 +268,10 @@ fn protocol_misuse_is_a_typed_error() {
         let mut c = build();
         c.encode(0, &g).expect("encode");
         let got = c.absorb(0, 0, foreign);
-        if matches!(method, MethodConfig::PowerSgd { .. }) {
-            // PowerSGD matches round and kind together: a foreign kind is
-            // an unexpected (round, payload) pair.
-            assert!(is_protocol(got), "{method:?}: foreign kind");
-        } else {
-            assert!(
-                matches!(got, Err(CompressError::PayloadKind { .. })),
-                "{method:?}: foreign kind gave {got:?}"
-            );
-        }
+        assert!(
+            matches!(got, Err(CompressError::PayloadKind { .. })),
+            "{method:?}: foreign kind gave {got:?}"
+        );
 
         let mut c = build();
         assert!(

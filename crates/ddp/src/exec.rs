@@ -50,7 +50,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use gcs_cluster::{CommEngine, Frame, PendingGather, PendingReduce, WorkerHandle};
+use gcs_cluster::{CommEngine, Frame, Pending, WorkerHandle};
 use gcs_compress::{CompressError, Compressor, Payload, PayloadShell};
 use gcs_models::buckets::partition_bytes;
 use gcs_tensor::Tensor;
@@ -126,8 +126,8 @@ enum Landed {
 
 /// A collective queued on the comm thread.
 enum Queued {
-    Reduce(PayloadShell, PendingReduce),
-    Gather(PendingGather),
+    Reduce(PayloadShell, Pending<Vec<f32>>),
+    Gather(Pending<(Vec<Frame>, Vec<u8>)>),
 }
 
 impl Queued {

@@ -1735,6 +1735,37 @@ pub fn svd_truncated(
     })
 }
 
+/// Writes `U · diag(S) · Vᵀ` into the `rows x cols` buffer `out`, from
+/// borrowed factors: `u` is `rows x k`, `v` is `cols x k`, `k = s.len()`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `out`, `u` or `v` does not
+/// have that shape.
+pub fn reconstruct_svd(
+    u: &[f32],
+    s: &[f32],
+    v: &[f32],
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) -> Result<()> {
+    check_out(out, rows, cols)?;
+    let rank = s.len();
+    // Scale U columns by S, then multiply by Vᵀ.
+    let mut us = MatrixRef::new(u, rows, rank)?.as_slice().to_vec();
+    for r in 0..rows {
+        for c in 0..rank {
+            us[r * rank + c] *= s[c];
+        }
+    }
+    a_mul_bt(
+        MatrixRef::new(&us, rows, rank)?,
+        MatrixRef::new(v, cols, rank)?,
+        out,
+    )
+}
+
 impl TruncatedSvd {
     /// Reconstructs the rank-`rank` approximation `U · diag(S) · Vᵀ` into a
     /// `rows x cols` buffer.
@@ -1743,19 +1774,7 @@ impl TruncatedSvd {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `out.len() != rows * cols`.
     pub fn reconstruct(&self, rows: usize, cols: usize, out: &mut [f32]) -> Result<()> {
-        check_out(out, rows, cols)?;
-        // Scale U columns by S, then multiply by Vᵀ.
-        let mut us = self.u.clone();
-        for r in 0..rows {
-            for c in 0..self.rank {
-                us[r * self.rank + c] *= self.s[c];
-            }
-        }
-        a_mul_bt(
-            MatrixRef::new(&us, rows, self.rank)?,
-            MatrixRef::new(&self.v, cols, self.rank)?,
-            out,
-        )
+        reconstruct_svd(&self.u, &self.s, &self.v, rows, cols, out)
     }
 }
 

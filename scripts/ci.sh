@@ -221,6 +221,13 @@ rm -f "$ANALYZE_REPORT"
 echo "==> results/*.json (each must regenerate byte-identical)"
 cargo build -q --release -p gcs-bench --bins
 RESULTS_SAVED=$(mktemp -d)
+# Under `set -e` a bin that exits non-zero ends the script inside the
+# loop, so the copies are also put back on exit.
+restore_results() {
+  cp "$RESULTS_SAVED"/*.json results/ 2>/dev/null || true
+  rm -rf "$RESULTS_SAVED"
+}
+trap restore_results EXIT
 STALE=()
 for bin in table1 fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fig12 \
     fig13 convergence ablation_allreduce ablation_buckets ablation_hierarchy ablation_ps \
@@ -230,7 +237,8 @@ for bin in table1 fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fi
   cmp -s "results/$bin.json" "$RESULTS_SAVED/$bin.json" || STALE+=("$bin")
   cp "$RESULTS_SAVED/$bin.json" results/
 done
-rm -rf "$RESULTS_SAVED"
+restore_results
+trap - EXIT
 if [ ${#STALE[@]} -gt 0 ]; then
   for bin in "${STALE[@]}"; do
     echo "results/$bin.json is stale: regenerate it with 'cargo run --release -p gcs-bench --bin $bin'"
@@ -353,7 +361,10 @@ GCS_FAULT_SEED=271828 timeout 300 cargo test -q -p gcs-ddp --test transport_bite
 echo "==> multi-process smoke (orchestrator + 2 workers on loopback)"
 GRADCOMP=./target/release/gradcomp-cli
 MP_DIR=$(mktemp -d)
-trap 'rm -rf "$MP_DIR"' EXIT
+# Stop what still runs of the smoke on every exit path, so a failed
+# check does not leave the orchestrator or a worker behind.
+ORCH_PID='' W0_PID='' W1_PID=''
+trap 'kill $ORCH_PID $W0_PID $W1_PID 2>/dev/null || true; rm -rf "$MP_DIR"' EXIT
 timeout 120 "$GRADCOMP" orchestrator --world 2 --method topk:0.2 --steps 3 \
   --addr-file "$MP_DIR/orch.addr" > "$MP_DIR/orch.out" 2>&1 &
 ORCH_PID=$!
@@ -367,9 +378,13 @@ timeout 120 "$GRADCOMP" worker --orchestrator "$ORCH_ADDR" > "$MP_DIR/w0.out" 2>
 W0_PID=$!
 timeout 120 "$GRADCOMP" worker --orchestrator "$ORCH_ADDR" > "$MP_DIR/w1.out" 2>&1 &
 W1_PID=$!
-wait "$ORCH_PID" "$W0_PID" "$W1_PID" || {
-  echo "multi-process smoke failed:"; cat "$MP_DIR"/*.out; exit 1;
-}
+# One wait per process: `wait A B C` returns C's status alone.
+for pid in "$ORCH_PID" "$W0_PID" "$W1_PID"; do
+  wait "$pid" || {
+    echo "multi-process smoke failed:"; cat "$MP_DIR"/*.out; exit 1;
+  }
+done
+ORCH_PID='' W0_PID='' W1_PID=''
 grep -q "bit-identical to the sim reference" "$MP_DIR/orch.out" || {
   echo "orchestrator did not verify:"; cat "$MP_DIR/orch.out"; exit 1;
 }
