@@ -1,7 +1,8 @@
 //! The kernel-tier stop-line timer (DESIGN.md §10, "Adding a kernel",
 //! item 7): every entry of the `gcs_tensor::kernels` dispatch table, in
 //! every table this CPU runs, at the call sizes the four benchmark
-//! workloads use.
+//! workloads use. The kernels that failed the stop-line have one body and
+//! no table entry; DESIGN.md §10 keeps their last timings.
 //!
 //! For each entry and size, the tables take turns — forward order on even
 //! rounds, reverse on odd — for `ROUNDS` rounds; a round times one batch
@@ -26,9 +27,8 @@ const BATCH: Duration = Duration::from_millis(2);
 /// One entry and its `(elements, calls)` sizes: how many calls of that
 /// length the four workloads made in 6 s each at seed 1, summed (a
 /// counter on the free wrappers found them). A size with 0 calls is timed
-/// for the record but carries no weight in the mix: the traced
-/// `tensor.wire_convert_ms` runs it, or (for an entry no workload calls)
-/// its sibling's sizes stand in.
+/// for the record but carries no weight in the mix: no workload calls the
+/// entry, and its sibling's sizes stand in.
 struct Case {
     entry: &'static str,
     sizes: &'static [(usize, u64)],
@@ -40,14 +40,7 @@ const SIGN_SIZES: &[(usize, u64)] = &[
     (5120, 20_000),
     (131_072, 20_000),
 ];
-const U32_SIZES: &[(usize, u64)] = &[
-    (1, 20_000),
-    (16, 20_000),
-    (160, 20_000),
-    (174, 1418),
-    (4096, 20_000),
-    (10_486, 1418),
-];
+
 const DENSE_SIZES: &[(usize, u64)] = &[
     (10, 19_998),
     (16, 5606),
@@ -74,44 +67,8 @@ const CASES: &[Case] = &[
         sizes: &[(10, 0), (512, 0), (5120, 0), (131_072, 0)],
     },
     Case {
-        entry: "f32s_to_bytes",
-        sizes: &[(174, 1418), (10_486, 1418), (262_144, 0)],
-    },
-    Case {
-        entry: "u32s_to_bytes",
-        sizes: U32_SIZES,
-    },
-    Case {
-        entry: "bytes_to_f32s",
-        sizes: &[
-            (174, 2836),
-            (2080, 1538),
-            (4616, 1538),
-            (8712, 2654),
-            (10_486, 2836),
-            (262_144, 0),
-        ],
-    },
-    Case {
-        entry: "bytes_to_u32s",
-        sizes: &[
-            (1, 40_000),
-            (16, 40_000),
-            (160, 40_000),
-            (174, 2836),
-            (4096, 40_000),
-            (10_486, 2836),
-        ],
-    },
-    Case {
-        entry: "add_from_bytes",
-        sizes: &[(8, 4192), (32, 1538), (512, 2_781_388)],
-    },
-    // No workload calls it at p = 2: the ring mean's final-hop block and
-    // the traced wire-conversion segment.
-    Case {
-        entry: "add_into_bytes",
-        sizes: &[(512, 0), (262_144, 0)],
+        entry: "sum_abs",
+        sizes: SIGN_SIZES,
     },
     Case {
         entry: "add_assign",
@@ -120,18 +77,6 @@ const CASES: &[Case] = &[
     Case {
         entry: "axpy",
         sizes: DENSE_SIZES,
-    },
-    Case {
-        entry: "scale",
-        sizes: &[(17_424, 1418), (1_048_576, 1420)],
-    },
-    Case {
-        entry: "abs_into",
-        sizes: &[(640, 2681), (1_048_576, 155)],
-    },
-    Case {
-        entry: "sum_abs",
-        sizes: SIGN_SIZES,
     },
     Case {
         entry: "gather_above",
@@ -152,14 +97,11 @@ fn data(n: usize, salt: u32) -> Vec<f32> {
 
 /// One call of `entry` in table `k` on `n` elements, with its own buffers.
 /// In-place kernels run on their own output again and again: the sums
-/// grow, `scale` flips signs and `tanh` settles towards 0, none of them
-/// into subnormals or NaN.
+/// grow and `tanh` settles towards 0, none of them into subnormals or NaN.
 fn runner(entry: &str, k: &'static Kernels, n: usize) -> Box<dyn FnMut()> {
     let xs = data(n, 0x5eed);
     let ys = data(n, 0xbeef);
     let words = vec![0x9e37_79b9u32; n.div_ceil(32)];
-    let mut bytes = vec![0u8; 4 * n];
-    (kernels::scalar().f32s_to_bytes)(&ys, &mut bytes);
     match entry {
         "sign_pack" => {
             let mut out = vec![0u32; n.div_ceil(32)];
@@ -173,24 +115,6 @@ fn runner(entry: &str, k: &'static Kernels, n: usize) -> Box<dyn FnMut()> {
             let mut out = ys;
             Box::new(move || (k.unpack_add)(black_box(&words), -0.5, 0.5, &mut out))
         }
-        "f32s_to_bytes" => Box::new(move || (k.f32s_to_bytes)(black_box(&xs), &mut bytes)),
-        "u32s_to_bytes" => {
-            let us: Vec<u32> = xs.iter().map(|x| x.to_bits()).collect();
-            Box::new(move || (k.u32s_to_bytes)(black_box(&us), &mut bytes))
-        }
-        "bytes_to_f32s" => {
-            let mut out = xs;
-            Box::new(move || (k.bytes_to_f32s)(black_box(&bytes), &mut out))
-        }
-        "bytes_to_u32s" => {
-            let mut out = vec![0u32; n];
-            Box::new(move || (k.bytes_to_u32s)(black_box(&bytes), &mut out))
-        }
-        "add_from_bytes" => {
-            let mut out = xs;
-            Box::new(move || (k.add_from_bytes)(black_box(&bytes), &mut out))
-        }
-        "add_into_bytes" => Box::new(move || (k.add_into_bytes)(black_box(&xs), &mut bytes)),
         "add_assign" => {
             let mut acc = xs;
             Box::new(move || (k.add_assign)(&mut acc, black_box(&ys)))
@@ -198,14 +122,6 @@ fn runner(entry: &str, k: &'static Kernels, n: usize) -> Box<dyn FnMut()> {
         "axpy" => {
             let mut y = xs;
             Box::new(move || (k.axpy)(&mut y, black_box(0.01), &ys))
-        }
-        "scale" => {
-            let mut v = xs;
-            Box::new(move || (k.scale)(&mut v, black_box(-1.0)))
-        }
-        "abs_into" => {
-            let mut out = ys;
-            Box::new(move || (k.abs_into)(black_box(&xs), &mut out))
         }
         "sum_abs" => Box::new(move || {
             black_box((k.sum_abs)(black_box(&xs)));

@@ -65,21 +65,6 @@ impl SignBits {
         self.len == 0
     }
 
-    /// Size in bytes of the packed representation.
-    pub fn size_bytes(&self) -> usize {
-        self.words.len() * 4
-    }
-
-    /// Whether bit `i` is set (element was non-negative).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index out of bounds");
-        (self.words[i / 32] >> (i % 32)) & 1 == 1
-    }
-
     /// The raw packed words.
     pub fn words(&self) -> &[u32] {
         &self.words
@@ -238,9 +223,10 @@ mod tests {
     fn packing_is_32x_compression() {
         let data = vec![1.0f32; 1024];
         let bits = SignBits::pack(&data);
-        assert_eq!(bits.size_bytes(), 1024 / 8);
+        let bytes = bits.words().len() * 4;
+        assert_eq!(bytes, 1024 / 8);
         // 4 bytes/f32 vs 1/8 byte/element = 32x.
-        assert_eq!(data.len() * 4 / bits.size_bytes(), 32);
+        assert_eq!(data.len() * 4 / bytes, 32);
     }
 
     #[test]
@@ -249,8 +235,11 @@ mod tests {
             .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
             .collect();
         let bits = SignBits::pack(&data);
-        for i in 0..100 {
-            assert_eq!(bits.get(i), i % 3 == 0, "bit {i}");
+        for (i, &w) in bits.words().iter().enumerate() {
+            for b in 0..32 {
+                let j = i * 32 + b;
+                assert_eq!((w >> b) & 1 == 1, j < 100 && j % 3 == 0, "bit {j}");
+            }
         }
     }
 

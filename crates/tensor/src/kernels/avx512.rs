@@ -1,32 +1,35 @@
 //! AVX-512F implementations of the kernel table.
 //!
-//! Same structure as the AVX2 table (`avx2.rs`): every entry is a thin
-//! safe wrapper around a `#[target_feature]` inner function, sound because
-//! this table is only installed after `is_x86_feature_detected!` confirms
-//! `avx512f` **and** `avx2`/`fma` (the tails and the shared `sum_abs`
-//! entry run AVX2 code) — see `mod.rs::simd`.
+//! Same structure as the AVX2 table (`avx2.rs`): every intrinsic entry is
+//! a thin safe wrapper around a `#[target_feature]` inner function, sound
+//! because this table is only installed after `is_x86_feature_detected!`
+//! confirms `avx512f` **and** `avx2`/`fma` (the shared `sum_abs` entry
+//! runs AVX2 code) — see `mod.rs::simd`.
 //!
 //! What the 512-bit ISA buys over the AVX2 tier:
 //!
 //! - **Mask registers replace movemask/LUT games.** `vcmpps` produces a
 //!   `__mmask16` directly, so `sign_pack` builds a 32-bit sign word from
-//!   two compares and one shift-or, and `gather_above` left-packs matching
-//!   lanes with `vcompressps` (one instruction) instead of the 256-entry
-//!   `vpermps` permutation LUT. It tests four masks at once, so the scan
-//!   branches once per 64 lanes.
-//! - **16-lane elementwise kernels** halve the instruction count on the
-//!   wire-add and unpack hot loops.
+//!   two compares and one shift-or, `unpack_fill`/`unpack_add` blend 16
+//!   lanes from one mask of sign bits, and `gather_above` left-packs
+//!   matching lanes with `vcompressps` (one instruction) instead of the
+//!   256-entry `vpermps` permutation LUT. It tests four masks at once, so
+//!   the scan branches once per 64 lanes.
 //! - **Mask blends make `tanh` branch-free on 16 lanes**: fdlibm's
 //!   `tanhf` runs every path and each lane keeps its own, the same op
 //!   sequence as the scalar form.
+//! - **Full-width streams**: `add_assign` and `axpy` on zmm. The scalar
+//!   loops stop at ymm (DESIGN.md §10, "Adding a kernel", item 6), and on
+//!   the 1 Mi-element gradient and residual updates the zmm forms were
+//!   worth a few percent of `lowrank-sim`'s step.
 //!
 //! The exactness contract is unchanged: ordered compares (`_CMP_GE_OQ` /
 //! `_CMP_GT_OQ`) against `+0.0` reproduce the scalar predicates on NaN and
 //! `-0.0`; float kernels stay per-lane with no reassociation (`vmulps` +
-//! `vaddps`, never FMA, for `axpy`); and `sum_abs` **reuses the AVX2
-//! entry unchanged**, because the kernel contract pins the reduction to
-//! 8-lane striping — a 16-lane stripe would change the result bits, which
-//! is exactly what the contract forbids.
+//! `vaddps`, never FMA, for `axpy`); and `sum_abs` **reuses the AVX2 entry
+//! unchanged**, because the kernel contract pins the reduction to 8-lane
+//! striping — a 16-lane stripe would change the result bits, which is
+//! exactly what the contract forbids.
 
 use super::{avx2, scalar, Kernels};
 use std::arch::x86_64::*;
@@ -36,20 +39,10 @@ pub(super) static KERNELS: Kernels = Kernels {
     sign_pack,
     unpack_fill,
     unpack_add,
-    // Byte ↔ word conversions are memcpy on little-endian x86; the AVX2
-    // table's `copy_nonoverlapping` entries are already width-optimal.
-    f32s_to_bytes: avx2::f32s_to_bytes,
-    u32s_to_bytes: avx2::u32s_to_bytes,
-    bytes_to_f32s: avx2::bytes_to_f32s,
-    bytes_to_u32s: avx2::bytes_to_u32s,
-    add_from_bytes,
-    add_into_bytes,
-    add_assign,
-    axpy,
-    scale,
-    abs_into,
     // 8-lane striping is the kernel contract; see the module docs.
     sum_abs: avx2::sum_abs,
+    add_assign,
+    axpy,
     gather_above,
     tanh,
 };
@@ -136,55 +129,6 @@ unsafe fn unpack_select_avx512<const ACCUMULATE: bool>(
 }
 
 // ---------------------------------------------------------------------------
-// wire reduce steps
-// ---------------------------------------------------------------------------
-
-fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
-    // SAFETY: table installed only after AVX-512F runtime detection.
-    unsafe { add_from_bytes_avx512(bytes, out) }
-}
-
-/// # Safety
-/// Caller must guarantee AVX-512F is present and that `bytes` holds
-/// exactly `4 * out.len()` little-endian f32s; unaligned loads are used
-/// throughout so `bytes` needs no alignment.
-#[target_feature(enable = "avx512f")]
-unsafe fn add_from_bytes_avx512(bytes: &[u8], out: &mut [f32]) {
-    let full = out.len() / 16;
-    let src = bytes.as_ptr();
-    for i in 0..full {
-        // Per-lane vaddps in index order is exactly the scalar loop's
-        // association (out first, wire second).
-        let w = _mm512_loadu_ps(src.add(i * 64) as *const f32);
-        let dst = out.as_mut_ptr().add(i * 16);
-        _mm512_storeu_ps(dst, _mm512_add_ps(_mm512_loadu_ps(dst), w));
-    }
-    scalar::add_from_bytes(&bytes[full * 64..], &mut out[full * 16..]);
-}
-
-fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
-    // SAFETY: table installed only after AVX-512F runtime detection.
-    unsafe { add_into_bytes_avx512(xs, bytes) }
-}
-
-/// # Safety
-/// Caller must guarantee AVX-512F is present and that `bytes` holds
-/// exactly `4 * xs.len()` little-endian f32s; unaligned loads/stores are
-/// used so `bytes` needs no alignment.
-#[target_feature(enable = "avx512f")]
-unsafe fn add_into_bytes_avx512(xs: &[f32], bytes: &mut [u8]) {
-    let full = xs.len() / 16;
-    let dst = bytes.as_mut_ptr();
-    for i in 0..full {
-        let w = _mm512_loadu_ps(dst.add(i * 64) as *const f32);
-        let x = _mm512_loadu_ps(xs.as_ptr().add(i * 16));
-        // x first, wire second — the scalar kernel's `x + w` order.
-        _mm512_storeu_ps(dst.add(i * 64) as *mut f32, _mm512_add_ps(x, w));
-    }
-    scalar::add_into_bytes(&xs[full * 16..], &mut bytes[full * 64..]);
-}
-
-// ---------------------------------------------------------------------------
 // elementwise float kernels
 // ---------------------------------------------------------------------------
 
@@ -226,47 +170,6 @@ unsafe fn axpy_avx512(y: &mut [f32], alpha: f32, x: &[f32]) {
         _mm512_storeu_ps(dst, _mm512_add_ps(_mm512_loadu_ps(dst), prod));
     }
     scalar::axpy(&mut y[full * 16..], alpha, &x[full * 16..]);
-}
-
-fn scale(v: &mut [f32], alpha: f32) {
-    // SAFETY: table installed only after AVX-512F runtime detection.
-    unsafe { scale_avx512(v, alpha) }
-}
-
-/// # Safety
-/// Caller must guarantee AVX-512F is present; all loads/stores stay
-/// inside `v`.
-#[target_feature(enable = "avx512f")]
-unsafe fn scale_avx512(v: &mut [f32], alpha: f32) {
-    let a = _mm512_set1_ps(alpha);
-    let full = v.len() / 16;
-    for i in 0..full {
-        let dst = v.as_mut_ptr().add(i * 16);
-        _mm512_storeu_ps(dst, _mm512_mul_ps(_mm512_loadu_ps(dst), a));
-    }
-    scalar::scale(&mut v[full * 16..], alpha);
-}
-
-fn abs_into(data: &[f32], out: &mut [f32]) {
-    // SAFETY: table installed only after AVX-512F runtime detection.
-    unsafe { abs_into_avx512(data, out) }
-}
-
-/// # Safety
-/// Caller must guarantee AVX-512F is present and
-/// `out.len() >= data.len()`.
-#[target_feature(enable = "avx512f")]
-unsafe fn abs_into_avx512(data: &[f32], out: &mut [f32]) {
-    let mask = _mm512_set1_epi32(ABS_MASK);
-    let full = data.len() / 16;
-    for i in 0..full {
-        let v = _mm512_loadu_si512(data.as_ptr().add(i * 16) as *const _);
-        _mm512_storeu_si512(
-            out.as_mut_ptr().add(i * 16) as *mut _,
-            _mm512_and_si512(v, mask),
-        );
-    }
-    scalar::abs_into(&data[full * 16..], &mut out[full * 16..]);
 }
 
 // ---------------------------------------------------------------------------

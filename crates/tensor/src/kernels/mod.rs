@@ -1,17 +1,27 @@
-//! Runtime-dispatched SIMD kernels for the compression and collective hot
-//! paths.
+//! The data-plane kernels of the compression and collective hot paths,
+//! with runtime-dispatched SIMD tiers where they pay.
 //!
-//! Every scalar inner loop that dominates Table 2's encode/decode column or
-//! the ring's reduce step lives behind the [`Kernels`] vtable: a
-//! plain struct of function pointers with one canonical scalar
-//! implementation ([`scalar()`]) and, on x86_64 hosts, explicitly
-//! vectorized tiers — AVX2+FMA and, where the CPU has it, AVX-512F
+//! Every kernel has one canonical scalar body (`scalar.rs`), which
+//! `-C target-cpu=native` lets LLVM auto-vectorize. A kernel keeps an
+//! explicit `std::arch` form only where that beats the auto-vectorized
+//! scalar loop by the stop-line of DESIGN.md §10 ("Adding a kernel",
+//! item 7); those kernels — sign pack/unpack, the lane-striped `sum_abs`,
+//! `add_assign` and `axpy`, the top-k threshold gather and `tanh` — live
+//! behind the [`Kernels`]
+//! vtable: a plain struct of function pointers with the scalar table
+//! ([`scalar()`]) and, on x86_64 hosts, an AVX2+FMA and an AVX-512F table
 //! ([`simd()`] returns the widest supported one; [`tables()`] enumerates
-//! them all for the property tests and benchmarks). The active table is
-//! chosen **once** at first use by runtime CPU-feature detection
+//! them all for the property tests and benchmarks). A tier whose form
+//! failed the stop-line points that entry at the scalar body. The active
+//! table is chosen **once** at first use by runtime CPU-feature detection
 //! (`is_x86_feature_detected!`) and cached in a `OnceLock`; setting
 //! `GCS_FORCE_SCALAR=1` in the environment pins the scalar table regardless
 //! of what the CPU supports, which is how CI exercises both code paths.
+//!
+//! The kernels with one body — f32/u32↔byte conversion, the ring's
+//! [`add_from_bytes`] and [`add_into_bytes`], [`scale`] and
+//! [`abs_into`] — are free functions that assert their length contract
+//! and run the scalar body directly.
 //!
 //! Every kernel runs on its caller's thread. Rank threads, and a rank's
 //! comm thread, are the only threads that compute.
@@ -19,21 +29,21 @@
 //! # Exactness contract
 //!
 //! Callers throughout `gcs-tensor`, `gcs-compress`, `gcs-cluster` and
-//! `gcs-train` assume the tables are interchangeable, so each kernel falls
-//! into one of three classes (verified by `tests/kernel_props.rs`):
+//! `gcs-train` assume the tables are interchangeable, so each table entry
+//! falls into one of three classes (verified by `tests/kernel_props.rs`):
 //!
-//! - **Bit kernels** (sign pack/unpack, byte↔f32/u32
-//!   conversion, threshold gather): byte-identical output for every input,
-//!   including NaN and signed-zero payloads. E.g. sign packing follows the
-//!   scalar `v >= 0.0` predicate, so the AVX2 path uses an ordered
-//!   `_CMP_GE_OQ` compare — *not* the sign-bit `movmskps` shortcut, which
-//!   disagrees on positive NaNs.
-//! - **Float kernels** (segment add, axpy, scale, |x| reduction): a fixed
-//!   association order shared by both tables. Elementwise kernels have no
-//!   reassociation at all; the horizontal [`sum_abs`] reduction is defined
-//!   lane-striped (8 partial sums combined in a fixed pairwise tree, then a
-//!   scalar tail) in *both* implementations, so results are reproducible
-//!   bit-for-bit across dispatch modes.
+//! - **Bit kernels** (sign pack/unpack, threshold gather): byte-identical
+//!   output for every input, including NaN and signed-zero payloads. E.g.
+//!   sign packing follows the scalar `v >= 0.0` predicate, so the AVX2 path
+//!   uses an ordered `_CMP_GE_OQ` compare — *not* the sign-bit `movmskps`
+//!   shortcut, which disagrees on positive NaNs.
+//! - **Float kernels** ([`add_assign`], [`axpy`], [`sum_abs`]): a fixed
+//!   association order shared by every table. Elementwise kernels have no
+//!   reassociation at all, and `axpy` rounds the product before the add
+//!   (never an FMA); the horizontal [`sum_abs`] reduction is defined
+//!   lane-striped (8 partial sums combined in a fixed pairwise tree, then
+//!   a scalar tail) in *every* implementation, so results are
+//!   reproducible bit-for-bit across dispatch modes.
 //! - **Transcendental kernels** ([`tanh`]): one op sequence in every
 //!   table, fdlibm's `tanhf` and `expm1f` (what glibc ships), so every
 //!   table gives fdlibm's bits, NaN payloads included. The scalar form is
@@ -59,7 +69,7 @@ use std::sync::OnceLock;
 
 pub use write_once::WriteOnce;
 
-/// Dispatch table of SIMD-accelerated primitives.
+/// Dispatch table of the kernels that have an intrinsic form in some tier.
 ///
 /// All slice-length contracts are asserted by the free wrapper functions in
 /// this module (the usual entry points); the table entries themselves assume
@@ -76,37 +86,15 @@ pub struct Kernels {
     pub unpack_fill: fn(words: &[u32], neg: f32, pos: f32, out: &mut [f32]),
     /// Accumulating variant: `out[i] += if bit i { pos } else { neg }`.
     pub unpack_add: fn(words: &[u32], neg: f32, pos: f32, out: &mut [f32]),
-    /// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
-    pub f32s_to_bytes: fn(xs: &[f32], out: &mut [u8]),
-    /// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
-    pub u32s_to_bytes: fn(xs: &[u32], out: &mut [u8]),
-    /// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
-    pub bytes_to_f32s: fn(bytes: &[u8], out: &mut [f32]),
-    /// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
-    pub bytes_to_u32s: fn(bytes: &[u8], out: &mut [u32]),
-    /// The ring's reduce step: `out[i] += f32::from_le_bytes`
-    /// of the i-th 4-byte group. `bytes.len() == 4 * out.len()`.
-    pub add_from_bytes: fn(bytes: &[u8], out: &mut [f32]),
-    /// The in-wire reduce step: the i-th 4-byte group of `bytes` becomes
-    /// `xs[i] + f32::from_le_bytes(group)` re-serialized in place
-    /// (`bytes.len() == 4 * xs.len()`). Operand order `x + w` matches the
-    /// `add_from_bytes` accumulator path bit-for-bit, so a ring that
-    /// accumulates in the wire image gets the same sums as one that
-    /// accumulates in a float buffer and re-serializes.
-    pub add_into_bytes: fn(xs: &[f32], bytes: &mut [u8]),
+    /// Lane-striped `Σ |x_i|`: 8 partial sums over `x[8k + lane]`, combined
+    /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the `< 8` tail added in
+    /// order. Every table uses this exact association.
+    pub sum_abs: fn(data: &[f32]) -> f32,
     /// Elementwise `acc[i] += other[i]` (equal lengths).
     pub add_assign: fn(acc: &mut [f32], other: &[f32]),
     /// `y[i] += alpha * x[i]` (equal lengths), mul-then-add with two
-    /// roundings in both tables — deliberately *not* fused.
+    /// roundings in every table — deliberately *not* fused.
     pub axpy: fn(y: &mut [f32], alpha: f32, x: &[f32]),
-    /// `v[i] *= alpha`.
-    pub scale: fn(v: &mut [f32], alpha: f32),
-    /// `out[i] = data[i].abs()` (equal lengths).
-    pub abs_into: fn(data: &[f32], out: &mut [f32]),
-    /// Lane-striped `Σ |x_i|`: 8 partial sums over `x[8k + lane]`, combined
-    /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the `< 8` tail added in
-    /// order. Both tables use this exact association.
-    pub sum_abs: fn(data: &[f32]) -> f32,
     /// Appends `(i, data[i])` for every `|data[i]| > threshold`, in index
     /// order, to `indices`/`values`. Without `with_nan` the compare is
     /// ordered and NaNs never match; with it the compare is the unordered
@@ -261,10 +249,10 @@ pub fn unpack_add(words: &[u32], neg: f32, pos: f32, out: &mut [f32]) {
     (active().unpack_add)(words, neg, pos, out);
 }
 
-/// Dispatched [`Kernels::f32s_to_bytes`].
+/// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
 pub fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
-    (active().f32s_to_bytes)(xs, out);
+    scalar::f32s_to_bytes(xs, out);
 }
 
 /// The little-endian wire image of `xs`: the `4 * xs.len()` bytes
@@ -291,34 +279,40 @@ pub fn f32s_wire_image<'a>(xs: &'a [f32], scratch: &'a mut Vec<u8>) -> &'a [u8] 
     }
 }
 
-/// Dispatched [`Kernels::u32s_to_bytes`].
+/// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
 pub fn u32s_to_bytes(xs: &[u32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 4, "u32s_to_bytes byte count");
-    (active().u32s_to_bytes)(xs, out);
+    scalar::u32s_to_bytes(xs, out);
 }
 
-/// Dispatched [`Kernels::bytes_to_f32s`].
+/// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
 pub fn bytes_to_f32s(bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "bytes_to_f32s byte count");
-    (active().bytes_to_f32s)(bytes, out);
+    scalar::bytes_to_f32s(bytes, out);
 }
 
-/// Dispatched [`Kernels::bytes_to_u32s`].
+/// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
 pub fn bytes_to_u32s(bytes: &[u8], out: &mut [u32]) {
     assert_eq!(bytes.len(), out.len() * 4, "bytes_to_u32s byte count");
-    (active().bytes_to_u32s)(bytes, out);
+    scalar::bytes_to_u32s(bytes, out);
 }
 
-/// Dispatched [`Kernels::add_from_bytes`].
+/// The ring's reduce step: `out[i] += f32::from_le_bytes` of the i-th
+/// 4-byte group. `bytes.len() == 4 * out.len()`.
 pub fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
-    (active().add_from_bytes)(bytes, out);
+    scalar::add_from_bytes(bytes, out);
 }
 
-/// Dispatched [`Kernels::add_into_bytes`].
+/// The in-wire reduce step: the i-th 4-byte group of `bytes` becomes
+/// `xs[i] + f32::from_le_bytes(group)` re-serialized in place
+/// (`bytes.len() == 4 * xs.len()`). Operand order `x + w` matches the
+/// [`add_from_bytes`] accumulator path bit-for-bit, so a ring that
+/// accumulates in the wire image gets the same sums as one that
+/// accumulates in a float buffer and re-serializes.
 pub fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
     assert_eq!(bytes.len(), xs.len() * 4, "add_into_bytes byte count");
-    (active().add_into_bytes)(xs, bytes);
+    scalar::add_into_bytes(xs, bytes);
 }
 
 /// Dispatched [`Kernels::add_assign`].
@@ -333,15 +327,15 @@ pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     (active().axpy)(y, alpha, x);
 }
 
-/// Dispatched [`Kernels::scale`].
+/// `v[i] *= alpha`.
 pub fn scale(v: &mut [f32], alpha: f32) {
-    (active().scale)(v, alpha);
+    scalar::scale(v, alpha);
 }
 
-/// Dispatched [`Kernels::abs_into`].
+/// `out[i] = data[i].abs()` (equal lengths).
 pub fn abs_into(data: &[f32], out: &mut [f32]) {
     assert_eq!(data.len(), out.len(), "abs_into length");
-    (active().abs_into)(data, out);
+    scalar::abs_into(data, out);
 }
 
 /// Dispatched [`Kernels::sum_abs`].
@@ -375,12 +369,12 @@ pub fn divide(xs: &mut [f32], divisor: f32) {
 
 /// Elements the ring mean's final hop adds and then divides at a time:
 /// 2 KiB of `f32` and 2 KiB of wire, so the divide reads what the add just
-/// wrote from L1. A multiple of every kernel table's vector width.
+/// wrote from L1. A multiple of the widest vector (16 `f32`), so the
+/// vectorized add has no scalar tail.
 const MEAN_BLOCK: usize = 512;
 
 /// The ring mean's final-hop reduce, `out ← (out + decode(bytes)) /
-/// divisor`, one [`MEAN_BLOCK`] at a time: the dispatched
-/// [`add_from_bytes`], then [`divide`] on the L1-hot block. Elementwise,
+/// divisor`, one [`MEAN_BLOCK`] at a time: [`add_from_bytes`], then [`divide`] on the L1-hot block. Elementwise,
 /// so the bits equal the add over the whole range followed by the divide;
 /// on a 2 MB chunk this cost about the add alone, where the add and then
 /// a divide pass cost half as much again (DESIGN.md §8 keeps the

@@ -1,8 +1,9 @@
-//! Canonical portable implementations of every dispatched kernel.
+//! Canonical portable implementations of every kernel.
 //!
 //! These define the exact semantics (bit patterns, association order) that
-//! the vectorized tables must reproduce. The AVX2 table also calls into
-//! these for sub-lane tails, so the helpers are `pub(super)`.
+//! the vectorized tables must reproduce. The free wrappers in `mod.rs` call
+//! the one-body kernels here directly, and the SIMD tables call into these
+//! for sub-lane tails, so the helpers are `pub(super)`.
 
 use super::Kernels;
 
@@ -11,17 +12,9 @@ pub(super) static KERNELS: Kernels = Kernels {
     sign_pack,
     unpack_fill,
     unpack_add,
-    f32s_to_bytes,
-    u32s_to_bytes,
-    bytes_to_f32s,
-    bytes_to_u32s,
-    add_from_bytes,
-    add_into_bytes,
+    sum_abs,
     add_assign,
     axpy,
-    scale,
-    abs_into,
-    sum_abs,
     gather_above,
     tanh,
 };
@@ -107,8 +100,7 @@ pub(super) fn add_assign(acc: &mut [f32], other: &[f32]) {
 }
 
 pub(super) fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    // Mul-then-add, two roundings; the AVX2 table matches by using separate
-    // vmulps + vaddps rather than an FMA.
+    // Mul-then-add, two roundings: never `mul_add`, which rounds once.
     for (a, &b) in y.iter_mut().zip(x) {
         *a += alpha * b;
     }

@@ -12,8 +12,9 @@
 //!   compressors;
 //! * sign bit-packing and majority vote ([`bits`]) used by SignSGD;
 //! * half-precision conversion ([mod@f16]) used by the FP16 baseline;
-//! * runtime-dispatched SIMD kernels ([`kernels`]) behind the hot loops of
-//!   all of the above (AVX2 on x86_64, scalar elsewhere or with
+//! * the kernels ([`kernels`]) behind the hot loops of all of the above:
+//!   auto-vectorized scalar loops, plus runtime-dispatched AVX2/AVX-512
+//!   forms where those are faster (scalar elsewhere or with
 //!   `GCS_FORCE_SCALAR=1`).
 //!
 //! Everything is deterministic: random initialisation goes through seeded

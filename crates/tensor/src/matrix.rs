@@ -156,7 +156,7 @@ pub enum GemmTile {
 impl GemmTile {
     /// Whether this tile runs vector code (needs the matching runtime
     /// feature detection before use).
-    pub fn uses_simd(self) -> bool {
+    fn uses_simd(self) -> bool {
         !matches!(self, GemmTile::Scalar)
     }
 }

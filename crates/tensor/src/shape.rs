@@ -28,16 +28,6 @@ impl Shape {
         Shape { dims }
     }
 
-    /// Creates a 0-dimensional (scalar) shape.
-    pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
-    }
-
-    /// The dimension sizes.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.dims.len()
@@ -46,11 +36,6 @@ impl Shape {
     /// Total number of elements (product of all dimensions; 1 for scalars).
     pub fn numel(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Whether this shape is a matrix (rank 2).
-    pub fn is_matrix(&self) -> bool {
-        self.rank() == 2
     }
 
     /// The `(rows, cols)` a tensor of this shape is reshaped to before
@@ -118,8 +103,8 @@ mod tests {
 
     #[test]
     fn numel_of_scalar_is_one() {
-        assert_eq!(Shape::scalar().numel(), 1);
-        assert_eq!(Shape::scalar().rank(), 0);
+        assert_eq!(Shape::new(Vec::new()).numel(), 1);
+        assert_eq!(Shape::new(Vec::new()).rank(), 0);
     }
 
     #[test]
@@ -132,20 +117,22 @@ mod tests {
         assert_eq!(Shape::new(vec![64, 3, 7, 7]).matricized(), (64, 147));
         assert_eq!(Shape::new(vec![10, 20]).matricized(), (10, 20));
         assert_eq!(Shape::new(vec![7]).matricized(), (1, 7));
-        assert_eq!(Shape::scalar().matricized(), (1, 1));
+        assert_eq!(Shape::new(Vec::new()).matricized(), (1, 1));
     }
 
     #[test]
     fn display_is_x_separated() {
         assert_eq!(Shape::new(vec![2, 3]).to_string(), "[2x3]");
-        assert_eq!(Shape::scalar().to_string(), "[]");
+        assert_eq!(Shape::new(Vec::new()).to_string(), "[]");
     }
 
     #[test]
     fn conversions() {
         let s: Shape = [1usize, 2, 3].into();
-        assert_eq!(s.dims(), &[1, 2, 3]);
+        assert_eq!(s, Shape::new(vec![1, 2, 3]));
         let s: Shape = vec![4usize, 5].into();
-        assert_eq!(s.dims(), &[4, 5]);
+        assert_eq!(s, Shape::new(vec![4, 5]));
+        let s: Shape = [6usize][..].into();
+        assert_eq!(s, Shape::new(vec![6]));
     }
 }

@@ -46,21 +46,6 @@ pub fn cosine_similarity(a: &Tensor, b: &Tensor) -> f32 {
     a.dot(b).expect("lengths checked") / (na * nb)
 }
 
-/// Mean and sample standard deviation of a series.
-///
-/// Returns `(0, 0)` for an empty series and `(x, 0)` for a single sample.
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    if xs.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
-    (mean, var.sqrt())
-}
-
 /// Median of a series (average of middle two for even lengths; `0` for an
 /// empty series). O(n) via quickselect rather than a full sort.
 pub fn median(xs: &[f64]) -> f64 {
@@ -120,15 +105,6 @@ mod tests {
         assert!((cosine_similarity(&a, &neg) + 1.0).abs() < 1e-6);
         let zero = Tensor::zeros([2]);
         assert_eq!(cosine_similarity(&a, &zero), 0.0);
-    }
-
-    #[test]
-    fn mean_std_series() {
-        assert_eq!(mean_std(&[]), (0.0, 0.0));
-        assert_eq!(mean_std(&[5.0]), (5.0, 0.0));
-        let (m, s) = mean_std(&[1.0, 2.0, 3.0]);
-        assert!((m - 2.0).abs() < 1e-12);
-        assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,13 +16,6 @@ pub enum TensorError {
         /// Shape (or length) actually supplied.
         actual: String,
     },
-    /// A reshape asked for a different number of elements.
-    InvalidReshape {
-        /// Element count of the source tensor.
-        from: usize,
-        /// Element count the requested shape implies.
-        to: usize,
-    },
     /// An index was out of bounds.
     IndexOutOfBounds {
         /// Offending index.
@@ -37,9 +30,6 @@ impl fmt::Display for TensorError {
         match self {
             TensorError::ShapeMismatch { expected, actual } => {
                 write!(f, "shape mismatch: expected {expected}, got {actual}")
-            }
-            TensorError::InvalidReshape { from, to } => {
-                write!(f, "invalid reshape: {from} elements cannot become {to}")
             }
             TensorError::IndexOutOfBounds { index, len } => {
                 write!(
@@ -82,15 +72,6 @@ impl Tensor {
         let shape = shape.into();
         Tensor {
             data: vec![0.0; shape.numel()],
-            shape,
-        }
-    }
-
-    /// Creates a tensor filled with `value`.
-    pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
-        let shape = shape.into();
-        Tensor {
-            data: vec![value; shape.numel()],
             shape,
         }
     }
@@ -162,11 +143,6 @@ impl Tensor {
         self.data.len()
     }
 
-    /// Whether the tensor has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Read-only view of the underlying buffer (row-major).
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -180,25 +156,6 @@ impl Tensor {
     /// Consumes the tensor and returns its buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
-    }
-
-    /// Returns a copy with a new shape over the same elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidReshape`] if element counts differ.
-    pub fn reshaped(&self, shape: impl Into<Shape>) -> crate::Result<Tensor> {
-        let shape = shape.into();
-        if shape.numel() != self.numel() {
-            return Err(TensorError::InvalidReshape {
-                from: self.numel(),
-                to: shape.numel(),
-            });
-        }
-        Ok(Tensor {
-            data: self.data.clone(),
-            shape,
-        })
     }
 
     /// In-place scalar multiply.
@@ -270,11 +227,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Dot product of two tensors viewed as flat vectors.
     ///
     /// # Errors
@@ -305,35 +257,6 @@ impl Tensor {
     /// Maximum absolute value (0 for an empty tensor).
     pub fn linf_norm(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, x| m.max(x.abs()))
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Element at flat index `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `i >= numel()`.
-    pub fn get(&self, i: usize) -> crate::Result<f32> {
-        self.data
-            .get(i)
-            .copied()
-            .ok_or(TensorError::IndexOutOfBounds {
-                index: i,
-                len: self.data.len(),
-            })
     }
 
     fn check_same_shape(&self, other: &Tensor) -> crate::Result<()> {
@@ -375,12 +298,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_full() {
+    fn zeros_are_zero() {
         let z = Tensor::zeros([2, 3]);
         assert_eq!(z.numel(), 6);
         assert!(z.data().iter().all(|&x| x == 0.0));
-        let f = Tensor::full([4], 2.5);
-        assert!(f.data().iter().all(|&x| x == 2.5));
     }
 
     #[test]
@@ -402,7 +323,8 @@ mod tests {
     #[test]
     fn randn_has_roughly_standard_moments() {
         let t = Tensor::randn([100_000], 1);
-        assert!(t.mean().abs() < 0.02, "mean {}", t.mean());
+        let mean = t.data().iter().sum::<f32>() / t.numel() as f32;
+        assert!(mean.abs() < 0.02, "mean {mean}");
         let var = t.data().iter().map(|x| x * x).sum::<f32>() / t.numel() as f32;
         assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
@@ -439,24 +361,6 @@ mod tests {
         assert!((t.l1_norm() - 7.0).abs() < 1e-6);
         assert!((t.linf_norm() - 4.0).abs() < 1e-6);
         assert_eq!(Tensor::default().linf_norm(), 0.0);
-        assert_eq!(Tensor::default().mean(), 0.0);
-    }
-
-    #[test]
-    fn reshape_checks_numel() {
-        let t = Tensor::zeros([6]);
-        assert!(t.reshaped([2, 3]).is_ok());
-        assert!(matches!(
-            t.reshaped([4, 2]),
-            Err(TensorError::InvalidReshape { from: 6, to: 8 })
-        ));
-    }
-
-    #[test]
-    fn get_bounds() {
-        let t = Tensor::from_vec(vec![1.0]);
-        assert_eq!(t.get(0).unwrap(), 1.0);
-        assert!(t.get(1).is_err());
     }
 
     #[test]

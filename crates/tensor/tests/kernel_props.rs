@@ -1,17 +1,18 @@
 //! Property tests: every vectorized kernel table must be exactly
-//! interchangeable with the scalar table.
+//! interchangeable with the scalar table, and every kernel with one body
+//! must match an explicit per-element reference.
 //!
-//! Every dispatched kernel is checked across lengths covering every lane
-//! remainder (0..2 x widest lane width and beyond), with payloads
-//! containing NaN, ±0, ±inf and denormals. Bit kernels must be
-//! **byte-identical**; float kernels must be **bit-identical under the
-//! fixed association order** (elementwise ops have no reassociation;
-//! `sum_abs` is lane-striped identically in every table).
+//! Every kernel is checked across lengths covering every lane remainder
+//! (0..2 x widest lane width and beyond), with payloads containing NaN,
+//! ±0, ±inf and denormals. Bit kernels must be **byte-identical**; float
+//! kernels must be **bit-identical under the fixed association order**
+//! (elementwise ops have no reassociation; `sum_abs` is lane-striped
+//! identically in every table).
 //!
 //! [`kernels::tables`] enumerates the tables the host supports, so on an
-//! AVX-512 machine each check runs scalar-vs-AVX2 *and* scalar-vs-AVX-512;
-//! on hosts without SIMD the pair list is empty and only the checks
-//! against scalar references run.
+//! AVX-512 machine each table check runs scalar-vs-AVX2 *and*
+//! scalar-vs-AVX-512; on hosts without SIMD the pair list is empty and only
+//! the checks against scalar references run.
 
 use gcs_tensor::kernels::{self, Kernels};
 
@@ -156,36 +157,29 @@ fn majority_vote_matches_an_i32_tally() {
 }
 
 #[test]
-fn byte_conversions_are_byte_identical() {
-    for (sc, simd) in pairs() {
-        let tbl = simd.name;
-        for n in lengths() {
-            let data = payload(n);
-            let mut ba = vec![0u8; n * 4];
-            let mut bb = vec![0xAAu8; n * 4];
-            (sc.f32s_to_bytes)(&data, &mut ba);
-            (simd.f32s_to_bytes)(&data, &mut bb);
-            assert_eq!(ba, bb, "{tbl} f32s_to_bytes n={n}");
+fn byte_conversions_are_each_elements_le_bytes() {
+    for n in lengths() {
+        let data = wire_image_payload(n);
+        let le: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let mut bytes = vec![0xAAu8; n * 4];
+        kernels::f32s_to_bytes(&data, &mut bytes);
+        assert_eq!(bytes, le, "f32s_to_bytes n={n}");
+        let mut back = vec![1.0f32; n];
+        kernels::bytes_to_f32s(&le, &mut back);
+        assert_eq!(bits(&back), bits(&data), "bytes_to_f32s n={n}");
 
-            let words: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
-            let mut ua = vec![0u8; n * 4];
-            let mut ub = vec![0x55u8; n * 4];
-            (sc.u32s_to_bytes)(&words, &mut ua);
-            (simd.u32s_to_bytes)(&words, &mut ub);
-            assert_eq!(ua, ub, "{tbl} u32s_to_bytes n={n}");
-
-            let mut fa = vec![0.0f32; n];
-            let mut fb = vec![1.0f32; n];
-            (sc.bytes_to_f32s)(&ba, &mut fa);
-            (simd.bytes_to_f32s)(&ba, &mut fb);
-            assert_eq!(bits(&fa), bits(&fb), "{tbl} bytes_to_f32s n={n}");
-
-            let mut wa = vec![0u32; n];
-            let mut wb = vec![1u32; n];
-            (sc.bytes_to_u32s)(&ua, &mut wa);
-            (simd.bytes_to_u32s)(&ua, &mut wb);
-            assert_eq!(wa, wb, "{tbl} bytes_to_u32s n={n}");
-        }
+        let words: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
+        let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut bytes = vec![0x55u8; n * 4];
+        kernels::u32s_to_bytes(&words, &mut bytes);
+        assert_eq!(bytes, le, "u32s_to_bytes n={n}");
+        let want: Vec<u32> = le
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        let mut back = vec![1u32; n];
+        kernels::bytes_to_u32s(&le, &mut back);
+        assert_eq!(back, want, "bytes_to_u32s n={n}");
     }
 }
 
@@ -222,63 +216,110 @@ fn wire_image_is_the_bytes_f32s_to_bytes_writes() {
     }
 }
 
+/// Bit patterns of `v`, the result of an add of `a` and `b` elementwise,
+/// with NaNs canonicalized only where both addends are NaN: a single-NaN
+/// add is deterministic (the NaN operand's payload wins, quieted,
+/// whatever the operand order), a NaN+NaN one is not (see [`canon_bits`]).
+fn add_bits(v: &[f32], a: &[f32], b: &[f32]) -> Vec<u32> {
+    v.iter()
+        .zip(a.iter().zip(b))
+        .map(|(x, (p, q))| {
+            if p.is_nan() && q.is_nan() && x.is_nan() {
+                0x7FC0_0000
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn elementwise_kernels_match_a_per_element_reference() {
+    for n in lengths() {
+        // NaN payloads in both operands, at strides that coincide in
+        // some lanes and not in others.
+        let data = wire_image_payload(n);
+        let other = wire_image_payload(n + 1)[1..].to_vec();
+        let wire: Vec<u8> = other.iter().flat_map(|x| x.to_le_bytes()).collect();
+
+        let want: Vec<f32> = data.iter().zip(&other).map(|(a, b)| a + b).collect();
+        let mut got = data.clone();
+        kernels::add_from_bytes(&wire, &mut got);
+        let ctx = format!("add_from_bytes n={n}");
+        assert_eq!(
+            add_bits(&got, &data, &other),
+            add_bits(&want, &data, &other),
+            "{ctx}"
+        );
+        // add_assign and axpy have table entries: every table.
+        for k in kernels::tables() {
+            let mut got = data.clone();
+            (k.add_assign)(&mut got, &other);
+            let ctx = format!("{} add_assign n={n}", k.name);
+            assert_eq!(
+                add_bits(&got, &data, &other),
+                add_bits(&want, &data, &other),
+                "{ctx}"
+            );
+        }
+
+        let alpha = -1.25f32;
+        let prod: Vec<f32> = other.iter().map(|x| alpha * x).collect();
+        let want_axpy: Vec<f32> = data.iter().zip(&prod).map(|(y, p)| y + p).collect();
+        for k in kernels::tables() {
+            let mut got = data.clone();
+            (k.axpy)(&mut got, alpha, &other);
+            let ctx = format!("{} axpy n={n}", k.name);
+            let want = add_bits(&want_axpy, &data, &prod);
+            assert_eq!(add_bits(&got, &data, &prod), want, "{ctx}");
+        }
+
+        let want: Vec<f32> = data.iter().map(|x| x * 0.3).collect();
+        let mut got = data.clone();
+        kernels::scale(&mut got, 0.3);
+        assert_eq!(bits(&got), bits(&want), "scale n={n}");
+
+        let want: Vec<f32> = data.iter().map(|x| x.abs()).collect();
+        let mut got = vec![-1.0f32; n];
+        kernels::abs_into(&data, &mut got);
+        assert_eq!(bits(&got), bits(&want), "abs_into n={n}");
+    }
+}
+
+/// `axpy` rounds `alpha * x` to `f32` before the add. With `y = -(alpha *
+/// x)` the two-rounding sum is exactly 0, while a fused multiply-add
+/// would return the product's rounding error instead.
+#[test]
+fn axpy_rounds_the_product_before_the_add() {
+    let alpha = f32::from_bits(0x3F80_0801); // 1 + 2^-12 + 2^-23
+    for n in lengths() {
+        let x: Vec<f32> = (0..n as u32)
+            .map(|i| f32::from_bits(0x3F80_0000 | (i.wrapping_mul(2_654_435_761) >> 9)))
+            .collect();
+        let y: Vec<f32> = x.iter().map(|&x| -(alpha * x)).collect();
+        let fused = x
+            .iter()
+            .zip(&y)
+            .filter(|&(&x, &y)| alpha.mul_add(x, y) != 0.0);
+        assert!(
+            fused.count() >= n / 2,
+            "n={n}: inputs must tell fused from unfused"
+        );
+        for k in kernels::tables() {
+            let mut got = y.clone();
+            (k.axpy)(&mut got, alpha, &x);
+            let tbl = k.name;
+            assert!(got.iter().all(|v| v.to_bits() == 0), "{tbl} n={n}: {got:?}");
+        }
+    }
+}
+
 #[test]
 fn float_kernels_match_bitwise_under_fixed_association() {
     for (sc, simd) in pairs() {
         let tbl = simd.name;
         for n in lengths() {
             let data = payload(n);
-            let other = payload(n + 1)[1..].to_vec();
-            let mut bytes = vec![0u8; n * 4];
-            (sc.f32s_to_bytes)(&other, &mut bytes);
-
-            // add_from_bytes: elementwise, no reassociation. Both `data` and
-            // `other` carry NaNs, so some lanes add NaN to NaN — compare with
-            // canonicalized payloads there (see `canon_bits`).
-            let mut a = data.clone();
-            let mut b = data.clone();
-            (sc.add_from_bytes)(&bytes, &mut a);
-            (simd.add_from_bytes)(&bytes, &mut b);
-            assert_eq!(canon_bits(&a), canon_bits(&b), "{tbl} add_from_bytes n={n}");
-
-            // add_assign / axpy / scale / abs_into: elementwise.
-            let mut a = data.clone();
-            let mut b = data.clone();
-            (sc.add_assign)(&mut a, &other);
-            (simd.add_assign)(&mut b, &other);
-            assert_eq!(canon_bits(&a), canon_bits(&b), "{tbl} add_assign n={n}");
-
-            let mut a = data.clone();
-            let mut b = data.clone();
-            (sc.axpy)(&mut a, -1.25, &other);
-            (simd.axpy)(&mut b, -1.25, &other);
-            assert_eq!(canon_bits(&a), canon_bits(&b), "{tbl} axpy n={n}");
-
-            // A single-NaN add is deterministic (the NaN operand's payload
-            // wins regardless of operand order), so with a NaN-free `other`
-            // the results must be fully bit-identical, payloads included.
-            let finite: Vec<f32> = other
-                .iter()
-                .map(|x| if x.is_nan() { 0.75 } else { *x })
-                .collect();
-            let mut a = data.clone();
-            let mut b = data.clone();
-            (sc.add_assign)(&mut a, &finite);
-            (simd.add_assign)(&mut b, &finite);
-            assert_eq!(bits(&a), bits(&b), "{tbl} add_assign finite-rhs n={n}");
-
-            let mut a = data.clone();
-            let mut b = data.clone();
-            (sc.scale)(&mut a, 0.3);
-            (simd.scale)(&mut b, 0.3);
-            assert_eq!(bits(&a), bits(&b), "{tbl} scale n={n}");
-
-            let mut a = vec![0.0f32; n];
-            let mut b = vec![-1.0f32; n];
-            (sc.abs_into)(&data, &mut a);
-            (simd.abs_into)(&data, &mut b);
-            assert_eq!(bits(&a), bits(&b), "{tbl} abs_into n={n}");
-
             // sum_abs: horizontal, but every table stripes across 8 lanes
             // and combines with the same pairwise tree (the AVX-512 table
             // deliberately reuses the AVX2 entry). NaN payloads poison both
@@ -306,31 +347,34 @@ fn add_into_bytes_matches_decode_accumulate_reserialize() {
     // form of add_from_bytes (buf ← x + w) followed by f32s_to_bytes —
     // that equivalence is what makes the single-pass ring bit-identical
     // to the textbook one.
-    let sc = kernels::scalar();
-    for (_, simd) in pairs().into_iter().chain([(sc, sc)]) {
-        let tbl = simd.name;
-        for n in lengths() {
-            let xs = payload(n);
-            let wire_f = payload(n + 1)[1..].to_vec();
+    for n in lengths() {
+        let xs = wire_image_payload(n);
+        for wire_f in [
+            payload(n + 1)[1..].to_vec(),
+            wire_image_payload(n + 3)[3..].to_vec(),
+        ] {
             let mut wire = vec![0u8; n * 4];
-            (sc.f32s_to_bytes)(&wire_f, &mut wire);
+            kernels::f32s_to_bytes(&wire_f, &mut wire);
 
             // Reference: decode + accumulate into a float buffer + encode.
             let mut acc = xs.clone();
-            (sc.add_from_bytes)(&wire, &mut acc);
+            kernels::add_from_bytes(&wire, &mut acc);
             let mut expect = vec![0u8; n * 4];
-            (sc.f32s_to_bytes)(&acc, &mut expect);
+            kernels::f32s_to_bytes(&acc, &mut expect);
 
             let mut got = wire.clone();
-            (simd.add_into_bytes)(&xs, &mut got);
+            kernels::add_into_bytes(&xs, &mut got);
 
-            // NaN+NaN lanes may differ in payload only (see canon_bits);
-            // decode both and compare canonicalized.
+            // NaN+NaN lanes may differ in payload only (see add_bits);
+            // decode both and compare, each against the per-element sum.
             let mut ef = vec![0.0f32; n];
             let mut gf = vec![0.0f32; n];
-            (sc.bytes_to_f32s)(&expect, &mut ef);
-            (sc.bytes_to_f32s)(&got, &mut gf);
-            assert_eq!(canon_bits(&ef), canon_bits(&gf), "{tbl} n={n}");
+            kernels::bytes_to_f32s(&expect, &mut ef);
+            kernels::bytes_to_f32s(&got, &mut gf);
+            let want: Vec<f32> = xs.iter().zip(&wire_f).map(|(x, w)| x + w).collect();
+            let canon = |v: &[f32]| add_bits(v, &xs, &wire_f);
+            assert_eq!(canon(&ef), canon(&gf), "n={n}");
+            assert_eq!(canon(&gf), canon(&want), "n={n} per element");
 
             // With a NaN-free wire the bytes must match exactly.
             let clean: Vec<f32> = wire_f
@@ -338,14 +382,14 @@ fn add_into_bytes_matches_decode_accumulate_reserialize() {
                 .map(|x| if x.is_nan() { 0.5 } else { *x })
                 .collect();
             let mut wire_c = vec![0u8; n * 4];
-            (sc.f32s_to_bytes)(&clean, &mut wire_c);
+            kernels::f32s_to_bytes(&clean, &mut wire_c);
             let mut acc = xs.clone();
-            (sc.add_from_bytes)(&wire_c, &mut acc);
+            kernels::add_from_bytes(&wire_c, &mut acc);
             let mut expect = vec![0u8; n * 4];
-            (sc.f32s_to_bytes)(&acc, &mut expect);
+            kernels::f32s_to_bytes(&acc, &mut expect);
             let mut got = wire_c.clone();
-            (simd.add_into_bytes)(&xs, &mut got);
-            assert_eq!(expect, got, "{tbl} clean n={n}");
+            kernels::add_into_bytes(&xs, &mut got);
+            assert_eq!(expect, got, "clean n={n}");
         }
     }
 }
