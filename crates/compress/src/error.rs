@@ -67,7 +67,10 @@ mod tests {
     #[test]
     fn display_nonempty_for_all_variants() {
         let variants = [
-            CompressError::Tensor(TensorError::IndexOutOfBounds { index: 1, len: 0 }),
+            CompressError::Tensor(TensorError::ShapeMismatch {
+                expected: "1 element".into(),
+                actual: "0 elements".into(),
+            }),
             CompressError::PayloadKind {
                 expected: "Dense",
                 actual: "Sparse",
@@ -84,7 +87,10 @@ mod tests {
 
     #[test]
     fn tensor_error_is_source() {
-        let e = CompressError::Tensor(TensorError::IndexOutOfBounds { index: 1, len: 0 });
+        let e = CompressError::Tensor(TensorError::ShapeMismatch {
+            expected: "1 element".into(),
+            actual: "0 elements".into(),
+        });
         assert!(e.source().is_some());
         assert!(CompressError::EmptyAggregate.source().is_none());
     }

@@ -37,13 +37,8 @@ impl WriteOnce {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Whether the buffer has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// The ring mean's final hop into `[start, start + xs.len())`:

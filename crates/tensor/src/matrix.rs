@@ -45,12 +45,12 @@ impl<'a> MatrixRef<'a> {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -65,7 +65,7 @@ impl<'a> MatrixRef<'a> {
     }
 
     /// The underlying row-major slice.
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         self.data
     }
 }

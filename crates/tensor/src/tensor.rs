@@ -16,13 +16,6 @@ pub enum TensorError {
         /// Shape (or length) actually supplied.
         actual: String,
     },
-    /// An index was out of bounds.
-    IndexOutOfBounds {
-        /// Offending index.
-        index: usize,
-        /// Number of elements in the tensor.
-        len: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -30,12 +23,6 @@ impl fmt::Display for TensorError {
         match self {
             TensorError::ShapeMismatch { expected, actual } => {
                 write!(f, "shape mismatch: expected {expected}, got {actual}")
-            }
-            TensorError::IndexOutOfBounds { index, len } => {
-                write!(
-                    f,
-                    "index {index} out of bounds for tensor of {len} elements"
-                )
             }
         }
     }
@@ -101,23 +88,47 @@ impl Tensor {
 
     /// Creates a tensor with i.i.d. standard-normal entries drawn from a
     /// seeded RNG (Box–Muller over uniform draws; deterministic per seed).
+    ///
+    /// The stream layout, which [`Tensor::fill_randn`] and every caller
+    /// that draws a buffer in windows rely on: after seeding
+    /// `StdRng::seed_from_u64(seed)`, element pair `i` (elements `2i` and
+    /// `2i + 1`) is one Box–Muller pair over draws `2i` and `2i + 1`, the
+    /// first giving the radius and the second the angle; element `2i` is the
+    /// cosine term and `2i + 1` the sine term. An odd element count drops
+    /// the last sine. So element `k` depends on the seed and `k` alone, and
+    /// any pair-aligned window of the buffer can be drawn on its own.
     pub fn randn(shape: impl Into<Shape>, seed: u64) -> Self {
         let shape = shape.into();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = shape.numel();
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
-            // Box–Muller transform: two uniforms -> two normals.
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos());
-            if data.len() < n {
-                data.push(r * theta.sin());
-            }
-        }
+        let mut data = vec![0.0; shape.numel()];
+        Tensor::fill_randn(&mut data, seed, 0);
         Tensor { data, shape }
+    }
+
+    /// Writes elements `start..start + out.len()` of the standard-normal
+    /// stream [`Tensor::randn`] draws for `seed`: filling consecutive windows
+    /// of one buffer, in any order and on any threads, gives the bits one
+    /// `randn` call does. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is odd: a window must begin on a Box–Muller pair.
+    pub fn fill_randn(out: &mut [f32], seed: u64, start: usize) {
+        assert!(
+            start.is_multiple_of(2),
+            "randn window starts mid-pair at {start}"
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        rng.advance(start as u64);
+        let mut pairs = out.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let (r, theta) = box_muller_polar(&mut rng);
+            pair[0] = r * theta.cos();
+            pair[1] = r * theta.sin();
+        }
+        if let [last] = pairs.into_remainder() {
+            let (r, theta) = box_muller_polar(&mut rng);
+            *last = r * theta.cos();
+        }
     }
 
     /// Creates a tensor with entries uniform in `[lo, hi)` from a seeded RNG.
@@ -186,7 +197,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) -> crate::Result<()> {
+    pub(crate) fn sub_assign(&mut self, other: &Tensor) -> crate::Result<()> {
         self.check_same_shape(other)?;
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a -= b;
@@ -232,7 +243,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if element counts differ.
-    pub fn dot(&self, other: &Tensor) -> crate::Result<f32> {
+    pub(crate) fn dot(&self, other: &Tensor) -> crate::Result<f32> {
         if self.numel() != other.numel() {
             return Err(TensorError::ShapeMismatch {
                 expected: format!("{} elements", self.numel()),
@@ -268,6 +279,14 @@ impl Tensor {
         }
         Ok(())
     }
+}
+
+/// One Box–Muller pair's radius and angle, from two uniform draws.
+#[inline]
+fn box_muller_polar(rng: &mut StdRng) -> (f32, f32) {
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f32::consts::PI * u2)
 }
 
 impl Default for Tensor {
@@ -329,6 +348,82 @@ mod tests {
         assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
+    /// The stream layout `randn` documents, written as one sequential
+    /// push loop: the reference the windowed fill is checked against.
+    fn sequential_randn(n: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(n);
+        while data.len() < n {
+            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = rng.gen_range(0.0..1.0);
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f32::consts::PI * u2;
+            data.push(r * theta.cos());
+            if data.len() < n {
+                data.push(r * theta.sin());
+            }
+        }
+        data
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn randn_is_the_sequential_stream() {
+        for n in [0, 1, 2, 3, 64, 1001, 4096] {
+            let t = Tensor::randn([n], 0x77);
+            assert_eq!(bits(t.data()), bits(&sequential_randn(n, 0x77)), "n {n}");
+        }
+    }
+
+    #[test]
+    fn fill_randn_windows_are_slices_of_the_stream() {
+        for (total, seed) in [(1000, 3), (1001, 0x77), (65_537, 1)] {
+            let stream = sequential_randn(total, seed);
+            // (start, len): the head, mid-stream, odd lengths, windows that
+            // end on or start at another's edge, and the odd total's tail.
+            let windows = [
+                (0, 1),
+                (0, 2),
+                (0, 64),
+                (2, 7),
+                (64, 64),
+                (128, 1),
+                (500, 300),
+                (500, 0),
+                (total - total % 2 - 2, 2),
+                (total - total % 2, total % 2),
+                (total - total % 2 - 100, 100 + total % 2),
+            ];
+            for (start, len) in windows {
+                let mut out = vec![f32::NAN; len];
+                Tensor::fill_randn(&mut out, seed, start);
+                let want = &stream[start..start + len];
+                assert_eq!(bits(&out), bits(want), "total {total} at {start}+{len}");
+            }
+            // Consecutive pair-aligned windows rebuild the whole buffer.
+            let mut joined = vec![f32::NAN; total];
+            let mut start = 0;
+            for width in [2, 6, 64, 330].into_iter().cycle() {
+                let end = (start + width).min(total);
+                Tensor::fill_randn(&mut joined[start..end], seed, start);
+                start = end;
+                if start == total {
+                    break;
+                }
+            }
+            assert_eq!(bits(&joined), bits(&stream), "total {total} joined");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mid-pair")]
+    fn fill_randn_refuses_an_odd_start() {
+        Tensor::fill_randn(&mut [0.0; 4], 1, 3);
+    }
+
     #[test]
     fn rand_uniform_respects_bounds() {
         let t = Tensor::rand_uniform([1000], -2.0, 3.0, 5);
@@ -373,7 +468,10 @@ mod tests {
 
     #[test]
     fn error_display_nonempty() {
-        let e = TensorError::IndexOutOfBounds { index: 5, len: 2 };
+        let e = TensorError::ShapeMismatch {
+            expected: "2 elements".into(),
+            actual: "5 elements".into(),
+        };
         assert!(!e.to_string().is_empty());
     }
 }

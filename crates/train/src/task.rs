@@ -5,6 +5,8 @@ use gcs_tensor::matrix::{a_mul_bt, at_mul_b_into, matmul, MatrixRef};
 use gcs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::thread;
 
 /// A learning problem: parameters, stochastic gradients, and a loss to
 /// monitor.
@@ -25,6 +27,41 @@ pub trait Task {
 
     /// Full-dataset loss at `params` (the convergence metric).
     fn full_loss(&self, params: &[Tensor]) -> f64;
+}
+
+/// Smallest window of a task's Gaussian draw that gets a core of its own.
+/// A draw shorter than two of these runs on the calling thread.
+const RANDN_WINDOW_FLOOR: usize = 64 * 1024;
+
+/// Fills `out` with [`Tensor::randn`]'s stream for `seed`, bit for bit,
+/// drawing one window per available core. Set-up runs before any rank
+/// thread exists, so the other cores are idle; this is the only place the
+/// crate fans work out across cores.
+fn fill_randn_on_cores(out: &mut [f32], seed: u64) {
+    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let windows = cores.min(out.len() / RANDN_WINDOW_FLOOR).max(1);
+    fill_randn_windows(out, seed, windows);
+}
+
+/// Splits `out` into at most `windows` pair-aligned windows and draws each
+/// with [`Tensor::fill_randn`], the first on the calling thread and the
+/// rest on scoped threads. The threads only write their window.
+fn fill_randn_windows(out: &mut [f32], seed: u64, windows: usize) {
+    let window = out
+        .len()
+        .div_ceil(windows.max(1))
+        .next_multiple_of(2)
+        .max(2);
+    thread::scope(|scope| {
+        let mut chunks = out.chunks_mut(window).enumerate();
+        let first = chunks.next();
+        for (i, chunk) in chunks {
+            scope.spawn(move || Tensor::fill_randn(chunk, seed, i * window));
+        }
+        if let Some((_, chunk)) = first {
+            Tensor::fill_randn(chunk, seed, 0);
+        }
+    });
 }
 
 /// Least-squares linear regression on a fixed synthetic dataset:
@@ -50,7 +87,8 @@ impl LinearRegression {
     /// Panics if `dim == 0` or `n == 0`.
     pub fn new(dim: usize, n: usize, noise: f32, seed: u64) -> Self {
         assert!(dim > 0 && n > 0, "dataset must be non-empty");
-        let x = Tensor::randn([n, dim], seed).into_vec();
+        let mut x = vec![0.0f32; n * dim];
+        fill_randn_on_cores(&mut x, seed);
         let w_star = Tensor::randn([dim], seed ^ 0xdead_beef).into_vec();
         let b_star = 0.5f32;
         let noise_v = Tensor::randn([n], seed ^ 0x1234).into_vec();
@@ -159,7 +197,8 @@ impl LogisticRegression {
             (0.0..0.5).contains(&flip),
             "label noise must be in [0, 0.5)"
         );
-        let x = Tensor::randn([n, dim], seed).into_vec();
+        let mut x = vec![0.0f32; n * dim];
+        fill_randn_on_cores(&mut x, seed);
         let w_star = Tensor::randn([dim], seed ^ 0xfeed).into_vec();
         let noise = Tensor::rand_uniform([n], 0.0, 1.0, seed ^ 0x9a9a).into_vec();
         let y: Vec<f32> = (0..n)
@@ -273,7 +312,8 @@ impl MlpClassification {
             "invalid MLP task dimensions"
         );
         let centers = Tensor::randn([classes, dim], seed).scaled(2.0).into_vec();
-        let noise = Tensor::randn([n, dim], seed ^ 0x77).into_vec();
+        let mut noise = vec![0.0f32; n * dim];
+        fill_randn_on_cores(&mut noise, seed ^ 0x77);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
         let mut x = vec![0.0f32; n * dim];
         let mut labels = vec![0usize; n];
@@ -645,6 +685,62 @@ mod tests {
             let got = fnv1a_bits(&grads, task.full_loss(&params));
             assert_eq!(got, want, "{d}x{h}x{c} batch {batch}: {got:#x}");
         }
+    }
+
+    /// FNV-1a over a dataset's input bits, then its labels as
+    /// little-endian `u64`s.
+    fn fnv1a_dataset(x: &[f32], labels: &[usize]) -> u64 {
+        let bytes = x
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .chain(labels.iter().flat_map(|&l| (l as u64).to_le_bytes()));
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn benchmark_datasets_are_pinned() {
+        // The benchmark's two models at their full sample counts: 2 Mi and
+        // 1 Mi noise elements, drawn in more than one window on a
+        // multi-core host.
+        let cases = [
+            ((1024, 1024, 16, 2048, 1), 0x7214_92cd_0ba4_c11e),
+            ((256, 512, 10, 4096, 1), 0xb9eb_9927_40e6_5130),
+        ];
+        for ((d, h, c, n, seed), want) in cases {
+            let task = MlpClassification::new(d, h, c, n, seed);
+            let got = fnv1a_dataset(&task.x, &task.labels);
+            assert_eq!(got, want, "{d}x{h}x{c}x{n}: {got:#x}");
+        }
+    }
+
+    #[test]
+    fn windowed_draws_equal_one_randn() {
+        // Totals below, at and above a window per element pair, odd and
+        // even; 7 windows of a 10-element draw leave some threads nothing.
+        for total in [0, 1, 2, 10, 13, 1000, 4099] {
+            let want: Vec<u32> = Tensor::randn([total], 9)
+                .data()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            for windows in [1, 2, 3, 7] {
+                let mut out = vec![f32::NAN; total];
+                fill_randn_windows(&mut out, 9, windows);
+                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{total} elements in {windows} windows");
+            }
+        }
+    }
+
+    #[test]
+    fn task_inputs_are_randn_at_any_core_count() {
+        // Two floors' worth plus an odd tail, so a multi-core host splits it.
+        let (dim, n) = (3, 2 * RANDN_WINDOW_FLOOR / 3 + 1);
+        let want = Tensor::randn([n, dim], 4).into_vec();
+        assert_eq!(LinearRegression::new(dim, n, 0.1, 4).x, want);
+        assert_eq!(LogisticRegression::new(dim, n, 0.1, 4).x, want);
     }
 
     #[test]

@@ -169,26 +169,41 @@ bash benchmark/run.sh --list
 # One short workload end to end: the benchmark's checks (same digest on
 # every rank, a SimCluster replay, expected wire bytes) exit non-zero when
 # a library change breaks them, so that shows up here and not first in a
-# full 25-second benchmark run.
+# full 25-second benchmark run. Each smoke's stdout, where the benchmark
+# prints its `check` lines, is kept in target/ci-smoke-<workload>.log; a
+# failing smoke prints those lines and its exit code before CI stops.
+smoke() {
+  local workload=$1
+  shift
+  local log="target/ci-smoke-$workload.log"
+  local status=0
+  timeout 120 bash benchmark/run.sh --workload "$workload" "$@" > "$log" || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "benchmark smoke $workload failed with exit code $status (stdout in $log):"
+    grep '^check ' "$log" || tail -n 20 "$log"
+    exit 1
+  fi
+}
+
 echo "==> benchmark smoke (dense-ring-tcp, 3 s)"
-timeout 120 bash benchmark/run.sh --workload dense-ring-tcp --seconds 3 --trace 0 > /dev/null
+smoke dense-ring-tcp --seconds 3 --trace 0
 
 # The pipelined engine over NetEmu in a release build, traced: the same
 # digest/replay/wire-byte checks, plus the per-layer overlap metrics
 # (`ddp.overlap_ratio`, `ddp.exposed_wait_ms`, `ddp.comm_busy_ms`).
 echo "==> benchmark smoke (topk-overlap-netem, 3 s, traced)"
-timeout 120 bash benchmark/run.sh --workload topk-overlap-netem --seconds 3 --trace 1 > /dev/null
+smoke topk-overlap-netem --seconds 3 --trace 1
 
 # PowerSGD per layer over in-memory channels: the only workload whose
 # inline lane fuses every layer's factor into one ring per round.
 echo "==> benchmark smoke (lowrank-sim, 3 s)"
-timeout 120 bash benchmark/run.sh --workload lowrank-sim --seconds 3 --trace 0 > /dev/null
+smoke lowrank-sim --seconds 3 --trace 0
 
 # EF-SignSGD per layer over loopback TCP: the only workload whose
 # exchange encodes signs and takes the majority vote. It needs 5 s: at
 # 3 s the run gives up before it reaches the target loss.
 echo "==> benchmark smoke (train-smallmsg-tcp, 5 s)"
-timeout 120 bash benchmark/run.sh --workload train-smallmsg-tcp --seconds 5 --trace 0 > /dev/null
+smoke train-smallmsg-tcp --seconds 5 --trace 0
 
 # Static verification layer, all four passes: (1) model-check every
 # collective schedule family (p = 2..16, dead-rank subsets <= 2);
